@@ -13,7 +13,6 @@ from .linalg import (
     Matrix,
     EigenResult,
     det_exact,
-    det_approx,
     rank_exact,
     hermitian_eigen,
     kron,
@@ -25,7 +24,6 @@ from .linalg import (
 from .multipoly import (
     Poly,
     LinearForm,
-    poly_ring_ops,
     symbolic_det,
     minors,
     substitute_affine,
@@ -68,10 +66,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactComplex", "Tolerance", "approx_close", "exact_field_ops", "DEFAULT_TOL",
-    "Matrix", "EigenResult", "det_exact", "det_approx", "rank_exact",
+    "Matrix", "EigenResult", "det_exact", "rank_exact",
     "hermitian_eigen", "kron", "block", "partial_trace", "partial_transpose",
     "psd_check",
-    "Poly", "LinearForm", "poly_ring_ops", "symbolic_det", "minors",
+    "Poly", "LinearForm", "symbolic_det", "minors",
     "substitute_affine", "restrict_to_line", "gradient", "univariate_roots",
     "univariate_coeffs",
     "FactorList", "linear_factorization", "split_linear_approx",

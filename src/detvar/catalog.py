@@ -25,23 +25,6 @@ from .states import BipartiteState
 CHART_NAMES = ("r2'", "r3'", "r4'")
 
 
-def build_example(which: int, **params) -> BipartiteState:
-    """Dispatch for the built-in constructions.
-
-    1 -> maximally mixed (params m, n); 2 -> cyclic cubic family (param t,
-    an exact rational or the token "3w"); 3 -> the rank-7 PPT state on 4x6.
-    """
-    if which == 1:
-        return maximally_mixed(params.get("m", 3), params.get("n", 3))
-    if which == 2:
-        if "t" not in params:
-            raise BadParams("construction 2 needs the family parameter t")
-        return cyclic_cubic_state(parse_family_parameter(params["t"]))
-    if which == 3:
-        return ppt_4x6_state()
-    raise BadParams(f"unknown construction {which!r}")
-
-
 def maximally_mixed(m: int, n: int) -> BipartiteState:
     """rho = I/(mn), as the basis-vector ensemble with equal weights."""
     if m < 1 or n < 1:

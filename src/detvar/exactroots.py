@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Tuple
 
-from .multipoly import Poly, symbolic_det, univariate_coeffs
+from .multipoly import Poly, sylvester_resultant, univariate_coeffs
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
 
 FPoly = List[Fraction]  # ascending coefficients
@@ -337,36 +337,6 @@ def _real_imag_curves(f: ECPoly) -> Tuple[Poly, Poly]:
     return Poly(2, a_terms), Poly(2, b_terms)
 
 
-def _coeffs_in_y(p: Poly) -> List[Poly]:
-    """View a 2-variable polynomial as a polynomial in y with coefficients
-    univariate in x (variable 0 of the output polys)."""
-    dy = p.degree_in(1)
-    out = [dict() for _ in range(dy + 1)]
-    for (ex, ey), c in p.terms.items():
-        out[ey][(ex,)] = c
-    return [Poly(1, t) for t in out]
-
-
-def _sylvester_resultant_y(a: Poly, b: Poly) -> Poly:
-    ca = _coeffs_in_y(a)
-    cb = _coeffs_in_y(b)
-    da, db = len(ca) - 1, len(cb) - 1
-    n = da + db
-    zero = Poly.zero(1)
-    rows: List[List[Poly]] = []
-    for i in range(db):
-        row = [zero] * n
-        for k, c in enumerate(reversed(ca)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * n
-        for k, c in enumerate(reversed(cb)):
-            row[i + k] = c
-        rows.append(row)
-    return symbolic_det(rows)
-
-
 def _poly1_to_fq(p: Poly) -> FPoly:
     return [c.re for c in univariate_coeffs(p)]
 
@@ -417,7 +387,7 @@ def gaussian_rational_roots(f: ECPoly) -> List[Tuple[ExactComplex, int]]:
         if fq_deg(flat_fq) >= 1:
             x_candidates = [r for r, _ in rational_roots(flat_fq)]
     else:
-        res = _sylvester_resultant_y(a, b)
+        res = sylvester_resultant(a, b)
         res_fq = fq_trim(_poly1_to_fq(res))
         if not res_fq:
             # coprime curves always have a nonzero resultant

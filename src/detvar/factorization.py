@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import UnsupportedShape
+from .errors import DegenerateLeadingCoefficient, NoConvergence, UnsupportedShape
 from .exactroots import gaussian_rational_roots
 from .multipoly import LinearForm, Poly, substitute_affine, univariate_coeffs, univariate_roots
 from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance
@@ -313,6 +313,10 @@ def is_irreducible_cubic_over_gaussians(p: Poly) -> bool:
 # approximate full split (diagnostic pathway)
 # ---------------------------------------------------------------------------
 
+# what the root finder raises on a degenerate or stubborn slice polynomial
+_ROOT_MISSES = (DegenerateLeadingCoefficient, NoConvergence)
+
+
 def split_linear_approx(p: Poly, tol: Tolerance = DEFAULT_TOL
                         ) -> Optional[Tuple[complex, List[LinearForm]]]:
     """Numeric complete splitting of a homogeneous poly in <= 3 variables
@@ -371,10 +375,11 @@ def split_linear_approx(p: Poly, tol: Tolerance = DEFAULT_TOL
                 u[ex] = u[ex] + c
             # q(x, 1); roots s -> (x - s y)
             try:
-                for s in univariate_roots(u, tol):
-                    out.append(LinearForm([1 + 0j, -s], 0j, normalize=False))
-            except Exception:
-                pass
+                roots = univariate_roots(u, tol)
+            except _ROOT_MISSES:
+                roots = []
+            for s in roots:
+                out.append(LinearForm([1 + 0j, -s], 0j, normalize=False))
             out.append(LinearForm([0j, 1 + 0j], 0j, normalize=False))
             return out
         # nv == 3: slice z = 1 and pair roots on x = x0, x1
@@ -391,7 +396,7 @@ def split_linear_approx(p: Poly, tol: Tolerance = DEFAULT_TOL
                 u[ey] += c * (x0 ** ex)
             try:
                 return univariate_roots(u, tol)
-            except Exception:
+            except _ROOT_MISSES:
                 return []
 
         x0, x1 = 0.31897, 1.177215

@@ -136,11 +136,7 @@ class Matrix:
         return Matrix(self.rows, other.cols, out, self.kind)
 
     def conj_transpose(self) -> "Matrix":
-        if self.kind == "exact":
-            conj = lambda z: z.conjugate()
-        else:
-            conj = lambda z: z.conjugate()
-        out = [conj(self[j, i]) for i in range(self.cols) for j in range(self.rows)]
+        out = [self[j, i].conjugate() for i in range(self.cols) for j in range(self.rows)]
         return Matrix(self.cols, self.rows, out, self.kind)
 
     def transpose(self) -> "Matrix":
@@ -245,13 +241,6 @@ def rank_exact(m: Matrix) -> int:
         if row == m.rows:
             break
     return rank
-
-
-def det_approx(m: Matrix) -> complex:
-    """Determinant on the numeric pathway (LAPACK via numpy)."""
-    if m.rows != m.cols:
-        raise NonSquare(f"determinant of {m.rows}x{m.cols} matrix")
-    return complex(np.linalg.det(m.to_numpy()))
 
 
 # ---------------------------------------------------------------------------

@@ -402,25 +402,6 @@ def _is_lf_zero(c) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Ring-op dispatch surface
-# ---------------------------------------------------------------------------
-
-def poly_ring_ops(p: Poly, q: Poly, op: str) -> Poly:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        # q must be a constant polynomial here
-        if q.degree() > 0:
-            raise ValueError("scale expects a constant second operand")
-        return p.scale(q.coeff(tuple([0] * q.nvars)))
-    raise ValueError(f"unknown op {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # Symbolic determinants and minors
 # ---------------------------------------------------------------------------
 
@@ -479,17 +460,16 @@ def _det_subset_expansion(rows: List[List[Poly]]) -> Poly:
     for i in range(n):
         nxt: Dict[int, Poly] = {}
         for mask, minor in states.items():
-            parity = 0
             for j in range(n):
                 bit = 1 << j
                 if mask & bit:
-                    parity ^= 1
                     continue
                 entry = rows[i][j]
                 if entry.is_zero():
                     continue
                 term = minor * entry
-                if parity:
+                # one inversion per earlier row whose column lies right of j
+                if bin(mask >> j).count("1") & 1:
                     term = -term
                 key = mask | bit
                 nxt[key] = (nxt[key] + term) if key in nxt else term
@@ -520,6 +500,32 @@ def symbolic_det(rows: List[List[Poly]]) -> Poly:
     if kd == "exact":
         return _det_bareiss_poly(rows)
     return _det_subset_expansion(rows)
+
+
+def sylvester_resultant(a: Poly, b: Poly) -> Poly:
+    """Resultant of two bivariate polynomials eliminating variable 1.
+
+    Both are read as polynomials in variable 1 with coefficients univariate
+    in variable 0; the result is the determinant of their Sylvester matrix,
+    a 1-variable polynomial of the inputs' kind.
+    """
+    def coeffs_in_y(p: Poly) -> List[Poly]:
+        buckets: List[dict] = [dict() for _ in range(p.degree_in(1) + 1)]
+        for (ex, ey), c in p.terms.items():
+            buckets[ey][(ex,)] = c
+        return [Poly(1, t, p.kind) for t in buckets]
+
+    ca, cb = coeffs_in_y(a), coeffs_in_y(b)
+    da, db = len(ca) - 1, len(cb) - 1
+    zero = Poly.zero(1, a.kind)
+    rows: List[List[Poly]] = []
+    for shifts, coeffs in ((db, ca), (da, cb)):
+        for i in range(shifts):
+            row = [zero] * (da + db)
+            for k, c in enumerate(reversed(coeffs)):
+                row[i + k] = c
+            rows.append(row)
+    return symbolic_det(rows)
 
 
 def minors(rows: List[List[Poly]], k: int) -> List[Poly]:

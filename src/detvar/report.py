@@ -18,7 +18,7 @@ from typing import Optional
 from .catalog import CHART_NAMES, ChartReduction
 from .errors import NotHesseShape
 from .moduli import hesse_reduce, moduli_value
-from .multipoly import LinearForm, Poly
+from .multipoly import LinearForm
 from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import render_scalar
 from .states import BipartiteState, entropy_and_spectra, ppt_check
@@ -42,10 +42,6 @@ def _form_to_json(f: LinearForm):
         "coefficients": [render_scalar(c) for c in f.coefficients],
         "constant": render_scalar(f.constant),
     }
-
-
-def _poly_to_json(p: Poly, names=None):
-    return p.render(names)
 
 
 def verdict_to_json(verdict: VarietyVerdict) -> dict:

@@ -19,14 +19,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
+    DegenerateLeadingCoefficient,
     InconsistentRepresentations,
+    NoConvergence,
     SamplingExhausted,
     SingularPoint,
+    UnsupportedShape,
+    ZeroDirection,
 )
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
@@ -35,7 +39,7 @@ from .multipoly import (
     Poly,
     minors,
     restrict_to_line,
-    symbolic_det,
+    sylvester_resultant,
     univariate_coeffs,
     univariate_roots,
 )
@@ -46,6 +50,10 @@ WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
 NEWTON_MAX_STEPS = 50
 SAMPLING_BUDGET = 100      # line draws per requested point
+
+# what restricting to a line and root-finding raise when a draw is merely
+# unlucky (degenerate restriction, zero direction, Aberth not settling)
+_LINE_MISSES = (DegenerateLeadingCoefficient, NoConvergence, ZeroDirection)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +136,8 @@ class Variety:
         self.structural = structural  # "Empty" | "Full" | None
         self._blocks_exact = None
         self._blocks_approx = None
+        self._analysis_cache = None  # (peeled forms, remaining system)
+        self._factor_list = None     # exact split of a hypersurface generator
 
     @property
     def essential_generators(self) -> List[Poly]:
@@ -379,47 +389,59 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
     components behind it from the sampler.  Candidates are found by fitting
     hyperplanes through cheaply sampled variety points, then verified by
     exact division before anything is peeled, so the result is a
-    certificate, not a guess.  Cached on the variety.
+    certificate, not a guess.
+
+    An exact hypersurface in at most three variables is split by the exact
+    factor engine instead; when a residual survives, the system is that
+    residual, whose zero locus is the only place a witness can live.  A
+    full split is left unpeeled: linearity_decide reports it from the
+    factor list, which is kept on the variety, and its hyperplanes stay
+    open to sampling.  Cached on the variety.
     """
-    cache = getattr(v, "_analysis_cache", None)
-    if cache is not None:
-        return cache
+    if v._analysis_cache is not None:
+        return v._analysis_cache
     gens = v.essential_generators
     forms: List[LinearForm] = []
-    if v.mode != "exact" or len(gens) <= 1:
+    if v.mode != "exact" or not gens:
+        v._analysis_cache = (forms, gens)
+        return v._analysis_cache
+
+    if len(gens) == 1:
+        g = gens[0]
+        if len(g.used_vars()) <= 3 and g.degree() <= 6:
+            fl = v._factor_list = linear_factorization(g)
+            if not fl.full_split():
+                forms, gens = list(fl.linear_factors), [fl.residual]
         v._analysis_cache = (forms, gens)
         return v._analysis_cache
 
     if v.m <= 3:
         # small ambient spaces admit a fully exact route: every common
-        # linear factor divides any one generator, and those factors the
-        # exact engine enumerates completely (repetitions included, which
-        # sampling cannot resolve past sqrt(eps) accuracy)
-        from .errors import UnsupportedShape
-
+        # linear factor divides any one generator at least as often, and
+        # the exact engine enumerates that generator's factors completely
+        # (repetitions included, which sampling cannot resolve past
+        # sqrt(eps) accuracy); a factor that misses once misses for good
         current = list(gens)
         try:
-            progress = True
-            while progress and current:
-                progress = False
-                pick = min(current, key=lambda g: len(g.terms))
-                for form in linear_factorization(pick).linear_factors:
-                    fp = form.to_poly(v.m)
-                    quotients = []
-                    for g in current:
-                        q = fp.divides_into(g)
-                        if q is None:
-                            break
-                        quotients.append(q)
-                    else:
-                        forms.append(form)
-                        current = [q for q in quotients if q.degree() >= 1]
-                        progress = True
+            factors = linear_factorization(min(current, key=lambda g: len(g.terms)))
+        except UnsupportedShape:
+            pass
+        else:
+            for form in factors.linear_factors:
+                fp = form.to_poly(v.m)
+                quotients = []
+                for g in current:
+                    q = fp.divides_into(g)
+                    if q is None:
+                        break
+                    quotients.append(q)
+                else:
+                    forms.append(form)
+                    current = [q for q in quotients if q.degree() >= 1]
+                    if not current:
                         break
             v._analysis_cache = (forms, current)
             return v._analysis_cache
-        except UnsupportedShape:
-            forms = []
 
     rng = random.Random(20211)
 
@@ -432,7 +454,7 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
             direction = _random_exact_point(rng, v.m)
             try:
                 roots = univariate_roots(restrict_to_line(system[0], base, direction), tol)
-            except Exception:
+            except _LINE_MISSES:
                 continue
             bc = [x.to_complex() for x in base]
             dc = [x.to_complex() for x in direction]
@@ -490,17 +512,6 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
     return v._analysis_cache
 
 
-def _coeffs_in_var(p: Poly, var: int) -> List[Poly]:
-    """Bivariate approx polynomial viewed as univariate in `var` with
-    coefficients univariate in the other variable."""
-    other = 1 - var
-    d = p.degree_in(var)
-    buckets: List[dict] = [dict() for _ in range(d + 1)]
-    for e, c in p.terms.items():
-        buckets[e[var]][(e[other],)] = buckets[e[var]].get((e[other],), 0j) + c
-    return [Poly(1, b, "approx") for b in buckets]
-
-
 def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
                             tol: Tolerance) -> List[Tuple[complex, ...]]:
     """Intersect the first two generators with a random projective 2-plane
@@ -541,23 +552,7 @@ def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
     g2 = slice_poly(gens[1])
     if g1.degree_in(1) < 1 or g2.degree_in(1) < 1:
         return []
-    ca = _coeffs_in_var(g1, 1)
-    cb = _coeffs_in_var(g2, 1)
-    da, db = len(ca) - 1, len(cb) - 1
-    size = da + db
-    zero = Poly.zero(1, "approx")
-    rows = []
-    for i in range(db):
-        row = [zero] * size
-        for k, cf in enumerate(reversed(ca)):
-            row[i + k] = cf
-        rows.append(row)
-    for i in range(da):
-        row = [zero] * size
-        for k, cf in enumerate(reversed(cb)):
-            row[i + k] = cf
-        rows.append(row)
-    res = symbolic_det(rows)
+    res = sylvester_resultant(g1, g2)
     coeffs = [complex(x) for x in univariate_coeffs(res)]
     cmax = max((abs(x) for x in coeffs), default=0.0)
     if cmax == 0.0:
@@ -568,12 +563,13 @@ def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
         return []
     try:
         s_roots = univariate_roots(coeffs, tol)
-    except Exception:
+    except _LINE_MISSES:
         return []
     out = []
     for s0 in s_roots:
-        u_coeffs = [complex(sum(cf * (s0 ** k) for (k,), cf in cpoly.terms.items()))
-                    for cpoly in ca]
+        u_coeffs = [0j] * (g1.degree_in(1) + 1)
+        for (ks, ku), cf in g1.terms.items():
+            u_coeffs[ku] += cf * (s0 ** ks)
         umax = max((abs(x) for x in u_coeffs), default=0.0)
         if umax == 0.0:
             continue
@@ -583,7 +579,7 @@ def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
             continue
         try:
             u_roots = univariate_roots(u_coeffs, tol)
-        except Exception:
+        except _LINE_MISSES:
             continue
         for u0 in u_roots:
             pt = tuple(complex(x) for x in (a + s0 * b + u0 * c))
@@ -592,20 +588,14 @@ def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
     return out
 
 
-def sample_points(v: Variety, count: int, seed: int,
-                  tol: Tolerance = DEFAULT_TOL) -> List[Tuple[complex, ...]]:
-    """Sample membership-verified points of the variety.
-
-    Hypersurface mode intersects random (exact, when possible) lines with
-    the single generator.  General mode peels certified common linear
-    factors first, then seeds damped Gauss-Newton with line roots of the
-    first remaining generator, falling back to random 2-plane slices
-    (resultant + root pairing) for components that lines cannot hit.
-    Every returned point passes membership with a healthy margin.
-    """
+def _point_stream(v: Variety, count: int, seed: int,
+                  tol: Tolerance) -> Iterator[Tuple[complex, ...]]:
+    """The sampler behind sample_points, yielding each point as soon as it
+    is accepted, so a caller can stop at the first one that serves it.
+    Raises SamplingExhausted once the budget runs out short of `count`."""
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
-    peeled_forms, agens = _analysis_system(v, tol)
+    _, agens = _analysis_system(v, tol)
     if not agens:
         raise SamplingExhausted(
             "variety equals the union of its peeled hyperplanes; nothing left to sample")
@@ -613,7 +603,7 @@ def sample_points(v: Variety, count: int, seed: int,
     first = agens[0]
     hypersurface = len(agens) == 1
     clean = 0.1 * tol.abs_eps  # acceptance bar, well above the polish target
-    out: List[Tuple[complex, ...]] = []
+    found = 0
 
     def system_residual(pt) -> float:
         worst = 0.0
@@ -622,18 +612,13 @@ def sample_points(v: Variety, count: int, seed: int,
                         / max(g.evaluation_scale(pt), 1e-300))
         return worst
 
-    def accept(cand) -> bool:
-        if v.generator_residual(cand) > clean:
-            return False
-        if v.hermitian_residual(cand) > clean:
-            return False
-        out.append(cand)
-        return True
+    def on_variety(cand) -> bool:
+        return v.generator_residual(cand) <= clean and v.hermitian_residual(cand) <= clean
 
     budget = SAMPLING_BUDGET * count
     newton_budget = 20 * count
     for _ in range(budget):
-        if len(out) >= count:
+        if found >= count:
             break
         if v.mode == "exact":
             base = _random_exact_point(rng, v.m)
@@ -644,14 +629,14 @@ def sample_points(v: Variety, count: int, seed: int,
         try:
             restriction = restrict_to_line(first, base, direction)
             roots = univariate_roots(restriction, tol)
-        except Exception:
+        except _LINE_MISSES:
             continue
         base_c = [x.to_complex() if isinstance(x, ExactComplex) else complex(x)
                   for x in base]
         dir_c = [x.to_complex() if isinstance(x, ExactComplex) else complex(x)
                  for x in direction]
         for s in roots:
-            if len(out) >= count:
+            if found >= count:
                 break
             cand = tuple(b + s * d for b, d in zip(base_c, dir_c))
             if max(abs(z) for z in cand) < 1e-12:
@@ -668,20 +653,22 @@ def sample_points(v: Variety, count: int, seed: int,
                 cand = project_normalize(polished)
                 if system_residual(cand) > clean:
                     continue
-            accept(cand)
-        if not hypersurface and len(out) < count and newton_budget <= 0:
+            if on_variety(cand):
+                found += 1
+                yield cand
+        if not hypersurface and found < count and newton_budget <= 0:
             break
-    if len(out) < count and not hypersurface and len(agens) >= 2:
+    if found < count and not hypersurface and len(agens) >= 2:
         # spread the quota across slices: one slice meets every component,
         # and taking everything it offers would fill the sample with points
         # from whichever component comes first in the root ordering
         per_slice = max(2, count // 4)
         for _ in range(12):
-            if len(out) >= count:
+            if found >= count:
                 break
             taken = 0
             for cand in _plane_slice_candidates(agens, v.m, rng, tol):
-                if len(out) >= count or taken >= per_slice:
+                if found >= count or taken >= per_slice:
                     break
                 if system_residual(cand) > clean:
                     polished = _newton_polish(agens, v.m, cand, tol)
@@ -690,12 +677,29 @@ def sample_points(v: Variety, count: int, seed: int,
                     cand = project_normalize(polished)
                     if system_residual(cand) > clean:
                         continue
-                if accept(cand):
+                if on_variety(cand):
+                    found += 1
                     taken += 1
-    if len(out) < count:
+                    yield cand
+    if found < count:
         raise SamplingExhausted(
-            f"found {len(out)}/{count} points after {budget} line draws")
-    return out
+            f"found {found}/{count} points after {budget} line draws")
+
+
+def sample_points(v: Variety, count: int, seed: int,
+                  tol: Tolerance = DEFAULT_TOL) -> List[Tuple[complex, ...]]:
+    """Sample membership-verified points of the variety.
+
+    Lines are drawn against the analysis system: the generators with their
+    certified common linear factors peeled off, or, for an exact
+    hypersurface, the residual of its exact split.  A single equation is
+    met by random (exact, when possible) lines alone; several are solved
+    by damped Gauss-Newton seeded with line roots of the first one,
+    falling back to random 2-plane slices (resultant + root pairing) for
+    components that lines cannot hit.  Every returned point passes
+    membership with a healthy margin.
+    """
+    return list(_point_stream(v, count, seed, tol))
 
 
 def tangent_form(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> LinearForm:
@@ -703,11 +707,15 @@ def tangent_form(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> L
     of the (first nonsingular) determinant generator.
 
     Peeled generators are preferred: on components hidden behind hyperplane
-    factors the raw minors all have degenerate gradients."""
+    factors the raw minors all have degenerate gradients.  They count only
+    where they vanish: at a point of a peeled hyperplane their gradient is
+    not tangent to anything."""
     point = project_normalize(point)
     pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
     _, agens = _analysis_system(v, tol)
-    candidates = list(agens) + [g for g in v.essential_generators if g not in agens]
+    candidates = [g for g in agens if abs(complex(g.evaluate(pt)))
+                  <= tol.abs_eps * max(g.evaluation_scale(pt), 1e-300)]
+    candidates += [g for g in v.essential_generators if g not in agens]
     for g in candidates:
         ga = g.to_approx()
         grad = [complex(ga.derivative(i).evaluate(pt)) for i in range(v.m)]
@@ -880,10 +888,13 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
                          radius: float = HYPERPLANE_RADIUS) -> VarietyVerdict:
     """Search for a smooth point whose tangent space leaves the variety.
 
-    Sound because a union of linear subspaces contains, at each smooth
-    point, its own tangent space: surviving probe residuals certify that
-    no such union can cut out the variety, hence (by the separability
-    criterion) the state is entangled.
+    Points come from the sampler of sample_points (on the analysis system:
+    peeled generators, or the residual of an exact hypersurface split) and
+    each is probed as soon as it is accepted, so the search stops at the
+    first witness.  Sound because a union of linear subspaces contains, at
+    each smooth point, its own tangent space: surviving probe residuals
+    certify that no such union can cut out the variety, hence (by the
+    separability criterion) the state is entangled.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
@@ -894,22 +905,24 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
             # the variety is certified to be exactly that union
             return VarietyVerdict("LinearUnion", forms=forms)
     rng = random.Random(seed)
+    probed = 0
     try:
-        points = sample_points(v, samples, seed, tol)
-    except SamplingExhausted as exc:
-        return VarietyVerdict("Inconclusive", reason=f"sampling exhausted: {exc}")
-    for p in points:
-        hit = _witness_search_at(v, p, rng, tol, radius)
-        if hit is not None:
-            q, res = hit
+        for p in _point_stream(v, samples, seed, tol):
+            probed += 1
+            hit = _witness_search_at(v, p, rng, tol, radius)
+            if hit is None:
+                continue
             try:
                 tangent = tangent_form(v, p, tol)
             except SingularPoint:
                 continue
+            q, res = hit
             return VarietyVerdict("NonlinearWitness", point=tuple(p),
                                   tangent=tangent, residual=res, probe=q)
+    except SamplingExhausted as exc:
+        return VarietyVerdict("Inconclusive", reason=f"sampling exhausted: {exc}")
     return VarietyVerdict("Inconclusive",
-                          reason=f"no witness found in {len(points)} samples")
+                          reason=f"no witness found in {probed} samples")
 
 
 def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
@@ -922,111 +935,17 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     exact factor extraction either splits the determinant completely into
     linear forms (LinearUnion) or leaves a residual certified to contain
     no Q(i)-linear factor, in which case the witness search probes the
-    residual's zero locus.
+    residual's zero locus; the verdict carries the factor list either way.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
-    if v.mode != "exact":
-        return nonlinearity_witness(v, samples, seed, tol, radius)
-    gens = v.essential_generators
-    if len(gens) == 1:
-        g = gens[0]
-        if len(g.used_vars()) <= 3 and g.degree() <= 6:
-            fl = linear_factorization(g)
-            if fl.full_split():
-                return VarietyVerdict("LinearUnion", forms=fl.linear_factors,
-                                      factor_list=fl)
-            verdict = _residual_witness(v, fl, seed, samples, tol, radius)
-            verdict.factor_list = fl
-            return verdict
-    return nonlinearity_witness(v, samples, seed, tol, radius)
-
-
-def _residual_witness(v: Variety, fl: FactorList, seed: int, samples: int,
-                      tol: Tolerance, radius: float) -> VarietyVerdict:
-    """Witness search against the non-linear residual of a partial split.
-
-    Points are sampled from the residual's own zero locus (a subset of the
-    variety since the residual divides the generator); tangent probes then
-    use the Hermitian oracle of the full state as usual.
-    """
-    residual = fl.residual
-    rng = random.Random(seed)
-    found = 0
-    for attempt in range(SAMPLING_BUDGET * samples):
-        if found >= samples:
-            break
-        base = _random_exact_point(rng, v.m)
-        direction = _random_exact_point(rng, v.m)
-        try:
-            restriction = restrict_to_line(residual, base, direction)
-            roots = univariate_roots(restriction.to_approx(), tol)
-        except Exception:
-            continue
-        base_c = [x.to_complex() for x in base]
-        dir_c = [x.to_complex() for x in direction]
-        clean = 0.1 * tol.abs_eps
-        for s in roots:
-            cand = tuple(b + s * d for b, d in zip(base_c, dir_c))
-            if max(abs(z) for z in cand) < 1e-12:
-                continue
-            cand = project_normalize(cand)
-            if v.generator_residual(cand) > clean or v.hermitian_residual(cand) > clean:
-                continue
-            found += 1
-            hit = _residual_probe(v, residual, cand, rng, tol, radius)
-            if hit is not None:
-                q, res, tangent = hit
-                return VarietyVerdict("NonlinearWitness", point=cand,
-                                      tangent=tangent, residual=res, probe=q)
-            if found >= samples:
-                break
-    return VarietyVerdict(
-        "Inconclusive",
-        reason=f"rational linear factors extracted but no witness on the "
-               f"residual after {found} samples")
-
-
-def _residual_probe(v: Variety, residual: Poly, point: Sequence,
-                    rng: random.Random, tol: Tolerance, radius: float,
-                    probes: int = 20):
-    """Tangent probe using the residual's gradient as the hyperplane."""
-    pt = [complex(x) if not isinstance(x, ExactComplex) else x.to_complex()
-          for x in point]
-    ra = residual.to_approx()
-    grad = np.array([complex(ra.derivative(i).evaluate(pt)) for i in range(v.m)])
-    gscale = max(max(ra.derivative(i).evaluation_scale(pt) for i in range(v.m)), 1e-300)
-    if float(np.max(np.abs(grad))) <= WITNESS_FACTOR * tol.abs_eps * gscale:
-        return None
-    # orthonormal basis of the tangent hyperplane {grad . r = 0}
-    g = grad / np.linalg.norm(grad)
-    basis = []
-    for i in range(v.m):
-        e = np.zeros(v.m, dtype=complex)
-        e[i] = 1.0
-        w = e - g.conj() * (g @ e)
-        for b in basis:
-            w = w - b * np.vdot(b, w)
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-8:
-            basis.append(w / norm)
-    top = max(range(v.m), key=lambda i: abs(grad[i]))
-    tangent = LinearForm([complex(x / grad[top]) for x in grad], 0j, normalize=False)
-    threshold = WITNESS_FACTOR * tol.abs_eps
-    best = None
-    for _ in range(probes):
-        combo = np.zeros(v.m, dtype=complex)
-        for b in basis:
-            combo += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * b
-        norm = float(np.linalg.norm(combo))
-        if norm < 1e-12:
-            continue
-        q = np.array(pt) + radius * combo / norm
-        q = project_normalize(tuple(complex(z) for z in q))
-        res = v.hermitian_residual(q)
-        if res > threshold and (best is None or res > best[1]):
-            best = (q, res, tangent)
-    return best
+    _analysis_system(v, tol)
+    fl = v._factor_list
+    if fl is not None and fl.full_split():
+        return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)
+    verdict = nonlinearity_witness(v, samples, seed, tol, radius)
+    verdict.factor_list = fl
+    return verdict
 
 
 class CovarianceResult:

@@ -142,3 +142,14 @@ def test_approx_split_refuses_irreducible():
     x, y, z = three_vars()
     smooth = (x ** 3).scale(8) + y ** 3 + z ** 3 - (x * y * z).scale(10)
     assert split_linear_approx(smooth) is None
+
+
+def test_approx_split_lets_root_finder_bugs_through(monkeypatch):
+    import detvar.factorization as factorization_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the root finder")
+
+    monkeypatch.setattr(factorization_mod, "univariate_roots", broken)
+    with pytest.raises(TypeError):
+        split_linear_approx(fermat_like())

@@ -14,9 +14,9 @@ from detvar.multipoly import (
     Poly,
     gradient,
     minors,
-    poly_ring_ops,
     restrict_to_line,
     substitute_affine,
+    sylvester_resultant,
     symbolic_det,
     univariate_coeffs,
     univariate_roots,
@@ -46,7 +46,6 @@ def test_ring_ops():
     assert (x + y) * (x - y) == x * x - y * y
     p = x * y + x
     assert (p + p.scale(-1)).is_zero()
-    assert poly_ring_ops(p, Poly.const(3, Fraction(2, 3)), "scale") == p.scale(Fraction(2, 3))
     with pytest.raises(ArityMismatch):
         _ = x + Poly.variable(0, 2)
 
@@ -270,3 +269,54 @@ def test_column_operation_preserves_zero_set():
             scale = max(d2.evaluation_scale(pt), 1e-300)
             assert abs(complex(d2.evaluate(pt))) <= 1e-7 * scale
             checked += 1
+
+
+def _random_bivariate(rng, dx, dy):
+    terms = {(i, j): EC(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+             for i in range(dx + 1) for j in range(dy + 1) if rng.random() < 0.7}
+    terms[(rng.randint(0, dx), dy)] = EC(rng.randint(1, 3), rng.randint(-1, 1))
+    return Poly(2, terms)
+
+
+def test_sylvester_resultant_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import sylvester
+    x, y = sympy.symbols("x y")
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * x ** i * y ** j
+                   for (i, j), c in p.terms.items())
+
+    rng = random.Random(2024)
+    for _ in range(12):
+        a = _random_bivariate(rng, rng.randint(0, 2), rng.randint(1, 3))
+        b = _random_bivariate(rng, rng.randint(0, 2), rng.randint(1, 3))
+        res = sylvester_resultant(a, b)
+        got = sympy.expand(sum((sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * x ** k
+                               for k, c in enumerate(univariate_coeffs(res))))
+        # exactly the Sylvester determinant; sympy's resultant agrees up to
+        # sign (its subresultant route does not always keep that sign)
+        assert sympy.expand(got - sylvester(to_sympy(a), to_sympy(b), y).det()) == 0
+        want = sympy.expand(sympy.resultant(to_sympy(a), to_sympy(b), y))
+        assert sympy.expand(got - want) == 0 or sympy.expand(got + want) == 0
+        # the approximate kind builds the same matrix in floating point
+        approx = univariate_coeffs(sylvester_resultant(a.to_approx(), b.to_approx()))
+        exact = [c.to_complex() for c in univariate_coeffs(res)]
+        scale = max(abs(c) for c in exact)
+        assert len(approx) == len(exact)
+        assert max(abs(u - w) for u, w in zip(approx, exact)) <= 1e-9 * scale
+
+
+def test_symbolic_det_approx_matches_exact_sign():
+    # from 5x5 on, approximate entries take the subset expansion and exact
+    # ones the fraction-free elimination; both must give the same polynomial
+    rng = random.Random(5)
+    for n in range(5, 8):
+        rows = [[Poly(2, {(rng.randint(0, 1), rng.randint(0, 1)):
+                          EC(rng.randint(-3, 3), rng.randint(-2, 2))})
+                 for _ in range(n)] for _ in range(n)]
+        exact = symbolic_det(rows).to_approx()
+        approx = symbolic_det([[p.to_approx() for p in row] for row in rows])
+        keys = set(exact.terms) | set(approx.terms)
+        assert max(abs(exact.coeff(k) - approx.coeff(k)) for k in keys) \
+            <= 1e-9 * max(abs(c) for c in exact.terms.values())

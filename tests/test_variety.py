@@ -270,3 +270,71 @@ def test_project_normalize_rules():
     assert p[1] == 1.0 + 0j  # max modulus wins
     q = project_normalize((EC(2), EC(-2), EC(1)))
     assert q[0] == EC(1)  # ties break at the lowest index
+
+
+def _line_times_conic_state():
+    # one product ray a (x) b plus two entangled Gaussian-rational rays: the
+    # determinant is (a . r) times an irreducible conic
+    a = [EC(1), EC(2, 1), EC(-1)]
+    b = [EC(1), EC(0), EC(1)]
+    e1 = (EC(1), EC(0, 1), EC(0), EC(2), EC(-1), EC(1, 1), EC(0), EC(1), EC(3))
+    e2 = (EC(0), EC(1), EC(-2, 1), EC(1), EC(1), EC(0), EC(3, -1), EC(0), EC(1))
+    prod = tuple(a[i] * b[k] for i in range(3) for k in range(3))
+    ens = [(F(1, 3), prod), (F(1, 3), e1), (F(1, 3), e2)]
+    return a, BipartiteState(3, 3, ensemble=ens)
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1])
+def test_partial_split_witness_lies_on_the_residual(seed):
+    from detvar.report import verdict_to_json
+    a, st = _line_times_conic_state()
+    v = variety_of_state(st)
+    verdict = linearity_decide(v, seed=seed)
+    assert verdict.tag == "NonlinearWitness"
+    fl = verdict.factor_list
+    assert len(fl.linear_factors) == 1 and fl.residual.degree() == 2
+    form = fl.linear_factors[0].coefficients
+    assert all(form[i] * a[0] == a[i] * form[0] for i in range(3))
+    residual = fl.residual.to_approx()
+    assert abs(complex(residual.evaluate(verdict.point))) \
+        <= DEFAULT_TOL.abs_eps * residual.evaluation_scale(verdict.point)
+    probe = [complex(re, im) for re, im in verdict_to_json(verdict)["witness"]["probe"]]
+    assert abs(v.hermitian_residual(probe) - verdict.residual) <= 1e-12
+
+
+def test_tangent_form_on_a_peeled_hyperplane():
+    # (1, 0, 1) lies on the line a . r = 0 and off the conic: the tangent
+    # there is the line itself, not the conic's gradient
+    a, st = _line_times_conic_state()
+    tf = tangent_form(variety_of_state(st), (EC(1), EC(0), EC(1)))
+    av = np.array([x.to_complex() for x in a])
+    tv = np.array([complex(c) for c in tf.coefficients])
+    assert np.abs(np.outer(av, tv) - np.outer(tv, av)).max() < 1e-9 * np.linalg.norm(tv)
+
+
+@pytest.mark.parametrize("make_state", [lambda: _line_times_conic_state()[1],
+                                        lambda: cyclic_cubic_state(EC(8)),
+                                        lambda: random_separable(3, 3, 3, seed=5)])
+def test_linear_factorization_runs_once_per_hypersurface_analysis(monkeypatch, make_state):
+    import detvar.variety as variety_mod
+    calls = []
+    real = variety_mod.linear_factorization
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(variety_mod, "linear_factorization", counting)
+    linearity_decide(variety_of_state(make_state()), seed=7)
+    assert len(calls) == 1
+
+
+def test_unexpected_root_finder_errors_propagate(monkeypatch):
+    import detvar.variety as variety_mod
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug inside the root finder")
+
+    monkeypatch.setattr(variety_mod, "univariate_roots", broken)
+    with pytest.raises(TypeError):
+        sample_points(family_variety(8), 3, seed=1)

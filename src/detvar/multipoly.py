@@ -307,6 +307,97 @@ class Poly:
         return f"Poly({self.render()})"
 
 
+def _flat_terms(p: Poly) -> Tuple[Tuple[complex, float, Tuple[Tuple[int, int], ...]], ...]:
+    out = []
+    for e, c in p.terms.items():
+        cv = c.to_complex() if isinstance(c, ExactComplex) else c
+        out.append((cv, abs(cv), tuple((i, k) for i, k in enumerate(e) if k)))
+    return tuple(out)
+
+
+class CompiledSystem:
+    """A list of polynomials flattened once for many floating-point
+    evaluations.
+
+    Each term is (complex coefficient, |coefficient|, the (variable, power)
+    pairs in use), in the polynomial's own term order; the partial
+    derivatives of each polynomial's approximate form are stored the same
+    way, built on first use.  Results equal Poly.evaluate,
+    Poly.evaluation_scale and to_approx().derivative(i).evaluate exactly:
+    the coefficient first, then each power in variable order, taken from a
+    per-point table of Python's own ``**``, summed term by term.
+    """
+
+    __slots__ = ("polys", "nvars", "_terms", "_partials", "_top")
+
+    def __init__(self, polys: Sequence[Poly], nvars: int):
+        self.polys = list(polys)
+        self.nvars = nvars
+        self._terms = [_flat_terms(p) for p in self.polys]
+        self._partials = None
+        self._top = [max((p.degree_in(i) for p in self.polys), default=0)
+                     for i in range(nvars)]
+
+    def _tables(self, point: Sequence):
+        pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
+        pw = [[z ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
+        apw = [[abs(z) ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
+        return pw, apw
+
+    @staticmethod
+    def _value(terms, pw) -> complex:
+        acc = 0j
+        for c, _, mono in terms:
+            for i, k in mono:
+                c *= pw[i][k]
+            acc += c
+        return acc
+
+    @staticmethod
+    def _scale(terms, apw) -> float:
+        acc = 0.0
+        for _, a, mono in terms:
+            for i, k in mono:
+                a *= apw[i][k]
+            acc += a
+        return acc
+
+    def _partial_terms(self):
+        if self._partials is None:
+            self._partials = [[_flat_terms(p.to_approx().derivative(i))
+                               for i in range(self.nvars)] for p in self.polys]
+        return self._partials
+
+    def values_scales(self, point: Sequence) -> Tuple[List[complex], List[float]]:
+        pw, apw = self._tables(point)
+        return ([self._value(t, pw) for t in self._terms],
+                [self._scale(t, apw) for t in self._terms])
+
+    def residual(self, point: Sequence) -> float:
+        """Worst |value| / scale over the system (0.0 when it is empty)."""
+        worst = 0.0
+        for val, scale in zip(*self.values_scales(point)):
+            worst = max(worst, abs(val) / max(scale, 1e-300))
+        return worst
+
+    def jacobian(self, point: Sequence, cols: Sequence[int]) -> List[List[complex]]:
+        """Rows d p / d x_i for i in cols, each divided by the scale of p."""
+        pw, apw = self._tables(point)
+        rows = []
+        for terms, partials in zip(self._terms, self._partial_terms()):
+            scale = max(self._scale(terms, apw), 1e-300)
+            rows.append([self._value(partials[i], pw) / scale for i in cols])
+        return rows
+
+    def gradient(self, k: int, point: Sequence) -> Tuple[List[complex], float]:
+        """Gradient of polynomial k and the largest scale of its partials
+        (at least 1e-300)."""
+        pw, apw = self._tables(point)
+        partials = self._partial_terms()[k]
+        return ([self._value(t, pw) for t in partials],
+                max(max(self._scale(t, apw) for t in partials), 1e-300))
+
+
 # ---------------------------------------------------------------------------
 # Linear forms
 # ---------------------------------------------------------------------------

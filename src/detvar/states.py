@@ -77,6 +77,8 @@ class BipartiteState:
         if ensemble is not None:
             self.ensemble = [(w, tuple(v)) for w, v in ensemble]
         self.density = density
+        self._rho = density    # density_matrix(), built at most once
+        self._swapped = None   # swapped(), built at most once
         if validate:
             self._validate(tol)
 
@@ -136,9 +138,11 @@ class BipartiteState:
         return False
 
     def density_matrix(self, tol: Tolerance = DEFAULT_TOL) -> Matrix:
-        if self.density is not None:
-            return self.density
-        return density_from_ensemble(self)
+        """The given density, else the one built from the ensemble; the
+        build runs once, since a state is immutable by convention."""
+        if self._rho is None:
+            self._rho = density_from_ensemble(self)
+        return self._rho
 
     def ensemble_terms(self) -> List[Tuple[Weight, Vector]]:
         if self.ensemble is None:
@@ -147,7 +151,9 @@ class BipartiteState:
         return list(self.ensemble)
 
     def swapped(self) -> "BipartiteState":
-        """The same state on C^n (x) C^m (subsystems exchanged)."""
+        """The same state on C^n (x) C^m (subsystems exchanged); built once."""
+        if self._swapped is not None:
+            return self._swapped
         m, n = self.m, self.n
         ens = None
         if self.ensemble is not None:
@@ -166,8 +172,9 @@ class BipartiteState:
                     jc, ic = divmod(c, m)
                     entries.append(self.density[ir * n + jr, ic * n + jc])
             dens = Matrix(mn, mn, entries, self.density.kind)
-        return BipartiteState(n, m, ensemble=ens, density=dens,
-                              label=self.label, validate=False)
+        self._swapped = BipartiteState(n, m, ensemble=ens, density=dens,
+                                       label=self.label, validate=False)
+        return self._swapped
 
     def __repr__(self):
         parts = [f"{self.m}x{self.n}"]

@@ -35,6 +35,7 @@ from .errors import (
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
 from .multipoly import (
+    CompiledSystem,
     LinearForm,
     Poly,
     minors,
@@ -69,13 +70,15 @@ class PencilMatrix:
     """
 
     def __init__(self, side: str, n_rows: int, t_cols: int, m_vars: int,
-                 entry_forms: List[List[LinearForm]], kind: str):
+                 entry_forms: List[List[LinearForm]], kind: str,
+                 state: BipartiteState):
         self.side = side
         self.n = n_rows
         self.t = t_cols
         self.m = m_vars
         self.entry_forms = entry_forms
         self.kind = kind
+        self.state = state  # as given, before any swap for side B
 
     def entry_polys(self) -> List[List[Poly]]:
         return [[f.to_poly(self.m, self.kind) for f in row] for row in self.entry_forms]
@@ -112,7 +115,7 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
                 coeffs = [zero] * m
             row.append(LinearForm(coeffs, zero, normalize=False))
         entry_forms.append(row)
-    return PencilMatrix(side, n, t, m, entry_forms, kind)
+    return PencilMatrix(side, n, t, m, entry_forms, kind, s)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,8 @@ class Variety:
         self.structural = structural  # "Empty" | "Full" | None
         self._blocks_exact = None
         self._blocks_approx = None
-        self._analysis_cache = None  # (peeled forms, remaining system)
+        self._compiled = None        # CompiledSystem of the essential generators
+        self._analysis_cache = None  # (peeled forms, CompiledSystem of the rest)
         self._factor_list = None     # exact split of a hypersurface generator
 
     @property
@@ -146,23 +150,29 @@ class Variety:
     def is_hypersurface(self) -> bool:
         return len(self.essential_generators) == 1
 
+    @property
+    def compiled(self) -> CompiledSystem:
+        if self._compiled is None:
+            self._compiled = CompiledSystem(self.essential_generators, self.m)
+        return self._compiled
+
     # -- Hermitian-form evaluator (the independent membership oracle) ------
 
     def _state_blocks(self, exact: bool):
+        if exact and self._blocks_exact is not None:
+            return self._blocks_exact, True
+        if not exact and self._blocks_approx is not None:
+            return self._blocks_approx, False
         base = self.state if self.side == "A" else self.state.swapped()
         rho = base.density_matrix()
         m, n = base.m, base.n
-        if exact and rho.kind != "exact":
-            exact = False
-        if exact:
-            if self._blocks_exact is None:
-                self._blocks_exact = [
-                    [[[rho[i * n + r, j * n + c] for c in range(n)] for r in range(n)]
-                     for j in range(m)] for i in range(m)]
+        if exact and rho.kind == "exact":
+            self._blocks_exact = [
+                [[[rho[i * n + r, j * n + c] for c in range(n)] for r in range(n)]
+                 for j in range(m)] for i in range(m)]
             return self._blocks_exact, True
         if self._blocks_approx is None:
-            arr = rho.to_numpy().reshape(m, n, m, n)
-            self._blocks_approx = arr
+            self._blocks_approx = rho.to_numpy().reshape(m, n, m, n)
         return self._blocks_approx, False
 
     def hermitian_matrix(self, point: Sequence):
@@ -209,12 +219,7 @@ class Variety:
         return abs(det) / bound
 
     def generator_residual(self, point: Sequence) -> float:
-        worst = 0.0
-        for g in self.essential_generators:
-            val = abs(complex(g.evaluate(point)))
-            scale = max(g.evaluation_scale(point), 1e-300)
-            worst = max(worst, val / scale)
-        return worst
+        return self.compiled.residual(point)
 
     def __repr__(self):
         return (f"Variety(side={self.side}, {len(self.generators)} generators "
@@ -238,10 +243,8 @@ def _empty_certificate(gens: List[Poly], m: int) -> bool:
 
 def variety_generators(p: PencilMatrix) -> Variety:
     """Minors of the pencil; short-circuits to Full when t < n."""
-    state = getattr(p, "_state", None)
     if p.t < p.n:
-        v = Variety(p.side, p.m, p.n, [], p, state, p.kind, "Full")
-        return v
+        return Variety(p.side, p.m, p.n, [], p, p.state, p.kind, "Full")
     gens = minors(p.entry_polys(), p.n)
     for g in gens:
         if not g.is_zero() and (not g.is_homogeneous() or g.degree() != p.n):
@@ -252,15 +255,11 @@ def variety_generators(p: PencilMatrix) -> Variety:
         structural = "Full"
     elif _empty_certificate(gens, p.m):
         structural = "Empty"
-    return Variety(p.side, p.m, p.n, gens, p, state, p.kind, structural)
+    return Variety(p.side, p.m, p.n, gens, p, p.state, p.kind, structural)
 
 
 def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
-    pen = pencil_matrix(s, side)
-    pen._state = s
-    v = variety_generators(pen)
-    v.state = s
-    return v
+    return variety_generators(pencil_matrix(s, side))
 
 
 # ---------------------------------------------------------------------------
@@ -327,34 +326,25 @@ def _random_approx_point(rng: random.Random, m: int) -> List[complex]:
     return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
 
 
-def _newton_polish(system: List[Poly], m: int, z0: Sequence[complex], tol: Tolerance
+def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
                    ) -> Optional[Tuple[complex, ...]]:
     """Damped Gauss-Newton on a generator system in the chart that pins the
     max-modulus coordinate."""
-    gens = [g.to_approx() for g in system]
-    partials = [[g.derivative(i) for i in range(m)] for g in gens]
+    m = system.nvars
     z = list(project_normalize(z0))
     pin = max(range(m), key=lambda i: abs(z[i]))
     free = [i for i in range(m) if i != pin]
 
     def fvec(zz):
-        out = []
-        for g in gens:
-            val = complex(g.evaluate(zz))
-            scale = max(g.evaluation_scale(zz), 1e-300)
-            out.append(val / scale)
-        return np.array(out)
+        vals, scales = system.values_scales(zz)
+        return np.array([val / max(scale, 1e-300) for val, scale in zip(vals, scales)])
 
     target = 1e-3 * tol.abs_eps
     f = fvec(z)
     for _ in range(NEWTON_MAX_STEPS):
         if float(np.max(np.abs(f))) <= target:
             return tuple(z)
-        jac = np.zeros((len(gens), len(free)), dtype=complex)
-        for gi, g in enumerate(gens):
-            scale = max(g.evaluation_scale(z), 1e-300)
-            for ci, i in enumerate(free):
-                jac[gi, ci] = complex(partials[gi][i].evaluate(z)) / scale
+        jac = np.array(system.jacobian(z, free), dtype=complex)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
         improved = False
         for damp in range(9):
@@ -381,7 +371,17 @@ def _rationalize_point(z: complex, max_den: int = 10000) -> Optional[ExactComple
     return None
 
 
-def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List[Poly]]:
+def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], CompiledSystem]:
+    """The certified linear factors peeled off the generators, and the
+    compiled system that remains; built once and cached on the variety."""
+    if v._analysis_cache is None:
+        forms, gens = _peel_linear_factors(v, tol)
+        system = v.compiled if gens == v.essential_generators else CompiledSystem(gens, v.m)
+        v._analysis_cache = (forms, system)
+    return v._analysis_cache
+
+
+def _peel_linear_factors(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List[Poly]]:
     """Peel exact common linear factors off the generators.
 
     A hyperplane dividing every minor is a full linear component of the
@@ -396,15 +396,12 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
     residual, whose zero locus is the only place a witness can live.  A
     full split is left unpeeled: linearity_decide reports it from the
     factor list, which is kept on the variety, and its hyperplanes stay
-    open to sampling.  Cached on the variety.
+    open to sampling.
     """
-    if v._analysis_cache is not None:
-        return v._analysis_cache
     gens = v.essential_generators
     forms: List[LinearForm] = []
     if v.mode != "exact" or not gens:
-        v._analysis_cache = (forms, gens)
-        return v._analysis_cache
+        return forms, gens
 
     if len(gens) == 1:
         g = gens[0]
@@ -412,8 +409,7 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
             fl = v._factor_list = linear_factorization(g)
             if not fl.full_split():
                 forms, gens = list(fl.linear_factors), [fl.residual]
-        v._analysis_cache = (forms, gens)
-        return v._analysis_cache
+        return forms, gens
 
     if v.m <= 3:
         # small ambient spaces admit a fully exact route: every common
@@ -440,12 +436,12 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
                     current = [q for q in quotients if q.degree() >= 1]
                     if not current:
                         break
-            v._analysis_cache = (forms, current)
-            return v._analysis_cache
+            return forms, current
 
     rng = random.Random(20211)
 
     def cheap_points(system: List[Poly], want: int) -> List[Tuple[complex, ...]]:
+        compiled = CompiledSystem(system, v.m)
         pts = []
         for _ in range(40):
             if len(pts) >= want:
@@ -463,11 +459,7 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
                 if max(abs(z) for z in q) < 1e-12:
                     continue
                 q = project_normalize(q)
-                worst = 0.0
-                for g in system:
-                    worst = max(worst, abs(complex(g.evaluate(q)))
-                                / max(g.evaluation_scale(q), 1e-300))
-                if worst < 1e-9:
+                if compiled.residual(q) < 1e-9:
                     pts.append(q)
         return pts
 
@@ -508,8 +500,7 @@ def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List
                 break
         if not peeled_one or not current:
             break
-    v._analysis_cache = (forms, current)
-    return v._analysis_cache
+    return forms, current
 
 
 def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
@@ -595,7 +586,8 @@ def _point_stream(v: Variety, count: int, seed: int,
     Raises SamplingExhausted once the budget runs out short of `count`."""
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
-    _, agens = _analysis_system(v, tol)
+    _, system = _analysis_system(v, tol)
+    agens = system.polys
     if not agens:
         raise SamplingExhausted(
             "variety equals the union of its peeled hyperplanes; nothing left to sample")
@@ -604,13 +596,6 @@ def _point_stream(v: Variety, count: int, seed: int,
     hypersurface = len(agens) == 1
     clean = 0.1 * tol.abs_eps  # acceptance bar, well above the polish target
     found = 0
-
-    def system_residual(pt) -> float:
-        worst = 0.0
-        for g in agens:
-            worst = max(worst, abs(complex(g.evaluate(pt)))
-                        / max(g.evaluation_scale(pt), 1e-300))
-        return worst
 
     def on_variety(cand) -> bool:
         return v.generator_residual(cand) <= clean and v.hermitian_residual(cand) <= clean
@@ -642,16 +627,16 @@ def _point_stream(v: Variety, count: int, seed: int,
             if max(abs(z) for z in cand) < 1e-12:
                 continue
             cand = project_normalize(cand)
-            res0 = system_residual(cand)
+            res0 = system.residual(cand)
             if res0 > clean:
                 if hypersurface or newton_budget <= 0:
                     continue
                 newton_budget -= 1
-                polished = _newton_polish(agens, v.m, cand, tol)
+                polished = _newton_polish(system, cand, tol)
                 if polished is None:
                     continue
                 cand = project_normalize(polished)
-                if system_residual(cand) > clean:
+                if system.residual(cand) > clean:
                     continue
             if on_variety(cand):
                 found += 1
@@ -670,12 +655,12 @@ def _point_stream(v: Variety, count: int, seed: int,
             for cand in _plane_slice_candidates(agens, v.m, rng, tol):
                 if found >= count or taken >= per_slice:
                     break
-                if system_residual(cand) > clean:
-                    polished = _newton_polish(agens, v.m, cand, tol)
+                if system.residual(cand) > clean:
+                    polished = _newton_polish(system, cand, tol)
                     if polished is None:
                         continue
                     cand = project_normalize(polished)
-                    if system_residual(cand) > clean:
+                    if system.residual(cand) > clean:
                         continue
                 if on_variety(cand):
                     found += 1
@@ -712,32 +697,20 @@ def tangent_form(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> L
     not tangent to anything."""
     point = project_normalize(point)
     pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
-    _, agens = _analysis_system(v, tol)
-    candidates = [g for g in agens if abs(complex(g.evaluate(pt)))
-                  <= tol.abs_eps * max(g.evaluation_scale(pt), 1e-300)]
-    candidates += [g for g in v.essential_generators if g not in agens]
-    for g in candidates:
-        ga = g.to_approx()
-        grad = [complex(ga.derivative(i).evaluate(pt)) for i in range(v.m)]
-        scale = max(max(ga.derivative(i).evaluation_scale(pt) for i in range(v.m)), 1e-300)
+    _, system = _analysis_system(v, tol)
+    vals, scales = system.values_scales(pt)
+    candidates = [(system, k) for k, (val, scale) in enumerate(zip(vals, scales))
+                  if abs(val) <= tol.abs_eps * max(scale, 1e-300)]
+    candidates += [(v.compiled, k) for k, g in enumerate(v.essential_generators)
+                   if g not in system.polys]
+    for compiled, k in candidates:
+        grad, scale = compiled.gradient(k, pt)
         norm = max(abs(x) for x in grad)
         if norm > WITNESS_FACTOR * tol.abs_eps * scale:
             top = max(range(v.m), key=lambda i: abs(grad[i]))
             inv = 1.0 / grad[top]
             return LinearForm([x * inv for x in grad], 0j, normalize=False)
     raise SingularPoint("every generator gradient vanishes at the point")
-
-
-def _jacobian(v: Variety, pt: List[complex]) -> np.ndarray:
-    # the peeled system gives crisp tangent data on components hidden
-    # behind hyperplane components; it vanishes on all of them too
-    _, agens = _analysis_system(v, DEFAULT_TOL)
-    gens = [g.to_approx() for g in (agens or v.essential_generators)]
-    rows = []
-    for g in gens:
-        scale = max(g.evaluation_scale(pt), 1e-300)
-        rows.append([complex(g.derivative(i).evaluate(pt)) / scale for i in range(v.m)])
-    return np.array(rows, dtype=complex)
 
 
 _RANK_GAP_MIN = 1e3
@@ -774,26 +747,22 @@ def _kernel_directions(v: Variety, pt: List[complex], tol: Tolerance
     against the point direction.  None when the rank has no clean spectral
     gap or is not stable across two nearby evaluations (the smoothness
     guard: probing is only meaningful where the tangent data is crisp)."""
-    _, agens = _analysis_system(v, tol)
-    system = agens or v.essential_generators
-    point_res = 0.0
-    smooth = False
-    for g in system:
-        ga = g.to_approx()
-        point_res = max(point_res, abs(complex(ga.evaluate(pt)))
-                        / max(ga.evaluation_scale(pt), 1e-300))
-        grad = max(abs(complex(ga.derivative(i).evaluate(pt))) for i in range(v.m))
-        gscale = max(max(ga.derivative(i).evaluation_scale(pt) for i in range(v.m)),
-                     1e-300)
-        if grad > WITNESS_FACTOR * tol.abs_eps * gscale:
-            smooth = True
-    if not smooth:
+    # the peeled system gives crisp tangent data on components hidden
+    # behind hyperplane components; it vanishes on all of them too
+    _, system = _analysis_system(v, tol)
+    if not system.polys:
+        system = v.compiled
+    for k in range(len(system.polys)):
+        grad, gscale = system.gradient(k, pt)
+        if max(abs(x) for x in grad) > WITNESS_FACTOR * tol.abs_eps * gscale:
+            break
+    else:
         # every generator is singular here (e.g. a component crossing);
         # tangent containment is not a valid test at such points
         return None
-    floor = max(100.0 * point_res, 1e-14)
-    jac = _jacobian(v, pt)
-    _, s1, vh = np.linalg.svd(jac)
+    floor = max(100.0 * system.residual(pt), 1e-14)
+    cols = range(v.m)
+    _, s1, vh = np.linalg.svd(np.array(system.jacobian(pt, cols), dtype=complex))
     rank = _gap_rank(s1, v.m, floor)
     if rank is None or rank == 0:
         return None
@@ -801,7 +770,8 @@ def _kernel_directions(v: Variety, pt: List[complex], tol: Tolerance
     pert = [z + 1e-10 * complex(c1, c2)
             for z, c1, c2 in zip(pt, rng_local.standard_normal(v.m),
                                  rng_local.standard_normal(v.m))]
-    s2 = np.linalg.svd(_jacobian(v, pert), compute_uv=False)
+    s2 = np.linalg.svd(np.array(system.jacobian(pert, cols), dtype=complex),
+                       compute_uv=False)
     if _gap_rank(s2, v.m, max(floor, 1e-9)) != rank:
         return None
     kernel = [vh[k].conj() for k in range(rank, v.m)]
@@ -899,8 +869,8 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
     if v.mode == "exact":
-        forms, agens = _analysis_system(v, tol)
-        if forms and not agens:
+        forms, system = _analysis_system(v, tol)
+        if forms and not system.polys:
             # every generator is a constant times the same hyperplane product:
             # the variety is certified to be exactly that union
             return VarietyVerdict("LinearUnion", forms=forms)

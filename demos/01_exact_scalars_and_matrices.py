@@ -23,7 +23,7 @@ m = Matrix.exact([
 print("det (exact):", det_exact(m).render())
 print("rank:", rank_exact(m))
 
-# the numeric pathway: cyclic Jacobi rotations for Hermitian spectra
+# the numeric pathway: Hermitian spectra from LAPACK (numpy.linalg.eigh)
 h = Matrix.approx([[2.0, 1j], [-1j, 3.0]])
 res = hermitian_eigen(h)
 print("eigenvalues:", [round(x, 12) for x in res.eigenvalues])

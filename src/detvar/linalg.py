@@ -3,8 +3,8 @@
 The same ``Matrix`` container carries both pathways, tagged by ``kind``:
 ``"exact"`` entries are ``ExactComplex``, ``"approx"`` entries are python
 ``complex``.  Exact determinants and ranks use fraction-free (Bareiss)
-elimination; Hermitian eigenproblems use cyclic complex Jacobi rotations,
-which is plenty at the <=24x24 sizes this package needs.
+elimination; Hermitian eigenproblems, which only the approximate pathway
+needs, go to LAPACK through ``numpy.linalg.eigh``.
 
 Basis convention, fixed once: the bipartite basis is
 |11>,...,|1n>,...,|m1>,...,|mn> row-major, so the block rho_ij of an
@@ -14,16 +14,11 @@ mn x mn matrix occupies rows i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NonSquare,
-    NotHermitian,
-)
+from .errors import DimensionMismatch, NonSquare, NotHermitian
 from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance
 
 
@@ -244,100 +239,53 @@ def rank_exact(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigendecomposition (cyclic complex Jacobi)
+# Hermitian eigendecomposition
 # ---------------------------------------------------------------------------
 
-class EigenResult:
+class EigenResult(NamedTuple):
     """Spectral decomposition; eigenvalues real, sorted descending.
 
     ``residual`` is max_k ||M u_k - lambda_k u_k||, reported so callers can
     gate on the 1e-8*||M|| reconstruction requirement.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors", "residual")
-
-    def __init__(self, eigenvalues: List[float], eigenvectors: Matrix, residual: float):
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
-        self.residual = residual
-
-
-_JACOBI_MAX_SWEEPS = 100
+    eigenvalues: List[float]
+    eigenvectors: Matrix
+    residual: float
 
 
 def hermitian_eigen(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
-    """Full spectral decomposition of a Hermitian matrix by cyclic Jacobi.
+    """Full spectral decomposition of a Hermitian matrix by LAPACK (``eigh``).
 
-    The matrix is checked Hermitian within tol first; the strictly upper
-    part is then annihilated sweep by sweep with complex plane rotations.
+    The matrix is checked finite and Hermitian within tol first, then
+    symmetrized.
     """
     if m.rows != m.cols:
         raise NonSquare("eigendecomposition of non-square matrix")
     a = m.to_numpy()
-    n = a.shape[0]
+    if not np.isfinite(a).all():
+        raise NotHermitian("matrix has a non-finite entry")
     scale = max(float(np.linalg.norm(a)), 1.0)
-    herm_defect = float(np.max(np.abs(a - a.conj().T))) if n else 0.0
+    herm_defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
     if herm_defect > tol.abs_eps + tol.rel_eps * scale:
         raise NotHermitian(f"Hermitian defect {herm_defect:.3e} exceeds tolerance")
     a = (a + a.conj().T) / 2.0
-    orig = a.copy()
-    v = np.eye(n, dtype=complex)
-
-    def off_norm():
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
-
-    # Rotate well below the report tolerance, but stay above the float
-    # rounding plateau so tight tolerances cannot fake non-convergence.
-    target = max(tol.abs_eps * 1e-4, 1e-13) * scale
-    converged = off_norm() <= target
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # Phase out a_pq, then rotate the remaining real 2x2 block.
-                alpha = apq / abs(apq)
-                app, aqq = a[p, p].real, a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c * alpha
-                jp = np.array([[c, s], [-np.conj(s), c]], dtype=complex)
-                rows = a[[p, q], :]
-                a[[p, q], :] = jp.conj().T @ rows
-                cols = a[:, [p, q]]
-                a[:, [p, q]] = cols @ jp
-                vc = v[:, [p, q]]
-                v[:, [p, q]] = vc @ jp
-        converged = off_norm() <= target
-    if not converged:
-        raise NoConvergence(
-            f"Jacobi sweeps exhausted ({_JACOBI_MAX_SWEEPS}) at off-norm {off_norm():.3e}"
-        )
-    eigs = np.real(np.diag(a))
-    order = np.argsort(-eigs)
-    eigs = eigs[order]
-    v = v[:, order]
-    residual = 0.0
-    for k in range(n):
-        residual = max(residual, float(np.linalg.norm(orig @ v[:, k] - eigs[k] * v[:, k])))
+    eigs, v = np.linalg.eigh(a)
+    eigs, v = eigs[::-1], v[:, ::-1]
+    residual = float(np.max(np.linalg.norm(a @ v - v * eigs, axis=0), initial=0.0))
     return EigenResult([float(x) for x in eigs], Matrix.approx(v), residual)
 
 
+def spectral_cutoff(eigenvalues: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> float:
+    """Eigenvalues within eig_cutoff * max(max|lambda|, 1) of zero are
+    numerically zero."""
+    return tol.eig_cutoff * max(max((abs(x) for x in eigenvalues), default=0.0), 1.0)
+
+
 def psd_check(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every eigenvalue >= -eig_cutoff * ||M||."""
-    res = hermitian_eigen(m.to_approx(), tol)
-    if not res.eigenvalues:
-        return True
-    norm = max(abs(x) for x in res.eigenvalues)
-    return min(res.eigenvalues) >= -tol.eig_cutoff * max(norm, 1.0)
+    """True iff no eigenvalue lies below -spectral_cutoff."""
+    eigs = hermitian_eigen(m.to_approx(), tol).eigenvalues
+    return not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ A state file carries m, n, an optional label, and exactly one of
 
 Scalars are exact as {"re": "p/q", "im": "p/q"} (strings), or approximate
 as plain numbers, [re, im] pairs, or {"re": num, "im": num}.  Weights are
-probabilities: "p/q" strings (exact) or numbers.  Parse failures raise
+probabilities: "p/q" strings (exact) or numbers.  Numbers must be finite
+(JSON readers accept NaN and Infinity).  Parse failures raise
 StateFileError naming the offending field.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 from typing import Union
@@ -25,15 +27,25 @@ from .states import BipartiteState
 Scalar = Union[ExactComplex, complex]
 
 
+def _finite(re, im, path: str) -> complex:
+    try:
+        z = complex(re, im)
+    except OverflowError:
+        raise StateFileError(path, "number out of floating-point range")
+    if not cmath.isfinite(z):
+        raise StateFileError(path, f"non-finite number {z}")
+    return z
+
+
 def parse_scalar(obj, path: str) -> Scalar:
     if isinstance(obj, bool):
         raise StateFileError(path, "booleans are not scalars")
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        return _finite(obj, 0, path)
     if isinstance(obj, list):
         if len(obj) != 2 or not all(isinstance(x, (int, float)) for x in obj):
             raise StateFileError(path, "pair form must be [re, im] numbers")
-        return complex(obj[0], obj[1])
+        return _finite(obj[0], obj[1], path)
     if isinstance(obj, dict):
         re = obj.get("re", 0)
         im = obj.get("im", 0)
@@ -48,7 +60,7 @@ def parse_scalar(obj, path: str) -> Scalar:
             except (ValueError, ZeroDivisionError) as exc:
                 raise StateFileError(path, f"bad rational literal: {exc}")
         if isinstance(re, (int, float)) and isinstance(im, (int, float)):
-            return complex(re, im)
+            return _finite(re, im, path)
         raise StateFileError(path, "re/im must both be strings or both numbers")
     raise StateFileError(path, f"cannot interpret {type(obj).__name__} as a scalar")
 
@@ -72,7 +84,7 @@ def parse_weight(obj, path: str):
         raise StateFileError(path, "weight must be a number or a rational string")
     if isinstance(obj, int):
         return Fraction(obj)
-    return float(obj)
+    return _finite(obj, 0, path).real
 
 
 def render_weight(w):

@@ -37,6 +37,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     psd_check,
+    spectral_cutoff,
 )
 from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance
 
@@ -253,7 +254,7 @@ def ensemble_from_density(rho: Matrix, m: int, n: int,
                           tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
     """Spectral ensemble of a density matrix (approximate pathway).
 
-    Eigenvalues above eig_cutoff * ||rho|| are kept; their count is the
+    Eigenvalues above ``spectral_cutoff`` are kept; their count is the
     numerical rank and the kept eigenvectors span the image.
     """
     mn = m * n
@@ -263,14 +264,12 @@ def ensemble_from_density(rho: Matrix, m: int, n: int,
     tr = sum(eig.eigenvalues)
     if abs(tr - 1.0) > 1e3 * tol.abs_eps:
         raise NotAState(f"trace {tr} is not 1")
-    norm = max(abs(x) for x in eig.eigenvalues) if eig.eigenvalues else 0.0
-    if min(eig.eigenvalues) < -tol.eig_cutoff * max(norm, 1.0):
+    cut = spectral_cutoff(eig.eigenvalues, tol)
+    if min(eig.eigenvalues) < -cut:
         raise NotAState("density has a negative eigenvalue")
     vecs = eig.eigenvectors.to_numpy()
-    ensemble = []
-    for k, lam in enumerate(eig.eigenvalues):
-        if lam > tol.eig_cutoff * max(norm, 1.0):
-            ensemble.append((float(lam), tuple(complex(z) for z in vecs[:, k])))
+    ensemble = [(lam, tuple(complex(z) for z in vecs[:, k]))
+                for k, lam in enumerate(eig.eigenvalues) if lam > cut]
     return BipartiteState(m, n, ensemble=ensemble, density=rho, validate=False)
 
 
@@ -329,8 +328,7 @@ class SpectraReport:
 
 
 def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
-    norm = max((abs(x) for x in eigs), default=0.0)
-    cut = tol.eig_cutoff * max(norm, 1.0)
+    cut = spectral_cutoff(eigs, tol)
     return -sum(lam * math.log(lam) for lam in eigs if lam > cut)
 
 

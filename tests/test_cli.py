@@ -70,6 +70,24 @@ def test_parse_errors_name_fields():
     with pytest.raises(StateFileError) as err2:
         parse_state({"m": 2, "n": 2})
     assert "ensemble/density" in str(err2.value)
+    # JSON readers accept NaN and Infinity; a state file may not carry them
+    nan, inf = float("nan"), float("inf")
+    for bad, field in (
+            ({"ensemble": [{"weight": 1, "vector": [1, 0, 0, nan]}]}, "ensemble[0].vector[3]"),
+            ({"ensemble": [{"weight": 1, "vector": [1, [0, inf], 0, 0]}]},
+             "ensemble[0].vector[1]"),
+            ({"ensemble": [{"weight": nan, "vector": [1, 0, 0, 0]}]}, "ensemble[0].weight"),
+            ({"ensemble": [{"weight": inf, "vector": [1, 0, 0, 0]}]}, "ensemble[0].weight"),
+            ({"density": [[0.5, 0, 0, 0], [0, {"re": nan, "im": 0}, 0, 0],
+                          [0, 0, 0.5, 0], [0, 0, 0, 0]]}, "density[1][1]"),
+            ({"density": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, -inf, 0],
+                          [0, 0, 0, 0]]}, "density[2][2]")):
+        with pytest.raises(StateFileError) as err3:
+            parse_state({"m": 2, "n": 2, **bad})
+        assert field in str(err3.value) and "non-finite" in str(err3.value)
+    with pytest.raises(StateFileError) as err4:  # an integer past the float range
+        parse_state({"m": 2, "n": 2, "ensemble": [{"weight": 1, "vector": [1, 0, 0, 10 ** 400]}]})
+    assert "ensemble[0].vector[3]" in str(err4.value)
 
 
 def test_density_only_file(tmp_path):
@@ -138,6 +156,14 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert code == 2
     err = json.loads(out)["error"]
     assert "vector[3]" in err["message"]
+
+
+def test_cli_non_finite_input_exit_code(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"m": 2, "n": 2, "ensemble": [{"weight": 1, "vector": [1,0,0,NaN]}]}')
+    code, out = run_cli(capsys, "analyze", str(bad))
+    assert code == 2
+    assert "ensemble[0].vector[3]" in json.loads(out)["error"]["message"]
 
 
 def test_cli_analyze_exact_file_empty_verdict(tmp_path, capsys):

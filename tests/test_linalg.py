@@ -15,6 +15,7 @@ from detvar.linalg import (
     partial_transpose,
     psd_check,
     rank_exact,
+    spectral_cutoff,
 )
 from detvar.scalars import ExactComplex
 
@@ -85,8 +86,18 @@ def test_eigen_diag():
 
 
 def test_eigen_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eigen(Matrix.approx([[0, 1], [0, 0]]))
+    nan, inf = float("nan"), float("inf")
+    for bad in ([[0, 1], [0, 0]], [[1, nan], [nan, 1]], [[inf, 0], [0, 1]],
+                [[1, inf], [0, 1]]):
+        with pytest.raises(NotHermitian):
+            hermitian_eigen(Matrix.approx(bad))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_eigen_huge_finite_entries():
+    # the Frobenius norm in the tolerance overflows to Inf; the matrix is finite
+    res = hermitian_eigen(Matrix.approx([[1e200, 1], [1, 1]]))
+    assert res.eigenvalues == [1e200, 1.0]
 
 
 def test_eigen_rank3_projector_spectrum():
@@ -156,3 +167,12 @@ def test_psd_gram_and_zero():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert psd_check(Matrix.approx(a @ a.conj().T))
     assert psd_check(Matrix.zeros(3, 3, "approx"))
+
+
+def test_psd_cutoff_scales_with_the_spectrum():
+    # negative eigenvalues within eig_cutoff * max(max|lambda|, 1) are zero
+    assert spectral_cutoff([]) == spectral_cutoff([0.5, -0.25]) == 1e-10
+    assert spectral_cutoff([-4.0, 2.0]) == 4e-10
+    assert psd_check(Matrix.approx([[1, 0], [0, -0.5e-10]]))
+    assert not psd_check(Matrix.approx([[1, 0], [0, -2e-10]]))
+    assert psd_check(Matrix.approx([[8, 0], [0, -5e-10]]))

@@ -12,6 +12,7 @@ from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.states import (
     BipartiteState,
     LocalUnitaryPair,
+    ensemble_from_density,
     random_local_unitary,
     random_mixed,
     random_separable,
@@ -338,3 +339,18 @@ def test_unexpected_root_finder_errors_propagate(monkeypatch):
     monkeypatch.setattr(variety_mod, "univariate_roots", broken)
     with pytest.raises(TypeError):
         sample_points(family_variety(8), 3, seed=1)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 4)])
+@pytest.mark.parametrize("seed", [5, 23])
+def test_density_variety_does_not_depend_on_the_eigenbasis(shape, seed):
+    # V_A depends only on the range of rho, so the spectral ensemble of a
+    # delivered density cuts out the variety of any ensemble spanning it
+    m, n, r = shape
+    given = random_mixed(m, n, r, seed=seed)
+    spectral = ensemble_from_density(given.density_matrix(), m, n)
+    assert len(spectral.ensemble) == r
+    v_given, v_spectral = variety_of_state(given), variety_of_state(spectral)
+    for v_from, v_to in ((v_given, v_spectral), (v_spectral, v_given)):
+        for pt in sample_points(v_from, 4, seed):
+            assert v_to.generator_residual(pt) <= DEFAULT_TOL.abs_eps

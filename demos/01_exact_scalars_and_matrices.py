@@ -1,8 +1,8 @@
 """Exact Gaussian-rational arithmetic and the two matrix pathways.
 
-Everything downstream rides on one split: exact scalars (Fraction real and
-imaginary parts, no rounding ever) versus approximate complex numbers with
-a single shared tolerance policy.
+Everything downstream rides on one split: exact scalars (a Gaussian-integer
+numerator over one integer denominator, no rounding ever) versus
+approximate complex numbers with a single shared tolerance policy.
 """
 
 from fractions import Fraction

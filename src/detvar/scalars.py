@@ -2,9 +2,10 @@
 
 Every quantity in the package travels one of two pathways:
 
-* exact  -- ``ExactComplex``, a complex number with ``Fraction`` real and
-  imaginary parts.  Field arithmetic in Q(i) is exact; ``Fraction`` keeps
-  denominators positive and reduced, so values are always canonical.
+* exact  -- ``ExactComplex``, an element of Q(i) held as one Gaussian-integer
+  numerator over one positive integer denominator, ``(a + b*i)/d`` with
+  ``gcd(a, b, d) = 1``.  Field arithmetic in Q(i) is exact and runs on plain
+  ints; the form is canonical, so equal values have equal fields.
 * approx -- plain ``complex`` (binary64 components).
 
 ``Tolerance`` is the single knob for every floating comparison downstream;
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 from .errors import DivisionByZero
@@ -34,16 +36,37 @@ def _as_fraction(x) -> Fraction:
 
 
 class ExactComplex:
-    """Element of Q(i): ``re + im*i`` with arbitrary-precision rationals."""
+    """Element of Q(i): ``(a + b*i)/d`` with arbitrary-precision ints.
 
-    __slots__ = ("re", "im")
+    ``d > 0`` and ``gcd(a, b, d) = 1``, so ``==`` compares fields.  A
+    product is four int products and one gcd.  ``re`` and ``im`` read the
+    parts as ``Fraction``.
+    """
+
+    __slots__ = ("_v",)  # the tuple (a, b, d)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            _set_v(self, (re, im, 1))
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q
+        # over the lcm of two reduced denominators the form is canonical
+        _set_v(self, (re.numerator * (d // p), im.numerator * (d // q), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._v
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._v
+        return Fraction(b, d)
 
     # -- constructors -------------------------------------------------
 
@@ -63,35 +86,47 @@ class ExactComplex:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        a, b, d = self._v
+        c, e, f = other._v
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        a, b, d = self._v
+        c, e, f = other._v
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) - self
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im)
+        a, b, d = self._v
+        return _canonical(-a, -b, d)
 
     def __mul__(self, other):
-        other = ExactComplex.coerce(other)
-        return ExactComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ExactComplex:
+            other = ExactComplex.coerce(other)
+        a, b, d = self._v
+        c, e, f = other._v
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactComplex":
-        n = self.norm_sq()
+        a, b, d = self._v
+        n = a * a + b * b
         if n == 0:
             raise DivisionByZero("inverse of exact zero")
-        return ExactComplex(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * ExactComplex.coerce(other).inverse()
@@ -100,49 +135,82 @@ class ExactComplex:
         return ExactComplex.coerce(other) * self.inverse()
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        a, b, d = self._v
+        return _canonical(a, -b, d)
 
     def norm_sq(self) -> Fraction:
         """|z|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._v
+        return Fraction(a * a + b * b, d * d)
 
     # -- predicates / conversion ---------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._v[0] == 0 and self._v[1] == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._v[1] == 0
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, ExactComplex):
-            return self.re == other.re and self.im == other.im
+            return self._v == other._v
+        if isinstance(other, (int, Fraction)):
+            # a reduced rational is canonical too
+            return self._v == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = self._v
+        if b == 0:
+            # equal to its Fraction (and int), so it must hash like one
+            return hash(Fraction(a, d))
+        return hash(self._v)
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        # int true division rounds correctly, as float(Fraction) does
+        a, b, d = self._v
+        return complex(a / d, b / d)
 
     def __repr__(self):
-        if self.im == 0:
+        if self.is_real():
             return f"ExactComplex({self.re})"
         return f"ExactComplex({self.re}, {self.im})"
 
     def render(self) -> str:
         """Human-readable ``a/b + c/d*i`` form used in reports."""
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {abs(im)}*i"
+
+
+_set_v = ExactComplex._v.__set__
+_new = object.__new__
+
+
+def _canonical(a: int, b: int, d: int) -> ExactComplex:
+    """The ExactComplex with fields (a, b, d), already canonical."""
+    z = _new(ExactComplex)
+    _set_v(z, (a, b, d))
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> ExactComplex:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(ExactComplex)
+    _set_v(z, (a, b, d))
+    return z
 
 
 EC_ZERO = ExactComplex(0)

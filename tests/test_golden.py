@@ -1,0 +1,58 @@
+"""Reports pinned byte for byte across commits.
+
+Each case runs one CLI command and compares its rendered report, less
+``runtime_seconds``, with the file pinned under ``tests/data/golden/``.
+A change that is meant to leave every report as it was (a faster scalar,
+a refactor) must pass these unchanged.  The two state files are random
+Gaussian-rational ensembles (entries in {-3..3} + {-3..3}i, weights
+k / sum k): a 3x4 rank-4 state on which the criterion finds a witness and
+a 3x3 rank-4 state whose variety is finite.  Spectra and entropies come
+from LAPACK, so their last digits are pinned for one numpy build.
+
+When a change is meant to move a report, rewrite the pinned files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change which reports moved and why.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from detvar.cli import main
+from detvar.report import render_json
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+CASES = {
+    "example2_t3w": ["repro", "example2", "--t=3w"],
+    "gaussian_3x4_r4": ["analyze", str(GOLDEN / "gaussian_3x4_r4.state.json"), "--seed", "42"],
+    "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],
+}
+
+
+def rendered_report(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, out.getvalue()
+    report = json.loads(out.getvalue())
+    del report["runtime_seconds"]
+    return render_json(report)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_pinned(name):
+    pinned = (GOLDEN / f"{name}.report.json").read_text()
+    assert rendered_report(CASES[name]) == pinned
+
+
+if __name__ == "__main__":
+    for name, argv in sorted(CASES.items()):
+        (GOLDEN / f"{name}.report.json").write_text(rendered_report(argv))
+        print(f"wrote {name}.report.json", file=sys.stderr)

@@ -83,3 +83,11 @@ def test_roundtrip_to_binary64():
         im = Fraction(rng.randint(-999, 999), 2 ** rng.randint(0, 10))
         z = ExactComplex(re, im).to_complex()
         assert z.real == float(re) and z.imag == float(im)
+
+
+def test_real_values_hash_like_rationals():
+    # equal objects must hash equal, or sets and dicts miss them
+    assert ExactComplex(3) in {3}
+    assert 3 in {ExactComplex(3)}
+    assert ExactComplex(Fraction(-7, 3)) in {Fraction(-7, 3)}
+    assert len({ExactComplex(2), 2, Fraction(4, 2)}) == 1

@@ -30,6 +30,14 @@ print("separable 3x3:", verdict_sep.tag, "->", verdict_sep.conclusion)
 for f in verdict_sep.forms:
     print("  factor:", f.render())
 
+# five product terms in 3x4: V_A is a finite set of points, certified by
+# an exact line that misses it, so nothing is sampled
+verdict_fin = linearity_decide(variety_of_state(random_separable(3, 4, 5, seed=5)), seed=42)
+print("separable 3x4, five terms:", verdict_fin.tag, "->", verdict_fin.conclusion)
+print("  certificate:", verdict_fin.certificate.kind, "through",
+      [x.render() for x in verdict_fin.certificate.base], "and",
+      [x.render() for x in verdict_fin.certificate.direction])
+
 # the maximally mixed state: empty variety, criterion silent
 verdict_mm = linearity_decide(variety_of_state(maximally_mixed(3, 3)))
 print("maximally mixed:", verdict_mm.tag, "->", verdict_mm.conclusion)

@@ -25,7 +25,7 @@ from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance
 class Matrix:
     """Immutable dense matrix; entries row-major, kind uniform."""
 
-    __slots__ = ("rows", "cols", "kind", "data")
+    __slots__ = ("rows", "cols", "kind", "data", "_eigen")
 
     def __init__(self, rows: int, cols: int, data: Sequence, kind: str):
         if kind not in ("exact", "approx"):
@@ -38,9 +38,14 @@ class Matrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", tuple(data))
+        object.__setattr__(self, "_eigen", None)  # (tol, EigenResult) of eigen()
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        # the default slot-state restore would call the raising __setattr__
+        return (Matrix, (self.rows, self.cols, self.data, self.kind))
 
     # -- constructors ---------------------------------------------------
 
@@ -93,6 +98,14 @@ class Matrix:
         if self.kind == "approx":
             return self
         return Matrix(self.rows, self.cols, [z.to_complex() for z in self.data], "approx")
+
+    def eigen(self, tol: Tolerance = DEFAULT_TOL) -> "EigenResult":
+        """``hermitian_eigen(self.to_approx(), tol)``, decomposed once per
+        tolerance: a density is checked PSD, split into its spectral
+        ensemble and asked for its spectrum from one decomposition."""
+        if self._eigen is None or self._eigen[0] != tol:
+            object.__setattr__(self, "_eigen", (tol, hermitian_eigen(self.to_approx(), tol)))
+        return self._eigen[1]
 
     def map_entries(self, fn: Callable) -> "Matrix":
         return Matrix(self.rows, self.cols, [fn(x) for x in self.data], self.kind)
@@ -284,7 +297,7 @@ def spectral_cutoff(eigenvalues: Sequence[float], tol: Tolerance = DEFAULT_TOL) 
 
 def psd_check(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no eigenvalue lies below -spectral_cutoff."""
-    eigs = hermitian_eigen(m.to_approx(), tol).eigenvalues
+    eigs = m.eigen(tol).eigenvalues
     return not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
 
 

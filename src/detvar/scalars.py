@@ -58,6 +58,10 @@ class ExactComplex:
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
 
+    def __reduce__(self):
+        # the default slot-state restore would call the raising __setattr__
+        return (_canonical, self._v)
+
     @property
     def re(self) -> Fraction:
         a, _, d = self._v

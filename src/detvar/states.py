@@ -260,7 +260,7 @@ def ensemble_from_density(rho: Matrix, m: int, n: int,
     mn = m * n
     if rho.rows != mn or rho.cols != mn:
         raise NotAState(f"density is {rho.rows}x{rho.cols}, expected {mn}x{mn}")
-    eig = hermitian_eigen(rho.to_approx(), tol)
+    eig = rho.eigen(tol)
     tr = sum(eig.eigenvalues)
     if abs(tr - 1.0) > 1e3 * tol.abs_eps:
         raise NotAState(f"trace {tr} is not 1")
@@ -334,7 +334,7 @@ def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
     rho = s.density_matrix(tol)
-    glob = hermitian_eigen(rho.to_approx(), tol).eigenvalues
+    glob = rho.eigen(tol).eigenvalues
     red_a = hermitian_eigen(partial_trace(rho, s.m, s.n, "B").to_approx(), tol).eigenvalues
     red_b = hermitian_eigen(partial_trace(rho, s.m, s.n, "A").to_approx(), tol).eigenvalues
     return SpectraReport(

@@ -10,16 +10,18 @@ InconsistentRepresentations because it can only mean a bug or a bad
 tolerance, never a property of the state.
 
 Verdict semantics: a nonlinearity witness certifies entanglement (the
-contrapositive of the separability criterion).  Empty, Full, LinearUnion
-and Inconclusive all map to "criterion inconclusive": linearity is
-necessary, not sufficient, for separability.
+contrapositive of the separability criterion).  Empty, Full, Finite,
+LinearUnion and Inconclusive all map to "criterion inconclusive":
+linearity is necessary, not sufficient, for separability.  A finite V is
+a union of points, hence linear, so dimension is certified before any
+sampling and a certified-finite V is never sampled.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from .errors import (
     UnsupportedShape,
     ZeroDirection,
 )
+from .exactroots import ec_gcd, ec_trim
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
 from .multipoly import (
@@ -51,6 +54,7 @@ WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
 NEWTON_MAX_STEPS = 50
 SAMPLING_BUDGET = 100      # line draws per requested point
+FINITE_LINE_ATTEMPTS = 3   # exact lines tried by the finiteness certificate
 
 # what restricting to a line and root-finding raise when a draw is merely
 # unlucky (degenerate restriction, zero direction, Aberth not settling)
@@ -815,12 +819,86 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
     return best
 
 
+# ---------------------------------------------------------------------------
+# dimension
+# ---------------------------------------------------------------------------
+
+class FiniteCertificate(NamedTuple):
+    """Why dim V <= 0.
+
+    kind "ambient_dimension": V lies in CP^1 and is not all of it.
+    kind "line_miss": V in CP^2 misses the projective line through the
+    exact points base and direction; a variety of dimension >= 1 meets
+    every hyperplane (projective dimension theorem), so V is finite.
+    """
+
+    kind: str
+    base: Optional[Tuple[ExactComplex, ...]] = None
+    direction: Optional[Tuple[ExactComplex, ...]] = None
+
+
+def misses_line(gens: Sequence[Poly], base: Sequence[ExactComplex],
+                direction: Sequence[ExactComplex]) -> bool:
+    """True iff the exact homogeneous generators have no common zero on the
+    projective line through base and direction.
+
+    The affine points base + s*direction are missed when the gcd of the
+    restrictions s -> g(base + s*direction) is a nonzero constant; the
+    point at infinity, direction itself, is missed when some restriction
+    keeps full degree (its top coefficient is g(direction)).
+    """
+    common = None
+    full_degree = False
+    for g in gens:
+        coeffs = ec_trim(univariate_coeffs(restrict_to_line(g, base, direction)))
+        full_degree = full_degree or len(coeffs) == g.degree() + 1
+        common = coeffs if common is None else ec_gcd(common, coeffs)
+        if len(common) == 1 and full_degree:
+            return True
+    return False
+
+
+def _line_miss_certificate(v: Variety, seed: int) -> Optional[FiniteCertificate]:
+    """An exact line of CP^2 that V misses, drawn from a stream of its own
+    (seeded from the analysis seed, apart from the sampler's); None when
+    every attempt meets V, which proves nothing."""
+    rng = random.Random(f"finite-V:{seed}")
+    gens = v.essential_generators
+    for _ in range(FINITE_LINE_ATTEMPTS):
+        base = tuple(_random_exact_point(rng, v.m))
+        direction = tuple(_random_exact_point(rng, v.m))
+        if misses_line(gens, base, direction):
+            return FiniteCertificate("line_miss", base, direction)
+    return None
+
+
+def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
+    """The verdict of a V on which the criterion cannot fire, decided with
+    no sampling; None when finiteness is not certified."""
+    if v.m <= 2:
+        # not Full, so its minors leave finitely many points of CP^1
+        if v.mode == "exact":
+            return VarietyVerdict("Finite", certificate=FiniteCertificate("ambient_dimension"))
+        return VarietyVerdict("Inconclusive",
+                              reason=f"criterion vacuous: V lies in CP^{v.m - 1}")
+    # every component of V has codimension <= t - n + 1 (Eagon-Northcott):
+    # at t = n that is 1, so V is a curve in CP^2 and meets every line
+    if v.m == 3 and v.mode == "exact" and v.pencil.t - v.n + 1 >= 2:
+        cert = _line_miss_certificate(v, seed)
+        if cert is not None:
+            return VarietyVerdict("Finite", certificate=cert)
+    return None
+
+
 class VarietyVerdict:
     """Outcome of the linearity analysis.
 
-    tag in {"Empty", "Full", "LinearUnion", "NonlinearWitness",
+    tag in {"Empty", "Full", "Finite", "LinearUnion", "NonlinearWitness",
     "Inconclusive"}.  Only a NonlinearWitness certifies entanglement; the
-    other verdicts leave the criterion inconclusive.
+    other verdicts leave the criterion inconclusive.  "Finite" (exact
+    states only) carries a FiniteCertificate that dim V <= 0: V is a
+    finite set of points, a union of linear subspaces, so no witness can
+    exist and nothing is sampled.
     """
 
     def __init__(self, tag: str,
@@ -830,7 +908,8 @@ class VarietyVerdict:
                  tangent: Optional[LinearForm] = None,
                  residual: Optional[float] = None,
                  probe: Optional[Tuple[complex, ...]] = None,
-                 reason: Optional[str] = None):
+                 reason: Optional[str] = None,
+                 certificate: Optional[FiniteCertificate] = None):
         self.tag = tag
         self.forms = forms
         self.factor_list = factor_list
@@ -839,6 +918,7 @@ class VarietyVerdict:
         self.residual = residual
         self.probe = probe
         self.reason = reason
+        self.certificate = certificate
 
     @property
     def conclusion(self) -> str:
@@ -901,14 +981,21 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     """Decide linearity where the exact machinery applies, otherwise fall
     back to the witness search.
 
-    Hypersurface case with at most three active variables and degree <= 6:
-    exact factor extraction either splits the determinant completely into
-    linear forms (LinearUnion) or leaves a residual certified to contain
-    no Q(i)-linear factor, in which case the witness search probes the
-    residual's zero locus; the verdict carries the factor list either way.
+    Dimension comes first: in CP^1 (m <= 2) V is finite, and an exact V in
+    CP^2 that misses an exact line is finite; both end here as "Finite"
+    (an approximate state in CP^1 gets a vacuous Inconclusive) with no
+    sampling.  Hypersurface case with at most three active variables and
+    degree <= 6: exact factor extraction either splits the determinant
+    completely into linear forms (LinearUnion) or leaves a residual
+    certified to contain no Q(i)-linear factor, in which case the witness
+    search probes the residual's zero locus; the verdict carries the
+    factor list either way.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
+    finite = _dimension_verdict(v, seed)
+    if finite is not None:
+        return finite
     _analysis_system(v, tol)
     fl = v._factor_list
     if fl is not None and fl.full_split():

@@ -4,15 +4,19 @@ swap, and the compiled generator system of a variety."""
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import detvar.linalg as linalg_mod
 import detvar.states as states_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.factorization import linear_factorization
 from detvar.multipoly import CompiledSystem, LinearForm, Poly
 from detvar.scalars import DEFAULT_TOL, ExactComplex
-from detvar.states import random_mixed, random_separable
+from detvar.report import analyze_state
+from detvar.statefile import load_state, parse_state, state_to_json
+from detvar.states import BipartiteState, random_mixed, random_separable
 from detvar.variety import (
     _analysis_system,
     linearity_decide,
@@ -26,6 +30,7 @@ from detvar.variety import (
 
 EC = ExactComplex
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def test_density_is_built_once_per_state(monkeypatch):
@@ -37,11 +42,32 @@ def test_density_is_built_once_per_state(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(states_mod, "density_from_ensemble", counting)
-    st = random_separable(3, 4, 5, seed=3)
+    # side A (t = n) and side B (m = 4) both pass the finiteness certificate
+    st = load_state(str(GOLDEN / "gaussian_3x4_r4.state.json"))
     for side in "AB":
         linearity_decide(variety_of_state(st, side), seed=7, samples=4)
     # both sides consulted the Hermitian oracle: st on A, st.swapped() on B
     assert len(calls) == 2 and max(calls.values()) == 1
+
+
+def test_density_is_decomposed_once_per_analysis(monkeypatch):
+    # validation (PSD check), the spectral ensemble and the global spectrum
+    # share one decomposition; the reduced spectra and the partial
+    # transpose are other matrices
+    calls = []
+    real = linalg_mod.hermitian_eigen
+
+    def counting(m, tol=DEFAULT_TOL):
+        calls.append(m.rows)
+        return real(m, tol)
+
+    monkeypatch.setattr(linalg_mod, "hermitian_eigen", counting)
+    monkeypatch.setattr(states_mod, "hermitian_eigen", counting)
+    rho = states_mod.density_from_ensemble(random_mixed(3, 4, 4, seed=11))
+    doc = state_to_json(BipartiteState(3, 4, density=rho, validate=False))
+    report = analyze_state(parse_state(doc), samples=4)
+    assert len(calls) == 4 and calls.count(12) == 2
+    assert report["spectra"]["global"] == real(rho).eigenvalues
 
 
 def test_swapped_and_density_are_memoized():

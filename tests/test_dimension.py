@@ -1,0 +1,181 @@
+"""Dimension before sampling: the finiteness certificate of linearity_decide.
+
+A finite V is a union of points, hence linear, so the criterion cannot
+fire on it.  In CP^1 (m <= 2) V is finite unless it is all of CP^1; an
+exact V in CP^2 that misses an exact line is finite by the projective
+dimension theorem.  These tests pin which states are certified, that a
+curve never is, that the point at infinity of the line is checked, and
+that the sampler the certificate now skips stays sound on its own.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+from fractions import Fraction
+from functools import reduce
+from pathlib import Path
+
+import pytest
+
+import detvar.variety as variety_mod
+from detvar.catalog import cyclic_cubic_state
+from detvar.cli import main
+from detvar.exactroots import ec_gcd, ec_trim
+from detvar.multipoly import restrict_to_line, univariate_coeffs
+from detvar.scalars import ExactComplex
+from detvar.statefile import load_state
+from detvar.states import random_mixed, random_separable
+from detvar.variety import (
+    _line_miss_certificate,
+    linearity_decide,
+    membership,
+    misses_line,
+    nonlinearity_witness,
+    variety_of_state,
+)
+
+EC = ExactComplex
+F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail if the analysis reaches the sampler or its peeled system."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified-finite V was sampled")
+
+    monkeypatch.setattr(variety_mod, "_point_stream", refuse)
+    monkeypatch.setattr(variety_mod, "_analysis_system", refuse)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 3), (2, 2, 3), (2, 4, 4)])
+def test_exact_cp1_variety_is_finite(no_sampling, shape):
+    v = variety_of_state(random_separable(*shape, seed=11))
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == "Finite"
+    assert verdict.conclusion == "inconclusive"
+    assert verdict.certificate.kind == "ambient_dimension"
+    assert verdict.certificate.base is None and verdict.certificate.direction is None
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_approximate_cp1_variety_is_vacuous(no_sampling, seed):
+    v = variety_of_state(random_mixed(2, 3, 3, seed=seed))
+    assert v.mode == "approx"
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == "Inconclusive"
+    assert verdict.reason == "criterion vacuous: V lies in CP^1"
+    assert verdict.certificate is None
+
+
+@pytest.mark.parametrize("state", [
+    lambda: load_state(str(GOLDEN / "finite_v_3x3_r4.state.json")),
+    lambda: random_separable(3, 4, 5, seed=3),
+    lambda: random_separable(3, 3, 5, seed=4),
+    lambda: random_separable(3, 3, 4, seed=6),
+], ids=["gaussian 3x3 r4", "separable 3x4 t5", "separable 3x3 t5", "separable 3x3 t4"])
+def test_finite_plane_variety_is_certified(no_sampling, state):
+    v = variety_of_state(state())
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == "Finite"
+    cert = verdict.certificate
+    assert cert.kind == "line_miss"
+    assert misses_line(v.essential_generators, cert.base, cert.direction)
+
+
+def _side_a_factor(vec, m, n):
+    """a, up to scale, for a product ray vec = a (x) b: a nonzero column of
+    vec read as an m x n matrix."""
+    k = next(k for k in range(n) if any(not vec[i * n + k].is_zero() for i in range(m)))
+    return [vec[i * n + k] for i in range(m)]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def test_a_line_through_v_at_infinity_is_rejected():
+    # r = a_u x a_v annihilates a_u and a_v, so pencil columns u and v of
+    # the separable state vanish there and r lies on V; a line whose
+    # direction is r misses V at every affine point yet meets it at r
+    st = random_separable(3, 4, 5, seed=3)
+    v = variety_of_state(st)
+    gens = v.essential_generators
+    a_u = _side_a_factor(st.ensemble[0][1], 3, 4)
+    a_v = _side_a_factor(st.ensemble[1][1], 3, 4)
+    r = _cross(a_u, a_v)
+    assert membership(v, r)
+    constant_gcd = 0
+    for k in range(6):
+        base = (EC(k + 1, 2), EC(-3, k), EC(F(5, 2), 1 - k))
+        restrictions = [ec_trim(univariate_coeffs(restrict_to_line(g, base, r)))
+                        for g in gens]
+        assert all(len(c) <= v.n for c in restrictions)  # every top coefficient is g(r) = 0
+        constant_gcd += len(reduce(ec_gcd, restrictions)) == 1
+        assert not misses_line(gens, base, r)
+    # the gcd alone would have certified these lines: only the point at
+    # infinity tells them apart from a miss
+    assert constant_gcd >= 4
+
+
+@pytest.mark.parametrize("state", [
+    lambda: cyclic_cubic_state(EC(27)),
+    lambda: load_state(str(GOLDEN / "gaussian_3x4_r4.state.json")),
+], ids=["t^3 = 27 cubic", "gaussian 3x4 r4"])
+def test_a_curve_is_never_certified(state):
+    # t = n: V is a plane curve and meets every line; the helper is called
+    # with the gate of linearity_decide bypassed
+    v = variety_of_state(state())
+    assert v.m == 3 and v.pencil.t == v.n
+    for seed in range(60):
+        assert _line_miss_certificate(v, seed) is None
+
+
+def test_rendered_certificate_reverifies_from_report_and_state_file():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    path = GOLDEN / "separable_3x4_t5.state.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--seed", "42"]) == 0
+    report = json.loads(out.getvalue())
+    assert report["verdict"]["tag"] == "Finite"
+    cert = report["verdict"]["certificate"]
+    assert cert["kind"] == "line_miss"
+
+    # from here on: the state file, the certificate and sympy only
+    def scalar(obj):
+        return sympy.Rational(obj["re"]) + sympy.I * sympy.Rational(obj["im"])
+
+    doc = json.loads(path.read_text())
+    m, n = doc["m"], doc["n"]
+    vectors = [[scalar(x) for x in term["vector"]] for term in doc["ensemble"]]
+    base = [scalar(x) for x in cert["base"]]
+    direction = [scalar(x) for x in cert["direction"]]
+    s = sympy.Symbol("s")
+    point = [b + s * d for b, d in zip(base, direction)]
+    pencil = sympy.Matrix(n, len(vectors), lambda k, l: sum(
+        point[i] * vectors[l][i * n + k] for i in range(m)))
+    ring = sympy.QQ_I[s]
+    pencil = DomainMatrix.from_Matrix(pencil).convert_to(ring)
+    minors = [pencil.extract(list(range(n)), list(cols)).det()
+              for cols in itertools.combinations(range(len(vectors)), n)]
+    common = reduce(ring.gcd, minors)
+    assert common.degree() == 0 and common != 0   # no affine point of the line
+    assert any(p.degree() == n for p in minors)   # nor its point at infinity
+
+
+@pytest.mark.parametrize("shape,seed", [
+    ((3, 3, 4), 42 + 97 * 5), ((3, 3, 4), 42 + 97 * 12),
+    ((3, 3, 5), 42 + 97 * 6), ((3, 3, 5), 42 + 97 * 13),
+    ((3, 4, 5), 3), ((3, 4, 5), 17),
+])
+def test_sampler_stays_silent_on_finite_separable_varieties(shape, seed):
+    # the certificate now ends these analyses; the sampler path, called
+    # directly, must still never turn them into a witness
+    verdict = nonlinearity_witness(variety_of_state(random_separable(*shape, seed=seed)),
+                                   samples=12, seed=42)
+    assert verdict.tag != "NonlinearWitness"

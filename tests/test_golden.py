@@ -3,10 +3,12 @@
 Each case runs one CLI command and compares its rendered report, less
 ``runtime_seconds``, with the file pinned under ``tests/data/golden/``.
 A change that is meant to leave every report as it was (a faster scalar,
-a refactor) must pass these unchanged.  The two state files are random
+a refactor) must pass these unchanged.  Two state files are random
 Gaussian-rational ensembles (entries in {-3..3} + {-3..3}i, weights
 k / sum k): a 3x4 rank-4 state on which the criterion finds a witness and
-a 3x3 rank-4 state whose variety is finite.  Spectra and entropies come
+a 3x3 rank-4 state whose variety is finite.  The third is
+``random_separable(3, 4, 5, seed=5)``, whose variety is finite too; both
+finite reports pin the exact line of their "Finite" certificate.  Spectra and entropies come
 from LAPACK, so their last digits are pinned for one numpy build.
 
 When a change is meant to move a report, rewrite the pinned files with
@@ -33,6 +35,8 @@ CASES = {
     "example2_t3w": ["repro", "example2", "--t=3w"],
     "gaussian_3x4_r4": ["analyze", str(GOLDEN / "gaussian_3x4_r4.state.json"), "--seed", "42"],
     "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],
+    "separable_3x4_t5": ["analyze", str(GOLDEN / "separable_3x4_t5.state.json"),
+                         "--seed", "42"],
 }
 
 

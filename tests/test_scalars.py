@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -91,3 +93,18 @@ def test_real_values_hash_like_rationals():
     assert 3 in {ExactComplex(3)}
     assert ExactComplex(Fraction(-7, 3)) in {Fraction(-7, 3)}
     assert len({ExactComplex(2), 2, Fraction(4, 2)}) == 1
+
+
+def test_copy_and_pickle_round_trip():
+    from detvar.catalog import cyclic_cubic_state
+    z = ExactComplex(Fraction(3, 4), Fraction(-2, 5))
+    for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+        assert twin == z and hash(twin) == hash(z) and twin.render() == z.render()
+        with pytest.raises(AttributeError):
+            twin._v = (0, 0, 1)
+    st = cyclic_cubic_state(ExactComplex(27))
+    rho = st.density_matrix()
+    for twin in (copy.deepcopy(st), pickle.loads(pickle.dumps(st))):
+        assert twin.ensemble == st.ensemble and twin.density_matrix() == rho
+    for twin in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
+        assert twin == rho and twin.kind == "exact"

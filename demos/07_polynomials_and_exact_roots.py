@@ -1,9 +1,10 @@
 """The symbolic engine underneath: sparse polynomials, exact roots, factors.
 
 The load-bearing primitive is complete Gaussian-rational root finding for
-univariate polynomials: Sturm isolation plus a Stern-Brocot denominator
-search on the real axis, lifted to Q(i) through a real/imaginary split and
-a Sylvester resultant.  No floating point, no integer factorization, and
+univariate polynomials: roots modulo a prime p = 1 (mod 4), where Z[i]
+maps onto F_p, Hensel-lifted p-adically, read back as fractions by rational
+reconstruction and checked by exact evaluation.  Rational roots are the
+real ones among them.  No floating point, no integer factorization, and
 "no root" comes back as a certificate rather than a shrug.
 """
 

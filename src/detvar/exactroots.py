@@ -1,268 +1,29 @@
 """Exact rational and Gaussian-rational roots of univariate polynomials.
 
-Everything here is certificate-grade: the finders return *all* roots in Q
-(respectively Q(i)) or prove there are none, with no reliance on floating
-point and no integer factorization.
+Everything here is certificate-grade: ``gaussian_rational_roots`` returns
+*all* roots in Q(i) with their multiplicities, or proves there are none,
+with no floating point and no factorization.  ``rational_roots`` keeps the
+real ones.
 
-Real rational roots
-    Sturm isolation over exact rationals + interval refinement.  A rational
-    root p/q of a primitive integer polynomial has q dividing the leading
-    coefficient, so once an isolating interval is narrower than 1/lead^2 it
-    contains at most one fraction with denominator <= |lead|; the minimal-
-    denominator fraction in the interval (Stern-Brocot walk) either is the
-    root or certifies there is none.
-
-Gaussian-rational roots
-    Write t = x + i*y with x, y real unknowns; f(t) = A(x,y) + i*B(x,y)
-    splits into two real curves.  A and B never share a factor (the linear
-    factors of f(x+iy) and of conj(f)(x-iy) cannot match), so the Sylvester
-    resultant eliminating y is a nonzero rational polynomial whose rational
-    roots give every candidate real part; back-substitution plus the real
-    finder recovers imaginary parts, and exact evaluation verifies.
+The roots are found modulo a prime, after Loos ("Computing rational zeros
+of integral polynomials by p-adic expansion", SIAM J. Comput. 12, 1983),
+carried over from Z to Z[i].  A prime p = 1 (mod 4) splits in Z[i] as
+p = pi * conj(pi), and Z[i]/(pi) = F_p sends i to a square root of -1 mod p
+(Z[i]/(conj pi) sends it to the other one).  A Gaussian-rational root
+reduces to a root of both images of the polynomial in F_p; the roots of
+the images are found by trying every residue, Hensel-lifted to a p-adic
+precision past a size bound, recombined into real and imaginary parts,
+read back as fractions by rational reconstruction and verified by exact
+evaluation.  The argument is in ``gaussian_rational_roots``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Tuple
+from math import isqrt, lcm
+from typing import Iterator, List, Optional, Tuple
 
-from .multipoly import Poly, sylvester_resultant, univariate_coeffs
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
-
-FPoly = List[Fraction]  # ascending coefficients
-
-
-# ---------------------------------------------------------------------------
-# Rational-coefficient univariate helpers
-# ---------------------------------------------------------------------------
-
-def fq_trim(p: FPoly) -> FPoly:
-    q = list(p)
-    while q and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def fq_deg(p: FPoly) -> int:
-    return len(fq_trim(p)) - 1
-
-
-def fq_eval(p: FPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def fq_deriv(p: FPoly) -> FPoly:
-    return [c * k for k, c in enumerate(p)][1:]
-
-
-def fq_divmod(a: FPoly, b: FPoly) -> Tuple[FPoly, FPoly]:
-    b = fq_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(fq_trim(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] -= c * bc
-        a = fq_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-def fq_gcd(a: FPoly, b: FPoly) -> FPoly:
-    a, b = fq_trim(a), fq_trim(b)
-    while b:
-        a, b = b, fq_divmod(a, b)[1]
-    if a:
-        inv = 1 / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def fq_primitive(p: FPoly) -> FPoly:
-    """Scale by a positive rational to coprime integer coefficients
-    (sign preserved, so Sturm sign sequences are unaffected)."""
-    p = fq_trim(p)
-    if not p:
-        return p
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [c.numerator * (den_lcm // c.denominator) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [Fraction(v, g) for v in ints]
-
-
-def _cauchy_bound(p: FPoly) -> Fraction:
-    p = fq_trim(p)
-    lead = abs(p[-1])
-    m = max((abs(c) for c in p[:-1]), default=Fraction(0))
-    return 1 + m / lead
-
-
-# ---------------------------------------------------------------------------
-# Sturm isolation
-# ---------------------------------------------------------------------------
-
-def _sturm_chain(s: FPoly) -> List[FPoly]:
-    chain = [fq_primitive(s), fq_primitive(fq_deriv(s))]
-    while chain[-1]:
-        rem = fq_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(fq_primitive([-c for c in rem]))
-    return [c for c in chain if c]
-
-
-def _variations(values: List[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The fraction with the smallest denominator strictly inside (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("empty interval")
-    if lo < 0 < hi:
-        return Fraction(0)
-    if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    if lo == 0:
-        if hi > 1:
-            return Fraction(1)
-        inv = 1 / hi
-        return Fraction(1, inv.numerator // inv.denominator + 1)
-    fl = lo.numerator // lo.denominator
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        return fl + simplest_between(Fraction(0), hi - fl)
-    return fl + 1 / simplest_between(1 / (hi - fl), 1 / (lo - fl))
-
-
-class _RootHit(Exception):
-    def __init__(self, root: Fraction):
-        self.root = root
-
-
-def _isolate_squarefree(s: FPoly) -> List[Tuple[Fraction, Fraction]]:
-    """Open isolating intervals for every real root of squarefree s.
-
-    Raises _RootHit the moment a bisection point happens to be a root
-    (the caller deflates and restarts; rational roots are few).
-    """
-    chain = _sturm_chain(s)
-    bound = _cauchy_bound(s) + 1
-
-    def vc(x: Fraction) -> int:
-        return _variations([fq_eval(c, x) for c in chain])
-
-    def guard(x: Fraction) -> Fraction:
-        if fq_eval(s, x) == 0:
-            raise _RootHit(x)
-        return x
-
-    out: List[Tuple[Fraction, Fraction]] = []
-    lo, hi = guard(-bound), guard(bound)
-    stack = [(lo, hi, vc(lo), vc(hi))]
-    while stack:
-        l, u, vl, vu = stack.pop()
-        n = vl - vu
-        if n == 0:
-            continue
-        if n == 1:
-            out.append((l, u))
-            continue
-        m = guard((l + u) / 2)
-        vm = vc(m)
-        stack.append((l, m, vl, vm))
-        stack.append((m, u, vm, vu))
-    return out
-
-
-def _rational_in_interval(s: FPoly, lo: Fraction, hi: Fraction,
-                          den_bound: int) -> Optional[Fraction]:
-    """The rational root of s inside the isolating interval (lo, hi), if any.
-
-    s must be squarefree with a single simple root there, so it changes
-    sign across the interval and plain sign bisection refines it.
-    """
-    width_target = Fraction(1, den_bound * den_bound + 1)
-    sl = fq_eval(s, lo)
-    while hi - lo >= width_target:
-        m = (lo + hi) / 2
-        sm = fq_eval(s, m)
-        if sm == 0:
-            return m
-        if (sm > 0) == (sl > 0):
-            lo, sl = m, sm
-        else:
-            hi = m
-    cand = simplest_between(lo, hi)
-    if cand.denominator <= den_bound and fq_eval(s, cand) == 0:
-        return cand
-    return None
-
-
-def rational_roots(p: FPoly) -> List[Tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities.  Complete and exact."""
-    p = fq_trim([Fraction(c) for c in p])
-    if not p:
-        raise ValueError("zero polynomial")
-    roots: List[Fraction] = []
-    # deflate roots at the origin
-    shift = 0
-    while p[shift] == 0:
-        shift += 1
-    if shift:
-        roots.append(Fraction(0))
-        p_core = p[shift:]
-    else:
-        p_core = p
-    if fq_deg(p_core) >= 1:
-        s = fq_primitive(fq_divmod(p_core, fq_gcd(p_core, fq_deriv(p_core)))[0])
-        while fq_deg(s) >= 1:
-            try:
-                intervals = _isolate_squarefree(s)
-            except _RootHit as hit:
-                roots.append(hit.root)
-                s = fq_primitive(fq_divmod(s, [-hit.root, Fraction(1)])[0])
-                continue
-            den_bound = abs(s[-1].numerator)
-            for lo, hi in intervals:
-                cand = _rational_in_interval(s, lo, hi, den_bound)
-                if cand is not None:
-                    roots.append(cand)
-            break
-    out = []
-    for r in sorted(set(roots)):
-        mult = 0
-        q = p
-        while True:
-            quo, rem = fq_divmod(q, [-r, Fraction(1)])
-            if rem:
-                break
-            mult += 1
-            q = quo
-        if mult:
-            out.append((r, mult))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-rational coefficients
-# ---------------------------------------------------------------------------
 
 ECPoly = List[ExactComplex]  # ascending coefficients
 
@@ -314,110 +75,132 @@ def ec_gcd(a: ECPoly, b: ECPoly) -> ECPoly:
     return a
 
 
-def _real_imag_curves(f: ECPoly) -> Tuple[Poly, Poly]:
-    """f(x + i*y) = A(x,y) + i*B(x,y) with A, B rational-coefficient
-    polynomials in the real unknowns x, y."""
-    x = Poly.variable(0, 2)
-    y = Poly.variable(1, 2)
-    z = x + y.scale(ExactComplex(0, 1))
-    acc = Poly.zero(2)
-    zp = Poly.const(2, 1)
-    for k, c in enumerate(f):
-        if not c.is_zero():
-            acc = acc + zp.scale(c)
-        if k + 1 < len(f):
-            zp = zp * z
-    a_terms = {}
-    b_terms = {}
-    for e, c in acc.terms.items():
-        if c.re:
-            a_terms[e] = ExactComplex(c.re)
-        if c.im:
-            b_terms[e] = ExactComplex(c.im)
-    return Poly(2, a_terms), Poly(2, b_terms)
+# ---------------------------------------------------------------------------
+# Arithmetic modulo p and p-adic lifting
+# ---------------------------------------------------------------------------
+
+def _split_primes() -> Iterator[int]:
+    """Primes p = 1 (mod 4) from 13 upwards, without end.
+
+    13 is the first such prime above 6, the largest degree the pipeline
+    asks about: a smaller p merges roots mod p, and must be skipped, more
+    often.
+    """
+    p = 13
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 4
 
 
-def _poly1_to_fq(p: Poly) -> FPoly:
-    return [c.re for c in univariate_coeffs(p)]
+def _horner(c: List[int], t: int, m: int) -> int:
+    acc = 0
+    for x in reversed(c):
+        acc = (acc * t + x) % m
+    return acc
 
 
-def _subs_x(p: Poly, x0: Fraction, as_x_poly: bool = False) -> FPoly:
-    """Substitute x=x0 into a 2-variable rational-coefficient polynomial,
-    returning the univariate-in-y coefficient list.  With as_x_poly=True the
-    roles flip: p must be free of y and the list is its x-coefficients."""
-    if as_x_poly:
-        out = [Fraction(0)] * (p.degree_in(0) + 1)
-        for (ex, ey), c in p.terms.items():
-            if ey:
-                raise ValueError("polynomial is not free of y")
-            out[ex] += c.re
-        return out
-    dy = p.degree_in(1)
-    out = [Fraction(0)] * (dy + 1)
-    for (ex, ey), c in p.terms.items():
-        v = c.re
-        for _ in range(ex):
-            v = v * x0
-        out[ey] += v
-    return out
+def _hensel(c: List[int], r: int, p: int, m: int) -> int:
+    """Lift a simple root r mod p of the integer polynomial c to the
+    modulus m = p^(2^j) by Newton steps that square the modulus."""
+    dc = [x * k for k, x in enumerate(c)][1:]
+    q = p
+    while q < m:
+        q *= q
+        r = (r - _horner(c, r, q) * pow(_horner(dc, r, q), -1, q)) % q
+    return r
+
+
+def _reconstruct(a: int, m: int, bound: int) -> Optional[Fraction]:
+    """The fraction n/d = a (mod m) with |n| <= bound and 0 < d <= bound,
+    if there is one (Wang's algorithm: it is unique once m > 2*bound^2).
+    Otherwise None or some other fraction, which the caller's exact check
+    rejects."""
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound else None
+
+
+def _modular_roots(s: ECPoly) -> List[ExactComplex]:
+    """The roots in Q(i) of the squarefree s (see gaussian_rational_roots)."""
+    den = lcm(*(x.denominator for c in s for x in (c.re, c.im)))
+    re = [int(c.re * den) for c in s]
+    im = [int(c.im * den) for c in s]
+    norm_lc = re[-1] ** 2 + im[-1] ** 2
+    top = max(a * a + b * b for a, b in zip(re[:-1], im[:-1]))
+    bound = (2 + isqrt(top // norm_lc)) * norm_lc
+    for p in _split_primes():
+        sp = next(pow(a, (p - 1) // 4, p) for a in range(2, p)
+                  if pow(a, (p - 1) // 2, p) == p - 1)
+        images = [[(a + b * sp) % p for a, b in zip(re, im)],
+                  [(a - b * sp) % p for a, b in zip(re, im)]]
+        if not all(c[-1] for c in images):
+            continue  # pi divides the leading coefficient
+        roots = [[t for t in range(p) if _horner(c, t, p) == 0] for c in images]
+        if not all(roots):
+            return []
+        derivs = [[x * k for k, x in enumerate(c)][1:] for c in images]
+        if any(_horner(dc, t, p) == 0 for dc, rs in zip(derivs, roots) for t in rs):
+            continue  # two roots meet mod pi: p divides the discriminant
+        m = p
+        while m <= 2 * bound * bound:
+            m *= m
+        sm = _hensel([1, 0, 1], sp, p, m)
+        lifted = [[_hensel([(a + sign * b * sm) % m for a, b in zip(re, im)], t, p, m)
+                   for t in rs] for sign, rs in zip((1, -1), roots)]
+        half, half_i = pow(2, -1, m), pow(2 * sm, -1, m)
+        found = []
+        for u in lifted[0]:
+            for v in lifted[1]:
+                x = _reconstruct((u + v) * half, m, bound)
+                y = _reconstruct((u - v) * half_i, m, bound)
+                if x is not None and y is not None:
+                    z = ExactComplex(x, y)
+                    if ec_eval(s, z).is_zero():
+                        found.append(z)
+        return found
+    raise AssertionError("unreachable: the prime walk has no end")
 
 
 def gaussian_rational_roots(f: ECPoly) -> List[Tuple[ExactComplex, int]]:
-    """All roots of f in Q(i), with multiplicities.  Complete and exact."""
-    f = ec_trim([ExactComplex.coerce(c) if not isinstance(c, ExactComplex) else c
-                 for c in f])
+    """All roots of f in Q(i), with multiplicities, sorted by (re, im).
+    Complete and exact.
+
+    Why it is complete.  Let s be the squarefree part of f, scaled to
+    Gaussian-integer coefficients with leading coefficient lc, and let
+    alpha = a/beta in lowest terms in Z[i] (a UFD) be a root of s.  Then
+    beta divides lc.  Take a prime p = pi * conj(pi) = 1 (mod 4) for which
+    neither pi nor conj(pi) divides lc; only finitely many fail that.  Then
+    p does not divide N(lc) = lc * conj(lc), alpha reduces to a root of s
+    modulo pi and modulo conj(pi), that is, to a root u of the image of s
+    under i -> s_p in F_p and a root v of its image under i -> -s_p, where
+    s_p^2 = -1 (mod p).  So if either image has no root in F_p, s has no
+    root in Q(i).  If every root of both images is simple (which fails
+    only for the finitely many p under the discriminant), u and v lift to
+    unique p-adic roots, and alpha = x + iy gives them as x + s*y and
+    x - s*y, s the p-adic square root of -1 above s_p.  Hence
+    x = (u + v)/2 and y = (u - v)/(2s) modulo every p^k.
+
+    The size bound.  Re and Im of alpha = a * conj(beta) / N(beta) have
+    denominators dividing N(beta), which divides N(lc).  Their absolute
+    values are at most |alpha| < C, the integer Cauchy bound
+    2 + isqrt(max N(c_k) // N(lc)) over the lower coefficients c_k, so
+    their numerators are at most B = C * N(lc).  Once p^k > 2 * B^2,
+    rational reconstruction modulo p^k returns x and y exactly.  Every
+    candidate is checked by exact evaluation, so a pair of lifted roots
+    that belongs to no root of s is dropped.
+    """
+    f = ec_trim([ExactComplex.coerce(c) for c in f])
     if not f:
         raise ValueError("zero polynomial")
     if len(f) == 1:
         return []
-    core = f
-    g = ec_gcd(core, ec_deriv(core))
-    s = ec_divmod(core, g)[0] if len(g) > 1 else core
-
-    a, b = _real_imag_curves(s)
-    if a.is_zero() or b.is_zero():
-        # would mean f vanishes on a whole real curve: impossible for deg >= 1
-        raise ValueError("degenerate real/imaginary split")
-    x_candidates: List[Fraction] = []
-    if a.degree_in(1) <= 0 or b.degree_in(1) <= 0:
-        # One curve is free of y, hence a univariate constraint on x alone;
-        # its rational roots are the only possible real parts.
-        flat = a if a.degree_in(1) <= 0 else b
-        flat_fq = fq_trim(_subs_x(flat, Fraction(0), as_x_poly=True))
-        if fq_deg(flat_fq) >= 1:
-            x_candidates = [r for r, _ in rational_roots(flat_fq)]
-    else:
-        res = sylvester_resultant(a, b)
-        res_fq = fq_trim(_poly1_to_fq(res))
-        if not res_fq:
-            # coprime curves always have a nonzero resultant
-            raise ValueError("vanishing resultant for coprime curves")
-        if fq_deg(res_fq) >= 1:
-            x_candidates = [r for r, _ in rational_roots(res_fq)]
-
-    found: List[ExactComplex] = []
-    for x0 in sorted(set(x_candidates)):
-        ay = fq_trim(_subs_x(a, x0))
-        by = fq_trim(_subs_x(b, x0))
-        if not ay and not by:
-            continue
-        if not ay:
-            gy = by
-        elif not by:
-            gy = ay
-        else:
-            gy = fq_primitive(fq_gcd(ay, by))
-        if not gy:
-            continue
-        if fq_deg(gy) < 1:
-            continue
-        for y0, _ in rational_roots(gy):
-            cand = ExactComplex(x0, y0)
-            if ec_eval(s, cand).is_zero():
-                found.append(cand)
-
+    g = ec_gcd(f, ec_deriv(f))
+    s = ec_divmod(f, g)[0] if len(g) > 1 else f
     out: List[Tuple[ExactComplex, int]] = []
-    for root in sorted(set(found), key=lambda z: (z.re, z.im)):
+    for root in sorted(_modular_roots(s), key=lambda z: (z.re, z.im)):
         mult = 0
         q = f
         while True:
@@ -426,6 +209,13 @@ def gaussian_rational_roots(f: ECPoly) -> List[Tuple[ExactComplex, int]]:
                 break
             mult += 1
             q = quo
-        if mult:
-            out.append((root, mult))
+        out.append((root, mult))
     return out
+
+
+def rational_roots(p: List[Fraction]) -> List[Tuple[Fraction, int]]:
+    """All rational roots of p with multiplicities, ascending: the real
+    ones among its Gaussian-rational roots.  Complete and exact."""
+    return [(z.re, mult)
+            for z, mult in gaussian_rational_roots([ExactComplex(Fraction(c)) for c in p])
+            if z.is_real()]

@@ -9,8 +9,7 @@ multiplicity, and certified complete:
   top form, a binary form whose Q(i) roots the exact finder enumerates;
 * for each direction, admissible offsets are common roots of the
   coefficient system obtained by substituting the parametrized zero locus,
-  collapsed by a gcd and solved by the same exact finder (which internally
-  eliminates by Sylvester resultant);
+  collapsed by a gcd and solved by the same exact finder;
 * every candidate is verified by exact division, which also yields its
   multiplicity, so the residual provably carries no Q(i)-linear factor.
 
@@ -26,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateLeadingCoefficient, NoConvergence, UnsupportedShape
-from .exactroots import gaussian_rational_roots
+from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .multipoly import LinearForm, Poly, substitute_affine, univariate_coeffs, univariate_roots
 from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance
 
@@ -157,12 +156,7 @@ def _offset_candidates(p: Poly, a: ExactComplex, b: ExactComplex) -> List[ExactC
         q = substitute_affine(p, mapping)
         group_on = 0  # coefficients of x powers are polynomials in c
     else:
-        # a normalized to 1: x -> -c
-        mapping = {
-            0: LinearForm([EC_ZERO, -EC_ONE], normalize=False),
-            1: LinearForm([EC_ZERO, EC_ZERO], constant=EC_ZERO, normalize=False),
-        }
-        # substitute x -> -c keeping y: build directly to avoid a fake form for y
+        # a normalized to 1: substitute x -> -c keeping y
         terms: Dict[Tuple[int, int], ExactComplex] = {}
         for (ex, ey), c in p.terms.items():
             key = (ey, ex)  # x-power becomes c-power (slot 1 after regroup below)
@@ -181,7 +175,6 @@ def _offset_candidates(p: Poly, a: ExactComplex, b: ExactComplex) -> List[ExactC
         while len(eq) <= k:
             eq.append(EC_ZERO)
         eq[k] = eq[k] + c
-    from .exactroots import ec_gcd, ec_trim
     g: List[ExactComplex] = []
     for eq in eqs.values():
         eq = ec_trim(eq)

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import Union
 
-from .errors import StateFileError
+from .errors import DetvarError, StateFileError
 from .linalg import Matrix
 from .scalars import ExactComplex
 from .states import BipartiteState
@@ -123,10 +123,12 @@ def parse_state(data: dict) -> BipartiteState:
             if not isinstance(vec_raw, list) or len(vec_raw) != m * n:
                 raise StateFileError(f"{base}.vector", f"must be a list of {m * n} scalars")
             vec = [parse_scalar(x, f"{base}.vector[{i}]") for i, x in enumerate(vec_raw)]
+            if len({isinstance(x, ExactComplex) for x in vec}) > 1:
+                raise StateFileError(f"{base}.vector", "mixes exact and floating-point entries")
             ensemble.append((w, tuple(vec)))
         try:
             return BipartiteState(m, n, ensemble=ensemble, label=label)
-        except Exception as exc:
+        except (DetvarError, OverflowError) as exc:
             raise StateFileError("ensemble", str(exc))
     raw = data["density"]
     mn = m * n
@@ -149,7 +151,7 @@ def parse_state(data: dict) -> BipartiteState:
                       for x in entries], "approx")
     try:
         return BipartiteState(m, n, density=mat, label=label)
-    except Exception as exc:
+    except (DetvarError, OverflowError) as exc:
         raise StateFileError("density", str(exc))
 
 

@@ -208,3 +208,32 @@ def test_cli_props_small(capsys):
     assert report["all_pass"]
     assert report["covariance"]["fail"] == 0
     assert not report["negative_control"]["covariance_holds"]
+
+
+def test_state_errors_exit_2_and_bugs_propagate(tmp_path, capsys, monkeypatch):
+    import detvar.statefile as statefile
+    huge, zero = {"re": "1e400", "im": "0"}, {"re": "0", "im": "0"}
+    bad_states = {
+        "weights.json": {"m": 1, "n": 2, "ensemble": [{"weight": "2", "vector": [1, 0]}]},
+        "hermitian.json": {"m": 1, "n": 2, "density": [[0.5, 1], [0, 0.5]]},
+        # past the float range: OverflowError in the norm, or in a float view
+        "overflow.json": {"m": 1, "n": 2,
+                          "ensemble": [{"weight": 1, "vector": [1e200, 1e200]}]},
+        "huge.json": {"m": 1, "n": 2, "density": [[{"re": "1", "im": "0"}, huge], [huge, zero]]},
+        "mixed.json": {"m": 1, "n": 2,
+                       "ensemble": [{"weight": 1, "vector": [{"re": "1/2", "im": "0"}, 0.5]}]},
+    }
+    for name, doc in bad_states.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and "error" in json.loads(out), name
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a bad file")
+
+    monkeypatch.setattr(statefile, "BipartiteState", broken)
+    for doc in ({"m": 1, "n": 2, "ensemble": [{"weight": 1, "vector": [1, 0]}]},
+                {"m": 1, "n": 2, "density": [[1, 0], [0, 0]]}):
+        with pytest.raises(TypeError):
+            parse_state(doc)

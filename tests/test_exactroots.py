@@ -1,17 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from detvar.exactroots import (
-    ec_divmod,
-    ec_gcd,
-    fq_divmod,
-    fq_gcd,
-    gaussian_rational_roots,
-    rational_roots,
-    simplest_between,
-)
+from detvar import exactroots
+from detvar.exactroots import ec_divmod, ec_gcd, gaussian_rational_roots, rational_roots
 from detvar.scalars import ExactComplex
 
 EC = ExactComplex
@@ -32,30 +26,6 @@ def ec_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
-
-
-def test_simplest_between():
-    assert simplest_between(F(1, 3), F(1, 2)) == F(2, 5)
-    assert simplest_between(F(-1, 2), F(1, 3)) == 0
-    assert simplest_between(F(5, 2), F(7, 2)) == 3
-    assert simplest_between(F(17, 12), F(18, 12)) == F(10, 7)
-    assert simplest_between(F(-7, 3), F(-9, 4)) == F(-16, 7)
-    with pytest.raises(ValueError):
-        simplest_between(F(1), F(1))
-
-
-def test_simplest_between_is_minimal_denominator():
-    rng = random.Random(8)
-    for _ in range(200):
-        a = F(rng.randint(-400, 400), rng.randint(1, 40))
-        b = a + F(1, rng.randint(1, 500))
-        best = simplest_between(a, b)
-        assert a < best < b
-        # nothing simpler sits strictly inside
-        for q in range(1, best.denominator):
-            lo = (a * q).numerator // (a * q).denominator
-            for p in (lo, lo + 1, lo + 2):
-                assert not (a < F(p, q) < b)
 
 
 def test_rational_roots_with_multiplicity():
@@ -113,12 +83,97 @@ def test_gaussian_roots_random_reconstruction():
 
 
 def test_polynomial_division_helpers():
-    q, r = fq_divmod([F(1), F(0), F(1)], [F(1), F(1)])
-    assert r == [F(2)] and q == [F(-1), F(1)]
-    g = fq_gcd(poly_mul([F(-1), F(1)], [F(2), F(1)]), poly_mul([F(-1), F(1)], [F(5), F(1)]))
-    assert g == [F(-1), F(1)]
     eq, er = ec_divmod([EC(0, 1), EC(1)], [EC(1), EC(1)])
-    assert er == [EC(-1, 1)] if er else True
+    assert eq == [EC(1)] and er == [EC(-1, 1)]
+    eq, er = ec_divmod(ec_mul([EC(2), EC(0, 1)], [EC(1, 1), EC(1)]), [EC(1, 1), EC(1)])
+    assert eq == [EC(2), EC(0, 1)] and er == []
     eg = ec_gcd(ec_mul([EC(0, -1), EC(1)], [EC(2), EC(1)]),
                 ec_mul([EC(0, -1), EC(1)], [EC(-5), EC(1)]))
     assert eg == [EC(0, -1), EC(1)]
+
+
+# ---------------------------------------------------------------------------
+# The modular engine: edge cases of the prime walk, the lift and the bound
+# ---------------------------------------------------------------------------
+
+def walk(monkeypatch):
+    """Record the primes the finder tries and how often it reconstructs."""
+    seen = {"primes": [], "reconstructions": 0}
+    primes, reconstruct = exactroots._split_primes, exactroots._reconstruct
+
+    def spy_primes():
+        for p in primes():
+            seen["primes"].append(p)
+            yield p
+
+    def spy_reconstruct(*args):
+        seen["reconstructions"] += 1
+        return reconstruct(*args)
+
+    monkeypatch.setattr(exactroots, "_split_primes", spy_primes)
+    monkeypatch.setattr(exactroots, "_reconstruct", spy_reconstruct)
+    return seen
+
+
+def test_roots_mod_p_that_lift_to_no_root(monkeypatch):
+    # x^2 - 2 has the roots +-6 mod 17 but none in Q(i).  A leading 13
+    # spends the first prime of the walk, so the finder lifts at 17 and
+    # rejects every reconstruction.
+    assert pow(6, 2, 17) == 2
+    seen = walk(monkeypatch)
+    assert gaussian_rational_roots([EC(-26), EC(0), EC(13)]) == []
+    assert seen["primes"] == [13, 17] and seen["reconstructions"] > 0
+
+
+def test_leading_coefficient_skips_primes(monkeypatch):
+    # 221 = 13 * 17 vanishes at the first two primes of the walk
+    seen = walk(monkeypatch)
+    p = ec_mul([EC(221)], ec_mul([EC(F(-1, 2)), EC(1)], [EC(3), EC(1)]))
+    assert gaussian_rational_roots(p) == [(EC(-3), 1), (EC(F(1, 2)), 1)]
+    assert seen["primes"] == [13, 17, 29]
+
+
+def test_leading_coefficient_vanishing_in_one_image(monkeypatch):
+    # 3 + 2i lies above 13: it vanishes under i -> 5 mod 13 but not under i -> -5
+    assert (3 + 2 * 5) % 13 == 0 and (3 - 2 * 5) % 13 != 0
+    seen = walk(monkeypatch)
+    p = ec_mul([EC(3, 2)], ec_mul([EC(-1), EC(1)], [EC(0, -1), EC(1)]))
+    assert gaussian_rational_roots(p) == [(EC(0, 1), 1), (EC(1), 1)]
+    assert seen["primes"] == [13, 17]
+
+
+def test_roots_with_denominator_the_norm_of_the_leading_coefficient():
+    # (x - 1/(7+4i))(x - 1/(7-4i)) = (65x^2 - 14x + 1)/65, and N(65) bounds
+    # the denominators of Re and Im: here they are 65 exactly
+    p = [EC(1), EC(-14), EC(65)]
+    assert gaussian_rational_roots(p) == [(EC(F(7, 65), F(-4, 65)), 1),
+                                          (EC(F(7, 65), F(4, 65)), 1)]
+
+
+def test_double_root_at_zero():
+    p = [EC(0), EC(0), EC(-2, -1), EC(1)]  # x^2 (x - 2 - i)
+    assert gaussian_rational_roots(p) == [(EC(0), 2), (EC(2, 1), 1)]
+
+
+def test_int_and_fraction_coefficients():
+    assert gaussian_rational_roots([6, -5, 1]) == [(EC(2), 1), (EC(3), 1)]
+    assert gaussian_rational_roots([F(1, 2), 0, F(1, 2)]) == [(EC(0, -1), 1), (EC(0, 1), 1)]
+    assert rational_roots([F(1, 2), F(-3, 2), 1]) == [(F(1, 2), 1), (F(1), 1)]
+    assert rational_roots([1, 0, 1]) == []  # the roots +-i are not real
+    assert rational_roots([5]) == [] and gaussian_rational_roots([EC(0, 5)]) == []
+    with pytest.raises(ValueError):
+        gaussian_rational_roots([EC(0), EC(0)])
+
+
+def test_degree_six_without_roots():
+    assert gaussian_rational_roots([EC(-2), 0, 0, 0, 0, 0, EC(1)]) == []
+    assert gaussian_rational_roots([EC(1), EC(1), 0, 0, 0, 0, EC(1)]) == []
+    assert gaussian_rational_roots([EC(-3), 0, 0, EC(1, 1), 0, 0, EC(4)]) == []
+
+
+def test_rational_reconstruction_is_exact_within_the_bound():
+    m, bound = 13 ** 2, 9  # 2 * 9^2 < 13^2
+    for d in range(1, bound + 1):
+        for n in range(-bound, bound + 1):
+            if gcd(n, d) == 1:
+                assert exactroots._reconstruct(n * pow(d, -1, m), m, bound) == F(n, d)

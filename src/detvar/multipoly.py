@@ -5,14 +5,18 @@ stored.  The monomial order is graded lexicographic throughout (fixed, so
 output renders deterministically and golden files diff cleanly).
 
 An approximate pathway (kind="approx", python complex coefficients) exists
-for numeric pencils; exact division and fraction-free elimination are
-reserved for the exact kind.
+for numeric pencils; exact division is reserved for the exact kind.  Both
+kinds share one division-free determinant routine, a memoized Laplace
+expansion that serves ``symbolic_det`` and ``minors`` alike.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
+from itertools import combinations
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -24,7 +28,7 @@ from .errors import (
     NonSquare,
     ZeroDirection,
 )
-from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance
+from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance, from_fields
 
 Exponents = Tuple[int, ...]
 
@@ -496,101 +500,50 @@ def _is_lf_zero(c) -> bool:
 # Symbolic determinants and minors
 # ---------------------------------------------------------------------------
 
-def _det_cofactor(rows: List[List[Poly]]) -> Poly:
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    kind = rows[0][0].kind
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = Poly.zero(nvars, kind)
-    for j in range(n):
-        if rows[0][j].is_zero():
+def _laplace(rows: List[List[Poly]], rs: Tuple[int, ...], cs: Tuple[int, ...],
+             memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly]) -> Poly:
+    """Determinant of rows[rs] x columns cs by Laplace expansion along its
+    first row, the entries of that row that are zero skipped.
+
+    memo holds every minor built so far under (rs, cs), so a minor of the
+    lower rows is built once and shared by all the larger minors that
+    contain it.
+    """
+    if len(cs) == 1:
+        return rows[rs[0]][cs[0]]
+    key = (rs, cs)
+    det = memo.get(key)
+    if det is not None:
+        return det
+    top = rows[rs[0]]
+    det = Poly.zero(top[cs[0]].nvars, top[cs[0]].kind)
+    for j, c in enumerate(cs):
+        if top[c].is_zero():
             continue
-        sub = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = rows[0][j] * _det_cofactor(sub)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+        term = top[c] * _laplace(rows, rs[1:], cs[:j] + cs[j + 1:], memo)
+        det = det + term if j % 2 == 0 else det - term
+    memo[key] = det
+    return det
 
 
-def _det_bareiss_poly(rows: List[List[Poly]]) -> Poly:
-    """Fraction-free elimination over the polynomial ring.  Every division
-    performed is exact (Bareiss identity), so exact_div never fails on
-    valid input."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    a = [row[:] for row in rows]
-    one = Poly.const(nvars, 1)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot is None:
-                return Poly.zero(nvars)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is one else num.exact_div(prev)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def _det_subset_expansion(rows: List[List[Poly]]) -> Poly:
-    """Division-free determinant by dynamic programming over column subsets
-    (used on the approx pathway, where exact division is unavailable)."""
-    n = len(rows)
-    nvars = rows[0][0].nvars
-    kind = rows[0][0].kind
-    # state: mask of used columns -> minor of the first popcount(mask) rows
-    states = {0: Poly.const(nvars, 1, kind)}
-    for i in range(n):
-        nxt: Dict[int, Poly] = {}
-        for mask, minor in states.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                entry = rows[i][j]
-                if entry.is_zero():
-                    continue
-                term = minor * entry
-                # one inversion per earlier row whose column lies right of j
-                if bin(mask >> j).count("1") & 1:
-                    term = -term
-                key = mask | bit
-                nxt[key] = (nxt[key] + term) if key in nxt else term
-        states = nxt
-    full = (1 << n) - 1
-    return states.get(full, Poly.zero(nvars, kind))
+def _check_entries(rows: List[List[Poly]]) -> None:
+    if len({(p.nvars, p.kind) for r in rows for p in r}) > 1:
+        raise ArityMismatch("entries must share nvars and kind")
 
 
 def symbolic_det(rows: List[List[Poly]]) -> Poly:
-    """Exact determinant of a square matrix of polynomials.
+    """Determinant of a square matrix of polynomials, exact on exact entries.
 
-    Cofactor expansion up to 4x4; fraction-free elimination from 5x5 on
-    (subset expansion instead when the entries are approximate).
+    Division-free Laplace expansion along the first row, each minor of the
+    lower rows built once (``_laplace``), for either kind of entry.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquare("symbolic_det needs a square matrix")
     if n == 0:
         raise NonSquare("empty matrix")
-    nv = rows[0][0].nvars
-    kd = rows[0][0].kind
-    for r in rows:
-        for p in r:
-            if p.nvars != nv or p.kind != kd:
-                raise ArityMismatch("entries must share nvars and kind")
-    if n <= 4:
-        return _det_cofactor(rows)
-    if kd == "exact":
-        return _det_bareiss_poly(rows)
-    return _det_subset_expansion(rows)
+    _check_entries(rows)
+    return _laplace(rows, tuple(range(n)), tuple(range(n)), {})
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Poly:
@@ -620,19 +573,20 @@ def sylvester_resultant(a: Poly, b: Poly) -> Poly:
 
 
 def minors(rows: List[List[Poly]], k: int) -> List[Poly]:
-    """All k x k minors, in lexicographic row-subset then column-subset order."""
-    from itertools import combinations
+    """All k x k minors, in lexicographic row-subset then column-subset order.
 
+    One Laplace expansion (``_laplace``) serves them all: a smaller minor
+    is built once and shared by every k x k minor that contains it.
+    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if k > min(nr, nc) or k < 1:
         raise BadOrder(f"cannot take {k}x{k} minors of a {nr}x{nc} matrix")
-    out = []
-    for rsub in combinations(range(nr), k):
-        for csub in combinations(range(nc), k):
-            sub = [[rows[i][j] for j in csub] for i in rsub]
-            out.append(symbolic_det(sub))
-    return out
+    _check_entries(rows)
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
+    return [_laplace(rows, rsub, csub, memo)
+            for rsub in combinations(range(nr), k)
+            for csub in combinations(range(nc), k)]
 
 
 # ---------------------------------------------------------------------------
@@ -669,58 +623,88 @@ def substitute_affine(p: Poly, mapping: Dict[int, LinearForm]) -> Poly:
     return acc
 
 
+def _convolve(a: List, b: List) -> List:
+    """Product of two ascending coefficient lists of complex numbers."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _gi_mul(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Product of two ascending coefficient lists over Z[i], each
+    coefficient an (re, im) pair of ints."""
+    re = [0] * (len(a) + len(b) - 1)
+    im = [0] * len(re)
+    for i, (x, y) in enumerate(a):
+        for k, (u, w) in enumerate(b, i):
+            re[k] += x * u - y * w
+            im[k] += x * w + y * u
+    return list(zip(re, im))
+
+
+def _gi_add(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _line_sum(terms: List[Tuple[Exponents, object]], deg: int, lines: List[List],
+              one, zero, mul, add) -> List:
+    """Ascending coefficients of sum over terms (e, c) of
+    c * prod_i lines[i]^e_i, with lines[i] = [b_i, v_i] the linear
+    polynomial b_i + s*v_i and mul, add the list product and scalar sum."""
+    powers = []
+    for line in lines:
+        row = [[one]]
+        for _ in range(deg):
+            row.append(mul(row[-1], line))
+        powers.append(row)
+    total = [zero] * (deg + 1)
+    for e, c in terms:
+        term = [c]
+        for i, k in enumerate(e):
+            if k:
+                term = mul(term, powers[i][k])
+        for idx, v in enumerate(term):
+            total[idx] = add(total[idx], v)
+    return total
+
+
 def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
     """The univariate polynomial s -> p(base + s*direction).
 
-    Exact when p, base and direction are all exact.
+    Exact when p, base and direction are all exact.  Then, with p = P/D,
+    base = B/d_b and direction = V/d_v over Z[i] and L = d_b*d_v, each term
+    c*x^e of P contributes c * L^(deg - |e|) * prod_i (B_i*d_v + s*V_i*d_b)^e_i
+    on Gaussian integers, and each coefficient of the sum over D * L^deg
+    is built once.  Otherwise the same sum is taken in complex numbers.
     """
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ArityMismatch("point arity mismatch")
-    exact = p.kind == "exact" and all(isinstance(x, ExactComplex) for x in base) \
-        and all(isinstance(x, ExactComplex) for x in direction)
-    kind = "exact" if exact else "approx"
-    if exact:
-        dirv = list(direction)
-        basev = list(base)
-        zero, one = EC_ZERO, EC_ONE
-    else:
-        dirv = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in direction]
-        basev = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in base]
-        zero, one = 0j, 1 + 0j
-    if all(_is_zero_coeff(d, kind) for d in dirv):
+    deg = p.degree()
+    if p.kind == "exact" and all(isinstance(x, ExactComplex) for x in (*base, *direction)):
+        if all(x.is_zero() for x in direction):
+            raise ZeroDirection("restriction direction is zero")
+        den = lcm(*(c.fields[2] for c in p.terms.values()))
+        big_l = lcm(*(x.fields[2] for x in base)) * lcm(*(x.fields[2] for x in direction))
+
+        def times(z: ExactComplex, k: int) -> Tuple[int, int]:
+            a, b, d = z.fields  # z * k, for k a multiple of d
+            return a * (k // d), b * (k // d)
+
+        terms = [(e, times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
+        lines = [[times(b, big_l), times(v, big_l)] for b, v in zip(base, direction)]
+        total = _line_sum(terms, deg, lines, (1, 0), (0, 0), _gi_mul, _gi_add)
+        return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in total])
+    dirv = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in direction]
+    basev = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in base]
+    if all(d == 0 for d in dirv):
         raise ZeroDirection("restriction direction is zero")
-
-    def convolve(a: List, b: List) -> List:
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return out
-
-    # per-variable (base_i + s*dir_i)^k, cached
-    cache: Dict[Tuple[int, int], List] = {}
-
-    def lin_pow(i: int, k: int) -> List:
-        key = (i, k)
-        if key not in cache:
-            acc = [one]
-            for _ in range(k):
-                acc = convolve(acc, [basev[i], dirv[i]])
-            cache[key] = acc
-        return cache[key]
-
-    coeffs: List = [zero]
-    for e, c in p.terms.items():
-        cv = c.to_complex() if (not exact and isinstance(c, ExactComplex)) else c
-        term = [cv]
-        for i, k in enumerate(e):
-            if k:
-                term = convolve(term, lin_pow(i, k))
-        if len(term) > len(coeffs):
-            coeffs = coeffs + [zero] * (len(term) - len(coeffs))
-        for idx, v in enumerate(term):
-            coeffs[idx] = coeffs[idx] + v
-    return Poly.univariate(coeffs, kind)
+    terms = [(e, c.to_complex() if isinstance(c, ExactComplex) else c)
+             for e, c in p.terms.items()]
+    lines = [[b, v] for b, v in zip(basev, dirv)]
+    return Poly.univariate(_line_sum(terms, deg, lines, 1 + 0j, 0j, _convolve, operator.add),
+                           "approx")
 
 
 def gradient(p: Poly, at: Sequence) -> List[complex]:

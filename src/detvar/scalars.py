@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Tuple, Union
 
 from .errors import DivisionByZero
 
@@ -71,6 +71,11 @@ class ExactComplex:
     def im(self) -> Fraction:
         _, b, d = self._v
         return Fraction(b, d)
+
+    @property
+    def fields(self) -> Tuple[int, int, int]:
+        """The canonical ints ``(a, b, d)``; ``from_fields`` inverts it."""
+        return self._v
 
     # -- constructors -------------------------------------------------
 
@@ -216,6 +221,9 @@ def _reduced(a: int, b: int, d: int) -> ExactComplex:
     _set_v(z, (a, b, d))
     return z
 
+
+# (a + b*i)/d from any ints with d > 0, e.g. after work on Gaussian integers
+from_fields = _reduced
 
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)

@@ -8,8 +8,11 @@ Gaussian-rational ensembles (entries in {-3..3} + {-3..3}i, weights
 k / sum k): a 3x4 rank-4 state on which the criterion finds a witness and
 a 3x3 rank-4 state whose variety is finite.  The third is
 ``random_separable(3, 4, 5, seed=5)``, whose variety is finite too; both
-finite reports pin the exact line of their "Finite" certificate.  Spectra and entropies come
-from LAPACK, so their last digits are pinned for one numpy build.
+finite reports pin the exact line of their "Finite" certificate.  The
+fourth is the rank-7 PPT 4x6 state of ``repro example3 --write-state``,
+whose side-A pencil has 6x6 minors: the largest symbolic determinants of
+any pinned report.  Spectra and entropies come from LAPACK, so their last
+digits are pinned for one numpy build.
 
 When a change is meant to move a report, rewrite the pinned files with
 
@@ -37,6 +40,7 @@ CASES = {
     "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],
     "separable_3x4_t5": ["analyze", str(GOLDEN / "separable_3x4_t5.state.json"),
                          "--seed", "42"],
+    "ppt_4x6_rank7": ["analyze", str(GOLDEN / "ppt_4x6_rank7.state.json"), "--seed", "42"],
 }
 
 

@@ -64,8 +64,9 @@ def test_symbolic_det_diag_of_forms():
     assert symbolic_det(rows) == l1 * l2 * l3
 
 
-def test_symbolic_det_bareiss_vs_cofactor():
-    # 5x5 exercises the fraction-free path; compare against plain expansion
+def test_symbolic_det_5x5_vs_plain_cofactor():
+    # at 5x5 the memoized expansion shares each 3x3 minor among several
+    # 4x4 ones; compare against plain, unshared cofactor expansion
     rng = random.Random(9)
 
     def rand_poly():
@@ -308,8 +309,8 @@ def test_sylvester_resultant_matches_sympy():
 
 
 def test_symbolic_det_approx_matches_exact_sign():
-    # from 5x5 on, approximate entries take the subset expansion and exact
-    # ones the fraction-free elimination; both must give the same polynomial
+    # one expansion serves both kinds; from 5x5 on, the floating result of
+    # the approximate entries must still match the exact polynomial
     rng = random.Random(5)
     for n in range(5, 8):
         rows = [[Poly(2, {(rng.randint(0, 1), rng.randint(0, 1)):

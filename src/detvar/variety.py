@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedShape,
     ZeroDirection,
 )
-from .exactroots import ec_gcd, ec_trim
+from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
 from .multipoly import (
@@ -367,33 +367,24 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
     return None
 
 
-def _rationalize_point(z: complex, max_den: int = 10000) -> Optional[ExactComplex]:
-    fr = Fraction(z.real).limit_denominator(max_den)
-    fi = Fraction(z.imag).limit_denominator(max_den)
-    if abs(float(fr) - z.real) < 1e-6 and abs(float(fi) - z.imag) < 1e-6:
-        return ExactComplex(fr, fi)
-    return None
-
-
-def _analysis_system(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], CompiledSystem]:
+def _analysis_system(v: Variety) -> Tuple[List[LinearForm], CompiledSystem]:
     """The certified linear factors peeled off the generators, and the
     compiled system that remains; built once and cached on the variety."""
     if v._analysis_cache is None:
-        forms, gens = _peel_linear_factors(v, tol)
+        forms, gens = _peel_linear_factors(v)
         system = v.compiled if gens == v.essential_generators else CompiledSystem(gens, v.m)
         v._analysis_cache = (forms, system)
     return v._analysis_cache
 
 
-def _peel_linear_factors(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], List[Poly]]:
+def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
     """Peel exact common linear factors off the generators.
 
     A hyperplane dividing every minor is a full linear component of the
     variety; random lines land on it constantly, hiding any codimension-2
-    components behind it from the sampler.  Candidates are found by fitting
-    hyperplanes through cheaply sampled variety points, then verified by
-    exact division before anything is peeled, so the result is a
-    certificate, not a guess.
+    components behind it from the sampler.  Each peeled hyperplane is
+    verified by exact division first, so the result is a certificate, not
+    a guess.
 
     An exact hypersurface in at most three variables is split by the exact
     factor engine instead; when a residual survives, the system is that
@@ -401,6 +392,14 @@ def _peel_linear_factors(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], 
     full split is left unpeeled: linearity_decide reports it from the
     factor list, which is kept on the variety, and its hyperplanes stay
     open to sampling.
+
+    Otherwise each round draws one exact line and takes the gcd of the
+    generators restricted to it.  A Gaussian-rational hyperplane dividing
+    every generator k times meets the line at a Q(i) root of that gcd of
+    multiplicity k or more, or at infinity, where every restriction drops
+    degree; _hyperplane_normal turns such a point into a candidate.  A
+    constant gcd with a restriction of full degree means V misses the
+    line: V has no hypersurface component left.
     """
     gens = v.essential_generators
     forms: List[LinearForm] = []
@@ -419,8 +418,7 @@ def _peel_linear_factors(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], 
         # small ambient spaces admit a fully exact route: every common
         # linear factor divides any one generator at least as often, and
         # the exact engine enumerates that generator's factors completely
-        # (repetitions included, which sampling cannot resolve past
-        # sqrt(eps) accuracy); a factor that misses once misses for good
+        # (repetitions included); a factor that misses once misses for good
         current = list(gens)
         try:
             factors = linear_factorization(min(current, key=lambda g: len(g.terms)))
@@ -428,83 +426,72 @@ def _peel_linear_factors(v: Variety, tol: Tolerance) -> Tuple[List[LinearForm], 
             pass
         else:
             for form in factors.linear_factors:
-                fp = form.to_poly(v.m)
-                quotients = []
-                for g in current:
-                    q = fp.divides_into(g)
-                    if q is None:
-                        break
-                    quotients.append(q)
-                else:
+                rest = _divide_out(form, current)
+                if rest is not None:
                     forms.append(form)
-                    current = [q for q in quotients if q.degree() >= 1]
+                    current = rest
                     if not current:
                         break
             return forms, current
 
     rng = random.Random(20211)
-
-    def cheap_points(system: List[Poly], want: int) -> List[Tuple[complex, ...]]:
-        compiled = CompiledSystem(system, v.m)
-        pts = []
-        for _ in range(40):
-            if len(pts) >= want:
-                break
-            base = _random_exact_point(rng, v.m)
-            direction = _random_exact_point(rng, v.m)
-            try:
-                roots = univariate_roots(restrict_to_line(system[0], base, direction), tol)
-            except _LINE_MISSES:
-                continue
-            bc = [x.to_complex() for x in base]
-            dc = [x.to_complex() for x in direction]
-            for s in roots:
-                q = tuple(b + s * d for b, d in zip(bc, dc))
-                if max(abs(z) for z in q) < 1e-12:
-                    continue
-                q = project_normalize(q)
-                if compiled.residual(q) < 1e-9:
-                    pts.append(q)
-        return pts
-
     current = list(gens)
     for _ in range(v.m):  # at most m-1 independent hyperplanes can divide
-        pts = cheap_points(current, 24)
-        if len(pts) < 4:
+        base = _random_exact_point(rng, v.m)
+        direction = _random_exact_point(rng, v.m)
+        common, full_degree = _line_gcd(current, base, direction)
+        if not common:
+            continue  # the line lies in V
+        if len(common) == 1 and full_degree:
             break
-        arr = np.array([list(p) for p in pts])
-        peeled_one = False
-        for _ in range(40):
-            idx = rng.sample(range(len(pts)), 3)
-            triple = arr[idx]
-            _, sv, vh = np.linalg.svd(triple)
-            normal = vh[-1].conj()
-            resid = np.abs(arr @ normal.conj())
-            if int(np.sum(resid < 1e-7)) < max(4, len(pts) // 3):
+        candidates = [([b + s * d for b, d in zip(base, direction)], k)
+                      for s, k in gaussian_rational_roots(common)]
+        if not full_degree:
+            candidates.append((direction, 1))
+        peeled = False
+        for point, k in candidates:
+            normal = _hyperplane_normal(current, point, k)
+            if normal is None:
                 continue
-            top = max(range(v.m), key=lambda i: abs(normal[i]))
-            normal = normal / normal[top]
-            coeffs = [_rationalize_point(complex(z)) for z in normal]
-            if any(c is None for c in coeffs):
-                continue
-            form = LinearForm(coeffs, EC_ZERO, normalize=True)
-            fp = form.to_poly(v.m)
-            quotients = []
-            ok = True
-            for g in current:
-                q = fp.divides_into(g)
-                if q is None:
-                    ok = False
-                    break
-                quotients.append(q)
-            if ok:
+            form = LinearForm(normal)
+            while current and (rest := _divide_out(form, current)) is not None:
                 forms.append(form)
-                current = [q for q in quotients if q.degree() >= 1]
-                peeled_one = True
-                break
-        if not peeled_one or not current:
+                current = rest
+                peeled = True
+        if not peeled or not current:
             break
     return forms, current
+
+
+def _divide_out(form: LinearForm, gens: Sequence[Poly]) -> Optional[List[Poly]]:
+    """The exact quotients of positive degree of the generators by the
+    form; None if the form does not divide one of them."""
+    fp = form.to_poly()
+    quotients = []
+    for g in gens:
+        q = fp.divides_into(g)
+        if q is None:
+            return None
+        quotients.append(q)
+    return [q for q in quotients if q.degree() >= 1]
+
+
+def _hyperplane_normal(gens: Sequence[Poly], point: Sequence[ExactComplex],
+                       k: int) -> Optional[List[ExactComplex]]:
+    """The exact gradient at point of d_j^(k-1) g for the first generator g
+    and variable j where it is nonzero, or None.  If l = a . x vanishes at
+    point and l^k divides g, then d_j^(k-1) g = k! * a_j^(k-1) * l * (g/l^k)
+    modulo l^2, so that gradient is zero or a multiple of a."""
+    m = len(point)
+    for g in gens:
+        for j in range(m if k > 1 else 1):
+            h = g
+            for _ in range(k - 1):
+                h = h.derivative(j)
+            grad = [h.derivative(i).evaluate(point) for i in range(m)]
+            if any(not c.is_zero() for c in grad):
+                return grad
+    return None
 
 
 def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
@@ -590,7 +577,7 @@ def _point_stream(v: Variety, count: int, seed: int,
     Raises SamplingExhausted once the budget runs out short of `count`."""
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
-    _, system = _analysis_system(v, tol)
+    _, system = _analysis_system(v)
     agens = system.polys
     if not agens:
         raise SamplingExhausted(
@@ -701,7 +688,7 @@ def tangent_form(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> L
     not tangent to anything."""
     point = project_normalize(point)
     pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
-    _, system = _analysis_system(v, tol)
+    _, system = _analysis_system(v)
     vals, scales = system.values_scales(pt)
     candidates = [(system, k) for k, (val, scale) in enumerate(zip(vals, scales))
                   if abs(val) <= tol.abs_eps * max(scale, 1e-300)]
@@ -753,7 +740,7 @@ def _kernel_directions(v: Variety, pt: List[complex], tol: Tolerance
     guard: probing is only meaningful where the tangent data is crisp)."""
     # the peeled system gives crisp tangent data on components hidden
     # behind hyperplane components; it vanishes on all of them too
-    _, system = _analysis_system(v, tol)
+    _, system = _analysis_system(v)
     if not system.polys:
         system = v.compiled
     for k in range(len(system.polys)):
@@ -837,6 +824,23 @@ class FiniteCertificate(NamedTuple):
     direction: Optional[Tuple[ExactComplex, ...]] = None
 
 
+def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
+              direction: Sequence[ExactComplex]) -> Tuple[List[ExactComplex], bool]:
+    """The gcd of the restrictions s -> g(base + s*direction) of the exact
+    generators (empty when all vanish), and whether some restriction keeps
+    full degree.  Stops at the first generator that makes the gcd a
+    constant with full degree seen: the line is then certainly missed."""
+    common: List[ExactComplex] = []
+    full_degree = False
+    for g in gens:
+        coeffs = ec_trim(univariate_coeffs(restrict_to_line(g, base, direction)))
+        full_degree = full_degree or len(coeffs) == g.degree() + 1
+        common = ec_gcd(common, coeffs)
+        if len(common) == 1 and full_degree:
+            break
+    return common, full_degree
+
+
 def misses_line(gens: Sequence[Poly], base: Sequence[ExactComplex],
                 direction: Sequence[ExactComplex]) -> bool:
     """True iff the exact homogeneous generators have no common zero on the
@@ -847,15 +851,8 @@ def misses_line(gens: Sequence[Poly], base: Sequence[ExactComplex],
     point at infinity, direction itself, is missed when some restriction
     keeps full degree (its top coefficient is g(direction)).
     """
-    common = None
-    full_degree = False
-    for g in gens:
-        coeffs = ec_trim(univariate_coeffs(restrict_to_line(g, base, direction)))
-        full_degree = full_degree or len(coeffs) == g.degree() + 1
-        common = coeffs if common is None else ec_gcd(common, coeffs)
-        if len(common) == 1 and full_degree:
-            return True
-    return False
+    common, full_degree = _line_gcd(gens, base, direction)
+    return len(common) == 1 and full_degree
 
 
 def _line_miss_certificate(v: Variety, seed: int) -> Optional[FiniteCertificate]:
@@ -949,7 +946,7 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
     if v.mode == "exact":
-        forms, system = _analysis_system(v, tol)
+        forms, system = _analysis_system(v)
         if forms and not system.polys:
             # every generator is a constant times the same hyperplane product:
             # the variety is certified to be exactly that union
@@ -996,7 +993,7 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     finite = _dimension_verdict(v, seed)
     if finite is not None:
         return finite
-    _analysis_system(v, tol)
+    _analysis_system(v)
     fl = v._factor_list
     if fl is not None and fl.full_split():
         return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)

@@ -46,7 +46,7 @@ def test_sample_points_takes_count_second():
 def test_newton_polish_returns_none_or_a_point():
     # the convergence tally counts results that are not None
     v = variety_of_state(random_separable(3, 3, 4, seed=2), "B")
-    _, system = _analysis_system(v, DEFAULT_TOL)
+    _, system = _analysis_system(v)
     point = sample_points(v, 1, seed=5)[0]
     near = [z + 1e-4 * (1 + 1j) for z in point]
     polished = _newton_polish(system, near, DEFAULT_TOL)

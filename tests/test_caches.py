@@ -155,10 +155,10 @@ def test_analysis_system_is_compiled_once():
     # nothing is peeled off an approximate variety: the analysis system is
     # the variety's own compiled generators
     v = variety_of_state(random_mixed(3, 4, 5, seed=4))
-    _, system = _analysis_system(v, DEFAULT_TOL)
+    _, system = _analysis_system(v)
     assert system is v.compiled and system.polys == v.essential_generators
-    assert _analysis_system(v, DEFAULT_TOL)[1] is system
+    assert _analysis_system(v)[1] is system
     # the exact split of a hypersurface compiles its residual
     w = variety_of_state(cyclic_cubic_state(EC(8)))
-    _, residual = _analysis_system(w, DEFAULT_TOL)
+    _, residual = _analysis_system(w)
     assert residual.polys == [w._factor_list.residual]

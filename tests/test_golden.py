@@ -11,7 +11,11 @@ a 3x3 rank-4 state whose variety is finite.  The third is
 finite reports pin the exact line of their "Finite" certificate.  The
 fourth is the rank-7 PPT 4x6 state of ``repro example3 --write-state``,
 whose side-A pencil has 6x6 minors: the largest symbolic determinants of
-any pinned report.  Spectra and entropies come from LAPACK, so their last
+any pinned report.  Two 4x4 cases run the multi-generator hyperplane peel
+in four variables: a rank-5 Gaussian-rational ensemble (drawn as the
+benchmark's ``gaussian_rational_ensemble(4, 4, 5, random.Random(1))``) on
+which the criterion finds a witness, and ``random_separable(4, 4, 6,
+seed=1)``, which stays Inconclusive.  Spectra and entropies come from LAPACK, so their last
 digits are pinned for one numpy build.
 
 When a change is meant to move a report, rewrite the pinned files with
@@ -41,6 +45,9 @@ CASES = {
     "separable_3x4_t5": ["analyze", str(GOLDEN / "separable_3x4_t5.state.json"),
                          "--seed", "42"],
     "ppt_4x6_rank7": ["analyze", str(GOLDEN / "ppt_4x6_rank7.state.json"), "--seed", "42"],
+    "gaussian_4x4_r5": ["analyze", str(GOLDEN / "gaussian_4x4_r5.state.json"), "--seed", "42"],
+    "separable_4x4_t6": ["analyze", str(GOLDEN / "separable_4x4_t6.state.json"),
+                         "--seed", "42"],
 }
 
 

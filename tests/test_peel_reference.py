@@ -1,0 +1,255 @@
+"""The exact hyperplane peel against the numeric point fit it replaced.
+
+``reference_peel`` is the former m >= 4 branch of
+``variety._peel_linear_factors``, kept verbatim: it samples points on V
+along exact lines with Aberth roots, fits hyperplanes through them with a
+RANSAC SVD, rationalizes the normal (denominators up to 10000) and
+verifies each candidate by exact division.  Where it finds forms, the
+exact peel must find the same forms and leave identical quotients, term
+order included; where it finds none, so must the exact peel.
+
+The constructed states are exact 4x4 rank-5 ensembles in which pencil row
+k is l(r) * w for a chosen linear form l, so l divides every 4x4 minor.
+Some of them are out of the reference's reach (a non-real form, a large
+denominator) and pin what the exact peel adds.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from detvar import variety as variety_mod
+from detvar.catalog import ppt_4x6_state
+from detvar.multipoly import CompiledSystem, LinearForm, restrict_to_line, univariate_roots
+from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
+from detvar.states import BipartiteState, random_separable
+from detvar.statefile import load_state
+from detvar.variety import (
+    _LINE_MISSES,
+    _peel_linear_factors,
+    _random_exact_point,
+    project_normalize,
+    variety_of_state,
+)
+
+EC = ExactComplex
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def _rationalize_point(z: complex, max_den: int = 10000):
+    fr = Fraction(z.real).limit_denominator(max_den)
+    fi = Fraction(z.imag).limit_denominator(max_den)
+    if abs(float(fr) - z.real) < 1e-6 and abs(float(fi) - z.imag) < 1e-6:
+        return ExactComplex(fr, fi)
+    return None
+
+
+def reference_peel(v, tol=DEFAULT_TOL):
+    gens = v.essential_generators
+    forms = []
+    rng = random.Random(20211)
+
+    def cheap_points(system, want):
+        compiled = CompiledSystem(system, v.m)
+        pts = []
+        for _ in range(40):
+            if len(pts) >= want:
+                break
+            base = _random_exact_point(rng, v.m)
+            direction = _random_exact_point(rng, v.m)
+            try:
+                roots = univariate_roots(restrict_to_line(system[0], base, direction), tol)
+            except _LINE_MISSES:
+                continue
+            bc = [x.to_complex() for x in base]
+            dc = [x.to_complex() for x in direction]
+            for s in roots:
+                q = tuple(b + s * d for b, d in zip(bc, dc))
+                if max(abs(z) for z in q) < 1e-12:
+                    continue
+                q = project_normalize(q)
+                if compiled.residual(q) < 1e-9:
+                    pts.append(q)
+        return pts
+
+    current = list(gens)
+    for _ in range(v.m):  # at most m-1 independent hyperplanes can divide
+        pts = cheap_points(current, 24)
+        if len(pts) < 4:
+            break
+        arr = np.array([list(p) for p in pts])
+        peeled_one = False
+        for _ in range(40):
+            idx = rng.sample(range(len(pts)), 3)
+            triple = arr[idx]
+            _, sv, vh = np.linalg.svd(triple)
+            normal = vh[-1].conj()
+            resid = np.abs(arr @ normal.conj())
+            if int(np.sum(resid < 1e-7)) < max(4, len(pts) // 3):
+                continue
+            top = max(range(v.m), key=lambda i: abs(normal[i]))
+            normal = normal / normal[top]
+            coeffs = [_rationalize_point(complex(z)) for z in normal]
+            if any(c is None for c in coeffs):
+                continue
+            form = LinearForm(coeffs, EC_ZERO, normalize=True)
+            fp = form.to_poly(v.m)
+            quotients = []
+            ok = True
+            for g in current:
+                q = fp.divides_into(g)
+                if q is None:
+                    ok = False
+                    break
+                quotients.append(q)
+            if ok:
+                forms.append(form)
+                current = [q for q in quotients if q.degree() >= 1]
+                peeled_one = True
+                break
+        if not peeled_one or not current:
+            break
+    return forms, current
+
+
+def factored_state(form_coeffs, rows=(0,), seed=7):
+    """An exact 4x4 rank-5 ensemble whose pencil rows `rows` are each
+    l(r) * w_row, l the form with coefficients `form_coeffs`."""
+    rng = random.Random(seed)
+
+    def small():
+        return EC(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    vectors = []
+    for _ in range(5):
+        vec = [small() for _ in range(16)]
+        for k in rows:
+            w = small()
+            for i, a in enumerate(form_coeffs):
+                vec[i * 4 + k] = EC.coerce(a) * w
+        vectors.append(vec)
+    ensemble = [(Fraction(1, 5), vec) for vec in vectors]
+    return BipartiteState(4, 4, ensemble=ensemble, label="factored 4x4 r5")
+
+
+def peel(state):
+    return _peel_linear_factors(variety_of_state(state, "A"))
+
+
+def assert_same_peel(v):
+    forms, quotients = _peel_linear_factors(v)
+    ref_forms, ref_quotients = reference_peel(v)
+    assert ref_forms
+    assert Counter(forms) == Counter(ref_forms)
+    assert quotients == ref_quotients
+    assert [list(q.terms) for q in quotients] == [list(q.terms) for q in ref_quotients]
+
+
+def test_ppt_side_a_matches_reference():
+    assert_same_peel(variety_of_state(ppt_4x6_state(), "A"))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1, Fraction(1, 2), -3, Fraction(2, 3)),
+    (0, 1, Fraction(-5, 7), 2),
+    (2, -1, 0, Fraction(1, 9)),
+])
+def test_real_small_denominator_forms_match_reference(coeffs):
+    assert_same_peel(variety_of_state(factored_state(coeffs), "A"))
+
+
+@pytest.mark.parametrize("state", [
+    pytest.param(load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")), id="gaussian_4x4_r5"),
+    pytest.param(random_separable(4, 4, 5, seed=3), id="separable_4x4_t5"),
+    pytest.param(load_state(str(GOLDEN / "separable_4x4_t6.state.json")), id="separable_4x4_t6"),
+])
+def test_nothing_to_peel_agrees_with_reference(state):
+    v = variety_of_state(state, "A")
+    assert reference_peel(v) == ([], v.essential_generators)
+    assert _peel_linear_factors(v) == ([], v.essential_generators)
+
+
+# -- what the point fit could not find ----------------------------------------
+
+GAUSSIAN_FORM = (1, 2, -1, EC(0, 1))
+
+
+def test_gaussian_form_is_peeled():
+    forms, quotients = peel(factored_state(GAUSSIAN_FORM))
+    assert forms == [LinearForm(GAUSSIAN_FORM)]
+    assert [q.degree() for q in quotients] == [3] * 5
+
+
+def test_large_denominator_form_is_peeled():
+    coeffs = (1, Fraction(1, 10007), -2, 3)
+    forms, quotients = peel(factored_state(coeffs))
+    assert forms == [LinearForm(coeffs)]
+    assert [q.degree() for q in quotients] == [3] * 5
+
+
+def test_squared_form_is_peeled_twice():
+    forms, quotients = peel(factored_state(GAUSSIAN_FORM, rows=(0, 2)))
+    assert forms == [LinearForm(GAUSSIAN_FORM)] * 2
+    assert [q.degree() for q in quotients] == [2] * 5
+
+
+def form_through(p, q):
+    """The form (a1, a2, 1, i) vanishing at the points p and q."""
+    rhs = [-(x[2] + EC(0, 1) * x[3]) for x in (p, q)]
+    det = p[0] * q[1] - p[1] * q[0]
+    a1 = (rhs[0] * q[1] - p[1] * rhs[1]) / det
+    a2 = (p[0] * rhs[1] - rhs[0] * q[0]) / det
+    return (a1, a2, 1, EC(0, 1))
+
+
+def first_line():
+    rng = random.Random(20211)
+    return _random_exact_point(rng, 4), _random_exact_point(rng, 4)
+
+
+def test_line_inside_v_is_skipped():
+    # every restriction to the first line vanishes; the next line finds l
+    base, direction = first_line()
+    coeffs = form_through(base, direction)
+    form = LinearForm(coeffs)
+    assert form.evaluate(base).is_zero() and form.evaluate(direction).is_zero()
+    forms, quotients = peel(factored_state(coeffs))
+    assert forms == [form]
+    assert [q.degree() for q in quotients] == [3] * 5
+
+
+def test_form_met_at_infinity_is_peeled():
+    # l vanishes at the first line's direction only: no restriction keeps
+    # full degree, l(base + s*direction) is constant, and the candidate
+    # point is the direction itself
+    base, direction = first_line()
+    coeffs = form_through([EC(1), EC(1), EC(2), EC(-3)], direction)
+    form = LinearForm(coeffs)
+    assert form.evaluate(direction).is_zero() and not form.evaluate(base).is_zero()
+    forms, quotients = peel(factored_state(coeffs))
+    assert forms == [form]
+    assert [q.degree() for q in quotients] == [3] * 5
+
+
+def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
+    v = variety_of_state(load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")), "A")
+    gens = v.essential_generators
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(variety_mod, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("restrict_to_line", "univariate_roots"):
+        monkeypatch.setattr(variety_mod, name, spy(name))
+    assert _peel_linear_factors(v) == ([], gens)
+    assert 1 <= calls["restrict_to_line"] <= len(gens)
+    assert calls["univariate_roots"] == 0

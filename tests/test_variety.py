@@ -224,7 +224,7 @@ def test_repeated_direction_separable_peels_and_stays_silent():
     from detvar.scalars import DEFAULT_TOL
     st = _shared_direction_state(4, 2, seed=8)
     v = variety_of_state(st)
-    forms, agens = _analysis_system(v, DEFAULT_TOL)
+    forms, agens = _analysis_system(v)
     assert len(forms) >= 1
     verdict = linearity_decide(v, seed=7)
     assert verdict.tag != "NonlinearWitness"

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from detvar import ExactComplex, Poly, linear_factorization, symbolic_det, univariate_roots
 from detvar.exactroots import gaussian_rational_roots, rational_roots
-from detvar.factorization import split_linear_approx
 
 EC = ExactComplex
 F = Fraction
@@ -34,10 +33,6 @@ print("\nx^3 + y^3 + z^3 - 3xyz:")
 print("  rational factor:", fl.linear_factors[0].render())
 print("  residual:", fl.residual.render())
 print("  re-multiplies exactly:", fl.remultiply(3) == fermat)
-
-unit, forms = split_linear_approx(fermat)
-print("  numeric full split into", len(forms), "lines (the other two need a",
-      "cube root of unity)")
 
 # numeric univariate roots, for the sampling pathway
 print("\nAberth roots of z^3 - 1:",

@@ -28,11 +28,10 @@ from .multipoly import (
     minors,
     substitute_affine,
     restrict_to_line,
-    gradient,
     univariate_roots,
     univariate_coeffs,
 )
-from .factorization import FactorList, linear_factorization, split_linear_approx
+from .factorization import FactorList, linear_factorization
 from .states import (
     BipartiteState,
     LocalUnitaryPair,
@@ -70,9 +69,9 @@ __all__ = [
     "hermitian_eigen", "kron", "block", "partial_trace", "partial_transpose",
     "psd_check",
     "Poly", "LinearForm", "symbolic_det", "minors",
-    "substitute_affine", "restrict_to_line", "gradient", "univariate_roots",
+    "substitute_affine", "restrict_to_line", "univariate_roots",
     "univariate_coeffs",
-    "FactorList", "linear_factorization", "split_linear_approx",
+    "FactorList", "linear_factorization",
     "BipartiteState", "LocalUnitaryPair", "density_from_ensemble",
     "ensemble_from_density", "apply_local_unitary", "ppt_check",
     "entropy_and_spectra", "random_mixed", "random_separable",

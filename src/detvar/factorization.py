@@ -22,12 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .errors import DegenerateLeadingCoefficient, NoConvergence, UnsupportedShape
+from .errors import UnsupportedShape
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
-from .multipoly import LinearForm, Poly, substitute_affine, univariate_coeffs, univariate_roots
-from .scalars import DEFAULT_TOL, EC_ONE, EC_ZERO, ExactComplex, Tolerance
+from .multipoly import LinearForm, Poly, substitute_affine, univariate_coeffs
+from .scalars import EC_ONE, EC_ZERO, ExactComplex
 
 
 class FactorList:
@@ -260,10 +258,9 @@ def linear_factorization(p: Poly) -> FactorList:
             z = LinearForm([EC_ZERO, EC_ZERO, EC_ONE], normalize=False)
             q = q.exact_div((z.to_poly(3)) ** zmin)
             factors.extend([z] * zmin)
-        dz = q.degree()
         aff = Poly(2, {(e[0], e[1]): c for e, c in q.terms.items()})
         aff_factors, aff_res = _affine_bivariate_factors(aff)
-        # homogenize the affine data back to degree dz
+        # homogenize the affine factors and residual
         for f in aff_factors:
             factors.append(LinearForm(
                 [f.coefficients[0], f.coefficients[1], f.constant], normalize=False))
@@ -300,124 +297,3 @@ def is_irreducible_cubic_over_gaussians(p: Poly) -> bool:
     if q.nvars != 2 or q.degree() != 3 or q.is_homogeneous():
         raise UnsupportedShape("irreducibility certificate needs an affine bivariate cubic")
     return not linear_factorization(p).linear_factors
-
-
-# ---------------------------------------------------------------------------
-# approximate full split (diagnostic pathway)
-# ---------------------------------------------------------------------------
-
-# what the root finder raises on a degenerate or stubborn slice polynomial
-_ROOT_MISSES = (DegenerateLeadingCoefficient, NoConvergence)
-
-
-def split_linear_approx(p: Poly, tol: Tolerance = DEFAULT_TOL
-                        ) -> Optional[Tuple[complex, List[LinearForm]]]:
-    """Numeric complete splitting of a homogeneous poly in <= 3 variables
-    into linear forms, when one exists.  Returns (unit, forms) or None.
-
-    Candidates are lines through paired roots on two parallel slices; each
-    accepted factor is peeled off by least-squares polynomial division.
-    Exactness is not claimed; the residual check is against tol.
-    """
-    q0, used = _compact(p.to_approx() if p.kind == "exact" else p)
-    k = q0.nvars
-    if k > 3 or not q0.is_homogeneous() or q0.degree() < 1:
-        return None
-    if k == 1:
-        d = q0.degree()
-        return q0.coeff(tuple([d])), [_expand_form(
-            LinearForm([1.0 + 0j], 0j, normalize=False), used, p.nvars)] * d
-
-    def monomials(nv, deg):
-        if nv == 2:
-            return [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
-        return [(i, j, kk) for i in range(deg + 1) for j in range(deg + 1 - i)
-                for kk in range(deg + 1 - i - j)]
-
-    def peel(q: Poly, form: LinearForm) -> Optional[Poly]:
-        d = q.degree()
-        if d < 1:
-            return None
-        fp = form.to_poly(q.nvars, "approx")
-        monos_h = monomials(q.nvars, d - 1)
-        monos_q = monomials(q.nvars, d)
-        idx = {m: i for i, m in enumerate(monos_q)}
-        m_mat = np.zeros((len(monos_q), len(monos_h)), dtype=complex)
-        for j, mh in enumerate(monos_h):
-            for ef, cf in fp.terms.items():
-                tgt = tuple(x + y for x, y in zip(mh, ef))
-                if tgt in idx:
-                    m_mat[idx[tgt], j] += cf
-        rhs = np.array([q.coeff(m) for m in monos_q], dtype=complex)
-        sol, *_ = np.linalg.lstsq(m_mat, rhs, rcond=None)
-        resid = np.linalg.norm(m_mat @ sol - rhs)
-        scale = max(np.linalg.norm(rhs), 1e-300)
-        if resid > 1e3 * tol.abs_eps * scale:
-            return None
-        terms = {m: complex(c) for m, c in zip(monos_h, sol) if abs(c) > 1e-14 * scale}
-        return Poly(q.nvars, terms, "approx")
-
-    def candidate_lines(q: Poly) -> List[LinearForm]:
-        """Lines through paired slice roots plus coordinate-direction cases."""
-        out: List[LinearForm] = []
-        nv = q.nvars
-        if nv == 2:
-            d = q.degree()
-            u = [0j] * (d + 1)
-            for (ex, ey), c in q.terms.items():
-                u[ex] = u[ex] + c
-            # q(x, 1); roots s -> (x - s y)
-            try:
-                roots = univariate_roots(u, tol)
-            except _ROOT_MISSES:
-                roots = []
-            for s in roots:
-                out.append(LinearForm([1 + 0j, -s], 0j, normalize=False))
-            out.append(LinearForm([0j, 1 + 0j], 0j, normalize=False))
-            return out
-        # nv == 3: slice z = 1 and pair roots on x = x0, x1
-        aff_terms: Dict[Tuple[int, int], complex] = {}
-        for (ex, ey, ez), c in q.terms.items():
-            key = (ex, ey)
-            aff_terms[key] = aff_terms.get(key, 0j) + c
-        aff = Poly(2, aff_terms, "approx")
-
-        def yroots(x0: complex) -> List[complex]:
-            dy = aff.degree_in(1)
-            u = [0j] * (dy + 1)
-            for (ex, ey), c in aff.terms.items():
-                u[ey] += c * (x0 ** ex)
-            try:
-                return univariate_roots(u, tol)
-            except _ROOT_MISSES:
-                return []
-
-        x0, x1 = 0.31897, 1.177215
-        for y0 in yroots(x0):
-            for y1 in yroots(x1):
-                # line through (x0, y0, 1) and (x1, y1, 1) in the chart
-                aa = y1 - y0
-                bb = -(x1 - x0)
-                cc = -(aa * x0 + bb * y0)
-                out.append(LinearForm([aa, bb, cc], 0j))
-        out.append(LinearForm([0j, 0j, 1 + 0j], 0j, normalize=False))
-        out.append(LinearForm([0j, 1 + 0j, 0j], 0j, normalize=False))
-        out.append(LinearForm([1 + 0j, 0j, 0j], 0j, normalize=False))
-        return out
-
-    q = q0
-    forms: List[LinearForm] = []
-    progress = True
-    while q.degree() >= 1 and progress:
-        progress = False
-        for cand in candidate_lines(q):
-            nxt = peel(q, cand)
-            if nxt is not None:
-                forms.append(cand)
-                q = nxt
-                progress = True
-                break
-    if q.degree() >= 1:
-        return None
-    unit = q.coeff(tuple([0] * q.nvars))
-    return complex(unit), [_expand_form(f, used, p.nvars) for f in forms]

@@ -14,7 +14,7 @@ mn x mn matrix occupies rows i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,9 +106,6 @@ class Matrix:
         if self._eigen is None or self._eigen[0] != tol:
             object.__setattr__(self, "_eigen", (tol, hermitian_eigen(self.to_approx(), tol)))
         return self._eigen[1]
-
-    def map_entries(self, fn: Callable) -> "Matrix":
-        return Matrix(self.rows, self.cols, [fn(x) for x in self.data], self.kind)
 
     # -- algebra -----------------------------------------------------------
 

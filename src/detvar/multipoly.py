@@ -707,11 +707,6 @@ def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
                            "approx")
 
 
-def gradient(p: Poly, at: Sequence) -> List[complex]:
-    """Numeric gradient vector of p at a point."""
-    return [complex(p.derivative(i).evaluate(at)) for i in range(p.nvars)]
-
-
 def univariate_coeffs(p: Poly) -> List:
     """Ascending coefficient list of a 1-variable polynomial."""
     if p.nvars != 1:

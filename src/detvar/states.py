@@ -50,12 +50,29 @@ def _vec_is_exact(v: Sequence) -> bool:
 
 
 def _vec_norm_sq(v: Sequence):
+    """Exact for an exact vector; a float vector is summed relative to its
+    largest part, so the result may be inf but the sum never raises."""
     if _vec_is_exact(v):
         acc = Fraction(0)
         for x in v:
             acc += x.norm_sq()
         return acc
-    return float(sum(abs(complex(x)) ** 2 for x in v))
+    zs = [complex(x) for x in v]
+    big = max(max(abs(z.real), abs(z.imag)) for z in zs)
+    if big == 0:
+        return 0.0
+    return big * big * sum(abs(z / big) ** 2 for z in zs)
+
+
+def unit_scaled(v: Sequence) -> List[complex]:
+    """The ray v as floats times 2**-e, e the binary exponent of its
+    largest real or imaginary part, which then lies in [1/2, 1).  Scaling
+    by a power of two is exact, so every ratio built from the ray keeps
+    its bits, while its products (minors, outer products, norms) no
+    longer underflow or overflow."""
+    zs = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in v]
+    e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in zs))[1]
+    return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in zs]
 
 
 class BipartiteState:
@@ -243,8 +260,7 @@ def density_from_ensemble(s: BipartiteState) -> Matrix:
     import numpy as np
     rho = np.zeros((mn, mn), dtype=complex)
     for w, v in terms:
-        vec = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                        for x in v])
+        vec = np.array(unit_scaled(v))
         nsq = float(np.vdot(vec, vec).real)
         rho += (float(w) / nsq) * np.outer(vec, vec.conj())
     return Matrix.approx(rho)

@@ -31,7 +31,6 @@ from .errors import (
     NoConvergence,
     SamplingExhausted,
     SingularPoint,
-    UnsupportedShape,
     ZeroDirection,
 )
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
@@ -48,7 +47,7 @@ from .multipoly import (
     univariate_roots,
 )
 from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance
-from .states import BipartiteState
+from .states import BipartiteState, unit_scaled
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
@@ -68,9 +67,12 @@ _LINE_MISSES = (DegenerateLeadingCoefficient, NoConvergence, ZeroDirection)
 class PencilMatrix:
     """n x t matrix of homogeneous linear forms in the side variables.
 
-    Entry (k, l) equals sum_i r_i * (A_i)[k, l] with the raw ensemble
-    coefficients (deliberately not scale-normalized, so the matrix printed
-    for the worked examples matches the construction on the nose).
+    Entry (k, l) equals sum_i r_i * (A_i)[k, l].  An exact pencil keeps
+    the raw ensemble coefficients, so the matrix printed for the worked
+    examples matches the construction on the nose.  A float pencil takes
+    each ray through states.unit_scaled: a power of two per column, which
+    leaves every ratio downstream bit-identical but keeps the minors of
+    very small or very large rays inside the float range.
     """
 
     def __init__(self, side: str, n_rows: int, t_cols: int, m_vars: int,
@@ -87,9 +89,6 @@ class PencilMatrix:
     def entry_polys(self) -> List[List[Poly]]:
         return [[f.to_poly(self.m, self.kind) for f in row] for row in self.entry_forms]
 
-    def evaluate(self, point: Sequence) -> List[List[object]]:
-        return [[f.evaluate(point) for f in row] for row in self.entry_forms]
-
     def __repr__(self):
         return f"PencilMatrix(side={self.side}, {self.n}x{self.t} in {self.m} vars)"
 
@@ -104,16 +103,11 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
     kind = "exact" if exact else "approx"
     zero = EC_ZERO if exact else 0j
     entry_forms: List[List[LinearForm]] = []
+    rays = [v if exact else unit_scaled(v) for _, v in terms]
     for k in range(n):
         row = []
         for l in range(t):
-            coeffs = []
-            vec = terms[l][1]
-            for i in range(m):
-                x = vec[i * n + k]
-                if not exact and isinstance(x, ExactComplex):
-                    x = x.to_complex()
-                coeffs.append(x)
+            coeffs = [rays[l][i * n + k] for i in range(m)]
             if all((c.is_zero() if isinstance(c, ExactComplex) else c == 0)
                    for c in coeffs):
                 coeffs = [zero] * m
@@ -150,9 +144,6 @@ class Variety:
     @property
     def essential_generators(self) -> List[Poly]:
         return [g for g in self.generators if not g.is_zero()]
-
-    def is_hypersurface(self) -> bool:
-        return len(self.essential_generators) == 1
 
     @property
     def compiled(self) -> CompiledSystem:
@@ -393,13 +384,14 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
     factor list, which is kept on the variety, and its hyperplanes stay
     open to sampling.
 
-    Otherwise each round draws one exact line and takes the gcd of the
-    generators restricted to it.  A Gaussian-rational hyperplane dividing
-    every generator k times meets the line at a Q(i) root of that gcd of
-    multiplicity k or more, or at infinity, where every restriction drops
-    degree; _hyperplane_normal turns such a point into a candidate.  A
-    constant gcd with a restriction of full degree means V misses the
-    line: V has no hypersurface component left.
+    Several generators, in any number of variables, are peeled one exact
+    line per round: the gcd of the generators restricted to the line.  A
+    Gaussian-rational hyperplane dividing every generator k times meets
+    the line at a Q(i) root of that gcd of multiplicity k or more, or at
+    infinity, where every restriction drops degree; _hyperplane_normal
+    turns such a point into a candidate.  A constant gcd with a
+    restriction of full degree means V misses the line: V has no
+    hypersurface component left.
     """
     gens = v.essential_generators
     forms: List[LinearForm] = []
@@ -413,26 +405,6 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
             if not fl.full_split():
                 forms, gens = list(fl.linear_factors), [fl.residual]
         return forms, gens
-
-    if v.m <= 3:
-        # small ambient spaces admit a fully exact route: every common
-        # linear factor divides any one generator at least as often, and
-        # the exact engine enumerates that generator's factors completely
-        # (repetitions included); a factor that misses once misses for good
-        current = list(gens)
-        try:
-            factors = linear_factorization(min(current, key=lambda g: len(g.terms)))
-        except UnsupportedShape:
-            pass
-        else:
-            for form in factors.linear_factors:
-                rest = _divide_out(form, current)
-                if rest is not None:
-                    forms.append(form)
-                    current = rest
-                    if not current:
-                        break
-            return forms, current
 
     rng = random.Random(20211)
     current = list(gens)

@@ -210,15 +210,23 @@ def test_cli_props_small(capsys):
     assert not report["negative_control"]["covariance_holds"]
 
 
+def test_huge_float_ray_is_a_valid_state(tmp_path, capsys):
+    # its squared norm, 2e400, is past the float range; the state is fine
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"m": 1, "n": 2,
+                                "ensemble": [{"weight": 1, "vector": [1e200, 1e200]}]}))
+    code, out = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["spectra"]["global"] == [1.0, 0.0]
+
+
 def test_state_errors_exit_2_and_bugs_propagate(tmp_path, capsys, monkeypatch):
     import detvar.statefile as statefile
     huge, zero = {"re": "1e400", "im": "0"}, {"re": "0", "im": "0"}
     bad_states = {
         "weights.json": {"m": 1, "n": 2, "ensemble": [{"weight": "2", "vector": [1, 0]}]},
         "hermitian.json": {"m": 1, "n": 2, "density": [[0.5, 1], [0, 0.5]]},
-        # past the float range: OverflowError in the norm, or in a float view
-        "overflow.json": {"m": 1, "n": 2,
-                          "ensemble": [{"weight": 1, "vector": [1e200, 1e200]}]},
+        # past the float range in a float view of an exact entry
         "huge.json": {"m": 1, "n": 2, "density": [[{"re": "1", "im": "0"}, huge], [huge, zero]]},
         "mixed.json": {"m": 1, "n": 2,
                        "ensemble": [{"weight": 1, "vector": [{"re": "1/2", "im": "0"}, 0.5]}]},

@@ -4,11 +4,7 @@ from fractions import Fraction
 import pytest
 
 from detvar.errors import UnsupportedShape
-from detvar.factorization import (
-    is_irreducible_cubic_over_gaussians,
-    linear_factorization,
-    split_linear_approx,
-)
+from detvar.factorization import is_irreducible_cubic_over_gaussians, linear_factorization
 from detvar.multipoly import LinearForm, Poly
 from detvar.scalars import ExactComplex
 
@@ -122,34 +118,3 @@ def test_unsupported_shapes():
     quartic_affine = (x ** 4) + y + Poly.const(2, 1)
     with pytest.raises(UnsupportedShape):
         linear_factorization(quartic_affine)
-
-
-def test_approx_full_split():
-    p = fermat_like()
-    res = split_linear_approx(p)
-    assert res is not None
-    unit, forms = res
-    assert len(forms) == 3
-    acc = Poly.const(3, unit, "approx")
-    for f in forms:
-        acc = acc * f.to_poly(3, "approx")
-    diff = acc - p.to_approx()
-    worst = max((abs(c) for c in diff.terms.values()), default=0.0)
-    assert worst < 1e-9
-
-
-def test_approx_split_refuses_irreducible():
-    x, y, z = three_vars()
-    smooth = (x ** 3).scale(8) + y ** 3 + z ** 3 - (x * y * z).scale(10)
-    assert split_linear_approx(smooth) is None
-
-
-def test_approx_split_lets_root_finder_bugs_through(monkeypatch):
-    import detvar.factorization as factorization_mod
-
-    def broken(*args, **kwargs):
-        raise TypeError("bug inside the root finder")
-
-    monkeypatch.setattr(factorization_mod, "univariate_roots", broken)
-    with pytest.raises(TypeError):
-        split_linear_approx(fermat_like())

@@ -10,9 +10,9 @@ from detvar.errors import (
     ZeroDirection,
 )
 from detvar.multipoly import (
+    CompiledSystem,
     LinearForm,
     Poly,
-    gradient,
     minors,
     restrict_to_line,
     substitute_affine,
@@ -225,12 +225,12 @@ def test_roots_on_restricted_cubics():
 def test_gradient_and_euler():
     x, y, _ = xyz()
     p = x * x + y * y
-    assert gradient(p, [1, 0, 0])[:2] == [(2 + 0j), 0j]
+    assert CompiledSystem([p], 3).gradient(0, [1, 0, 0])[0][:2] == [(2 + 0j), 0j]
     rng = random.Random(23)
     cubic = family_cubic(Fraction(-27))
     for _ in range(10):
         pt = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
-        g = gradient(cubic, pt)
+        g, _ = CompiledSystem([cubic], 3).gradient(0, pt)
         euler = sum(zi * gi for zi, gi in zip(pt, g))
         assert abs(euler - 3 * complex(cubic.evaluate(pt))) < 1e-8 * max(
             1.0, cubic.evaluation_scale(pt))

@@ -1,4 +1,4 @@
-"""The exact hyperplane peel against the numeric point fit it replaced.
+"""The exact hyperplane peel against the two peels it replaced.
 
 ``reference_peel`` is the former m >= 4 branch of
 ``variety._peel_linear_factors``, kept verbatim: it samples points on V
@@ -8,9 +8,15 @@ verifies each candidate by exact division.  Where it finds forms, the
 exact peel must find the same forms and leave identical quotients, term
 order included; where it finds none, so must the exact peel.
 
-The constructed states are exact 4x4 rank-5 ensembles in which pencil row
-k is l(r) * w for a chosen linear form l, so l divides every 4x4 minor.
-Some of them are out of the reference's reach (a non-real form, a large
+``reference_small_peel`` is the former m <= 3 branch, kept verbatim: it
+factors the generator with the fewest terms with the exact factor engine
+and divides each factor out of every generator.  Its factor list is
+complete, so the line peel must find the same multiset of forms (in any
+order) and identical quotients.
+
+The constructed states are exact ensembles in which pencil row k is
+l(r) * w for a chosen linear form l, so l divides every maximal minor.
+Some of them are out of the point fit's reach (a non-real form, a large
 denominator) and pin what the exact peel adds.
 """
 
@@ -24,12 +30,15 @@ import pytest
 
 from detvar import variety as variety_mod
 from detvar.catalog import ppt_4x6_state
+from detvar.errors import UnsupportedShape
+from detvar.factorization import linear_factorization
 from detvar.multipoly import CompiledSystem, LinearForm, restrict_to_line, univariate_roots
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.statefile import load_state
 from detvar.variety import (
     _LINE_MISSES,
+    _divide_out,
     _peel_linear_factors,
     _random_exact_point,
     project_normalize,
@@ -116,24 +125,46 @@ def reference_peel(v, tol=DEFAULT_TOL):
     return forms, current
 
 
-def factored_state(form_coeffs, rows=(0,), seed=7):
-    """An exact 4x4 rank-5 ensemble whose pencil rows `rows` are each
-    l(r) * w_row, l the form with coefficients `form_coeffs`."""
+def reference_small_peel(v):
+    gens = v.essential_generators
+    forms = []
+    current = list(gens)
+    try:
+        factors = linear_factorization(min(current, key=lambda g: len(g.terms)))
+    except UnsupportedShape:
+        return None  # the branch then fell through to the line peel
+    for form in factors.linear_factors:
+        rest = _divide_out(form, current)
+        if rest is not None:
+            forms.append(form)
+            current = rest
+            if not current:
+                break
+    return forms, current
+
+
+def factored_state(form_coeffs, rows=(0,), seed=7, shape=(4, 4, 5)):
+    """An exact m x n rank-t ensemble (4x4 rank 5 by default) whose pencil
+    row `rows[j]` is forms[j](r) * w, where `form_coeffs` is one form for
+    every row or a list of forms, one per row."""
+    m, n, t = shape
     rng = random.Random(seed)
+    if not isinstance(form_coeffs, list):
+        form_coeffs = [form_coeffs] * len(rows)
 
     def small():
         return EC(rng.randint(-3, 3), rng.randint(-3, 3))
 
     vectors = []
-    for _ in range(5):
-        vec = [small() for _ in range(16)]
-        for k in rows:
+    for _ in range(t):
+        vec = [small() for _ in range(m * n)]
+        for k, coeffs in zip(rows, form_coeffs):
             w = small()
-            for i, a in enumerate(form_coeffs):
-                vec[i * 4 + k] = EC.coerce(a) * w
+            for i, a in enumerate(coeffs):
+                vec[i * n + k] = EC.coerce(a) * w
         vectors.append(vec)
-    ensemble = [(Fraction(1, 5), vec) for vec in vectors]
-    return BipartiteState(4, 4, ensemble=ensemble, label="factored 4x4 r5")
+    ensemble = [(Fraction(1, t), vec) for vec in vectors]
+    return BipartiteState(m, n, ensemble=ensemble, label=f"factored {m}x{n} r{t}")
 
 
 def peel(state):
@@ -253,3 +284,70 @@ def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
     assert _peel_linear_factors(v) == ([], gens)
     assert 1 <= calls["restrict_to_line"] <= len(gens)
     assert calls["univariate_roots"] == 0
+
+
+# -- the retired m <= 3 factor-engine branch ----------------------------------
+
+def assert_same_small_peel(v):
+    assert v.m <= 3 and len(v.essential_generators) >= 2
+    forms, quotients = _peel_linear_factors(v)
+    ref_forms, ref_quotients = reference_small_peel(v)
+    assert Counter(forms) == Counter(ref_forms)
+    assert quotients == ref_quotients
+    assert [list(q.terms) for q in quotients] == [list(q.terms) for q in ref_quotients]
+    return forms
+
+
+def _tier1_small_states():
+    from test_variety import _shared_direction_state
+    states = [pytest.param(random_separable(*shape, seed=seed), "A", id=f"sep{shape}-{seed}")
+              for shape, seed in [((3, 3, 4), 42 + 97 * 5), ((3, 3, 4), 42 + 97 * 12),
+                                  ((3, 3, 5), 42 + 97 * 6), ((3, 3, 5), 42 + 97 * 13),
+                                  ((3, 4, 5), 3), ((3, 4, 5), 17)]]
+    states.append(pytest.param(_shared_direction_state(4, 2, seed=8), "A", id="shared-4-2"))
+    states.append(pytest.param(random_separable(3, 3, 4, seed=2), "B", id="sep(3,3,4)-2-B"))
+    return states
+
+
+@pytest.mark.parametrize("state,side", _tier1_small_states())
+def test_small_peel_matches_reference_on_suite_states(state, side):
+    assert_same_small_peel(variety_of_state(state, side))
+
+
+SMALL_FORMS = [
+    (1, Fraction(1, 2), -3),
+    (0, 1, Fraction(-5, 7)),
+    (1, EC(2, -1), EC(0, 3)),     # not a real multiple of a Q(i) vector
+    (2, -1, Fraction(1, 9)),
+]
+
+FORM_SETS = [
+    [SMALL_FORMS[0]],
+    [SMALL_FORMS[2]],
+    [SMALL_FORMS[1], SMALL_FORMS[2]],
+    [SMALL_FORMS[0], SMALL_FORMS[0]],                  # a squared form
+    [SMALL_FORMS[3], SMALL_FORMS[1], SMALL_FORMS[2]],
+    [SMALL_FORMS[2], SMALL_FORMS[2], SMALL_FORMS[0]],
+]
+
+
+@pytest.mark.parametrize("forms", FORM_SETS)
+@pytest.mark.parametrize("shape", [(3, 3, 4), (3, 4, 5), (3, 3, 5), (3, 4, 6)])
+def test_small_peel_matches_reference_on_constructed_states(shape, forms):
+    state = factored_state(forms, rows=range(len(forms)), seed=FORM_SETS.index(forms),
+                           shape=shape)
+    peeled = assert_same_small_peel(variety_of_state(state, "A"))
+    assert Counter(peeled) == Counter(LinearForm(f) for f in forms)
+
+
+def test_small_peel_needs_no_factor_engine(monkeypatch):
+    from test_variety import _shared_direction_state
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return linear_factorization(*args, **kwargs)
+
+    monkeypatch.setattr(variety_mod, "linear_factorization", spy)
+    forms, _ = _peel_linear_factors(variety_of_state(_shared_direction_state(4, 2, seed=8)))
+    assert forms and not calls

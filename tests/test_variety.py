@@ -354,3 +354,19 @@ def test_density_variety_does_not_depend_on_the_eigenbasis(shape, seed):
     for v_from, v_to in ((v_given, v_spectral), (v_spectral, v_given)):
         for pt in sample_points(v_from, 4, seed):
             assert v_to.generator_residual(pt) <= DEFAULT_TOL.abs_eps
+
+
+def test_float_verdict_does_not_depend_on_ray_scale():
+    # unscaled, the minors of rays times 1e-120 underflow to zero ("Full")
+    # and those of rays times 1e120 overflow (sampling exhausted)
+    rng = random.Random(1)
+    rays = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(9)] for _ in range(3)]
+    verdicts = []
+    for scale in (1.0, 1e-120, 1e120):
+        st = BipartiteState(3, 3, ensemble=[(1 / 3, [z * scale for z in ray]) for ray in rays])
+        verdicts.append(linearity_decide(variety_of_state(st), seed=42))
+    assert [v.tag for v in verdicts] == ["NonlinearWitness"] * 3
+    first = verdicts[0]
+    for v in verdicts[1:]:
+        assert abs(v.residual - first.residual) <= 1e-9 * first.residual
+        assert max(abs(a - b) for a, b in zip(v.point, first.point)) <= 1e-9

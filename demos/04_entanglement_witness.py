@@ -38,6 +38,16 @@ print("  certificate:", verdict_fin.certificate.kind, "through",
       [x.render() for x in verdict_fin.certificate.base], "and",
       [x.render() for x in verdict_fin.certificate.direction])
 
+# six product terms in 4x4: V_A is finite again; the Macaulay matrix of its
+# minors on an exact hyperplane has full rank modulo a prime, so V_A
+# misses that hyperplane
+verdict_mac = linearity_decide(variety_of_state(random_separable(4, 4, 6, seed=1)), seed=42)
+cert = verdict_mac.certificate
+print("separable 4x4, six terms:", verdict_mac.tag, "->", verdict_mac.conclusion)
+print("  certificate:", cert.kind, "on x3 =",
+      " + ".join(f"({h.render()})*x{i}" for i, h in enumerate(cert.hyperplane)),
+      f"in degree {cert.degree} modulo {cert.prime}")
+
 # the maximally mixed state: empty variety, criterion silent
 verdict_mm = linearity_decide(variety_of_state(maximally_mixed(3, 3)))
 print("maximally mixed:", verdict_mm.tag, "->", verdict_mm.conclusion)

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from .modp import split_primes as _split_primes
+from .modp import sqrt_minus_one
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
 
 ECPoly = List[ExactComplex]  # ascending coefficients
@@ -79,20 +81,6 @@ def ec_gcd(a: ECPoly, b: ECPoly) -> ECPoly:
 # Arithmetic modulo p and p-adic lifting
 # ---------------------------------------------------------------------------
 
-def _split_primes() -> Iterator[int]:
-    """Primes p = 1 (mod 4) from 13 upwards, without end.
-
-    13 is the first such prime above 6, the largest degree the pipeline
-    asks about: a smaller p merges roots mod p, and must be skipped, more
-    often.
-    """
-    p = 13
-    while True:
-        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
-            yield p
-        p += 4
-
-
 def _horner(c: List[int], t: int, m: int) -> int:
     acc = 0
     for x in reversed(c):
@@ -132,8 +120,7 @@ def _modular_roots(s: ECPoly) -> List[ExactComplex]:
     top = max(a * a + b * b for a, b in zip(re[:-1], im[:-1]))
     bound = (2 + isqrt(top // norm_lc)) * norm_lc
     for p in _split_primes():
-        sp = next(pow(a, (p - 1) // 4, p) for a in range(2, p)
-                  if pow(a, (p - 1) // 2, p) == p - 1)
+        sp = sqrt_minus_one(p)
         images = [[(a + b * sp) % p for a, b in zip(re, im)],
                   [(a - b * sp) % p for a, b in zip(re, im)]]
         if not all(c[-1] for c in images):

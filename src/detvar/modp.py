@@ -1,0 +1,180 @@
+"""Arithmetic modulo a prime p = 1 (mod 4), and the Macaulay emptiness test.
+
+Such a prime has a square root s of -1 modulo p, so i -> s is a ring map
+from Z[i] onto F_p.  It extends to every Gaussian rational whose
+denominator p does not divide, and to every float, which is a dyadic
+rational.  The image of a determinant is the determinant of the images,
+so minors can be taken modulo p straight from a reduced pencil; and a
+rank modulo p is never above the rank over Q(i), since a nonzero minor
+modulo p is the image of a nonzero one.
+
+That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
+matrix of homogeneous forms g_j has a row x^a * g_j for every monomial x^a
+of degree D - deg g_j and a column for every monomial of degree D.  If it
+has full column rank modulo p, it has full column rank over Q(i): every
+monomial of degree D lies in the ideal (g_j), so the forms have no common
+zero in projective space (Macaulay 1902; Lazard, EUROSAM 1983).  A rank
+short of full proves nothing: the prime, or D, may be unlucky.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
+from math import isqrt
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from .scalars import ExactComplex
+
+RANK_PRIME = 1_000_000_009  # = 1 (mod 4); (p - 1)^2 still fits an int64
+
+# A form modulo p is a dict from monomials to residues in [0, p).  A
+# monomial x^e is the int sum_i e_i << (EXP_BITS * i), so multiplying
+# monomials is adding ints.
+EXP_BITS = 8
+ModPoly = Dict[int, int]
+
+
+def monomial(exps: Sequence[int]) -> int:
+    """The packed monomial of an exponent vector (each exponent < 256)."""
+    return sum(e << (EXP_BITS * i) for i, e in enumerate(exps))
+
+
+def monomial_degree(mono: int) -> int:
+    total = 0
+    while mono:
+        total += mono & ((1 << EXP_BITS) - 1)
+        mono >>= EXP_BITS
+    return total
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:
+    """Trial division, for the odd p that split_primes walks."""
+    return p > 1 and all(p % q for q in range(3, isqrt(p) + 1, 2))
+
+
+def split_primes(start: int = 13) -> Iterator[int]:
+    """Primes p = 1 (mod 4) from start upwards, without end.
+
+    13, the default, is the first such prime above 6, the largest degree
+    the root finder asks about: a smaller p merges roots mod p, and must be
+    skipped, more often.
+    """
+    p = start + (1 - start) % 4
+    while True:
+        if _is_prime(p):
+            yield p
+        p += 4
+
+
+@lru_cache(maxsize=None)
+def sqrt_minus_one(p: int) -> int:
+    """The square root of -1 modulo the prime p = 1 (mod 4) that is
+    a^((p-1)/4) for the least quadratic non-residue a."""
+    return next(pow(a, (p - 1) // 4, p) for a in range(2, p)
+                if pow(a, (p - 1) // 2, p) == p - 1)
+
+
+def _dyadic(x: float, p: int) -> int:
+    num, den = x.as_integer_ratio()  # den is a power of two, p is odd
+    return num * pow(den, -1, p) % p
+
+
+def reduce_scalar(c, p: int) -> Optional[int]:
+    """The image of an ExactComplex, a float or a complex under i -> s,
+    s = sqrt_minus_one(p); None when p divides a denominator."""
+    s = sqrt_minus_one(p)
+    if isinstance(c, ExactComplex):
+        a, b, d = c.fields
+        if d % p == 0:
+            return None
+        return (a + b * s) * pow(d, -1, p) % p
+    c = complex(c)
+    return (_dyadic(c.real, p) + s * _dyadic(c.imag, p)) % p
+
+
+def maximal_minors(forms: Sequence[Sequence[Sequence[int]]], p: int) -> List[ModPoly]:
+    """The n x n minors modulo p of an n x t matrix of linear forms, each
+    entry given by its coefficient vector, in lexicographic column-subset
+    order.
+
+    Laplace expansion along the first row, memoized on the columns, so a
+    minor of the lower rows is built once and shared by every larger minor
+    that contains it.
+    """
+    n, t = len(forms), len(forms[0])
+    units = [1 << (EXP_BITS * i) for i in range(len(forms[0][0]))]
+    memo: Dict[Tuple[int, ...], ModPoly] = {(): {0: 1}}
+
+    def det(cs: Tuple[int, ...]) -> ModPoly:
+        got = memo.get(cs)
+        if got is not None:
+            return got
+        row = forms[n - len(cs)]
+        out: ModPoly = {}
+        for j, c in enumerate(cs):
+            terms = [(u, a if j % 2 == 0 else -a) for u, a in zip(units, row[c]) if a]
+            if not terms:
+                continue
+            for e, v in det(cs[:j] + cs[j + 1:]).items():
+                for u, a in terms:
+                    out[e + u] = out.get(e + u, 0) + a * v
+        memo[cs] = out = {e: v % p for e, v in out.items() if v % p}
+        return out
+
+    return [det(cs) for cs in combinations(range(t), n)]
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank modulo p of an integer matrix, by dense Gaussian elimination on
+    int64 (p < 3e9, so no product of two residues overflows)."""
+    a = np.array(rows, dtype=np.int64).reshape(len(rows), -1) % p
+    nrows, ncols = a.shape
+    rank = 0
+    for c in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.flatnonzero(a[rank:, c])
+        if nz.size == 0:
+            continue
+        k = rank + int(nz[0])
+        if k != rank:
+            a[[rank, k]] = a[[k, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        below = a[rank + 1:, c].copy()
+        a[rank + 1:] = (a[rank + 1:] - np.outer(below, a[rank]) % p) % p
+        rank += 1
+    return rank
+
+
+def macaulay_matrix(gens: Sequence[ModPoly], nvars: int, degree: int) -> List[List[int]]:
+    """The degree-`degree` Macaulay matrix of homogeneous forms in nvars
+    variables: a row x^a * g for every form g and monomial x^a of degree
+    `degree` - deg g, a column for every monomial of degree `degree`."""
+
+    def monomials(d: int) -> List[int]:
+        return [sum(1 << (EXP_BITS * i) for i in combo)
+                for combo in combinations_with_replacement(range(nvars), d)]
+
+    column = {e: j for j, e in enumerate(monomials(degree))}
+    rows = []
+    for g in gens:
+        if not g or monomial_degree(next(iter(g))) > degree:
+            continue
+        for a in monomials(degree - monomial_degree(next(iter(g)))):
+            row = [0] * len(column)
+            for e, v in g.items():
+                row[column[a + e]] = v
+            rows.append(row)
+    return rows
+
+
+def macaulay_full_rank(gens: Sequence[ModPoly], nvars: int, degree: int, p: int) -> bool:
+    """True when the Macaulay matrix has full column rank modulo p, which
+    proves the forms have no common projective zero over Q(i)-bar."""
+    rows = macaulay_matrix(gens, nvars, degree)
+    ncols = len(rows[0]) if rows else 0
+    return len(rows) >= ncols > 0 and rank_mod_p(rows, p) == ncols

@@ -13,8 +13,9 @@ Verdict semantics: a nonlinearity witness certifies entanglement (the
 contrapositive of the separability criterion).  Empty, Full, Finite,
 LinearUnion and Inconclusive all map to "criterion inconclusive":
 linearity is necessary, not sufficient, for separability.  A finite V is
-a union of points, hence linear, so dimension is certified before any
-sampling and a certified-finite V is never sampled.
+a union of points, hence linear, and an empty V has no points, so
+dimension is certified before any sampling and a V certified finite or
+empty is never sampled.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
+from .modp import RANK_PRIME, macaulay_full_rank, maximal_minors, reduce_scalar, split_primes
 from .multipoly import (
     CompiledSystem,
     LinearForm,
@@ -54,6 +56,7 @@ HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
 NEWTON_MAX_STEPS = 50
 SAMPLING_BUDGET = 100      # line draws per requested point
 FINITE_LINE_ATTEMPTS = 3   # exact lines tried by the finiteness certificate
+MACAULAY_DEGREES = 3       # degrees n + 1 .. n + 3 tried by the Macaulay certificate
 
 # what restricting to a line and root-finding raise when a draw is merely
 # unlucky (degenerate restriction, zero direction, Aberth not settling)
@@ -789,11 +792,21 @@ class FiniteCertificate(NamedTuple):
     kind "line_miss": V in CP^2 misses the projective line through the
     exact points base and direction; a variety of dimension >= 1 meets
     every hyperplane (projective dimension theorem), so V is finite.
+    kind "macaulay": the degree-`degree` Macaulay matrix of the minors has
+    full column rank modulo the prime `prime`, with i sent to
+    modp.sqrt_minus_one(prime) (see modp).  Without a hyperplane the
+    minors have no common zero: V is empty.  With the Gaussian integers
+    `hyperplane` = (h_0, .., h_{m-2}) the minors are restricted to the
+    hyperplane H: x_{m-1} = sum_i h_i x_i, read in the coordinates
+    x_0 .. x_{m-2}; then V misses H, so V is finite.
     """
 
     kind: str
     base: Optional[Tuple[ExactComplex, ...]] = None
     direction: Optional[Tuple[ExactComplex, ...]] = None
+    hyperplane: Optional[Tuple[ExactComplex, ...]] = None
+    prime: Optional[int] = None
+    degree: Optional[int] = None
 
 
 def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
@@ -841,22 +854,88 @@ def _line_miss_certificate(v: Variety, seed: int) -> Optional[FiniteCertificate]
     return None
 
 
+def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]]]:
+    """The coefficient vectors of the pencil entries modulo p; None when p
+    divides a denominator."""
+    rows = []
+    for row in pencil.entry_forms:
+        reduced = [[reduce_scalar(c, p) for c in form.coefficients] for form in row]
+        if any(None in c for c in reduced):
+            return None
+        rows.append(reduced)
+    return rows
+
+
+def _restrict_mod_p(forms: List[List[List[int]]], h: Sequence[ExactComplex],
+                    p: int) -> List[List[List[int]]]:
+    """The reduced pencil on the hyperplane x_{m-1} = sum_i h_i x_i, in the
+    coordinates x_0 .. x_{m-2}: a linear form c maps to c_i + h_i c_{m-1}.
+    The map y -> (y, h . y) is injective, so this is always a hyperplane."""
+    hp = [reduce_scalar(x, p) for x in h]
+    return [[[(a + b * c[-1]) % p for a, b in zip(c, hp)] for c in row] for row in forms]
+
+
+def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
+                          ) -> Optional[Tuple[str, FiniteCertificate]]:
+    """("Empty", cert) or ("Finite", cert) from the Macaulay test modulo a
+    prime, or None, which proves nothing.
+
+    Where t - n + 1 > m - 1 the minors themselves are tried first, for
+    Empty.  Then, unless `finite` is off, their restriction to a hyperplane
+    with Gaussian-integer coefficients drawn from a stream of its own
+    (seeded from the analysis seed, apart from the sampler's), for Finite.
+    A prime dividing a denominator of the pencil is passed over.
+    """
+    tests: List[Tuple[str, Optional[Tuple[ExactComplex, ...]]]] = []
+    if v.pencil.t - v.n + 1 > v.m - 1:
+        tests.append(("Empty", None))
+    if finite:
+        rng = random.Random(f"modp:{seed}")
+        tests.append(("Finite", tuple(ExactComplex(rng.randint(-99, 99), rng.randint(-99, 99))
+                                      for _ in range(v.m - 1))))
+    if not tests:
+        return None
+    for p in split_primes(RANK_PRIME):
+        forms = _pencil_mod_p(v.pencil, p)
+        if forms is not None:
+            break
+    for tag, h in tests:
+        gens = maximal_minors(forms if h is None else _restrict_mod_p(forms, h, p), p)
+        nvars = v.m if h is None else v.m - 1
+        for degree in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES):
+            if macaulay_full_rank(gens, nvars, degree, p):
+                return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
+    return None
+
+
 def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
     """The verdict of a V on which the criterion cannot fire, decided with
-    no sampling; None when finiteness is not certified."""
+    no sampling; None when neither finiteness nor emptiness is certified."""
     if v.m <= 2:
         # not Full, so its minors leave finitely many points of CP^1
         if v.mode == "exact":
             return VarietyVerdict("Finite", certificate=FiniteCertificate("ambient_dimension"))
         return VarietyVerdict("Inconclusive",
                               reason=f"criterion vacuous: V lies in CP^{v.m - 1}")
-    # every component of V has codimension <= t - n + 1 (Eagon-Northcott):
-    # at t = n that is 1, so V is a curve in CP^2 and meets every line
-    if v.m == 3 and v.mode == "exact" and v.pencil.t - v.n + 1 >= 2:
+    # every component of V has codimension <= t - n + 1 (Eagon-Northcott),
+    # so V can be finite or empty only where t - n + 1 >= m - 1
+    if v.pencil.t - v.n + 1 < v.m - 1:
+        return None
+    if v.m == 3 and v.mode == "exact":
         cert = _line_miss_certificate(v, seed)
         if cert is not None:
             return VarietyVerdict("Finite", certificate=cert)
-    return None
+    found = _macaulay_certificate(v, seed)
+    if found is None:
+        return None
+    tag, cert = found
+    if v.mode == "exact":
+        return VarietyVerdict(tag, certificate=cert)
+    # the floats are exact dyadic rationals: the certificate holds for the
+    # ensemble as given, not for the state it may approximate
+    return VarietyVerdict("Inconclusive", certificate=cert,
+                          reason=f"criterion vacuous: V is {tag.lower()} "
+                                 "for the ensemble as given")
 
 
 class VarietyVerdict:
@@ -867,7 +946,11 @@ class VarietyVerdict:
     other verdicts leave the criterion inconclusive.  "Finite" (exact
     states only) carries a FiniteCertificate that dim V <= 0: V is a
     finite set of points, a union of linear subspaces, so no witness can
-    exist and nothing is sampled.
+    exist and nothing is sampled.  "Empty" carries one of kind "macaulay"
+    when the minors are proved to have no common zero (exact states), and
+    none when the minors are monomials that leave no point.  A float state
+    whose V is certified finite or empty stays "Inconclusive", with the
+    certificate and a reason saying so for the ensemble as given.
     """
 
     def __init__(self, tag: str,
@@ -950,15 +1033,20 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     """Decide linearity where the exact machinery applies, otherwise fall
     back to the witness search.
 
-    Dimension comes first: in CP^1 (m <= 2) V is finite, and an exact V in
-    CP^2 that misses an exact line is finite; both end here as "Finite"
-    (an approximate state in CP^1 gets a vacuous Inconclusive) with no
-    sampling.  Hypersurface case with at most three active variables and
-    degree <= 6: exact factor extraction either splits the determinant
-    completely into linear forms (LinearUnion) or leaves a residual
-    certified to contain no Q(i)-linear factor, in which case the witness
-    search probes the residual's zero locus; the verdict carries the
-    factor list either way.
+    Dimension comes first, with no sampling.  In CP^1 (m <= 2) V is
+    finite: "Finite" for an exact state, a vacuous Inconclusive for an
+    approximate one.  For m >= 3 and t - n + 1 >= m - 1, the only shapes
+    where V can be finite or empty (Eagon-Northcott), an exact V in CP^2
+    that misses an exact line is "Finite", and otherwise the Macaulay test
+    modulo a prime may prove V empty ("Empty") or disjoint from an exact
+    hyperplane ("Finite"); an approximate state so certified gets a
+    vacuous Inconclusive with the certificate.
+
+    Hypersurface case with at most three active variables and degree <= 6:
+    exact factor extraction either splits the determinant completely into
+    linear forms (LinearUnion) or leaves a residual certified to contain no
+    Q(i)-linear factor, in which case the witness search probes the
+    residual's zero locus; the verdict carries the factor list either way.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
@@ -997,7 +1085,8 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
     Points r sampled on V_A(T(rho)) are pushed through r'_l = sum_i r_i
     (U_A)_{il} and must land on V_A(rho); the converse direction uses the
     inverse map.  Residuals are Hermitian-determinant residuals at the
-    mapped points.
+    mapped points.  A side whose V the Macaulay test proves empty is not
+    sampled: two empty sides agree, and one empty side fails the check.
     """
     from .states import apply_local_unitary
 
@@ -1008,11 +1097,15 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
     bwd = ua.conj()                 # inverse direction: ((U_A)^T)^-1 = conj(U_A)
     v_orig = variety_of_state(s, "A")
     v_trans = variety_of_state(transformed, "A")
+    sides = ((v_trans, v_orig, fwd), (v_orig, v_trans, bwd))
+    empty = [v.structural is None and _macaulay_certificate(v, seed, finite=False) is not None
+             for v, _, _ in sides]
+    if all(empty):
+        return CovarianceResult(True, 0.0, 0)
     max_res = 0.0
     checked = 0
-    for variety_from, variety_to, mat in ((v_trans, v_orig, fwd),
-                                          (v_orig, v_trans, bwd)):
-        if variety_from.structural in ("Empty", "Full"):
+    for (variety_from, variety_to, mat), skip in zip(sides, empty):
+        if skip or variety_from.structural in ("Empty", "Full"):
             continue
         try:
             pts = sample_points(variety_from, samples, seed, tol)
@@ -1024,4 +1117,5 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
             res = variety_to.hermitian_residual(project_normalize(mapped))
             max_res = max(max_res, res)
             checked += 1
-    return CovarianceResult(max_res <= threshold and checked > 0, max_res, checked)
+    ok = max_res <= threshold and checked > 0 and not any(empty)
+    return CovarianceResult(ok, max_res, checked)

@@ -1,11 +1,16 @@
-"""Dimension before sampling: the finiteness certificate of linearity_decide.
+"""Dimension before sampling: the certificates of linearity_decide.
 
-A finite V is a union of points, hence linear, so the criterion cannot
-fire on it.  In CP^1 (m <= 2) V is finite unless it is all of CP^1; an
-exact V in CP^2 that misses an exact line is finite by the projective
-dimension theorem.  These tests pin which states are certified, that a
-curve never is, that the point at infinity of the line is checked, and
-that the sampler the certificate now skips stays sound on its own.
+A finite V is a union of points, hence linear, and an empty V has no
+points at all, so the criterion cannot fire on either.  In CP^1 (m <= 2) V
+is finite unless it is all of CP^1; an exact V in CP^2 that misses an
+exact line is finite by the projective dimension theorem.  For every
+m >= 3 and both kinds of state, the Macaulay test modulo a prime certifies
+V empty (its minors have no common zero) or finite (it misses an exact
+hyperplane); it runs only where Eagon-Northcott allows a finite or empty V,
+t - n + 1 >= m - 1.  These tests pin which states are certified, that a
+curve never is, that the point at infinity of the line is checked, that
+every certificate re-checks from the report and the state file alone, and
+that the sampler the certificates now skip stays sound on its own.
 """
 
 import contextlib
@@ -22,11 +27,14 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.cli import main
 from detvar.exactroots import ec_gcd, ec_trim
+from detvar.modp import RANK_PRIME
 from detvar.multipoly import restrict_to_line, univariate_coeffs
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
-from detvar.states import random_mixed, random_separable
+from detvar.report import analyze_state
+from detvar.states import BipartiteState, density_from_ensemble, random_mixed, random_separable
 from detvar.variety import (
+    _dimension_verdict,
     _line_miss_certificate,
     linearity_decide,
     membership,
@@ -179,3 +187,147 @@ def test_sampler_stays_silent_on_finite_separable_varieties(shape, seed):
     verdict = nonlinearity_witness(variety_of_state(random_separable(*shape, seed=seed)),
                                    samples=12, seed=42)
     assert verdict.tag != "NonlinearWitness"
+
+
+@pytest.mark.parametrize("state,tag", [
+    (lambda: load_state(str(GOLDEN / "separable_4x4_t6.state.json")), "Finite"),
+    (lambda: random_separable(4, 4, 6, seed=4), "Finite"),
+    (lambda: load_state(str(GOLDEN / "gaussian_4x4_r7.state.json")), "Empty"),
+    (lambda: random_separable(4, 4, 7, seed=2), "Empty"),
+    (lambda: random_separable(4, 3, 5, seed=1), "Finite"),
+], ids=["separable 4x4 t6", "separable 4x4 t6 seed 4", "gaussian 4x4 r7",
+        "separable 4x4 t7", "separable 4x3 t5"])
+def test_exact_variety_is_certified_modulo_a_prime(no_sampling, state, tag):
+    v = variety_of_state(state())
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == tag
+    assert verdict.conclusion == "inconclusive"
+    cert = verdict.certificate
+    assert cert.kind == "macaulay" and cert.prime == RANK_PRIME
+    assert v.n + 1 <= cert.degree <= v.n + 3
+    # Finite restricts to a hyperplane of CP^(m-1); Empty needs none
+    assert (cert.hyperplane is None) == (tag == "Empty")
+    assert cert.hyperplane is None or len(cert.hyperplane) == v.m - 1
+
+
+@pytest.mark.parametrize("as_density", [False, True], ids=["ensemble", "density"])
+@pytest.mark.parametrize("shape,what", [((3, 4, 5), "finite"), ((3, 3, 5), "empty"),
+                                        ((4, 4, 6), "finite")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_finite_or_empty_variety_is_vacuous_and_unsampled(no_sampling, shape, what,
+                                                                  seed, as_density):
+    state = random_mixed(*shape, seed=seed)
+    if as_density:
+        state = BipartiteState(shape[0], shape[1], density=density_from_ensemble(state),
+                               validate=False)
+    verdict = analyze_state(state, seed=42)["verdict"]
+    # a float state is never tagged Finite or Empty: the certificate holds
+    # for the ensemble as given, not for the state it may approximate
+    assert verdict["tag"] == "Inconclusive"
+    assert verdict["reason"] == f"criterion vacuous: V is {what} for the ensemble as given"
+    assert "no witness found" not in verdict["reason"]
+    assert verdict["certificate"]["kind"] == "macaulay"
+
+
+@pytest.fixture
+def macaulay_calls(monkeypatch):
+    """Record every variety that reaches the Macaulay test."""
+    calls = []
+    real = variety_mod._macaulay_certificate
+
+    def spy(v, *args, **kwargs):
+        calls.append(v)
+        return real(v, *args, **kwargs)
+
+    monkeypatch.setattr(variety_mod, "_macaulay_certificate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,tag", [("gaussian_4x4_r5", "NonlinearWitness"),
+                                      ("ppt_4x6_rank7", "Inconclusive")])
+def test_a_positive_dimensional_variety_never_reaches_the_macaulay_test(macaulay_calls,
+                                                                        name, tag):
+    # the golden 4x4 r5 variety is an entangled curve: t - n + 1 = 2 < m - 1
+    v = variety_of_state(load_state(str(GOLDEN / f"{name}.state.json")))
+    assert v.pencil.t - v.n + 1 < v.m - 1
+    assert linearity_decide(v, seed=42).tag == tag
+    assert macaulay_calls == []
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 4), (4, 3, 3), (4, 3, 4), (4, 4, 4),
+                                   (4, 4, 5), (4, 5, 6), (5, 3, 5), (5, 4, 6)])
+@pytest.mark.parametrize("make", [random_separable, random_mixed], ids=["exact", "float"])
+def test_shapes_below_the_gate_never_reach_the_macaulay_test(macaulay_calls, shape, make):
+    v = variety_of_state(make(*shape, seed=3))
+    assert v.pencil.t - v.n + 1 < v.m - 1
+    assert _dimension_verdict(v, 42) is None
+    assert macaulay_calls == []
+
+
+def _recheck_macaulay(name):
+    """(rank, columns) of the Macaulay matrix of a pinned report's
+    certificate, rebuilt from the report and the state file with sympy:
+    the state's rays reduced modulo the prime, i sent to the square root
+    of -1 the certificate names, on the hyperplane it names."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    cert = json.loads((GOLDEN / f"{name}.report.json").read_text())["verdict"]["certificate"]
+    doc = json.loads((GOLDEN / f"{name}.state.json").read_text())
+    p, degree, h = cert["prime"], cert["degree"], cert["hyperplane"]
+    # a^((p-1)/4) for the least quadratic non-residue a
+    root = next(pow(a, (p - 1) // 4, p) for a in range(2, p)
+                if pow(a, (p - 1) // 2, p) == p - 1)
+
+    def scalar(obj):
+        if isinstance(obj, dict):
+            re, im = F(obj["re"]), F(obj["im"])
+        elif isinstance(obj, list):  # a float is the dyadic rational it stores
+            re, im = F(obj[0]), F(obj[1])
+        else:
+            re, im = F(obj), F(0)
+        z = re + root * im
+        return z.numerator * pow(z.denominator, -1, p) % p
+
+    m, n = doc["m"], doc["n"]
+    vectors = [[scalar(x) for x in term["vector"]] for term in doc["ensemble"]]
+    k = m if h is None else m - 1
+    ys = sympy.symbols(f"y0:{k}")
+    point = list(ys)
+    if h is not None:  # H: x_{m-1} = sum_i h_i x_i
+        point.append(sum(scalar(c) * y for c, y in zip(h, ys)))
+    ring = GF(p)[ys]
+    pencil = DomainMatrix([[ring.from_sympy(sympy.expand(
+        sum(point[i] * vec[i * n + r] for i in range(m)))) for vec in vectors]
+        for r in range(n)], (n, len(vectors)), ring)
+    minors = [pencil.extract(list(range(n)), list(cols)).det()
+              for cols in itertools.combinations(range(len(vectors)), n)]
+
+    def monomials(d):
+        return [tuple(c.count(j) for j in range(k))
+                for c in itertools.combinations_with_replacement(range(k), d)]
+
+    column = {e: j for j, e in enumerate(monomials(degree))}
+    rows = []
+    for g in minors:
+        for a in monomials(degree - n):
+            row = [0] * len(column)
+            for e, c in g.terms():
+                row[column[tuple(x + y for x, y in zip(a, e))]] = int(c) % p
+            rows.append(row)
+    field = GF(p)
+    matrix = DomainMatrix([[field(x) for x in row] for row in rows],
+                          (len(rows), len(column)), field)
+    return matrix.rank(), len(column)
+
+
+@pytest.mark.parametrize("name,tag", [("separable_4x4_t6", "Finite"),
+                                      ("gaussian_4x4_r7", "Empty"),
+                                      ("mixed_3x4_r5", "Inconclusive")])
+def test_macaulay_certificate_reverifies_from_report_and_state_file(name, tag):
+    report = json.loads((GOLDEN / f"{name}.report.json").read_text())
+    assert report["verdict"]["tag"] == tag
+    assert report["verdict"]["certificate"]["kind"] == "macaulay"
+    rank, columns = _recheck_macaulay(name)
+    assert rank == columns

@@ -15,10 +15,15 @@ any pinned report.  Two 4x4 cases run the multi-generator hyperplane peel
 in four variables: a rank-5 Gaussian-rational ensemble (drawn as the
 benchmark's ``gaussian_rational_ensemble(4, 4, 5, random.Random(1))``) on
 which the criterion finds a witness, and ``random_separable(4, 4, 6,
-seed=1)``, which stays Inconclusive.  The one float case,
-``random_mixed(3, 3, 3, seed=1)``, pins the approximate pathway: Aberth
-roots on random lines, Newton polish and the float witness probe.  Spectra and entropies come from LAPACK, so their last
-digits are pinned for one numpy build.
+seed=1)``, whose variety is finite.  Two more pin the Macaulay certificate
+modulo a prime (hyperplane, prime and degree): a Gaussian-rational 4x4
+rank-7 ensemble (``gaussian_rational_ensemble(4, 4, 7,
+random.Random(1))``), whose variety is empty, and the float ensemble
+``random_mixed(3, 4, 5, seed=1)``, whose variety is finite as given and
+which is therefore never sampled.  The float case ``random_mixed(3, 3, 3,
+seed=1)`` pins the approximate pathway: Aberth roots on random lines,
+Newton polish and the float witness probe.  Spectra and entropies come
+from LAPACK, so their last digits are pinned for one numpy build.
 
 When a change is meant to move a report, rewrite the pinned files with
 
@@ -51,6 +56,8 @@ CASES = {
     "separable_4x4_t6": ["analyze", str(GOLDEN / "separable_4x4_t6.state.json"),
                          "--seed", "42"],
     "mixed_3x3_r3": ["analyze", str(GOLDEN / "mixed_3x3_r3.state.json"), "--seed", "42"],
+    "gaussian_4x4_r7": ["analyze", str(GOLDEN / "gaussian_4x4_r7.state.json"), "--seed", "42"],
+    "mixed_3x4_r5": ["analyze", str(GOLDEN / "mixed_3x4_r5.state.json"), "--seed", "42"],
 }
 
 

@@ -266,6 +266,33 @@ def test_covariance_negative_control():
     assert not verify_lu_covariance(s, pair, samples=4, seed=42)
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 5), (2, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_covariance_of_empty_varieties_holds_without_sampling(monkeypatch, shape, seed):
+    # t - n + 1 > m - 1: the Macaulay test proves both V empty, so nothing
+    # is sampled and covariance holds vacuously
+    import detvar.variety as variety_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty V was sampled")
+
+    monkeypatch.setattr(variety_mod, "sample_points", refuse)
+    s = random_mixed(*shape, seed=seed)
+    u = random_local_unitary(shape[0], shape[1], seed=seed + 100)
+    res = verify_lu_covariance(s, u, samples=3, seed=42)
+    assert res.ok and res.checked == 0
+
+
+def test_covariance_fails_when_one_side_is_empty():
+    # a map on side B with a zero row zeroes a row of the transformed
+    # pencil, so V is all of CP^2 there, while the original V is empty
+    rng = random.Random(4)
+    singular = Matrix.approx(np.diag([1.0 + 0j, 1.0 + 0j, 0j]))
+    pair = LocalUnitaryPair(random_unitary(3, rng), singular, validate=False)
+    res = verify_lu_covariance(random_mixed(3, 3, 5, seed=0), pair, samples=3, seed=42)
+    assert not res.ok
+
+
 def test_project_normalize_rules():
     p = project_normalize((0.5j, -2.0 + 0j, 1.0 + 0j))
     assert p[1] == 1.0 + 0j  # max modulus wins

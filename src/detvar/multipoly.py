@@ -7,7 +7,11 @@ output renders deterministically and golden files diff cleanly).
 An approximate pathway (kind="approx", python complex coefficients) exists
 for numeric pencils; exact division is reserved for the exact kind.  Both
 kinds share one division-free determinant routine, a memoized Laplace
-expansion that serves ``symbolic_det`` and ``minors`` alike.
+expansion on raw term dicts that serves ``symbolic_det`` and ``minors``
+alike: exact entries run on Gaussian integers, each row cleared of its
+denominators, approximate ones on complex numbers, with the same steps in
+the same order as Poly arithmetic, so the terms, their order and the float
+bits are those Poly's own +, - and * would give.
 """
 
 from __future__ import annotations
@@ -500,10 +504,53 @@ def _is_lf_zero(c) -> bool:
 # Symbolic determinants and minors
 # ---------------------------------------------------------------------------
 
-def _laplace(rows: List[List[Poly]], rs: Tuple[int, ...], cs: Tuple[int, ...],
-             memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly]) -> Poly:
+# a term dict of _laplace: {packed monomial: coefficient}
+Terms = Dict[int, object]
+
+
+def _gi_mul(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    (x, y), (u, w) = a, b
+    return x * u - y * w, x * w + y * u
+
+
+def _gi_add(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _gi_sub(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _gi_neg(a: Tuple[int, int]) -> Tuple[int, int]:
+    return -a[0], -a[1]
+
+
+def _gi_times(z: ExactComplex, k: int) -> Tuple[int, int]:
+    """z * k as a Gaussian integer, for k a multiple of z's denominator."""
+    a, b, d = z.fields
+    return a * (k // d), b * (k // d)
+
+
+# (mul, add, sub, neg, zero) of the coefficients _laplace works on:
+# Gaussian integers as (re, im) int pairs, and complex numbers
+_GAUSSIAN_INTEGERS = (_gi_mul, _gi_add, _gi_sub, _gi_neg, (0, 0))
+_COMPLEX_NUMBERS = (operator.mul, operator.add, operator.sub, operator.neg, 0j)
+
+
+def _laplace(rows: List[List[Terms]], rs: Tuple[int, ...], cs: Tuple[int, ...],
+             memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Terms], ring) -> Terms:
     """Determinant of rows[rs] x columns cs by Laplace expansion along its
     first row, the entries of that row that are zero skipped.
+
+    Entries are raw term dicts {monomial: coefficient}, each monomial an
+    int that packs its exponent vector (so the product of two monomials is
+    their sum), with coefficients in `ring` = (mul, add, sub, neg, zero).
+    Each product of an entry and a cofactor drops its zero coefficients
+    once it is complete; adding it to (even column) or subtracting it from
+    (odd column) the sum drops a coefficient as soon as it cancels.  These
+    are the steps, in the order, of Poly's own +, - and *, so the result
+    has the terms, term order and (on complex numbers) float bits that Poly
+    arithmetic would give: in IEEE arithmetic x - y is x + (-y) bit for bit.
 
     memo holds every minor built so far under (rs, cs), so a minor of the
     lower rows is built once and shared by all the larger minors that
@@ -515,35 +562,98 @@ def _laplace(rows: List[List[Poly]], rs: Tuple[int, ...], cs: Tuple[int, ...],
     det = memo.get(key)
     if det is not None:
         return det
+    mul, add, sub, neg, zero = ring
     top = rows[rs[0]]
-    det = Poly.zero(top[cs[0]].nvars, top[cs[0]].kind)
+    det = {}
     for j, c in enumerate(cs):
-        if top[c].is_zero():
+        entry = top[c]
+        if not entry:
             continue
-        term = top[c] * _laplace(rows, rs[1:], cs[:j] + cs[j + 1:], memo)
-        det = det + term if j % 2 == 0 else det - term
+        cofactor = _laplace(rows, rs[1:], cs[:j] + cs[j + 1:], memo, ring)
+        term: Terms = {}
+        for e1, c1 in entry.items():
+            for e2, c2 in cofactor.items():
+                e = e1 + e2
+                x = mul(c1, c2)
+                prev = term.get(e)
+                term[e] = x if prev is None else add(prev, x)
+        odd = j % 2
+        for e, x in term.items():
+            if x == zero:
+                continue
+            prev = det.get(e)
+            if prev is None:
+                det[e] = neg(x) if odd else x
+                continue
+            x = sub(prev, x) if odd else add(prev, x)
+            if x == zero:
+                del det[e]
+            else:
+                det[e] = x
     memo[key] = det
     return det
 
 
-def _check_entries(rows: List[List[Poly]]) -> None:
+def _laplace_input(rows: List[List[Poly]]):
+    """(entries, ring, rebuild) for _laplace on a matrix of polynomials.
+
+    An exponent vector e is packed into the int sum of e_i << (w * i), w
+    bits being enough for the degree of any minor in any variable, so no
+    sum of monomials carries.  Approximate coefficients go in as they are.
+    Exact row r is cleared to Z[i] over d_r, the lcm of the denominators of
+    its coefficients; a minor on rows rs then comes out over the product of
+    d_r for r in rs, and rebuild(terms, rs) divides that out with one
+    from_fields per coefficient.  A nonzero factor per row keeps every zero
+    where it was, so the terms and their order are those of the expansion
+    on ExactComplex coefficients.
+    """
     if len({(p.nvars, p.kind) for r in rows for p in r}) > 1:
         raise ArityMismatch("entries must share nvars and kind")
+    nvars, kind = rows[0][0].nvars, rows[0][0].kind
+    w = (len(rows) * max(1, *(p.degree() for r in rows for p in r))).bit_length()
+    mask = (1 << w) - 1
+
+    def pack(e: Exponents) -> int:
+        return sum(k << (w * i) for i, k in enumerate(e))
+
+    def unpack(key: int) -> Exponents:
+        return tuple((key >> (w * i)) & mask for i in range(nvars))
+
+    if kind == "approx":
+        def rebuild(terms: Terms, rs: Tuple[int, ...]) -> Poly:
+            return Poly(nvars, {unpack(e): c for e, c in terms.items()}, "approx")
+
+        return ([[{pack(e): c for e, c in p.terms.items()} for p in row] for row in rows],
+                _COMPLEX_NUMBERS, rebuild)
+    dens, entries = [], []
+    for row in rows:
+        d = lcm(*(c.fields[2] for p in row for c in p.terms.values()))
+        dens.append(d)
+        entries.append([{pack(e): _gi_times(c, d) for e, c in p.terms.items()} for p in row])
+
+    def rebuild(terms: Terms, rs: Tuple[int, ...]) -> Poly:
+        den = math.prod(dens[r] for r in rs)
+        return Poly(nvars, {unpack(e): from_fields(a, b, den) for e, (a, b) in terms.items()})
+
+    return entries, _GAUSSIAN_INTEGERS, rebuild
 
 
 def symbolic_det(rows: List[List[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials, exact on exact entries.
 
     Division-free Laplace expansion along the first row, each minor of the
-    lower rows built once (``_laplace``), for either kind of entry.
+    lower rows built once (``_laplace``): on Gaussian integers, each row
+    cleared of its denominators, for exact entries, and on complex numbers
+    for approximate ones.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NonSquare("symbolic_det needs a square matrix")
     if n == 0:
         raise NonSquare("empty matrix")
-    _check_entries(rows)
-    return _laplace(rows, tuple(range(n)), tuple(range(n)), {})
+    entries, ring, rebuild = _laplace_input(rows)
+    rs = tuple(range(n))
+    return rebuild(_laplace(entries, rs, rs, {}, ring), rs)
 
 
 def sylvester_resultant(a: Poly, b: Poly) -> Poly:
@@ -576,15 +686,18 @@ def minors(rows: List[List[Poly]], k: int) -> List[Poly]:
     """All k x k minors, in lexicographic row-subset then column-subset order.
 
     One Laplace expansion (``_laplace``) serves them all: a smaller minor
-    is built once and shared by every k x k minor that contains it.
+    is built once and shared by every k x k minor that contains it.  Exact
+    entries are expanded on Gaussian integers, each row cleared of its
+    denominators, and each minor is rebuilt over the product of the
+    denominators of its rows; approximate ones on complex numbers.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     if k > min(nr, nc) or k < 1:
         raise BadOrder(f"cannot take {k}x{k} minors of a {nr}x{nc} matrix")
-    _check_entries(rows)
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-    return [_laplace(rows, rsub, csub, memo)
+    entries, ring, rebuild = _laplace_input(rows)
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Terms] = {}
+    return [rebuild(_laplace(entries, rsub, csub, memo, ring), rsub)
             for rsub in combinations(range(nr), k)
             for csub in combinations(range(nc), k)]
 
@@ -632,7 +745,7 @@ def _convolve(a: List, b: List) -> List:
     return out
 
 
-def _gi_mul(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def _gi_convolve(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Product of two ascending coefficient lists over Z[i], each
     coefficient an (re, im) pair of ints."""
     re = [0] * (len(a) + len(b) - 1)
@@ -642,10 +755,6 @@ def _gi_mul(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[in
             re[k] += x * u - y * w
             im[k] += x * w + y * u
     return list(zip(re, im))
-
-
-def _gi_add(a: Tuple[int, int], b: Tuple[int, int]) -> Tuple[int, int]:
-    return a[0] + b[0], a[1] + b[1]
 
 
 def _line_sum(terms: List[Tuple[Exponents, object]], deg: int, lines: List[List],
@@ -687,14 +796,9 @@ def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
             raise ZeroDirection("restriction direction is zero")
         den = lcm(*(c.fields[2] for c in p.terms.values()))
         big_l = lcm(*(x.fields[2] for x in base)) * lcm(*(x.fields[2] for x in direction))
-
-        def times(z: ExactComplex, k: int) -> Tuple[int, int]:
-            a, b, d = z.fields  # z * k, for k a multiple of d
-            return a * (k // d), b * (k // d)
-
-        terms = [(e, times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
-        lines = [[times(b, big_l), times(v, big_l)] for b, v in zip(base, direction)]
-        total = _line_sum(terms, deg, lines, (1, 0), (0, 0), _gi_mul, _gi_add)
+        terms = [(e, _gi_times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
+        lines = [[_gi_times(b, big_l), _gi_times(v, big_l)] for b, v in zip(base, direction)]
+        total = _line_sum(terms, deg, lines, (1, 0), (0, 0), _gi_convolve, _gi_add)
         return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in total])
     dirv = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in direction]
     basev = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in base]

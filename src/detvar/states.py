@@ -39,7 +39,7 @@ from .linalg import (
     psd_check,
     spectral_cutoff,
 )
-from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance
+from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance, from_fields
 
 Weight = object  # Fraction (exact) or float (approx)
 Vector = Tuple[object, ...]  # ExactComplex or complex entries
@@ -241,22 +241,44 @@ class LocalUnitaryPair:
 
 def density_from_ensemble(s: BipartiteState) -> Matrix:
     """rho = A P A^dagger with A the (ray) ensemble columns and
-    P = diag(p_l / ||v_l||^2); equals sum_l p_l P_{v_l} exactly."""
+    P = diag(p_l / ||v_l||^2); equals sum_l p_l P_{v_l} exactly.
+
+    Exact rays are cleared to Z[i], v_l = V_l / d_l, so that
+    p_l / ||v_l||^2 * v_l v_l^dagger = p_l / ||V_l||^2 * V_l V_l^dagger.
+    These weights are put over one common denominator L, the entries are
+    summed as (re, im) int pairs, and each entry is one from_fields over L
+    (the lower triangle the conjugate of the upper).  Float rays go
+    through unit_scaled and numpy.
+    """
     terms = s.ensemble_terms()
     mn = s.m * s.n
-    exact = s.exact_ensemble
-    if exact:
-        acc = [[EC_ZERO] * mn for _ in range(mn)]
+    if s.exact_ensemble:
+        cleared = []
         for w, v in terms:
-            coef = ExactComplex(Fraction(w) / _vec_norm_sq(v))
-            for i in range(mn):
-                if v[i].is_zero():
+            d = math.lcm(*(x.fields[2] for x in v))
+            ray = [(a * (d // f), b * (d // f)) for a, b, f in (x.fields for x in v)]
+            cleared.append((Fraction(w) / sum(a * a + b * b for a, b in ray), ray))
+        den = math.lcm(*(c.denominator for c, _ in cleared))
+        re = [[0] * mn for _ in range(mn)]
+        im = [[0] * mn for _ in range(mn)]
+        for c, ray in cleared:
+            k = c.numerator * (den // c.denominator)
+            for i, (a, b) in enumerate(ray):
+                if not (a or b):
                     continue
-                left = coef * v[i]
-                for j in range(mn):
-                    if not v[j].is_zero():
-                        acc[i][j] = acc[i][j] + left * v[j].conjugate()
-        return Matrix.exact(acc)
+                a, b = k * a, k * b
+                re_i, im_i = re[i], im[i]
+                for j in range(i, mn):
+                    x, y = ray[j]
+                    re_i[j] += a * x + b * y   # (a + bi)(x - yi)
+                    im_i[j] += b * x - a * y
+        flat = [EC_ZERO] * (mn * mn)
+        for i in range(mn):
+            for j in range(i, mn):
+                z = flat[i * mn + j] = from_fields(re[i][j], im[i][j], den)
+                if j > i:
+                    flat[j * mn + i] = z.conjugate()
+        return Matrix(mn, mn, flat, "exact")
     import numpy as np
     rho = np.zeros((mn, mn), dtype=complex)
     for w, v in terms:

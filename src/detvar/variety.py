@@ -875,10 +875,26 @@ def _restrict_mod_p(forms: List[List[List[int]]], h: Sequence[ExactComplex],
     return [[[(a + b * c[-1]) % p for a, b in zip(c, hp)] for c in row] for row in forms]
 
 
+def _rank_deficient(pencil: PencilMatrix, seed: int) -> bool:
+    """True when the pencil, evaluated at a random point drawn from a
+    stream of its own (seeded from the analysis seed), has a clean
+    numerical rank below n.  For a float pencil this means that every
+    minor vanishes to working precision: what is left of them is rounding
+    noise, and no certificate may be read off it."""
+    rng = random.Random(f"rank:{seed}")
+    r = _random_approx_point(rng, pencil.m)
+    mat = np.array([[form.evaluate(r) for form in row] for row in pencil.entry_forms],
+                   dtype=complex)
+    rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), pencil.n)
+    return rank is not None and rank < pencil.n
+
+
 def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
-                          ) -> Optional[Tuple[str, FiniteCertificate]]:
+                          ) -> Optional[Tuple[str, Optional[FiniteCertificate]]]:
     """("Empty", cert) or ("Finite", cert) from the Macaulay test modulo a
-    prime, or None, which proves nothing.
+    prime, or None, which proves nothing.  A float pencil whose numerical
+    rank is below n (``_rank_deficient``) gets ("Full", None) instead: V is
+    all of CP^{m-1} to working precision, and the test is not run.
 
     Where t - n + 1 > m - 1 the minors themselves are tried first, for
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
@@ -895,6 +911,8 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
                                       for _ in range(v.m - 1))))
     if not tests:
         return None
+    if v.mode != "exact" and _rank_deficient(v.pencil, seed):
+        return "Full", None
     for p in split_primes(RANK_PRIME):
         forms = _pencil_mod_p(v.pencil, p)
         if forms is not None:
@@ -931,6 +949,10 @@ def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
     tag, cert = found
     if v.mode == "exact":
         return VarietyVerdict(tag, certificate=cert)
+    if cert is None:
+        return VarietyVerdict("Inconclusive",
+                              reason=f"criterion vacuous: V is all of CP^{v.m - 1} "
+                                     "to working precision")
     # the floats are exact dyadic rationals: the certificate holds for the
     # ensemble as given, not for the state it may approximate
     return VarietyVerdict("Inconclusive", certificate=cert,
@@ -1040,7 +1062,9 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     that misses an exact line is "Finite", and otherwise the Macaulay test
     modulo a prime may prove V empty ("Empty") or disjoint from an exact
     hyperplane ("Finite"); an approximate state so certified gets a
-    vacuous Inconclusive with the certificate.
+    vacuous Inconclusive with the certificate.  An approximate pencil of
+    numerical rank below n is not certified: its V is all of CP^{m-1} to
+    working precision, and it gets a vacuous Inconclusive saying so.
 
     Hypersurface case with at most three active variables and degree <= 6:
     exact factor extraction either splits the determinant completely into
@@ -1087,6 +1111,8 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
     inverse map.  Residuals are Hermitian-determinant residuals at the
     mapped points.  A side whose V the Macaulay test proves empty is not
     sampled: two empty sides agree, and one empty side fails the check.
+    A float side whose pencil has numerical rank below n is never taken
+    for empty: its V is all of CP^{m-1} to working precision.
     """
     from .states import apply_local_unitary
 
@@ -1098,8 +1124,9 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
     v_orig = variety_of_state(s, "A")
     v_trans = variety_of_state(transformed, "A")
     sides = ((v_trans, v_orig, fwd), (v_orig, v_trans, bwd))
-    empty = [v.structural is None and _macaulay_certificate(v, seed, finite=False) is not None
+    found = [v.structural is None and _macaulay_certificate(v, seed, finite=False)
              for v, _, _ in sides]
+    empty = [bool(f) and f[0] == "Empty" for f in found]
     if all(empty):
         return CovarianceResult(True, 0.0, 0)
     max_res = 0.0

@@ -8,9 +8,10 @@ m >= 3 and both kinds of state, the Macaulay test modulo a prime certifies
 V empty (its minors have no common zero) or finite (it misses an exact
 hyperplane); it runs only where Eagon-Northcott allows a finite or empty V,
 t - n + 1 >= m - 1.  These tests pin which states are certified, that a
-curve never is, that the point at infinity of the line is checked, that
-every certificate re-checks from the report and the state file alone, and
-that the sampler the certificates now skip stays sound on its own.
+curve never is, nor a float pencil whose minors are rounding noise, that
+the point at infinity of the line is checked, that every certificate
+re-checks from the report and the state file alone, and that the sampler
+the certificates now skip stays sound on its own.
 """
 
 import contextlib
@@ -27,12 +28,20 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.cli import main
 from detvar.exactroots import ec_gcd, ec_trim
+from detvar.linalg import Matrix
 from detvar.modp import RANK_PRIME
 from detvar.multipoly import restrict_to_line, univariate_coeffs
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
 from detvar.report import analyze_state
-from detvar.states import BipartiteState, density_from_ensemble, random_mixed, random_separable
+from detvar.states import (
+    BipartiteState,
+    LocalUnitaryPair,
+    apply_local_unitary,
+    density_from_ensemble,
+    random_mixed,
+    random_separable,
+)
 from detvar.variety import (
     _dimension_verdict,
     _line_miss_certificate,
@@ -227,6 +236,22 @@ def test_float_finite_or_empty_variety_is_vacuous_and_unsampled(no_sampling, sha
     assert verdict["reason"] == f"criterion vacuous: V is {what} for the ensemble as given"
     assert "no witness found" not in verdict["reason"]
     assert verdict["certificate"]["kind"] == "macaulay"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, seed):
+    # side-B map with rows r1, r2, r1 + r2: every pencil of the image has
+    # rank <= 2, so its 3 x 3 minors vanish exactly and V is all of CP^2;
+    # in floating point they are rounding noise instead of zero
+    rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
+    v = variety_of_state(apply_local_unitary(random_mixed(3, 3, 5, seed=seed), pair))
+    assert v.mode == "approx" and v.structural is None
+    assert max(abs(c) for g in v.generators for c in g.terms.values()) < 1e-12
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == "Inconclusive"
+    assert verdict.reason == "criterion vacuous: V is all of CP^2 to working precision"
+    assert verdict.certificate is None
 
 
 @pytest.fixture

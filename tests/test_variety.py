@@ -293,6 +293,16 @@ def test_covariance_fails_when_one_side_is_empty():
     assert not res.ok
 
 
+def test_covariance_does_not_take_noise_minors_for_an_empty_side():
+    # side-B rows r1, r2, r1 + r2: the transformed pencil has rank <= 2, so
+    # its V is all of CP^2, while the original V is empty; the float minors
+    # of the transformed side are rounding noise and prove nothing
+    rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
+    res = verify_lu_covariance(random_mixed(3, 3, 5, seed=0), pair)
+    assert not res.ok
+
+
 def test_project_normalize_rules():
     p = project_normalize((0.5j, -2.0 + 0j, 1.0 + 0j))
     assert p[1] == 1.0 + 0j  # max modulus wins

@@ -21,6 +21,7 @@ from .linalg import Matrix
 from .multipoly import LinearForm, Poly, substitute_affine, symbolic_det
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
 from .states import BipartiteState
+from .variety import pencil_matrix
 
 CHART_NAMES = ("r2'", "r3'", "r4'")
 
@@ -209,21 +210,6 @@ class ChartReduction:
         return self.g_irreducible
 
 
-def _pencil_from_blocks() -> List[List[Poly]]:
-    blocks = ppt_4x6_blocks()
-    rows = []
-    for r in range(6):
-        row = []
-        for c in range(7):
-            acc = Poly.zero(4)
-            for i, blk in enumerate(blocks):
-                if not blk[r, c].is_zero():
-                    acc = acc + _pv(i).scale(blk[r, c])
-            row.append(acc)
-        rows.append(row)
-    return rows
-
-
 def chart_reduction() -> ChartReduction:
     """Recompute the 4x6 reduction symbolically, end to end.
 
@@ -233,7 +219,7 @@ def chart_reduction() -> ChartReduction:
     are its 3x3 determinants.  The linear factor w - x - y of f2 carves out
     the component on which f1 restricts to the (irreducible) plane cubic g.
     """
-    pencil = _pencil_from_blocks()
+    pencil = pencil_matrix(ppt_4x6_state()).entry_polys()
     printed_pencil = printed_pencil_4x6()
     matches = pencil == printed_pencil
     if not matches:
@@ -243,20 +229,12 @@ def chart_reduction() -> ChartReduction:
         raise SymbolicMismatch(f"recomputed pencil differs from printed: {diffs[:4]}")
 
     # move to the chart: r1 -> 1, r2 -> x, r3 -> y, r4 -> w - y - 2
+    to_chart = {0: LinearForm([0, 0, 0], 1, normalize=False),
+                1: LinearForm.variable(0, 3),
+                2: LinearForm.variable(1, 3),
+                3: LinearForm([0, -1, 1], -2, normalize=False)}
+    chart = [[substitute_affine(p, to_chart) for p in row] for row in pencil]
     x, y, w = (Poly.variable(i, 3) for i in range(3))
-    images = [Poly.const(3, 1), x, y, w - y - Poly.const(3, 2)]
-
-    def to_chart(p: Poly) -> Poly:
-        acc = Poly.zero(3)
-        for e, c in p.terms.items():
-            term = Poly.const(3, c)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * images[i]
-            acc = acc + term
-        return acc
-
-    chart = [[to_chart(p) for p in row] for row in pencil]
     # col4 += col7; col1 += x * col7
     for r in range(6):
         chart[r][3] = chart[r][3] + chart[r][6]

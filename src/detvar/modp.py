@@ -6,7 +6,10 @@ denominator p does not divide, and to every float, which is a dyadic
 rational.  The image of a determinant is the determinant of the images,
 so minors can be taken modulo p straight from a reduced pencil; and a
 rank modulo p is never above the rank over Q(i), since a nonzero minor
-modulo p is the image of a nonzero one.
+modulo p is the image of a nonzero one.  This module keeps no expansion
+of its own: the minors of a reduced pencil come from multipoly's Laplace
+expansion on the integers, over monomials packed as ``monomial`` packs
+them, each minor reduced modulo p once.
 
 That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
 matrix of homogeneous forms g_j has a row x^a * g_j for every monomial x^a
@@ -20,9 +23,9 @@ short of full proves nothing: the prime, or D, may be unlucky.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import isqrt
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,38 +97,6 @@ def reduce_scalar(c, p: int) -> Optional[int]:
         return (a + b * s) * pow(d, -1, p) % p
     c = complex(c)
     return (_dyadic(c.real, p) + s * _dyadic(c.imag, p)) % p
-
-
-def maximal_minors(forms: Sequence[Sequence[Sequence[int]]], p: int) -> List[ModPoly]:
-    """The n x n minors modulo p of an n x t matrix of linear forms, each
-    entry given by its coefficient vector, in lexicographic column-subset
-    order.
-
-    Laplace expansion along the first row, memoized on the columns, so a
-    minor of the lower rows is built once and shared by every larger minor
-    that contains it.
-    """
-    n, t = len(forms), len(forms[0])
-    units = [1 << (EXP_BITS * i) for i in range(len(forms[0][0]))]
-    memo: Dict[Tuple[int, ...], ModPoly] = {(): {0: 1}}
-
-    def det(cs: Tuple[int, ...]) -> ModPoly:
-        got = memo.get(cs)
-        if got is not None:
-            return got
-        row = forms[n - len(cs)]
-        out: ModPoly = {}
-        for j, c in enumerate(cs):
-            terms = [(u, a if j % 2 == 0 else -a) for u, a in zip(units, row[c]) if a]
-            if not terms:
-                continue
-            for e, v in det(cs[:j] + cs[j + 1:]).items():
-                for u, a in terms:
-                    out[e + u] = out.get(e + u, 0) + a * v
-        memo[cs] = out = {e: v % p for e, v in out.items() if v % p}
-        return out
-
-    return [det(cs) for cs in combinations(range(t), n)]
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

@@ -21,7 +21,7 @@ import math
 import operator
 from itertools import combinations
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ArityMismatch,
@@ -532,9 +532,11 @@ def _gi_times(z: ExactComplex, k: int) -> Tuple[int, int]:
 
 
 # (mul, add, sub, neg, zero) of the coefficients _laplace works on:
-# Gaussian integers as (re, im) int pairs, and complex numbers
+# Gaussian integers as (re, im) int pairs, complex numbers, and integers
+# (residues modulo a prime, reduced once per minor by the caller)
 _GAUSSIAN_INTEGERS = (_gi_mul, _gi_add, _gi_sub, _gi_neg, (0, 0))
 _COMPLEX_NUMBERS = (operator.mul, operator.add, operator.sub, operator.neg, 0j)
+INTEGERS = (operator.mul, operator.add, operator.sub, operator.neg, 0)
 
 
 def _laplace(rows: List[List[Terms]], rs: Tuple[int, ...], cs: Tuple[int, ...],
@@ -554,7 +556,9 @@ def _laplace(rows: List[List[Terms]], rs: Tuple[int, ...], cs: Tuple[int, ...],
 
     memo holds every minor built so far under (rs, cs), so a minor of the
     lower rows is built once and shared by all the larger minors that
-    contain it.
+    contain it.  The kernel never unpacks a monomial, so it serves any
+    packing: ``minors`` and ``symbolic_det`` pack w bits per variable,
+    the Macaulay test modulo a prime packs as ``modp`` does.
     """
     if len(cs) == 1:
         return rows[rs[0]][cs[0]]
@@ -696,10 +700,18 @@ def minors(rows: List[List[Poly]], k: int) -> List[Poly]:
     if k > min(nr, nc) or k < 1:
         raise BadOrder(f"cannot take {k}x{k} minors of a {nr}x{nc} matrix")
     entries, ring, rebuild = _laplace_input(rows)
+    return [rebuild(terms, rsub) for rsub, terms in minor_terms(entries, k, ring)]
+
+
+def minor_terms(entries: List[List[Terms]], k: int, ring
+                ) -> Iterator[Tuple[Tuple[int, ...], Terms]]:
+    """(rows, terms) of every k x k minor of a matrix of raw term dicts
+    with coefficients in `ring` (see ``_laplace``), in lexicographic
+    row-subset then column-subset order, all from one memo."""
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Terms] = {}
-    return [rebuild(_laplace(entries, rsub, csub, memo, ring), rsub)
-            for rsub in combinations(range(nr), k)
-            for csub in combinations(range(nc), k)]
+    for rsub in combinations(range(len(entries)), k):
+        for csub in combinations(range(len(entries[0])), k):
+            yield rsub, _laplace(entries, rsub, csub, memo, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +721,19 @@ def minors(rows: List[List[Poly]], k: int) -> List[Poly]:
 def substitute_affine(p: Poly, mapping: Dict[int, LinearForm]) -> Poly:
     """Compose p with x_i -> mapping[i] (a linear form, constants allowed).
 
-    The map must cover every variable of p; forms must share p's arity so
-    the result lives in the same ring.
+    The map must cover every variable of p.  The forms may have any number
+    of variables, the same for all of them, and the result lives in that
+    many variables.
     """
     for i in range(p.nvars):
         if i not in mapping:
             raise ArityMismatch(f"substitution map misses variable {i}")
-        if mapping[i].nvars != p.nvars:
-            raise ArityMismatch("substitution forms must share the ring arity")
-    images = [mapping[i].to_poly(p.nvars, p.kind) for i in range(p.nvars)]
-    acc = Poly.zero(p.nvars, p.kind)
+    arities = {mapping[i].nvars for i in range(p.nvars)}
+    if len(arities) != 1:
+        raise ArityMismatch("substitution forms must share one arity")
+    nvars = arities.pop()
+    images = [mapping[i].to_poly(nvars, p.kind) for i in range(p.nvars)]
+    acc = Poly.zero(nvars, p.kind)
     pow_cache: Dict[Tuple[int, int], Poly] = {}
 
     def img_pow(i: int, k: int) -> Poly:
@@ -728,7 +743,7 @@ def substitute_affine(p: Poly, mapping: Dict[int, LinearForm]) -> Poly:
         return pow_cache[key]
 
     for e, c in p.terms.items():
-        term = Poly.const(p.nvars, c, p.kind)
+        term = Poly.const(nvars, c, p.kind)
         for i, k in enumerate(e):
             if k:
                 term = term * img_pow(i, k)

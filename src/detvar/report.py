@@ -17,7 +17,7 @@ from typing import Optional
 
 from .catalog import CHART_NAMES, ChartReduction
 from .errors import NotHesseShape
-from .moduli import hesse_reduce, moduli_value
+from .moduli import HesseCubic, hesse_reduce, moduli_value
 from .multipoly import LinearForm
 from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import render_scalar
@@ -85,21 +85,16 @@ def verdict_to_json(verdict: VarietyVerdict) -> dict:
     return out
 
 
-def _moduli_section(v: Variety) -> Optional[dict]:
+def _hesse_cubic(v: Variety) -> Optional[HesseCubic]:
+    """The Hesse form of V when it is cut out by one exact generator of
+    Hesse shape; None otherwise."""
     gens = v.essential_generators
     if len(gens) != 1 or v.mode != "exact":
         return None
     try:
-        hc = hesse_reduce(gens[0])
+        return hesse_reduce(gens[0])
     except NotHesseShape:
         return None
-    mv = moduli_value(hc)
-    return {
-        "lambda_cubed": hc.lambda_cubed.render(),
-        "provenance": hc.provenance,
-        "moduli_value": mv.render(),
-        "degenerate": mv.degenerate,
-    }
 
 
 def digest_bytes(data: bytes) -> str:
@@ -156,9 +151,15 @@ def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAUL
         "samples": samples,
         "probe_radius": radius,
     }
-    moduli = _moduli_section(v)
-    if moduli is not None:
-        report["moduli"] = moduli
+    hc = _hesse_cubic(v)
+    if hc is not None:
+        mv = moduli_value(hc)
+        report["moduli"] = {
+            "lambda_cubed": hc.lambda_cubed.render(),
+            "provenance": hc.provenance,
+            "moduli_value": mv.render(),
+            "degenerate": mv.degenerate,
+        }
     report["runtime_seconds"] = time.perf_counter() - start
     return report
 
@@ -200,19 +201,8 @@ def compare_states(a: BipartiteState, b: BipartiteState, *,
         "spectra_equal": spectra_equal,
     }
 
-    def hesse_of(st: BipartiteState):
-        if st.ensemble is None or not st.exact_ensemble:
-            return None
-        v = variety_of_state(st, "A")
-        gens = v.essential_generators
-        if len(gens) != 1:
-            return None
-        try:
-            return hesse_reduce(gens[0])
-        except NotHesseShape:
-            return None
-
-    ha, hb = hesse_of(a), hesse_of(b)
+    ha, hb = (_hesse_cubic(variety_of_state(st)) if st.exact_ensemble else None
+              for st in (a, b))
     if ha is not None and hb is not None:
         ma, mb = moduli_value(ha), moduli_value(hb)
         if not ma.degenerate and not mb.degenerate and ma.value != mb.value:

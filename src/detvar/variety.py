@@ -37,11 +37,13 @@ from .errors import (
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
-from .modp import RANK_PRIME, macaulay_full_rank, maximal_minors, reduce_scalar, split_primes
+from .modp import EXP_BITS, RANK_PRIME, ModPoly, macaulay_full_rank, reduce_scalar, split_primes
 from .multipoly import (
+    INTEGERS,
     CompiledSystem,
     LinearForm,
     Poly,
+    minor_terms,
     minors,
     restrict_to_line,
     sylvester_resultant,
@@ -875,12 +877,26 @@ def _restrict_mod_p(forms: List[List[List[int]]], h: Sequence[ExactComplex],
     return [[[(a + b * c[-1]) % p for a, b in zip(c, hp)] for c in row] for row in forms]
 
 
-def _rank_deficient(pencil: PencilMatrix, seed: int) -> bool:
-    """True when the pencil, evaluated at a random point drawn from a
-    stream of its own (seeded from the analysis seed), has a clean
-    numerical rank below n.  For a float pencil this means that every
-    minor vanishes to working precision: what is left of them is rounding
-    noise, and no certificate may be read off it."""
+def _minors_mod_p(forms: List[List[List[int]]], p: int) -> List[ModPoly]:
+    """The n x n minors modulo p of a reduced pencil (each entry its
+    coefficient vector), in lexicographic column-subset order: multipoly's
+    Laplace expansion on the integers, over monomials packed as modp packs
+    them, each minor reduced modulo p once."""
+    units = [1 << (EXP_BITS * i) for i in range(len(forms[0][0]))]
+    entries = [[{u: a for u, a in zip(units, c) if a} for c in row] for row in forms]
+    return [{e: x % p for e, x in terms.items() if x % p}
+            for _, terms in minor_terms(entries, len(forms), INTEGERS)]
+
+
+def _rank_deficient(v: Variety, seed: int) -> bool:
+    """True when v is a float variety whose pencil, evaluated at a random
+    point drawn from a stream of its own (seeded from the analysis seed),
+    has a clean numerical rank below n.  Then every minor vanishes to
+    working precision: V is all of CP^{m-1}, what is left of the minors
+    is rounding noise, and no certificate may be read off it."""
+    if v.mode == "exact":
+        return False
+    pencil = v.pencil
     rng = random.Random(f"rank:{seed}")
     r = _random_approx_point(rng, pencil.m)
     mat = np.array([[form.evaluate(r) for form in row] for row in pencil.entry_forms],
@@ -890,11 +906,11 @@ def _rank_deficient(pencil: PencilMatrix, seed: int) -> bool:
 
 
 def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
-                          ) -> Optional[Tuple[str, Optional[FiniteCertificate]]]:
+                          ) -> Optional[Tuple[str, FiniteCertificate]]:
     """("Empty", cert) or ("Finite", cert) from the Macaulay test modulo a
-    prime, or None, which proves nothing.  A float pencil whose numerical
-    rank is below n (``_rank_deficient``) gets ("Full", None) instead: V is
-    all of CP^{m-1} to working precision, and the test is not run.
+    prime, or None, which proves nothing.  The caller keeps a float pencil
+    of numerical rank below n (``_rank_deficient``) away from it: the test
+    would read a proof off its noise minors.
 
     Where t - n + 1 > m - 1 the minors themselves are tried first, for
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
@@ -911,14 +927,12 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
                                       for _ in range(v.m - 1))))
     if not tests:
         return None
-    if v.mode != "exact" and _rank_deficient(v.pencil, seed):
-        return "Full", None
     for p in split_primes(RANK_PRIME):
         forms = _pencil_mod_p(v.pencil, p)
         if forms is not None:
             break
     for tag, h in tests:
-        gens = maximal_minors(forms if h is None else _restrict_mod_p(forms, h, p), p)
+        gens = _minors_mod_p(forms if h is None else _restrict_mod_p(forms, h, p), p)
         nvars = v.m if h is None else v.m - 1
         for degree in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES):
             if macaulay_full_rank(gens, nvars, degree, p):
@@ -928,13 +942,22 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
 
 def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
     """The verdict of a V on which the criterion cannot fire, decided with
-    no sampling; None when neither finiteness nor emptiness is certified."""
+    no sampling; None when neither finiteness nor emptiness is certified.
+
+    A float V with m >= 3 whose pencil has numerical rank below n is all
+    of CP^{m-1} to working precision, whatever t: it gets a vacuous
+    Inconclusive before the Eagon-Northcott gate, so it is neither sampled
+    nor certified from its noise minors."""
     if v.m <= 2:
         # not Full, so its minors leave finitely many points of CP^1
         if v.mode == "exact":
             return VarietyVerdict("Finite", certificate=FiniteCertificate("ambient_dimension"))
         return VarietyVerdict("Inconclusive",
                               reason=f"criterion vacuous: V lies in CP^{v.m - 1}")
+    if _rank_deficient(v, seed):
+        return VarietyVerdict("Inconclusive",
+                              reason=f"criterion vacuous: V is all of CP^{v.m - 1} "
+                                     "to working precision")
     # every component of V has codimension <= t - n + 1 (Eagon-Northcott),
     # so V can be finite or empty only where t - n + 1 >= m - 1
     if v.pencil.t - v.n + 1 < v.m - 1:
@@ -949,10 +972,6 @@ def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
     tag, cert = found
     if v.mode == "exact":
         return VarietyVerdict(tag, certificate=cert)
-    if cert is None:
-        return VarietyVerdict("Inconclusive",
-                              reason=f"criterion vacuous: V is all of CP^{v.m - 1} "
-                                     "to working precision")
     # the floats are exact dyadic rationals: the certificate holds for the
     # ensemble as given, not for the state it may approximate
     return VarietyVerdict("Inconclusive", certificate=cert,
@@ -1057,14 +1076,15 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
 
     Dimension comes first, with no sampling.  In CP^1 (m <= 2) V is
     finite: "Finite" for an exact state, a vacuous Inconclusive for an
-    approximate one.  For m >= 3 and t - n + 1 >= m - 1, the only shapes
-    where V can be finite or empty (Eagon-Northcott), an exact V in CP^2
-    that misses an exact line is "Finite", and otherwise the Macaulay test
-    modulo a prime may prove V empty ("Empty") or disjoint from an exact
-    hyperplane ("Finite"); an approximate state so certified gets a
-    vacuous Inconclusive with the certificate.  An approximate pencil of
-    numerical rank below n is not certified: its V is all of CP^{m-1} to
-    working precision, and it gets a vacuous Inconclusive saying so.
+    approximate one.  For m >= 3, an approximate pencil of numerical rank
+    below n, whatever t, has V all of CP^{m-1} to working precision: it is
+    neither certified nor sampled, and gets a vacuous Inconclusive saying
+    so.  For m >= 3 and t - n + 1 >= m - 1, the only shapes where V can be
+    finite or empty (Eagon-Northcott), an exact V in CP^2 that misses an
+    exact line is "Finite", and otherwise the Macaulay test modulo a prime
+    may prove V empty ("Empty") or disjoint from an exact hyperplane
+    ("Finite"); an approximate state so certified gets a vacuous
+    Inconclusive with the certificate.
 
     Hypersurface case with at most three active variables and degree <= 6:
     exact factor extraction either splits the determinant completely into
@@ -1124,8 +1144,8 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
     v_orig = variety_of_state(s, "A")
     v_trans = variety_of_state(transformed, "A")
     sides = ((v_trans, v_orig, fwd), (v_orig, v_trans, bwd))
-    found = [v.structural is None and _macaulay_certificate(v, seed, finite=False)
-             for v, _, _ in sides]
+    found = [v.structural is None and not _rank_deficient(v, seed)
+             and _macaulay_certificate(v, seed, finite=False) for v, _, _ in sides]
     empty = [bool(f) and f[0] == "Empty" for f in found]
     if all(empty):
         return CovarianceResult(True, 0.0, 0)

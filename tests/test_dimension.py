@@ -238,19 +238,24 @@ def test_float_finite_or_empty_variety_is_vacuous_and_unsampled(no_sampling, sha
     assert verdict["certificate"]["kind"] == "macaulay"
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, seed):
+@pytest.mark.parametrize("m,t,seed", [
+    pytest.param(3, 5, 0, id="0"), pytest.param(3, 5, 1, id="1"),
+    *(pytest.param(m, t, seed, id=f"{m}x3_t{t}-{seed}")
+      for m, t in ((3, 3), (4, 4), (5, 5)) for seed in (0, 1))])
+def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, m, t, seed):
     # side-B map with rows r1, r2, r1 + r2: every pencil of the image has
-    # rank <= 2, so its 3 x 3 minors vanish exactly and V is all of CP^2;
-    # in floating point they are rounding noise instead of zero
+    # rank <= 2, so its 3 x 3 minors vanish exactly and V is all of
+    # CP^{m-1}; in floating point they are rounding noise instead of zero.
+    # 3 x 3 t5 passes the Eagon-Northcott gate t - n + 1 >= m - 1, the
+    # other shapes fall below it, where V could only be sampled
     rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
-    v = variety_of_state(apply_local_unitary(random_mixed(3, 3, 5, seed=seed), pair))
+    pair = LocalUnitaryPair(Matrix.identity(m).to_approx(), rank_two, validate=False)
+    v = variety_of_state(apply_local_unitary(random_mixed(m, 3, t, seed=seed), pair))
     assert v.mode == "approx" and v.structural is None
     assert max(abs(c) for g in v.generators for c in g.terms.values()) < 1e-12
     verdict = linearity_decide(v, seed=42)
     assert verdict.tag == "Inconclusive"
-    assert verdict.reason == "criterion vacuous: V is all of CP^2 to working precision"
+    assert verdict.reason == f"criterion vacuous: V is all of CP^{m - 1} to working precision"
     assert verdict.certificate is None
 
 

@@ -22,8 +22,10 @@ random.Random(1))``), whose variety is empty, and the float ensemble
 ``random_mixed(3, 4, 5, seed=1)``, whose variety is finite as given and
 which is therefore never sampled.  The float case ``random_mixed(3, 3, 3,
 seed=1)`` pins the approximate pathway: Aberth roots on random lines,
-Newton polish and the float witness probe.  Spectra and entropies come
-from LAPACK, so their last digits are pinned for one numpy build.
+Newton polish and the float witness probe.  ``repro example3`` pins the
+symbolic 4x6 chart reduction: the pencil, its chart substitution, f1, f2
+and the plane cubic g.  Spectra and entropies come from LAPACK, so their
+last digits are pinned for one numpy build.
 
 When a change is meant to move a report, rewrite the pinned files with
 
@@ -47,6 +49,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 CASES = {
     "example2_t3w": ["repro", "example2", "--t=3w"],
+    "example3": ["repro", "example3"],
     "gaussian_3x4_r4": ["analyze", str(GOLDEN / "gaussian_3x4_r4.state.json"), "--seed", "42"],
     "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],
     "separable_3x4_t5": ["analyze", str(GOLDEN / "separable_3x4_t5.state.json"),

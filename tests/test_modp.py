@@ -17,7 +17,6 @@ from detvar.linalg import Matrix, rank_exact
 from detvar.modp import (
     RANK_PRIME,
     macaulay_full_rank,
-    maximal_minors,
     monomial,
     rank_mod_p,
     reduce_scalar,
@@ -29,6 +28,7 @@ from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_mixed, random_separable
 from detvar.variety import (
     _macaulay_certificate,
+    _minors_mod_p,
     _pencil_mod_p,
     _restrict_mod_p,
     pencil_matrix,
@@ -120,7 +120,7 @@ def test_minors_mod_p_are_the_images_of_the_exact_minors():
     state = random_separable(3, 3, 4, seed=2)
     pencil = pencil_matrix(state)
     exact = minors(pencil.entry_polys(), pencil.n)
-    reduced = maximal_minors(_pencil_mod_p(pencil, P), P)
+    reduced = _minors_mod_p(_pencil_mod_p(pencil, P), P)
     assert len(reduced) == len(exact)
     for g, r in zip(exact, reduced):
         image = {monomial(e): reduce_scalar(c, P) for e, c in g.terms.items()}

@@ -159,6 +159,39 @@ def test_substitute_identity_and_hom_property():
         assert lhs == rhs
 
 
+def test_substitute_into_fewer_variables():
+    # a quartic-ish polynomial in r1..r4 sent to a chart in (x, y, w), each
+    # image a linear form in 3 variables, checked term by term against the
+    # composition written out with Poly arithmetic
+    r = [Poly.variable(i, 4) for i in range(4)]
+    p = (r[0] * r[1] * r[3]).scale(EC(2, -1)) + (r[3] ** 3).scale(EC(Fraction(1, 3))) \
+        - r[2] * r[2] + r[0].scale(EC(5)) + Poly.const(4, EC(-7))
+    mapping = {
+        0: LinearForm([EC(0)] * 3, EC(1), normalize=False),
+        1: LinearForm.variable(0, 3),
+        2: LinearForm([EC(0), EC(1), EC(0, 1)], normalize=False),
+        3: LinearForm([EC(0), EC(-1), EC(1)], EC(-2), normalize=False),
+    }
+    x, y, w = xyz()
+    one = Poly.const(3, EC(1))
+    images = [one, x, y + w.scale(EC(0, 1)), w - y - one.scale(EC(2))]
+    expect = (images[0] * images[1] * images[3]).scale(EC(2, -1)) \
+        + (images[3] ** 3).scale(EC(Fraction(1, 3))) - images[2] * images[2] \
+        + images[0].scale(EC(5)) + Poly.const(3, EC(-7))
+    out = substitute_affine(p, mapping)
+    assert out.nvars == 3
+    assert out == expect
+    assert substitute_affine(p.to_approx(), mapping).nvars == 3
+
+
+def test_substitute_forms_of_different_arities_raise():
+    p = Poly.variable(0, 2) * Poly.variable(1, 2)
+    with pytest.raises(ArityMismatch):
+        substitute_affine(p, {0: LinearForm.variable(0, 3), 1: LinearForm.variable(1, 2)})
+    with pytest.raises(ArityMismatch):
+        substitute_affine(p, {0: LinearForm.variable(0, 2)})
+
+
 def test_restrict_to_line_basics():
     x, y, _ = xyz()
     p = x * x + y * y

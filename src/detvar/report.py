@@ -87,12 +87,11 @@ def verdict_to_json(verdict: VarietyVerdict) -> dict:
 
 def _hesse_cubic(v: Variety) -> Optional[HesseCubic]:
     """The Hesse form of V when it is cut out by one exact generator of
-    Hesse shape; None otherwise."""
-    gens = v.essential_generators
-    if len(gens) != 1 or v.mode != "exact":
+    Hesse shape; None otherwise.  Expands the minors only in that case."""
+    if v.mode != "exact" or v.essential_count != 1:
         return None
     try:
-        return hesse_reduce(gens[0])
+        return hesse_reduce(v.essential_generators[0])
     except NotHesseShape:
         return None
 
@@ -126,9 +125,9 @@ def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAUL
         "side": side,
         "ppt": ppt_check(work, tol),
         "generators": {
-            "count": len(v.generators),
-            "essential": len(v.essential_generators),
-            "degrees": sorted({g.degree() for g in v.essential_generators}),
+            "count": v.generator_count,
+            "essential": v.essential_count,
+            "degrees": [v.n] if v.essential_count else [],
         },
         "verdict": verdict_to_json(verdict),
         "conclusion": verdict.conclusion,

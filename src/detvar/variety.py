@@ -16,12 +16,20 @@ linearity is necessary, not sufficient, for separability.  A finite V is
 a union of points, hence linear, and an empty V has no points, so
 dimension is certified before any sampling and a V certified finite or
 empty is never sampled.
+
+The symbolic minors are built when something first reads them.  Where a
+certificate can fire on them (m >= 3 and t - n + 1 >= m - 1), a screen
+modulo a prime first shows, from the pencil alone, that every minor is
+nonzero and that some minor is not a monomial; the finiteness
+certificates then read the pencil modulo the same prime, so a V certified
+finite or empty never builds a symbolic minor.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +45,15 @@ from .errors import (
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .factorization import FactorList, linear_factorization
 from .linalg import Matrix, det_exact
-from .modp import EXP_BITS, RANK_PRIME, ModPoly, macaulay_full_rank, reduce_scalar, split_primes
+from .modp import (
+    EXP_BITS,
+    RANK_PRIME,
+    ModPoly,
+    gcd_mod_p,
+    macaulay_full_rank,
+    reduce_scalar,
+    split_primes,
+)
 from .multipoly import (
     INTEGERS,
     CompiledSystem,
@@ -90,9 +106,23 @@ class PencilMatrix:
         self.entry_forms = entry_forms
         self.kind = kind
         self.state = state  # as given, before any swap for side B
+        self._mod_p = None  # (prime, reduced coefficient vectors), found once
 
     def entry_polys(self) -> List[List[Poly]]:
         return [[f.to_poly(self.m, self.kind) for f in row] for row in self.entry_forms]
+
+    def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
+        """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
+        denominator of the pencil, and the coefficient vectors of the
+        entries modulo p.  The minor screen, the line miss and the Macaulay
+        test all read this one reduction."""
+        if self._mod_p is None:
+            for p in split_primes(RANK_PRIME):
+                forms = _pencil_mod_p(self, p)
+                if forms is not None:
+                    self._mod_p = (p, forms)
+                    break
+        return self._mod_p
 
     def __repr__(self):
         return f"PencilMatrix(side={self.side}, {self.n}x{self.t} in {self.m} vars)"
@@ -126,16 +156,23 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
 # ---------------------------------------------------------------------------
 
 class Variety:
-    """Generators plus the Hermitian-form evaluator for one side."""
+    """Generators plus the Hermitian-form evaluator for one side.
+
+    `generators` are the maximal minors of the pencil, in lexicographic
+    column-subset order.  Passed as None, they are expanded (and checked
+    homogeneous of degree n) on first read; `essential_count`, the number
+    of nonzero minors, must then be given, as the minor screen finds it.
+    """
 
     def __init__(self, side: str, m_vars: int, n_minor: int,
-                 generators: List[Poly], pencil: PencilMatrix,
+                 generators: Optional[List[Poly]], pencil: PencilMatrix,
                  state: BipartiteState, mode: str,
-                 structural: Optional[str]):
+                 structural: Optional[str], essential_count: Optional[int] = None):
         self.side = side
         self.m = m_vars
         self.n = n_minor
-        self.generators = generators
+        self._generators = generators
+        self._essential_count = essential_count
         self.pencil = pencil
         self.state = state
         self.mode = mode
@@ -145,6 +182,24 @@ class Variety:
         self._compiled = None        # CompiledSystem of the essential generators
         self._analysis_cache = None  # (peeled forms, CompiledSystem of the rest)
         self._factor_list = None     # exact split of a hypersurface generator
+
+    @property
+    def generators(self) -> List[Poly]:
+        if self._generators is None:
+            self._generators = _pencil_minors(self.pencil)
+        return self._generators
+
+    @property
+    def generator_count(self) -> int:
+        """C(t, n), the number of maximal minors (0 when t < n)."""
+        return comb(self.pencil.t, self.n)
+
+    @property
+    def essential_count(self) -> int:
+        """The number of nonzero minors, expanding none the screen counted."""
+        if self._essential_count is None:
+            self._essential_count = len(self.essential_generators)
+        return self._essential_count
 
     @property
     def essential_generators(self) -> List[Poly]:
@@ -222,7 +277,7 @@ class Variety:
         return self.compiled.residual(point)
 
     def __repr__(self):
-        return (f"Variety(side={self.side}, {len(self.generators)} generators "
+        return (f"Variety(side={self.side}, {self.generator_count} generators "
                 f"of degree {self.n} in CP^{self.m - 1}, mode={self.mode})")
 
 
@@ -241,15 +296,68 @@ def _empty_certificate(gens: List[Poly], m: int) -> bool:
     return pure == set(range(m))
 
 
-def variety_generators(p: PencilMatrix) -> Variety:
-    """Minors of the pencil; short-circuits to Full when t < n."""
-    if p.t < p.n:
-        return Variety(p.side, p.m, p.n, [], p, p.state, p.kind, "Full")
+def _pencil_minors(p: PencilMatrix) -> List[Poly]:
     gens = minors(p.entry_polys(), p.n)
     for g in gens:
         if not g.is_zero() and (not g.is_homogeneous() or g.degree() != p.n):
             raise InconsistentRepresentations(
                 "minor generator is not homogeneous of the pencil size")
+    return gens
+
+
+def _form_at(form: Sequence[int], point: Sequence[int], p: int) -> int:
+    return sum(c * x for c, x in zip(form, point)) % p
+
+
+def _minor_values(forms: List[List[List[int]]], point: Sequence[int],
+                  p: int) -> Iterator[int]:
+    """The values modulo p of the maximal minors of a reduced pencil at a
+    point, in lexicographic column-subset order: its minors on constant
+    entries, by multipoly's Laplace expansion on the integers."""
+    entries = [[{0: x} if (x := _form_at(form, point, p)) else {} for form in row]
+               for row in forms]
+    return (terms.get(0, 0) % p for _, terms in minor_terms(entries, len(forms), INTEGERS))
+
+
+def _minor_screen(p: PencilMatrix) -> bool:
+    """True when, modulo the pencil's prime, every maximal minor is nonzero
+    at a random point and some minor is not a monomial.
+
+    Reduction and evaluation are ring maps, so a nonzero value proves the
+    minor nonzero over Q(i) (for a float pencil, over the dyadic rationals
+    its entries are): V is not Full.  A monomial f satisfies
+    f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
+    fails it is not a monomial, and the monomial test for Empty cannot
+    hold.  False proves nothing; the caller then expands the minors."""
+    prime, forms = p.mod_p()
+    rng = random.Random("minor-screen")
+    r = [rng.randrange(1, prime) for _ in range(p.m)]
+    at_r = list(_minor_values(forms, r, prime))
+    if not all(at_r):
+        return False
+    r2 = [rng.randrange(1, prime) for _ in range(p.m)]
+    rr2 = [a * b % prime for a, b in zip(r, r2)]
+    values = zip(at_r, _minor_values(forms, [1] * p.m, prime),
+                 _minor_values(forms, r2, prime), _minor_values(forms, rr2, prime))
+    return any(f1 * frr2 % prime != fr * fr2 % prime for fr, f1, fr2, frr2 in values)
+
+
+def variety_generators(p: PencilMatrix) -> Variety:
+    """The variety of the pencil's maximal minors; Full when t < n.
+
+    Where a certificate can fire on the minors (m >= 3 and
+    t - n + 1 >= m - 1, the Eagon-Northcott gate of linearity_decide) and
+    the minor screen passes, no minor is expanded here: every one is
+    nonzero and V is neither Full nor Empty by the monomial test, and the
+    minors are built when something reads them.  Elsewhere the sampler
+    needs them all, and they are expanded at once.
+    """
+    if p.t < p.n:
+        return Variety(p.side, p.m, p.n, [], p, p.state, p.kind, "Full")
+    if p.m >= 3 and p.t - p.n + 1 >= p.m - 1 and _minor_screen(p):
+        return Variety(p.side, p.m, p.n, None, p, p.state, p.kind, None,
+                       essential_count=comb(p.t, p.n))
+    gens = _pencil_minors(p)
     structural: Optional[str] = None
     if all(g.is_zero() for g in gens):
         structural = "Full"
@@ -551,24 +659,39 @@ def _point_stream(v: Variety, count: int, seed: int,
                   tol: Tolerance) -> Iterator[Tuple[complex, ...]]:
     """The sampler behind sample_points, yielding each point as soon as it
     is accepted, so a caller can stop at the first one that serves it.
-    Raises SamplingExhausted once the budget runs out short of `count`."""
+    Raises SamplingExhausted once the budget runs out short of `count`.
+
+    A float V whose pencil has numerical rank below n is all of CP^{m-1}
+    to working precision and its minors are rounding noise: random points
+    are drawn and the Hermitian oracle alone accepts them."""
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
+    rng = random.Random(seed)
+    clean = 0.1 * tol.abs_eps  # acceptance bar, well above the polish target
+    found = 0
+    budget = SAMPLING_BUDGET * count
+    if _rank_deficient(v, seed):
+        for _ in range(budget):
+            cand = project_normalize(_random_approx_point(rng, v.m))
+            if v.hermitian_residual(cand) <= clean:
+                found += 1
+                yield cand
+                if found >= count:
+                    return
+        if found < count:
+            raise SamplingExhausted(f"found {found}/{count} points after {budget} draws")
+        return
     _, system = _analysis_system(v)
     agens = system.polys
     if not agens:
         raise SamplingExhausted(
             "variety equals the union of its peeled hyperplanes; nothing left to sample")
-    rng = random.Random(seed)
     first = agens[0]
     hypersurface = len(agens) == 1
-    clean = 0.1 * tol.abs_eps  # acceptance bar, well above the polish target
-    found = 0
 
     def on_variety(cand) -> bool:
         return v.generator_residual(cand) <= clean and v.hermitian_residual(cand) <= clean
 
-    budget = SAMPLING_BUDGET * count
     newton_budget = 20 * count
     for _ in range(budget):
         if found >= count:
@@ -836,22 +959,63 @@ def misses_line(gens: Sequence[Poly], base: Sequence[ExactComplex],
     The affine points base + s*direction are missed when the gcd of the
     restrictions s -> g(base + s*direction) is a nonzero constant; the
     point at infinity, direction itself, is missed when some restriction
-    keeps full degree (its top coefficient is g(direction)).
+    keeps full degree (its top coefficient is g(direction)).  This is the
+    exact test on symbolic minors; the finiteness certificate tries
+    ``_misses_line_mod_p`` on the pencil first and falls back to it.
     """
     common, full_degree = _line_gcd(gens, base, direction)
     return len(common) == 1 and full_degree
 
 
+def _misses_line_mod_p(pencil: PencilMatrix, base: Sequence[ExactComplex],
+                       direction: Sequence[ExactComplex]) -> bool:
+    """True only if the maximal minors of the exact pencil have no common
+    zero on the projective line through base and direction; False proves
+    nothing.
+
+    Modulo the pencil's prime p, each entry L restricted to the line is
+    L(base) + s L(direction), and the n x n minors of that univariate
+    pencil are the reduced restrictions of the minors.  A constant gcd
+    modulo p (modp.gcd_mod_p), with one minor whose s^n coefficient is
+    nonzero modulo p, proves what misses_line tests over Q(i): that
+    coefficient is the minor at direction, so the restriction keeps full
+    degree over Q(i) too, and a gcd of degree >= 1 there would leave a
+    common divisor of the same degree modulo p.  The line's points must
+    have denominators p does not divide, as _random_exact_point's (at
+    most 3) have.
+    """
+    p, forms = pencil.mod_p()
+    b = [reduce_scalar(x, p) for x in base]
+    d = [reduce_scalar(x, p) for x in direction]
+    entries = [[{k: x for k, x in enumerate((_form_at(form, b, p), _form_at(form, d, p))) if x}
+                for form in row] for row in forms]
+    n = pencil.n
+    common: List[int] = []
+    full_degree = False
+    for _, terms in minor_terms(entries, n, INTEGERS):
+        coeffs = [terms.get(k, 0) for k in range(n + 1)]
+        full_degree = full_degree or coeffs[n] % p != 0
+        common = gcd_mod_p(common, coeffs, p)
+        if len(common) == 1 and full_degree:
+            return True
+    return False
+
+
 def _line_miss_certificate(v: Variety, seed: int) -> Optional[FiniteCertificate]:
     """An exact line of CP^2 that V misses, drawn from a stream of its own
     (seeded from the analysis seed, apart from the sampler's); None when
-    every attempt meets V, which proves nothing."""
+    every attempt meets V, which proves nothing.
+
+    Each line is tried modulo the pencil's prime first, with no symbolic
+    minor; only a line that test cannot certify expands the minors for
+    the exact misses_line, so the certificate is the first drawn line V
+    misses either way."""
     rng = random.Random(f"finite-V:{seed}")
-    gens = v.essential_generators
     for _ in range(FINITE_LINE_ATTEMPTS):
         base = tuple(_random_exact_point(rng, v.m))
         direction = tuple(_random_exact_point(rng, v.m))
-        if misses_line(gens, base, direction):
+        if (_misses_line_mod_p(v.pencil, base, direction)
+                or misses_line(v.essential_generators, base, direction)):
             return FiniteCertificate("line_miss", base, direction)
     return None
 
@@ -916,7 +1080,8 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
     with Gaussian-integer coefficients drawn from a stream of its own
     (seeded from the analysis seed, apart from the sampler's), for Finite.
-    A prime dividing a denominator of the pencil is passed over.
+    The prime is the pencil's (PencilMatrix.mod_p), which passes over any
+    prime dividing a denominator of the pencil.
     """
     tests: List[Tuple[str, Optional[Tuple[ExactComplex, ...]]]] = []
     if v.pencil.t - v.n + 1 > v.m - 1:
@@ -927,10 +1092,7 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
                                       for _ in range(v.m - 1))))
     if not tests:
         return None
-    for p in split_primes(RANK_PRIME):
-        forms = _pencil_mod_p(v.pencil, p)
-        if forms is not None:
-            break
+    p, forms = v.pencil.mod_p()
     for tag, h in tests:
         gens = _minors_mod_p(forms if h is None else _restrict_mod_p(forms, h, p), p)
         nvars = v.m if h is None else v.m - 1

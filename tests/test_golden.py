@@ -24,8 +24,12 @@ which is therefore never sampled.  The float case ``random_mixed(3, 3, 3,
 seed=1)`` pins the approximate pathway: Aberth roots on random lines,
 Newton polish and the float witness probe.  ``repro example3`` pins the
 symbolic 4x6 chart reduction: the pencil, its chart substitution, f1, f2
-and the plane cubic g.  Spectra and entropies come from LAPACK, so their
-last digits are pinned for one numpy build.
+and the plane cubic g.  ``repro example1`` (the maximally mixed 3x3
+state, the default ``--m 3 --n 3``) and ``repro example1 --m 4 --n 3``
+pin the monomial path: every minor is a monomial or zero, and a pure
+power of each variable among them leaves V empty with no certificate.
+Spectra and entropies come from LAPACK, so their last digits are pinned
+for one numpy build.
 
 When a change is meant to move a report, rewrite the pinned files with
 
@@ -49,6 +53,8 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 CASES = {
     "example2_t3w": ["repro", "example2", "--t=3w"],
+    "example1": ["repro", "example1"],
+    "example1_4x3": ["repro", "example1", "--m", "4", "--n", "3"],
     "example3": ["repro", "example3"],
     "gaussian_3x4_r4": ["analyze", str(GOLDEN / "gaussian_3x4_r4.state.json"), "--seed", "42"],
     "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],

@@ -1,0 +1,141 @@
+"""The line miss modulo a prime against the exact test on symbolic minors.
+
+``variety._misses_line_mod_p`` decides, from the pencil reduced modulo a
+prime, that the maximal minors have no common zero on an exact line;
+``variety.misses_line`` decides the same over Q(i) from the expanded
+minors.  A modular "miss" must always be an exact miss, whatever the
+prime: at the pencil's own prime the two must agree on every line drawn
+here, and at the small primes 13 and 17, where unlucky reductions are
+common, a modular miss must still be an exact one.
+
+The lines are random exact lines on separable and Gaussian-rational
+pencils of shapes 3x3 t4/t5 and 3x4 t5/t6, lines through an exact point
+of V, lines whose direction is a point of V (the point at infinity of the
+line is then on V, and only the full-degree condition sees it), and lines
+inside the zero set of some minors (their restrictions vanish).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from detvar.multipoly import restrict_to_line
+from detvar.scalars import ExactComplex
+from detvar.states import BipartiteState, random_separable
+from detvar.variety import (
+    _misses_line_mod_p,
+    _pencil_mod_p,
+    _random_exact_point,
+    membership,
+    misses_line,
+    variety_of_state,
+)
+
+EC = ExactComplex
+F = Fraction
+
+
+def _gaussian_state(m, n, t, seed):
+    rng = random.Random(seed)
+    ensemble = [(F(1, t),
+                 tuple(EC(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])),
+                          F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])))
+                       for _ in range(m * n)))
+                for _ in range(t)]
+    return BipartiteState(m, n, ensemble=ensemble)
+
+
+def _side_a_factor(vec, m, n):
+    """a, up to scale, for a product ray vec = a (x) b."""
+    k = next(k for k in range(n) if any(not vec[i * n + k].is_zero() for i in range(m)))
+    return [vec[i * n + k] for i in range(m)]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+SHAPES = [(3, 3, 4), (3, 3, 5), (3, 4, 5), (3, 4, 6)]
+
+
+def _pencil_lines():
+    """(label, state, [(base, direction)]) for every case."""
+    cases = []
+    for m, n, t in SHAPES:
+        for seed in (1, 2):
+            rng = random.Random(f"lines:{m}{n}{t}:{seed}")
+            lines = [(tuple(_random_exact_point(rng, m)), tuple(_random_exact_point(rng, m)))
+                     for _ in range(5)]
+            cases.append((f"separable {m}x{n} t{t} #{seed}",
+                          random_separable(m, n, t, seed=seed), lines))
+            cases.append((f"gaussian {m}x{n} t{t} #{seed}",
+                          _gaussian_state(m, n, t, seed), lines))
+    # separable 3x3 t4: r = a_1 x a_2 kills pencil columns 1 and 2, so r is
+    # on V; lines through r, lines with direction r, and lines inside the
+    # plane a_1 . r = 0, where every minor through column 1 vanishes
+    for seed in (1, 6):
+        st = random_separable(3, 3, 4, seed=seed)
+        a = [_side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
+        r = _cross(a[0], a[1])
+        rng = random.Random(f"special:{seed}")
+        lines = []
+        for _ in range(4):
+            q = tuple(_random_exact_point(rng, 3))
+            lines += [(r, q), (q, r)]
+        for _ in range(4):
+            p = _cross(a[0], _random_exact_point(rng, 3))
+            q = _cross(a[0], _random_exact_point(rng, 3))
+            lines.append((p, q))
+        cases.append((f"special separable 3x3 t4 #{seed}", st, lines))
+    return cases
+
+
+CASES = _pencil_lines()
+
+
+def test_cases_cover_a_hundred_lines_and_both_answers():
+    v_lines = [(variety_of_state(st), lines) for _, st, lines in CASES]
+    assert sum(len(lines) for _, lines in v_lines) >= 100
+    answers = {misses_line(v.essential_generators, b, d) for v, lines in v_lines
+               for b, d in lines}
+    assert answers == {True, False}
+    vanishing = sum(any(restrict_to_line(g, b, d).is_zero() for g in v.essential_generators)
+                    for v, lines in v_lines for b, d in lines)
+    assert vanishing >= 8
+
+
+@pytest.mark.parametrize("label,state,lines", CASES, ids=[c[0] for c in CASES])
+def test_modular_line_miss_agrees_with_the_exact_test(label, state, lines):
+    v = variety_of_state(state)
+    for base, direction in lines:
+        exact = misses_line(v.essential_generators, base, direction)
+        assert _misses_line_mod_p(v.pencil, base, direction) == exact, (base, direction)
+
+
+@pytest.mark.parametrize("prime", [13, 17])
+@pytest.mark.parametrize("label,state,lines", CASES, ids=[c[0] for c in CASES])
+def test_a_modular_miss_is_an_exact_miss_at_small_primes(label, state, lines, prime):
+    v = variety_of_state(state)
+    forms = _pencil_mod_p(v.pencil, prime)
+    if forms is None:
+        pytest.skip(f"{prime} divides a denominator of the pencil")
+    v.pencil._mod_p = (prime, forms)
+    for base, direction in lines:
+        if _misses_line_mod_p(v.pencil, base, direction):
+            assert misses_line(v.essential_generators, base, direction), (base, direction)
+
+
+def test_a_direction_on_v_is_caught_by_the_full_degree_condition():
+    # every restriction drops degree at the point at infinity r; the gcd of
+    # the affine part alone would call such a line missed
+    st = random_separable(3, 3, 4, seed=1)
+    v = variety_of_state(st)
+    a = [_side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
+    r = _cross(a[0], a[1])
+    assert membership(v, r)
+    rng = random.Random(5)
+    for _ in range(5):
+        base = tuple(_random_exact_point(rng, 3))
+        assert not _misses_line_mod_p(v.pencil, base, r)
+        assert not misses_line(v.essential_generators, base, r)

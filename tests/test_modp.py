@@ -4,7 +4,8 @@ The rank modulo p is pinned against the exact rank over Q(i), including a
 matrix that only loses rank modulo p: full rank there is a proof, a rank
 short of full is not.  Reduction is pinned on Gaussian rationals (a
 denominator divisible by p is refused, and the certificate moves to the
-next prime) and on floats, which reduce exactly as dyadic rationals.
+next prime) and on floats, which reduce exactly as dyadic rationals.  The
+univariate gcd modulo p is pinned on small products of linear factors.
 """
 
 import random
@@ -16,6 +17,7 @@ from detvar import modp
 from detvar.linalg import Matrix, rank_exact
 from detvar.modp import (
     RANK_PRIME,
+    gcd_mod_p,
     macaulay_full_rank,
     monomial,
     rank_mod_p,
@@ -154,8 +156,6 @@ def test_a_denominator_divisible_by_p_moves_to_the_next_prime(monkeypatch):
     base = random_separable(4, 4, 6, seed=1)
     scaled = [(w, tuple(x * EC(Fraction(1, P)) for x in vec)) if k == 2 else (w, vec)
               for k, (w, vec) in enumerate(base.ensemble)]
-    v = variety_of_state(BipartiteState(4, 4, ensemble=scaled))
-    assert _pencil_mod_p(v.pencil, P) is None
     tried = []
     walk = modp.split_primes
 
@@ -164,7 +164,34 @@ def test_a_denominator_divisible_by_p_moves_to_the_next_prime(monkeypatch):
             tried.append(p)
             yield p
 
+    # the walk runs once per pencil, at the first reader of the reduction:
+    # here the minor screen inside variety_of_state
     monkeypatch.setattr("detvar.variety.split_primes", spy)
+    v = variety_of_state(BipartiteState(4, 4, ensemble=scaled))
+    assert _pencil_mod_p(v.pencil, P) is None
     tag, cert = _macaulay_certificate(v, 42)
     assert tag == "Finite"
     assert tried == [P, next(walk(P + 1))] and cert.prime == tried[1]
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [13, RANK_PRIME])
+def test_gcd_mod_p_of_products_of_linear_factors(p):
+    def lin(root):  # s - root
+        return [-root % p, 1]
+
+    f = _times(_times(lin(1), lin(2), p), lin(2), p)
+    g = _times(_times(lin(2), lin(2), p), lin(5), p)
+    assert gcd_mod_p(f, g, p) == _times(lin(2), lin(2), p)
+    assert gcd_mod_p(f, _times(lin(3), lin(4), p), p) == [1]
+    # scaled, with trailing zero coefficients, and against zero
+    assert gcd_mod_p([7 * c for c in lin(6)] + [0, 0], [0], p) == lin(6)
+    assert gcd_mod_p([], [0, 0], p) == []
+    assert gcd_mod_p([5], [], p) == [1]

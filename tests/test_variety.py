@@ -12,6 +12,7 @@ from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.states import (
     BipartiteState,
     LocalUnitaryPair,
+    apply_local_unitary,
     ensemble_from_density,
     random_local_unitary,
     random_mixed,
@@ -301,6 +302,22 @@ def test_covariance_does_not_take_noise_minors_for_an_empty_side():
     pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
     res = verify_lu_covariance(random_mixed(3, 3, 5, seed=0), pair)
     assert not res.ok
+
+
+def test_float_v_of_low_numerical_rank_is_sampled_and_covariant():
+    # side-B rows r1, r2, r1 + r2 on the state itself: every point of CP^2
+    # is on V to working precision, so the sampler draws random points and
+    # the Hermitian oracle accepts them, and covariance is measured on both
+    # sides (sampling exhausted after 500 line draws before)
+    rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+    pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
+    state = apply_local_unitary(random_mixed(3, 3, 5, seed=0), pair)
+    v = variety_of_state(state)
+    pts = sample_points(v, 5, 42)
+    assert len(pts) == 5
+    assert all(v.hermitian_residual(p) <= 0.1 * DEFAULT_TOL.abs_eps for p in pts)
+    res = verify_lu_covariance(state, random_local_unitary(3, 3, seed=1), samples=3)
+    assert res.ok and res.checked > 0
 
 
 def test_project_normalize_rules():

@@ -66,7 +66,7 @@ class Matrix:
         a = np.asarray(array_like, dtype=complex)
         if a.ndim != 2:
             raise DimensionMismatch("approx matrix needs a 2-d array")
-        return Matrix(a.shape[0], a.shape[1], [complex(x) for x in a.ravel()], "approx")
+        return Matrix(a.shape[0], a.shape[1], a.ravel().tolist(), "approx")
 
     @staticmethod
     def zeros(rows: int, cols: int, kind: str = "exact") -> "Matrix":

@@ -334,6 +334,11 @@ class CompiledSystem:
     Poly.evaluation_scale and to_approx().derivative(i).evaluate exactly:
     the coefficient first, then each power in variable order, taken from a
     per-point table of Python's own ``**``, summed term by term.
+
+    One table per point (``table``) serves values, scales, Jacobian and
+    gradient; nothing is cached on the point, as 0.0 == -0.0 while their
+    powers differ in the sign of zero.  All of it is Python float
+    arithmetic: numpy's complex multiply may fuse a multiply and an add.
     """
 
     __slots__ = ("polys", "nvars", "_terms", "_partials", "_top")
@@ -346,7 +351,8 @@ class CompiledSystem:
         self._top = [max((p.degree_in(i) for p in self.polys), default=0)
                      for i in range(nvars)]
 
-    def _tables(self, point: Sequence):
+    def table(self, point: Sequence):
+        """The powers z_i ** k and |z_i| ** k every evaluation at point reads."""
         pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
         pw = [[z ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
         apw = [[abs(z) ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
@@ -362,13 +368,15 @@ class CompiledSystem:
         return acc
 
     @staticmethod
-    def _scale(terms, apw) -> float:
-        acc = 0.0
-        for _, a, mono in terms:
+    def _value_scale(terms, pw, apw) -> Tuple[complex, float]:
+        acc, sacc = 0j, 0.0
+        for c, a, mono in terms:
             for i, k in mono:
+                c *= pw[i][k]
                 a *= apw[i][k]
-            acc += a
-        return acc
+            acc += c
+            sacc += a
+        return acc, sacc
 
     def _partial_terms(self):
         if self._partials is None:
@@ -376,34 +384,34 @@ class CompiledSystem:
                                for i in range(self.nvars)] for p in self.polys]
         return self._partials
 
-    def values_scales(self, point: Sequence) -> Tuple[List[complex], List[float]]:
-        pw, apw = self._tables(point)
-        return ([self._value(t, pw) for t in self._terms],
-                [self._scale(t, apw) for t in self._terms])
+    def values_scales(self, point: Sequence, table=None) -> Tuple[List[complex], List[float]]:
+        pw, apw = table or self.table(point)
+        pairs = [self._value_scale(terms, pw, apw) for terms in self._terms]
+        return [val for val, _ in pairs], [scale for _, scale in pairs]
 
-    def residual(self, point: Sequence) -> float:
+    def residual(self, point: Sequence, table=None) -> float:
         """Worst |value| / scale over the system (0.0 when it is empty)."""
         worst = 0.0
-        for val, scale in zip(*self.values_scales(point)):
+        for val, scale in zip(*self.values_scales(point, table)):
             worst = max(worst, abs(val) / max(scale, 1e-300))
         return worst
 
-    def jacobian(self, point: Sequence, cols: Sequence[int]) -> List[List[complex]]:
-        """Rows d p / d x_i for i in cols, each divided by the scale of p."""
-        pw, apw = self._tables(point)
-        rows = []
-        for terms, partials in zip(self._terms, self._partial_terms()):
-            scale = max(self._scale(terms, apw), 1e-300)
-            rows.append([self._value(partials[i], pw) / scale for i in cols])
-        return rows
+    def jacobian(self, point: Sequence, cols: Sequence[int], table=None,
+                 scales: Optional[Sequence[float]] = None) -> List[List[complex]]:
+        """Rows d p / d x_i for i in cols, each divided by the scale of p
+        (from ``scales``, as values_scales gives them, if passed)."""
+        table = table or self.table(point)
+        if scales is None:
+            _, scales = self.values_scales(point, table)
+        return [[self._value(partials[i], table[0]) / max(scale, 1e-300) for i in cols]
+                for partials, scale in zip(self._partial_terms(), scales)]
 
-    def gradient(self, k: int, point: Sequence) -> Tuple[List[complex], float]:
+    def gradient(self, k: int, point: Sequence, table=None) -> Tuple[List[complex], float]:
         """Gradient of polynomial k and the largest scale of its partials
         (at least 1e-300)."""
-        pw, apw = self._tables(point)
-        partials = self._partial_terms()[k]
-        return ([self._value(t, pw) for t in partials],
-                max(max(self._scale(t, apw) for t in partials), 1e-300))
+        pw, apw = table or self.table(point)
+        grad, scales = zip(*(self._value_scale(t, pw, apw) for t in self._partial_terms()[k]))
+        return list(grad), max(max(scales), 1e-300)
 
 
 # ---------------------------------------------------------------------------

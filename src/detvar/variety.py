@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,6 +182,7 @@ class Variety:
         self._compiled = None        # CompiledSystem of the essential generators
         self._analysis_cache = None  # (peeled forms, CompiledSystem of the rest)
         self._factor_list = None     # exact split of a hypersurface generator
+        self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
 
     @property
     def generators(self) -> List[Poly]:
@@ -231,7 +232,8 @@ class Variety:
         return self._blocks_approx, False
 
     def hermitian_matrix(self, point: Sequence):
-        """M(r) = sum_ij r_i conj(r_j) rho_ij; exact when possible."""
+        """M(r) = sum_ij r_i conj(r_j) rho_ij: an exact Matrix for an exact
+        point on an exact state, else a complex numpy array."""
         want_exact = self.mode == "exact" and all(
             isinstance(x, ExactComplex) for x in point)
         blocks, exact = self._state_blocks(want_exact)
@@ -254,24 +256,20 @@ class Variety:
         pt = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
                        for x in point])
         w = np.einsum("i,j->ij", pt, pt.conj())
-        mat = np.einsum("ij,irjc->rc", w, blocks)
-        return Matrix.approx(mat)
+        return np.einsum("ij,irjc->rc", w, blocks)
 
     def hermitian_value(self, point: Sequence):
         mat = self.hermitian_matrix(point)
-        if mat.kind == "exact":
+        if isinstance(mat, Matrix):
             return det_exact(mat)
-        return complex(np.linalg.det(mat.to_numpy()))
+        return complex(np.linalg.det(mat))
 
     def hermitian_residual(self, point: Sequence) -> float:
-        """|det M(r)| relative to the Hadamard bound of M(r)."""
+        """|det M(r)| relative to the Hadamard bound of M(r) (_hadamard_ratio).
+        A float M(r) goes from einsum straight to det, and every float step
+        stays in numpy, whose complex multiply may fuse where Python's won't."""
         mat = self.hermitian_matrix(point)
-        arr = mat.to_numpy()
-        det = complex(np.linalg.det(arr))
-        bound = 1.0
-        for k in range(arr.shape[0]):
-            bound *= max(float(np.linalg.norm(arr[k])), 1e-300)
-        return abs(det) / bound
+        return _hadamard_ratio(mat.to_numpy() if isinstance(mat, Matrix) else mat)
 
     def generator_residual(self, point: Sequence) -> float:
         return self.compiled.residual(point)
@@ -279,6 +277,25 @@ class Variety:
     def __repr__(self):
         return (f"Variety(side={self.side}, {self.generator_count} generators "
                 f"of degree {self.n} in CP^{self.m - 1}, mode={self.mode})")
+
+
+def _hadamard_ratio(arr: np.ndarray) -> float:
+    """|det arr| over the product of its row norms (np.linalg.norm's own
+    formula), each at least 1e-300.  Where that product underflows, a zero
+    row reads 0.0 and other rows are first scaled to unit max modulus,
+    which leaves the ratio as it was and keeps det and bound in range."""
+    det = complex(np.linalg.det(arr))
+    bound = 1.0
+    for row in arr:
+        re, im = row.real, row.imag
+        bound *= max(sqrt(re.dot(re) + im.dot(im)), 1e-300)
+    if bound != 0.0:
+        return abs(det) / bound
+    peaks = np.abs(arr).max(axis=1, keepdims=True)
+    if not peaks.all():
+        return 0.0
+    # divided as real pairs: numpy's complex division overflows on a subnormal
+    return _hadamard_ratio((arr.view(float) / peaks).view(complex))
 
 
 def _empty_certificate(gens: List[Poly], m: int) -> bool:
@@ -437,34 +454,34 @@ def _random_approx_point(rng: random.Random, m: int) -> List[complex]:
 def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
                    ) -> Optional[Tuple[complex, ...]]:
     """Damped Gauss-Newton on a generator system in the chart that pins the
-    max-modulus coordinate."""
+    max-modulus coordinate; each point's table and scales serve its Jacobian."""
     m = system.nvars
     z = list(project_normalize(z0))
     pin = max(range(m), key=lambda i: abs(z[i]))
     free = [i for i in range(m) if i != pin]
 
     def fvec(zz):
-        vals, scales = system.values_scales(zz)
-        return np.array([val / max(scale, 1e-300) for val, scale in zip(vals, scales)])
+        table = system.table(zz)
+        vals, scales = system.values_scales(zz, table)
+        f = np.array([val / max(scale, 1e-300) for val, scale in zip(vals, scales)])
+        return f, float(np.linalg.norm(f)), table, scales
 
     target = 1e-3 * tol.abs_eps
-    f = fvec(z)
+    f, fnorm, table, scales = fvec(z)
     for _ in range(NEWTON_MAX_STEPS):
         if float(np.max(np.abs(f))) <= target:
             return tuple(z)
-        jac = np.array(system.jacobian(z, free), dtype=complex)
+        jac = np.array(system.jacobian(z, free, table, scales), dtype=complex)
         step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        improved = False
         for damp in range(9):
             cand = list(z)
             for ci, i in enumerate(free):
                 cand[i] = z[i] + step[ci] / (2 ** damp)
-            fc = fvec(cand)
-            if float(np.linalg.norm(fc)) < float(np.linalg.norm(f)):
-                z, f = cand, fc
-                improved = True
+            fc, nc, tc, sc = fvec(cand)
+            if nc < fnorm:
+                z, f, fnorm, table, scales = cand, fc, nc, tc, sc
                 break
-        if not improved:
+        else:
             break
     if float(np.max(np.abs(f))) <= target:
         return tuple(z)
@@ -689,8 +706,9 @@ def _point_stream(v: Variety, count: int, seed: int,
     first = agens[0]
     hypersurface = len(agens) == 1
 
-    def on_variety(cand) -> bool:
-        return v.generator_residual(cand) <= clean and v.hermitian_residual(cand) <= clean
+    def on_variety(cand) -> bool:  # the analysis system was just checked at cand
+        return ((system is v.compiled or v.generator_residual(cand) <= clean)
+                and v.hermitian_residual(cand) <= clean)
 
     newton_budget = 20 * count
     for _ in range(budget):
@@ -789,13 +807,14 @@ def tangent_form(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> L
     point = project_normalize(point)
     pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
     _, system = _analysis_system(v)
-    vals, scales = system.values_scales(pt)
+    table = system.table(pt)
+    vals, scales = system.values_scales(pt, table)
     candidates = [(system, k) for k, (val, scale) in enumerate(zip(vals, scales))
                   if abs(val) <= tol.abs_eps * max(scale, 1e-300)]
     candidates += [(v.compiled, k) for k, g in enumerate(v.essential_generators)
                    if g not in system.polys]
     for compiled, k in candidates:
-        grad, scale = compiled.gradient(k, pt)
+        grad, scale = compiled.gradient(k, pt, table if compiled is system else None)
         norm = max(abs(x) for x in grad)
         if norm > WITNESS_FACTOR * tol.abs_eps * scale:
             top = max(range(v.m), key=lambda i: abs(grad[i]))
@@ -843,17 +862,18 @@ def _kernel_directions(v: Variety, pt: List[complex], tol: Tolerance
     _, system = _analysis_system(v)
     if not system.polys:
         system = v.compiled
+    table = system.table(pt)
     for k in range(len(system.polys)):
-        grad, gscale = system.gradient(k, pt)
+        grad, gscale = system.gradient(k, pt, table)
         if max(abs(x) for x in grad) > WITNESS_FACTOR * tol.abs_eps * gscale:
             break
     else:
         # every generator is singular here (e.g. a component crossing);
         # tangent containment is not a valid test at such points
         return None
-    floor = max(100.0 * system.residual(pt), 1e-14)
+    floor = max(100.0 * system.residual(pt, table), 1e-14)
     cols = range(v.m)
-    _, s1, vh = np.linalg.svd(np.array(system.jacobian(pt, cols), dtype=complex))
+    _, s1, vh = np.linalg.svd(np.array(system.jacobian(pt, cols, table), dtype=complex))
     rank = _gap_rank(s1, v.m, floor)
     if rank is None or rank == 0:
         return None
@@ -898,8 +918,7 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
         norm = float(np.linalg.norm(combo))
         if norm < 1e-12:
             continue
-        q = np.array(pt) + radius * combo / norm
-        q = project_normalize(tuple(complex(z) for z in q))
+        q = project_normalize((np.array(pt) + radius * combo / norm).tolist())
         res = v.hermitian_residual(q)
         if res > threshold and (best is None or res > best[1]):
             best = (q, res)
@@ -1057,16 +1076,19 @@ def _rank_deficient(v: Variety, seed: int) -> bool:
     point drawn from a stream of its own (seeded from the analysis seed),
     has a clean numerical rank below n.  Then every minor vanishes to
     working precision: V is all of CP^{m-1}, what is left of the minors
-    is rounding noise, and no certificate may be read off it."""
+    is rounding noise, and no certificate may be read off it.  Decided
+    once per variety and seed, however many callers ask."""
     if v.mode == "exact":
         return False
-    pencil = v.pencil
-    rng = random.Random(f"rank:{seed}")
-    r = _random_approx_point(rng, pencil.m)
-    mat = np.array([[form.evaluate(r) for form in row] for row in pencil.entry_forms],
-                   dtype=complex)
-    rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), pencil.n)
-    return rank is not None and rank < pencil.n
+    if seed not in v._rank_memo:
+        pencil = v.pencil
+        rng = random.Random(f"rank:{seed}")
+        r = _random_approx_point(rng, pencil.m)
+        mat = np.array([[form.evaluate(r) for form in row] for row in pencil.entry_forms],
+                       dtype=complex)
+        rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), pencil.n)
+        v._rank_memo[seed] = rank is not None and rank < pencil.n
+    return v._rank_memo[seed]
 
 
 def _macaulay_certificate(v: Variety, seed: int, finite: bool = True

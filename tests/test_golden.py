@@ -21,8 +21,12 @@ rank-7 ensemble (``gaussian_rational_ensemble(4, 4, 7,
 random.Random(1))``), whose variety is empty, and the float ensemble
 ``random_mixed(3, 4, 5, seed=1)``, whose variety is finite as given and
 which is therefore never sampled.  The float case ``random_mixed(3, 3, 3,
-seed=1)`` pins the approximate pathway: Aberth roots on random lines,
-Newton polish and the float witness probe.  ``repro example3`` pins the
+seed=1)`` pins the approximate pathway on a hypersurface: Aberth roots on
+random lines and the float witness probe.  ``random_mixed(4, 4, 5,
+seed=1)`` (``mixed_4x4_r5``) and the same state given as its density
+(``mixed_density_4x4_r5``, analysed on its spectral ensemble) pin Newton
+polish on a float system of five quartic minors in four variables; both
+end in a NonlinearWitness.  ``repro example3`` pins the
 symbolic 4x6 chart reduction: the pencil, its chart substitution, f1, f2
 and the plane cubic g.  ``repro example1`` (the maximally mixed 3x3
 state, the default ``--m 3 --n 3``) and ``repro example1 --m 4 --n 3``
@@ -67,6 +71,9 @@ CASES = {
     "mixed_3x3_r3": ["analyze", str(GOLDEN / "mixed_3x3_r3.state.json"), "--seed", "42"],
     "gaussian_4x4_r7": ["analyze", str(GOLDEN / "gaussian_4x4_r7.state.json"), "--seed", "42"],
     "mixed_3x4_r5": ["analyze", str(GOLDEN / "mixed_3x4_r5.state.json"), "--seed", "42"],
+    "mixed_4x4_r5": ["analyze", str(GOLDEN / "mixed_4x4_r5.state.json"), "--seed", "42"],
+    "mixed_density_4x4_r5": ["analyze", str(GOLDEN / "mixed_density_4x4_r5.state.json"),
+                             "--seed", "42"],
 }
 
 

@@ -320,6 +320,35 @@ def test_float_v_of_low_numerical_rank_is_sampled_and_covariant():
     assert res.ok and res.checked > 0
 
 
+def _unit(i, dim=3):
+    return [EC(int(j == i)) for j in range(dim)]
+
+
+def _product(a, b):
+    return tuple(x * y for x in a for y in b)
+
+
+def test_hermitian_residual_when_its_bound_underflows():
+    # a_u (x) e_1 with a_u = e_1, e_2, e_1 + e_2 + e_3: M(r) has two zero
+    # rows, so the bound (1e-300)^2 underflows to 0.0 (ZeroDivisionError
+    # before); M(r) is singular and r is on V, on both float and exact points
+    rays = [_unit(0), _unit(1), [EC(1)] * 3]
+    s = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(a, _unit(0))) for a in rays],
+                       validate=False)
+    v = variety_of_state(s)
+    assert v.hermitian_residual((1, 0.5j, 0.25)) == 0.0
+    assert v.hermitian_residual((EC(1), EC(0, F(1, 2)), EC(F(1, 4)))) == 0.0
+    # M(r) = diag(|r_i|^2) / 3 is nonsingular, with rows small enough that
+    # the product of their norms, or det itself, underflows: the ratio of
+    # a diagonal matrix is 1
+    diag = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(_unit(i), _unit(i)))
+                                          for i in range(3)])
+    vd = variety_of_state(diag)
+    for point in [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160)]:
+        assert vd.hermitian_residual(point) == pytest.approx(1.0, rel=1e-12)
+    assert vd.hermitian_residual((1, 2, 3)) == 1.0
+
+
 def test_project_normalize_rules():
     p = project_normalize((0.5j, -2.0 + 0j, 1.0 + 0j))
     assert p[1] == 1.0 + 0j  # max modulus wins

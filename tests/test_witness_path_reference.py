@@ -1,0 +1,290 @@
+"""The float evaluations of the witness path against the code they replaced.
+
+This file keeps, verbatim, the evaluators the sampler, Newton and the
+witness probes ran before one power table per point served values,
+scales, Jacobian and gradient: ``CompiledSystem``'s ``values_scales``,
+``residual``, ``jacobian`` and ``gradient`` (with the ``_tables``,
+``_value`` and ``_scale`` they called), ``_newton_polish``, and
+``Variety.hermitian_residual`` with the ``hermitian_matrix`` it read
+through a ``Matrix`` round trip and ``np.linalg.norm``.  Every result of
+the current code must equal theirs in every bit (``float.hex``), on at
+least 200 points or starts per case: float and Gaussian-rational states on
+sides A and B, a 4x4 rank-5 float state with five quartic minors in four
+variables, points with signed zeros and exact points.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from detvar.linalg import Matrix
+from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
+from detvar.statefile import load_state
+from detvar.states import ensemble_from_density, random_mixed
+from detvar.variety import (
+    NEWTON_MAX_STEPS,
+    _analysis_system,
+    _newton_polish,
+    project_normalize,
+    sample_points,
+    variety_of_state,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+COUNT = 200
+
+
+# ---------------------------------------------------------------------------
+# The reference (verbatim, over a live system's flat terms)
+# ---------------------------------------------------------------------------
+
+class ReferenceSystem:
+    def __init__(self, cs):
+        self.nvars = cs.nvars
+        self._terms = cs._terms
+        self._top = cs._top
+        self._partial_terms = cs._partial_terms
+
+    def _tables(self, point):
+        pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
+        pw = [[z ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
+        apw = [[abs(z) ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
+        return pw, apw
+
+    @staticmethod
+    def _value(terms, pw) -> complex:
+        acc = 0j
+        for c, _, mono in terms:
+            for i, k in mono:
+                c *= pw[i][k]
+            acc += c
+        return acc
+
+    @staticmethod
+    def _scale(terms, apw) -> float:
+        acc = 0.0
+        for _, a, mono in terms:
+            for i, k in mono:
+                a *= apw[i][k]
+            acc += a
+        return acc
+
+    def values_scales(self, point):
+        pw, apw = self._tables(point)
+        return ([self._value(t, pw) for t in self._terms],
+                [self._scale(t, apw) for t in self._terms])
+
+    def residual(self, point) -> float:
+        worst = 0.0
+        for val, scale in zip(*self.values_scales(point)):
+            worst = max(worst, abs(val) / max(scale, 1e-300))
+        return worst
+
+    def jacobian(self, point, cols):
+        pw, apw = self._tables(point)
+        rows = []
+        for terms, partials in zip(self._terms, self._partial_terms()):
+            scale = max(self._scale(terms, apw), 1e-300)
+            rows.append([self._value(partials[i], pw) / scale for i in cols])
+        return rows
+
+    def gradient(self, k, point):
+        pw, apw = self._tables(point)
+        partials = self._partial_terms()[k]
+        return ([self._value(t, pw) for t in partials],
+                max(max(self._scale(t, apw) for t in partials), 1e-300))
+
+
+def reference_newton_polish(system, z0, tol):
+    m = system.nvars
+    z = list(project_normalize(z0))
+    pin = max(range(m), key=lambda i: abs(z[i]))
+    free = [i for i in range(m) if i != pin]
+
+    def fvec(zz):
+        vals, scales = system.values_scales(zz)
+        return np.array([val / max(scale, 1e-300) for val, scale in zip(vals, scales)])
+
+    target = 1e-3 * tol.abs_eps
+    f = fvec(z)
+    for _ in range(NEWTON_MAX_STEPS):
+        if float(np.max(np.abs(f))) <= target:
+            return tuple(z)
+        jac = np.array(system.jacobian(z, free), dtype=complex)
+        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        improved = False
+        for damp in range(9):
+            cand = list(z)
+            for ci, i in enumerate(free):
+                cand[i] = z[i] + step[ci] / (2 ** damp)
+            fc = fvec(cand)
+            if float(np.linalg.norm(fc)) < float(np.linalg.norm(f)):
+                z, f = cand, fc
+                improved = True
+                break
+        if not improved:
+            break
+    if float(np.max(np.abs(f))) <= target:
+        return tuple(z)
+    return None
+
+
+def reference_hermitian_matrix(v, point):
+    want_exact = v.mode == "exact" and all(
+        isinstance(x, ExactComplex) for x in point)
+    blocks, exact = v._state_blocks(want_exact)
+    m, n = v.m, v.n
+    if exact:
+        acc = [[EC_ZERO] * n for _ in range(n)]
+        for i in range(m):
+            if point[i].is_zero():
+                continue
+            for j in range(m):
+                if point[j].is_zero():
+                    continue
+                w = point[i] * point[j].conjugate()
+                bij = blocks[i][j]
+                for r in range(n):
+                    for c in range(n):
+                        if not bij[r][c].is_zero():
+                            acc[r][c] = acc[r][c] + w * bij[r][c]
+        return Matrix.exact(acc)
+    pt = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
+                   for x in point])
+    w = np.einsum("i,j->ij", pt, pt.conj())
+    mat = np.einsum("ij,irjc->rc", w, blocks)
+    return Matrix(mat.shape[0], mat.shape[1], [complex(x) for x in mat.ravel()], "approx")
+
+
+def reference_hermitian_residual(v, point):
+    mat = reference_hermitian_matrix(v, point)
+    arr = mat.to_numpy()
+    det = complex(np.linalg.det(arr))
+    bound = 1.0
+    for k in range(arr.shape[0]):
+        bound *= max(float(np.linalg.norm(arr[k])), 1e-300)
+    return abs(det) / bound
+
+
+# ---------------------------------------------------------------------------
+# Cases and points
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    """x with every float replaced by its float.hex, complex parts apart."""
+    if x is None:
+        return None
+    if isinstance(x, (list, tuple)):
+        return [bits(y) for y in x]
+    if isinstance(x, (complex, np.complexfloating)):
+        return (float(x.real).hex(), float(x.imag).hex())
+    return float(x).hex()
+
+
+def _spectral(s):
+    return ensemble_from_density(s.density_matrix(), s.m, s.n)
+
+
+CASES = {
+    "float 3x3 r3 A": lambda: variety_of_state(random_mixed(3, 3, 3, seed=1), "A"),
+    "float 3x3 r3 B": lambda: variety_of_state(random_mixed(3, 3, 3, seed=1), "B"),
+    "gaussian 3x4 r4 A": lambda: variety_of_state(
+        load_state(str(GOLDEN / "gaussian_3x4_r4.state.json")), "A"),
+    "gaussian 3x4 r4 B": lambda: variety_of_state(
+        load_state(str(GOLDEN / "gaussian_3x4_r4.state.json")), "B"),
+    "float 4x4 r5 A": lambda: variety_of_state(random_mixed(4, 4, 5, seed=1), "A"),
+    "float 4x4 r5 B": lambda: variety_of_state(random_mixed(4, 4, 5, seed=1), "B"),
+    "density 4x4 r5 A": lambda: variety_of_state(_spectral(
+        load_state(str(GOLDEN / "mixed_density_4x4_r5.state.json"))), "A"),
+}
+
+SIGNED_ZEROS = (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                complex(-0.0, -0.0))
+
+
+def witness_points(v, rng: random.Random):
+    """COUNT points: Gaussian ones, sampled points of V moved off it by
+    steps of 1e-3 to 1e-12, ones with signed-zero coordinates or parts,
+    and exact ones."""
+    m = v.m
+    on_v = sample_points(v, 4, seed=7)
+    pts = []
+    while len(pts) < COUNT:
+        kind = len(pts) % 5
+        z = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
+        if kind == 1:
+            eps = 10.0 ** -rng.randint(3, 12)
+            z = [x + eps * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for x in rng.choice(on_v)]
+        elif kind == 2:
+            for i in rng.sample(range(m), rng.randint(1, m - 1)):
+                z[i] = rng.choice(SIGNED_ZEROS)
+        elif kind == 3:
+            z = [complex(x.real, -0.0) if rng.random() < 0.5 else complex(-0.0, x.imag)
+                 for x in z]
+        elif kind == 4:
+            z = [ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
+                              Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+                 for _ in range(m)]
+            if all(x.is_zero() for x in z):
+                continue
+        pts.append(tuple(z))
+    return pts
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_compiled_system_matches_reference(name):
+    v = CASES[name]()
+    rng = random.Random(f"compiled:{name}")
+    for cs in {id(s): s for s in (v.compiled, _analysis_system(v)[1])}.values():
+        if not cs.polys:
+            continue
+        ref = ReferenceSystem(cs)
+        m = cs.nvars
+        for pt in witness_points(v, rng):
+            table = cs.table(pt)
+            vals, scales = cs.values_scales(pt, table)
+            assert bits(cs.values_scales(pt)) == bits((vals, scales))
+            assert bits((vals, scales)) == bits(ref.values_scales(pt))
+            assert bits(cs.residual(pt)) == bits(cs.residual(pt, table)) == bits(ref.residual(pt))
+            free = [i for i in range(m) if i != rng.randrange(m)]
+            for cols in (range(m), free):
+                want = bits(ref.jacobian(pt, cols))
+                assert bits(cs.jacobian(pt, cols)) == want
+                assert bits(cs.jacobian(pt, cols, table)) == want
+                assert bits(cs.jacobian(pt, cols, table, scales)) == want
+            for k in range(len(cs.polys)):
+                want = bits(ref.gradient(k, pt))
+                assert bits(cs.gradient(k, pt)) == want
+                assert bits(cs.gradient(k, pt, table)) == want
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_hermitian_residual_matches_reference(name):
+    v = CASES[name]()
+    rng = random.Random(f"hermitian:{name}")
+    exact_points = 0
+    for pt in witness_points(v, rng):
+        exact_points += v.mode == "exact" and isinstance(pt[0], ExactComplex)
+        assert bits(v.hermitian_residual(pt)) == bits(reference_hermitian_residual(v, pt))
+    assert exact_points == (COUNT // 5 if v.mode == "exact" else 0)
+
+
+@pytest.mark.parametrize("name", ["float 4x4 r5 A", "float 4x4 r5 B", "gaussian 3x4 r4 B",
+                                  "density 4x4 r5 A"])
+def test_newton_polish_matches_reference(name):
+    v = CASES[name]()
+    _, system = _analysis_system(v)
+    assert len(system.polys) >= 2
+    ref = ReferenceSystem(system)
+    rng = random.Random(f"newton:{name}")
+    converged = 0
+    for raw in witness_points(v, rng):
+        # Newton starts from floats; an exact point serves as its image
+        z0 = [x.to_complex() if isinstance(x, ExactComplex) else x for x in raw]
+        got = _newton_polish(system, z0, DEFAULT_TOL)
+        assert bits(got) == bits(reference_newton_polish(ref, z0, DEFAULT_TOL))
+        converged += got is not None
+    assert 0 < converged < COUNT

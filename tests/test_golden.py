@@ -64,6 +64,8 @@ CASES = {
     "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],
     "separable_3x4_t5": ["analyze", str(GOLDEN / "separable_3x4_t5.state.json"),
                          "--seed", "42"],
+    "separable_3x3_t5": ["analyze", str(GOLDEN / "separable_3x3_t5.state.json"),
+                         "--seed", "42"],
     "ppt_4x6_rank7": ["analyze", str(GOLDEN / "ppt_4x6_rank7.state.json"), "--seed", "42"],
     "gaussian_4x4_r5": ["analyze", str(GOLDEN / "gaussian_4x4_r5.state.json"), "--seed", "42"],
     "separable_4x4_t6": ["analyze", str(GOLDEN / "separable_4x4_t6.state.json"),

@@ -30,23 +30,29 @@ print("separable 3x3:", verdict_sep.tag, "->", verdict_sep.conclusion)
 for f in verdict_sep.forms:
     print("  factor:", f.render())
 
-# five product terms in 3x4: V_A is a finite set of points, certified by
-# an exact line that misses it, so nothing is sampled
+
+def hyperplane_certificate(cert):
+    """The hyperplane x_{m-1} = sum_i h_i x_i that V_A misses, with the
+    degree and prime of its Macaulay test."""
+    plane = " + ".join(f"({h.render()})*x{i}" for i, h in enumerate(cert.hyperplane))
+    return (f"{cert.kind} on x{len(cert.hyperplane)} = {plane}"
+            f" in degree {cert.degree} modulo {cert.prime}")
+
+
+# five product terms in 3x4: V_A is a finite set of points.  Its minors on
+# an exact line of CP^2 (a hyperplane) are binary quartics with no common
+# zero modulo a prime, so V_A misses that line and nothing is sampled; the
+# certificate is the Macaulay test in degree 2n - 1 = 7
 verdict_fin = linearity_decide(variety_of_state(random_separable(3, 4, 5, seed=5)), seed=42)
 print("separable 3x4, five terms:", verdict_fin.tag, "->", verdict_fin.conclusion)
-print("  certificate:", verdict_fin.certificate.kind, "through",
-      [x.render() for x in verdict_fin.certificate.base], "and",
-      [x.render() for x in verdict_fin.certificate.direction])
+print("  certificate:", hyperplane_certificate(verdict_fin.certificate))
 
 # six product terms in 4x4: V_A is finite again; the Macaulay matrix of its
 # minors on an exact hyperplane has full rank modulo a prime, so V_A
 # misses that hyperplane
 verdict_mac = linearity_decide(variety_of_state(random_separable(4, 4, 6, seed=1)), seed=42)
-cert = verdict_mac.certificate
 print("separable 4x4, six terms:", verdict_mac.tag, "->", verdict_mac.conclusion)
-print("  certificate:", cert.kind, "on x3 =",
-      " + ".join(f"({h.render()})*x{i}" for i, h in enumerate(cert.hyperplane)),
-      f"in degree {cert.degree} modulo {cert.prime}")
+print("  certificate:", hyperplane_certificate(verdict_mac.certificate))
 
 # the maximally mixed state: empty variety, criterion silent
 verdict_mm = linearity_decide(variety_of_state(maximally_mixed(3, 3)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -41,6 +42,18 @@ from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import load_state, save_state
 from .states import random_local_unitary, random_mixed, random_separable
 from .variety import linearity_decide, variety_of_state, verify_lu_covariance
+
+
+def _check_flags(args) -> None:
+    """A tolerance or radius must be a finite normal float > 0 (tol / 10,
+    the eigenvalue cutoff, must not underflow); a count must be >= 1."""
+    for flag in ("tol", "radius"):
+        x = getattr(args, flag, None)
+        if x is not None and not (math.isfinite(x) and x >= sys.float_info.min):
+            raise BadParams(f"--{flag} must be finite and > 0, got {x!r}")
+    for flag in ("samples", "trials"):
+        if getattr(args, flag, 1) < 1:
+            raise BadParams(f"--{flag} must be at least 1, got {getattr(args, flag)}")
 
 
 def _tolerance(args) -> Tolerance:
@@ -233,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.fn(args)
     except (StateFileError, BadParams, BadDims, DimensionMismatch, NotAState,
             FileNotFoundError) as exc:

@@ -50,21 +50,13 @@ def verdict_to_json(verdict: VarietyVerdict) -> dict:
         out["reason"] = verdict.reason
     if verdict.certificate is not None:
         cert = verdict.certificate
-        if cert.kind == "macaulay":
-            out["certificate"] = {
-                "kind": cert.kind,
-                "hyperplane": None if cert.hyperplane is None
-                else [render_scalar(x) for x in cert.hyperplane],
-                "prime": cert.prime,
-                "degree": cert.degree,
-            }
-        else:
-            out["certificate"] = {
-                "kind": cert.kind,
-                "base": None if cert.base is None else [render_scalar(x) for x in cert.base],
-                "direction": None if cert.direction is None
-                else [render_scalar(x) for x in cert.direction],
-            }
+        out["certificate"] = {
+            "kind": cert.kind,
+            "hyperplane": None if cert.hyperplane is None
+            else [render_scalar(x) for x in cert.hyperplane],
+            "prime": cert.prime,
+            "degree": cert.degree,
+        }
     if verdict.forms is not None:
         out["linear_forms"] = [_form_to_json(f) for f in verdict.forms]
     if verdict.factor_list is not None:

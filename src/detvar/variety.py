@@ -20,9 +20,9 @@ empty is never sampled.
 The symbolic minors are built when something first reads them.  Where a
 certificate can fire on them (m >= 3 and t - n + 1 >= m - 1), a screen
 modulo a prime first shows, from the pencil alone, that every minor is
-nonzero and that some minor is not a monomial; the finiteness
-certificates then read the pencil modulo the same prime, so a V certified
-finite or empty never builds a symbolic minor.
+nonzero and that some minor is not a monomial; the Macaulay certificate
+then reads the pencil modulo the same prime, so a V certified finite or
+empty never builds a symbolic minor.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
 NEWTON_MAX_STEPS = 50
 SAMPLING_BUDGET = 100      # line draws per requested point
-FINITE_LINE_ATTEMPTS = 3   # exact lines tried by the finiteness certificate
 MACAULAY_DEGREES = 3       # degrees n + 1 .. n + 3 tried by the Macaulay certificate
 
 # what restricting to a line and root-finding raise when a draw is merely
@@ -114,8 +113,8 @@ class PencilMatrix:
     def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
         denominator of the pencil, and the coefficient vectors of the
-        entries modulo p.  The minor screen, the line miss and the Macaulay
-        test all read this one reduction."""
+        entries modulo p.  The minor screen and the Macaulay test both read
+        this one reduction."""
         if self._mod_p is None:
             for p in split_primes(RANK_PRIME):
                 forms = _pencil_mod_p(self, p)
@@ -322,17 +321,13 @@ def _pencil_minors(p: PencilMatrix) -> List[Poly]:
     return gens
 
 
-def _form_at(form: Sequence[int], point: Sequence[int], p: int) -> int:
-    return sum(c * x for c, x in zip(form, point)) % p
-
-
 def _minor_values(forms: List[List[List[int]]], point: Sequence[int],
                   p: int) -> Iterator[int]:
     """The values modulo p of the maximal minors of a reduced pencil at a
     point, in lexicographic column-subset order: its minors on constant
     entries, by multipoly's Laplace expansion on the integers."""
-    entries = [[{0: x} if (x := _form_at(form, point, p)) else {} for form in row]
-               for row in forms]
+    entries = [[{0: x} if (x := sum(c * y for c, y in zip(form, point)) % p) else {}
+                for form in row] for row in forms]
     return (terms.get(0, 0) % p for _, terms in minor_terms(entries, len(forms), INTEGERS))
 
 
@@ -933,21 +928,18 @@ class FiniteCertificate(NamedTuple):
     """Why dim V <= 0.
 
     kind "ambient_dimension": V lies in CP^1 and is not all of it.
-    kind "line_miss": V in CP^2 misses the projective line through the
-    exact points base and direction; a variety of dimension >= 1 meets
-    every hyperplane (projective dimension theorem), so V is finite.
     kind "macaulay": the degree-`degree` Macaulay matrix of the minors has
     full column rank modulo the prime `prime`, with i sent to
     modp.sqrt_minus_one(prime) (see modp).  Without a hyperplane the
     minors have no common zero: V is empty.  With the Gaussian integers
     `hyperplane` = (h_0, .., h_{m-2}) the minors are restricted to the
     hyperplane H: x_{m-1} = sum_i h_i x_i, read in the coordinates
-    x_0 .. x_{m-2}; then V misses H, so V is finite.
+    x_0 .. x_{m-2}; then V misses H (a variety of dimension >= 1 meets
+    every hyperplane), so V is finite.  For m = 3 the restricted minors
+    are binary forms of degree n, and `degree` is 2n - 1.
     """
 
     kind: str
-    base: Optional[Tuple[ExactComplex, ...]] = None
-    direction: Optional[Tuple[ExactComplex, ...]] = None
     hyperplane: Optional[Tuple[ExactComplex, ...]] = None
     prime: Optional[int] = None
     degree: Optional[int] = None
@@ -970,45 +962,20 @@ def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
     return common, full_degree
 
 
-def misses_line(gens: Sequence[Poly], base: Sequence[ExactComplex],
-                direction: Sequence[ExactComplex]) -> bool:
-    """True iff the exact homogeneous generators have no common zero on the
-    projective line through base and direction.
+def _binary_coprime_mod_p(forms: List[List[List[int]]], p: int) -> bool:
+    """True when the maximal minors of a reduced pencil in two variables
+    have no common zero on P^1 over the algebraic closure of F_p.
 
-    The affine points base + s*direction are missed when the gcd of the
-    restrictions s -> g(base + s*direction) is a nonzero constant; the
-    point at infinity, direction itself, is missed when some restriction
-    keeps full degree (its top coefficient is g(direction)).  This is the
-    exact test on symbolic minors; the finiteness certificate tries
-    ``_misses_line_mod_p`` on the pencil first and falls back to it.
+    An entry c_0 y_0 + c_1 y_1 is read as c_0 + c_1 s, so the affine zeros
+    are the roots of the gcd of the minors (modp.gcd_mod_p), and y_0 = 0
+    is a common zero exactly when no minor keeps its s^n coefficient.
+    This is the Macaulay test in degree 2n - 1: binary forms of degree n
+    without a common zero have two coprime combinations, whose Sylvester
+    matrix is that Macaulay matrix, and a common zero leaves every
+    Macaulay matrix short of full rank.
     """
-    common, full_degree = _line_gcd(gens, base, direction)
-    return len(common) == 1 and full_degree
-
-
-def _misses_line_mod_p(pencil: PencilMatrix, base: Sequence[ExactComplex],
-                       direction: Sequence[ExactComplex]) -> bool:
-    """True only if the maximal minors of the exact pencil have no common
-    zero on the projective line through base and direction; False proves
-    nothing.
-
-    Modulo the pencil's prime p, each entry L restricted to the line is
-    L(base) + s L(direction), and the n x n minors of that univariate
-    pencil are the reduced restrictions of the minors.  A constant gcd
-    modulo p (modp.gcd_mod_p), with one minor whose s^n coefficient is
-    nonzero modulo p, proves what misses_line tests over Q(i): that
-    coefficient is the minor at direction, so the restriction keeps full
-    degree over Q(i) too, and a gcd of degree >= 1 there would leave a
-    common divisor of the same degree modulo p.  The line's points must
-    have denominators p does not divide, as _random_exact_point's (at
-    most 3) have.
-    """
-    p, forms = pencil.mod_p()
-    b = [reduce_scalar(x, p) for x in base]
-    d = [reduce_scalar(x, p) for x in direction]
-    entries = [[{k: x for k, x in enumerate((_form_at(form, b, p), _form_at(form, d, p))) if x}
-                for form in row] for row in forms]
-    n = pencil.n
+    entries = [[{k: c for k, c in enumerate(form) if c} for form in row] for row in forms]
+    n = len(forms)
     common: List[int] = []
     full_degree = False
     for _, terms in minor_terms(entries, n, INTEGERS):
@@ -1018,25 +985,6 @@ def _misses_line_mod_p(pencil: PencilMatrix, base: Sequence[ExactComplex],
         if len(common) == 1 and full_degree:
             return True
     return False
-
-
-def _line_miss_certificate(v: Variety, seed: int) -> Optional[FiniteCertificate]:
-    """An exact line of CP^2 that V misses, drawn from a stream of its own
-    (seeded from the analysis seed, apart from the sampler's); None when
-    every attempt meets V, which proves nothing.
-
-    Each line is tried modulo the pencil's prime first, with no symbolic
-    minor; only a line that test cannot certify expands the minors for
-    the exact misses_line, so the certificate is the first drawn line V
-    misses either way."""
-    rng = random.Random(f"finite-V:{seed}")
-    for _ in range(FINITE_LINE_ATTEMPTS):
-        base = tuple(_random_exact_point(rng, v.m))
-        direction = tuple(_random_exact_point(rng, v.m))
-        if (_misses_line_mod_p(v.pencil, base, direction)
-                or misses_line(v.essential_generators, base, direction)):
-            return FiniteCertificate("line_miss", base, direction)
-    return None
 
 
 def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]]]:
@@ -1102,8 +1050,11 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
     with Gaussian-integer coefficients drawn from a stream of its own
     (seeded from the analysis seed, apart from the sampler's), for Finite.
-    The prime is the pencil's (PencilMatrix.mod_p), which passes over any
-    prime dividing a denominator of the pencil.
+    Minors in two variables (m = 3 on the hyperplane, m = 2 without one)
+    are decided in degree 2n - 1 by a gcd (``_binary_coprime_mod_p``), any
+    others by the Macaulay rank in degrees n + 1 .. n + 3.  The prime is the pencil's
+    (PencilMatrix.mod_p), which passes over any prime dividing a
+    denominator of the pencil.
     """
     tests: List[Tuple[str, Optional[Tuple[ExactComplex, ...]]]] = []
     if v.pencil.t - v.n + 1 > v.m - 1:
@@ -1116,11 +1067,16 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
         return None
     p, forms = v.pencil.mod_p()
     for tag, h in tests:
-        gens = _minors_mod_p(forms if h is None else _restrict_mod_p(forms, h, p), p)
+        reduced = forms if h is None else _restrict_mod_p(forms, h, p)
         nvars = v.m if h is None else v.m - 1
-        for degree in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES):
-            if macaulay_full_rank(gens, nvars, degree, p):
-                return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
+        if nvars == 2:
+            degree = 2 * v.n - 1 if _binary_coprime_mod_p(reduced, p) else None
+        else:
+            gens = _minors_mod_p(reduced, p)
+            degree = next((d for d in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES)
+                           if macaulay_full_rank(gens, nvars, d, p)), None)
+        if degree is not None:
+            return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
     return None
 
 
@@ -1146,10 +1102,6 @@ def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
     # so V can be finite or empty only where t - n + 1 >= m - 1
     if v.pencil.t - v.n + 1 < v.m - 1:
         return None
-    if v.m == 3 and v.mode == "exact":
-        cert = _line_miss_certificate(v, seed)
-        if cert is not None:
-            return VarietyVerdict("Finite", certificate=cert)
     found = _macaulay_certificate(v, seed)
     if found is None:
         return None
@@ -1169,13 +1121,15 @@ class VarietyVerdict:
     tag in {"Empty", "Full", "Finite", "LinearUnion", "NonlinearWitness",
     "Inconclusive"}.  Only a NonlinearWitness certifies entanglement; the
     other verdicts leave the criterion inconclusive.  "Finite" (exact
-    states only) carries a FiniteCertificate that dim V <= 0: V is a
-    finite set of points, a union of linear subspaces, so no witness can
-    exist and nothing is sampled.  "Empty" carries one of kind "macaulay"
-    when the minors are proved to have no common zero (exact states), and
-    none when the minors are monomials that leave no point.  A float state
-    whose V is certified finite or empty stays "Inconclusive", with the
-    certificate and a reason saying so for the ensemble as given.
+    states only) carries a FiniteCertificate that dim V <= 0, of kind
+    "ambient_dimension" (V in CP^1) or "macaulay" (V misses an exact
+    hyperplane): V is a finite set of points, a union of linear
+    subspaces, so no witness can exist and nothing is sampled.  "Empty"
+    carries one of kind "macaulay" when the minors are proved to have no
+    common zero (exact states), and none when the minors are monomials
+    that leave no point.  A float state whose V is certified finite or
+    empty stays "Inconclusive", with the certificate and a reason saying
+    so for the ensemble as given.
     """
 
     def __init__(self, tag: str,
@@ -1264,8 +1218,7 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     below n, whatever t, has V all of CP^{m-1} to working precision: it is
     neither certified nor sampled, and gets a vacuous Inconclusive saying
     so.  For m >= 3 and t - n + 1 >= m - 1, the only shapes where V can be
-    finite or empty (Eagon-Northcott), an exact V in CP^2 that misses an
-    exact line is "Finite", and otherwise the Macaulay test modulo a prime
+    finite or empty (Eagon-Northcott), the Macaulay test modulo a prime
     may prove V empty ("Empty") or disjoint from an exact hyperplane
     ("Finite"); an approximate state so certified gets a vacuous
     Inconclusive with the certificate.

@@ -201,6 +201,28 @@ def test_cli_repro_example3_report(capsys):
     assert report["conclusion"] == "entangled"
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--tol", "0"), ("analyze", "--tol", "-1"), ("analyze", "--tol", "1e-400"),
+    ("analyze", "--tol", "5e-324"), ("analyze", "--tol", "inf"), ("analyze", "--tol", "nan"),
+    ("analyze", "--radius", "0"), ("analyze", "--radius", "nan"),
+    ("analyze", "--radius", "-0.1"), ("analyze", "--radius", "inf"),
+    ("analyze", "--samples", "0"), ("analyze", "--samples", "-3"),
+    ("repro", "--tol", "0"), ("repro", "--samples", "0"),
+    ("compare", "--tol", "inf"), ("props", "--trials", "0"), ("props", "--tol", "-1"),
+], ids=lambda argv: " ".join(argv))
+def test_numeric_flag_out_of_range_is_an_input_error(tmp_path, capsys, argv):
+    command, flag, value = argv
+    state = tmp_path / "s.json"
+    run_cli(capsys, "repro", "example1", "--write-state", str(state),
+            "--json", str(tmp_path / "r.json"))
+    positional = {"analyze": [str(state)], "compare": [str(state), str(state)],
+                  "repro": ["example1"], "props": []}[command]
+    code, out = run_cli(capsys, command, *positional, f"{flag}={value}")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "BadParams" and flag in err["message"]
+
+
 def test_cli_props_small(capsys):
     code, out = run_cli(capsys, "props", "--trials", "4", "--seed", "42")
     assert code == 0

@@ -2,20 +2,19 @@
 
 A finite V is a union of points, hence linear, and an empty V has no
 points at all, so the criterion cannot fire on either.  In CP^1 (m <= 2) V
-is finite unless it is all of CP^1; an exact V in CP^2 that misses an
-exact line is finite by the projective dimension theorem.  For every
-m >= 3 and both kinds of state, the Macaulay test modulo a prime certifies
-V empty (its minors have no common zero) or finite (it misses an exact
-hyperplane); it runs only where Eagon-Northcott allows a finite or empty V,
-t - n + 1 >= m - 1.  These tests pin which states are certified, that a
-curve never is, nor a float pencil whose minors are rounding noise, that
-the point at infinity of the line is checked, that every certificate
+is finite unless it is all of CP^1.  For every m >= 3 and both kinds of
+state, the Macaulay test modulo a prime certifies V empty (its minors have
+no common zero) or finite (it misses an exact hyperplane, by the
+projective dimension theorem); for m = 3 the hyperplane is a line, and the
+binary minors there are decided by a gcd, recorded as the Macaulay test in
+degree 2n - 1.  It runs only where Eagon-Northcott allows a finite or
+empty V, t - n + 1 >= m - 1.  These tests pin which states are certified,
+that a curve never is, nor a float pencil whose minors are rounding noise,
+that the point at infinity of a line is checked, that every certificate
 re-checks from the report and the state file alone, and that the sampler
 the certificates now skip stays sound on its own.
 """
 
-import contextlib
-import io
 import itertools
 import json
 from fractions import Fraction
@@ -26,10 +25,9 @@ import pytest
 
 import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
-from detvar.cli import main
 from detvar.exactroots import ec_gcd, ec_trim
 from detvar.linalg import Matrix
-from detvar.modp import RANK_PRIME
+from detvar.modp import RANK_PRIME, macaulay_full_rank
 from detvar.multipoly import restrict_to_line, univariate_coeffs
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
@@ -44,13 +42,15 @@ from detvar.states import (
 )
 from detvar.variety import (
     _dimension_verdict,
-    _line_miss_certificate,
+    _macaulay_certificate,
+    _minors_mod_p,
+    _restrict_mod_p,
     linearity_decide,
     membership,
-    misses_line,
     nonlinearity_witness,
     variety_of_state,
 )
+from test_line_miss_reference import misses_line
 
 EC = ExactComplex
 F = Fraction
@@ -75,7 +75,7 @@ def test_exact_cp1_variety_is_finite(no_sampling, shape):
     assert verdict.tag == "Finite"
     assert verdict.conclusion == "inconclusive"
     assert verdict.certificate.kind == "ambient_dimension"
-    assert verdict.certificate.base is None and verdict.certificate.direction is None
+    assert verdict.certificate[1:] == (None, None, None)  # no hyperplane, prime or degree
 
 
 @pytest.mark.parametrize("seed", [3, 8])
@@ -88,19 +88,28 @@ def test_approximate_cp1_variety_is_vacuous(no_sampling, seed):
     assert verdict.certificate is None
 
 
-@pytest.mark.parametrize("state", [
-    lambda: load_state(str(GOLDEN / "finite_v_3x3_r4.state.json")),
-    lambda: random_separable(3, 4, 5, seed=3),
-    lambda: random_separable(3, 3, 5, seed=4),
-    lambda: random_separable(3, 3, 4, seed=6),
+@pytest.mark.parametrize("state,tag", [
+    (lambda: load_state(str(GOLDEN / "finite_v_3x3_r4.state.json")), "Finite"),
+    (lambda: random_separable(3, 4, 5, seed=3), "Finite"),
+    (lambda: random_separable(3, 3, 5, seed=4), "Empty"),
+    (lambda: random_separable(3, 3, 4, seed=6), "Finite"),
 ], ids=["gaussian 3x3 r4", "separable 3x4 t5", "separable 3x3 t5", "separable 3x3 t4"])
-def test_finite_plane_variety_is_certified(no_sampling, state):
+def test_finite_plane_variety_is_certified(no_sampling, state, tag):
+    # t - n + 1 > m - 1 tries Empty first (3x3 t5); otherwise V misses a
+    # line, decided on binary minors and recorded in degree 2n - 1
     v = variety_of_state(state())
     verdict = linearity_decide(v, seed=42)
-    assert verdict.tag == "Finite"
+    assert verdict.tag == tag
     cert = verdict.certificate
-    assert cert.kind == "line_miss"
-    assert misses_line(v.essential_generators, cert.base, cert.direction)
+    assert cert.kind == "macaulay" and cert.prime == RANK_PRIME
+    p, forms = v.pencil.mod_p()
+    if tag == "Empty":
+        assert cert.hyperplane is None
+        assert macaulay_full_rank(_minors_mod_p(forms, p), 3, cert.degree, p)
+    else:
+        assert cert.degree == 2 * v.n - 1
+        binary = _restrict_mod_p(forms, cert.hyperplane, p)
+        assert macaulay_full_rank(_minors_mod_p(binary, p), 2, cert.degree, p)
 
 
 def _side_a_factor(vec, m, n):
@@ -148,41 +157,7 @@ def test_a_curve_is_never_certified(state):
     v = variety_of_state(state())
     assert v.m == 3 and v.pencil.t == v.n
     for seed in range(60):
-        assert _line_miss_certificate(v, seed) is None
-
-
-def test_rendered_certificate_reverifies_from_report_and_state_file():
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-    path = GOLDEN / "separable_3x4_t5.state.json"
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["analyze", str(path), "--seed", "42"]) == 0
-    report = json.loads(out.getvalue())
-    assert report["verdict"]["tag"] == "Finite"
-    cert = report["verdict"]["certificate"]
-    assert cert["kind"] == "line_miss"
-
-    # from here on: the state file, the certificate and sympy only
-    def scalar(obj):
-        return sympy.Rational(obj["re"]) + sympy.I * sympy.Rational(obj["im"])
-
-    doc = json.loads(path.read_text())
-    m, n = doc["m"], doc["n"]
-    vectors = [[scalar(x) for x in term["vector"]] for term in doc["ensemble"]]
-    base = [scalar(x) for x in cert["base"]]
-    direction = [scalar(x) for x in cert["direction"]]
-    s = sympy.Symbol("s")
-    point = [b + s * d for b, d in zip(base, direction)]
-    pencil = sympy.Matrix(n, len(vectors), lambda k, l: sum(
-        point[i] * vectors[l][i * n + k] for i in range(m)))
-    ring = sympy.QQ_I[s]
-    pencil = DomainMatrix.from_Matrix(pencil).convert_to(ring)
-    minors = [pencil.extract(list(range(n)), list(cols)).det()
-              for cols in itertools.combinations(range(len(vectors)), n)]
-    common = reduce(ring.gcd, minors)
-    assert common.degree() == 0 and common != 0   # no affine point of the line
-    assert any(p.degree() == n for p in minors)   # nor its point at infinity
+        assert _macaulay_certificate(v, seed) is None
 
 
 @pytest.mark.parametrize("shape,seed", [
@@ -354,7 +329,10 @@ def _recheck_macaulay(name):
 
 @pytest.mark.parametrize("name,tag", [("separable_4x4_t6", "Finite"),
                                       ("gaussian_4x4_r7", "Empty"),
-                                      ("mixed_3x4_r5", "Inconclusive")])
+                                      ("mixed_3x4_r5", "Inconclusive"),
+                                      ("finite_v_3x3_r4", "Finite"),
+                                      ("separable_3x4_t5", "Finite"),
+                                      ("separable_3x3_t5", "Empty")])
 def test_macaulay_certificate_reverifies_from_report_and_state_file(name, tag):
     report = json.loads((GOLDEN / f"{name}.report.json").read_text())
     assert report["verdict"]["tag"] == tag

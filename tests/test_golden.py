@@ -8,7 +8,10 @@ Gaussian-rational ensembles (entries in {-3..3} + {-3..3}i, weights
 k / sum k): a 3x4 rank-4 state on which the criterion finds a witness and
 a 3x3 rank-4 state whose variety is finite.  The third is
 ``random_separable(3, 4, 5, seed=5)``, whose variety is finite too; both
-finite reports pin the exact line of their "Finite" certificate.  The
+finite reports pin the Macaulay certificate of a line of CP^2 that V
+misses, in degree 2n - 1.  ``random_separable(3, 3, 5, seed=4)``
+(``separable_3x3_t5``) has t - n + 1 > m - 1, and its variety is certified
+empty by the Macaulay test on the minors themselves.  The
 fourth is the rank-7 PPT 4x6 state of ``repro example3 --write-state``,
 whose side-A pencil has 6x6 minors: the largest symbolic determinants of
 any pinned report.  Two 4x4 cases run the multi-generator hyperplane peel

@@ -2,7 +2,7 @@
 
 Where a certificate can fire on the minors (m >= 3 and t - n + 1 >= m - 1)
 ``variety_generators`` screens the pencil modulo a prime instead of
-expanding it; the finiteness certificates read the reduced pencil too.
+expanding it; the Macaulay certificate reads the reduced pencil too.
 These tests pin that a certified state builds no minor, that the screen
 stays out of the shapes the sampler needs every minor for, and that the
 counts a report prints from the screen are those of the expanded minors:
@@ -51,8 +51,8 @@ def no_minors(monkeypatch):
     assert variety_mod.minors is refuse and multipoly.minors is refuse
 
 
-@pytest.mark.parametrize("name", ["separable_3x4_t5", "finite_v_3x3_r4", "separable_4x4_t6",
-                                  "gaussian_4x4_r7", "mixed_3x4_r5"])
+@pytest.mark.parametrize("name", ["separable_3x4_t5", "finite_v_3x3_r4", "separable_3x3_t5",
+                                  "separable_4x4_t6", "gaussian_4x4_r7", "mixed_3x4_r5"])
 def test_certified_golden_reports_build_no_minor(no_minors, name):
     pinned = (GOLDEN / f"{name}.report.json").read_text()
     assert rendered_report(CASES[name]) == pinned

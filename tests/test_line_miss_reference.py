@@ -1,12 +1,16 @@
-"""The line miss modulo a prime against the exact test on symbolic minors.
+"""The binary test modulo a prime against an exact line miss.
 
-``variety._misses_line_mod_p`` decides, from the pencil reduced modulo a
-prime, that the maximal minors have no common zero on an exact line;
-``variety.misses_line`` decides the same over Q(i) from the expanded
-minors.  A modular "miss" must always be an exact miss, whatever the
-prime: at the pencil's own prime the two must agree on every line drawn
-here, and at the small primes 13 and 17, where unlucky reductions are
-common, a modular miss must still be an exact one.
+For m = 3 the Macaulay certificate restricts the pencil to a line of CP^2
+and decides, with ``variety._binary_coprime_mod_p``, that the maximal
+minors of that binary pencil have no common zero.  Here each exact line
+through base and direction becomes the binary pencil
+(L(base), L(direction)) modulo p, and ``misses_line`` below, the exact
+test on the expanded minors over Q(i), is the reference.  A modular
+"miss" must always be an exact miss, whatever the prime: at the pencil's
+own prime the two must agree on every line drawn here, and at the small
+primes 13 and 17, where unlucky reductions are common, a modular miss must
+still be an exact one.  On every line the binary test must also equal the
+Macaulay rank test in degree 2n - 1, the degree the certificate records.
 
 The lines are random exact lines on separable and Gaussian-rational
 pencils of shapes 3x3 t4/t5 and 3x4 t5/t6, lines through an exact point
@@ -20,20 +24,55 @@ from fractions import Fraction
 
 import pytest
 
+from detvar.modp import macaulay_full_rank, reduce_scalar
 from detvar.multipoly import restrict_to_line
 from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.variety import (
-    _misses_line_mod_p,
+    _binary_coprime_mod_p,
+    _line_gcd,
+    _minors_mod_p,
     _pencil_mod_p,
     _random_exact_point,
     membership,
-    misses_line,
     variety_of_state,
 )
 
 EC = ExactComplex
 F = Fraction
+
+
+def misses_line(gens, base, direction) -> bool:
+    """True iff the exact homogeneous generators have no common zero on the
+    projective line through base and direction.
+
+    The affine points base + s*direction are missed when the gcd of the
+    restrictions s -> g(base + s*direction) is a nonzero constant; the
+    point at infinity, direction itself, is missed when some restriction
+    keeps full degree (its top coefficient is g(direction)).  This is the
+    exact test on symbolic minors.
+    """
+    common, full_degree = _line_gcd(gens, base, direction)
+    return len(common) == 1 and full_degree
+
+
+def line_pencil(forms, base, direction, p):
+    """The reduced pencil `forms` on the line through base and direction:
+    the binary pencil whose entry L reads (L(base), L(direction))."""
+    b = [reduce_scalar(x, p) for x in base]
+    d = [reduce_scalar(x, p) for x in direction]
+    return [[[sum(c * x for c, x in zip(form, pt)) % p for pt in (b, d)] for form in row]
+            for row in forms]
+
+
+def binary_miss(v, forms, base, direction, p) -> bool:
+    """The binary test on the line, checked against the Macaulay rank in
+    degree 2n - 1."""
+    binary = line_pencil(forms, base, direction, p)
+    coprime = _binary_coprime_mod_p(binary, p)
+    assert coprime == macaulay_full_rank(_minors_mod_p(binary, p), 2, 2 * v.n - 1, p), \
+        (base, direction, p)
+    return coprime
 
 
 def _gaussian_state(m, n, t, seed):
@@ -108,9 +147,10 @@ def test_cases_cover_a_hundred_lines_and_both_answers():
 @pytest.mark.parametrize("label,state,lines", CASES, ids=[c[0] for c in CASES])
 def test_modular_line_miss_agrees_with_the_exact_test(label, state, lines):
     v = variety_of_state(state)
+    p, forms = v.pencil.mod_p()
     for base, direction in lines:
         exact = misses_line(v.essential_generators, base, direction)
-        assert _misses_line_mod_p(v.pencil, base, direction) == exact, (base, direction)
+        assert binary_miss(v, forms, base, direction, p) == exact, (base, direction)
 
 
 @pytest.mark.parametrize("prime", [13, 17])
@@ -120,9 +160,8 @@ def test_a_modular_miss_is_an_exact_miss_at_small_primes(label, state, lines, pr
     forms = _pencil_mod_p(v.pencil, prime)
     if forms is None:
         pytest.skip(f"{prime} divides a denominator of the pencil")
-    v.pencil._mod_p = (prime, forms)
     for base, direction in lines:
-        if _misses_line_mod_p(v.pencil, base, direction):
+        if binary_miss(v, forms, base, direction, prime):
             assert misses_line(v.essential_generators, base, direction), (base, direction)
 
 
@@ -134,8 +173,9 @@ def test_a_direction_on_v_is_caught_by_the_full_degree_condition():
     a = [_side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
     r = _cross(a[0], a[1])
     assert membership(v, r)
+    p, forms = v.pencil.mod_p()
     rng = random.Random(5)
     for _ in range(5):
         base = tuple(_random_exact_point(rng, 3))
-        assert not _misses_line_mod_p(v.pencil, base, r)
+        assert not binary_miss(v, forms, base, r, p)
         assert not misses_line(v.essential_generators, base, r)

@@ -50,7 +50,8 @@ def _check_flags(args) -> None:
     for flag in ("tol", "radius"):
         x = getattr(args, flag, None)
         if x is not None and not (math.isfinite(x) and x >= sys.float_info.min):
-            raise BadParams(f"--{flag} must be finite and > 0, got {x!r}")
+            raise BadParams(f"--{flag} must be finite and at least the smallest normal "
+                            f"float ({sys.float_info.min!r}), got {x!r}")
     for flag in ("samples", "trials"):
         if getattr(args, flag, 1) < 1:
             raise BadParams(f"--{flag} must be at least 1, got {getattr(args, flag)}")

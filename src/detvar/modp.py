@@ -11,15 +11,7 @@ of its own: the minors of a reduced pencil come from multipoly's Laplace
 expansion on the integers, over monomials packed as ``monomial`` packs
 them, each minor reduced modulo p once.
 
-The same map decides the gcd of univariate restrictions (``gcd_mod_p``).
-If polynomials over Q(i) have a common divisor of degree k >= 1 and one of
-them keeps its degree modulo p, the images have a common divisor of degree
-k: by Gauss's lemma over the local ring at the prime above p, the divisor
-can be taken primitive, its image keeps its degree, and it divides every
-image.  So a constant gcd modulo p, with one polynomial of undiminished
-degree, proves the gcd over Q(i) constant (W. S. Brown, JACM 1971).
-
-That is also what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
+That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
 matrix of homogeneous forms g_j has a row x^a * g_j for every monomial x^a
 of degree D - deg g_j and a column for every monomial of degree D.  If it
 has full column rank modulo p, it has full column rank over Q(i): every
@@ -105,32 +97,6 @@ def reduce_scalar(c, p: int) -> Optional[int]:
         return (a + b * s) * pow(d, -1, p) % p
     c = complex(c)
     return (_dyadic(c.real, p) + s * _dyadic(c.imag, p)) % p
-
-
-def _trim(coeffs: Sequence[int], p: int) -> List[int]:
-    out = [c % p for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    """The monic gcd modulo p of two univariate polynomials, each a list of
-    coefficients from the constant term up; [] when both are zero."""
-    a, b = _trim(a, p), _trim(b, p)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for k, c in enumerate(b):
-                a[shift + k] = (a[shift + k] - q * c) % p
-            a = _trim(a, p)
-        a, b = b, a
-    if not a:
-        return []
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

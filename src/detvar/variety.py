@@ -49,7 +49,6 @@ from .modp import (
     EXP_BITS,
     RANK_PRIME,
     ModPoly,
-    gcd_mod_p,
     macaulay_full_rank,
     reduce_scalar,
     split_primes,
@@ -321,13 +320,17 @@ def _pencil_minors(p: PencilMatrix) -> List[Poly]:
     return gens
 
 
+def _form_at(form: Sequence[int], point: Sequence[int], p: int) -> int:
+    return sum(c * x for c, x in zip(form, point)) % p
+
+
 def _minor_values(forms: List[List[List[int]]], point: Sequence[int],
                   p: int) -> Iterator[int]:
     """The values modulo p of the maximal minors of a reduced pencil at a
     point, in lexicographic column-subset order: its minors on constant
     entries, by multipoly's Laplace expansion on the integers."""
-    entries = [[{0: x} if (x := sum(c * y for c, y in zip(form, point)) % p) else {}
-                for form in row] for row in forms]
+    entries = [[{0: x} if (x := _form_at(form, point, p)) else {} for form in row]
+               for row in forms]
     return (terms.get(0, 0) % p for _, terms in minor_terms(entries, len(forms), INTEGERS))
 
 
@@ -962,31 +965,6 @@ def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
     return common, full_degree
 
 
-def _binary_coprime_mod_p(forms: List[List[List[int]]], p: int) -> bool:
-    """True when the maximal minors of a reduced pencil in two variables
-    have no common zero on P^1 over the algebraic closure of F_p.
-
-    An entry c_0 y_0 + c_1 y_1 is read as c_0 + c_1 s, so the affine zeros
-    are the roots of the gcd of the minors (modp.gcd_mod_p), and y_0 = 0
-    is a common zero exactly when no minor keeps its s^n coefficient.
-    This is the Macaulay test in degree 2n - 1: binary forms of degree n
-    without a common zero have two coprime combinations, whose Sylvester
-    matrix is that Macaulay matrix, and a common zero leaves every
-    Macaulay matrix short of full rank.
-    """
-    entries = [[{k: c for k, c in enumerate(form) if c} for form in row] for row in forms]
-    n = len(forms)
-    common: List[int] = []
-    full_degree = False
-    for _, terms in minor_terms(entries, n, INTEGERS):
-        coeffs = [terms.get(k, 0) for k in range(n + 1)]
-        full_degree = full_degree or coeffs[n] % p != 0
-        common = gcd_mod_p(common, coeffs, p)
-        if len(common) == 1 and full_degree:
-            return True
-    return False
-
-
 def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]]]:
     """The coefficient vectors of the pencil entries modulo p; None when p
     divides a denominator."""
@@ -1050,9 +1028,11 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
     with Gaussian-integer coefficients drawn from a stream of its own
     (seeded from the analysis seed, apart from the sampler's), for Finite.
-    Minors in two variables (m = 3 on the hyperplane, m = 2 without one)
-    are decided in degree 2n - 1 by a gcd (``_binary_coprime_mod_p``), any
-    others by the Macaulay rank in degrees n + 1 .. n + 3.  The prime is the pencil's
+    The Macaulay rank is tried in degrees n + 1 .. n + 3; on minors in two
+    variables (m = 3 on the hyperplane, m = 2 without one) in degree 2n - 1
+    alone, which decides: the minors of a linear pencil in two variables
+    with no common zero already span every form of degree n
+    (Hilbert-Burch).  The prime is the pencil's
     (PencilMatrix.mod_p), which passes over any prime dividing a
     denominator of the pencil.
     """
@@ -1067,16 +1047,13 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
         return None
     p, forms = v.pencil.mod_p()
     for tag, h in tests:
-        reduced = forms if h is None else _restrict_mod_p(forms, h, p)
+        gens = _minors_mod_p(forms if h is None else _restrict_mod_p(forms, h, p), p)
         nvars = v.m if h is None else v.m - 1
-        if nvars == 2:
-            degree = 2 * v.n - 1 if _binary_coprime_mod_p(reduced, p) else None
-        else:
-            gens = _minors_mod_p(reduced, p)
-            degree = next((d for d in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES)
-                           if macaulay_full_rank(gens, nvars, d, p)), None)
-        if degree is not None:
-            return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
+        degrees = ([2 * v.n - 1] if nvars == 2
+                   else range(v.n + 1, v.n + 1 + MACAULAY_DEGREES))
+        for degree in degrees:
+            if macaulay_full_rank(gens, nvars, degree, p):
+                return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
     return None
 
 

@@ -221,6 +221,8 @@ def test_numeric_flag_out_of_range_is_an_input_error(tmp_path, capsys, argv):
     assert code == 2
     err = json.loads(out)["error"]
     assert err["kind"] == "BadParams" and flag in err["message"]
+    bound = "at least 1" if flag in ("--samples", "--trials") else "smallest normal float"
+    assert bound in err["message"]
 
 
 def test_cli_props_small(capsys):

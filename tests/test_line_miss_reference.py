@@ -1,16 +1,19 @@
 """The binary test modulo a prime against an exact line miss.
 
 For m = 3 the Macaulay certificate restricts the pencil to a line of CP^2
-and decides, with ``variety._binary_coprime_mod_p``, that the maximal
-minors of that binary pencil have no common zero.  Here each exact line
-through base and direction becomes the binary pencil
+and decides, with the Macaulay rank modulo p in degree 2n - 1, that the
+maximal minors of that binary pencil have no common zero.  Here each
+exact line through base and direction becomes the binary pencil
 (L(base), L(direction)) modulo p, and ``misses_line`` below, the exact
 test on the expanded minors over Q(i), is the reference.  A modular
 "miss" must always be an exact miss, whatever the prime: at the pencil's
 own prime the two must agree on every line drawn here, and at the small
 primes 13 and 17, where unlucky reductions are common, a modular miss must
-still be an exact one.  On every line the binary test must also equal the
-Macaulay rank test in degree 2n - 1, the degree the certificate records.
+still be an exact one.  On every line the rank in degree 2n - 1, the
+degree the certificate records, must also equal the rank in degree n + 1:
+the maximal minors of a linear pencil in two variables with no common
+zero span every form of degree n (Hilbert-Burch), so either degree
+decides.
 
 The lines are random exact lines on separable and Gaussian-rational
 pencils of shapes 3x3 t4/t5 and 3x4 t5/t6, lines through an exact point
@@ -29,7 +32,6 @@ from detvar.multipoly import restrict_to_line
 from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.variety import (
-    _binary_coprime_mod_p,
     _line_gcd,
     _minors_mod_p,
     _pencil_mod_p,
@@ -66,13 +68,12 @@ def line_pencil(forms, base, direction, p):
 
 
 def binary_miss(v, forms, base, direction, p) -> bool:
-    """The binary test on the line, checked against the Macaulay rank in
-    degree 2n - 1."""
-    binary = line_pencil(forms, base, direction, p)
-    coprime = _binary_coprime_mod_p(binary, p)
-    assert coprime == macaulay_full_rank(_minors_mod_p(binary, p), 2, 2 * v.n - 1, p), \
-        (base, direction, p)
-    return coprime
+    """The Macaulay test on the line in degree 2n - 1, checked against
+    degree n + 1."""
+    gens = _minors_mod_p(line_pencil(forms, base, direction, p), p)
+    miss = macaulay_full_rank(gens, 2, 2 * v.n - 1, p)
+    assert miss == macaulay_full_rank(gens, 2, v.n + 1, p), (base, direction, p)
+    return miss
 
 
 def _gaussian_state(m, n, t, seed):

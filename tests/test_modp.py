@@ -4,8 +4,7 @@ The rank modulo p is pinned against the exact rank over Q(i), including a
 matrix that only loses rank modulo p: full rank there is a proof, a rank
 short of full is not.  Reduction is pinned on Gaussian rationals (a
 denominator divisible by p is refused, and the certificate moves to the
-next prime) and on floats, which reduce exactly as dyadic rationals.  The
-univariate gcd modulo p is pinned on small products of linear factors.
+next prime) and on floats, which reduce exactly as dyadic rationals.
 """
 
 import random
@@ -17,7 +16,6 @@ from detvar import modp
 from detvar.linalg import Matrix, rank_exact
 from detvar.modp import (
     RANK_PRIME,
-    gcd_mod_p,
     macaulay_full_rank,
     monomial,
     rank_mod_p,
@@ -172,26 +170,3 @@ def test_a_denominator_divisible_by_p_moves_to_the_next_prime(monkeypatch):
     tag, cert = _macaulay_certificate(v, 42)
     assert tag == "Finite"
     assert tried == [P, next(walk(P + 1))] and cert.prime == tried[1]
-
-
-def _times(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-@pytest.mark.parametrize("p", [13, RANK_PRIME])
-def test_gcd_mod_p_of_products_of_linear_factors(p):
-    def lin(root):  # s - root
-        return [-root % p, 1]
-
-    f = _times(_times(lin(1), lin(2), p), lin(2), p)
-    g = _times(_times(lin(2), lin(2), p), lin(5), p)
-    assert gcd_mod_p(f, g, p) == _times(lin(2), lin(2), p)
-    assert gcd_mod_p(f, _times(lin(3), lin(4), p), p) == [1]
-    # scaled, with trailing zero coefficients, and against zero
-    assert gcd_mod_p([7 * c for c in lin(6)] + [0, 0], [0], p) == lin(6)
-    assert gcd_mod_p([], [0, 0], p) == []
-    assert gcd_mod_p([5], [], p) == [1]

@@ -7,6 +7,7 @@ import pytest
 from detvar.catalog import cyclic_cubic_state, maximally_mixed, ppt_4x6_state, printed_pencil_4x6
 from detvar.errors import MissingEnsemble, SamplingExhausted, SingularPoint
 from detvar.linalg import Matrix
+from detvar.modp import macaulay_full_rank
 from detvar.multipoly import Poly
 from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.states import (
@@ -20,6 +21,7 @@ from detvar.states import (
     random_unitary,
 )
 from detvar.variety import (
+    _minors_mod_p,
     linearity_decide,
     membership,
     nonlinearity_witness,
@@ -267,7 +269,7 @@ def test_covariance_negative_control():
     assert not verify_lu_covariance(s, pair, samples=4, seed=42)
 
 
-@pytest.mark.parametrize("shape", [(3, 3, 5), (2, 2, 3)])
+@pytest.mark.parametrize("shape", [(3, 3, 5), (2, 2, 3), (2, 5, 6)])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_covariance_of_empty_varieties_holds_without_sampling(monkeypatch, shape, seed):
     # t - n + 1 > m - 1: the Macaulay test proves both V empty, so nothing
@@ -282,6 +284,36 @@ def test_covariance_of_empty_varieties_holds_without_sampling(monkeypatch, shape
     u = random_local_unitary(shape[0], shape[1], seed=seed + 100)
     res = verify_lu_covariance(s, u, samples=3, seed=42)
     assert res.ok and res.checked == 0
+
+
+def _shared_factor_state(n, seed):
+    """A 2 x n state on n + 1 exact rays, two of them a (x) b_1 and
+    a (x) b_2 for a = (1, 2): both pencil columns vanish at x = (2, -1),
+    where the n - 1 others leave every n x n minor zero."""
+    rng = random.Random(seed)
+
+    def ray(size):
+        return [EC(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(size)]
+
+    rays = [tuple(EC(a) * x for a in (1, 2) for x in b) for b in (ray(n), ray(n))]
+    rays += [tuple(ray(2 * n)) for _ in range(n - 1)]
+    return BipartiteState(2, n, ensemble=[(F(1, n + 1), r) for r in rays])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
+    # m = 2: the Empty test of verify_lu_covariance runs on binary minors
+    # in degree 2n - 1 alone, above the n + 1 .. n + 3 tried in more
+    # variables once n >= 5; both decide alike, on an empty V and on one
+    # with a point
+    finite = _shared_factor_state(n, seed=n)
+    assert membership(variety_of_state(finite), [EC(2), EC(-1)])
+    for s, full in ((random_mixed(2, n, n + 1, seed=n), True), (finite, False)):
+        v = variety_of_state(s)
+        p, forms = v.pencil.mod_p()
+        gens = _minors_mod_p(forms, p)
+        assert macaulay_full_rank(gens, 2, 2 * n - 1, p) is full
+        assert macaulay_full_rank(gens, 2, n + 1, p) is full
 
 
 def test_covariance_fails_when_one_side_is_empty():

@@ -6,7 +6,8 @@ A state file carries m, n, an optional label, and exactly one of
     "density":  [[scalar, ...], ...]            (mn x mn)
 
 Scalars are exact as {"re": "p/q", "im": "p/q"} (strings), or approximate
-as plain numbers, [re, im] pairs, or {"re": num, "im": num}.  Weights are
+as plain numbers, [re, im] pairs, or {"re": num, "im": num}; a part left
+out is zero of the other part's form.  Weights are
 probabilities: "p/q" strings (exact) or numbers.  Numbers must be finite
 (JSON readers accept NaN and Infinity).  Parse failures raise
 StateFileError naming the offending field.
@@ -16,15 +17,33 @@ from __future__ import annotations
 
 import cmath
 import json
+import re
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 from .errors import DetvarError, StateFileError
 from .linalg import Matrix
-from .scalars import ExactComplex
+from .scalars import ExactComplex, from_fields
 from .states import BipartiteState
 
 Scalar = Union[ExactComplex, complex]
+
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_PARTS = frozenset(("re", "im"))
+
+
+def _rational(text: str) -> Tuple[int, int]:
+    """(p, q) with q > 0 and p/q = Fraction(text): read on ints for the
+    literals -?[0-9]+(/[0-9]+)?, else by Fraction, which accepts and
+    rejects (ValueError, ZeroDivisionError) every other string."""
+    lit = _LITERAL.fullmatch(text)
+    if lit is not None:
+        # int() fails past the digit limit as Fraction does, same message
+        p, q = int(lit[1]), int(lit[2] or 1)
+        if q:
+            return p, q
+    f = Fraction(text)
+    return f.numerator, f.denominator
 
 
 def _finite(re, im, path: str) -> complex:
@@ -47,18 +66,19 @@ def parse_scalar(obj, path: str) -> Scalar:
             raise StateFileError(path, "pair form must be [re, im] numbers")
         return _finite(obj[0], obj[1], path)
     if isinstance(obj, dict):
-        re = obj.get("re", 0)
-        im = obj.get("im", 0)
-        extra = set(obj) - {"re", "im"}
-        if extra:
-            raise StateFileError(path, f"unexpected keys {sorted(extra)}")
+        # a part left out is zero in the form of the other
+        re = obj.get("re", "0" if isinstance(obj.get("im"), str) else 0)
+        im = obj.get("im", "0" if isinstance(re, str) else 0)
+        if not obj.keys() <= _PARTS:
+            raise StateFileError(path, f"unexpected keys {sorted(set(obj) - _PARTS)}")
         if isinstance(re, str) or isinstance(im, str):
             if not (isinstance(re, str) and isinstance(im, str)):
                 raise StateFileError(path, "re/im must both be strings or both numbers")
             try:
-                return ExactComplex(Fraction(re), Fraction(im))
+                (a, q), (b, s) = _rational(re), _rational(im)
             except (ValueError, ZeroDivisionError) as exc:
                 raise StateFileError(path, f"bad rational literal: {exc}")
+            return from_fields(a * s, b * q, q * s)
         if isinstance(re, (int, float)) and isinstance(im, (int, float)):
             return _finite(re, im, path)
         raise StateFileError(path, "re/im must both be strings or both numbers")
@@ -77,7 +97,7 @@ def render_scalar(x: Scalar):
 def parse_weight(obj, path: str):
     if isinstance(obj, str):
         try:
-            return Fraction(obj)
+            return Fraction(*_rational(obj))
         except (ValueError, ZeroDivisionError) as exc:
             raise StateFileError(path, f"bad rational weight: {exc}")
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):

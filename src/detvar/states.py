@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     BadDims,
     DimensionMismatch,
@@ -35,7 +37,6 @@ from .linalg import (
     hermitian_eigen,
     kron,
     partial_trace,
-    partial_transpose,
     psd_check,
     spectral_cutoff,
 )
@@ -45,23 +46,12 @@ Weight = object  # Fraction (exact) or float (approx)
 Vector = Tuple[object, ...]  # ExactComplex or complex entries
 
 
-def _vec_is_exact(v: Sequence) -> bool:
-    return all(isinstance(x, ExactComplex) for x in v)
-
-
-def _vec_norm_sq(v: Sequence):
-    """Exact for an exact vector; a float vector is summed relative to its
-    largest part, so the result may be inf but the sum never raises."""
-    if _vec_is_exact(v):
-        acc = Fraction(0)
-        for x in v:
-            acc += x.norm_sq()
-        return acc
-    zs = [complex(x) for x in v]
-    big = max(max(abs(z.real), abs(z.imag)) for z in zs)
-    if big == 0:
-        return 0.0
-    return big * big * sum(abs(z / big) ** 2 for z in zs)
+def _vec_norm_sq(v: Sequence) -> Fraction:
+    """||v||^2 of an exact vector, as one Fraction."""
+    acc = Fraction(0)
+    for x in v:
+        acc += x.norm_sq()
+    return acc
 
 
 def unit_scaled(v: Sequence) -> List[complex]:
@@ -96,6 +86,9 @@ class BipartiteState:
             self.ensemble = [(w, tuple(v)) for w, v in ensemble]
         self.density = density
         self._rho = density    # density_matrix(), built at most once
+        self._sum = None       # _gaussian_sum(), summed at most once
+        self._images = None    # _float_images(), rounded at most once
+        self._exact = None     # exact_ensemble, scanned at most once
         self._swapped = None   # swapped(), built at most once
         if validate:
             self._validate(tol)
@@ -114,8 +107,7 @@ class BipartiteState:
                         raise NotAState(f"ensemble weight {idx} must be positive")
                 elif not w > 0:
                     raise NotAState(f"ensemble weight {idx} must be positive")
-                nsq = _vec_norm_sq(v)
-                if nsq == 0:
+                if not any(v):
                     raise NotAState(f"ensemble vector {idx} is zero")
                 total = total + w
             if self.exact_ensemble:
@@ -136,7 +128,6 @@ class BipartiteState:
         if self.ensemble is not None and self.density is not None:
             built = density_from_ensemble(self)
             diff = built.to_numpy() - self.density.to_numpy()
-            import numpy as np
             if float(np.max(np.abs(diff))) > 1e3 * tol.abs_eps:
                 raise NotAState("ensemble and density disagree")
 
@@ -144,9 +135,12 @@ class BipartiteState:
 
     @property
     def exact_ensemble(self) -> bool:
-        return self.ensemble is not None and all(
-            isinstance(w, (Fraction, int)) and _vec_is_exact(v)
-            for w, v in self.ensemble)
+        if self._exact is None:
+            self._exact = self.ensemble is not None and all(
+                isinstance(w, (Fraction, int))
+                and all(isinstance(x, ExactComplex) for x in v)
+                for w, v in self.ensemble)
+        return self._exact
 
     @property
     def exact(self) -> bool:
@@ -161,6 +155,70 @@ class BipartiteState:
         if self._rho is None:
             self._rho = density_from_ensemble(self)
         return self._rho
+
+    def _gaussian_sum(self) -> Tuple[List[List[int]], List[List[int]], int]:
+        """(re, im, L), rho = (re + i*im)/L as full int matrices: the exact
+        ensemble's density on Gaussian integers, summed once.  Rays are
+        cleared to Z[i], v_l = V_l / d_l, so that p_l / ||v_l||^2 * v_l v_l^dagger
+        = p_l / ||V_l||^2 * V_l V_l^dagger; these weights are put over one
+        common denominator L and the upper triangle is summed on ints."""
+        if self._sum is not None:
+            return self._sum
+        mn = self.m * self.n
+        cleared = []
+        for w, v in self.ensemble_terms():
+            d = math.lcm(*(x.fields[2] for x in v))
+            ray = [(a * (d // f), b * (d // f)) for a, b, f in (x.fields for x in v)]
+            cleared.append((Fraction(w) / sum(a * a + b * b for a, b in ray), ray))
+        den = math.lcm(*(c.denominator for c, _ in cleared))
+        re = [[0] * mn for _ in range(mn)]
+        im = [[0] * mn for _ in range(mn)]
+        for c, ray in cleared:
+            k = c.numerator * (den // c.denominator)
+            for i, (a, b) in enumerate(ray):
+                if not (a or b):
+                    continue
+                a, b = k * a, k * b
+                re_i, im_i = re[i], im[i]
+                for j in range(i, mn):
+                    x, y = ray[j]
+                    re_i[j] += a * x + b * y   # (a + bi)(x - yi)
+                    im_i[j] += b * x - a * y
+        for i in range(mn):
+            for j in range(i):
+                re[i][j], im[i][j] = re[j][i], -im[j][i]
+        self._sum = re, im, den
+        return self._sum
+
+    def _float_images(self) -> Tuple[Matrix, Matrix, Matrix]:
+        """rho, tr_B rho and tr_A rho for the spectra and the PPT test;
+        built once.  From an exact ensemble's Gaussian sum each is a float
+        Matrix, partial traces summed on the ints and every entry divided
+        once by L: int true division rounds correctly, so each entry is
+        to_complex() of the exact entry.  Otherwise rho is density_matrix()
+        and the partial traces are partial_trace's, rounded after summing."""
+        if self._images is not None:
+            return self._images
+        m, n = self.m, self.n
+        if self.density is None and self.exact_ensemble:
+            re, im, den = self._gaussian_sum()
+            re, im = np.array(re, dtype=object), np.array(im, dtype=object)
+
+            def rounded(a, b) -> Matrix:
+                z = np.empty(a.shape, dtype=complex)
+                z.real, z.imag = a / den, b / den
+                return Matrix.approx(z)
+
+            def traced(axis: int) -> Matrix:   # 1 traces out B, 0 traces out A
+                return rounded(*(x.reshape(m, n, m, n).trace(axis1=axis, axis2=axis + 2)
+                                 for x in (re, im)))
+
+            self._images = rounded(re, im), traced(1), traced(0)
+        else:
+            rho = self.density_matrix()
+            self._images = (rho, partial_trace(rho, m, n, "B").to_approx(),
+                            partial_trace(rho, m, n, "A").to_approx())
+        return self._images
 
     def ensemble_terms(self) -> List[Tuple[Weight, Vector]]:
         if self.ensemble is None:
@@ -222,7 +280,6 @@ class LocalUnitaryPair:
                     if gram != eye:
                         raise NotAState(f"{name} is not exactly unitary")
                 else:
-                    import numpy as np
                     defect = float(np.max(np.abs(gram.to_numpy() - eye.to_numpy())))
                     if defect > 1e3 * tol.abs_eps:
                         raise NotAState(f"{name} unitarity defect {defect:.3e}")
@@ -243,45 +300,17 @@ def density_from_ensemble(s: BipartiteState) -> Matrix:
     """rho = A P A^dagger with A the (ray) ensemble columns and
     P = diag(p_l / ||v_l||^2); equals sum_l p_l P_{v_l} exactly.
 
-    Exact rays are cleared to Z[i], v_l = V_l / d_l, so that
-    p_l / ||v_l||^2 * v_l v_l^dagger = p_l / ||V_l||^2 * V_l V_l^dagger.
-    These weights are put over one common denominator L, the entries are
-    summed as (re, im) int pairs, and each entry is one from_fields over L
-    (the lower triangle the conjugate of the upper).  Float rays go
-    through unit_scaled and numpy.
+    An exact ensemble gives one from_fields per entry of the state's
+    Gaussian-integer sum over L (``BipartiteState._gaussian_sum``).  Float
+    rays go through unit_scaled and numpy.
     """
-    terms = s.ensemble_terms()
     mn = s.m * s.n
     if s.exact_ensemble:
-        cleared = []
-        for w, v in terms:
-            d = math.lcm(*(x.fields[2] for x in v))
-            ray = [(a * (d // f), b * (d // f)) for a, b, f in (x.fields for x in v)]
-            cleared.append((Fraction(w) / sum(a * a + b * b for a, b in ray), ray))
-        den = math.lcm(*(c.denominator for c, _ in cleared))
-        re = [[0] * mn for _ in range(mn)]
-        im = [[0] * mn for _ in range(mn)]
-        for c, ray in cleared:
-            k = c.numerator * (den // c.denominator)
-            for i, (a, b) in enumerate(ray):
-                if not (a or b):
-                    continue
-                a, b = k * a, k * b
-                re_i, im_i = re[i], im[i]
-                for j in range(i, mn):
-                    x, y = ray[j]
-                    re_i[j] += a * x + b * y   # (a + bi)(x - yi)
-                    im_i[j] += b * x - a * y
-        flat = [EC_ZERO] * (mn * mn)
-        for i in range(mn):
-            for j in range(i, mn):
-                z = flat[i * mn + j] = from_fields(re[i][j], im[i][j], den)
-                if j > i:
-                    flat[j * mn + i] = z.conjugate()
-        return Matrix(mn, mn, flat, "exact")
-    import numpy as np
+        re, im, den = s._gaussian_sum()
+        return Matrix(mn, mn, [from_fields(a, b, den) for re_i, im_i in zip(re, im)
+                               for a, b in zip(re_i, im_i)], "exact")
     rho = np.zeros((mn, mn), dtype=complex)
-    for w, v in terms:
+    for w, v in s.ensemble_terms():
         vec = np.array(unit_scaled(v))
         nsq = float(np.vdot(vec, vec).real)
         rho += (float(w) / nsq) * np.outer(vec, vec.conj())
@@ -350,9 +379,11 @@ def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteStat
 
 
 def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Peres criterion: is the partial transpose still PSD?"""
-    rho = s.density_matrix(tol)
-    return psd_check(partial_transpose(rho, s.m, s.n), tol)
+    """Peres criterion: is the partial transpose still PSD?  rho^{T_A}
+    permutes the axes of rho's float image (``_float_images``), exactly."""
+    m, n = s.m, s.n
+    rho = s._float_images()[0].to_numpy().reshape(m, n, m, n)
+    return psd_check(Matrix.approx(rho.transpose(2, 1, 0, 3).reshape(m * n, m * n)), tol)
 
 
 @dataclass
@@ -367,14 +398,18 @@ class SpectraReport:
 
 def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
     cut = spectral_cutoff(eigs, tol)
-    return -sum(lam * math.log(lam) for lam in eigs if lam > cut)
+    # 0.0 - x, not -x: a pure spectrum gives +0.0
+    return 0.0 - sum(lam * math.log(lam) for lam in eigs if lam > cut)
 
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
-    rho = s.density_matrix(tol)
+    """Spectra and von Neumann entropies of rho, tr_B rho and tr_A rho,
+    from the state's float images (``_float_images``); rho's goes through
+    ``Matrix.eigen``, shared with a given density's PSD check."""
+    rho, tr_b, tr_a = s._float_images()
     glob = rho.eigen(tol).eigenvalues
-    red_a = hermitian_eigen(partial_trace(rho, s.m, s.n, "B").to_approx(), tol).eigenvalues
-    red_b = hermitian_eigen(partial_trace(rho, s.m, s.n, "A").to_approx(), tol).eigenvalues
+    red_a = hermitian_eigen(tr_b, tol).eigenvalues
+    red_b = hermitian_eigen(tr_a, tol).eigenvalues
     return SpectraReport(
         spectrum=glob,
         reduced_a_spectrum=red_a,
@@ -439,7 +474,6 @@ def random_separable(m: int, n: int, terms: int, seed: int) -> BipartiteState:
 
 def random_unitary(dim: int, rng: random.Random) -> Matrix:
     """Orthonormalization (modified Gram-Schmidt) of a complex Gaussian sample."""
-    import numpy as np
     g = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
                   for _ in range(dim)])
     q = np.zeros_like(g)

@@ -7,7 +7,7 @@ from detvar.cli import main
 from detvar.errors import StateFileError
 from detvar.scalars import ExactComplex
 from detvar.statefile import parse_scalar, parse_state, render_scalar, state_to_json
-from detvar.states import random_mixed
+from detvar.states import BipartiteState, random_mixed
 
 EC = ExactComplex
 F = Fraction
@@ -242,6 +242,35 @@ def test_huge_float_ray_is_a_valid_state(tmp_path, capsys):
     code, out = run_cli(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["spectra"]["global"] == [1.0, 0.0]
+
+
+def test_tiny_float_ray_is_a_valid_state(tmp_path, capsys):
+    # every part of the scaled rays lies below 1e-162, where a square
+    # underflows to zero; a power of two leaves each ratio's bits as they are
+    unit = random_mixed(2, 3, rank=3, seed=8)
+    tiny = BipartiteState(2, 3, ensemble=[(w, tuple(z * 2.0 ** -600 for z in v))
+                                          for w, v in unit.ensemble])
+    reports = []
+    for name, state in (("unit.json", unit), ("tiny.json", tiny)):
+        path = tmp_path / name
+        path.write_text(json.dumps(state_to_json(state)))
+        code, out = run_cli(capsys, "analyze", str(path), "--samples", "4")
+        assert code == 0
+        report = strip_runtime(json.loads(out))
+        del report["input_digest"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_exact_scalar_with_one_part_left_out():
+    # the missing part is zero in the form of the given one
+    assert parse_scalar({"re": "1/2"}, "x").fields == (1, 0, 2)
+    assert parse_scalar({"im": "-3/6"}, "x").fields == (0, -1, 2)
+    for obj, z in (({"re": 2}, 2 + 0j), ({"im": 1.5}, 1.5j)):
+        got = parse_scalar(obj, "x")
+        assert type(got) is complex and got == z
+    with pytest.raises(StateFileError, match="must both be strings or both numbers"):
+        parse_scalar({"re": "1/2", "im": 0}, "x")
 
 
 def test_state_errors_exit_2_and_bugs_propagate(tmp_path, capsys, monkeypatch):

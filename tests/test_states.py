@@ -205,3 +205,11 @@ def test_swapped_state_consistency():
     rho = s.density_matrix().to_numpy().reshape(2, 3, 2, 3)
     rho_sw = sw.density_matrix().to_numpy().reshape(3, 2, 3, 2)
     assert np.max(np.abs(rho_sw - rho.transpose(1, 0, 3, 2))) < 1e-12
+
+
+def test_pure_state_entropies_are_positive_zero():
+    product = BipartiteState(2, 2, ensemble=[(F(1), (EC(0), EC(1), EC(0), EC(0)))])
+    for s in (BipartiteState(1, 1, ensemble=[(1.0, (1j,))]), product, product.swapped()):
+        rep = entropy_and_spectra(s)
+        for e in (rep.entropy, rep.entropy_reduced_a, rep.entropy_reduced_b):
+            assert e == 0.0 and math.copysign(1.0, e) == 1.0

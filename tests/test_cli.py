@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,19 @@ def test_state_errors_exit_2_and_bugs_propagate(tmp_path, capsys, monkeypatch):
                 {"m": 1, "n": 2, "density": [[1, 0], [0, 0]]}):
         with pytest.raises(TypeError):
             parse_state(doc)
+
+
+def test_overflowing_probes_raise_no_numpy_warning(tmp_path, capsys):
+    # at radius 1e308 some probes overflow to NaN coordinates; they are
+    # dropped before M(q), silently, and the witness is the one they never beat
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(state_to_json(random_mixed(3, 3, 3, seed=1))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "analyze", str(path), "--radius", "1e308")
+    assert code == 0
+    witness = json.loads(out)["verdict"]["witness"]
+    assert witness["hermitian_residual"] == 0.04990107979105626
+    assert witness["probe"] == [[1.0, -1.1102230246251565e-16],
+                                [0.6224090669835789, -0.20752590916755723],
+                                [0.2708051452117024, 0.09207798337716838]]

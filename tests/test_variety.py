@@ -21,7 +21,10 @@ from detvar.states import (
     random_unitary,
 )
 from detvar.variety import (
+    _best_probe,
+    _hadamard_ratio,
     _minors_mod_p,
+    _perturbation_draws,
     linearity_decide,
     membership,
     nonlinearity_witness,
@@ -379,6 +382,80 @@ def test_hermitian_residual_when_its_bound_underflows():
     for point in [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160)]:
         assert vd.hermitian_residual(point) == pytest.approx(1.0, rel=1e-12)
     assert vd.hermitian_residual((1, 2, 3)) == 1.0
+
+
+def loop_best(mats, threshold):
+    """Every ratio in index order, each strict improvement kept."""
+    best = None
+    for k, mat in enumerate(mats):
+        res = _hadamard_ratio(mat)
+        if res > threshold and (best is None or res > best[1]):
+            best = (k, res)
+    return best
+
+
+def test_best_probe_selection_rule():
+    rng = np.random.default_rng(4)
+    a, b = (rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4)))
+    ra, rb = _hadamard_ratio(a), _hadamard_ratio(b)
+    lo, hi = (a, b) if ra < rb else (b, a)
+    r_hi = max(ra, rb)
+    # duplicates: a tie goes to the first index
+    assert _best_probe(np.array([lo, hi, hi, lo]), 0.0) == (1, r_hi)
+    # every probe below threshold
+    assert _best_probe(np.array([lo, hi, hi]), r_hi) is None
+    # 1 ulp above threshold wins; at threshold it does not
+    assert _best_probe(np.array([lo, hi]), float(np.nextafter(r_hi, 0.0))) == (1, r_hi)
+    assert _best_probe(np.array([hi]), r_hi) is None
+    # a NaN probe never wins, not even alone
+    nan = np.full((4, 4), np.nan + 0j)
+    with np.errstate(invalid="ignore"):
+        assert _best_probe(np.array([nan, lo, nan]), 0.0) == (1, min(ra, rb))
+        assert _best_probe(np.array([nan]), 0.0) is None
+    # near ties the screen cannot separate: scaled copies, ulp-sized nudges
+    for trial in range(200):
+        base = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        picks = rng.integers(0, 3, size=12)
+        scales = 2.0 ** rng.integers(-40, 40, size=12) * (1 + rng.integers(-3, 4, size=12) * 2e-16)
+        mats = base[picks] * scales[:, None, None]
+        threshold = float(np.sort([_hadamard_ratio(m) for m in mats])[trial % 12])
+        assert _best_probe(mats, threshold) == loop_best(mats, threshold)
+
+
+def test_best_probe_on_underflowing_bounds():
+    # the states of test_hermitian_residual_when_its_bound_underflows: zero
+    # rows, and rows whose bound or det underflows, take the exact ratio
+    rays = [_unit(0), _unit(1), [EC(1)] * 3]
+    s = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(a, _unit(0))) for a in rays],
+                       validate=False)
+    v = variety_of_state(s)
+    assert _best_probe(v.hermitian_stack([(1, 0.5j, 0.25)]), -1.0) == (0, 0.0)
+    diag = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(_unit(i), _unit(i)))
+                                          for i in range(3)])
+    vd = variety_of_state(diag)
+    points = [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160), (1, 2, 3)]
+    mats = vd.hermitian_stack(points)
+    for k, point in enumerate(points):
+        assert _best_probe(mats[k:k + 1], 0.5) == (0, vd.hermitian_residual(point))
+    assert _best_probe(mats, 0.5) == loop_best(mats, 0.5)
+
+
+def test_perturbation_draws_slice_one_stream(monkeypatch):
+    for m in range(2, 9):
+        rng = np.random.default_rng(9173)
+        first, second = rng.standard_normal(m), rng.standard_normal(m)
+        draws = _perturbation_draws(max(2 * m, 64))
+        assert draws[:m].tolist() == first.tolist()
+        assert draws[m:2 * m].tolist() == second.tolist()
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
+    _perturbation_draws.cache_clear()
+    for seed in (1, 2):
+        for side in "AB":
+            v = variety_of_state(random_mixed(4, 4, 5, seed=seed), side)
+            assert linearity_decide(v).tag == "NonlinearWitness"
+    assert made == [(9173,)]
 
 
 def test_project_normalize_rules():

@@ -11,9 +11,17 @@ the current code must equal theirs in every bit (``float.hex``), on at
 least 200 points or starts per case: float and Gaussian-rational states on
 sides A and B, a 4x4 rank-5 float state with five quartic minors in four
 variables, points with signed zeros and exact points.
+
+It also keeps the witness probe of a sampled point as it was before the
+probes went through numpy as one batch: ``_witness_search_at``, which took
+each probe's ``hermitian_residual`` in turn, and the ``_kernel_directions``
+it called, which drew its perturbation from a fresh Generator.  The batch
+must return the same probe and residual in every bit, or None with it, and
+leave the shared ``random.Random`` in the same state.
 """
 
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +34,11 @@ from detvar.statefile import load_state
 from detvar.states import ensemble_from_density, random_mixed
 from detvar.variety import (
     NEWTON_MAX_STEPS,
+    WITNESS_FACTOR,
     _analysis_system,
+    _gap_rank,
     _newton_polish,
+    _witness_search_at,
     project_normalize,
     sample_points,
     variety_of_state,
@@ -288,3 +299,117 @@ def test_newton_polish_matches_reference(name):
         assert bits(got) == bits(reference_newton_polish(ref, z0, DEFAULT_TOL))
         converged += got is not None
     assert 0 < converged < COUNT
+
+
+# ---------------------------------------------------------------------------
+# The witness probe of one point (verbatim but for the reference_ names)
+# ---------------------------------------------------------------------------
+
+def reference_kernel_directions(v, pt, tol):
+    _, system = _analysis_system(v)
+    if not system.polys:
+        system = v.compiled
+    table = system.table(pt)
+    for k in range(len(system.polys)):
+        grad, gscale = system.gradient(k, pt, table)
+        if max(abs(x) for x in grad) > WITNESS_FACTOR * tol.abs_eps * gscale:
+            break
+    else:
+        return None
+    floor = max(100.0 * system.residual(pt, table), 1e-14)
+    cols = range(v.m)
+    _, s1, vh = np.linalg.svd(np.array(system.jacobian(pt, cols, table), dtype=complex))
+    rank = _gap_rank(s1, v.m, floor)
+    if rank is None or rank == 0:
+        return None
+    rng_local = np.random.default_rng(9173)
+    pert = [z + 1e-10 * complex(c1, c2)
+            for z, c1, c2 in zip(pt, rng_local.standard_normal(v.m),
+                                 rng_local.standard_normal(v.m))]
+    s2 = np.linalg.svd(np.array(system.jacobian(pert, cols), dtype=complex),
+                       compute_uv=False)
+    if _gap_rank(s2, v.m, max(floor, 1e-9)) != rank:
+        return None
+    kernel = [vh[k].conj() for k in range(rank, v.m)]
+    p = np.array(pt)
+    p = p / np.linalg.norm(p)
+    dirs = []
+    for vec in kernel:
+        w = vec - p * np.vdot(p, vec)
+        norm = float(np.linalg.norm(w))
+        if norm > 1e-8:
+            dirs.append(w / norm)
+    return dirs
+
+
+def reference_witness_search_at(v, point, rng, tol, radius, probes=20):
+    pt = [complex(x.to_complex() if isinstance(x, ExactComplex) else x)
+          for x in project_normalize(point)]
+    dirs = reference_kernel_directions(v, pt, tol)
+    if dirs is None or not dirs:
+        return None
+    threshold = WITNESS_FACTOR * tol.abs_eps
+    best = None
+    for _ in range(probes):
+        combo = np.zeros(v.m, dtype=complex)
+        for d in dirs:
+            combo += complex(rng.gauss(0, 1), rng.gauss(0, 1)) * d
+        norm = float(np.linalg.norm(combo))
+        if norm < 1e-12:
+            continue
+        q = project_normalize((np.array(pt) + radius * combo / norm).tolist())
+        res = v.hermitian_residual(q)
+        if res > threshold and (best is None or res > best[1]):
+            best = (q, res)
+    return best
+
+
+WITNESS_CASES = {
+    "float 3x3 r3 A": CASES["float 3x3 r3 A"],
+    "float 3x3 r3 B": CASES["float 3x3 r3 B"],
+    "float 3x4 r4 A": lambda: variety_of_state(random_mixed(3, 4, 4, seed=1), "A"),
+    "float 3x4 r4 B": lambda: variety_of_state(random_mixed(3, 4, 4, seed=1), "B"),
+    "float 4x4 r5 A": CASES["float 4x4 r5 A"],
+    "float 4x4 r5 B": CASES["float 4x4 r5 B"],
+    "density 4x4 r5 A": CASES["density 4x4 r5 A"],
+    "gaussian 3x4 r4 A": CASES["gaussian 3x4 r4 A"],
+    "gaussian 3x4 r4 B": CASES["gaussian 3x4 r4 B"],
+    "gaussian 4x4 r5 A": lambda: variety_of_state(
+        load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")), "A"),
+}
+RADII = (0.1, 1e-300, 1e308)
+PROBES = (20, 7)
+
+
+def probe_points(v, rng: random.Random):
+    """Eight sampled points of V, four of them also moved off V by 1e-6,
+    and the first two with their coordinates made exact."""
+    on_v = sample_points(v, 8, seed=7)
+    moved = [tuple(x + 1e-6 * complex(rng.gauss(0, 1), rng.gauss(0, 1)) for x in p)
+             for p in on_v[:4]]
+    exact = [tuple(ExactComplex(Fraction(x.real), Fraction(x.imag)) for x in p)
+             for p in on_v[:2]]
+    return on_v + moved + exact
+
+
+@pytest.mark.parametrize("name", list(WITNESS_CASES))
+def test_witness_search_matches_reference(name):
+    """COUNT (point, seed) cases per state, each radius and probe count
+    in turn: the same (q, residual) bits or None, the same rng state, and
+    no numpy warning from the batch."""
+    v = WITNESS_CASES[name]()
+    points = probe_points(v, random.Random(f"witness:{name}"))
+    hits = 0
+    for case in range(COUNT):
+        point = points[case % len(points)]
+        radius, probes = RADII[case % 3], PROBES[case // 3 % 2]
+        got_rng, want_rng = random.Random(case), random.Random(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _witness_search_at(v, point, got_rng, DEFAULT_TOL, radius, probes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_witness_search_at(v, point, want_rng, DEFAULT_TOL, radius, probes)
+        assert bits(got) == bits(want), (case, radius, probes)
+        assert got_rng.getstate() == want_rng.getstate()
+        hits += got is not None
+    assert 0 < hits < COUNT

@@ -41,7 +41,7 @@ from .report import (
 from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import load_state, save_state
 from .states import random_local_unitary, random_mixed, random_separable
-from .variety import linearity_decide, variety_of_state, verify_lu_covariance
+from .variety import HYPERPLANE_RADIUS, linearity_decide, variety_of_state, verify_lu_covariance
 
 
 def _check_flags(args) -> None:
@@ -113,7 +113,7 @@ def cmd_repro(args) -> int:
         from .linalg import partial_transpose, rank_exact
         from .states import ppt_check
 
-        rho = state.density_matrix(tol)
+        rho = state.density_matrix()
         report = {
             "schema": SCHEMA,
             "label": state.label,
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--tol", type=float, default=None)
     pa.add_argument("--samples", type=int, default=12)
     pa.add_argument("--seed", type=int, default=42)
-    pa.add_argument("--radius", type=float, default=0.1,
+    pa.add_argument("--radius", type=float, default=HYPERPLANE_RADIUS,
                     help="tangent-probe step for the witness search")
     pa.add_argument("--json", default=None)
     pa.set_defaults(fn=cmd_analyze)

@@ -125,20 +125,18 @@ class ModuliComparison:
     left: ModuliValue
     right: ModuliValue
 
-    @property
-    def distinguished(self) -> bool:
-        return self.verdict == "DistinguishedInequivalent"
+
+def moduli_verdict(left: ModuliValue, right: ModuliValue) -> str:
+    """DistinguishedInequivalent only when both values exist and differ; equal
+    values or any Degenerate marker leave the pair NotDistinguished (the
+    invariant is necessary, not sufficient, for local-unitary equivalence)."""
+    if not left.degenerate and not right.degenerate and left.value != right.value:
+        return "DistinguishedInequivalent"
+    return "NotDistinguished"
 
 
 def lu_compare(t_cubed, s_cubed) -> ModuliComparison:
-    """Compare two family members by exact moduli values.
-
-    DistinguishedInequivalent only when both values exist and differ; equal
-    values or any Degenerate marker leave the pair NotDistinguished (the
-    invariant is necessary, not sufficient, for local-unitary equivalence).
-    """
+    """Compare two family members by exact moduli values (moduli_verdict)."""
     left = moduli_value(HesseCubic(family_lambda_cubed(t_cubed), "family t^3"))
     right = moduli_value(HesseCubic(family_lambda_cubed(s_cubed), "family s^3"))
-    if not left.degenerate and not right.degenerate and left.value != right.value:
-        return ModuliComparison("DistinguishedInequivalent", left, right)
-    return ModuliComparison("NotDistinguished", left, right)
+    return ModuliComparison(moduli_verdict(left, right), left, right)

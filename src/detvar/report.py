@@ -17,12 +17,13 @@ from typing import Optional
 
 from .catalog import CHART_NAMES, ChartReduction
 from .errors import NotHesseShape
-from .moduli import HesseCubic, hesse_reduce, moduli_value
+from .moduli import HesseCubic, hesse_reduce, moduli_value, moduli_verdict
 from .multipoly import LinearForm
 from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import render_scalar
 from .states import BipartiteState, entropy_and_spectra, ppt_check
 from .variety import (
+    HYPERPLANE_RADIUS,
     Variety,
     VarietyVerdict,
     linearity_decide,
@@ -93,7 +94,7 @@ def digest_bytes(data: bytes) -> str:
 
 
 def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAULT_TOL,
-                  samples: int = 12, seed: int = 42, radius: float = 0.1,
+                  samples: int = 12, seed: int = 42, radius: float = HYPERPLANE_RADIUS,
                   input_digest: str = "unhashed") -> dict:
     """Full pipeline: pencil -> generators -> linearity verdict -> PPT ->
     spectra -> report dict."""
@@ -102,7 +103,7 @@ def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAUL
 
     work = s
     if work.ensemble is None:
-        work = ensemble_from_density(s.density_matrix(tol), s.m, s.n, tol)
+        work = ensemble_from_density(s.density_matrix(), s.m, s.n, tol)
         work.label = s.label
     v = variety_of_state(work, side)
     verdict = linearity_decide(v, seed=seed, samples=samples, tol=tol, radius=radius)
@@ -196,14 +197,10 @@ def compare_states(a: BipartiteState, b: BipartiteState, *,
               for st in (a, b))
     if ha is not None and hb is not None:
         ma, mb = moduli_value(ha), moduli_value(hb)
-        if not ma.degenerate and not mb.degenerate and ma.value != mb.value:
-            verdict = "DistinguishedInequivalent"
-        else:
-            verdict = "NotDistinguished"
         report["moduli"] = {
             "lambda_cubed": [ha.lambda_cubed.render(), hb.lambda_cubed.render()],
             "values": [ma.render(), mb.render()],
-            "verdict": verdict,
+            "verdict": moduli_verdict(ma, mb),
         }
     report["runtime_seconds"] = time.perf_counter() - start
     return report

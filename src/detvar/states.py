@@ -149,7 +149,7 @@ class BipartiteState:
             return self.exact_ensemble
         return False
 
-    def density_matrix(self, tol: Tolerance = DEFAULT_TOL) -> Matrix:
+    def density_matrix(self) -> Matrix:
         """The given density, else the one built from the ensemble; the
         build runs once, since a state is immutable by convention."""
         if self._rho is None:
@@ -191,12 +191,14 @@ class BipartiteState:
         return self._sum
 
     def _float_images(self) -> Tuple[Matrix, Matrix, Matrix]:
-        """rho, tr_B rho and tr_A rho for the spectra and the PPT test;
-        built once.  From an exact ensemble's Gaussian sum each is a float
-        Matrix, partial traces summed on the ints and every entry divided
-        once by L: int true division rounds correctly, so each entry is
-        to_complex() of the exact entry.  Otherwise rho is density_matrix()
-        and the partial traces are partial_trace's, rounded after summing."""
+        """rho, tr_B rho and tr_A rho for the spectra, the PPT test and the
+        Hermitian oracle of a variety; built once.  From an exact ensemble's
+        Gaussian sum each is a float Matrix, partial traces summed on the
+        ints and every entry divided once by L: int true division rounds
+        correctly, so each entry is to_complex() of the exact entry.
+        Otherwise rho is density_matrix(), exact where the density was given
+        exact (read it through to_numpy()), and the partial traces are float
+        Matrices, partial_trace's rounded after summing."""
         if self._images is not None:
             return self._images
         m, n = self.m, self.n

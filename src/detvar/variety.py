@@ -165,6 +165,9 @@ class Variety:
     column-subset order.  Passed as None, they are expanded (and checked
     homogeneous of degree n) on first read; `essential_count`, the number
     of nonzero minors, must then be given, as the minor screen finds it.
+    The Hermitian form reads rho through the side's state, as pencil_matrix
+    does: the state's float image (BipartiteState._float_images), or its
+    exact density only for an exact point on an exact density.
     """
 
     def __init__(self, side: str, m_vars: int, n_minor: int,
@@ -180,8 +183,7 @@ class Variety:
         self.state = state
         self.mode = mode
         self.structural = structural  # "Empty" | "Full" | None
-        self._blocks_exact = None
-        self._blocks_approx = None
+        self._blocks = {}            # exact? -> _state_blocks(exact)
         self._compiled = None        # CompiledSystem of the essential generators
         self._analysis_cache = None  # (peeled forms, CompiledSystem of the rest)
         self._factor_list = None     # exact split of a hypersurface generator
@@ -217,54 +219,35 @@ class Variety:
 
     # -- Hermitian-form evaluator (the independent membership oracle) ------
 
-    def _state_blocks(self, exact: bool):
-        if exact and self._blocks_exact is not None:
-            return self._blocks_exact, True
-        if not exact and self._blocks_approx is not None:
-            return self._blocks_approx, False
+    def _state_blocks(self, exact: bool) -> np.ndarray:
+        """rho as (m, n, m, n) blocks, [i, r, j, c] = (rho_ij)[r, c], read
+        through this side's state (side B: the swapped state, rounded on its
+        own): the exact entries as an object array when `exact` and the
+        density is exact, else the float image that spectra and PPT read."""
         base = self.state if self.side == "A" else self.state.swapped()
-        rho = base.density_matrix()
-        m, n = base.m, base.n
-        if exact and rho.kind == "exact":
-            self._blocks_exact = [
-                [[[rho[i * n + r, j * n + c] for c in range(n)] for r in range(n)]
-                 for j in range(m)] for i in range(m)]
-            return self._blocks_exact, True
-        if self._blocks_approx is None:
-            self._blocks_approx = rho.to_numpy().reshape(m, n, m, n)
-        return self._blocks_approx, False
+        exact = exact and base.density_matrix().kind == "exact"
+        if exact not in self._blocks:
+            rho = (np.array(base.density_matrix().data, dtype=object) if exact
+                   else base._float_images()[0].to_numpy())
+            self._blocks[exact] = rho.reshape(self.m, self.n, self.m, self.n)
+        return self._blocks[exact]
 
     def hermitian_matrix(self, point: Sequence):
         """M(r) = sum_ij r_i conj(r_j) rho_ij: an exact Matrix for an exact
-        point on an exact state, else a complex numpy array (hermitian_stack)."""
-        want_exact = self.mode == "exact" and all(
-            isinstance(x, ExactComplex) for x in point)
-        blocks, exact = self._state_blocks(want_exact)
-        m, n = self.m, self.n
-        if exact:
-            acc = [[EC_ZERO] * n for _ in range(n)]
-            for i in range(m):
-                if point[i].is_zero():
-                    continue
-                for j in range(m):
-                    if point[j].is_zero():
-                        continue
-                    w = point[i] * point[j].conjugate()
-                    bij = blocks[i][j]
-                    for r in range(n):
-                        for c in range(n):
-                            if not bij[r][c].is_zero():
-                                acc[r][c] = acc[r][c] + w * bij[r][c]
-            return Matrix.exact(acc)
+        point on an exact density, else a complex numpy array; one einsum
+        (_hermitian_forms) serves both."""
+        exact = self.mode == "exact" and all(isinstance(x, ExactComplex) for x in point)
+        blocks = self._state_blocks(exact)
+        if blocks.dtype == object:
+            return Matrix.exact(
+                _hermitian_forms(np.array([point], dtype=object), blocks)[0].tolist())
         return self.hermitian_stack([[x.to_complex() if isinstance(x, ExactComplex)
                                       else complex(x) for x in point]])[0]
 
     def hermitian_stack(self, points: Sequence[Sequence]) -> np.ndarray:
         """The float M(r) of each point (complex coordinates), shape (b, n, n)."""
-        blocks, _ = self._state_blocks(False)
         pts = np.array(points, dtype=complex).reshape(-1, self.m)
-        w = np.einsum("bi,bj->bij", pts, pts.conj())
-        return np.einsum("bij,irjc->brc", w, blocks)
+        return _hermitian_forms(pts, self._state_blocks(False))
 
     def hermitian_value(self, point: Sequence):
         mat = self.hermitian_matrix(point)
@@ -285,6 +268,13 @@ class Variety:
     def __repr__(self):
         return (f"Variety(side={self.side}, {self.generator_count} generators "
                 f"of degree {self.n} in CP^{self.m - 1}, mode={self.mode})")
+
+
+def _hermitian_forms(points: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_ij r_i conj(r_j) blocks[i, :, j, :] for each row r of points, over
+    complex or ExactComplex (object) arrays alike."""
+    w = np.einsum("bi,bj->bij", points, points.conj())
+    return np.einsum("bij,irjc->brc", w, blocks)
 
 
 def _hadamard_ratio(arr: np.ndarray) -> float:
@@ -1202,6 +1192,12 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
             # every generator is a constant times the same hyperplane product:
             # the variety is certified to be exactly that union
             return VarietyVerdict("LinearUnion", forms=forms)
+    if v.n == 1:
+        # the minors are linear forms, and every probe's Hadamard ratio
+        # would read 1, M(r) being 1 x 1
+        return VarietyVerdict("Inconclusive",
+                              reason="criterion vacuous: n = 1, so every minor is a "
+                                     "linear form and V is a linear subspace")
     rng = random.Random(seed)
     probed = 0
     try:

@@ -338,3 +338,31 @@ def test_macaulay_certificate_reverifies_from_report_and_state_file(name, tag):
     assert report["verdict"]["certificate"]["kind"] == "macaulay"
     rank, columns = _recheck_macaulay(name)
     assert rank == columns
+
+
+
+N1_VACUOUS = ("criterion vacuous: n = 1, so every minor is a linear form "
+              "and V is a linear subspace")
+
+
+@pytest.mark.parametrize("make,tag", [
+    *((lambda seed, shape=shape: random_separable(*shape, seed=seed), "Inconclusive")
+      for shape in ((4, 1, 2), (5, 1, 2), (5, 1, 3))),
+    (lambda seed: random_mixed(3, 1, 1, seed=seed), "Inconclusive"),
+    (lambda seed: BipartiteState(3, 1, ensemble=[(1.0, (1, 2j, 3 + seed))]), "Inconclusive"),
+    # certificates that fire before the witness search stay
+    (lambda seed: random_separable(3, 1, 1, seed=seed), "LinearUnion"),
+    (lambda seed: random_separable(3, 1, 2, seed=seed), "Finite"),
+], ids=["exact 4x1 t2", "exact 5x1 t2", "exact 5x1 t3", "float 3x1 r1", "float 3x1 ray",
+        "exact 3x1 t1", "exact 3x1 t2"])
+def test_n_equal_to_one_gets_no_witness_and_no_sampling(monkeypatch, make, tag):
+    # a state on C^m (x) C^1 is separable; M(r) is 1 x 1, so every probe's
+    # Hadamard ratio reads 1, and the minors are linear forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n = 1 variety was sampled")
+
+    monkeypatch.setattr(variety_mod, "_point_stream", refuse)
+    for seed in range(10):
+        verdict = linearity_decide(variety_of_state(make(seed)), seed=42)
+        assert verdict.tag == tag
+        assert verdict.reason == (N1_VACUOUS if tag == "Inconclusive" else None)

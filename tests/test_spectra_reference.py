@@ -33,7 +33,7 @@ from test_states_reference import STATES
 
 def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Peres criterion: is the partial transpose still PSD?"""
-    rho = s.density_matrix(tol)
+    rho = s.density_matrix()
     return psd_check(partial_transpose(rho, s.m, s.n), tol)
 
 
@@ -43,7 +43,7 @@ def _von_neumann(eigs, tol: Tolerance) -> float:
 
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
-    rho = s.density_matrix(tol)
+    rho = s.density_matrix()
     glob = rho.eigen(tol).eigenvalues
     red_a = hermitian_eigen(partial_trace(rho, s.m, s.n, "B").to_approx(), tol).eigenvalues
     red_b = hermitian_eigen(partial_trace(rho, s.m, s.n, "A").to_approx(), tol).eigenvalues

@@ -6,11 +6,16 @@ scales, Jacobian and gradient: ``CompiledSystem``'s ``values_scales``,
 ``residual``, ``jacobian`` and ``gradient`` (with the ``_tables``,
 ``_value`` and ``_scale`` they called), ``_newton_polish``, and
 ``Variety.hermitian_residual`` with the ``hermitian_matrix`` it read
-through a ``Matrix`` round trip and ``np.linalg.norm``.  Every result of
-the current code must equal theirs in every bit (``float.hex``), on at
-least 200 points or starts per case: float and Gaussian-rational states on
-sides A and B, a 4x4 rank-5 float state with five quartic minors in four
-variables, points with signed zeros and exact points.
+through a ``Matrix`` round trip and ``np.linalg.norm``.  That
+``hermitian_matrix`` reads rho's blocks as they were then taken: from the
+side's density ``Matrix`` (the swapped state's on side B), as nested exact
+lists for an exact point on an exact density, else through ``to_numpy()``;
+``Variety.hermitian_matrix`` must equal it, by ``==`` where both are exact
+``Matrix`` results.  Every float result of the current code must equal
+theirs in every bit (``float.hex``), on at least 200 points or starts per
+case: float and Gaussian-rational states on sides A and B, a 4x4 rank-5
+float state with five quartic minors in four variables, points with
+signed zeros and exact points.
 
 It also keeps the witness probe of a sampled point as it was before the
 probes went through numpy as one batch: ``_witness_search_at``, which took
@@ -31,7 +36,7 @@ import pytest
 from detvar.linalg import Matrix
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.statefile import load_state
-from detvar.states import ensemble_from_density, random_mixed
+from detvar.states import BipartiteState, ensemble_from_density, random_mixed
 from detvar.variety import (
     NEWTON_MAX_STEPS,
     WITNESS_FACTOR,
@@ -143,10 +148,20 @@ def reference_newton_polish(system, z0, tol):
     return None
 
 
+def reference_state_blocks(v, exact):
+    base = v.state if v.side == "A" else v.state.swapped()
+    rho = base.density_matrix()
+    m, n = base.m, base.n
+    if exact and rho.kind == "exact":
+        return [[[[rho[i * n + r, j * n + c] for c in range(n)] for r in range(n)]
+                 for j in range(m)] for i in range(m)], True
+    return rho.to_numpy().reshape(m, n, m, n), False
+
+
 def reference_hermitian_matrix(v, point):
     want_exact = v.mode == "exact" and all(
         isinstance(x, ExactComplex) for x in point)
-    blocks, exact = v._state_blocks(want_exact)
+    blocks, exact = reference_state_blocks(v, want_exact)
     m, n = v.m, v.n
     if exact:
         acc = [[EC_ZERO] * n for _ in range(n)]
@@ -199,6 +214,10 @@ def _spectral(s):
     return ensemble_from_density(s.density_matrix(), s.m, s.n)
 
 
+def _with_density(s):
+    return BipartiteState(s.m, s.n, ensemble=s.ensemble, density=s.density_matrix())
+
+
 CASES = {
     "float 3x3 r3 A": lambda: variety_of_state(random_mixed(3, 3, 3, seed=1), "A"),
     "float 3x3 r3 B": lambda: variety_of_state(random_mixed(3, 3, 3, seed=1), "B"),
@@ -210,6 +229,14 @@ CASES = {
     "float 4x4 r5 B": lambda: variety_of_state(random_mixed(4, 4, 5, seed=1), "B"),
     "density 4x4 r5 A": lambda: variety_of_state(_spectral(
         load_state(str(GOLDEN / "mixed_density_4x4_r5.state.json"))), "A"),
+}
+
+HERMITIAN_CASES = {
+    **CASES,
+    # an exact ensemble delivered with its exact density, whose float image
+    # is that exact Matrix
+    "gaussian 3x4 r4 with density B": lambda: variety_of_state(
+        _with_density(load_state(str(GOLDEN / "gaussian_3x4_r4.state.json"))), "B"),
 }
 
 SIGNED_ZEROS = (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
@@ -272,15 +299,30 @@ def test_compiled_system_matches_reference(name):
                 assert bits(cs.gradient(k, pt, table)) == want
 
 
-@pytest.mark.parametrize("name", list(CASES))
+@pytest.mark.parametrize("name", list(HERMITIAN_CASES))
 def test_hermitian_residual_matches_reference(name):
-    v = CASES[name]()
+    v = HERMITIAN_CASES[name]()
     rng = random.Random(f"hermitian:{name}")
     exact_points = 0
     for pt in witness_points(v, rng):
         exact_points += v.mode == "exact" and isinstance(pt[0], ExactComplex)
         assert bits(v.hermitian_residual(pt)) == bits(reference_hermitian_residual(v, pt))
     assert exact_points == (COUNT // 5 if v.mode == "exact" else 0)
+
+
+@pytest.mark.parametrize("name", list(HERMITIAN_CASES))
+def test_hermitian_matrix_matches_reference(name):
+    v = HERMITIAN_CASES[name]()
+    rng = random.Random(f"matrix:{name}")
+    exact_matrices = 0
+    for pt in witness_points(v, rng):
+        got, want = v.hermitian_matrix(pt), reference_hermitian_matrix(v, pt)
+        if want.kind == "exact":
+            assert isinstance(got, Matrix) and got == want
+            exact_matrices += 1
+        else:
+            assert bits(got.ravel().tolist()) == bits(list(want.data))
+    assert exact_matrices == (COUNT // 5 if v.mode == "exact" else 0)
 
 
 @pytest.mark.parametrize("name", ["float 4x4 r5 A", "float 4x4 r5 B", "gaussian 3x4 r4 B",

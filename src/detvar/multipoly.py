@@ -335,8 +335,8 @@ class CompiledSystem:
     the coefficient first, then each power in variable order, taken from a
     per-point table of Python's own ``**``, summed term by term.
 
-    One table per point (``table``) serves values, scales, Jacobian and
-    gradient; nothing is cached on the point, as 0.0 == -0.0 while their
+    One table per point (``table``) serves values, scales and Jacobian;
+    nothing is cached on the point, as 0.0 == -0.0 while their
     powers differ in the sign of zero.  All of it is Python float
     arithmetic: numpy's complex multiply may fuse a multiply and an add.
     """
@@ -405,13 +405,6 @@ class CompiledSystem:
             _, scales = self.values_scales(point, table)
         return [[self._value(partials[i], table[0]) / max(scale, 1e-300) for i in cols]
                 for partials, scale in zip(self._partial_terms(), scales)]
-
-    def gradient(self, k: int, point: Sequence, table=None) -> Tuple[List[complex], float]:
-        """Gradient of polynomial k and the largest scale of its partials
-        (at least 1e-300)."""
-        pw, apw = table or self.table(point)
-        grad, scales = zip(*(self._value_scale(t, pw, apw) for t in self._partial_terms()[k]))
-        return list(grad), max(max(scales), 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,17 @@ modulo a prime first shows, from the pencil alone, that every minor is
 nonzero and that some minor is not a monomial; the Macaulay certificate
 then reads the pencil modulo the same prime, so a V certified finite or
 empty never builds a symbolic minor.
+
+Tangent data come from the pencil, not from the minors: one SVD of N(p)
+gives a smoothness margin and a matrix T whose kernel is the tangent
+space of V at p (_tangent_data).  The witness search probes only points
+the pencil shows to be smooth; near the singular or base locus of N, a
+probe along the tangent cone would leave even a union of linear spaces.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import random
 from fractions import Fraction
 from math import comb, sqrt
@@ -72,6 +77,7 @@ from .states import BipartiteState, unit_scaled
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
+SMOOTH_MARGIN = 1e-3       # least sigma_{n-1}(N(p)) / (||A|| ||p||) at a probed point
 NEWTON_MAX_STEPS = 50
 SAMPLING_BUDGET = 100      # line draws per requested point
 MACAULAY_DEGREES = 3       # degrees n + 1 .. n + 3 tried by the Macaulay certificate
@@ -184,6 +190,7 @@ class Variety:
         self.mode = mode
         self.structural = structural  # "Empty" | "Full" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
+        self._pencil_floats = None   # (float pencil tensor (m, n, t), ||A||)
         self._compiled = None        # CompiledSystem of the essential generators
         self._analysis_cache = None  # (peeled forms, CompiledSystem of the rest)
         self._factor_list = None     # exact split of a hypersurface generator
@@ -216,6 +223,18 @@ class Variety:
         if self._compiled is None:
             self._compiled = CompiledSystem(self.essential_generators, self.m)
         return self._compiled
+
+    @property
+    def pencil_floats(self) -> Tuple[np.ndarray, float]:
+        """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
+        and ||A||, the spectral norm of its m x nt unfolding."""
+        if self._pencil_floats is None:
+            rows = [[[c.to_complex() if isinstance(c, ExactComplex) else complex(c)
+                      for c in form.coefficients] for form in row]
+                    for row in self.pencil.entry_forms]
+            tensor = np.array(rows, dtype=complex).transpose(2, 0, 1)
+            self._pencil_floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
+        return self._pencil_floats
 
     # -- Hermitian-form evaluator (the independent membership oracle) ------
 
@@ -258,9 +277,18 @@ class Variety:
     def hermitian_residual(self, point: Sequence) -> float:
         """|det M(r)| relative to the Hadamard bound of M(r) (_hadamard_ratio).
         A float M(r) goes from einsum straight to det, and every float step
-        stays in numpy, whose complex multiply may fuse where Python's won't."""
+        stays in numpy, whose complex multiply may fuse where Python's won't.
+        For n = 1, where that ratio reads 1 wherever M(r) is not 0, it is
+        |M(r)| / (||rho|| ||r||^2), with ||rho|| the spectral norm."""
         mat = self.hermitian_matrix(point)
-        return _hadamard_ratio(mat.to_numpy() if isinstance(mat, Matrix) else mat)
+        arr = mat.to_numpy() if isinstance(mat, Matrix) else mat
+        if self.n > 1:
+            return _hadamard_ratio(arr)
+        r = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
+                      for x in point])
+        rho = self._state_blocks(False).reshape(self.m, self.m)
+        return abs(complex(arr[0, 0])) / max(float(np.linalg.norm(rho, 2) * np.vdot(r, r).real),
+                                             1e-300)
 
     def generator_residual(self, point: Sequence) -> float:
         return self.compiled.residual(point)
@@ -822,48 +850,33 @@ def sample_points(v: Variety, count: int, seed: int,
     return list(_point_stream(v, count, seed, tol))
 
 
-def tangent_form(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> LinearForm:
-    """Tangent hyperplane at a smooth point: coefficients are the gradient
-    of the (first nonsingular) determinant generator.
-
-    Peeled generators are preferred: on components hidden behind hyperplane
-    factors the raw minors all have degenerate gradients.  They count only
-    where they vanish: at a point of a peeled hyperplane their gradient is
-    not tangent to anything."""
-    point = project_normalize(point)
-    pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
-    _, system = _analysis_system(v)
-    table = system.table(pt)
-    vals, scales = system.values_scales(pt, table)
-    candidates = [(system, k) for k, (val, scale) in enumerate(zip(vals, scales))
-                  if abs(val) <= tol.abs_eps * max(scale, 1e-300)]
-    candidates += [(v.compiled, k) for k, g in enumerate(v.essential_generators)
-                   if g not in system.polys]
-    for compiled, k in candidates:
-        grad, scale = compiled.gradient(k, pt, table if compiled is system else None)
-        norm = max(abs(x) for x in grad)
-        if norm > WITNESS_FACTOR * tol.abs_eps * scale:
-            top = max(range(v.m), key=lambda i: abs(grad[i]))
-            inv = 1.0 / grad[top]
-            return LinearForm([x * inv for x in grad], 0j, normalize=False)
-    raise SingularPoint("every generator gradient vanishes at the point")
+def tangent_form(v: Variety, point: Sequence) -> LinearForm:
+    """A tangent hyperplane at a smooth point: the first row of the
+    pencil's tangent matrix T (_tangent_data), scaled so its largest
+    coefficient is 1.  For t = n, T is the gradient of det N up to scale.
+    Raises SingularPoint where the pencil does not show the point smooth."""
+    data = _tangent_data(v, project_normalize(point))
+    if data is None:
+        raise SingularPoint("the pencil does not show the point smooth")
+    row = data[0][0].tolist()
+    top = max(range(v.m), key=lambda i: abs(row[i]))
+    inv = 1.0 / row[top]
+    return LinearForm([x * inv for x in row], 0j, normalize=False)
 
 
 _RANK_GAP_MIN = 1e3
 
 
-def _gap_rank(svals: np.ndarray, ncols: int, noise_floor: float = 0.0) -> Optional[int]:
+def _gap_rank(svals: np.ndarray, ncols: int) -> Optional[int]:
     """Numerical rank by the dominant spectral gap; None when ambiguous.
 
-    Singular values are floored at the larger of the float-noise scale of
-    the top value and the caller's noise floor (typically derived from how
-    accurately the evaluation point sits on the variety), so phantom
-    directions cannot inflate the rank.
+    Singular values are floored at the float-noise scale of the top value,
+    so phantom directions cannot inflate the rank.
     """
     s = [max(float(x), 0.0) for x in svals] + [0.0] * (ncols - len(svals))
-    if s[0] < max(noise_floor, 1e-12):
+    if s[0] < 1e-12:
         return 0
-    noise = max(1e-13 * s[0], noise_floor)
+    noise = 1e-13 * s[0]
     best_r, best_gap = None, 1.0
     for r in range(1, ncols + 1):
         lo = s[r] if r < ncols else 0.0
@@ -877,69 +890,57 @@ def _gap_rank(svals: np.ndarray, ncols: int, noise_floor: float = 0.0) -> Option
     return best_r
 
 
-@functools.cache
-def _perturbation_draws(length: int) -> np.ndarray:
-    """The draws of np.random.default_rng(9173), made once: prefix-stable, so
-    [:m] and [m:2m] are a fresh Generator's first two standard_normal(m)."""
-    return np.random.default_rng(9173).standard_normal(length)
+def _tangent_data(v: Variety, point: Sequence
+                  ) -> Optional[Tuple[np.ndarray, List[np.ndarray]]]:
+    """(T, directions) at a point of V from one SVD of the pencil N(p), or
+    None where the pencil does not show p smooth.
 
-
-def _kernel_directions(v: Variety, pt: List[complex], tol: Tolerance
-                       ) -> Optional[List[np.ndarray]]:
-    """Numerical kernel of the generator Jacobian at pt, orthogonalized
-    against the point direction.  None when the rank has no clean spectral
-    gap or is not stable across two nearby evaluations (the smoothness
-    guard: probing is only meaningful where the tangent data is crisp)."""
-    # the peeled system gives crisp tangent data on components hidden
-    # behind hyperplane components; it vanishes on all of them too
-    _, system = _analysis_system(v)
-    if not system.polys:
-        system = v.compiled
-    table = system.table(pt)
-    for k in range(len(system.polys)):
-        grad, gscale = system.gradient(k, pt, table)
-        if max(abs(x) for x in grad) > WITNESS_FACTOR * tol.abs_eps * gscale:
-            break
-    else:
-        # every generator is singular here (e.g. a component crossing);
-        # tangent containment is not a valid test at such points
+    With y spanning the left kernel of N(p) and K (t x (t - n + 1)) its
+    right kernel, row j of T is (y^T A_i K_j)_i; the minors' tangent space
+    at p is ker T (Harris, Algebraic Geometry, Example 14.16).  p counts
+    as smooth when the margin sigma_{n-1}(N(p)) / (||A|| ||p||) is at
+    least SMOOTH_MARGIN, so rank N(p) = n - 1 and p is off the base locus,
+    and T has rank t - n + 1 by a clean spectral gap, so V is smooth there
+    with ker T for its tangent space.  The directions are the columns of
+    the orthogonal projector onto ker T and p's complement, or [] where
+    that is zero: a probe P g needs no basis of ker T, which would move
+    with the power-of-two column scaling of a float pencil."""
+    tensor, scale = v.pencil_floats
+    p = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
+                  for x in point])
+    n, rows = v.n, v.pencil.t - v.n + 1
+    if rows < 1:  # t < n: V is all of CP^{m-1}
         return None
-    floor = max(100.0 * system.residual(pt, table), 1e-14)
-    cols = range(v.m)
-    _, s1, vh = np.linalg.svd(np.array(system.jacobian(pt, cols, table), dtype=complex))
-    rank = _gap_rank(s1, v.m, floor)
-    if rank is None or rank == 0:
+    u, s, vh = np.linalg.svd(np.einsum("i,ikl->kl", p, tensor))
+    if n > 1 and s[n - 2] < SMOOTH_MARGIN * scale * float(np.linalg.norm(p)):
         return None
-    draws = _perturbation_draws(max(2 * v.m, 64))
-    pert = [z + 1e-10 * complex(c1, c2) for z, c1, c2 in zip(pt, draws[:v.m], draws[v.m:])]
-    s2 = np.linalg.svd(np.array(system.jacobian(pert, cols), dtype=complex),
-                       compute_uv=False)
-    if _gap_rank(s2, v.m, max(floor, 1e-9)) != rank:
+    tmat = np.einsum("k,ikl,jl->ji", u[:, n - 1].conj(), tensor, vh[n - 1:].conj())
+    _, st, vt = np.linalg.svd(tmat)
+    if _gap_rank(st, rows) != rows:
         return None
-    kernel = [vh[k].conj() for k in range(rank, v.m)]
-    p = np.array(pt)
-    p = p / np.linalg.norm(p)
-    dirs = []
-    for vec in kernel:
-        w = vec - p * np.vdot(p, vec)
-        norm = float(np.linalg.norm(w))
-        if norm > 1e-8:
-            dirs.append(w / norm)
-    return dirs
+    if rows + 1 >= v.m:
+        return tmat, []
+    unit = p / np.linalg.norm(p)
+    span = np.vstack([vt[:rows], unit.conj()])
+    proj = np.eye(v.m) - span.conj().T @ span
+    return tmat, list(proj.T)
 
 
 def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
                        tol: Tolerance, radius: float,
                        probes: int = 20) -> Optional[Tuple[Tuple[complex, ...], float]]:
-    """Probe the tangent space at a smooth point; an off-variety probe
-    (Hermitian residual above threshold) certifies local curvature."""
+    """Probe the tangent space at a point the pencil shows smooth, along
+    P g (_tangent_data's projector, complex Gaussian g from rng); an
+    off-variety probe (Hermitian residual above threshold) certifies local
+    curvature."""
     pt = [complex(x.to_complex() if isinstance(x, ExactComplex) else x)
           for x in project_normalize(point)]
-    dirs = _kernel_directions(v, pt, tol)
-    if dirs is None or not dirs:
-        # singular point, or a zero-dimensional component whose tangent
+    data = _tangent_data(v, pt)
+    if data is None or not data[1]:
+        # not shown smooth, or a zero-dimensional component whose tangent
         # space is the point itself: nothing to probe
         return None
+    dirs = data[1]
     coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
                        for _ in range(probes * len(dirs))]).reshape(probes, len(dirs))
     combos = sum(coeffs[:, j, None] * d for j, d in enumerate(dirs))
@@ -1037,13 +1038,11 @@ def _rank_deficient(v: Variety, seed: int) -> bool:
     if v.mode == "exact":
         return False
     if seed not in v._rank_memo:
-        pencil = v.pencil
         rng = random.Random(f"rank:{seed}")
-        r = _random_approx_point(rng, pencil.m)
-        mat = np.array([[form.evaluate(r) for form in row] for row in pencil.entry_forms],
-                       dtype=complex)
-        rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), pencil.n)
-        v._rank_memo[seed] = rank is not None and rank < pencil.n
+        r = _random_approx_point(rng, v.m)
+        mat = np.einsum("i,ikl->kl", np.array(r), v.pencil_floats[0])
+        rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), v.n)
+        v._rank_memo[seed] = rank is not None and rank < v.n
     return v._rank_memo[seed]
 
 
@@ -1182,7 +1181,9 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
     first witness.  Sound because a union of linear subspaces contains, at
     each smooth point, its own tangent space: surviving probe residuals
     certify that no such union can cut out the variety, hence (by the
-    separability criterion) the state is entangled.
+    separability criterion) the state is entangled.  Smoothness is read
+    off the pencil (_tangent_data); a point it does not show smooth is not
+    probed, and an Inconclusive reason then says how many were skipped.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
@@ -1193,30 +1194,30 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
             # the variety is certified to be exactly that union
             return VarietyVerdict("LinearUnion", forms=forms)
     if v.n == 1:
-        # the minors are linear forms, and every probe's Hadamard ratio
-        # would read 1, M(r) being 1 x 1
         return VarietyVerdict("Inconclusive",
                               reason="criterion vacuous: n = 1, so every minor is a "
                                      "linear form and V is a linear subspace")
     rng = random.Random(seed)
-    probed = 0
+    sampled = skipped = 0
     try:
         for p in _point_stream(v, samples, seed, tol):
-            probed += 1
-            hit = _witness_search_at(v, p, rng, tol, radius)
-            if hit is None:
-                continue
+            sampled += 1
             try:
-                tangent = tangent_form(v, p, tol)
+                tangent = tangent_form(v, p)
             except SingularPoint:
+                skipped += 1
                 continue
-            q, res = hit
-            return VarietyVerdict("NonlinearWitness", point=tuple(p),
-                                  tangent=tangent, residual=res, probe=q)
+            hit = _witness_search_at(v, p, rng, tol, radius)
+            if hit is not None:
+                q, res = hit
+                return VarietyVerdict("NonlinearWitness", point=tuple(p),
+                                      tangent=tangent, residual=res, probe=q)
+        reason = f"no witness found in {sampled} samples"
     except SamplingExhausted as exc:
-        return VarietyVerdict("Inconclusive", reason=f"sampling exhausted: {exc}")
-    return VarietyVerdict("Inconclusive",
-                          reason=f"no witness found in {probed} samples")
+        reason = f"sampling exhausted: {exc}"
+    if skipped:
+        reason += f"; {skipped} not probed (not smooth)"
+    return VarietyVerdict("Inconclusive", reason=reason)
 
 
 def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,

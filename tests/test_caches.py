@@ -140,10 +140,6 @@ def test_compiled_system_equals_poly_evaluation(name):
             [ds[m - 1].evaluate(pt) / max(ga.evaluation_scale(pt), 1e-300),
              ds[0].evaluate(pt) / max(ga.evaluation_scale(pt), 1e-300)]
             for ga, ds in zip(approx, partials)]
-        for k, ds in enumerate(partials):
-            grad, gscale = cs.gradient(k, pt)
-            assert grad == [d.evaluate(pt) for d in ds]
-            assert gscale == max(max(d.evaluation_scale(pt) for d in ds), 1e-300)
 
 
 def test_empty_compiled_system():

@@ -36,6 +36,7 @@ from detvar.states import (
     LocalUnitaryPair,
     apply_local_unitary,
     density_from_ensemble,
+    random_local_unitary,
     random_mixed,
     random_separable,
 )
@@ -47,7 +48,9 @@ from detvar.variety import (
     linearity_decide,
     membership,
     nonlinearity_witness,
+    sample_points,
     variety_of_state,
+    verify_lu_covariance,
 )
 from test_line_miss_reference import misses_line
 
@@ -366,3 +369,26 @@ def test_n_equal_to_one_gets_no_witness_and_no_sampling(monkeypatch, make, tag):
         verdict = linearity_decide(variety_of_state(make(seed)), seed=42)
         assert verdict.tag == tag
         assert verdict.reason == (N1_VACUOUS if tag == "Inconclusive" else None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: random_mixed(3, 1, 1, seed=seed),
+    lambda seed: random_mixed(4, 1, 2, seed=seed),
+    lambda seed: random_separable(4, 1, 2, seed=seed),
+], ids=["float 3x1 r1", "float 4x1 r2", "exact 4x1 t2"])
+def test_n_equal_to_one_residual_is_relative_to_rho(make):
+    # for n = 1 the residual is |M(r)| / (||rho|| ||r||^2): zero on V, of
+    # order one off it, whatever the scale of r, so V is sampled and the
+    # covariance check sees its points
+    for seed in range(5):
+        s = make(seed)
+        v = variety_of_state(s)
+        off = (1.0, 0.5j, -0.25, 2.0)[:v.m]
+        res = v.hermitian_residual(off)
+        assert 1e-6 < res <= 1.0
+        assert v.hermitian_residual([1e-100 * z for z in off]) == pytest.approx(res)
+        for p in sample_points(v, 3, seed=seed):
+            assert v.hermitian_residual(p) <= 1e-12
+        u = random_local_unitary(v.m, 1, seed=seed + 1)
+        cov = verify_lu_covariance(s, u, samples=3, seed=seed)
+        assert cov.ok and cov.checked == 6

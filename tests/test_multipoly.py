@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from detvar.catalog import cyclic_cubic_state
 from detvar.errors import (
     ArityMismatch,
     BadOrder,
@@ -10,7 +12,6 @@ from detvar.errors import (
     ZeroDirection,
 )
 from detvar.multipoly import (
-    CompiledSystem,
     LinearForm,
     Poly,
     minors,
@@ -22,6 +23,7 @@ from detvar.multipoly import (
     univariate_roots,
 )
 from detvar.scalars import ExactComplex
+from detvar.variety import sample_points, tangent_form, variety_of_state
 
 EC = ExactComplex
 
@@ -255,18 +257,19 @@ def test_roots_on_restricted_cubics():
             assert abs(complex(p.evaluate(pt))) <= 1e-6 * scale
 
 
-def test_gradient_and_euler():
-    x, y, _ = xyz()
-    p = x * x + y * y
-    assert CompiledSystem([p], 3).gradient(0, [1, 0, 0])[0][:2] == [(2 + 0j), 0j]
-    rng = random.Random(23)
+def test_tangent_form_is_the_determinant_gradient():
+    # t = n: the one row of the pencil's tangent matrix is the gradient of
+    # det N(r) up to scale, and by Euler's identity it vanishes at the point
     cubic = family_cubic(Fraction(-27))
-    for _ in range(10):
-        pt = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
-        g, _ = CompiledSystem([cubic], 3).gradient(0, pt)
-        euler = sum(zi * gi for zi, gi in zip(pt, g))
-        assert abs(euler - 3 * complex(cubic.evaluate(pt))) < 1e-8 * max(
-            1.0, cubic.evaluation_scale(pt))
+    v = variety_of_state(cyclic_cubic_state(EC(-27)))
+    assert v.generators == [cubic]
+    partials = [cubic.derivative(i).to_approx() for i in range(3)]
+    for p in sample_points(v, 10, seed=23):
+        grad = np.array([complex(d.evaluate(list(p))) for d in partials])
+        tf = np.array(tangent_form(v, p).coefficients)
+        scale = np.linalg.norm(grad) * np.linalg.norm(tf)
+        assert np.abs(np.outer(grad, tf) - np.outer(tf, grad)).max() <= 1e-9 * scale
+        assert abs(tf @ np.array(p)) <= 1e-9 * np.linalg.norm(tf)
 
 
 def test_exact_division():

@@ -24,7 +24,6 @@ from detvar.variety import (
     _best_probe,
     _hadamard_ratio,
     _minors_mod_p,
-    _perturbation_draws,
     linearity_decide,
     membership,
     nonlinearity_witness,
@@ -438,24 +437,6 @@ def test_best_probe_on_underflowing_bounds():
     for k, point in enumerate(points):
         assert _best_probe(mats[k:k + 1], 0.5) == (0, vd.hermitian_residual(point))
     assert _best_probe(mats, 0.5) == loop_best(mats, 0.5)
-
-
-def test_perturbation_draws_slice_one_stream(monkeypatch):
-    for m in range(2, 9):
-        rng = np.random.default_rng(9173)
-        first, second = rng.standard_normal(m), rng.standard_normal(m)
-        draws = _perturbation_draws(max(2 * m, 64))
-        assert draws[:m].tolist() == first.tolist()
-        assert draws[m:2 * m].tolist() == second.tolist()
-    made = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a) or default_rng(*a))
-    _perturbation_draws.cache_clear()
-    for seed in (1, 2):
-        for side in "AB":
-            v = variety_of_state(random_mixed(4, 4, 5, seed=seed), side)
-            assert linearity_decide(v).tag == "NonlinearWitness"
-    assert made == [(9173,)]
 
 
 def test_project_normalize_rules():

@@ -83,7 +83,14 @@ def sqrt_minus_one(p: int) -> int:
 
 def _dyadic(x: float, p: int) -> int:
     num, den = x.as_integer_ratio()  # den is a power of two, p is odd
-    return num * pow(den, -1, p) % p
+    return num * _inverse(den, p) % p
+
+
+@lru_cache(maxsize=4096)
+def _inverse(den: int, p: int) -> int:
+    """den^-1 modulo p, kept: a float's denominator is one of about two
+    thousand powers of two, and a pencil's entries share a handful."""
+    return pow(den, -1, p)
 
 
 def reduce_scalar(c, p: int) -> Optional[int]:

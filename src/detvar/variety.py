@@ -17,18 +17,29 @@ a union of points, hence linear, and an empty V has no points, so
 dimension is certified before any sampling and a V certified finite or
 empty is never sampled.
 
-The symbolic minors are built when something first reads them.  Where a
-certificate can fire on them (m >= 3 and t - n + 1 >= m - 1), a screen
+The symbolic minors are built when something first reads them.  A screen
 modulo a prime first shows, from the pencil alone, that every minor is
 nonzero and that some minor is not a monomial; the Macaulay certificate
 then reads the pencil modulo the same prime, so a V certified finite or
-empty never builds a symbolic minor.
+empty never builds a symbolic minor.  The screen runs on every float
+pencil, and on an exact one where a certificate can fire on the minors
+(m >= 3 and t - n + 1 >= m - 1).
+
+A float V is sampled on its pencil, not on its minors: for t = n the
+roots of det N on a line are eigenvalues of the pencil restricted to it,
+and for t > n Gauss-Newton runs on the incidence system y^T N(r) = 0.
+Its generator oracle is sigma_n(N(r)) / (||A|| ||r||), zero exactly where
+every minor vanishes, so a float analysis expands no minor.  An exact V
+is sampled on its exact analysis system (the minors, peeled of certified
+hyperplanes), and its generator oracle is the compiled minors.
 
 Tangent data come from the pencil, not from the minors: one SVD of N(p)
 gives a smoothness margin and a matrix T whose kernel is the tangent
 space of V at p (_tangent_data).  The witness search probes only points
 the pencil shows to be smooth; near the singular or base locus of N, a
 probe along the tangent cone would leave even a union of linear spaces.
+A probe is a witness only where both oracles, the Hermitian one and the
+pencil's (on the float image of an exact pencil too), put it off V.
 """
 
 from __future__ import annotations
@@ -79,6 +90,7 @@ WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
 SMOOTH_MARGIN = 1e-3       # least sigma_{n-1}(N(p)) / (||A|| ||p||) at a probed point
 NEWTON_MAX_STEPS = 50
+NEWTON_TRIES = 20          # Gauss-Newton runs per requested point
 SAMPLING_BUDGET = 100      # line draws per requested point
 MACAULAY_DEGREES = 3       # degrees n + 1 .. n + 3 tried by the Macaulay certificate
 _SCREEN_SLACK = 1e-9       # relative margin of the probe screen in _best_probe
@@ -165,12 +177,15 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
 # ---------------------------------------------------------------------------
 
 class Variety:
-    """Generators plus the Hermitian-form evaluator for one side.
+    """Generators, the pencil oracle and the Hermitian-form evaluator for
+    one side.
 
     `generators` are the maximal minors of the pencil, in lexicographic
     column-subset order.  Passed as None, they are expanded (and checked
     homogeneous of degree n) on first read; `essential_count`, the number
     of nonzero minors, must then be given, as the minor screen finds it.
+    A float variety's sampler and generator oracle read the pencil tensor
+    (pencil_floats, pencil_residuals), so its minors are never read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
     does: the state's float image (BipartiteState._float_images), or its
     exact density only for an exact point on an exact density.
@@ -260,8 +275,7 @@ class Variety:
         if blocks.dtype == object:
             return Matrix.exact(
                 _hermitian_forms(np.array([point], dtype=object), blocks)[0].tolist())
-        return self.hermitian_stack([[x.to_complex() if isinstance(x, ExactComplex)
-                                      else complex(x) for x in point]])[0]
+        return self.hermitian_stack([_complex_point(point)])[0]
 
     def hermitian_stack(self, points: Sequence[Sequence]) -> np.ndarray:
         """The float M(r) of each point (complex coordinates), shape (b, n, n)."""
@@ -284,14 +298,32 @@ class Variety:
         arr = mat.to_numpy() if isinstance(mat, Matrix) else mat
         if self.n > 1:
             return _hadamard_ratio(arr)
-        r = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                      for x in point])
+        r = np.array(_complex_point(point))
         rho = self._state_blocks(False).reshape(self.m, self.m)
         return abs(complex(arr[0, 0])) / max(float(np.linalg.norm(rho, 2) * np.vdot(r, r).real),
                                              1e-300)
 
+    def pencil_residuals(self, points: Sequence[Sequence]) -> np.ndarray:
+        """sigma_n(N(r)) / (||A|| ||r||) at each point (complex coordinates):
+        zero exactly where rank N(r) < n, that is on V, and invariant under
+        scaling r or the pencil.  An exact pencil is read as its float image."""
+        tensor, scale = self.pencil_floats
+        pts = np.array(points, dtype=complex).reshape(-1, self.m)
+        if self.pencil.t < self.n:  # V is all of CP^{m-1}
+            return np.zeros(len(pts))
+        svals = np.linalg.svd(np.einsum("bi,ikl->bkl", pts, tensor), compute_uv=False)
+        return svals[:, self.n - 1] / np.maximum(scale * np.linalg.norm(pts, axis=1), 1e-300)
+
+    def pencil_residual(self, point: Sequence) -> float:
+        return float(self.pencil_residuals([_complex_point(point)])[0])
+
     def generator_residual(self, point: Sequence) -> float:
-        return self.compiled.residual(point)
+        """The generator oracle: the largest relative residual of the
+        compiled minors on an exact variety, the pencil oracle
+        (pencil_residual) on a float one, which expands no minor."""
+        if self.mode == "exact":
+            return self.compiled.residual(point)
+        return self.pencil_residual(point)
 
     def __repr__(self):
         return (f"Variety(side={self.side}, {self.generator_count} generators "
@@ -416,16 +448,19 @@ def _minor_screen(p: PencilMatrix) -> bool:
 def variety_generators(p: PencilMatrix) -> Variety:
     """The variety of the pencil's maximal minors; Full when t < n.
 
-    Where a certificate can fire on the minors (m >= 3 and
-    t - n + 1 >= m - 1, the Eagon-Northcott gate of linearity_decide) and
-    the minor screen passes, no minor is expanded here: every one is
+    Where the minor screen passes, no minor is expanded here: every one is
     nonzero and V is neither Full nor Empty by the monomial test, and the
-    minors are built when something reads them.  Elsewhere the sampler
-    needs them all, and they are expanded at once.
+    minors are built when something reads them.  The screen runs on every
+    float pencil, whose sampler and oracles read the pencil itself, and on
+    an exact pencil where a certificate can fire on the minors (m >= 3 and
+    t - n + 1 >= m - 1, the Eagon-Northcott gate of linearity_decide).
+    Elsewhere, and where the screen proves nothing, the minors are
+    expanded at once: the exact sampler needs them all.
     """
     if p.t < p.n:
         return Variety(p.side, p.m, p.n, [], p, p.state, p.kind, "Full")
-    if p.m >= 3 and p.t - p.n + 1 >= p.m - 1 and _minor_screen(p):
+    gate = p.kind != "exact" or (p.m >= 3 and p.t - p.n + 1 >= p.m - 1)
+    if gate and _minor_screen(p):
         return Variety(p.side, p.m, p.n, None, p, p.state, p.kind, None,
                        essential_count=comb(p.t, p.n))
     gens = _pencil_minors(p)
@@ -445,6 +480,10 @@ def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
 # points
 # ---------------------------------------------------------------------------
 
+def _complex_point(point: Sequence) -> List[complex]:
+    return [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
+
+
 def project_normalize(point: Sequence):
     """Scale so the max-modulus coordinate becomes exactly 1 (ties broken
     by lowest index).  Works on exact and approx points alike."""
@@ -458,7 +497,7 @@ def project_normalize(point: Sequence):
             raise ValueError("cannot normalize the zero point")
         inv = point[best].inverse()
         return tuple(x * inv for x in point)
-    pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
+    pt = _complex_point(point)
     mods = [abs(x) for x in pt]
     best = max(range(len(pt)), key=lambda i: (mods[i], -i))
     if mods[best] == 0:
@@ -468,7 +507,8 @@ def project_normalize(point: Sequence):
 
 
 def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Point membership by both criteria; they must agree."""
+    """Point membership by both criteria, the generator oracle and the
+    Hermitian one; they must agree."""
     point = project_normalize(point)
     if v.structural == "Full":
         return True
@@ -544,16 +584,19 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
 
 def _analysis_system(v: Variety) -> Tuple[List[LinearForm], CompiledSystem]:
     """The certified linear factors peeled off the generators, and the
-    compiled system that remains; built once and cached on the variety."""
+    compiled system that remains; built once and cached on the variety.
+    Nothing is peeled off a float V, whose own sampler reads the pencil
+    instead: its system is its compiled minors, expanded on this call."""
     if v._analysis_cache is None:
-        forms, gens = _peel_linear_factors(v)
+        exact = v.mode == "exact"
+        forms, gens = _peel_linear_factors(v) if exact else ([], v.essential_generators)
         system = v.compiled if gens == v.essential_generators else CompiledSystem(gens, v.m)
         v._analysis_cache = (forms, system)
     return v._analysis_cache
 
 
 def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
-    """Peel exact common linear factors off the generators.
+    """Peel exact common linear factors off the generators of an exact V.
 
     A hyperplane dividing every minor is a full linear component of the
     variety; random lines land on it constantly, hiding any codimension-2
@@ -579,7 +622,7 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
     """
     gens = v.essential_generators
     forms: List[LinearForm] = []
-    if v.mode != "exact" or not gens:
+    if not gens:
         return forms, gens
 
     if len(gens) == 1:
@@ -726,6 +769,103 @@ def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
     return out
 
 
+def _line_roots(v: Variety, base: np.ndarray, direction: np.ndarray) -> Optional[np.ndarray]:
+    """The roots s of det N(base + s direction) for a square float pencil:
+    the eigenvalues of -N(direction)^-1 N(base), with no determinant
+    polynomial.  None where N(direction) is singular or the eigenvalues
+    cannot be taken; the line then has fewer than n finite roots."""
+    tensor = v.pencil_floats[0]
+    at_base = np.einsum("i,ikl->kl", base, tensor)
+    at_direction = np.einsum("i,ikl->kl", direction, tensor)
+    try:
+        return np.linalg.eigvals(np.linalg.solve(at_direction, -at_base))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _incidence_point(v: Variety, start: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
+    """A point r of V near `start`, or None: damped Gauss-Newton with lstsq
+    steps on the t bilinear equations y^T N(r) / ||A|| = 0 of the incidence
+    variety {(r, y) : y^T N(r) = 0} (Bates, Hauenstein, Peterson and
+    Sommese 2009).  r and y are pinned in the charts of their max-modulus
+    coordinates at the start, and y starts as the left singular vector of
+    N(start) for its smallest singular value.  The run stops at ||f|| <=
+    1e-4 abs_eps, a thousand times above the system's float floor, or
+    where a step no longer lowers ||f||; r is returned if ||f|| is then
+    within half the sampler's acceptance bar, which, as ||y|| >= 1 and
+    ||r|| >= 1, bounds the pencil oracle at r."""
+    tensor, scale = v.pencil_floats
+    m, n = v.m, v.n
+    unit = tensor / scale
+    pin_r = int(np.argmax(np.abs(start)))
+    r = start / start[pin_r]
+    y = np.linalg.svd(np.einsum("i,ikl->kl", r, unit))[0][:, n - 1].conj()
+    pin_y = int(np.argmax(np.abs(y)))
+    y = y / y[pin_y]
+    free_r, free_y = np.arange(m) != pin_r, np.arange(n) != pin_y
+
+    def equations(rr, yy):
+        at = np.einsum("i,ikl->kl", rr, unit)
+        f = yy @ at
+        return at, f, float(np.linalg.norm(f))
+
+    target = 1e-4 * tol.abs_eps
+    at, f, fnorm = equations(r, y)
+    for _ in range(NEWTON_MAX_STEPS):
+        if fnorm <= target:
+            return r
+        jac = np.hstack([np.einsum("k,ikl->li", y, unit)[:, free_r], at.T[:, free_y]])
+        step = np.linalg.lstsq(jac, -f, rcond=None)[0]
+        dr, dy = np.zeros(m, dtype=complex), np.zeros(n, dtype=complex)
+        dr[free_r], dy[free_y] = step[:m - 1], step[m - 1:]
+        for damp in range(9):
+            cand_r, cand_y = r + dr / 2 ** damp, y + dy / 2 ** damp
+            cand = equations(cand_r, cand_y)
+            if cand[2] < fnorm:
+                r, y, (at, f, fnorm) = cand_r, cand_y, cand
+                break
+        else:
+            break
+    return r if fnorm <= 0.05 * tol.abs_eps else None
+
+
+def _pencil_stream(v: Variety, count: int, rng: random.Random,
+                   tol: Tolerance) -> Iterator[Tuple[complex, ...]]:
+    """The float sampler, on the pencil tensor alone: for t = n the roots of
+    det N on random lines (_line_roots), for t > n the incidence system
+    from random starts (_incidence_point), NEWTON_TRIES per requested
+    point.  A point is accepted where both oracles, the pencil's and the
+    Hermitian one, read it within the acceptance bar."""
+    clean = 0.1 * tol.abs_eps
+    if v.pencil.t == v.n:
+        draws, unit = SAMPLING_BUDGET * count, "line draws"
+
+        def candidates() -> List[List[complex]]:
+            base = np.array(_random_approx_point(rng, v.m))
+            direction = np.array(_random_approx_point(rng, v.m))
+            roots = _line_roots(v, base, direction)
+            return [] if roots is None else [(base + s * direction).tolist()
+                                             for s in roots.tolist()]
+    else:
+        draws, unit = NEWTON_TRIES * count, "incidence tries"
+
+        def candidates() -> List[List[complex]]:
+            r = _incidence_point(v, np.array(_random_approx_point(rng, v.m)), tol)
+            return [] if r is None else [r.tolist()]
+    found = 0
+    for _ in range(draws):
+        for cand in candidates():
+            if max(abs(z) for z in cand) < 1e-12:
+                continue
+            cand = project_normalize(cand)
+            if v.pencil_residual(cand) <= clean and v.hermitian_residual(cand) <= clean:
+                found += 1
+                yield cand
+                if found >= count:
+                    return
+    raise SamplingExhausted(f"found {found}/{count} points after {draws} {unit}")
+
+
 def _point_stream(v: Variety, count: int, seed: int,
                   tol: Tolerance) -> Iterator[Tuple[complex, ...]]:
     """The sampler behind sample_points, yielding each point as soon as it
@@ -733,8 +873,11 @@ def _point_stream(v: Variety, count: int, seed: int,
     Raises SamplingExhausted once the budget runs out short of `count`.
 
     A float V whose pencil has numerical rank below n is all of CP^{m-1}
-    to working precision and its minors are rounding noise: random points
-    are drawn and the Hermitian oracle alone accepts them."""
+    to working precision: random points are drawn and the Hermitian oracle
+    alone accepts them.  Any other float V is sampled on its pencil
+    (_pencil_stream).  An exact V is sampled on its analysis system: exact
+    lines against its first polynomial, Gauss-Newton on all of them, and
+    random 2-plane slices where lines run out."""
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
     rng = random.Random(seed)
@@ -752,6 +895,9 @@ def _point_stream(v: Variety, count: int, seed: int,
         if found < count:
             raise SamplingExhausted(f"found {found}/{count} points after {budget} draws")
         return
+    if v.mode != "exact":
+        yield from _pencil_stream(v, count, rng, tol)
+        return
     _, system = _analysis_system(v)
     agens = system.polys
     if not agens:
@@ -764,25 +910,19 @@ def _point_stream(v: Variety, count: int, seed: int,
         return ((system is v.compiled or v.generator_residual(cand) <= clean)
                 and v.hermitian_residual(cand) <= clean)
 
-    newton_budget = 20 * count
+    newton_budget = NEWTON_TRIES * count
     for _ in range(budget):
         if found >= count:
             break
-        if v.mode == "exact":
-            base = _random_exact_point(rng, v.m)
-            direction = _random_exact_point(rng, v.m)
-        else:
-            base = _random_approx_point(rng, v.m)
-            direction = _random_approx_point(rng, v.m)
+        base = _random_exact_point(rng, v.m)
+        direction = _random_exact_point(rng, v.m)
         try:
             restriction = restrict_to_line(first, base, direction)
             roots = univariate_roots(restriction, tol)
         except _LINE_MISSES:
             continue
-        base_c = [x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                  for x in base]
-        dir_c = [x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                 for x in direction]
+        base_c = [x.to_complex() for x in base]
+        dir_c = [x.to_complex() for x in direction]
         for s in roots:
             if found >= count:
                 break
@@ -838,14 +978,17 @@ def sample_points(v: Variety, count: int, seed: int,
                   tol: Tolerance = DEFAULT_TOL) -> List[Tuple[complex, ...]]:
     """Sample membership-verified points of the variety.
 
-    Lines are drawn against the analysis system: the generators with their
-    certified common linear factors peeled off, or, for an exact
-    hypersurface, the residual of its exact split.  A single equation is
-    met by random (exact, when possible) lines alone; several are solved
-    by damped Gauss-Newton seeded with line roots of the first one,
-    falling back to random 2-plane slices (resultant + root pairing) for
-    components that lines cannot hit.  Every returned point passes
-    membership with a healthy margin.
+    A float V is sampled on its pencil, with no minor expanded: for t = n,
+    the roots of det N on random lines, taken as eigenvalues of the pencil
+    on the line; for t > n, damped Gauss-Newton on the incidence system
+    y^T N(r) = 0 from random starts.  An exact V is sampled on its
+    analysis system: the generators with their certified common linear
+    factors peeled off, or, for an exact hypersurface, the residual of its
+    exact split.  A single equation is met by random exact lines alone;
+    several are solved by damped Gauss-Newton seeded with line roots of
+    the first one, falling back to random 2-plane slices (resultant + root
+    pairing) for components that lines cannot hit.  Every returned point
+    passes membership with a healthy margin.
     """
     return list(_point_stream(v, count, seed, tol))
 
@@ -906,8 +1049,7 @@ def _tangent_data(v: Variety, point: Sequence
     that is zero: a probe P g needs no basis of ker T, which would move
     with the power-of-two column scaling of a float pencil."""
     tensor, scale = v.pencil_floats
-    p = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                  for x in point])
+    p = np.array(_complex_point(point))
     n, rows = v.n, v.pencil.t - v.n + 1
     if rows < 1:  # t < n: V is all of CP^{m-1}
         return None
@@ -930,11 +1072,11 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
                        tol: Tolerance, radius: float,
                        probes: int = 20) -> Optional[Tuple[Tuple[complex, ...], float]]:
     """Probe the tangent space at a point the pencil shows smooth, along
-    P g (_tangent_data's projector, complex Gaussian g from rng); an
-    off-variety probe (Hermitian residual above threshold) certifies local
-    curvature."""
-    pt = [complex(x.to_complex() if isinstance(x, ExactComplex) else x)
-          for x in project_normalize(point)]
+    P g (_tangent_data's projector, complex Gaussian g from rng).  A probe
+    that both oracles put off V, its Hermitian residual and its pencil
+    residual above threshold, certifies local curvature; the witness is
+    the one of largest Hermitian residual."""
+    pt = _complex_point(project_normalize(point))
     data = _tangent_data(v, pt)
     if data is None or not data[1]:
         # not shown smooth, or a zero-dimensional component whose tangent
@@ -950,7 +1092,15 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
         steps = np.array(pt) + radius * combos[keep] / norms[keep][:, None]
     # a probe that overflowed has NaN coordinates, and a NaN residual never wins
     qs = [q for q in map(project_normalize, steps.tolist()) if all(map(cmath.isfinite, q))]
-    hit = _best_probe(v.hermitian_stack(qs), WITNESS_FACTOR * tol.abs_eps)
+    threshold = WITNESS_FACTOR * tol.abs_eps
+    mats = v.hermitian_stack(qs)
+    hit = _best_probe(mats, threshold)
+    if hit is not None and v.pencil_residual(qs[hit[0]]) <= threshold:
+        # the pencil puts that probe on V, and a witness needs both oracles:
+        # the best probe that both put off V is the best one left
+        off = np.flatnonzero(v.pencil_residuals(qs) > threshold)
+        hit = _best_probe(mats[off], threshold)
+        hit = None if hit is None else (int(off[hit[0]]), hit[1])
     return None if hit is None else (qs[hit[0]], hit[1])
 
 
@@ -1248,7 +1398,8 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     finite = _dimension_verdict(v, seed)
     if finite is not None:
         return finite
-    _analysis_system(v)
+    if v.mode == "exact":
+        _analysis_system(v)
     fl = v._factor_list
     if fl is not None and fl.full_split():
         return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)

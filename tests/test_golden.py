@@ -24,12 +24,12 @@ rank-7 ensemble (``gaussian_rational_ensemble(4, 4, 7,
 random.Random(1))``), whose variety is empty, and the float ensemble
 ``random_mixed(3, 4, 5, seed=1)``, whose variety is finite as given and
 which is therefore never sampled.  The float case ``random_mixed(3, 3, 3,
-seed=1)`` pins the approximate pathway on a hypersurface: Aberth roots on
-random lines and the float witness probe.  ``random_mixed(4, 4, 5,
-seed=1)`` (``mixed_4x4_r5``) and the same state given as its density
-(``mixed_density_4x4_r5``, analysed on its spectral ensemble) pin Newton
-polish on a float system of five quartic minors in four variables; both
-end in a NonlinearWitness.  ``repro example3`` pins the
+seed=1)`` pins the approximate pathway on a hypersurface: line roots as
+eigenvalues of the pencil on random lines, and the float witness probe.
+``random_mixed(4, 4, 5, seed=1)`` (``mixed_4x4_r5``) and the same state
+given as its density (``mixed_density_4x4_r5``, analysed on its spectral
+ensemble) pin Gauss-Newton on the incidence system y^T N(r) = 0 of a
+4x5 pencil in four variables; both end in a NonlinearWitness.  ``repro example3`` pins the
 symbolic 4x6 chart reduction: the pencil, its chart substitution, f1, f2
 and the plane cubic g.  ``repro example1`` (the maximally mixed 3x3
 state, the default ``--m 3 --n 3``) and ``repro example1 --m 4 --n 3``

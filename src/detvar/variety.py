@@ -25,13 +25,14 @@ empty never builds a symbolic minor.  The screen runs on every float
 pencil, and on an exact one where a certificate can fire on the minors
 (m >= 3 and t - n + 1 >= m - 1).
 
-A float V is sampled on its pencil, not on its minors: for t = n the
-roots of det N on a line are eigenvalues of the pencil restricted to it,
-and for t > n Gauss-Newton runs on the incidence system y^T N(r) = 0.
-Its generator oracle is sigma_n(N(r)) / (||A|| ||r||), zero exactly where
-every minor vanishes, so a float analysis expands no minor.  An exact V
-is sampled on its exact analysis system (the minors, peeled of certified
-hyperplanes), and its generator oracle is the compiled minors.
+Every V is sampled on its pencil, not on its minors (an exact one on its
+float image): for t = n the roots of det N on a line are eigenvalues of
+the pencil restricted to it, and for t > n Gauss-Newton runs on the
+incidence system y^T N(r) = 0.  A float V's generator oracle is
+sigma_n(N(r)) / (||A|| ||r||), zero exactly where every minor vanishes,
+so a float analysis expands no minor.  An exact V is first peeled of the
+hyperplanes it is certified to contain, and its samples keep off them;
+its generator oracle is the compiled minors.
 
 Tangent data come from the pencil, not from the minors: one SVD of N(p)
 gives a smoothness margin and a matrix T whose kernel is the tangent
@@ -48,7 +49,7 @@ import cmath
 import random
 from fractions import Fraction
 from math import comb, sqrt
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +90,7 @@ from .states import BipartiteState, unit_scaled
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
 SMOOTH_MARGIN = 1e-3       # least sigma_{n-1}(N(p)) / (||A|| ||p||) at a probed point
+PEELED_MARGIN = SMOOTH_MARGIN  # least |l(p)| / (||l|| ||p||) of a sample, l a peeled form
 NEWTON_MAX_STEPS = 50
 NEWTON_TRIES = 20          # Gauss-Newton runs per requested point
 SAMPLING_BUDGET = 100      # line draws per requested point
@@ -184,8 +186,9 @@ class Variety:
     column-subset order.  Passed as None, they are expanded (and checked
     homogeneous of degree n) on first read; `essential_count`, the number
     of nonzero minors, must then be given, as the minor screen finds it.
-    A float variety's sampler and generator oracle read the pencil tensor
-    (pencil_floats, pencil_residuals), so its minors are never read there.
+    The sampler reads the pencil tensor (pencil_floats, pencil_residuals),
+    and so does a float variety's generator oracle: its minors are never
+    read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
     does: the state's float image (BipartiteState._float_images), or its
     exact density only for an exact point on an exact density.
@@ -455,7 +458,7 @@ def variety_generators(p: PencilMatrix) -> Variety:
     an exact pencil where a certificate can fire on the minors (m >= 3 and
     t - n + 1 >= m - 1, the Eagon-Northcott gate of linearity_decide).
     Elsewhere, and where the screen proves nothing, the minors are
-    expanded at once: the exact sampler needs them all.
+    expanded at once: the exact peel needs them all.
     """
     if p.t < p.n:
         return Variety(p.side, p.m, p.n, [], p, p.state, p.kind, "Full")
@@ -585,8 +588,9 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
 def _analysis_system(v: Variety) -> Tuple[List[LinearForm], CompiledSystem]:
     """The certified linear factors peeled off the generators, and the
     compiled system that remains; built once and cached on the variety.
-    Nothing is peeled off a float V, whose own sampler reads the pencil
-    instead: its system is its compiled minors, expanded on this call."""
+    The sampler reads only the peeled forms, to keep its points off them,
+    and whether anything remains.  Nothing is peeled off a float V: its
+    system is its compiled minors, expanded on this call."""
     if v._analysis_cache is None:
         exact = v.mode == "exact"
         forms, gens = _peel_linear_factors(v) if exact else ([], v.essential_generators)
@@ -830,12 +834,28 @@ def _incidence_point(v: Variety, start: np.ndarray, tol: Tolerance) -> Optional[
 
 
 def _pencil_stream(v: Variety, count: int, rng: random.Random,
-                   tol: Tolerance) -> Iterator[Tuple[complex, ...]]:
-    """The float sampler, on the pencil tensor alone: for t = n the roots of
-    det N on random lines (_line_roots), for t > n the incidence system
-    from random starts (_incidence_point), NEWTON_TRIES per requested
-    point.  A point is accepted where both oracles, the pencil's and the
-    Hermitian one, read it within the acceptance bar."""
+                   tol: Tolerance) -> Generator[Tuple[complex, ...], None, int]:
+    """The sampler, on the pencil tensor alone (an exact pencil as its float
+    image): for t = n the roots of det N on random lines (_line_roots), for
+    t > n the incidence system from random starts (_incidence_point),
+    NEWTON_TRIES per requested point.  A point is accepted where both
+    oracles, the pencil's and the Hermitian one, read it within the
+    acceptance bar.
+
+    An exact V is first peeled (_analysis_system): it is the union of the
+    peeled hyperplanes, which are linear already, and the zero locus of
+    what is left, the only place a witness can live.  So a candidate whose
+    relative distance |l(p)| / (||l|| ||p||) to a peeled form l is below
+    PEELED_MARGIN is rejected; the stream returns how many were."""
+    normals: Optional[np.ndarray] = None
+    if v.mode == "exact":
+        forms, system = _analysis_system(v)
+        if not system.polys:
+            raise SamplingExhausted(
+                "variety equals the union of its peeled hyperplanes; nothing left to sample")
+        if forms:
+            normals = np.array([_complex_point(f.coefficients) for f in forms])
+            normals /= np.linalg.norm(normals, axis=1)[:, None]
     clean = 0.1 * tol.abs_eps
     if v.pencil.t == v.n:
         draws, unit = SAMPLING_BUDGET * count, "line draws"
@@ -852,143 +872,74 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
         def candidates() -> List[List[complex]]:
             r = _incidence_point(v, np.array(_random_approx_point(rng, v.m)), tol)
             return [] if r is None else [r.tolist()]
-    found = 0
+    found = on_peeled = 0
     for _ in range(draws):
         for cand in candidates():
             if max(abs(z) for z in cand) < 1e-12:
                 continue
             cand = project_normalize(cand)
+            if normals is not None and (
+                    np.abs(normals @ cand) < PEELED_MARGIN * np.linalg.norm(cand)).any():
+                on_peeled += 1
+                continue
             if v.pencil_residual(cand) <= clean and v.hermitian_residual(cand) <= clean:
                 found += 1
                 yield cand
                 if found >= count:
-                    return
-    raise SamplingExhausted(f"found {found}/{count} points after {draws} {unit}")
+                    return on_peeled
+    raise SamplingExhausted(f"found {found}/{count} points after {draws} {unit}"
+                            + _on_peeled_note(on_peeled))
+
+
+def _on_peeled_note(on_peeled: int) -> str:
+    return f"; {on_peeled} on peeled hyperplanes" if on_peeled else ""
 
 
 def _point_stream(v: Variety, count: int, seed: int,
-                  tol: Tolerance) -> Iterator[Tuple[complex, ...]]:
+                  tol: Tolerance) -> Generator[Tuple[complex, ...], None, int]:
     """The sampler behind sample_points, yielding each point as soon as it
     is accepted, so a caller can stop at the first one that serves it.
-    Raises SamplingExhausted once the budget runs out short of `count`.
+    Raises SamplingExhausted once the budget runs out short of `count`;
+    otherwise returns the number of candidates rejected on peeled
+    hyperplanes.
 
     A float V whose pencil has numerical rank below n is all of CP^{m-1}
     to working precision: random points are drawn and the Hermitian oracle
-    alone accepts them.  Any other float V is sampled on its pencil
-    (_pencil_stream).  An exact V is sampled on its analysis system: exact
-    lines against its first polynomial, Gauss-Newton on all of them, and
-    random 2-plane slices where lines run out."""
+    alone accepts them.  Every other V, exact or float, is sampled on its
+    pencil (_pencil_stream); an exact V keeps its points off the
+    hyperplanes its exact peel certified."""
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
     rng = random.Random(seed)
-    clean = 0.1 * tol.abs_eps  # acceptance bar, well above the polish target
+    if not _rank_deficient(v, seed):
+        return (yield from _pencil_stream(v, count, rng, tol))
+    clean = 0.1 * tol.abs_eps
     found = 0
     budget = SAMPLING_BUDGET * count
-    if _rank_deficient(v, seed):
-        for _ in range(budget):
-            cand = project_normalize(_random_approx_point(rng, v.m))
-            if v.hermitian_residual(cand) <= clean:
-                found += 1
-                yield cand
-                if found >= count:
-                    return
-        if found < count:
-            raise SamplingExhausted(f"found {found}/{count} points after {budget} draws")
-        return
-    if v.mode != "exact":
-        yield from _pencil_stream(v, count, rng, tol)
-        return
-    _, system = _analysis_system(v)
-    agens = system.polys
-    if not agens:
-        raise SamplingExhausted(
-            "variety equals the union of its peeled hyperplanes; nothing left to sample")
-    first = agens[0]
-    hypersurface = len(agens) == 1
-
-    def on_variety(cand) -> bool:  # the analysis system was just checked at cand
-        return ((system is v.compiled or v.generator_residual(cand) <= clean)
-                and v.hermitian_residual(cand) <= clean)
-
-    newton_budget = NEWTON_TRIES * count
     for _ in range(budget):
-        if found >= count:
-            break
-        base = _random_exact_point(rng, v.m)
-        direction = _random_exact_point(rng, v.m)
-        try:
-            restriction = restrict_to_line(first, base, direction)
-            roots = univariate_roots(restriction, tol)
-        except _LINE_MISSES:
-            continue
-        base_c = [x.to_complex() for x in base]
-        dir_c = [x.to_complex() for x in direction]
-        for s in roots:
+        cand = project_normalize(_random_approx_point(rng, v.m))
+        if v.hermitian_residual(cand) <= clean:
+            found += 1
+            yield cand
             if found >= count:
-                break
-            cand = tuple(b + s * d for b, d in zip(base_c, dir_c))
-            if max(abs(z) for z in cand) < 1e-12:
-                continue
-            cand = project_normalize(cand)
-            res0 = system.residual(cand)
-            if res0 > clean:
-                if hypersurface or newton_budget <= 0:
-                    continue
-                newton_budget -= 1
-                polished = _newton_polish(system, cand, tol)
-                if polished is None:
-                    continue
-                cand = project_normalize(polished)
-                if system.residual(cand) > clean:
-                    continue
-            if on_variety(cand):
-                found += 1
-                yield cand
-        if not hypersurface and found < count and newton_budget <= 0:
-            break
-    if found < count and not hypersurface and len(agens) >= 2:
-        # spread the quota across slices: one slice meets every component,
-        # and taking everything it offers would fill the sample with points
-        # from whichever component comes first in the root ordering
-        per_slice = max(2, count // 4)
-        for _ in range(12):
-            if found >= count:
-                break
-            taken = 0
-            for cand in _plane_slice_candidates(agens, v.m, rng, tol):
-                if found >= count or taken >= per_slice:
-                    break
-                if system.residual(cand) > clean:
-                    polished = _newton_polish(system, cand, tol)
-                    if polished is None:
-                        continue
-                    cand = project_normalize(polished)
-                    if system.residual(cand) > clean:
-                        continue
-                if on_variety(cand):
-                    found += 1
-                    taken += 1
-                    yield cand
-    if found < count:
-        raise SamplingExhausted(
-            f"found {found}/{count} points after {budget} line draws")
+                return 0
+    raise SamplingExhausted(f"found {found}/{count} points after {budget} draws")
 
 
 def sample_points(v: Variety, count: int, seed: int,
                   tol: Tolerance = DEFAULT_TOL) -> List[Tuple[complex, ...]]:
     """Sample membership-verified points of the variety.
 
-    A float V is sampled on its pencil, with no minor expanded: for t = n,
-    the roots of det N on random lines, taken as eigenvalues of the pencil
-    on the line; for t > n, damped Gauss-Newton on the incidence system
-    y^T N(r) = 0 from random starts.  An exact V is sampled on its
-    analysis system: the generators with their certified common linear
-    factors peeled off, or, for an exact hypersurface, the residual of its
-    exact split.  A single equation is met by random exact lines alone;
-    several are solved by damped Gauss-Newton seeded with line roots of
-    the first one, falling back to random 2-plane slices (resultant + root
-    pairing) for components that lines cannot hit.  Every returned point
-    passes membership with a healthy margin.
+    Every V is sampled on its pencil, an exact one on its float image, with
+    no minor expanded for it: for t = n, the roots of det N on random
+    lines, taken as eigenvalues of the pencil on the line; for t > n,
+    damped Gauss-Newton on the incidence system y^T N(r) = 0 from random
+    starts.  An exact V is first peeled (the certified common linear
+    factors of its generators, or the linear factors of an exact
+    hypersurface split), and a point on a peeled hyperplane is rejected:
+    the points come from the zero locus of what remains.  Every returned
+    point passes both oracles, the pencil's and the Hermitian one, with a
+    healthy margin.
     """
     return list(_point_stream(v, count, seed, tol))
 
@@ -1325,15 +1276,16 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
                          radius: float = HYPERPLANE_RADIUS) -> VarietyVerdict:
     """Search for a smooth point whose tangent space leaves the variety.
 
-    Points come from the sampler of sample_points (on the analysis system:
-    peeled generators, or the residual of an exact hypersurface split) and
-    each is probed as soon as it is accepted, so the search stops at the
-    first witness.  Sound because a union of linear subspaces contains, at
-    each smooth point, its own tangent space: surviving probe residuals
-    certify that no such union can cut out the variety, hence (by the
-    separability criterion) the state is entangled.  Smoothness is read
+    Points come from the sampler of sample_points (on the pencil, and for
+    an exact V off the hyperplanes its peel certified) and each is probed
+    as soon as it is accepted, so the search stops at the first witness.
+    Sound because a union of linear subspaces contains, at each smooth
+    point, its own tangent space: surviving probe residuals certify that
+    no such union can cut out the variety, hence (by the separability
+    criterion) the state is entangled.  Smoothness is read
     off the pencil (_tangent_data); a point it does not show smooth is not
-    probed, and an Inconclusive reason then says how many were skipped.
+    probed.  An Inconclusive reason says how many points were skipped, and
+    how many candidates the sampler rejected on peeled hyperplanes.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
@@ -1348,9 +1300,11 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
                               reason="criterion vacuous: n = 1, so every minor is a "
                                      "linear form and V is a linear subspace")
     rng = random.Random(seed)
+    stream = _point_stream(v, samples, seed, tol)
     sampled = skipped = 0
     try:
-        for p in _point_stream(v, samples, seed, tol):
+        while True:
+            p = next(stream)
             sampled += 1
             try:
                 tangent = tangent_form(v, p)
@@ -1362,7 +1316,8 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
                 q, res = hit
                 return VarietyVerdict("NonlinearWitness", point=tuple(p),
                                       tangent=tangent, residual=res, probe=q)
-        reason = f"no witness found in {sampled} samples"
+    except StopIteration as done:  # the stream returns its count on peeled hyperplanes
+        reason = f"no witness found in {sampled} samples" + _on_peeled_note(done.value)
     except SamplingExhausted as exc:
         reason = f"sampling exhausted: {exc}"
     if skipped:

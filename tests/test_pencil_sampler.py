@@ -1,26 +1,35 @@
-"""The float sampler and oracles read the pencil N(r) = sum_i r_i A_i alone.
+"""The sampler and the pencil oracle read the pencil N(r) = sum_i r_i A_i.
 
-A float variety expands no symbolic minor: for t = n the roots of det N on
-a line are eigenvalues of the n x n pencil restricted to it, for t > n
-points come from Gauss-Newton on the incidence system y^T N(r) = 0, and
-the generator oracle is sigma_n(N(r)) / (||A|| ||r||).  These tests pin
-the eigenvalue roots against Aberth roots of the expanded determinant,
-the pencil oracle against the compiled minors it replaces, and the rule
+Every variety is sampled on its pencil, an exact one on its float image:
+for t = n the roots of det N on a line are eigenvalues of the n x n pencil
+restricted to it, and for t > n points come from Gauss-Newton on the
+incidence system y^T N(r) = 0.  A float variety expands no symbolic minor,
+and its generator oracle is sigma_n(N(r)) / (||A|| ||r||).  An exact
+variety keeps its exact peel, and its samples keep off the peeled
+hyperplanes.  These tests pin the eigenvalue roots against Aberth roots of
+the expanded determinant, the pencil oracle against the compiled minors it
+replaces, an exact analysis that runs no Newton on minors, and the rule
 that a witness needs both oracles to put its probe off V.
 """
 
 import dataclasses
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import detvar.variety as variety_mod
+from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
 from detvar.multipoly import CompiledSystem, minors, restrict_to_line, univariate_roots
-from detvar.scalars import DEFAULT_TOL
-from detvar.states import random_mixed
+from detvar.scalars import DEFAULT_TOL, ExactComplex
+from detvar.states import BipartiteState, random_mixed
 from detvar.variety import (
+    PEELED_MARGIN,
     WITNESS_FACTOR,
     Variety,
+    _analysis_system,
     _incidence_point,
     _line_roots,
     _random_approx_point,
@@ -145,3 +154,63 @@ def test_the_witness_is_the_best_probe_both_oracles_put_off_v(monkeypatch):
     assert second is not None and second[0] != first[0]
     assert WITNESS_FACTOR * DEFAULT_TOL.abs_eps < second[1] <= first[1]
     assert v.pencil_residual(second[0]) > WITNESS_FACTOR * DEFAULT_TOL.abs_eps
+
+
+def _gaussian_state(m, n, rank, seed):
+    """Exact rank-`rank` ensemble of rays with entries in {-3..3} + {-3..3}i
+    and weights k / sum k, as in the Gaussian-rational golden states."""
+    rng = random.Random(seed)
+    raw = [rng.randint(1, 9) for _ in range(rank)]
+    ensemble = []
+    for w in raw:
+        ray = [ExactComplex(0)]
+        while all(x.is_zero() for x in ray):
+            ray = [ExactComplex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(m * n)]
+        ensemble.append((Fraction(w, sum(raw)), tuple(ray)))
+    return BipartiteState(m, n, ensemble=ensemble)
+
+
+EXACT_CASES = ([(f"gaussian {m}x{n} r{r} seed {seed}",
+                 lambda m=m, n=n, r=r, seed=seed: _gaussian_state(m, n, r, seed), side,
+                 "NonlinearWitness")
+                for m, n, r in [(3, 3, 3), (3, 4, 4), (4, 4, 4), (4, 4, 5)]
+                for seed in range(4) for side in "AB"]
+               + [(f"cyclic t^3 = {t3}", lambda t3=t3: cyclic_cubic_state(ExactComplex(t3)),
+                   side, "NonlinearWitness") for t3 in (8, -27) for side in "AB"]
+               + [("ppt 4x6", ppt_4x6_state, "A", "Inconclusive")])
+
+
+@pytest.mark.parametrize("label, make_state, side, tag", EXACT_CASES,
+                         ids=[f"{c[0]} {c[2]}" for c in EXACT_CASES])
+def test_an_exact_analysis_samples_on_the_pencil(monkeypatch, label, make_state, side, tag):
+    """With Newton on minors, Aberth roots and plane slices made to fail,
+    an exact analysis keeps its verdict: it samples on its pencil.  Every
+    point it probes keeps off each hyperplane its peel certified."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact analysis runs the minors' sampler")
+
+    for name in ("_newton_polish", "univariate_roots", "_plane_slice_candidates"):
+        monkeypatch.setattr(variety_mod, name, refuse)
+    probed = []
+    real_tangent_form = variety_mod.tangent_form
+
+    def recording(v, point):
+        probed.append(point)
+        return real_tangent_form(v, point)
+
+    monkeypatch.setattr(variety_mod, "tangent_form", recording)
+    v = variety_of_state(make_state(), side)
+    assert v.mode == "exact"
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == tag
+    assert probed
+    forms = _analysis_system(v)[0]
+    if label == "ppt 4x6":
+        assert forms
+        assert re.fullmatch(r"no witness found in 12 samples; \d+ on peeled hyperplanes; "
+                            r"\d+ not probed \(not smooth\)", verdict.reason)
+    for form in forms:
+        normal = np.array([c.to_complex() for c in form.coefficients])
+        for p in probed:
+            distance = abs(normal @ np.array(p)) / (np.linalg.norm(normal) * np.linalg.norm(p))
+            assert distance >= PEELED_MARGIN

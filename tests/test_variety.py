@@ -503,15 +503,23 @@ def test_linear_factorization_runs_once_per_hypersurface_analysis(monkeypatch, m
     assert len(calls) == 1
 
 
-def test_unexpected_root_finder_errors_propagate(monkeypatch):
+@pytest.mark.parametrize("make_variety, finder", [
+    (lambda: family_variety(8), "_line_roots"),                        # t = n
+    (lambda: variety_of_state(ppt_4x6_state()), "_incidence_point"),  # t > n
+])
+def test_unexpected_root_finder_errors_propagate(monkeypatch, make_variety, finder):
+    # an exact V is sampled on its pencil: a bug in its root finder must
+    # surface, not read as an unlucky draw
     import detvar.variety as variety_mod
 
     def broken(*args, **kwargs):
         raise TypeError("bug inside the root finder")
 
-    monkeypatch.setattr(variety_mod, "univariate_roots", broken)
+    v = make_variety()
+    assert v.mode == "exact"
+    monkeypatch.setattr(variety_mod, finder, broken)
     with pytest.raises(TypeError):
-        sample_points(family_variety(8), 3, seed=1)
+        sample_points(v, 3, seed=1)
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 4)])

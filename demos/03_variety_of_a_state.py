@@ -1,9 +1,10 @@
 """From a state to its determinantal variety.
 
 The ensemble matrix, blocked over side A, gives a pencil of linear forms;
-the n x n minors cut out a projective algebraic set.  Membership can be
-tested two independent ways - minors, or the Hermitian determinant built
-straight from the density blocks - and the two must always agree.
+the n x n minors cut out a projective algebraic set, the points where
+the pencil's rank drops below n.  Membership can be tested two independent
+ways - that rank, or the Hermitian determinant built straight from the
+density blocks - and the two must always agree.
 """
 
 from detvar import ExactComplex, membership, sample_points
@@ -30,5 +31,5 @@ pts = sample_points(v, 5, seed=11)
 print("five sampled points (max-coordinate normalized):")
 for p in pts:
     print("  ", [complex(round(z.real, 4), round(z.imag, 4)) for z in p],
-          " residuals: minors %.1e / hermitian %.1e"
+          " residuals: pencil %.1e / hermitian %.1e"
           % (v.generator_residual(p), v.hermitian_residual(p)))

@@ -34,6 +34,6 @@ print("  rational factor:", fl.linear_factors[0].render())
 print("  residual:", fl.residual.render())
 print("  re-multiplies exactly:", fl.remultiply(3) == fermat)
 
-# numeric univariate roots, for the sampling pathway
-print("\nAberth roots of z^3 - 1:",
+# numeric univariate roots: the eigenvalues of the companion matrix
+print("\nfloat roots of z^3 - 1 (companion eigenvalues):",
       [complex(round(r.real, 9), round(r.imag, 9)) for r in univariate_roots([-1, 0, 0, 1])])

@@ -74,10 +74,9 @@ class SingularPoint(DetvarError):
 
 
 class InconsistentRepresentations(DetvarError):
-    """The two membership criteria (the generator oracle, minors or the
-    pencil's rank, vs. the Hermitian determinant) disagreed beyond
-    tolerance.  This signals a bug or a
-    badly chosen tolerance, never a property of the input state."""
+    """The two membership criteria (the pencil's rank, rank N(r) < n, vs.
+    the Hermitian determinant) disagreed beyond tolerance.  This signals a
+    bug or a badly chosen tolerance, never a property of the input state."""
 
 
 class NotHesseShape(DetvarError):

@@ -16,12 +16,13 @@ bits are those Poly's own +, - and * would give.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from itertools import combinations
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -840,18 +841,19 @@ def univariate_coeffs(p: Poly) -> List:
 
 
 # ---------------------------------------------------------------------------
-# Univariate complex roots (Aberth-Ehrlich simultaneous iteration)
+# Univariate complex roots (companion-matrix eigenvalues)
 # ---------------------------------------------------------------------------
-
-_ABERTH_MAX_ITER = 200
-
 
 def univariate_roots(p, tol: Tolerance = DEFAULT_TOL) -> List[complex]:
     """All complex roots of a univariate polynomial, approximate pathway.
 
     Accepts a 1-variable Poly (either kind) or an ascending coefficient
-    sequence.  Each returned root z satisfies |p(z)| <= abs_eps * scale(z)
-    with scale the coefficient-magnitude sum at z.
+    sequence.  The roots are the eigenvalues of the companion matrix
+    (``np.roots``, which keeps exact zero roots with their multiplicity), a
+    backward-stable root finder (Edelman and Murakami, Math. Comp. 64,
+    1995).  Each returned root z satisfies |p(z)| <= abs_eps * scale(z)
+    with scale the coefficient-magnitude sum at z; NoConvergence if the
+    eigenvalues cannot be taken or a root misses that bar.
     """
     if isinstance(p, Poly):
         coeffs = [c.to_complex() if isinstance(c, ExactComplex) else complex(c)
@@ -868,73 +870,14 @@ def univariate_roots(p, tol: Tolerance = DEFAULT_TOL) -> List[complex]:
         raise DegenerateLeadingCoefficient(
             f"leading coefficient {abs(coeffs[-1]):.3e} below cutoff")
 
-    # deflate exact zero roots
-    zeros_at_origin = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        zeros_at_origin += 1
-    deg = len(coeffs) - 1
-    roots = [0j] * zeros_at_origin
-    if deg == 0:
-        return roots
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-
-    if deg == 1:
-        return roots + [-monic[0]]
-    if deg == 2:
-        b, c0 = monic[1], monic[0]
-        disc = cmath.sqrt(b * b - 4 * c0)
-        # Citardauq branch keeps the small root accurate
-        if abs(-b + disc) >= abs(-b - disc):
-            r1 = (-b + disc) / 2
-        else:
-            r1 = (-b - disc) / 2
-        r2 = c0 / r1 if r1 != 0 else (-b - disc) / 2
-        return roots + [r1, r2]
-
-    def val_and_deriv(z):
-        v = 0j
-        d = 0j
-        for c in reversed(monic):
-            d = d * z + v
-            v = v * z + c
-        return v, d
-
-    def residual_ok(z):
-        scale = sum(abs(c) * (abs(z) ** k) for k, c in enumerate(coeffs))
-        v = 0j
-        for c in reversed(coeffs):
-            v = v * z + c
-        return abs(v) <= tol.abs_eps * max(scale, 1e-300)
-
-    radius = 1.0 + max(abs(c) for c in monic[:-1])
-    centroid = -monic[-2] / deg
-    zs = [centroid + 0.8 * radius * cmath.exp(2j * math.pi * (k / deg) + 0.4j)
-          for k in range(deg)]
-
-    for _ in range(_ABERTH_MAX_ITER):
-        max_step = 0.0
-        for k in range(deg):
-            v, d = val_and_deriv(zs[k])
-            if v == 0:
-                continue
-            newton = v / d if d != 0 else v * 1e6
-            s = 0j
-            for j in range(deg):
-                if j != k:
-                    diff = zs[k] - zs[j]
-                    if diff == 0:
-                        diff = 1e-12 * (1 + abs(zs[k]))
-                    s += 1.0 / diff
-            denom = 1.0 - newton * s
-            delta = newton / denom if denom != 0 else newton
-            zs[k] -= delta
-            max_step = max(max_step, abs(delta))
-        if all(residual_ok(z) for z in zs):
-            return roots + zs
-        if max_step < 1e-300:
-            break
-    if all(residual_ok(z) for z in zs):
-        return roots + zs
-    raise NoConvergence(f"Aberth iteration did not settle in {_ABERTH_MAX_ITER} steps")
+    desc = np.array(coeffs[::-1])
+    try:
+        zs = np.roots(desc).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenvalues not taken: {exc}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.abs(np.polyval(desc, zs)) / np.maximum(
+            np.polyval(np.abs(desc), np.abs(zs)), 1e-300)
+    if not np.all(residuals <= tol.abs_eps):  # a NaN residual fails too
+        raise NoConvergence("a companion eigenvalue misses the residual bar")
+    return zs.tolist()

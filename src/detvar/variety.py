@@ -28,11 +28,12 @@ pencil, and on an exact one where a certificate can fire on the minors
 Every V is sampled on its pencil, not on its minors (an exact one on its
 float image): for t = n the roots of det N on a line are eigenvalues of
 the pencil restricted to it, and for t > n Gauss-Newton runs on the
-incidence system y^T N(r) = 0.  A float V's generator oracle is
-sigma_n(N(r)) / (||A|| ||r||), zero exactly where every minor vanishes,
-so a float analysis expands no minor.  An exact V is first peeled of the
-hyperplanes it is certified to contain, and its samples keep off them;
-its generator oracle is the compiled minors.
+incidence system y^T N(r) = 0.  The generator oracle reads the pencil
+too, as a point is on V exactly where rank N(r) < n: sigma_n(N(r)) /
+(||A|| ||r||) on the float tensor, or the exact rank of N(p) at an exact
+point of an exact V, so no oracle expands a minor.  An exact V is first
+peeled of the hyperplanes it is certified to contain, and its samples
+keep off them.
 
 Tangent data come from the pencil, not from the minors: one SVD of N(p)
 gives a smoothness margin and a matrix T whose kernel is the tangent
@@ -54,6 +55,7 @@ from typing import Generator, Iterator, List, NamedTuple, Optional, Sequence, Tu
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     DegenerateLeadingCoefficient,
     InconsistentRepresentations,
     NoConvergence,
@@ -63,7 +65,7 @@ from .errors import (
 )
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .factorization import FactorList, linear_factorization
-from .linalg import Matrix, det_exact
+from .linalg import Matrix, det_exact, rank_exact
 from .modp import (
     EXP_BITS,
     RANK_PRIME,
@@ -100,7 +102,7 @@ _ROW_FLOOR = 1e-100        # above it, squares lost to underflow are negligible
 _BOUND_FLOOR = 1e-290      # partial bounds in [floor, 1 / floor] are normal floats
 
 # what restricting to a line and root-finding raise when a draw is merely
-# unlucky (degenerate restriction, zero direction, Aberth not settling)
+# unlucky (degenerate restriction, zero direction, a root off its residual bar)
 _LINE_MISSES = (DegenerateLeadingCoefficient, NoConvergence, ZeroDirection)
 
 
@@ -186,9 +188,8 @@ class Variety:
     column-subset order.  Passed as None, they are expanded (and checked
     homogeneous of degree n) on first read; `essential_count`, the number
     of nonzero minors, must then be given, as the minor screen finds it.
-    The sampler reads the pencil tensor (pencil_floats, pencil_residuals),
-    and so does a float variety's generator oracle: its minors are never
-    read there.
+    The sampler and the generator oracle read the pencil tensor
+    (pencil_floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
     does: the state's float image (BipartiteState._float_images), or its
     exact density only for an exact point on an exact density.
@@ -209,8 +210,7 @@ class Variety:
         self.structural = structural  # "Empty" | "Full" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
         self._pencil_floats = None   # (float pencil tensor (m, n, t), ||A||)
-        self._compiled = None        # CompiledSystem of the essential generators
-        self._analysis_cache = None  # (peeled forms, CompiledSystem of the rest)
+        self._analysis_cache = None  # (peeled forms, the generators that remain)
         self._factor_list = None     # exact split of a hypersurface generator
         self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
 
@@ -235,12 +235,6 @@ class Variety:
     @property
     def essential_generators(self) -> List[Poly]:
         return [g for g in self.generators if not g.is_zero()]
-
-    @property
-    def compiled(self) -> CompiledSystem:
-        if self._compiled is None:
-            self._compiled = CompiledSystem(self.essential_generators, self.m)
-        return self._compiled
 
     @property
     def pencil_floats(self) -> Tuple[np.ndarray, float]:
@@ -317,16 +311,10 @@ class Variety:
         svals = np.linalg.svd(np.einsum("bi,ikl->bkl", pts, tensor), compute_uv=False)
         return svals[:, self.n - 1] / np.maximum(scale * np.linalg.norm(pts, axis=1), 1e-300)
 
-    def pencil_residual(self, point: Sequence) -> float:
-        return float(self.pencil_residuals([_complex_point(point)])[0])
-
     def generator_residual(self, point: Sequence) -> float:
-        """The generator oracle: the largest relative residual of the
-        compiled minors on an exact variety, the pencil oracle
-        (pencil_residual) on a float one, which expands no minor."""
-        if self.mode == "exact":
-            return self.compiled.residual(point)
-        return self.pencil_residual(point)
+        """The generator oracle, sigma_n(N(r)) / (||A|| ||r||) at one point:
+        zero exactly where every minor vanishes, with no minor expanded."""
+        return float(self.pencil_residuals([_complex_point(point)])[0])
 
     def __repr__(self):
         return (f"Variety(side={self.side}, {self.generator_count} generators "
@@ -509,30 +497,35 @@ def project_normalize(point: Sequence):
     return tuple(x * inv for x in pt)
 
 
+def _require_arity(v: Variety, point: Sequence) -> None:
+    if len(point) != v.m:
+        raise ArityMismatch(f"a point of CP^{v.m - 1} has {v.m} coordinates, "
+                            f"not {len(point)}")
+
+
 def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Point membership by both criteria, the generator oracle and the
-    Hermitian one; they must agree."""
+    """Point membership by both criteria, rank N(r) < n and the Hermitian
+    determinant; they must agree.  An exact point of an exact V is tested
+    exactly: the exact rank of N(p) and the exact determinant of M(p)."""
+    _require_arity(v, point)
     point = project_normalize(point)
     if v.structural == "Full":
         return True
-    exact = v.mode == "exact" and all(isinstance(x, ExactComplex) for x in point)
-    if exact:
-        gen_zero = all(g.evaluate(point).is_zero() for g in v.essential_generators)
+    if v.mode == "exact" and all(isinstance(x, ExactComplex) for x in point):
+        on_pencil = rank_exact(Matrix.exact([[form.evaluate(point) for form in row]
+                                             for row in v.pencil.entry_forms])) < v.n
         herm = v.hermitian_value(point)
-        herm_zero = herm.is_zero() if isinstance(herm, ExactComplex) else herm == 0
-        if gen_zero != herm_zero:
-            raise InconsistentRepresentations(
-                f"exact membership disagrees: generators {gen_zero}, "
-                f"Hermitian determinant {herm_zero}")
-        return gen_zero
-    gen_ok = v.generator_residual(point) <= tol.abs_eps
-    herm_ok = v.hermitian_residual(point) <= tol.abs_eps
-    if gen_ok != herm_ok:
+        on_herm = herm.is_zero() if isinstance(herm, ExactComplex) else herm == 0
+        detail = "exact"
+    else:
+        gen, herm = v.generator_residual(point), v.hermitian_residual(point)
+        on_pencil, on_herm = gen <= tol.abs_eps, herm <= tol.abs_eps
+        detail = f"pencil residual {gen:.3e}, Hermitian residual {herm:.3e}"
+    if on_pencil != on_herm:
         raise InconsistentRepresentations(
-            f"membership criteria disagree at {point}: generator residual "
-            f"{v.generator_residual(point):.3e}, Hermitian residual "
-            f"{v.hermitian_residual(point):.3e}")
-    return gen_ok
+            f"membership criteria disagree at {point}: rank N(r) < n {on_pencil}, "
+            f"Hermitian determinant zero {on_herm} ({detail})")
+    return on_pencil
 
 
 def _random_exact_point(rng: random.Random, m: int) -> List[ExactComplex]:
@@ -585,17 +578,13 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
     return None
 
 
-def _analysis_system(v: Variety) -> Tuple[List[LinearForm], CompiledSystem]:
-    """The certified linear factors peeled off the generators, and the
-    compiled system that remains; built once and cached on the variety.
-    The sampler reads only the peeled forms, to keep its points off them,
-    and whether anything remains.  Nothing is peeled off a float V: its
-    system is its compiled minors, expanded on this call."""
+def _analysis_system(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
+    """The certified linear factors peeled off the generators of an exact
+    V, and the generators that remain (_peel_linear_factors), peeled once
+    and cached on the variety.  The sampler reads the peeled forms, to keep
+    its points off them, and whether anything remains."""
     if v._analysis_cache is None:
-        exact = v.mode == "exact"
-        forms, gens = _peel_linear_factors(v) if exact else ([], v.essential_generators)
-        system = v.compiled if gens == v.essential_generators else CompiledSystem(gens, v.m)
-        v._analysis_cache = (forms, system)
+        v._analysis_cache = _peel_linear_factors(v)
     return v._analysis_cache
 
 
@@ -849,8 +838,8 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
     PEELED_MARGIN is rejected; the stream returns how many were."""
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
-        forms, system = _analysis_system(v)
-        if not system.polys:
+        forms, rest = _analysis_system(v)
+        if not rest:
             raise SamplingExhausted(
                 "variety equals the union of its peeled hyperplanes; nothing left to sample")
         if forms:
@@ -882,7 +871,7 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
                     np.abs(normals @ cand) < PEELED_MARGIN * np.linalg.norm(cand)).any():
                 on_peeled += 1
                 continue
-            if v.pencil_residual(cand) <= clean and v.hermitian_residual(cand) <= clean:
+            if v.generator_residual(cand) <= clean and v.hermitian_residual(cand) <= clean:
                 found += 1
                 yield cand
                 if found >= count:
@@ -941,6 +930,8 @@ def sample_points(v: Variety, count: int, seed: int,
     point passes both oracles, the pencil's and the Hermitian one, with a
     healthy margin.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     return list(_point_stream(v, count, seed, tol))
 
 
@@ -949,6 +940,7 @@ def tangent_form(v: Variety, point: Sequence) -> LinearForm:
     pencil's tangent matrix T (_tangent_data), scaled so its largest
     coefficient is 1.  For t = n, T is the gradient of det N up to scale.
     Raises SingularPoint where the pencil does not show the point smooth."""
+    _require_arity(v, point)
     data = _tangent_data(v, project_normalize(point))
     if data is None:
         raise SingularPoint("the pencil does not show the point smooth")
@@ -1046,7 +1038,7 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
     threshold = WITNESS_FACTOR * tol.abs_eps
     mats = v.hermitian_stack(qs)
     hit = _best_probe(mats, threshold)
-    if hit is not None and v.pencil_residual(qs[hit[0]]) <= threshold:
+    if hit is not None and v.generator_residual(qs[hit[0]]) <= threshold:
         # the pencil puts that probe on V, and a witness needs both oracles:
         # the best probe that both put off V is the best one left
         off = np.flatnonzero(v.pencil_residuals(qs) > threshold)
@@ -1287,11 +1279,13 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
     probed.  An Inconclusive reason says how many points were skipped, and
     how many candidates the sampler rejected on peeled hyperplanes.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
     if v.mode == "exact":
-        forms, system = _analysis_system(v)
-        if forms and not system.polys:
+        forms, rest = _analysis_system(v)
+        if forms and not rest:
             # every generator is a constant times the same hyperplane product:
             # the variety is certified to be exactly that union
             return VarietyVerdict("LinearUnion", forms=forms)

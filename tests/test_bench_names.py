@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from detvar.multipoly import CompiledSystem
 from detvar.scalars import DEFAULT_TOL
 from detvar.states import random_separable
 from detvar.variety import _analysis_system, _newton_polish, sample_points, variety_of_state
@@ -46,7 +47,7 @@ def test_sample_points_takes_count_second():
 def test_newton_polish_returns_none_or_a_point():
     # the convergence tally counts results that are not None
     v = variety_of_state(random_separable(3, 3, 4, seed=2), "B")
-    _, system = _analysis_system(v)
+    system = CompiledSystem(_analysis_system(v)[1], v.m)
     point = sample_points(v, 1, seed=5)[0]
     near = [z + 1e-4 * (1 + 1j) for z in point]
     polished = _newton_polish(system, near, DEFAULT_TOL)

@@ -1,5 +1,5 @@
 """Built-once data behind per-point evaluation: the state's density and
-swap, and the compiled generator system of a variety."""
+swap, the compiled generator system, and a variety's exact peel."""
 
 import random
 from collections import Counter
@@ -10,6 +10,7 @@ import pytest
 
 import detvar.linalg as linalg_mod
 import detvar.states as states_mod
+import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.factorization import linear_factorization
 from detvar.multipoly import CompiledSystem, LinearForm, Poly
@@ -19,6 +20,7 @@ from detvar.statefile import load_state, parse_state, state_to_json
 from detvar.states import BipartiteState, random_mixed, random_separable
 from detvar.variety import (
     _analysis_system,
+    linearity_decide,
     membership,
     nonlinearity_witness,
     pencil_matrix,
@@ -148,14 +150,21 @@ def test_empty_compiled_system():
     assert cs.residual([1j, 2, 3]) == 0.0
 
 
-def test_analysis_system_is_compiled_once():
-    # nothing is peeled off an approximate variety: the analysis system is
-    # the variety's own compiled generators
-    v = variety_of_state(random_mixed(3, 4, 5, seed=4))
-    _, system = _analysis_system(v)
-    assert system is v.compiled and system.polys == v.essential_generators
-    assert _analysis_system(v)[1] is system
-    # the exact split of a hypersurface compiles its residual
+def test_analysis_system_is_peeled_once(monkeypatch):
+    # nothing is peeled off these minors: what remains is the variety's own
+    # nonzero generators, the same list on every read
+    v = variety_of_state(random_separable(3, 3, 4, seed=2), "B")
+    forms, rest = _analysis_system(v)
+    assert not forms and rest == v.essential_generators
+    assert _analysis_system(v)[1] is rest
+    # the exact split of a hypersurface leaves its residual, and a whole
+    # analysis (decision, witness search and sampler) peels once
+    peels = []
+    real = variety_mod._peel_linear_factors
+    monkeypatch.setattr(variety_mod, "_peel_linear_factors",
+                        lambda w: peels.append(w) or real(w))
     w = variety_of_state(cyclic_cubic_state(EC(8)))
+    assert linearity_decide(w, seed=42).tag == "NonlinearWitness"
     _, residual = _analysis_system(w)
-    assert residual.polys == [w._factor_list.residual]
+    assert residual == [w._factor_list.residual]
+    assert peels == [w]

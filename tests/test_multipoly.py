@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from detvar.errors import (
     ArityMismatch,
     BadOrder,
     DegenerateLeadingCoefficient,
+    NoConvergence,
     ZeroDirection,
 )
 from detvar.multipoly import (
@@ -22,7 +24,7 @@ from detvar.multipoly import (
     univariate_coeffs,
     univariate_roots,
 )
-from detvar.scalars import ExactComplex
+from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.variety import sample_points, tangent_form, variety_of_state
 
 EC = ExactComplex
@@ -222,6 +224,58 @@ def test_univariate_roots_basics():
         assert abs(r ** 3 - 1) < 1e-9
     with pytest.raises(DegenerateLeadingCoefficient):
         univariate_roots([1.0, 1e-14])
+
+
+def _meets_residual_bar(coeffs, z):
+    value = sum(c * z ** k for k, c in enumerate(coeffs))
+    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    return abs(value) <= DEFAULT_TOL.abs_eps * scale
+
+
+def _match_roots(got, want, tol):
+    got = list(got)
+    assert len(got) == len(want)
+    for r in want:
+        k = min(range(len(got)), key=lambda i: abs(got[i] - r))
+        assert abs(got.pop(k) - r) <= tol * abs(r), (r, got)
+
+
+ROOT_CASES = {
+    "roots at 0": (1, [0, 0, 2, 3]),
+    "complex coefficients": (2 - 1j, [1 + 2j, -0.5j, 3, -2 + 1j]),
+    "coefficients 1e-6 to 1e6": (1e6, [1e-3, 2e-3j, -1e-4, 1e-2 - 1e-2j]),
+}
+
+
+@pytest.mark.parametrize("name", list(ROOT_CASES))
+def test_univariate_roots_are_companion_eigenvalues(name):
+    lead, want = ROOT_CASES[name]
+    coeffs = [complex(c) for c in lead * np.poly(want)[::-1]]
+    roots = univariate_roots(coeffs)
+    assert all(_meets_residual_bar(coeffs, z) for z in roots)
+    _match_roots(roots, want, 1e-6)
+    if name == "roots at 0":
+        assert roots.count(0j) == 2  # kept exactly, with their multiplicity
+    if name == "coefficients 1e-6 to 1e6":
+        mags = [abs(c) for c in coeffs]
+        assert max(mags) / min(mags) >= 1e11
+
+
+def test_univariate_roots_of_a_triple_root():
+    coeffs = [complex(c) for c in np.poly([1.5, 1.5, 1.5, -2j])[::-1]]
+    roots = univariate_roots(coeffs)
+    assert all(_meets_residual_bar(coeffs, z) for z in roots)
+    simple = min(roots, key=lambda z: abs(z + 2j))
+    _match_roots([simple], [-2j], 1e-6)
+    # a root of multiplicity 3 moves by about eps^(1/3) ~ 1e-5 under a
+    # backward error of eps, for any float root finder; the mean of its
+    # cluster is well-conditioned
+    cluster = [z for z in roots if z != simple]
+    assert all(abs(z - 1.5) <= 1e-4 for z in cluster)
+    assert abs(sum(cluster) / 3 - 1.5) <= 1e-6
+    # a bar below what float eigenvalues reach is a NoConvergence
+    with pytest.raises(NoConvergence):
+        univariate_roots(coeffs, dataclasses.replace(DEFAULT_TOL, abs_eps=1e-30))
 
 
 def test_roots_on_restricted_cubics():

@@ -2,7 +2,7 @@
 
 ``reference_peel`` is the former m >= 4 branch of
 ``variety._peel_linear_factors``, kept verbatim: it samples points on V
-along exact lines with Aberth roots, fits hyperplanes through them with a
+along exact lines with float roots, fits hyperplanes through them with a
 RANSAC SVD, rationalizes the normal (denominators up to 10000) and
 verifies each candidate by exact division.  Where it finds forms, the
 exact peel must find the same forms and leave identical quotients, term

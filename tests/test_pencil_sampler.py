@@ -6,7 +6,7 @@ restricted to it, and for t > n points come from Gauss-Newton on the
 incidence system y^T N(r) = 0.  A float variety expands no symbolic minor,
 and its generator oracle is sigma_n(N(r)) / (||A|| ||r||).  An exact
 variety keeps its exact peel, and its samples keep off the peeled
-hyperplanes.  These tests pin the eigenvalue roots against Aberth roots of
+hyperplanes.  These tests pin the eigenvalue roots against the roots of
 the expanded determinant, the pencil oracle against the compiled minors it
 replaces, an exact analysis that runs no Newton on minors, and the rule
 that a witness needs both oracles to put its probe off V.
@@ -42,9 +42,9 @@ from detvar.variety import (
     variety_of_state,
 )
 
-# Aberth stops at a relative residual of abs_eps; at the default 1e-9 that
-# leaves a root up to about 4e-8 off, so the reference roots are taken
-# with a tighter tolerance
+# univariate_roots accepts a relative residual of abs_eps; at the default
+# 1e-9 that admits a root up to about 4e-8 off, so the reference roots are
+# held to a tighter bar
 TIGHT = dataclasses.replace(DEFAULT_TOL, abs_eps=1e-13)
 
 
@@ -79,7 +79,7 @@ def test_incidence_gauss_newton_reaches_v(shape, side):
     for _ in range(10):
         r = _incidence_point(v, np.array(_random_approx_point(rng, v.m)), DEFAULT_TOL)
         assert r is not None
-        assert v.pencil_residual(r) <= 0.05 * DEFAULT_TOL.abs_eps
+        assert v.generator_residual(r) <= 0.05 * DEFAULT_TOL.abs_eps
 
 
 CROSS_CASES = [(3, 3, 3), (3, 4, 4), (4, 4, 4), (4, 4, 5)]
@@ -98,14 +98,14 @@ def test_pencil_oracle_agrees_with_the_minors(shape, side):
     eps = DEFAULT_TOL.abs_eps
     probes = 0
     for p in sample_points(v, 6, seed=9):
-        assert v.pencil_residual(p) <= eps and system.residual(p) <= eps
+        assert v.generator_residual(p) <= eps and system.residual(p) <= eps
         data = _tangent_data(v, p)
         if data is None or not data[1]:
             continue
         for _ in range(5):
             g = sum(complex(rng.gauss(0, 1), rng.gauss(0, 1)) * d for d in data[1])
             q = project_normalize((np.array(p) + 0.1 * g / np.linalg.norm(g)).tolist())
-            assert (v.pencil_residual(q) <= eps) == (system.residual(q) <= eps)
+            assert (v.generator_residual(q) <= eps) == (system.residual(q) <= eps)
             assert membership(v, q) == (system.residual(q) <= eps)
             probes += 1
     assert probes > 0
@@ -153,7 +153,7 @@ def test_the_witness_is_the_best_probe_both_oracles_put_off_v(monkeypatch):
     second = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL, 0.1)
     assert second is not None and second[0] != first[0]
     assert WITNESS_FACTOR * DEFAULT_TOL.abs_eps < second[1] <= first[1]
-    assert v.pencil_residual(second[0]) > WITNESS_FACTOR * DEFAULT_TOL.abs_eps
+    assert v.generator_residual(second[0]) > WITNESS_FACTOR * DEFAULT_TOL.abs_eps
 
 
 def _gaussian_state(m, n, rank, seed):

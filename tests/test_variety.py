@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detvar.catalog import cyclic_cubic_state, maximally_mixed, ppt_4x6_state, printed_pencil_4x6
-from detvar.errors import MissingEnsemble, SamplingExhausted, SingularPoint
+from detvar.errors import ArityMismatch, MissingEnsemble, SamplingExhausted, SingularPoint
 from detvar.linalg import Matrix
 from detvar.modp import macaulay_full_rank
 from detvar.multipoly import Poly
@@ -244,13 +244,47 @@ def test_fully_shared_direction_certifies_linear_union():
 def test_membership_inconsistency_is_detected():
     from detvar.errors import InconsistentRepresentations
     v = family_variety(8)
-    # corrupt the generator list: the Hermitian oracle will disagree
-    wrong = Poly.variable(0, 3) ** 3
-    broken = type(v)(v.side, v.m, v.n, [wrong], v.pencil, v.state, v.mode,
+    # corrupt the pencil with another state's: the Hermitian oracle will disagree
+    wrong = pencil_matrix(random_separable(3, 3, 3, seed=0))
+    broken = type(v)(v.side, v.m, v.n, v.generators, wrong, v.state, v.mode,
                      None)
     with pytest.raises(InconsistentRepresentations):
-        # (1,1,1) is on the true variety but not on the corrupted generator
+        # (1,1,1) is on the true variety but not on the corrupted pencil's
         membership(broken, [EC(1), EC(1), EC(1)])
+
+
+@pytest.mark.parametrize("make", [lambda: random_mixed(3, 3, 3, seed=0),
+                                  lambda: cyclic_cubic_state(EC(8))], ids=["float", "exact"])
+def test_a_point_of_the_wrong_length_is_refused(make):
+    v = variety_of_state(make())
+    point = list(sample_points(v, 1, seed=3)[0])
+    assert membership(v, point)
+    zero = EC(0) if v.mode == "exact" else 0j
+    for wrong in (point + [zero] * 3, point + point, point[:2], point[:1], []):
+        with pytest.raises(ArityMismatch):
+            membership(v, wrong)
+        with pytest.raises(ArityMismatch):
+            tangent_form(v, wrong)
+    exact_point = [EC(0), EC(1), EC(-1)]
+    with pytest.raises(ArityMismatch):
+        membership(v, exact_point + [EC(1)])
+    with pytest.raises(ArityMismatch):
+        membership(v, exact_point[:2])
+
+
+def test_a_request_for_no_points_is_refused():
+    v = variety_of_state(random_mixed(3, 3, 3, seed=0))
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_points(v, count, 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            nonlinearity_witness(v, samples=count)
+        with pytest.raises(ValueError, match="at least 1"):
+            linearity_decide(v, samples=count)
+    # refused before any early verdict, on an exact V too
+    w = variety_of_state(cyclic_cubic_state(EC(8)))
+    with pytest.raises(ValueError, match="at least 1"):
+        nonlinearity_witness(w, samples=0)
 
 
 def test_covariance_identity_and_random():

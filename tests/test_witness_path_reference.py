@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from detvar.linalg import Matrix
+from detvar.multipoly import CompiledSystem
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.statefile import load_state
 from detvar.states import BipartiteState, ensemble_from_density, random_mixed
@@ -277,11 +278,21 @@ def witness_points(v, rng: random.Random):
     return pts
 
 
+def _compiled_polys(v):
+    """The polynomial lists a variety's analysis compiled: its nonzero
+    minors and, on an exact V, what the exact peel leaves where that
+    differs; the last is the analysis system Newton ran on."""
+    lists = [v.essential_generators]
+    if v.mode == "exact" and _analysis_system(v)[1] != lists[0]:
+        lists.append(_analysis_system(v)[1])
+    return lists
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_compiled_system_matches_reference(name):
     v = CASES[name]()
     rng = random.Random(f"compiled:{name}")
-    for cs in {id(s): s for s in (v.compiled, _analysis_system(v)[1])}.values():
+    for cs in [CompiledSystem(polys, v.m) for polys in _compiled_polys(v)]:
         if not cs.polys:
             continue
         ref = ReferenceSystem(cs)
@@ -330,7 +341,7 @@ def test_hermitian_matrix_matches_reference(name):
                                   "density 4x4 r5 A"])
 def test_newton_polish_matches_reference(name):
     v = CASES[name]()
-    _, system = _analysis_system(v)
+    system = CompiledSystem(_compiled_polys(v)[-1], v.m)
     assert len(system.polys) >= 2
     ref = ReferenceSystem(system)
     rng = random.Random(f"newton:{name}")
@@ -368,9 +379,9 @@ def _gap_rank(svals, ncols, noise_floor=0.0):
 
 
 def reference_kernel_directions(v, pt, tol):
-    _, system = _analysis_system(v)
+    system = CompiledSystem(_compiled_polys(v)[-1], v.m)
     if not system.polys:
-        system = v.compiled
+        system = CompiledSystem(v.essential_generators, v.m)
     table = system.table(pt)
     for k in range(len(system.polys)):
         grad, gscale = ReferenceSystem(system).gradient(k, pt)

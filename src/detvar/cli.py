@@ -41,17 +41,17 @@ from .report import (
 from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import load_state, save_state
 from .states import random_local_unitary, random_mixed, random_separable
-from .variety import HYPERPLANE_RADIUS, linearity_decide, variety_of_state, verify_lu_covariance
+from .variety import (DEFAULT_SAMPLES, DEFAULT_SEED, linearity_decide, variety_of_state,
+                      verify_lu_covariance)
 
 
 def _check_flags(args) -> None:
-    """A tolerance or radius must be a finite normal float > 0 (tol / 10,
-    the eigenvalue cutoff, must not underflow); a count must be >= 1."""
-    for flag in ("tol", "radius"):
-        x = getattr(args, flag, None)
-        if x is not None and not (math.isfinite(x) and x >= sys.float_info.min):
-            raise BadParams(f"--{flag} must be finite and at least the smallest normal "
-                            f"float ({sys.float_info.min!r}), got {x!r}")
+    """A tolerance must be a finite normal float > 0 (tol / 10, the
+    eigenvalue cutoff, must not underflow); a count must be >= 1."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= sys.float_info.min):
+        raise BadParams("--tol must be finite and at least the smallest normal "
+                        f"float ({sys.float_info.min!r}), got {tol!r}")
     for flag in ("samples", "trials"):
         if getattr(args, flag, 1) < 1:
             raise BadParams(f"--{flag} must be at least 1, got {getattr(args, flag)}")
@@ -80,8 +80,7 @@ def cmd_analyze(args) -> int:
         digest = digest_bytes(fh.read())
     state = load_state(args.file)
     report = analyze_state(state, side=args.side, tol=_tolerance(args),
-                           samples=args.samples, seed=args.seed,
-                           radius=args.radius, input_digest=digest)
+                           samples=args.samples, seed=args.seed, input_digest=digest)
     _emit(report, args)
     return 0
 
@@ -204,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file")
     pa.add_argument("--side", choices=["A", "B"], default="A")
     pa.add_argument("--tol", type=float, default=None)
-    pa.add_argument("--samples", type=int, default=12)
-    pa.add_argument("--seed", type=int, default=42)
-    pa.add_argument("--radius", type=float, default=HYPERPLANE_RADIUS,
-                    help="tangent-probe step for the witness search")
+    pa.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    pa.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pa.add_argument("--json", default=None)
     pa.set_defaults(fn=cmd_analyze)
 
@@ -226,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="family parameter for example2: a rational or '3w' "
                          "(write negative fractions as --t=-1/2)")
     pr.add_argument("--tol", type=float, default=None)
-    pr.add_argument("--samples", type=int, default=12)
-    pr.add_argument("--seed", type=int, default=42)
+    pr.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pr.add_argument("--json", default=None)
     pr.add_argument("--write-state", default=None,
                     help="also write the state file used")
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--m", type=int, default=3)
     pp.add_argument("--n", type=int, default=3)
     pp.add_argument("--trials", type=int, default=20)
-    pp.add_argument("--seed", type=int, default=42)
+    pp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pp.add_argument("--tol", type=float, default=None)
     pp.add_argument("--json", default=None)
     pp.set_defaults(fn=cmd_props)

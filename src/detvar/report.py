@@ -23,6 +23,8 @@ from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import render_scalar
 from .states import BipartiteState, entropy_and_spectra, ppt_check
 from .variety import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     HYPERPLANE_RADIUS,
     Variety,
     VarietyVerdict,
@@ -94,7 +96,7 @@ def digest_bytes(data: bytes) -> str:
 
 
 def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAULT_TOL,
-                  samples: int = 12, seed: int = 42, radius: float = HYPERPLANE_RADIUS,
+                  samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
                   input_digest: str = "unhashed") -> dict:
     """Full pipeline: pencil -> generators -> linearity verdict -> PPT ->
     spectra -> report dict."""
@@ -106,7 +108,7 @@ def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAUL
         work = ensemble_from_density(s.density_matrix(), s.m, s.n, tol)
         work.label = s.label
     v = variety_of_state(work, side)
-    verdict = linearity_decide(v, seed=seed, samples=samples, tol=tol, radius=radius)
+    verdict = linearity_decide(v, seed=seed, samples=samples, tol=tol)
     spectra = entropy_and_spectra(work, tol)
     report = {
         "schema": SCHEMA,
@@ -141,7 +143,7 @@ def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAUL
         },
         "seed": seed,
         "samples": samples,
-        "probe_radius": radius,
+        "probe_radius": HYPERPLANE_RADIUS,
     }
     hc = _hesse_cubic(v)
     if hc is not None:

@@ -37,8 +37,8 @@ keep off them.
 
 Tangent data come from the pencil, not from the minors: one SVD of N(p)
 gives a smoothness margin and a matrix T whose kernel is the tangent
-space of V at p (_tangent_data).  The witness search probes only points
-the pencil shows to be smooth; near the singular or base locus of N, a
+space of V at p (_tangent_data).  The witness search takes them once per
+sampled point and probes only points the pencil shows to be smooth; near the singular or base locus of N, a
 probe along the tangent cone would leave even a union of linear spaces.
 A probe is a witness only where both oracles, the Hermitian one and the
 pencil's (on the float image of an exact pencil too), put it off V.
@@ -46,7 +46,6 @@ pencil's (on the float image of an exact pencil too), put it off V.
 
 from __future__ import annotations
 
-import cmath
 import random
 from fractions import Fraction
 from math import comb, sqrt
@@ -91,6 +90,9 @@ from .states import BipartiteState, unit_scaled
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
+PROBES = 20                # tangent probes per sampled point
+DEFAULT_SAMPLES = 12       # points the witness search samples
+DEFAULT_SEED = 42
 SMOOTH_MARGIN = 1e-3       # least sigma_{n-1}(N(p)) / (||A|| ||p||) at a probed point
 PEELED_MARGIN = SMOOTH_MARGIN  # least |l(p)| / (||l|| ||p||) of a sample, l a peeled form
 NEWTON_MAX_STEPS = 50
@@ -111,30 +113,31 @@ _LINE_MISSES = (DegenerateLeadingCoefficient, NoConvergence, ZeroDirection)
 # ---------------------------------------------------------------------------
 
 class PencilMatrix:
-    """n x t matrix of homogeneous linear forms in the side variables.
+    """n x t matrix of homogeneous linear forms in the m side variables.
 
-    Entry (k, l) equals sum_i r_i * (A_i)[k, l].  An exact pencil keeps
-    the raw ensemble coefficients, so the matrix printed for the worked
-    examples matches the construction on the nose.  A float pencil takes
-    each ray through states.unit_scaled: a power of two per column, which
-    leaves every ratio downstream bit-identical but keeps the minors of
-    very small or very large rays inside the float range.
+    entries[k][l] is the tuple of the m coefficients of entry (k, l), which
+    equals sum_i r_i * (A_i)[k, l]; an entry with no nonzero coefficient is
+    m zeros of the pencil's kind.  An exact pencil keeps the raw ensemble
+    coefficients, so the matrix printed for the worked examples matches the
+    construction on the nose.  A float pencil takes each ray through
+    states.unit_scaled: a power of two per column, which leaves every ratio
+    downstream bit-identical but keeps the minors of very small or very
+    large rays inside the float range.
     """
 
     def __init__(self, side: str, n_rows: int, t_cols: int, m_vars: int,
-                 entry_forms: List[List[LinearForm]], kind: str,
-                 state: BipartiteState):
-        self.side = side
-        self.n = n_rows
-        self.t = t_cols
-        self.m = m_vars
-        self.entry_forms = entry_forms
+                 entries: List[List[Tuple]], kind: str, state: BipartiteState):
+        self.side, self.n, self.t, self.m = side, n_rows, t_cols, m_vars
+        self.entries = entries
         self.kind = kind
         self.state = state  # as given, before any swap for side B
         self._mod_p = None  # (prime, reduced coefficient vectors), found once
+        self._floats = None  # (float tensor (m, n, t), ||A||), built once
 
     def entry_polys(self) -> List[List[Poly]]:
-        return [[f.to_poly(self.m, self.kind) for f in row] for row in self.entry_forms]
+        units = [tuple(int(i == j) for j in range(self.m)) for i in range(self.m)]
+        return [[Poly(self.m, dict(zip(units, e)), self.kind) for e in row]
+                for row in self.entries]
 
     def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
@@ -149,6 +152,17 @@ class PencilMatrix:
                     break
         return self._mod_p
 
+    @property
+    def floats(self) -> Tuple[np.ndarray, float]:
+        """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
+        and ||A||, the spectral norm of its m x nt unfolding."""
+        if self._floats is None:
+            rows = [[[c.to_complex() if isinstance(c, ExactComplex) else c for c in e]
+                     for e in row] for row in self.entries]
+            tensor = np.array(rows, dtype=complex).transpose(2, 0, 1)
+            self._floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
+        return self._floats
+
     def __repr__(self):
         return f"PencilMatrix(side={self.side}, {self.n}x{self.t} in {self.m} vars)"
 
@@ -160,20 +174,18 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
     m, n = state.m, state.n
     t = len(terms)
     exact = state.exact_ensemble
-    kind = "exact" if exact else "approx"
     zero = EC_ZERO if exact else 0j
-    entry_forms: List[List[LinearForm]] = []
     rays = [v if exact else unit_scaled(v) for _, v in terms]
+    entries = []
     for k in range(n):
         row = []
         for l in range(t):
-            coeffs = [rays[l][i * n + k] for i in range(m)]
-            if all((c.is_zero() if isinstance(c, ExactComplex) else c == 0)
-                   for c in coeffs):
-                coeffs = [zero] * m
-            row.append(LinearForm(coeffs, zero, normalize=False))
-        entry_forms.append(row)
-    return PencilMatrix(side, n, t, m, entry_forms, kind, s)
+            coeffs = tuple(rays[l][i * n + k] for i in range(m))
+            if all((c.is_zero() if exact else c == 0) for c in coeffs):
+                coeffs = (zero,) * m
+            row.append(coeffs)
+        entries.append(row)
+    return PencilMatrix(side, n, t, m, entries, "exact" if exact else "approx", s)
 
 
 # ---------------------------------------------------------------------------
@@ -184,32 +196,27 @@ class Variety:
     """Generators, the pencil oracle and the Hermitian-form evaluator for
     one side.
 
+    Its side, m, n, state and mode (the kind) are the pencil's.
     `generators` are the maximal minors of the pencil, in lexicographic
     column-subset order.  Passed as None, they are expanded (and checked
     homogeneous of degree n) on first read; `essential_count`, the number
     of nonzero minors, must then be given, as the minor screen finds it.
     The sampler and the generator oracle read the pencil tensor
-    (pencil_floats, pencil_residuals): no minor is read there.
+    (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
     does: the state's float image (BipartiteState._float_images), or its
     exact density only for an exact point on an exact density.
     """
 
-    def __init__(self, side: str, m_vars: int, n_minor: int,
-                 generators: Optional[List[Poly]], pencil: PencilMatrix,
-                 state: BipartiteState, mode: str,
+    def __init__(self, pencil: PencilMatrix, generators: Optional[List[Poly]],
                  structural: Optional[str], essential_count: Optional[int] = None):
-        self.side = side
-        self.m = m_vars
-        self.n = n_minor
+        self.pencil = pencil
+        self.side, self.m, self.n = pencil.side, pencil.m, pencil.n
+        self.state, self.mode = pencil.state, pencil.kind
         self._generators = generators
         self._essential_count = essential_count
-        self.pencil = pencil
-        self.state = state
-        self.mode = mode
         self.structural = structural  # "Empty" | "Full" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
-        self._pencil_floats = None   # (float pencil tensor (m, n, t), ||A||)
         self._analysis_cache = None  # (peeled forms, the generators that remain)
         self._factor_list = None     # exact split of a hypersurface generator
         self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
@@ -235,18 +242,6 @@ class Variety:
     @property
     def essential_generators(self) -> List[Poly]:
         return [g for g in self.generators if not g.is_zero()]
-
-    @property
-    def pencil_floats(self) -> Tuple[np.ndarray, float]:
-        """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
-        and ||A||, the spectral norm of its m x nt unfolding."""
-        if self._pencil_floats is None:
-            rows = [[[c.to_complex() if isinstance(c, ExactComplex) else complex(c)
-                      for c in form.coefficients] for form in row]
-                    for row in self.pencil.entry_forms]
-            tensor = np.array(rows, dtype=complex).transpose(2, 0, 1)
-            self._pencil_floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
-        return self._pencil_floats
 
     # -- Hermitian-form evaluator (the independent membership oracle) ------
 
@@ -304,7 +299,7 @@ class Variety:
         """sigma_n(N(r)) / (||A|| ||r||) at each point (complex coordinates):
         zero exactly where rank N(r) < n, that is on V, and invariant under
         scaling r or the pencil.  An exact pencil is read as its float image."""
-        tensor, scale = self.pencil_floats
+        tensor, scale = self.pencil.floats
         pts = np.array(points, dtype=complex).reshape(-1, self.m)
         if self.pencil.t < self.n:  # V is all of CP^{m-1}
             return np.zeros(len(pts))
@@ -449,18 +444,17 @@ def variety_generators(p: PencilMatrix) -> Variety:
     expanded at once: the exact peel needs them all.
     """
     if p.t < p.n:
-        return Variety(p.side, p.m, p.n, [], p, p.state, p.kind, "Full")
+        return Variety(p, [], "Full")
     gate = p.kind != "exact" or (p.m >= 3 and p.t - p.n + 1 >= p.m - 1)
     if gate and _minor_screen(p):
-        return Variety(p.side, p.m, p.n, None, p, p.state, p.kind, None,
-                       essential_count=comb(p.t, p.n))
+        return Variety(p, None, None, essential_count=comb(p.t, p.n))
     gens = _pencil_minors(p)
     structural: Optional[str] = None
     if all(g.is_zero() for g in gens):
         structural = "Full"
     elif _empty_certificate(gens, p.m):
         structural = "Empty"
-    return Variety(p.side, p.m, p.n, gens, p, p.state, p.kind, structural)
+    return Variety(p, gens, structural)
 
 
 def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
@@ -512,8 +506,9 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
     if v.structural == "Full":
         return True
     if v.mode == "exact" and all(isinstance(x, ExactComplex) for x in point):
-        on_pencil = rank_exact(Matrix.exact([[form.evaluate(point) for form in row]
-                                             for row in v.pencil.entry_forms])) < v.n
+        at_p = [[sum((c * x for c, x in zip(e, point)), EC_ZERO) for e in row]
+                for row in v.pencil.entries]
+        on_pencil = rank_exact(Matrix.exact(at_p)) < v.n
         herm = v.hermitian_value(point)
         on_herm = herm.is_zero() if isinstance(herm, ExactComplex) else herm == 0
         detail = "exact"
@@ -767,7 +762,7 @@ def _line_roots(v: Variety, base: np.ndarray, direction: np.ndarray) -> Optional
     the eigenvalues of -N(direction)^-1 N(base), with no determinant
     polynomial.  None where N(direction) is singular or the eigenvalues
     cannot be taken; the line then has fewer than n finite roots."""
-    tensor = v.pencil_floats[0]
+    tensor = v.pencil.floats[0]
     at_base = np.einsum("i,ikl->kl", base, tensor)
     at_direction = np.einsum("i,ikl->kl", direction, tensor)
     try:
@@ -787,7 +782,7 @@ def _incidence_point(v: Variety, start: np.ndarray, tol: Tolerance) -> Optional[
     where a step no longer lowers ||f||; r is returned if ||f|| is then
     within half the sampler's acceptance bar, which, as ||y|| >= 1 and
     ||r|| >= 1, bounds the pencil oracle at r."""
-    tensor, scale = v.pencil_floats
+    tensor, scale = v.pencil.floats
     m, n = v.m, v.n
     unit = tensor / scale
     pin_r = int(np.argmax(np.abs(start)))
@@ -939,7 +934,8 @@ def tangent_form(v: Variety, point: Sequence) -> LinearForm:
     """A tangent hyperplane at a smooth point: the first row of the
     pencil's tangent matrix T (_tangent_data), scaled so its largest
     coefficient is 1.  For t = n, T is the gradient of det N up to scale.
-    Raises SingularPoint where the pencil does not show the point smooth."""
+    Raises SingularPoint where the pencil does not show the point smooth.
+    The witness search takes it only for a witness's point."""
     _require_arity(v, point)
     data = _tangent_data(v, project_normalize(point))
     if data is None:
@@ -991,7 +987,7 @@ def _tangent_data(v: Variety, point: Sequence
     the orthogonal projector onto ker T and p's complement, or [] where
     that is zero: a probe P g needs no basis of ker T, which would move
     with the power-of-two column scaling of a float pencil."""
-    tensor, scale = v.pencil_floats
+    tensor, scale = v.pencil.floats
     p = np.array(_complex_point(point))
     n, rows = v.n, v.pencil.t - v.n + 1
     if rows < 1:  # t < n: V is all of CP^{m-1}
@@ -1012,29 +1008,30 @@ def _tangent_data(v: Variety, point: Sequence
 
 
 def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
-                       tol: Tolerance, radius: float,
-                       probes: int = 20) -> Optional[Tuple[Tuple[complex, ...], float]]:
-    """Probe the tangent space at a point the pencil shows smooth, along
-    P g (_tangent_data's projector, complex Gaussian g from rng).  A probe
-    that both oracles put off V, its Hermitian residual and its pencil
-    residual above threshold, certifies local curvature; the witness is
-    the one of largest Hermitian residual."""
+                       tol: Tolerance) -> Optional[Tuple[Tuple[complex, ...], float]]:
+    """Probe the tangent space at a point, from one _tangent_data: PROBES
+    steps of relative length HYPERPLANE_RADIUS along P g (its projector,
+    complex Gaussian g from rng).  A probe that both oracles put off V,
+    its Hermitian residual and its pencil residual above threshold,
+    certifies local curvature; the witness is the one of largest Hermitian
+    residual.  Raises SingularPoint where the pencil does not show the
+    point smooth."""
     pt = _complex_point(project_normalize(point))
     data = _tangent_data(v, pt)
-    if data is None or not data[1]:
-        # not shown smooth, or a zero-dimensional component whose tangent
-        # space is the point itself: nothing to probe
-        return None
+    if data is None:
+        raise SingularPoint("the pencil does not show the point smooth")
     dirs = data[1]
+    if not dirs:
+        # a zero-dimensional component, whose tangent space is the point
+        # itself: nothing to probe
+        return None
     coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                       for _ in range(probes * len(dirs))]).reshape(probes, len(dirs))
+                       for _ in range(PROBES * len(dirs))]).reshape(PROBES, len(dirs))
     combos = sum(coeffs[:, j, None] * d for j, d in enumerate(dirs))
     norms = np.array([float(np.linalg.norm(combo)) for combo in combos])
     keep = norms >= 1e-12
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = np.array(pt) + radius * combos[keep] / norms[keep][:, None]
-    # a probe that overflowed has NaN coordinates, and a NaN residual never wins
-    qs = [q for q in map(project_normalize, steps.tolist()) if all(map(cmath.isfinite, q))]
+    steps = np.array(pt) + HYPERPLANE_RADIUS * combos[keep] / norms[keep][:, None]
+    qs = [project_normalize(q) for q in steps.tolist()]
     threshold = WITNESS_FACTOR * tol.abs_eps
     mats = v.hermitian_stack(qs)
     hit = _best_probe(mats, threshold)
@@ -1092,13 +1089,8 @@ def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
 def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]]]:
     """The coefficient vectors of the pencil entries modulo p; None when p
     divides a denominator."""
-    rows = []
-    for row in pencil.entry_forms:
-        reduced = [[reduce_scalar(c, p) for c in form.coefficients] for form in row]
-        if any(None in c for c in reduced):
-            return None
-        rows.append(reduced)
-    return rows
+    rows = [[[reduce_scalar(c, p) for c in e] for e in row] for row in pencil.entries]
+    return None if any(None in c for row in rows for c in row) else rows
 
 
 def _restrict_mod_p(forms: List[List[List[int]]], h: Sequence[ExactComplex],
@@ -1133,7 +1125,7 @@ def _rank_deficient(v: Variety, seed: int) -> bool:
     if seed not in v._rank_memo:
         rng = random.Random(f"rank:{seed}")
         r = _random_approx_point(rng, v.m)
-        mat = np.einsum("i,ikl->kl", np.array(r), v.pencil_floats[0])
+        mat = np.einsum("i,ikl->kl", np.array(r), v.pencil.floats[0])
         rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), v.n)
         v._rank_memo[seed] = rank is not None and rank < v.n
     return v._rank_memo[seed]
@@ -1263,9 +1255,8 @@ class VarietyVerdict:
         return f"VarietyVerdict({self.tag}{extra})"
 
 
-def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
-                         tol: Tolerance = DEFAULT_TOL,
-                         radius: float = HYPERPLANE_RADIUS) -> VarietyVerdict:
+def nonlinearity_witness(v: Variety, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
+                         tol: Tolerance = DEFAULT_TOL) -> VarietyVerdict:
     """Search for a smooth point whose tangent space leaves the variety.
 
     Points come from the sampler of sample_points (on the pencil, and for
@@ -1274,10 +1265,12 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
     Sound because a union of linear subspaces contains, at each smooth
     point, its own tangent space: surviving probe residuals certify that
     no such union can cut out the variety, hence (by the separability
-    criterion) the state is entangled.  Smoothness is read
-    off the pencil (_tangent_data); a point it does not show smooth is not
-    probed.  An Inconclusive reason says how many points were skipped, and
-    how many candidates the sampler rejected on peeled hyperplanes.
+    criterion) the state is entangled.  Each point costs one
+    _tangent_data (_witness_search_at), which reads smoothness off the
+    pencil; a point it does not show smooth is not probed, and only a
+    witness's point has its tangent_form taken.  An Inconclusive reason
+    says how many points were skipped, and how many candidates the sampler
+    rejected on peeled hyperplanes.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -1301,15 +1294,14 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
             p = next(stream)
             sampled += 1
             try:
-                tangent = tangent_form(v, p)
+                hit = _witness_search_at(v, p, rng, tol)
             except SingularPoint:
                 skipped += 1
                 continue
-            hit = _witness_search_at(v, p, rng, tol, radius)
             if hit is not None:
                 q, res = hit
                 return VarietyVerdict("NonlinearWitness", point=tuple(p),
-                                      tangent=tangent, residual=res, probe=q)
+                                      tangent=tangent_form(v, p), residual=res, probe=q)
     except StopIteration as done:  # the stream returns its count on peeled hyperplanes
         reason = f"no witness found in {sampled} samples" + _on_peeled_note(done.value)
     except SamplingExhausted as exc:
@@ -1319,9 +1311,8 @@ def nonlinearity_witness(v: Variety, samples: int = 12, seed: int = 42,
     return VarietyVerdict("Inconclusive", reason=reason)
 
 
-def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
-                     tol: Tolerance = DEFAULT_TOL,
-                     radius: float = HYPERPLANE_RADIUS) -> VarietyVerdict:
+def linearity_decide(v: Variety, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
+                     tol: Tolerance = DEFAULT_TOL) -> VarietyVerdict:
     """Decide linearity where the exact machinery applies, otherwise fall
     back to the witness search.
 
@@ -1352,7 +1343,7 @@ def linearity_decide(v: Variety, seed: int = 42, samples: int = 12,
     fl = v._factor_list
     if fl is not None and fl.full_split():
         return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)
-    verdict = nonlinearity_witness(v, samples, seed, tol, radius)
+    verdict = nonlinearity_witness(v, samples, seed, tol)
     verdict.factor_list = fl
     return verdict
 
@@ -1373,7 +1364,7 @@ class CovarianceResult:
                 f"{self.max_residual:.3e}, checked={self.checked})")
 
 
-def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = 42,
+def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEFAULT_SEED,
                          tol: Tolerance = DEFAULT_TOL) -> CovarianceResult:
     """Check V_A(T(rho)) = U_A^{-1}(V_A(rho)) by point mapping.
 

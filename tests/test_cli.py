@@ -1,5 +1,4 @@
 import json
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -205,8 +204,6 @@ def test_cli_repro_example3_report(capsys):
 @pytest.mark.parametrize("argv", [
     ("analyze", "--tol", "0"), ("analyze", "--tol", "-1"), ("analyze", "--tol", "1e-400"),
     ("analyze", "--tol", "5e-324"), ("analyze", "--tol", "inf"), ("analyze", "--tol", "nan"),
-    ("analyze", "--radius", "0"), ("analyze", "--radius", "nan"),
-    ("analyze", "--radius", "-0.1"), ("analyze", "--radius", "inf"),
     ("analyze", "--samples", "0"), ("analyze", "--samples", "-3"),
     ("repro", "--tol", "0"), ("repro", "--samples", "0"),
     ("compare", "--tol", "inf"), ("props", "--trials", "0"), ("props", "--tol", "-1"),
@@ -299,19 +296,3 @@ def test_state_errors_exit_2_and_bugs_propagate(tmp_path, capsys, monkeypatch):
                 {"m": 1, "n": 2, "density": [[1, 0], [0, 0]]}):
         with pytest.raises(TypeError):
             parse_state(doc)
-
-
-def test_overflowing_probes_raise_no_numpy_warning(tmp_path, capsys):
-    # at radius 1e308 some probes overflow to NaN coordinates; they are
-    # dropped before M(q), silently, and the witness is the one they never beat
-    path = tmp_path / "mixed.json"
-    path.write_text(json.dumps(state_to_json(random_mixed(3, 3, 3, seed=1))))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run_cli(capsys, "analyze", str(path), "--radius", "1e308")
-    assert code == 0
-    witness = json.loads(out)["verdict"]["witness"]
-    assert witness["hermitian_residual"] == 0.20782537274448692
-    assert witness["probe"] == [[0.9999999999999998, 5.551115123125783e-17],
-                                [0.29036748914838173, -0.17137255922473477],
-                                [-0.06065860060060112, -0.10369085371999606]]

@@ -8,8 +8,9 @@ and its generator oracle is sigma_n(N(r)) / (||A|| ||r||).  An exact
 variety keeps its exact peel, and its samples keep off the peeled
 hyperplanes.  These tests pin the eigenvalue roots against the roots of
 the expanded determinant, the pencil oracle against the compiled minors it
-replaces, an exact analysis that runs no Newton on minors, and the rule
-that a witness needs both oracles to put its probe off V.
+replaces, an exact analysis that runs no Newton on minors, the rule that
+a witness needs both oracles to put its probe off V, and one tangent
+computation per sampled point.
 """
 
 import dataclasses
@@ -147,10 +148,10 @@ def test_no_witness_when_only_the_hermitian_oracle_leaves_v(monkeypatch):
 def test_the_witness_is_the_best_probe_both_oracles_put_off_v(monkeypatch):
     v = variety_of_state(random_mixed(3, 4, 4, seed=1))
     point = sample_points(v, 1, seed=7)[0]
-    first = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL, 0.1)
+    first = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL)
     assert first is not None
     _pencil_says_on_v(monkeypatch, lambda q: q == first[0])
-    second = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL, 0.1)
+    second = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL)
     assert second is not None and second[0] != first[0]
     assert WITNESS_FACTOR * DEFAULT_TOL.abs_eps < second[1] <= first[1]
     assert v.generator_residual(second[0]) > WITNESS_FACTOR * DEFAULT_TOL.abs_eps
@@ -192,13 +193,13 @@ def test_an_exact_analysis_samples_on_the_pencil(monkeypatch, label, make_state,
     for name in ("_newton_polish", "univariate_roots", "_plane_slice_candidates"):
         monkeypatch.setattr(variety_mod, name, refuse)
     probed = []
-    real_tangent_form = variety_mod.tangent_form
+    real_search = variety_mod._witness_search_at
 
-    def recording(v, point):
+    def recording(v, point, rng, tol):
         probed.append(point)
-        return real_tangent_form(v, point)
+        return real_search(v, point, rng, tol)
 
-    monkeypatch.setattr(variety_mod, "tangent_form", recording)
+    monkeypatch.setattr(variety_mod, "_witness_search_at", recording)
     v = variety_of_state(make_state(), side)
     assert v.mode == "exact"
     verdict = linearity_decide(v, seed=42)
@@ -214,3 +215,51 @@ def test_an_exact_analysis_samples_on_the_pencil(monkeypatch, label, make_state,
         for p in probed:
             distance = abs(normal @ np.array(p)) / (np.linalg.norm(normal) * np.linalg.norm(p))
             assert distance >= PEELED_MARGIN
+
+
+TANGENT_CASES = [
+    ("float 3x4 r4 seed 3", lambda: random_mixed(3, 4, 4, seed=3), 27, "NonlinearWitness"),
+    ("gaussian 3x4 r4 seed 10", lambda: _gaussian_state(3, 4, 4, 10), 42, "NonlinearWitness"),
+    ("ppt 4x6", ppt_4x6_state, 42, "Inconclusive"),
+]
+
+
+@pytest.mark.parametrize("label, make_state, seed, tag", TANGENT_CASES,
+                         ids=[c[0] for c in TANGENT_CASES])
+def test_each_sampled_point_costs_one_tangent_computation(monkeypatch, label, make_state,
+                                                          seed, tag):
+    """One _tangent_data per sampled point decides whether it is smooth and
+    gives its probe directions; a witness takes one more, for its
+    tangent_form.  In each case some point is probed without giving a
+    witness, and on the ppt 4x6 state some are not probed (not smooth):
+    exactly those where _tangent_data finds no tangent data."""
+    sampled, smooth = [], []
+    real_stream, real_tangent_data = variety_mod._point_stream, variety_mod._tangent_data
+
+    def recording_stream(*args):
+        stream = real_stream(*args)
+        while True:
+            try:
+                p = next(stream)
+            except StopIteration as done:
+                return done.value
+            sampled.append(p)
+            yield p
+
+    def counting(v, point):
+        data = real_tangent_data(v, point)
+        smooth.append(data is not None)
+        return data
+
+    monkeypatch.setattr(variety_mod, "_point_stream", recording_stream)
+    monkeypatch.setattr(variety_mod, "_tangent_data", counting)
+    verdict = linearity_decide(variety_of_state(make_state()), seed=seed)
+    assert verdict.tag == tag
+    witness = tag == "NonlinearWitness"
+    assert len(sampled) >= 2
+    assert len(smooth) == len(sampled) + witness
+    if witness:
+        assert all(smooth[-2:])
+    else:
+        skipped = int(re.search(r"(\d+) not probed \(not smooth\)", verdict.reason)[1])
+        assert skipped == smooth.count(False) > 0

@@ -244,10 +244,11 @@ def test_fully_shared_direction_certifies_linear_union():
 def test_membership_inconsistency_is_detected():
     from detvar.errors import InconsistentRepresentations
     v = family_variety(8)
-    # corrupt the pencil with another state's: the Hermitian oracle will disagree
+    # give the pencil another state's entries: the Hermitian oracle will disagree
     wrong = pencil_matrix(random_separable(3, 3, 3, seed=0))
-    broken = type(v)(v.side, v.m, v.n, v.generators, wrong, v.state, v.mode,
-                     None)
+    p = v.pencil
+    broken = type(v)(type(p)(p.side, p.n, wrong.t, p.m, wrong.entries, p.kind, p.state),
+                     v.generators, None)
     with pytest.raises(InconsistentRepresentations):
         # (1,1,1) is on the true variety but not on the corrupted pencil's
         membership(broken, [EC(1), EC(1), EC(1)])

@@ -17,37 +17,39 @@ a union of points, hence linear, and an empty V has no points, so
 dimension is certified before any sampling and a V certified finite or
 empty is never sampled.
 
-The symbolic minors are built when something first reads them.  A screen
-modulo a prime first shows, from the pencil alone, that every minor is
-nonzero and that some minor is not a monomial; the Macaulay certificate
-then reads the pencil modulo the same prime, so a V certified finite or
-empty never builds a symbolic minor.  The screen runs on every float
-pencil, and on an exact one where a certificate can fire on the minors
-(m >= 3 and t - n + 1 >= m - 1).
+The symbolic minors are built when something first reads them.  A float
+V is built from its pencil alone, its nonzero minors counted numerically;
+only t < n makes it Full.  On an exact pencil where a certificate can fire
+on the minors (m >= 3 and t - n + 1 >= m - 1) a screen modulo a prime
+shows that every minor is nonzero and that some minor is not a monomial;
+the Macaulay certificate reads the same reduction, so a V certified
+finite or empty never builds a symbolic minor.
 
 Every V is sampled on its pencil, not on its minors (an exact one on its
-float image): for t = n the roots of det N on a line are eigenvalues of
-the pencil restricted to it, and for t > n Gauss-Newton runs on the
-incidence system y^T N(r) = 0.  The generator oracle reads the pencil
-too, as a point is on V exactly where rank N(r) < n: sigma_n(N(r)) /
-(||A|| ||r||) on the float tensor, or the exact rank of N(p) at an exact
-point of an exact V, so no oracle expands a minor.  An exact V is first
-peeled of the hyperplanes it is certified to contain, and its samples
-keep off them.
+float image; a float one of numerical rank below n at random points):
+for t = n the roots of det N on a line are eigenvalues of the pencil
+restricted to it, and for t > n Gauss-Newton runs on the incidence system
+y^T N(r) = 0.  The generator oracle reads the pencil too, as a point is
+on V exactly where rank N(r) < n: sigma_n(N(r)) / (||A|| ||r||) on the
+float tensor, or the exact rank of N(p) at an exact point of an exact V,
+so no oracle expands a minor.  An exact V is first peeled of the
+hyperplanes it is certified to contain, and its samples keep off them.
 
 Tangent data come from the pencil, not from the minors: one SVD of N(p)
 gives a smoothness margin and a matrix T whose kernel is the tangent
 space of V at p (_tangent_data).  The witness search takes them once per
-sampled point and probes only points the pencil shows to be smooth; near the singular or base locus of N, a
-probe along the tangent cone would leave even a union of linear spaces.
-A probe is a witness only where both oracles, the Hermitian one and the
-pencil's (on the float image of an exact pencil too), put it off V.
+sampled point and probes only points the pencil shows to be smooth; near
+the singular or base locus of N, a probe along the tangent cone would
+leave even a union of linear spaces.  A probe is a witness only where
+both oracles, the Hermitian one and the pencil's (on the float image of
+an exact pencil too), put it off V.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, sqrt
 from typing import Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -142,8 +144,8 @@ class PencilMatrix:
     def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
         denominator of the pencil, and the coefficient vectors of the
-        entries modulo p.  The minor screen and the Macaulay test both read
-        this one reduction."""
+        entries modulo p.  The minor screen (exact pencils only) and the
+        Macaulay test both read this one reduction."""
         if self._mod_p is None:
             for p in split_primes(RANK_PRIME):
                 forms = _pencil_mod_p(self, p)
@@ -200,7 +202,8 @@ class Variety:
     `generators` are the maximal minors of the pencil, in lexicographic
     column-subset order.  Passed as None, they are expanded (and checked
     homogeneous of degree n) on first read; `essential_count`, the number
-    of nonzero minors, must then be given, as the minor screen finds it.
+    of nonzero minors, must then be given, as the minor screen or, for a
+    float pencil, _numerical_essential finds it.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
@@ -215,7 +218,7 @@ class Variety:
         self.state, self.mode = pencil.state, pencil.kind
         self._generators = generators
         self._essential_count = essential_count
-        self.structural = structural  # "Empty" | "Full" | None
+        self.structural = structural  # "Full" (t < n or exact minors) | "Empty" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
         self._analysis_cache = None  # (peeled forms, the generators that remain)
         self._factor_list = None     # exact split of a hypersurface generator
@@ -234,7 +237,7 @@ class Variety:
 
     @property
     def essential_count(self) -> int:
-        """The number of nonzero minors, expanding none the screen counted."""
+        """The number of nonzero minors, expanding none already counted."""
         if self._essential_count is None:
             self._essential_count = len(self.essential_generators)
         return self._essential_count
@@ -370,19 +373,22 @@ def _best_probe(mats: np.ndarray, threshold: float) -> Optional[Tuple[int, float
     return best
 
 
-def _empty_certificate(gens: List[Poly], m: int) -> bool:
-    """Monomial generator sets: projectively empty iff a pure power of
-    every variable is present (then no nonzero support survives)."""
+def _structural(gens: List[Poly], m: int) -> Optional[str]:
+    """"Full" when every minor vanishes.  "Empty" when the nonzero minors
+    are monomials among which is a pure power of every variable (then no
+    nonzero support survives).  Else None."""
     nonzero = [g for g in gens if not g.is_zero()]
-    if not nonzero or not all(len(g.terms) == 1 for g in nonzero):
-        return False
+    if not nonzero:
+        return "Full"
+    if not all(len(g.terms) == 1 for g in nonzero):
+        return None
     pure = set()
     for g in nonzero:
         e = next(iter(g.terms))
         support = [i for i, k in enumerate(e) if k]
         if len(support) == 1:
             pure.add(support[0])
-    return pure == set(range(m))
+    return "Empty" if pure == set(range(m)) else None
 
 
 def _pencil_minors(p: PencilMatrix) -> List[Poly]:
@@ -409,15 +415,15 @@ def _minor_values(forms: List[List[List[int]]], point: Sequence[int],
 
 
 def _minor_screen(p: PencilMatrix) -> bool:
-    """True when, modulo the pencil's prime, every maximal minor is nonzero
-    at a random point and some minor is not a monomial.
+    """True when, modulo the pencil's prime, every maximal minor of an exact
+    pencil is nonzero at a random point and some minor is not a monomial.
 
     Reduction and evaluation are ring maps, so a nonzero value proves the
-    minor nonzero over Q(i) (for a float pencil, over the dyadic rationals
-    its entries are): V is not Full.  A monomial f satisfies
+    minor nonzero over Q(i): V is not Full.  A monomial f satisfies
     f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
     fails it is not a monomial, and the monomial test for Empty cannot
-    hold.  False proves nothing; the caller then expands the minors."""
+    hold.  False proves nothing; the caller then expands the minors.  A
+    float pencil is never screened (variety_generators)."""
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
     r = [rng.randrange(1, prime) for _ in range(p.m)]
@@ -431,30 +437,37 @@ def _minor_screen(p: PencilMatrix) -> bool:
     return any(f1 * frr2 % prime != fr * fr2 % prime for fr, f1, fr2, frr2 in values)
 
 
+def _numerical_essential(p: PencilMatrix) -> int:
+    """The nonzero maximal minors of a float pencil: the n-column blocks of
+    N(r), r from a fixed stream of its own, of numerical rank (_gap_rank) n,
+    from one stacked SVD.  A minor that is rounding noise counts as zero."""
+    r = np.array(_random_approx_point(random.Random("essential"), p.m))
+    at_r = np.einsum("i,ikl->kl", r, p.floats[0])
+    blocks = at_r[:, list(combinations(range(p.t), p.n))].transpose(1, 0, 2)
+    return sum(_gap_rank(svals, p.n) == p.n
+               for svals in np.linalg.svd(blocks, compute_uv=False))
+
+
 def variety_generators(p: PencilMatrix) -> Variety:
     """The variety of the pencil's maximal minors; Full when t < n.
 
-    Where the minor screen passes, no minor is expanded here: every one is
-    nonzero and V is neither Full nor Empty by the monomial test, and the
-    minors are built when something reads them.  The screen runs on every
-    float pencil, whose sampler and oracles read the pencil itself, and on
-    an exact pencil where a certificate can fire on the minors (m >= 3 and
-    t - n + 1 >= m - 1, the Eagon-Northcott gate of linearity_decide).
-    Elsewhere, and where the screen proves nothing, the minors are
-    expanded at once: the exact peel needs them all.
+    A float pencil is neither expanded, screened nor reduced modulo a prime
+    here; its dimension is for _dimension_verdict alone.  An exact pencil
+    where a certificate can fire on the minors (m >= 3 and t - n + 1 >=
+    m - 1, the Eagon-Northcott gate of linearity_decide) is screened: where
+    the screen passes every minor is nonzero and V is neither Full nor Empty
+    by the monomial test, and the minors are built when something reads
+    them.  Elsewhere, and where the screen proves nothing, the exact minors
+    are expanded at once: the exact peel needs them all.
     """
     if p.t < p.n:
         return Variety(p, [], "Full")
-    gate = p.kind != "exact" or (p.m >= 3 and p.t - p.n + 1 >= p.m - 1)
-    if gate and _minor_screen(p):
+    if p.kind != "exact":
+        return Variety(p, None, None, essential_count=_numerical_essential(p))
+    if p.m >= 3 and p.t - p.n + 1 >= p.m - 1 and _minor_screen(p):
         return Variety(p, None, None, essential_count=comb(p.t, p.n))
     gens = _pencil_minors(p)
-    structural: Optional[str] = None
-    if all(g.is_zero() for g in gens):
-        structural = "Full"
-    elif _empty_certificate(gens, p.m):
-        structural = "Empty"
-    return Variety(p, gens, structural)
+    return Variety(p, gens, _structural(gens, p.m))
 
 
 def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
@@ -470,8 +483,9 @@ def _complex_point(point: Sequence) -> List[complex]:
 
 
 def project_normalize(point: Sequence):
-    """Scale so the max-modulus coordinate becomes exactly 1 (ties broken
-    by lowest index).  Works on exact and approx points alike."""
+    """Scale by the inverse of the max-modulus coordinate, the pivot (ties
+    broken by lowest index): exactly 1 on an exact point, 1 within a few
+    ulp on a float one, whose low bits may move if normalized again."""
     if all(isinstance(x, ExactComplex) for x in point):
         best, best_n = None, None
         for i, x in enumerate(point):
@@ -817,20 +831,32 @@ def _incidence_point(v: Variety, start: np.ndarray, tol: Tolerance) -> Optional[
     return r if fnorm <= 0.05 * tol.abs_eps else None
 
 
-def _pencil_stream(v: Variety, count: int, rng: random.Random,
-                   tol: Tolerance) -> Generator[Tuple[complex, ...], None, int]:
-    """The sampler, on the pencil tensor alone (an exact pencil as its float
-    image): for t = n the roots of det N on random lines (_line_roots), for
-    t > n the incidence system from random starts (_incidence_point),
-    NEWTON_TRIES per requested point.  A point is accepted where both
-    oracles, the pencil's and the Hermitian one, read it within the
-    acceptance bar.
+def _on_peeled_note(on_peeled: int) -> str:
+    return f"; {on_peeled} on peeled hyperplanes" if on_peeled else ""
 
-    An exact V is first peeled (_analysis_system): it is the union of the
-    peeled hyperplanes, which are linear already, and the zero locus of
-    what is left, the only place a witness can live.  So a candidate whose
-    relative distance |l(p)| / (||l|| ||p||) to a peeled form l is below
-    PEELED_MARGIN is rejected; the stream returns how many were."""
+
+def _point_stream(v: Variety, count: int, seed: int,
+                  tol: Tolerance) -> Generator[Tuple[complex, ...], None, int]:
+    """The sampler behind sample_points, yielding each point as soon as it
+    is accepted, so a caller can stop at the first one that serves it.
+    Raises SamplingExhausted once the budget runs out short of `count`;
+    otherwise returns the number of candidates rejected on peeled
+    hyperplanes.
+
+    Candidates come from one of three sources.  A float V whose pencil has
+    numerical rank below n is all of CP^{m-1} to working precision: random
+    points, which the Hermitian oracle alone accepts.  Every other V is
+    sampled on its pencil tensor (an exact pencil as its float image): for
+    t = n the roots of det N on random lines (_line_roots), for t > n the
+    incidence system from random starts (_incidence_point), NEWTON_TRIES
+    per requested point; both oracles must accept.  An exact V is first
+    peeled (_analysis_system): a candidate whose relative distance
+    |l(p)| / (||l|| ||p||) to a peeled form l is below PEELED_MARGIN is
+    rejected, as V there is a peeled hyperplane, linear already."""
+    if v.structural in ("Empty", "Full"):
+        raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
+    rng = random.Random(seed)
+    deficient = _rank_deficient(v, seed)
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
         forms, rest = _analysis_system(v)
@@ -840,8 +866,12 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
         if forms:
             normals = np.array([_complex_point(f.coefficients) for f in forms])
             normals /= np.linalg.norm(normals, axis=1)[:, None]
-    clean = 0.1 * tol.abs_eps
-    if v.pencil.t == v.n:
+    if deficient:
+        draws, unit = SAMPLING_BUDGET * count, "draws"
+
+        def candidates() -> List[List[complex]]:
+            return [_random_approx_point(rng, v.m)]
+    elif v.pencil.t == v.n:
         draws, unit = SAMPLING_BUDGET * count, "line draws"
 
         def candidates() -> List[List[complex]]:
@@ -856,6 +886,7 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
         def candidates() -> List[List[complex]]:
             r = _incidence_point(v, np.array(_random_approx_point(rng, v.m)), tol)
             return [] if r is None else [r.tolist()]
+    clean = 0.1 * tol.abs_eps
     found = on_peeled = 0
     for _ in range(draws):
         for cand in candidates():
@@ -866,7 +897,8 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
                     np.abs(normals @ cand) < PEELED_MARGIN * np.linalg.norm(cand)).any():
                 on_peeled += 1
                 continue
-            if v.generator_residual(cand) <= clean and v.hermitian_residual(cand) <= clean:
+            if ((deficient or v.generator_residual(cand) <= clean)
+                    and v.hermitian_residual(cand) <= clean):
                 found += 1
                 yield cand
                 if found >= count:
@@ -875,56 +907,15 @@ def _pencil_stream(v: Variety, count: int, rng: random.Random,
                             + _on_peeled_note(on_peeled))
 
 
-def _on_peeled_note(on_peeled: int) -> str:
-    return f"; {on_peeled} on peeled hyperplanes" if on_peeled else ""
-
-
-def _point_stream(v: Variety, count: int, seed: int,
-                  tol: Tolerance) -> Generator[Tuple[complex, ...], None, int]:
-    """The sampler behind sample_points, yielding each point as soon as it
-    is accepted, so a caller can stop at the first one that serves it.
-    Raises SamplingExhausted once the budget runs out short of `count`;
-    otherwise returns the number of candidates rejected on peeled
-    hyperplanes.
-
-    A float V whose pencil has numerical rank below n is all of CP^{m-1}
-    to working precision: random points are drawn and the Hermitian oracle
-    alone accepts them.  Every other V, exact or float, is sampled on its
-    pencil (_pencil_stream); an exact V keeps its points off the
-    hyperplanes its exact peel certified."""
-    if v.structural in ("Empty", "Full"):
-        raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
-    rng = random.Random(seed)
-    if not _rank_deficient(v, seed):
-        return (yield from _pencil_stream(v, count, rng, tol))
-    clean = 0.1 * tol.abs_eps
-    found = 0
-    budget = SAMPLING_BUDGET * count
-    for _ in range(budget):
-        cand = project_normalize(_random_approx_point(rng, v.m))
-        if v.hermitian_residual(cand) <= clean:
-            found += 1
-            yield cand
-            if found >= count:
-                return 0
-    raise SamplingExhausted(f"found {found}/{count} points after {budget} draws")
-
-
 def sample_points(v: Variety, count: int, seed: int,
                   tol: Tolerance = DEFAULT_TOL) -> List[Tuple[complex, ...]]:
-    """Sample membership-verified points of the variety.
-
-    Every V is sampled on its pencil, an exact one on its float image, with
-    no minor expanded for it: for t = n, the roots of det N on random
-    lines, taken as eigenvalues of the pencil on the line; for t > n,
-    damped Gauss-Newton on the incidence system y^T N(r) = 0 from random
-    starts.  An exact V is first peeled (the certified common linear
-    factors of its generators, or the linear factors of an exact
-    hypersurface split), and a point on a peeled hyperplane is rejected:
-    the points come from the zero locus of what remains.  Every returned
-    point passes both oracles, the pencil's and the Hermitian one, with a
-    healthy margin.
-    """
+    """Sample `count` membership-verified points of the variety, with no
+    minor expanded for them (_point_stream).  Every returned point passes
+    both oracles with a healthy margin, the Hermitian one alone where the
+    pencil has numerical rank below n, and keeps off the hyperplanes the
+    exact peel of an exact V certified (the certified common linear factors
+    of its generators, or the linear factors of an exact hypersurface
+    split)."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     return list(_point_stream(v, count, seed, tol))
@@ -933,17 +924,22 @@ def sample_points(v: Variety, count: int, seed: int,
 def tangent_form(v: Variety, point: Sequence) -> LinearForm:
     """A tangent hyperplane at a smooth point: the first row of the
     pencil's tangent matrix T (_tangent_data), scaled so its largest
-    coefficient is 1.  For t = n, T is the gradient of det N up to scale.
-    Raises SingularPoint where the pencil does not show the point smooth.
-    The witness search takes it only for a witness's point."""
+    coefficient is 1 (_row_form).  For t = n, T is the gradient of det N up
+    to scale.  Raises SingularPoint where the pencil does not show the
+    point smooth."""
     _require_arity(v, point)
     data = _tangent_data(v, project_normalize(point))
     if data is None:
         raise SingularPoint("the pencil does not show the point smooth")
-    row = data[0][0].tolist()
-    top = max(range(v.m), key=lambda i: abs(row[i]))
-    inv = 1.0 / row[top]
-    return LinearForm([x * inv for x in row], 0j, normalize=False)
+    return _row_form(data[0][0])
+
+
+def _row_form(row: np.ndarray) -> LinearForm:
+    """A row of T as a form whose first largest coefficient is 1."""
+    coeffs = row.tolist()
+    top = max(range(len(coeffs)), key=lambda i: abs(coeffs[i]))
+    inv = 1.0 / coeffs[top]
+    return LinearForm([x * inv for x in coeffs], 0j, normalize=False)
 
 
 _RANK_GAP_MIN = 1e3
@@ -1007,15 +1003,15 @@ def _tangent_data(v: Variety, point: Sequence
     return tmat, list(proj.T)
 
 
-def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
-                       tol: Tolerance) -> Optional[Tuple[Tuple[complex, ...], float]]:
+def _witness_search_at(v: Variety, point: Sequence, rng: random.Random, tol: Tolerance
+                       ) -> Optional[Tuple[Tuple[complex, ...], float, np.ndarray]]:
     """Probe the tangent space at a point, from one _tangent_data: PROBES
     steps of relative length HYPERPLANE_RADIUS along P g (its projector,
     complex Gaussian g from rng).  A probe that both oracles put off V,
     its Hermitian residual and its pencil residual above threshold,
-    certifies local curvature; the witness is the one of largest Hermitian
-    residual.  Raises SingularPoint where the pencil does not show the
-    point smooth."""
+    certifies local curvature; the hit is (probe, Hermitian residual, first
+    row of T) for the probe of largest Hermitian residual, or None.  Raises
+    SingularPoint where the pencil does not show the point smooth."""
     pt = _complex_point(project_normalize(point))
     data = _tangent_data(v, pt)
     if data is None:
@@ -1041,7 +1037,7 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random,
         off = np.flatnonzero(v.pencil_residuals(qs) > threshold)
         hit = _best_probe(mats[off], threshold)
         hit = None if hit is None else (int(off[hit[0]]), hit[1])
-    return None if hit is None else (qs[hit[0]], hit[1])
+    return None if hit is None else (qs[hit[0]], hit[1], data[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -1216,11 +1212,11 @@ class VarietyVerdict:
     "ambient_dimension" (V in CP^1) or "macaulay" (V misses an exact
     hyperplane): V is a finite set of points, a union of linear
     subspaces, so no witness can exist and nothing is sampled.  "Empty"
-    carries one of kind "macaulay" when the minors are proved to have no
-    common zero (exact states), and none when the minors are monomials
-    that leave no point.  A float state whose V is certified finite or
-    empty stays "Inconclusive", with the certificate and a reason saying
-    so for the ensemble as given.
+    (exact states only) carries one of kind "macaulay" when the minors are
+    proved to have no common zero, and none when the minors are monomials
+    that leave no point.  A float state is "Full" only where t < n; one
+    whose V is certified finite or empty stays "Inconclusive", with the
+    certificate and a reason saying so for the ensemble as given.
     """
 
     def __init__(self, tag: str,
@@ -1267,8 +1263,8 @@ def nonlinearity_witness(v: Variety, samples: int = DEFAULT_SAMPLES, seed: int =
     no such union can cut out the variety, hence (by the separability
     criterion) the state is entangled.  Each point costs one
     _tangent_data (_witness_search_at), which reads smoothness off the
-    pencil; a point it does not show smooth is not probed, and only a
-    witness's point has its tangent_form taken.  An Inconclusive reason
+    pencil and gives a witness its tangent form; a point it does not show
+    smooth is not probed.  An Inconclusive reason
     says how many points were skipped, and how many candidates the sampler
     rejected on peeled hyperplanes.
     """
@@ -1299,9 +1295,9 @@ def nonlinearity_witness(v: Variety, samples: int = DEFAULT_SAMPLES, seed: int =
                 skipped += 1
                 continue
             if hit is not None:
-                q, res = hit
+                q, res, row = hit
                 return VarietyVerdict("NonlinearWitness", point=tuple(p),
-                                      tangent=tangent_form(v, p), residual=res, probe=q)
+                                      tangent=_row_form(row), residual=res, probe=q)
     except StopIteration as done:  # the stream returns its count on peeled hyperplanes
         reason = f"no witness found in {sampled} samples" + _on_peeled_note(done.value)
     except SamplingExhausted as exc:
@@ -1371,10 +1367,10 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
     Points r sampled on V_A(T(rho)) are pushed through r'_l = sum_i r_i
     (U_A)_{il} and must land on V_A(rho); the converse direction uses the
     inverse map.  Residuals are Hermitian-determinant residuals at the
-    mapped points.  A side whose V the Macaulay test proves empty is not
-    sampled: two empty sides agree, and one empty side fails the check.
-    A float side whose pencil has numerical rank below n is never taken
-    for empty: its V is all of CP^{m-1} to working precision.
+    mapped points.  A side whose V is structurally Empty or Full, or that
+    the Macaulay test proves empty, is not sampled: the check then holds,
+    vacuously, only if both sides carry the same verdict.  A float side of
+    numerical rank below n is never taken for empty; it counts as Full.
     """
     from .states import apply_local_unitary
 
@@ -1386,16 +1382,17 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
     v_orig = variety_of_state(s, "A")
     v_trans = variety_of_state(transformed, "A")
     sides = ((v_trans, v_orig, fwd), (v_orig, v_trans, bwd))
-    found = [v.structural is None and not _rank_deficient(v, seed)
-             and _macaulay_certificate(v, seed, finite=False) for v, _, _ in sides]
-    empty = [bool(f) and f[0] == "Empty" for f in found]
-    if all(empty):
-        return CovarianceResult(True, 0.0, 0)
+    # the Empty test alone (finite=False) runs; a noise pencil is kept from it
+    verdicts = [v.structural or ("Empty" if not _rank_deficient(v, seed)
+                                 and _macaulay_certificate(v, seed, finite=False) else None)
+                for v, _, _ in sides]
+    if any(verdicts):
+        verdicts = [k or ("Full" if _rank_deficient(v, seed) else None)
+                    for k, (v, _, _) in zip(verdicts, sides)]
+        return CovarianceResult(verdicts[0] == verdicts[1], 0.0, 0)
     max_res = 0.0
     checked = 0
-    for (variety_from, variety_to, mat), skip in zip(sides, empty):
-        if skip or variety_from.structural in ("Empty", "Full"):
-            continue
+    for variety_from, variety_to, mat in sides:
         try:
             pts = sample_points(variety_from, samples, seed, tol)
         except SamplingExhausted:
@@ -1406,5 +1403,6 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
             res = variety_to.hermitian_residual(project_normalize(mapped))
             max_res = max(max_res, res)
             checked += 1
-    ok = max_res <= threshold and checked > 0 and not any(empty)
+    ok = max_res <= threshold and checked > 0
     return CovarianceResult(ok, max_res, checked)
+

@@ -1,15 +1,17 @@
 """Symbolic minors are built only when something reads them.
 
-Where a certificate can fire on the minors (m >= 3 and t - n + 1 >= m - 1)
-``variety_generators`` screens the pencil modulo a prime instead of
-expanding it; the Macaulay certificate reads the reduced pencil too.
-The screen also runs on every float pencil, whose sampler and oracles
-read the pencil itself.  These tests pin that a certified state and a
-float analysis build no minor, that the screen stays out of the exact
-shapes the sampler needs every minor for, and that the counts a report
-prints from the screen are those of the expanded minors:
-on edge states the lazy report equals, byte for byte, the report of the
-same analysis with the screen switched off.
+A float pencil is built from the pencil alone: no minor is expanded or
+screened, and its count of nonzero minors is numerical.  On an exact
+pencil where a certificate can fire on the minors (m >= 3 and
+t - n + 1 >= m - 1) ``variety_generators`` screens the pencil modulo a
+prime instead of expanding it; the Macaulay certificate reads the reduced
+pencil too.  These tests pin that a certified state and a float analysis
+build no minor, that the screen stays out of float pencils and of the
+exact shapes the sampler needs every minor for, and that the counts a
+report prints without expanding are those of the expanded minors: on
+exact edge states the lazy report equals, byte for byte, the report of
+the same analysis with the screen switched off, and a float count is
+that of the float minors that are not rounding noise.
 """
 
 import random
@@ -31,8 +33,9 @@ from detvar.states import (
     random_mixed,
     random_separable,
 )
-from detvar.variety import variety_of_state
+from detvar.variety import PencilMatrix, linearity_decide, variety_of_state
 from test_golden import CASES, GOLDEN, rendered_report
+from test_no_false_witness import float_copy
 
 EC = ExactComplex
 F = Fraction
@@ -96,6 +99,33 @@ def test_a_float_analysis_builds_no_minor(no_minors, shape, side):
     analyze_state(random_mixed(*shape, seed=1), side=side, samples=4)
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """Record every pencil reduced modulo a prime."""
+    seen = []
+    real = PencilMatrix.mod_p
+
+    def spy(self):
+        seen.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PencilMatrix, "mod_p", spy)
+    return seen
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("shape", [(2, 3, 3), (3, 3, 3), (3, 4, 4), (4, 4, 5), (3, 3, 5),
+                                   (3, 4, 5)], ids=lambda s: "%dx%d r%d" % s)
+def test_a_float_analysis_is_never_screened(screens, reductions, shape, side):
+    # no float pencil is screened; below the Eagon-Northcott gate (or in
+    # CP^1) none is reduced modulo a prime either, and at the gate only the
+    # Macaulay test reduces it
+    m, n = shape[:2] if side == "A" else shape[1::-1]
+    analyze_state(random_mixed(*shape, seed=1), side=side, samples=4)
+    assert screens == []
+    assert bool(reductions) == (m >= 3 and shape[2] - n + 1 >= m - 1)
+
+
 def test_the_screen_runs_at_the_gate(screens):
     v = variety_of_state(random_separable(3, 3, 4, seed=1))
     assert len(screens) == 1 and v._generators is None
@@ -147,32 +177,100 @@ EDGE_STATES = {
 }
 
 
-# the (state, side) pairs whose minors the screen leaves unexpanded; the
-# others have a zero minor (duplicated rays, product rays of the maximally
-# mixed state, an exactly rank-deficient pencil), only monomial minors
-# (maximally mixed 3x1) or lie below the gate
+FLOAT_EDGE_STATES = {"duplicated float 3x4 t6", "mixed 3x3 t6", "mixed 4x5 t8",
+                     "rank-2 side B float 3x3 t5"}
+
+# the (state, side) pairs whose minors are left unexpanded: every float
+# pencil, and the exact ones the screen passes; the other exact ones have
+# a zero minor (duplicated rays, product rays of the maximally mixed state,
+# an exactly rank-deficient pencil), only monomial minors (maximally mixed
+# 3x1) or lie below the gate
 SCREENED = {
-    *((name, side) for name in ("gaussian 3x3 t4", "mixed 3x3 t6", "mixed 4x5 t8",
-                                "rank-2 side B float 3x3 t5", "separable 3x3 t6",
+    *((name, side) for name in (*FLOAT_EDGE_STATES, "gaussian 3x3 t4", "separable 3x3 t6",
                                 "separable 4x5 t8") for side in "AB"),
     ("rank-2 side B exact 3x3 t5", "B"), ("separable 2x3 t3", "B"),
 }
+
+# float pencils of numerical rank below n: every float minor is rounding
+# noise, which the numerical count reads as zero
+NOISE_MINORS = {("rank-2 side B float 3x3 t5", "A")}
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
 @pytest.mark.parametrize("name", sorted(EDGE_STATES))
 def test_screened_counts_are_those_of_the_expanded_minors(name, side):
     v = variety_of_state(EDGE_STATES[name](), side)
+    assert (v.mode == "approx") == (name in FLOAT_EDGE_STATES)
     assert (v._generators is None) == ((name, side) in SCREENED)
     count, essential = v.generator_count, v.essential_count
     gens = v.generators  # forces the expansion
     assert count == len(gens)
-    assert essential == len(v.essential_generators)
+    if (name, side) in NOISE_MINORS:
+        assert essential == 0 < len(v.essential_generators)
+        assert max(abs(c) for g in gens for c in g.terms.values()) < 1e-12
+    else:
+        assert essential == len(v.essential_generators)
     assert all(g.degree() == v.n for g in v.essential_generators)
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
-@pytest.mark.parametrize("name", sorted(EDGE_STATES))
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 4), (4, 4, 4), (4, 4, 5), (2, 3, 3),
+                                   (3, 4, 5)], ids=lambda s: "%dx%d r%d" % s)
+@pytest.mark.parametrize("duplicated", [False, True], ids=["rays", "duplicated"])
+def test_float_count_is_that_of_the_float_minors(shape, side, duplicated):
+    # the benchmark's float shapes: a minor counts where the float minor is
+    # nonzero, and a duplicated ray zeroes every minor that takes both copies
+    for seed in range(4):
+        state = random_mixed(*shape, seed=seed)
+        v = variety_of_state(_duplicated(state) if duplicated else state, side)
+        assert v._generators is None
+        assert v.essential_count == len(v.essential_generators)
+        if duplicated:
+            assert v.essential_count < v.generator_count
+
+
+EMPTY_AS_GIVEN = "criterion vacuous: V is empty for the ensemble as given"
+
+
+@pytest.mark.parametrize("m, n, side, reason, degree", [
+    (2, 2, "A", "criterion vacuous: V lies in CP^1", None),
+    (2, 2, "B", "criterion vacuous: V lies in CP^1", None),
+    (3, 3, "A", EMPTY_AS_GIVEN, 4), (3, 3, "B", EMPTY_AS_GIVEN, 4),
+    (3, 4, "A", EMPTY_AS_GIVEN, 5), (3, 4, "B", EMPTY_AS_GIVEN, 4),
+    (3, 1, "A", EMPTY_AS_GIVEN, 2), (3, 1, "B", "criterion vacuous: V lies in CP^0", None),
+], ids=["2x2-A", "2x2-B", "3x3-A", "3x3-B", "3x4-A", "3x4-B", "3x1-A", "3x1-B"])
+def test_a_float_maximally_mixed_state_is_never_empty(m, n, side, reason, degree):
+    # its minors are monomials that leave no point, but a float V is never
+    # tagged Empty: the dimension verdict says what holds for the ensemble
+    # as given
+    v = variety_of_state(float_copy(catalog.maximally_mixed(m, n)), side)
+    assert v.mode == "approx" and v.structural is None
+    verdict = linearity_decide(v)
+    assert (verdict.tag, verdict.reason) == ("Inconclusive", reason)
+    assert verdict.certificate == (degree and variety_mod.FiniteCertificate(
+        "macaulay", prime=v.pencil.mod_p()[0], degree=degree))
+
+
+@pytest.mark.parametrize("shape, reason", [
+    ((3, 3, 5), "criterion vacuous: V is all of CP^2 to working precision"),
+    ((3, 3, 3), "criterion vacuous: V is all of CP^2 to working precision"),
+    ((2, 3, 4), "criterion vacuous: V lies in CP^1"),
+], ids=["3x3 t5", "3x3 t3", "2x3 t4"])
+def test_a_float_v_whose_minors_vanish_is_never_full(shape, reason):
+    # a side-B map with a zero row zeroes a row of the pencil, so every
+    # float minor is exactly 0; no structural Full is read off them, and
+    # the dimension verdict speaks for V
+    pair = LocalUnitaryPair(Matrix.identity(shape[0]).to_approx(),
+                            Matrix.approx([[1, 0, 0], [0, 1, 0], [0, 0, 0]]), validate=False)
+    v = variety_of_state(apply_local_unitary(random_mixed(*shape, seed=0), pair))
+    assert v.structural is None and v.essential_count == 0
+    assert all(g.is_zero() for g in v.generators)
+    verdict = linearity_decide(v)
+    assert (verdict.tag, verdict.reason, verdict.certificate) == ("Inconclusive", reason, None)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("name", sorted(set(EDGE_STATES) - FLOAT_EDGE_STATES))
 def test_lazy_report_equals_the_eager_one(monkeypatch, name, side):
     def report():
         rep = analyze_state(EDGE_STATES[name](), side=side, samples=4)

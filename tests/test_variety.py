@@ -373,6 +373,37 @@ def test_covariance_does_not_take_noise_minors_for_an_empty_side():
     assert not res.ok
 
 
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 3)])
+def test_covariance_holds_on_two_empty_sides_one_of_them_structural(m, n):
+    # Example 1 of the paper: the minors of the maximally mixed state are
+    # monomials that leave no point, so its V is structurally Empty; the
+    # Macaulay test proves the V of its float image empty too
+    s = maximally_mixed(m, n)
+    assert variety_of_state(s).structural == "Empty"
+    res = verify_lu_covariance(s, random_local_unitary(m, n, seed=1))
+    assert res.ok and res.checked == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_mixed(3, 3, 2, seed=0),
+    lambda: _rank_two_side_b(random_separable(3, 3, 5, seed=3)),
+], ids=["t < n", "exactly rank 2"])
+def test_covariance_holds_on_two_full_sides(make):
+    # t < n leaves V all of CP^{m-1} on both sides; an exact pencil of rank
+    # below n has a structurally Full V, and its float image a pencil of
+    # numerical rank below n, all of CP^{m-1} to working precision
+    s = make()
+    assert variety_of_state(s).structural == "Full"
+    res = verify_lu_covariance(s, random_local_unitary(3, 3, seed=1))
+    assert res.ok and res.checked == 0
+
+
+def _rank_two_side_b(s):
+    rows = [[EC(x) for x in row] for row in ([1, 0, 0], [0, 1, 0], [1, 1, 0])]
+    pair = LocalUnitaryPair(Matrix.identity(3), Matrix.exact(rows), validate=False)
+    return apply_local_unitary(s, pair)
+
+
 def test_float_v_of_low_numerical_rank_is_sampled_and_covariant():
     # side-B rows r1, r2, r1 + r2 on the state itself: every point of CP^2
     # is on V to working precision, so the sampler draws random points and
@@ -479,6 +510,25 @@ def test_project_normalize_rules():
     assert p[1] == 1.0 + 0j  # max modulus wins
     q = project_normalize((EC(2), EC(-2), EC(1)))
     assert q[0] == EC(1)  # ties break at the lowest index
+    # the max-modulus coordinate keeps its index; on a float point it
+    # becomes 1 only to within a few ulp (x * (1 / x) is rounded twice),
+    # on an exact point exactly 1
+    rng = random.Random(5)
+    off_one = 0
+    for _ in range(2000):
+        pt = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+        pivot = max(range(4), key=lambda i: (abs(pt[i]), -i))
+        q = project_normalize(pt)
+        assert max(range(4), key=lambda i: (abs(q[i]), -i)) == pivot
+        assert abs(q[pivot] - 1) <= 4 * np.finfo(float).eps
+        off_one += q[pivot] != 1
+    assert off_one > 0
+    for _ in range(200):
+        pt = [EC(F(rng.randint(-9, 9), rng.randint(1, 5)), F(rng.randint(-9, 9), rng.randint(1, 5)))
+              for _ in range(3)]
+        if any(not x.is_zero() for x in pt):
+            pivot = max(range(3), key=lambda i: (pt[i].norm_sq(), -i))
+            assert project_normalize(pt)[pivot] == EC(1)
 
 
 def _line_times_conic_state():

@@ -24,7 +24,8 @@ each probe's ``hermitian_residual`` in turn, now along the directions of
 ``_tangent_data``.  The batch, at the fixed radius and probe count, must
 return the same probe and residual in every bit, or None with it (where it
 raises ``SingularPoint``, the reference returns None), and leave the
-shared ``random.Random`` in the same state.  The ``_kernel_directions``
+shared ``random.Random`` in the same state; the row of T it returns with
+a hit gives, in every bit, the point's ``tangent_form``.  The ``_kernel_directions``
 that gave the directions before the pencil did (the kernel of the
 generator Jacobian, with its perturbation drawn from a fresh Generator)
 is kept too: at sampled points of V, its directions and the point span
@@ -51,10 +52,12 @@ from detvar.variety import (
     _RANK_GAP_MIN,
     _analysis_system,
     _newton_polish,
+    _row_form,
     _tangent_data,
     _witness_search_at,
     project_normalize,
     sample_points,
+    tangent_form,
     variety_of_state,
 )
 
@@ -470,7 +473,8 @@ def probe_points(v, rng: random.Random):
 @pytest.mark.parametrize("name", list(WITNESS_CASES))
 def test_witness_search_matches_reference(name):
     """COUNT (point, seed) cases per state: the same (q, residual) bits or
-    None, the same rng state, and no numpy warning from the batch."""
+    None, the same rng state, and no numpy warning from the batch; a hit's
+    row of T scales to the point's tangent_form, bit for bit."""
     v = WITNESS_CASES[name]()
     points = probe_points(v, random.Random(f"witness:{name}"))
     hits = 0
@@ -484,7 +488,10 @@ def test_witness_search_matches_reference(name):
             except SingularPoint:
                 got = None
         want = reference_witness_search_at(v, point, want_rng, DEFAULT_TOL, 0.1)
-        assert bits(got) == bits(want), case
+        assert bits(None if got is None else got[:2]) == bits(want), case
+        if got is not None:
+            assert (bits(_row_form(got[2]).coefficients)
+                    == bits(tangent_form(v, point).coefficients)), case
         assert got_rng.getstate() == want_rng.getstate()
         hits += got is not None
     assert hits > 0

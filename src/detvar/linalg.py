@@ -14,7 +14,7 @@ mn x mn matrix occupies rows i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -264,12 +264,11 @@ class EigenResult(NamedTuple):
     residual: float
 
 
-def hermitian_eigen(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
-    """Full spectral decomposition of a Hermitian matrix by LAPACK (``eigh``).
-
-    The matrix is checked finite and Hermitian within tol first, then
-    symmetrized.
-    """
+def _eigh(m: Matrix, tol: Tolerance) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, eigenvalues descending, eigenvectors as columns in that order)
+    of a Hermitian matrix by LAPACK (``eigh``), A being the matrix checked
+    finite and Hermitian within tol, then symmetrized: the one
+    decomposition behind hermitian_eigen and hermitian_eigenvalues."""
     if m.rows != m.cols:
         raise NonSquare("eigendecomposition of non-square matrix")
     a = m.to_numpy()
@@ -281,9 +280,22 @@ def hermitian_eigen(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
         raise NotHermitian(f"Hermitian defect {herm_defect:.3e} exceeds tolerance")
     a = (a + a.conj().T) / 2.0
     eigs, v = np.linalg.eigh(a)
-    eigs, v = eigs[::-1], v[:, ::-1]
+    return a, eigs[::-1], v[:, ::-1]
+
+
+def hermitian_eigen(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
+    """Full spectral decomposition of a Hermitian matrix (_eigh), with its
+    eigenvectors as a Matrix and the reconstruction residual."""
+    a, eigs, v = _eigh(m, tol)
     residual = float(np.max(np.linalg.norm(a @ v - v * eigs, axis=0), initial=0.0))
     return EigenResult([float(x) for x in eigs], Matrix.approx(v), residual)
+
+
+def hermitian_eigenvalues(m: Matrix, tol: Tolerance = DEFAULT_TOL) -> List[float]:
+    """The eigenvalues of hermitian_eigen(m, tol), bit for bit, descending:
+    the same checks and the same decomposition (_eigh), with no
+    eigenvector Matrix and no residual built."""
+    return [float(x) for x in _eigh(m, tol)[1]]
 
 
 def spectral_cutoff(eigenvalues: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> float:

@@ -6,10 +6,11 @@ denominator p does not divide, and to every float, which is a dyadic
 rational.  The image of a determinant is the determinant of the images,
 so minors can be taken modulo p straight from a reduced pencil; and a
 rank modulo p is never above the rank over Q(i), since a nonzero minor
-modulo p is the image of a nonzero one.  This module keeps no expansion
-of its own: the minors of a reduced pencil come from multipoly's Laplace
-expansion on the integers, over monomials packed as ``monomial`` packs
-them, each minor reduced modulo p once.
+modulo p is the image of a nonzero one.  The symbolic minors of a reduced
+pencil come from multipoly's Laplace expansion on the integers, over
+monomials packed as ``monomial`` packs them, each minor reduced modulo p
+once; the values of the maximal minors of a reduced matrix at a point come
+from this module's own kernel on plain ints (``maximal_minors_mod_p``).
 
 That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
 matrix of homogeneous forms g_j has a row x^a * g_j for every monomial x^a
@@ -23,7 +24,7 @@ short of full proves nothing: the prime, or D, may be unlucky.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import isqrt
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -104,6 +105,72 @@ def reduce_scalar(c, p: int) -> Optional[int]:
         return (a + b * s) * pow(d, -1, p) % p
     c = complex(c)
     return (_dyadic(c.real, p) + s * _dyadic(c.imag, p)) % p
+
+
+def maximal_minors_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[int]:
+    """The n x n minors modulo p of an n x t integer matrix, in
+    lexicographic column-subset order ([] where t < n): Laplace expansion
+    along the first row on plain ints, each minor of the lower rows built
+    once per column subset (keyed by its bit mask) and reduced modulo p."""
+    n, t = len(rows), len(rows[0])
+    level = {1 << c: x % p for c, x in enumerate(rows[-1])}
+    for i in range(n - 2, -1, -1):
+        top = rows[i]
+        above = {}
+        for cs in combinations(range(t), n - i):
+            mask = 0
+            for c in cs:
+                mask |= 1 << c
+            acc, odd = 0, False
+            for c in cs:
+                x = top[c]
+                if x:
+                    sub = level[mask ^ (1 << c)]
+                    acc = acc - x * sub if odd else acc + x * sub
+                odd = not odd
+            above[mask] = acc % p
+        level = above
+    return list(level.values())
+
+
+def interpolate_mod_p(values: Sequence[int], p: int) -> List[int]:
+    """The coefficients modulo p, constant first, of the polynomial of
+    degree below len(values) that takes values[s] at s = 0, 1, ... (p at
+    least len(values)): Newton's divided differences, then Horner."""
+    c = [x % p for x in values]
+    for j in range(1, len(c)):
+        inv = pow(j, -1, p)
+        for i in range(len(c) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    poly: List[int] = []
+    for i in range(len(c) - 1, -1, -1):  # poly <- poly * (s - i) + c[i]
+        shifted = [0] + poly
+        for k, x in enumerate(poly):
+            shifted[k] = (shifted[k] - i * x) % p
+        shifted[0] = (shifted[0] + c[i]) % p
+        poly = shifted
+    return poly
+
+
+def _trim(a: List[int]) -> List[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
+    """A gcd modulo p of two polynomials (coefficients constant first),
+    by Euclid; [] when both are zero."""
+    a, b = _trim([x % p for x in a]), _trim([x % p for x in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for k, x in enumerate(b):
+                a[shift + k] = (a[shift + k] - q * x) % p
+            _trim(a)
+        a, b = b, a
+    return a
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

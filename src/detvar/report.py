@@ -82,8 +82,9 @@ def verdict_to_json(verdict: VarietyVerdict) -> dict:
 
 def _hesse_cubic(v: Variety) -> Optional[HesseCubic]:
     """The Hesse form of V when it is cut out by one exact generator of
-    Hesse shape; None otherwise.  Expands the minors only in that case."""
-    if v.mode != "exact" or v.essential_count != 1:
+    Hesse shape; None otherwise.  The generator must be a cubic, so only an
+    exact V with n = 3 and one nonzero minor has its minors read here."""
+    if v.mode != "exact" or v.n != 3 or v.essential_count != 1:
         return None
     try:
         return hesse_reduce(v.essential_generators[0])

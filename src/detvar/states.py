@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    hermitian_eigen,
+    hermitian_eigenvalues,
     kron,
     partial_trace,
     psd_check,
@@ -381,11 +381,14 @@ def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteStat
 
 
 def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Peres criterion: is the partial transpose still PSD?  rho^{T_A}
-    permutes the axes of rho's float image (``_float_images``), exactly."""
+    """Peres criterion: is the partial transpose still PSD, as psd_check
+    decides it, from its eigenvalues alone?  rho^{T_A} permutes the axes of
+    rho's float image (``_float_images``), exactly."""
     m, n = s.m, s.n
     rho = s._float_images()[0].to_numpy().reshape(m, n, m, n)
-    return psd_check(Matrix.approx(rho.transpose(2, 1, 0, 3).reshape(m * n, m * n)), tol)
+    eigs = hermitian_eigenvalues(
+        Matrix.approx(rho.transpose(2, 1, 0, 3).reshape(m * n, m * n)), tol)
+    return min(eigs) >= -spectral_cutoff(eigs, tol)
 
 
 @dataclass
@@ -406,12 +409,15 @@ def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
     """Spectra and von Neumann entropies of rho, tr_B rho and tr_A rho,
-    from the state's float images (``_float_images``); rho's goes through
-    ``Matrix.eigen``, shared with a given density's PSD check."""
+    from the state's float images (``_float_images``).  A given density's
+    goes through ``Matrix.eigen``, the decomposition its PSD check and
+    spectral ensemble share; every other spectrum needs no eigenvectors
+    (``hermitian_eigenvalues``, the same bits)."""
     rho, tr_b, tr_a = s._float_images()
-    glob = rho.eigen(tol).eigenvalues
-    red_a = hermitian_eigen(tr_b, tol).eigenvalues
-    red_b = hermitian_eigen(tr_a, tol).eigenvalues
+    glob = (rho.eigen(tol).eigenvalues if s.density is not None
+            else hermitian_eigenvalues(rho, tol))
+    red_a = hermitian_eigenvalues(tr_b, tol)
+    red_b = hermitian_eigenvalues(tr_a, tol)
     return SpectraReport(
         spectrum=glob,
         reduced_a_spectrum=red_a,

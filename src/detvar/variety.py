@@ -18,12 +18,14 @@ dimension is certified before any sampling and a V certified finite or
 empty is never sampled.
 
 The symbolic minors are built when something first reads them.  A float
-V is built from its pencil alone, its nonzero minors counted numerically;
-only t < n makes it Full.  On an exact pencil where a certificate can fire
-on the minors (m >= 3 and t - n + 1 >= m - 1) a screen modulo a prime
-shows that every minor is nonzero and that some minor is not a monomial;
-the Macaulay certificate reads the same reduction, so a V certified
-finite or empty never builds a symbolic minor.
+V is built from its pencil alone, its nonzero minors counted numerically
+when the count is first read; only t < n makes it Full.  On an exact
+pencil in m >= 4 variables, or in m = 3 with t > n, a screen modulo a
+prime shows that every minor is nonzero and that some minor is not a
+monomial.  The Macaulay certificate reads the same reduction, so a V
+certified finite or empty never builds a symbolic minor; nor does the
+exact peel where a certificate modulo the same prime shows, first, that
+nothing is to be peeled.
 
 Every V is sampled on its pencil, not on its minors (an exact one on its
 float image; a float one of numerical rank below n at random points):
@@ -51,7 +53,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
-from typing import Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +73,10 @@ from .modp import (
     EXP_BITS,
     RANK_PRIME,
     ModPoly,
+    gcd_mod_p,
+    interpolate_mod_p,
     macaulay_full_rank,
+    maximal_minors_mod_p,
     reduce_scalar,
     split_primes,
 )
@@ -201,9 +206,11 @@ class Variety:
     Its side, m, n, state and mode (the kind) are the pencil's.
     `generators` are the maximal minors of the pencil, in lexicographic
     column-subset order.  Passed as None, they are expanded (and checked
-    homogeneous of degree n) on first read; `essential_count`, the number
-    of nonzero minors, must then be given, as the minor screen or, for a
-    float pencil, _numerical_essential finds it.
+    homogeneous of degree n) on first read; an exact V's `essential_count`,
+    the number of nonzero minors, must then be given, as the minor screen
+    finds it.  A float V counts its nonzero minors numerically
+    (_numerical_essential) on the first read of `essential_count`, which no
+    sampler, oracle or covariance check makes.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
@@ -220,7 +227,7 @@ class Variety:
         self._essential_count = essential_count
         self.structural = structural  # "Full" (t < n or exact minors) | "Empty" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
-        self._analysis_cache = None  # (peeled forms, the generators that remain)
+        self._analysis_cache = None  # (peeled forms, what remains; None: V's own minors)
         self._factor_list = None     # exact split of a hypersurface generator
         self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
 
@@ -237,9 +244,11 @@ class Variety:
 
     @property
     def essential_count(self) -> int:
-        """The number of nonzero minors, expanding none already counted."""
+        """The number of nonzero minors, expanding none already counted; a
+        float V's is numerical."""
         if self._essential_count is None:
-            self._essential_count = len(self.essential_generators)
+            self._essential_count = (_numerical_essential(self.pencil) if self.mode != "exact"
+                                     else len(self.essential_generators))
         return self._essential_count
 
     @property
@@ -405,13 +414,12 @@ def _form_at(form: Sequence[int], point: Sequence[int], p: int) -> int:
 
 
 def _minor_values(forms: List[List[List[int]]], point: Sequence[int],
-                  p: int) -> Iterator[int]:
+                  p: int) -> List[int]:
     """The values modulo p of the maximal minors of a reduced pencil at a
-    point, in lexicographic column-subset order: its minors on constant
-    entries, by multipoly's Laplace expansion on the integers."""
-    entries = [[{0: x} if (x := _form_at(form, point, p)) else {} for form in row]
-               for row in forms]
-    return (terms.get(0, 0) % p for _, terms in minor_terms(entries, len(forms), INTEGERS))
+    point, in lexicographic column-subset order: the integer kernel
+    modp.maximal_minors_mod_p on the reduced N(point)."""
+    return maximal_minors_mod_p([[_form_at(form, point, p) for form in row] for row in forms],
+                                p)
 
 
 def _minor_screen(p: PencilMatrix) -> bool:
@@ -422,12 +430,13 @@ def _minor_screen(p: PencilMatrix) -> bool:
     minor nonzero over Q(i): V is not Full.  A monomial f satisfies
     f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
     fails it is not a monomial, and the monomial test for Empty cannot
-    hold.  False proves nothing; the caller then expands the minors.  A
-    float pencil is never screened (variety_generators)."""
+    hold.  False proves nothing; the caller then expands the minors.  Each
+    of the four points costs one run of the integer minor kernel.  A float
+    pencil is never screened (variety_generators)."""
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
     r = [rng.randrange(1, prime) for _ in range(p.m)]
-    at_r = list(_minor_values(forms, r, prime))
+    at_r = _minor_values(forms, r, prime)
     if not all(at_r):
         return False
     r2 = [rng.randrange(1, prime) for _ in range(p.m)]
@@ -452,19 +461,22 @@ def variety_generators(p: PencilMatrix) -> Variety:
     """The variety of the pencil's maximal minors; Full when t < n.
 
     A float pencil is neither expanded, screened nor reduced modulo a prime
-    here; its dimension is for _dimension_verdict alone.  An exact pencil
-    where a certificate can fire on the minors (m >= 3 and t - n + 1 >=
-    m - 1, the Eagon-Northcott gate of linearity_decide) is screened: where
-    the screen passes every minor is nonzero and V is neither Full nor Empty
-    by the monomial test, and the minors are built when something reads
-    them.  Elsewhere, and where the screen proves nothing, the exact minors
-    are expanded at once: the exact peel needs them all.
+    here; its dimension is for _dimension_verdict alone, and its count of
+    nonzero minors is taken when first read.  An exact pencil in m >= 4
+    variables, or in m = 3 with t > n (there the Eagon-Northcott gate of
+    linearity_decide), is screened: where the screen passes every minor is
+    nonzero and V is neither Full nor Empty by the monomial test, and the
+    minors are built when something reads them.  The exact peel reads them
+    only where it cannot first certify that nothing is to be peeled
+    (_peel_linear_factors).  A square pencil in three variables, whose
+    determinant the exact factor split reads, and a pencil the screen
+    proves nothing about, are expanded at once.
     """
     if p.t < p.n:
-        return Variety(p, [], "Full")
+        return Variety(p, [], "Full", essential_count=0)
     if p.kind != "exact":
-        return Variety(p, None, None, essential_count=_numerical_essential(p))
-    if p.m >= 3 and p.t - p.n + 1 >= p.m - 1 and _minor_screen(p):
+        return Variety(p, None, None)
+    if (p.m >= 4 or (p.m == 3 and p.t > p.n)) and _minor_screen(p):
         return Variety(p, None, None, essential_count=comb(p.t, p.n))
     gens = _pencil_minors(p)
     return Variety(p, gens, _structural(gens, p.m))
@@ -587,17 +599,18 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
     return None
 
 
-def _analysis_system(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
+def _analysis_system(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]]]:
     """The certified linear factors peeled off the generators of an exact
-    V, and the generators that remain (_peel_linear_factors), peeled once
-    and cached on the variety.  The sampler reads the peeled forms, to keep
-    its points off them, and whether anything remains."""
+    V, and the generators that remain, None where nothing is peeled and
+    what remains is V's own minors, unexpanded (_peel_linear_factors);
+    peeled once and cached on the variety.  The sampler reads the peeled
+    forms, to keep its points off them, and whether anything remains."""
     if v._analysis_cache is None:
         v._analysis_cache = _peel_linear_factors(v)
     return v._analysis_cache
 
 
-def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
+def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]]]:
     """Peel exact common linear factors off the generators of an exact V.
 
     A hyperplane dividing every minor is a full linear component of the
@@ -606,22 +619,30 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
     verified by exact division first, so the result is a certificate, not
     a guess.
 
-    An exact hypersurface in at most three variables is split by the exact
-    factor engine instead; when a residual survives, the system is that
-    residual, whose zero locus is the only place a witness can live.  A
-    full split is left unpeeled: linearity_decide reports it from the
-    factor list, which is kept on the variety, and its hyperplanes stay
-    open to sampling.
+    Two cases are settled before any minor is expanded, and return ([],
+    None): nothing peeled, V's own minors remain.  For t > n, the
+    Cauchy-Binet certificate (_cauchy_binet_certificate, on a line from a
+    stream of its own) may prove that the minors share no factor, which is
+    the line peel's own stop rule, certified.  For t = n in m >= 4
+    variables, the integer kernel may show det N using four or more
+    variables (_det_variable_count): the single-generator branch leaves
+    such a determinant unpeeled.  Otherwise the minors are read.
 
-    Several generators, in any number of variables, are peeled one exact
-    line per round: the gcd of the generators restricted to the line.  A
-    Gaussian-rational hyperplane dividing every generator k times meets
-    the line at a Q(i) root of that gcd of multiplicity k or more, or at
-    infinity, where every restriction drops degree; _hyperplane_normal
-    turns such a point into a candidate.  A constant gcd with a
-    restriction of full degree means V misses the line: V has no
-    hypersurface component left.
+    An exact hypersurface in at most three variables is split by the exact
+    factor engine; when a residual survives, the system is that residual,
+    whose zero locus is the only place a witness can live.  A full split
+    is left unpeeled: linearity_decide reports it from the factor list,
+    which is kept on the variety, and its hyperplanes stay open to
+    sampling.  Several generators go to the line peel (_line_peel).
     """
+    pencil = v.pencil
+    if pencil.t > v.n:
+        rng = random.Random("cauchy-binet")
+        base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
+        if _cauchy_binet_certificate(pencil, base, direction, rng):
+            return [], None
+    elif pencil.t == v.n and v.m >= 4 and _det_variable_count(pencil) >= 4:
+        return [], None
     gens = v.essential_generators
     forms: List[LinearForm] = []
     if not gens:
@@ -634,12 +655,26 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
             if not fl.full_split():
                 forms, gens = list(fl.linear_factors), [fl.residual]
         return forms, gens
+    return _line_peel(gens, v.m)
 
+
+def _line_peel(gens: List[Poly], m: int) -> Tuple[List[LinearForm], List[Poly]]:
+    """The Q(i) hyperplanes peeled off several exact generators in m
+    variables, and the quotients that remain, one exact line per round
+    from the stream random.Random(20211): the gcd of the generators
+    restricted to the line (_line_gcd).  A Gaussian-rational hyperplane
+    dividing every generator k times meets the line at a Q(i) root of that
+    gcd of multiplicity k or more, or at infinity, where every restriction
+    drops degree; _hyperplane_normal turns such a point into a candidate,
+    which _divide_out verifies.  A constant gcd with a restriction of full
+    degree means V misses the line: V has no hypersurface component left.
+    """
+    forms: List[LinearForm] = []
     rng = random.Random(20211)
     current = list(gens)
-    for _ in range(v.m):  # at most m-1 independent hyperplanes can divide
-        base = _random_exact_point(rng, v.m)
-        direction = _random_exact_point(rng, v.m)
+    for _ in range(m):  # at most m-1 independent hyperplanes can divide
+        base = _random_exact_point(rng, m)
+        direction = _random_exact_point(rng, m)
         common, full_degree = _line_gcd(current, base, direction)
         if not common:
             continue  # the line lies in V
@@ -662,6 +697,51 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], List[Poly]]:
         if not peeled or not current:
             break
     return forms, current
+
+
+def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
+                              direction: Sequence[ExactComplex], rng: random.Random) -> bool:
+    """True when the maximal minors of an exact pencil with t > n are
+    proved to share no factor over Q(i); False proves nothing.  No minor is
+    expanded.
+
+    Modulo the pencil's prime, f_k(s) = det(N(base + s direction) W_k)
+    for two t x n matrices W_k with entries from rng, each a polynomial of
+    degree at most n taken from n + 1 values.  By Cauchy-Binet f_k is
+    sum_S det(W_k[S]) minor_S(base + s direction).  Suppose the minors have
+    a common factor g of positive degree, primitive over Z[i] (Gauss's
+    lemma: each minor is g times a form over Z[i] with the pencil's
+    denominators, which p does not divide).  Where some f_k has degree n,
+    its leading coefficient sum_S det(W_k[S]) minor_S(direction) is nonzero,
+    so g(direction) is nonzero modulo p, and g restricted to the line,
+    of positive degree modulo p, divides f_1 and f_2.  So a constant
+    gcd(f_1, f_2) with some f_k of degree n proves there is no g."""
+    prime, forms = p.mod_p()
+    at_line = [[[_form_at(f, point, prime) for f in row] for row in forms]
+               for point in ([reduce_scalar(x, prime) for x in pt] for pt in (base, direction))]
+    fs = []
+    for _ in range(2):
+        cols = [[rng.randrange(prime) for _ in range(p.t)] for _ in range(p.n)]
+        pb, pd = ([[sum(a * w for a, w in zip(row, col)) % prime for col in cols]
+                   for row in at] for at in at_line)
+        values = [maximal_minors_mod_p([[x + s * y for x, y in zip(rb, rd)]
+                                        for rb, rd in zip(pb, pd)], prime)[0]
+                  for s in range(p.n + 1)]
+        fs.append(interpolate_mod_p(values, prime))
+    return len(gcd_mod_p(fs[0], fs[1], prime)) == 1 and any(f[-1] for f in fs)
+
+
+def _det_variable_count(p: PencilMatrix) -> int:
+    """How many variables det N of a square exact pencil is seen to use
+    modulo the pencil's prime: x_j counts where det N(r) and
+    det N(r + e_j) differ, r random.  A difference proves that x_j occurs
+    in det N; an equality proves nothing, so the count is a lower bound."""
+    prime, forms = p.mod_p()
+    rng = random.Random("det-variables")
+    r = [rng.randrange(1, prime) for _ in range(p.m)]
+    at_r = _minor_values(forms, r, prime)
+    return sum(_minor_values(forms, r[:j] + [r[j] + 1] + r[j + 1:], prime) != at_r
+               for j in range(p.m))
 
 
 def _divide_out(form: LinearForm, gens: Sequence[Poly]) -> Optional[List[Poly]]:
@@ -860,7 +940,7 @@ def _point_stream(v: Variety, count: int, seed: int,
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
         forms, rest = _analysis_system(v)
-        if not rest:
+        if rest is not None and not rest:
             raise SamplingExhausted(
                 "variety equals the union of its peeled hyperplanes; nothing left to sample")
         if forms:

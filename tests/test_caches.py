@@ -56,21 +56,26 @@ def test_density_is_built_once_per_state(monkeypatch):
 def test_density_is_decomposed_once_per_analysis(monkeypatch):
     # validation (PSD check), the spectral ensemble and the global spectrum
     # share one decomposition; the reduced spectra and the partial
-    # transpose are other matrices
-    calls = []
-    real = linalg_mod.hermitian_eigen
+    # transpose are other matrices, whose eigenvalues alone are read
+    calls, full = [], []
+    real_eigh, real_eigen = linalg_mod._eigh, linalg_mod.hermitian_eigen
 
-    def counting(m, tol=DEFAULT_TOL):
+    def counting(m, tol):
         calls.append(m.rows)
-        return real(m, tol)
+        return real_eigh(m, tol)
 
-    monkeypatch.setattr(linalg_mod, "hermitian_eigen", counting)
-    monkeypatch.setattr(states_mod, "hermitian_eigen", counting)
+    def counting_full(m, tol=DEFAULT_TOL):
+        full.append(m.rows)
+        return real_eigen(m, tol)
+
+    monkeypatch.setattr(linalg_mod, "_eigh", counting)
+    monkeypatch.setattr(linalg_mod, "hermitian_eigen", counting_full)
     rho = states_mod.density_from_ensemble(random_mixed(3, 4, 4, seed=11))
     doc = state_to_json(BipartiteState(3, 4, density=rho, validate=False))
     report = analyze_state(parse_state(doc), samples=4)
     assert len(calls) == 4 and calls.count(12) == 2
-    assert report["spectra"]["global"] == real(rho).eigenvalues
+    assert full == [12]
+    assert report["spectra"]["global"] == real_eigen(rho).eigenvalues
 
 
 def test_swapped_and_density_are_memoized():
@@ -151,12 +156,11 @@ def test_empty_compiled_system():
 
 
 def test_analysis_system_is_peeled_once(monkeypatch):
-    # nothing is peeled off these minors: what remains is the variety's own
-    # nonzero generators, the same list on every read
+    # nothing is peeled off these minors, certified with none expanded:
+    # what remains is the variety's own minors, the same answer on every read
     v = variety_of_state(random_separable(3, 3, 4, seed=2), "B")
-    forms, rest = _analysis_system(v)
-    assert not forms and rest == v.essential_generators
-    assert _analysis_system(v)[1] is rest
+    assert _analysis_system(v) == ([], None) and v._generators is None
+    assert _analysis_system(v) is _analysis_system(v)
     # the exact split of a hypersurface leaves its residual, and a whole
     # analysis (decision, witness search and sampler) peels once
     peels = []

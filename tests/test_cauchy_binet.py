@@ -1,0 +1,173 @@
+"""The integer minor kernel and the Cauchy-Binet certificate of the peel.
+
+``modp.maximal_minors_mod_p`` evaluates the maximal minors of an integer
+matrix modulo p; it must give the residues of multipoly's Laplace
+expansion (``minor_terms`` on constant entries), in the same order.
+
+``variety._cauchy_binet_certificate`` claims, with no minor expanded,
+that the maximal minors of an exact pencil with t > n share no factor.
+Run on a line, it must never say so where the exact gcd of the minors
+restricted to that line (``variety._line_gcd``) is not a constant with a
+restriction of full degree.  On the generic states it must say so, or it
+would certify nothing; where a hyperplane divides every minor (planted,
+or the two planes of the 4x6 PPT state's side A) it must not.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from detvar import catalog
+from detvar.modp import (
+    RANK_PRIME,
+    gcd_mod_p,
+    interpolate_mod_p,
+    maximal_minors_mod_p,
+)
+from detvar.multipoly import INTEGERS, minor_terms
+from detvar.scalars import ExactComplex
+from detvar.statefile import load_state
+from detvar.states import BipartiteState, random_separable
+from detvar.variety import (
+    _cauchy_binet_certificate,
+    _line_gcd,
+    _peel_linear_factors,
+    _random_exact_point,
+    variety_of_state,
+)
+from test_lazy_minors import _gaussian_state
+from test_peel_reference import factored_state
+
+EC = ExactComplex
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+# -- the integer kernel ---------------------------------------------------------
+
+@pytest.mark.parametrize("p", [RANK_PRIME, 13])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_integer_kernel_matches_laplace_expansion(n, p):
+    rng = random.Random(f"kernel:{n}:{p}")
+    for t in range(max(1, n - 1), n + 4):
+        for trial in range(4):
+            # small entries with zeros, and entries far beyond p
+            bound = 3 if trial % 2 else 10 ** 12
+            rows = [[rng.randint(-bound, bound) if rng.random() > 0.2 else 0
+                     for _ in range(t)] for _ in range(n)]
+            entries = [[{0: x} if x else {} for x in row] for row in rows]
+            expected = [terms.get(0, 0) % p for _, terms in minor_terms(entries, n, INTEGERS)
+                        ] if t >= n else []
+            assert maximal_minors_mod_p(rows, p) == expected
+
+
+def test_interpolation_and_gcd_modulo_p():
+    p = RANK_PRIME
+    rng = random.Random(3)
+    for degree in range(7):
+        coeffs = [rng.randrange(p) for _ in range(degree + 1)]
+        values = [sum(c * s ** k for k, c in enumerate(coeffs)) for s in range(degree + 1)]
+        assert interpolate_mod_p(values, p) == coeffs
+    # (s - 1)(s - 2) and (s - 1)(s + 5): a gcd of degree 1 with root 1
+    common = gcd_mod_p([2, -3, 1], [-5, 4, 1], p)
+    assert len(common) == 2 and (common[0] + common[1]) % p == 0
+    assert len(gcd_mod_p([3, 0, 1], [5, 1], p)) == 1
+    assert gcd_mod_p([], [0, 0], p) == []
+    assert gcd_mod_p([0], [2, 1], p) == [2, 1]
+
+
+# -- the certificate against the exact line gcd ----------------------------------
+
+def _cases():
+    cases = []
+    for m, n, t in [(4, 4, 5), (3, 4, 5)]:
+        for seed in range(3):
+            state = _gaussian_state(m, n, t, seed)
+            cases += [pytest.param(state, side, True, id=f"gaussian {m}x{n} r{t} #{seed} {side}")
+                      for side in "AB"]
+    # sides where t > n: both, but for side B of 4x3 t4 (t = n) and 5x3 t4 (t < n)
+    for (m, n, t), sides in [((3, 3, 4), "AB"), ((3, 4, 5), "AB"), ((4, 4, 5), "AB"),
+                             ((4, 3, 4), "A"), ((5, 3, 4), "A")]:
+        for seed in range(3):
+            state = random_separable(m, n, t, seed=seed)
+            cases += [pytest.param(state, side, True, id=f"sep {m}x{n} t{t} #{seed} {side}")
+                      for side in sides]
+    ppt = catalog.ppt_4x6_state()
+    cases += [pytest.param(ppt, "A", False, id="ppt 4x6 A"),
+              pytest.param(ppt, "B", True, id="ppt 4x6 B")]
+    planted = [
+        ((1, Fraction(1, 2), -3, Fraction(2, 3)), (0,), (4, 4, 5)),
+        ((1, EC(2, -1), EC(0, 3), 5), (0,), (4, 4, 5)),
+        ([(1, 2, -1, EC(0, 1)), (0, 1, Fraction(-5, 7), 2)], (0, 1), (4, 4, 6)),
+        ((2, -1, Fraction(1, 9)), (0,), (3, 3, 4)),
+        ((0, 1, Fraction(-5, 7)), (1,), (3, 4, 5)),
+    ]
+    for k, (forms, rows, shape) in enumerate(planted):
+        state = factored_state(forms, rows=rows, seed=k, shape=shape)
+        cases.append(pytest.param(state, "A", False, id=f"planted #{k}"))
+    return cases
+
+
+@pytest.mark.parametrize("state, side, certified", _cases())
+def test_certificate_never_claims_what_the_exact_gcd_denies(state, side, certified):
+    v = variety_of_state(state, side)
+    assert v.mode == "exact" and v.pencil.t > v.n
+    gens = v.essential_generators
+    for k in range(4):
+        rng = random.Random(f"line:{k}")
+        base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
+        claim = _cauchy_binet_certificate(v.pencil, base, direction, rng)
+        common, full_degree = _line_gcd(gens, base, direction)
+        exact = len(common) == 1 and full_degree
+        assert not claim or exact
+        assert claim == exact == certified
+
+
+def test_a_direction_on_the_planted_hyperplane_is_not_certified():
+    # l(direction) = 0: l restricts to a constant, so the exact gcd is a
+    # constant too, but no minor keeps full degree along the line; only the
+    # degree condition keeps the certificate from claiming it
+    coeffs = (1, Fraction(1, 2), -3, Fraction(2, 3))
+    v = variety_of_state(factored_state(coeffs), "A")
+    rng = random.Random(5)
+    base = _random_exact_point(rng, 4)
+    direction = [EC(3), EC(0), EC(1), EC(0)]  # 1*3 + (-3)*1 = 0
+    common, full_degree = _line_gcd(v.essential_generators, base, direction)
+    assert len(common) == 1 and not full_degree
+    assert not _cauchy_binet_certificate(v.pencil, base, direction, rng)
+
+
+def test_certified_peel_and_planes_of_ppt_side_a():
+    # the peel's own stream: side B and a generic 4x4 r5 are certified with
+    # no minor expanded; side A fails the certificate and still peels its
+    # two planes
+    ppt = catalog.ppt_4x6_state()
+    for state, side in [(ppt, "B"), (load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")),
+                                      "A")]:
+        v = variety_of_state(state, side)
+        assert _peel_linear_factors(v) == ([], None) and v._generators is None
+    forms, rest = _peel_linear_factors(variety_of_state(ppt, "A"))
+    assert len(forms) == 2 and rest
+
+
+def test_a_square_pencil_in_four_variables_stays_unexpanded():
+    # det N of a generic 4x4 r4 state uses all four variables, which the
+    # single-generator branch leaves unpeeled; one in three variables is
+    # read, for the exact factor split
+    v = variety_of_state(_gaussian_state(4, 4, 4, 1))
+    assert _peel_linear_factors(v) == ([], None) and v._generators is None
+    w = variety_of_state(BipartiteState(4, 3, ensemble=_three_variable_rays(), validate=False))
+    forms, rest = _peel_linear_factors(w)
+    assert w._generators is not None and rest is not None
+
+
+def _three_variable_rays():
+    """A 4x3 rank-3 ensemble whose fourth block of each ray is zero, so
+    det N(r) does not involve r_4 (and the pencil is square)."""
+    rng = random.Random(11)
+    rays = []
+    for _ in range(3):
+        rays.append((Fraction(1, 3), tuple(EC(rng.randint(-3, 3), rng.randint(-3, 3))
+                                           if i < 9 else EC(0) for i in range(12))))
+    return rays

@@ -1,17 +1,17 @@
 """Symbolic minors are built only when something reads them.
 
 A float pencil is built from the pencil alone: no minor is expanded or
-screened, and its count of nonzero minors is numerical.  On an exact
-pencil where a certificate can fire on the minors (m >= 3 and
-t - n + 1 >= m - 1) ``variety_generators`` screens the pencil modulo a
-prime instead of expanding it; the Macaulay certificate reads the reduced
-pencil too.  These tests pin that a certified state and a float analysis
-build no minor, that the screen stays out of float pencils and of the
-exact shapes the sampler needs every minor for, and that the counts a
-report prints without expanding are those of the expanded minors: on
-exact edge states the lazy report equals, byte for byte, the report of
-the same analysis with the screen switched off, and a float count is
-that of the float minors that are not rounding noise.
+screened, and its count of nonzero minors is numerical, taken when first
+read.  An exact pencil in m >= 4 variables, or in m = 3 with t > n (the
+Eagon-Northcott gate there), is screened modulo a prime instead of
+expanded; the Macaulay certificate and the Cauchy-Binet certificate of the
+exact peel read the reduced pencil too.  These tests pin that a certified
+state and a float analysis build no minor, that the screen stays out of
+float pencils, of square pencils in three variables and of CP^1, and that
+the counts a report prints without expanding are those of the expanded
+minors: on exact edge states the lazy report equals, byte for byte, the
+report of the same analysis with the screen switched off, and a float
+count is that of the float minors that are not rounding noise.
 """
 
 import random
@@ -30,6 +30,7 @@ from detvar.states import (
     BipartiteState,
     LocalUnitaryPair,
     apply_local_unitary,
+    random_local_unitary,
     random_mixed,
     random_separable,
 )
@@ -78,12 +79,11 @@ def screens(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: random_separable(3, 4, 4, seed=1),   # t - n + 1 = 1 < m - 1
-    lambda: random_separable(4, 4, 5, seed=1),   # 2 < 3
+    lambda: random_separable(3, 4, 4, seed=1),   # m = 3, t = n: the factor split reads det N
     lambda: random_separable(2, 2, 3, seed=1),   # m <= 2: cheap minors, no certificate on them
     lambda: random_separable(2, 3, 4, seed=1),
     lambda: catalog.maximally_mixed(2, 2),
-], ids=["sep 3x4 t4", "sep 4x4 t5", "sep 2x2 t3", "sep 2x3 t4", "maxmixed 2x2"])
+], ids=["sep 3x4 t4", "sep 2x2 t3", "sep 2x3 t4", "maxmixed 2x2"])
 def test_no_screen_below_the_gate_or_in_cp1(screens, make):
     v = variety_of_state(make())
     assert screens == []
@@ -131,6 +131,15 @@ def test_the_screen_runs_at_the_gate(screens):
     assert len(screens) == 1 and v._generators is None
 
 
+@pytest.mark.parametrize("shape", [(4, 4, 5), (4, 4, 4), (4, 3, 4), (5, 3, 4)],
+                         ids=lambda s: "sep %dx%d t%d" % s)
+def test_every_pencil_in_four_or_more_variables_is_screened(screens, shape):
+    # below the Eagon-Northcott gate too: the peel can then settle V
+    # without expanding a minor
+    v = variety_of_state(random_separable(*shape, seed=1))
+    assert len(screens) == 1 and v._generators is None
+
+
 def _duplicated(s):
     w, vec = s.ensemble[0]
     return BipartiteState(s.m, s.n, ensemble=[(w / 2, vec), (w / 2, vec), *s.ensemble[1:]],
@@ -174,6 +183,9 @@ EDGE_STATES = {
     "mixed 4x5 t8": lambda: random_mixed(4, 5, 8, seed=0),
     "separable 2x3 t3": lambda: random_separable(2, 3, 3, seed=2),
     "gaussian 3x3 t4": lambda: _gaussian_state(3, 3, 4, 7),
+    # m = 4 below the gate: left unexpanded by the peel too
+    "gaussian 4x4 t4": lambda: _gaussian_state(4, 4, 4, 1),
+    "gaussian 4x4 t5": lambda: _gaussian_state(4, 4, 5, 1),
 }
 
 
@@ -187,7 +199,8 @@ FLOAT_EDGE_STATES = {"duplicated float 3x4 t6", "mixed 3x3 t6", "mixed 4x5 t8",
 # 3x1) or lie below the gate
 SCREENED = {
     *((name, side) for name in (*FLOAT_EDGE_STATES, "gaussian 3x3 t4", "separable 3x3 t6",
-                                "separable 4x5 t8") for side in "AB"),
+                                "separable 4x5 t8", "gaussian 4x4 t4", "gaussian 4x4 t5")
+      for side in "AB"),
     ("rank-2 side B exact 3x3 t5", "B"), ("separable 2x3 t3", "B"),
 }
 
@@ -280,3 +293,56 @@ def test_lazy_report_equals_the_eager_one(monkeypatch, name, side):
     lazy = report()
     monkeypatch.setattr(variety_mod, "_minor_screen", lambda p: False)
     assert lazy == report()
+
+
+def _benchmark_ops(workload, prefix, tmp_path):
+    """The operations of the benchmark's seed-301 corpus whose label starts
+    with `prefix`, built by perfbench/workloads.py itself."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = [op for op in workloads.build_corpus(workload, 301, workloads.RUN_SECONDS, tmp_path)
+           if op.label.startswith(prefix)]
+    assert ops
+    return ops
+
+
+def test_benchmark_4x4_gaussian_analyses_build_no_minor(no_minors, tmp_path):
+    # t = n = 4: det N uses all four variables; t = 5: the Cauchy-Binet
+    # certificate settles the peel; the report reads no Hesse cubic
+    ops = _benchmark_ops("exact_witness", "gaussian 4x4", tmp_path)
+    assert {op.label.split(" #")[0] for op in ops} == {"gaussian 4x4 r4", "gaussian 4x4 r5"}
+    for op in ops:
+        rendered, problems, _ = op.check(op.call())
+        assert not problems
+
+
+@pytest.fixture
+def essential_calls(monkeypatch):
+    """Record every pencil whose nonzero minors are counted numerically."""
+    seen = []
+    real = variety_mod._numerical_essential
+
+    def spy(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(variety_mod, "_numerical_essential", spy)
+    return seen
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 4, 4)], ids=["3x3 r3", "3x4 r4"])
+def test_a_float_covariance_check_counts_no_minor(essential_calls, shape):
+    # two varieties per check, and nothing reads their counts
+    pair = random_local_unitary(shape[0], shape[1], seed=3)
+    result = variety_mod.verify_lu_covariance(random_mixed(*shape, seed=2), pair, samples=3)
+    assert result.ok and essential_calls == []
+
+
+def test_a_float_analysis_counts_its_minors_once(essential_calls):
+    rep = analyze_state(random_mixed(3, 4, 5, seed=2), samples=4)
+    assert len(essential_calls) == 1 and rep["generators"]["essential"] == 5

@@ -10,6 +10,7 @@ from detvar.linalg import (
     Matrix,
     det_exact,
     hermitian_eigen,
+    hermitian_eigenvalues,
     kron,
     partial_trace,
     partial_transpose,
@@ -91,6 +92,28 @@ def test_eigen_rejects_non_hermitian():
                 [[1, inf], [0, 1]]):
         with pytest.raises(NotHermitian):
             hermitian_eigen(Matrix.approx(bad))
+
+
+def test_eigenvalues_alone_are_those_of_the_full_decomposition():
+    # the same checks and the same eigh call: bit-equal lists, and the
+    # same NotHermitian (or NonSquare) error with the same message
+    rng = np.random.default_rng(7)
+    for n in range(2, 25):
+        for scale in (1e-8, 1.0, 1e6):
+            a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            for mat in (a + a.conj().T, a @ a.conj().T, (a + a.conj().T) + 1e-14 * a):
+                m = Matrix.approx(mat)
+                assert hermitian_eigenvalues(m) == hermitian_eigen(m).eigenvalues
+    nan = float("nan")
+    bad = [[[0, 1], [0, 0]], [[1, nan], [nan, 1]], [[1, 2j], [2j, 1]],
+           rng.normal(size=(5, 5)).tolist(), [[1, 2, 3], [2, 1, 0]]]
+    for rows in bad:
+        errors = []
+        for f in (hermitian_eigen, hermitian_eigenvalues):
+            with pytest.raises((NotHermitian, NonSquare)) as info:
+                f(Matrix.approx(rows))
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

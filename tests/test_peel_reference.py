@@ -39,6 +39,7 @@ from detvar.statefile import load_state
 from detvar.variety import (
     _LINE_MISSES,
     _divide_out,
+    _line_peel,
     _peel_linear_factors,
     _random_exact_point,
     project_normalize,
@@ -199,9 +200,12 @@ def test_real_small_denominator_forms_match_reference(coeffs):
     pytest.param(load_state(str(GOLDEN / "separable_4x4_t6.state.json")), id="separable_4x4_t6"),
 ])
 def test_nothing_to_peel_agrees_with_reference(state):
+    # the Cauchy-Binet certificate settles these before any minor is
+    # expanded; the line peel, run on the expanded minors, agrees
     v = variety_of_state(state, "A")
+    assert _peel_linear_factors(v) == ([], None) and v._generators is None
     assert reference_peel(v) == ([], v.essential_generators)
-    assert _peel_linear_factors(v) == ([], v.essential_generators)
+    assert _line_peel(v.essential_generators, v.m) == ([], v.essential_generators)
 
 
 # -- what the point fit could not find ----------------------------------------
@@ -281,7 +285,7 @@ def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
 
     for name in ("restrict_to_line", "univariate_roots"):
         monkeypatch.setattr(variety_mod, name, spy(name))
-    assert _peel_linear_factors(v) == ([], gens)
+    assert _line_peel(gens, v.m) == ([], gens)
     assert 1 <= calls["restrict_to_line"] <= len(gens)
     assert calls["univariate_roots"] == 0
 
@@ -291,6 +295,9 @@ def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
 def assert_same_small_peel(v):
     assert v.m <= 3 and len(v.essential_generators) >= 2
     forms, quotients = _peel_linear_factors(v)
+    if quotients is None:  # nothing peeled, certified: V's own minors remain
+        assert not forms
+        quotients = v.essential_generators
     ref_forms, ref_quotients = reference_small_peel(v)
     assert Counter(forms) == Counter(ref_forms)
     assert quotients == ref_quotients

@@ -289,8 +289,9 @@ def _compiled_polys(v):
     minors and, on an exact V, what the exact peel leaves where that
     differs; the last is the analysis system Newton ran on."""
     lists = [v.essential_generators]
-    if v.mode == "exact" and _analysis_system(v)[1] != lists[0]:
-        lists.append(_analysis_system(v)[1])
+    rest = _analysis_system(v)[1] if v.mode == "exact" else None
+    if rest is not None and rest != lists[0]:  # None: nothing is peeled
+        lists.append(rest)
     return lists
 
 

@@ -29,7 +29,12 @@ eigenvalues of the pencil on random lines, and the float witness probe.
 ``random_mixed(4, 4, 5, seed=1)`` (``mixed_4x4_r5``) and the same state
 given as its density (``mixed_density_4x4_r5``, analysed on its spectral
 ensemble) pin Gauss-Newton on the incidence system y^T N(r) = 0 of a
-4x5 pencil in four variables; both end in a NonlinearWitness.  ``repro example3`` pins the
+4x5 pencil in four variables; both end in a NonlinearWitness.  Two 3x3
+cases pin the ``factorization`` field of a square pencil's determinant:
+``random_separable(3, 3, 3, seed=5)`` (``separable_3x3_t3``) splits into
+three Q(i) forms and is a LinearUnion, and ``line_times_conic_3x3`` (one
+product ray and two entangled Gaussian-rational rays) splits into one
+form times a conic on which the witness lies.  ``repro example3`` pins the
 symbolic 4x6 chart reduction: the pencil, its chart substitution, f1, f2
 and the plane cubic g.  ``repro example1`` (the maximally mixed 3x3
 state, the default ``--m 3 --n 3``) and ``repro example1 --m 4 --n 3``
@@ -78,6 +83,10 @@ CASES = {
     "mixed_3x4_r5": ["analyze", str(GOLDEN / "mixed_3x4_r5.state.json"), "--seed", "42"],
     "mixed_4x4_r5": ["analyze", str(GOLDEN / "mixed_4x4_r5.state.json"), "--seed", "42"],
     "mixed_density_4x4_r5": ["analyze", str(GOLDEN / "mixed_density_4x4_r5.state.json"),
+                             "--seed", "42"],
+    "separable_3x3_t3": ["analyze", str(GOLDEN / "separable_3x3_t3.state.json"),
+                         "--seed", "42"],
+    "line_times_conic_3x3": ["analyze", str(GOLDEN / "line_times_conic_3x3.state.json"),
                              "--seed", "42"],
 }
 

@@ -35,5 +35,5 @@ if not cr.quotient_matches_printed:
 
 print("\nf1 on the carving plane r4' = r2' + r3':")
 print("  g =", cr.g.render(CHART_NAMES), f"(sign {cr.g_sign} vs the quoted form)")
-print("  Gaussian-rational linear factors:", cr.g_factors.linear_factors)
+print("  Gaussian-rational linear factors:", cr.g_factors)
 print("  certified irreducible over Q(i):", cr.g_irreducible)

@@ -10,7 +10,7 @@ real ones among them.  No floating point, no integer factorization, and
 
 from fractions import Fraction
 
-from detvar import ExactComplex, Poly, linear_factorization, symbolic_det, univariate_roots
+from detvar import ExactComplex, Poly, linear_factors, symbolic_det, univariate_roots
 from detvar.exactroots import gaussian_rational_roots, rational_roots
 
 EC = ExactComplex
@@ -28,11 +28,11 @@ print("roots of z^2 + 2i:", [(z.render(), m) for z, m in roots])
 # a symbolic determinant and its factor structure
 x, y, z = (Poly.variable(i, 3) for i in range(3))
 fermat = x ** 3 + y ** 3 + z ** 3 - (x * y * z).scale(3)
-fl = linear_factorization(fermat)
+forms, (residual,) = linear_factors([fermat], 3)
 print("\nx^3 + y^3 + z^3 - 3xyz:")
-print("  rational factor:", fl.linear_factors[0].render())
-print("  residual:", fl.residual.render())
-print("  re-multiplies exactly:", fl.remultiply(3) == fermat)
+print("  rational factor:", forms[0].render())
+print("  residual:", residual.render())
+print("  re-multiplies exactly:", forms[0].to_poly(3) * residual == fermat)
 
 # numeric univariate roots: the eigenvalues of the companion matrix
 print("\nfloat roots of z^3 - 1 (companion eigenvalues):",

@@ -31,7 +31,7 @@ from .multipoly import (
     univariate_roots,
     univariate_coeffs,
 )
-from .factorization import FactorList, linear_factorization
+from .factorization import FactorList, linear_factors
 from .states import (
     BipartiteState,
     LocalUnitaryPair,
@@ -71,7 +71,7 @@ __all__ = [
     "Poly", "LinearForm", "symbolic_det", "minors",
     "substitute_affine", "restrict_to_line", "univariate_roots",
     "univariate_coeffs",
-    "FactorList", "linear_factorization",
+    "FactorList", "linear_factors",
     "BipartiteState", "LocalUnitaryPair", "density_from_ensemble",
     "ensemble_from_density", "apply_local_unitary", "ppt_check",
     "entropy_and_spectra", "random_mixed", "random_separable",

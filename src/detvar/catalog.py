@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadParams, SymbolicMismatch
-from .factorization import FactorList, linear_factorization
+from .factorization import linear_factors
 from .linalg import Matrix
 from .multipoly import LinearForm, Poly, substitute_affine, symbolic_det
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
@@ -202,7 +202,7 @@ class ChartReduction:
     g: Poly                                # f1 restricted to w = x + y
     printed: Poly
     g_sign: int                            # g == g_sign * printed
-    g_factors: FactorList
+    g_factors: List[LinearForm]            # Q(i) linear factors of g
     g_irreducible: bool
 
     @property
@@ -265,7 +265,13 @@ def chart_reduction() -> ChartReduction:
         raise SymbolicMismatch(
             f"f1 at w = x + y is not +-g: computed {g.render(CHART_NAMES)}, "
             f"printed {printed.render(CHART_NAMES)}")
-    factors = linear_factorization(g)
+    # a linear factor of g homogenizes, in the free third variable, to one
+    # of g's homogenization, and back; a cubic without one is irreducible
+    d = g.degree()
+    forms, _ = linear_factors([Poly(3, {(e[0], e[1], d - e[0] - e[1]): c
+                                        for e, c in g.terms.items()})], 3)
+    factors = [LinearForm([a, b, EC_ZERO], c, normalize=False)
+               for a, b, c in (f.coefficients for f in forms)]
     return ChartReduction(
         pencil=pencil,
         pencil_matches_printed=matches,
@@ -281,5 +287,5 @@ def chart_reduction() -> ChartReduction:
         printed=printed,
         g_sign=sign,
         g_factors=factors,
-        g_irreducible=not factors.linear_factors,
+        g_irreducible=not factors,
     )

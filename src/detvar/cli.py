@@ -14,6 +14,7 @@ and echo it in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -193,7 +194,9 @@ def cmd_props(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="detvar",
         description="Determinantal-variety invariants of bipartite mixed states")

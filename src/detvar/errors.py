@@ -41,10 +41,6 @@ class DegenerateLeadingCoefficient(DetvarError):
     pass
 
 
-class UnsupportedShape(DetvarError):
-    pass
-
-
 class MissingEnsemble(DetvarError):
     pass
 

@@ -254,7 +254,7 @@ def chart_reduction_report(cr: ChartReduction) -> dict:
         "g": cr.g.render(names),
         "printed_g": cr.printed.render(names),
         "g_sign": cr.g_sign,
-        "g_linear_factors": [_form_to_json(f) for f in cr.g_factors.linear_factors],
+        "g_linear_factors": [_form_to_json(f) for f in cr.g_factors],
         "g_irreducible_over_gaussian_rationals": cr.g_irreducible,
         "component_nonlinear": cr.component_nonlinear,
         "conclusion": "entangled" if cr.component_nonlinear else "inconclusive",

@@ -35,7 +35,9 @@ y^T N(r) = 0.  The generator oracle reads the pencil too, as a point is
 on V exactly where rank N(r) < n: sigma_n(N(r)) / (||A|| ||r||) on the
 float tensor, or the exact rank of N(p) at an exact point of an exact V,
 so no oracle expands a minor.  An exact V is first peeled of the
-hyperplanes it is certified to contain, and its samples keep off them.
+hyperplanes it is certified to contain, found on exact lines by the one
+Q(i) linear-factor finder (factorization.linear_factors, with no limit on
+the number of minors, variables or degree); its samples keep off them.
 
 Tangent data come from the pencil, not from the minors: one SVD of N(p)
 gives a smoothness margin and a matrix T whose kernel is the tangent
@@ -50,7 +52,6 @@ an exact pencil too), put it off V.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
 from typing import Generator, List, NamedTuple, Optional, Sequence, Tuple
@@ -66,8 +67,7 @@ from .errors import (
     SingularPoint,
     ZeroDirection,
 )
-from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
-from .factorization import FactorList, linear_factorization
+from .factorization import FactorList, _random_exact_point, linear_factorization, linear_factors
 from .linalg import Matrix, det_exact, rank_exact
 from .modp import (
     EXP_BITS,
@@ -87,7 +87,6 @@ from .multipoly import (
     Poly,
     minor_terms,
     minors,
-    restrict_to_line,
     sylvester_resultant,
     univariate_coeffs,
     univariate_roots,
@@ -469,8 +468,8 @@ def variety_generators(p: PencilMatrix) -> Variety:
     minors are built when something reads them.  The exact peel reads them
     only where it cannot first certify that nothing is to be peeled
     (_peel_linear_factors).  A square pencil in three variables, whose
-    determinant the exact factor split reads, and a pencil the screen
-    proves nothing about, are expanded at once.
+    determinant the exact peel splits, and a pencil the screen proves
+    nothing about, are expanded at once.
     """
     if p.t < p.n:
         return Variety(p, [], "Full", essential_count=0)
@@ -549,15 +548,6 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
     return on_pencil
 
 
-def _random_exact_point(rng: random.Random, m: int) -> List[ExactComplex]:
-    while True:
-        pt = [ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 3)),
-                           Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
-              for _ in range(m)]
-        if any(not x.is_zero() for x in pt):
-            return pt
-
-
 def _random_approx_point(rng: random.Random, m: int) -> List[complex]:
     return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
 
@@ -625,15 +615,16 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     stream of its own) may prove that the minors share no factor, which is
     the line peel's own stop rule, certified.  For t = n in m >= 4
     variables, the integer kernel may show det N using four or more
-    variables (_det_variable_count): the single-generator branch leaves
-    such a determinant unpeeled.  Otherwise the minors are read.
+    variables (_det_variable_count); such a determinant stays unexpanded
+    and unpeeled.  Otherwise the minors are read and go to the line peel
+    (factorization.linear_factors), one generator or several.
 
-    An exact hypersurface in at most three variables is split by the exact
-    factor engine; when a residual survives, the system is that residual,
-    whose zero locus is the only place a witness can live.  A full split
-    is left unpeeled: linearity_decide reports it from the factor list,
-    which is kept on the variety, and its hyperplanes stay open to
-    sampling.  Several generators go to the line peel (_line_peel).
+    One generator, an exact hypersurface, is split into its factor list
+    (linear_factorization), which is kept on the variety.  When a residual
+    survives, the system is that residual, whose zero locus is the only
+    place a witness can live.  A full split is left unpeeled:
+    linearity_decide reports it from the factor list, and its hyperplanes
+    stay open to sampling.
     """
     pencil = v.pencil
     if pencil.t > v.n:
@@ -644,59 +635,10 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     elif pencil.t == v.n and v.m >= 4 and _det_variable_count(pencil) >= 4:
         return [], None
     gens = v.essential_generators
-    forms: List[LinearForm] = []
-    if not gens:
-        return forms, gens
-
-    if len(gens) == 1:
-        g = gens[0]
-        if len(g.used_vars()) <= 3 and g.degree() <= 6:
-            fl = v._factor_list = linear_factorization(g)
-            if not fl.full_split():
-                forms, gens = list(fl.linear_factors), [fl.residual]
-        return forms, gens
-    return _line_peel(gens, v.m)
-
-
-def _line_peel(gens: List[Poly], m: int) -> Tuple[List[LinearForm], List[Poly]]:
-    """The Q(i) hyperplanes peeled off several exact generators in m
-    variables, and the quotients that remain, one exact line per round
-    from the stream random.Random(20211): the gcd of the generators
-    restricted to the line (_line_gcd).  A Gaussian-rational hyperplane
-    dividing every generator k times meets the line at a Q(i) root of that
-    gcd of multiplicity k or more, or at infinity, where every restriction
-    drops degree; _hyperplane_normal turns such a point into a candidate,
-    which _divide_out verifies.  A constant gcd with a restriction of full
-    degree means V misses the line: V has no hypersurface component left.
-    """
-    forms: List[LinearForm] = []
-    rng = random.Random(20211)
-    current = list(gens)
-    for _ in range(m):  # at most m-1 independent hyperplanes can divide
-        base = _random_exact_point(rng, m)
-        direction = _random_exact_point(rng, m)
-        common, full_degree = _line_gcd(current, base, direction)
-        if not common:
-            continue  # the line lies in V
-        if len(common) == 1 and full_degree:
-            break
-        candidates = [([b + s * d for b, d in zip(base, direction)], k)
-                      for s, k in gaussian_rational_roots(common)]
-        if not full_degree:
-            candidates.append((direction, 1))
-        peeled = False
-        for point, k in candidates:
-            normal = _hyperplane_normal(current, point, k)
-            if normal is None:
-                continue
-            form = LinearForm(normal)
-            while current and (rest := _divide_out(form, current)) is not None:
-                forms.append(form)
-                current = rest
-                peeled = True
-        if not peeled or not current:
-            break
-    return forms, current
+    if len(gens) != 1:
+        return linear_factors(gens, v.m)
+    fl = v._factor_list = linear_factorization(gens[0])
+    return ([], gens) if fl.residual is None else (fl.linear_factors, [fl.residual])
 
 
 def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
@@ -742,37 +684,6 @@ def _det_variable_count(p: PencilMatrix) -> int:
     at_r = _minor_values(forms, r, prime)
     return sum(_minor_values(forms, r[:j] + [r[j] + 1] + r[j + 1:], prime) != at_r
                for j in range(p.m))
-
-
-def _divide_out(form: LinearForm, gens: Sequence[Poly]) -> Optional[List[Poly]]:
-    """The exact quotients of positive degree of the generators by the
-    form; None if the form does not divide one of them."""
-    fp = form.to_poly()
-    quotients = []
-    for g in gens:
-        q = fp.divides_into(g)
-        if q is None:
-            return None
-        quotients.append(q)
-    return [q for q in quotients if q.degree() >= 1]
-
-
-def _hyperplane_normal(gens: Sequence[Poly], point: Sequence[ExactComplex],
-                       k: int) -> Optional[List[ExactComplex]]:
-    """The exact gradient at point of d_j^(k-1) g for the first generator g
-    and variable j where it is nonzero, or None.  If l = a . x vanishes at
-    point and l^k divides g, then d_j^(k-1) g = k! * a_j^(k-1) * l * (g/l^k)
-    modulo l^2, so that gradient is zero or a multiple of a."""
-    m = len(point)
-    for g in gens:
-        for j in range(m if k > 1 else 1):
-            h = g
-            for _ in range(k - 1):
-                h = h.derivative(j)
-            grad = [h.derivative(i).evaluate(point) for i in range(m)]
-            if any(not c.is_zero() for c in grad):
-                return grad
-    return None
 
 
 def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
@@ -1145,23 +1056,6 @@ class FiniteCertificate(NamedTuple):
     degree: Optional[int] = None
 
 
-def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
-              direction: Sequence[ExactComplex]) -> Tuple[List[ExactComplex], bool]:
-    """The gcd of the restrictions s -> g(base + s*direction) of the exact
-    generators (empty when all vanish), and whether some restriction keeps
-    full degree.  Stops at the first generator that makes the gcd a
-    constant with full degree seen: the line is then certainly missed."""
-    common: List[ExactComplex] = []
-    full_degree = False
-    for g in gens:
-        coeffs = ec_trim(univariate_coeffs(restrict_to_line(g, base, direction)))
-        full_degree = full_degree or len(coeffs) == g.degree() + 1
-        common = ec_gcd(common, coeffs)
-        if len(common) == 1 and full_degree:
-            break
-    return common, full_degree
-
-
 def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]]]:
     """The coefficient vectors of the pencil entries modulo p; None when p
     divides a denominator."""
@@ -1403,11 +1297,11 @@ def linearity_decide(v: Variety, seed: int = DEFAULT_SEED, samples: int = DEFAUL
     ("Finite"); an approximate state so certified gets a vacuous
     Inconclusive with the certificate.
 
-    Hypersurface case with at most three active variables and degree <= 6:
-    exact factor extraction either splits the determinant completely into
-    linear forms (LinearUnion) or leaves a residual certified to contain no
-    Q(i)-linear factor, in which case the witness search probes the
-    residual's zero locus; the verdict carries the factor list either way.
+    Exact hypersurface case: the line peel either splits the determinant
+    completely into linear forms (LinearUnion) or leaves a residual, free
+    of Q(i)-linear factors wherever a line certified it (linear_factors),
+    in which case the witness search probes the residual's zero locus; the
+    verdict carries the factor list either way.
     """
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
@@ -1417,7 +1311,7 @@ def linearity_decide(v: Variety, seed: int = DEFAULT_SEED, samples: int = DEFAUL
     if v.mode == "exact":
         _analysis_system(v)
     fl = v._factor_list
-    if fl is not None and fl.full_split():
+    if fl is not None and fl.residual is None:
         return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)
     verdict = nonlinearity_witness(v, samples, seed, tol)
     verdict.factor_list = fl

@@ -147,7 +147,7 @@ def test_criterion_5_chart_reduction(ppt_state):
     assert cr.g_sign in (1, -1)
     assert cr.g == (cr.printed if cr.g_sign == 1 else -cr.printed)
     # (e) g carries no Gaussian-rational linear factor: certified irreducible
-    assert cr.g_factors.linear_factors == []
+    assert cr.g_factors == []
     assert cr.g_irreducible
     report = chart_reduction_report(cr)
     assert report["conclusion"] == "entangled"
@@ -202,6 +202,8 @@ def test_criterion_7_separable_linearity_property():
             assert fl.residual is None
             assert len(fl.linear_factors) == n
             assert fl.remultiply(m) == v.essential_generators[0]
+            if m >= 3:  # in CP^1, V is Finite before anything is peeled
+                assert verdict.tag == "LinearUnion" and verdict.factor_list == fl
             square_checked += 1
     assert witnesses == 0
     assert square_checked >= 8

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from detvar.catalog import (
     printed_g,
 )
 from detvar.errors import BadParams
-from detvar.factorization import is_irreducible_cubic_over_gaussians
+from detvar.exactroots import gaussian_rational_roots
+from detvar.factorization import _line_gcd, _random_exact_point
 from detvar.linalg import partial_transpose, rank_exact
 from detvar.multipoly import LinearForm, Poly, substitute_affine
 from detvar.scalars import ExactComplex
@@ -89,9 +91,14 @@ def test_reduction_g_matches_up_to_sign(reduction):
 
 def test_reduction_g_irreducible(reduction):
     assert reduction.g_irreducible
-    assert reduction.g_factors.linear_factors == []
-    compact = Poly(2, {(e[0], e[1]): c for e, c in reduction.g.terms.items()})
-    assert is_irreducible_cubic_over_gaussians(compact)
+    assert reduction.g_factors == []
+    # the peel's first line certifies it: g's homogenization, in the free
+    # third variable, restricts there to a cubic with no Q(i) root
+    homogeneous = Poly(3, {(e[0], e[1], 3 - e[0] - e[1]): c for e, c in reduction.g.terms.items()})
+    rng = random.Random(20211)
+    line = _random_exact_point(rng, 3), _random_exact_point(rng, 3)
+    common, full_degree = _line_gcd([homogeneous], *line)
+    assert full_degree and gaussian_rational_roots(common) == []
 
 
 def test_reduction_renders_deterministically(reduction):

@@ -7,7 +7,7 @@ expansion (``minor_terms`` on constant entries), in the same order.
 ``variety._cauchy_binet_certificate`` claims, with no minor expanded,
 that the maximal minors of an exact pencil with t > n share no factor.
 Run on a line, it must never say so where the exact gcd of the minors
-restricted to that line (``variety._line_gcd``) is not a constant with a
+restricted to that line (``factorization._line_gcd``) is not a constant with a
 restriction of full degree.  On the generic states it must say so, or it
 would certify nothing; where a hyperplane divides every minor (planted,
 or the two planes of the 4x6 PPT state's side A) it must not.
@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from detvar import catalog
+from detvar.factorization import _line_gcd, _random_exact_point
 from detvar.modp import (
     RANK_PRIME,
     gcd_mod_p,
@@ -32,9 +33,7 @@ from detvar.statefile import load_state
 from detvar.states import BipartiteState, random_separable
 from detvar.variety import (
     _cauchy_binet_certificate,
-    _line_gcd,
     _peel_linear_factors,
-    _random_exact_point,
     variety_of_state,
 )
 from test_lazy_minors import _gaussian_state

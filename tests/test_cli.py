@@ -296,3 +296,27 @@ def test_state_errors_exit_2_and_bugs_propagate(tmp_path, capsys, monkeypatch):
                 {"m": 1, "n": 2, "density": [[1, 0], [0, 0]]}):
         with pytest.raises(TypeError):
             parse_state(doc)
+
+
+def test_two_runs_build_one_parser(capsys, monkeypatch):
+    import argparse
+
+    from detvar import cli
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "detvar":
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    runs = [[run_cli(capsys, *argv) for argv in (["repro", "example1"],
+                                                 ["repro", "example2", "--t", "x"])]
+            for _ in range(2)]
+    assert len(built) == 1
+    (first_ok, first_bad), (second_ok, second_bad) = runs
+    assert first_ok[0] == second_ok[0] == 0 and first_bad[0] == second_bad[0] == 2
+    assert strip_runtime(json.loads(first_ok[1])) == strip_runtime(json.loads(second_ok[1]))
+    assert first_bad[1] == second_bad[1]

@@ -1,12 +1,23 @@
+"""The Q(i) linear-factor finder: the line peel (``linear_factors``) and the
+factor list of one form built on it (``linear_factorization``).
+
+An affine polynomial is factored through its homogenization, which has a
+Q(i)-linear factor exactly when the polynomial has one.  The factor lists
+are checked field by field against the exact factor engine the peel
+replaced (``reference_factor_engine``, kept verbatim), on random products
+of forms within that engine's shapes.
+"""
+
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from detvar.errors import UnsupportedShape
-from detvar.factorization import is_irreducible_cubic_over_gaussians, linear_factorization
+from detvar.factorization import _random_exact_point, linear_factorization, linear_factors
 from detvar.multipoly import LinearForm, Poly
 from detvar.scalars import ExactComplex
+from reference_factor_engine import linear_factorization as engine_factorization
 
 EC = ExactComplex
 F = Fraction
@@ -14,6 +25,12 @@ F = Fraction
 
 def three_vars():
     return (Poly.variable(i, 3) for i in range(3))
+
+
+def homogenize(p):
+    """The homogenization of a polynomial in two variables, in three."""
+    d = p.degree()
+    return Poly(3, {(e[0], e[1], d - e[0] - e[1]): c for e, c in p.terms.items()})
 
 
 def fermat_like():
@@ -26,6 +43,13 @@ def example_g():
     one = Poly.const(2, 1)
     return ((a ** 3).scale(2) + (a * a * b).scale(2) + (b * b).scale(4) - a * a
             + (a * b).scale(6) - a.scale(3) - b.scale(4) + one)
+
+
+def product(forms, nvars, unit=1):
+    p = Poly.const(nvars, unit)
+    for f in forms:
+        p = p * f.to_poly(nvars)
+    return p
 
 
 def test_split_with_extension_residual():
@@ -49,10 +73,8 @@ def test_monomial_split():
 
 
 def test_example_g_has_no_factor():
-    g = example_g()
-    fl = linear_factorization(g)
-    assert fl.linear_factors == []
-    assert is_irreducible_cubic_over_gaussians(g)
+    # an affine cubic with no Q(i)-linear factor is irreducible over Q(i)
+    assert linear_factorization(homogenize(example_g())).linear_factors == []
 
 
 def test_smooth_cubic_has_no_factor():
@@ -68,10 +90,10 @@ def test_affine_product_reconstruction():
     f1 = a + b.scale(EC(2)) + one.scale(EC(F(1, 2)))
     f2 = a.scale(EC(0, 1)) + b + one
     f3 = a - b.scale(EC(3))
-    prod = f1 * f2 * f3
+    prod = homogenize(f1 * f2 * f3)
     fl = linear_factorization(prod)
     assert len(fl.linear_factors) == 3 and fl.residual is None
-    assert fl.remultiply(2) == prod
+    assert fl.remultiply(3) == prod
 
 
 def test_repeated_affine_factor():
@@ -79,10 +101,10 @@ def test_repeated_affine_factor():
     one = Poly.const(2, 1)
     f1 = a + b.scale(EC(2)) + one.scale(EC(F(1, 2)))
     f3 = a - b.scale(EC(3))
-    prod = f1 * f1 * f3
+    prod = homogenize(f1 * f1 * f3)
     fl = linear_factorization(prod)
     assert len(fl.linear_factors) == 3
-    assert fl.remultiply(2) == prod
+    assert fl.remultiply(3) == prod
 
 
 def test_random_homogeneous_products():
@@ -95,9 +117,7 @@ def test_random_homogeneous_products():
             if all(c.is_zero() for c in coeffs):
                 coeffs[0] = EC(1)
             forms.append(LinearForm(coeffs, EC(0), normalize=False))
-        prod = Poly.const(3, 1)
-        for f in forms:
-            prod = prod * f.to_poly(3)
+        prod = product(forms, 3)
         fl = linear_factorization(prod)
         assert len(fl.linear_factors) == 3 and fl.residual is None
         assert fl.remultiply(3) == prod
@@ -109,12 +129,80 @@ def test_unit_scaling_preserved():
     assert fl.remultiply(3) == p
 
 
-def test_unsupported_shapes():
-    too_many = Poly.variable(0, 4) * Poly.variable(1, 4) * Poly.variable(2, 4) \
-        * Poly.variable(3, 4)
-    with pytest.raises(UnsupportedShape):
-        linear_factorization(too_many)
-    x, y = (Poly.variable(i, 2) for i in range(2))
-    quartic_affine = (x ** 4) + y + Poly.const(2, 1)
-    with pytest.raises(UnsupportedShape):
-        linear_factorization(quartic_affine)
+def test_no_shape_limit():
+    # four variables and degree 7 were beyond the engine's shapes
+    forms = [LinearForm.variable(i, 4) for i in range(4)]
+    fl = linear_factorization(product(forms, 4))
+    assert Counter(fl.linear_factors) == Counter(forms) and fl.residual is None
+    rng = random.Random(5)
+    forms = [LinearForm([1, EC(rng.randint(-5, 5), rng.randint(-5, 5)), F(k, 3)])
+             for k in range(7)]
+    p = product(forms, 3, unit=EC(2, 1))
+    fl = linear_factorization(p)
+    assert len(fl.linear_factors) == 7 and fl.residual is None
+    assert fl.remultiply(3) == p
+
+
+# -- field by field against the engine it replaced ----------------------------
+
+def _scalar(rng):
+    return EC(F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _engine_shaped_form(rng):
+    kind = rng.random()
+    if kind < 0.15:
+        return LinearForm([0, 0, 1])                     # the last variable alone
+    if kind < 0.3:
+        return LinearForm([0, 1, _scalar(rng)])          # y + c z
+    coeffs = [_scalar(rng) for _ in range(3)]
+    return LinearForm(coeffs if any(not c.is_zero() for c in coeffs) else [1, 0, 0])
+
+
+def _engine_shaped_product(rng):
+    x, y, z = three_vars()
+    while True:
+        forms = [_engine_shaped_form(rng) for _ in range(rng.randint(0, 3))]
+        forms += forms[:rng.randint(0, 1)]               # a repeated form
+        p = product(forms, 3, unit=_scalar(rng) or EC(1))
+        residual = rng.random()
+        if residual < 0.3:
+            p = p * (x * x + (y * y).scale(_scalar(rng)) + (z * x).scale(_scalar(rng))
+                     + (y * z).scale(_scalar(rng)))
+        elif residual < 0.45:
+            p = p * (x ** 3 + y ** 3 + z ** 3 - (x * y * z).scale(rng.randint(1, 5)))
+        if 1 <= p.degree() <= 6:
+            return p
+
+
+def test_factor_list_matches_the_engine_field_by_field():
+    rng = random.Random(28)
+    for _ in range(80):
+        p = _engine_shaped_product(rng)
+        got, want = linear_factorization(p), engine_factorization(p)
+        assert got.unit == want.unit
+        assert got.linear_factors == want.linear_factors
+        assert got.residual == want.residual
+
+
+# -- the stop rule --------------------------------------------------------------
+
+def _cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_fruitless_line_does_not_end_the_peel(count):
+    # l1 and l2 meet at the base of the peel's first line, so both
+    # restrictions vanish there to order 2 and that root gives no normal;
+    # the root still says that something may divide, so the peel must
+    # draw another line rather than stop
+    base = _random_exact_point(random.Random(20211), 3)
+    l1, l2 = (LinearForm(_cross(base, [EC(1), EC(k), EC(0, k)])) for k in (2, -3))
+    assert l1.evaluate(base).is_zero() and l2.evaluate(base).is_zero()
+    x, y, z = three_vars()
+    quadrics = [x * x + (y * z).scale(EC(3, 1)) - z * z, y * y - (x * z).scale(2) + x * y]
+    gens = [l1.to_poly(3) * l2.to_poly(3) * h for h in quadrics[:count]]
+    forms, rest = linear_factors(gens, 3)
+    assert Counter(forms) == Counter([l1, l2])
+    assert rest == quadrics[:count]

@@ -27,15 +27,14 @@ from fractions import Fraction
 
 import pytest
 
+from detvar.factorization import _line_gcd, _random_exact_point
 from detvar.modp import macaulay_full_rank, reduce_scalar
 from detvar.multipoly import restrict_to_line
 from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.variety import (
-    _line_gcd,
     _minors_mod_p,
     _pencil_mod_p,
-    _random_exact_point,
     membership,
     variety_of_state,
 )

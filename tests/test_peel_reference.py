@@ -10,9 +10,10 @@ order included; where it finds none, so must the exact peel.
 
 ``reference_small_peel`` is the former m <= 3 branch, kept verbatim: it
 factors the generator with the fewest terms with the exact factor engine
-and divides each factor out of every generator.  Its factor list is
-complete, so the line peel must find the same multiset of forms (in any
-order) and identical quotients.
+(``reference_factor_engine``, the engine itself kept verbatim) and divides
+each factor out of every generator.  Its factor list is complete, so the
+line peel must find the same multiset of forms (in any order) and
+identical quotients.
 
 The constructed states are exact ensembles in which pencil row k is
 l(r) * w for a chosen linear form l, so l divides every maximal minor.
@@ -28,23 +29,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detvar import variety as variety_mod
+from detvar import factorization as factorization_mod
 from detvar.catalog import ppt_4x6_state
-from detvar.errors import UnsupportedShape
-from detvar.factorization import linear_factorization
+from detvar.factorization import _divide_out, _random_exact_point, linear_factors
 from detvar.multipoly import CompiledSystem, LinearForm, restrict_to_line, univariate_roots
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.statefile import load_state
-from detvar.variety import (
-    _LINE_MISSES,
-    _divide_out,
-    _line_peel,
-    _peel_linear_factors,
-    _random_exact_point,
-    project_normalize,
-    variety_of_state,
-)
+from detvar.variety import _LINE_MISSES, _peel_linear_factors, project_normalize, variety_of_state
+from reference_factor_engine import UnsupportedShape, linear_factorization
 
 EC = ExactComplex
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -205,7 +198,7 @@ def test_nothing_to_peel_agrees_with_reference(state):
     v = variety_of_state(state, "A")
     assert _peel_linear_factors(v) == ([], None) and v._generators is None
     assert reference_peel(v) == ([], v.essential_generators)
-    assert _line_peel(v.essential_generators, v.m) == ([], v.essential_generators)
+    assert linear_factors(v.essential_generators, v.m) == ([], v.essential_generators)
 
 
 # -- what the point fit could not find ----------------------------------------
@@ -273,21 +266,16 @@ def test_form_met_at_infinity_is_peeled():
 def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
     v = variety_of_state(load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")), "A")
     gens = v.essential_generators
-    calls = Counter()
+    calls = []
+    real = factorization_mod.restrict_to_line
 
-    def spy(name):
-        real = getattr(variety_mod, name)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-        return wrapped
-
-    for name in ("restrict_to_line", "univariate_roots"):
-        monkeypatch.setattr(variety_mod, name, spy(name))
-    assert _line_peel(gens, v.m) == ([], gens)
-    assert 1 <= calls["restrict_to_line"] <= len(gens)
-    assert calls["univariate_roots"] == 0
+    monkeypatch.setattr(factorization_mod, "restrict_to_line", spy)
+    assert linear_factors(gens, v.m) == ([], gens)
+    assert 1 <= len(calls) <= len(gens)
 
 
 # -- the retired m <= 3 factor-engine branch ----------------------------------
@@ -345,16 +333,3 @@ def test_small_peel_matches_reference_on_constructed_states(shape, forms):
                            shape=shape)
     peeled = assert_same_small_peel(variety_of_state(state, "A"))
     assert Counter(peeled) == Counter(LinearForm(f) for f in forms)
-
-
-def test_small_peel_needs_no_factor_engine(monkeypatch):
-    from test_variety import _shared_direction_state
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return linear_factorization(*args, **kwargs)
-
-    monkeypatch.setattr(variety_mod, "linear_factorization", spy)
-    forms, _ = _peel_linear_factors(variety_of_state(_shared_direction_state(4, 2, seed=8)))
-    assert forms and not calls

@@ -1,8 +1,9 @@
 """The exact layers against sympy, on small random Q(i) inputs.
 
-``gaussian_rational_roots`` and ``linear_factorization`` are checked
-against sympy's factorization over QQ_I, ``symbolic_det`` against sympy's
-determinant.
+``gaussian_rational_roots`` and ``linear_factorization`` (the line peel's
+factor list; an affine polynomial is read through its homogenization) are
+checked against sympy's factorization over QQ_I, ``symbolic_det`` against
+sympy's determinant.
 """
 
 import random
@@ -18,6 +19,7 @@ from detvar.exactroots import gaussian_rational_roots  # noqa: E402
 from detvar.factorization import linear_factorization  # noqa: E402
 from detvar.multipoly import LinearForm, Poly, symbolic_det  # noqa: E402
 from detvar.scalars import ExactComplex  # noqa: E402
+from test_factorization import homogenize  # noqa: E402
 
 EC = ExactComplex
 X = sympy.symbols("x0:3")
@@ -95,6 +97,8 @@ def test_linear_factorization_matches_sympy(nvars, homogeneous, max_degree):
                 random_scalar(rng)) * Poly.variable(0, nvars))
         if p.degree() + 2 <= max_degree:
             p = p * quad
+        if not homogeneous:
+            p, nvars = homogenize(p), 3
         fl = linear_factorization(p)
         assert fl.remultiply(nvars) == p
         got = Counter(normalized_linear(poly_to_sympy(f.to_poly(nvars)), nvars)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadParams, SymbolicMismatch
-from .factorization import linear_factors
+from .factorization import linear_factorization
 from .linalg import Matrix
 from .multipoly import LinearForm, Poly, substitute_affine, symbolic_det
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
@@ -203,7 +203,7 @@ class ChartReduction:
     printed: Poly
     g_sign: int                            # g == g_sign * printed
     g_factors: List[LinearForm]            # Q(i) linear factors of g
-    g_irreducible: bool
+    g_irreducible: bool                    # no Q(i) linear factor, certified
 
     @property
     def component_nonlinear(self) -> bool:
@@ -268,10 +268,10 @@ def chart_reduction() -> ChartReduction:
     # a linear factor of g homogenizes, in the free third variable, to one
     # of g's homogenization, and back; a cubic without one is irreducible
     d = g.degree()
-    forms, _ = linear_factors([Poly(3, {(e[0], e[1], d - e[0] - e[1]): c
-                                        for e, c in g.terms.items()})], 3)
+    fl = linear_factorization(Poly(3, {(e[0], e[1], d - e[0] - e[1]): c
+                                       for e, c in g.terms.items()}))
     factors = [LinearForm([a, b, EC_ZERO], c, normalize=False)
-               for a, b, c in (f.coefficients for f in forms)]
+               for a, b, c in (f.coefficients for f in fl.linear_factors)]
     return ChartReduction(
         pencil=pencil,
         pencil_matches_printed=matches,
@@ -287,5 +287,5 @@ def chart_reduction() -> ChartReduction:
         printed=printed,
         g_sign=sign,
         g_factors=factors,
-        g_irreducible=not factors,
+        g_irreducible=fl.certified and not factors,
     )

@@ -20,11 +20,13 @@ from .scalars import EC_ZERO, ExactComplex
 
 class FactorList(NamedTuple):
     """unit * prod(linear_factors) * residual == the factored form, exactly;
-    residual is None after a full split."""
+    residual is None after a full split.  certified: a line proved that
+    the residual has no Q(i) linear factor (True after a full split)."""
 
     unit: ExactComplex
     linear_factors: List[LinearForm]
     residual: Optional[Poly]
+    certified: bool
 
     def remultiply(self, nvars: int) -> Poly:
         acc = Poly.const(nvars, self.unit)
@@ -90,15 +92,9 @@ def _hyperplane_normal(gens: Sequence[Poly], point: Sequence[ExactComplex],
     return None
 
 
-def linear_factors(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], List[Poly]]:
-    """The Q(i) hyperplanes dividing every one of the exact forms polys in
-    m variables, with multiplicity, and the quotients of positive degree
-    that remain.  One exact line per round, from the stream
-    random.Random(20211).  The peel stops when nothing is left, or on a
-    line that certifies that nothing more divides: a restriction of full
-    degree and a gcd with no Q(i) root.  A round that peels nothing
-    otherwise draws the next line; after m such rounds in a row the peel
-    ends uncertified."""
+def _peel(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], List[Poly], bool]:
+    """linear_factors, and whether the peel ended certified: nothing left,
+    or a line proved that nothing more divides."""
     forms: List[LinearForm] = []
     rng = random.Random(20211)
     current = list(polys)
@@ -111,7 +107,7 @@ def linear_factors(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], Lis
             continue
         roots = gaussian_rational_roots(common)
         if full_degree and not roots:
-            break
+            return forms, current, True
         candidates = [([b + s * d for b, d in zip(base, direction)], k) for s, k in roots]
         if not full_degree:
             candidates.append((direction, 1))
@@ -124,7 +120,19 @@ def linear_factors(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], Lis
                 forms.append(form)
                 current = rest
                 misses = 0
-    return forms, current
+    return forms, current, not current
+
+
+def linear_factors(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], List[Poly]]:
+    """The Q(i) hyperplanes dividing every one of the exact forms polys in
+    m variables, with multiplicity, and the quotients of positive degree
+    that remain.  One exact line per round, from the stream
+    random.Random(20211).  The peel stops when nothing is left, or on a
+    line that certifies that nothing more divides: a restriction of full
+    degree and a gcd with no Q(i) root.  A round that peels nothing
+    otherwise draws the next line; after m such rounds in a row the peel
+    ends uncertified."""
+    return _peel(polys, m)[:2]
 
 
 def _factor_key(form: LinearForm, used: List[int]) -> tuple:
@@ -138,12 +146,13 @@ def _factor_key(form: LinearForm, used: List[int]) -> tuple:
 def linear_factorization(g: Poly) -> FactorList:
     """Every Q(i) linear factor of the exact form g, with multiplicity,
     found by linear_factors: the unit is g's leading coefficient, the
-    residual what remains made monic, or None after a full split.  On the
+    residual what remains made monic, or None after a full split, and
+    certified whether the peel ended on a certificate.  On the
     coefficients c of g's used variables, the factors come in the last
     used variable alone first, then those with c_0 != 0 by -c_1 and c_2,
     then the rest by c_2, each real part before its imaginary part."""
-    forms, rest = linear_factors([g], g.nvars)
+    forms, rest, certified = _peel([g], g.nvars)
     used = g.used_vars()
     forms.sort(key=lambda f: _factor_key(f, used))
     residual = rest[0].scale(rest[0].leading()[1].inverse()) if rest else None
-    return FactorList(g.leading()[1], forms, residual)
+    return FactorList(g.leading()[1], forms, residual, certified)

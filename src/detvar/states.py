@@ -46,14 +46,6 @@ Weight = object  # Fraction (exact) or float (approx)
 Vector = Tuple[object, ...]  # ExactComplex or complex entries
 
 
-def _vec_norm_sq(v: Sequence) -> Fraction:
-    """||v||^2 of an exact vector, as one Fraction."""
-    acc = Fraction(0)
-    for x in v:
-        acc += x.norm_sq()
-    return acc
-
-
 def unit_scaled(v: Sequence) -> List[complex]:
     """The ray v as floats times 2**-e, e the binary exponent of its
     largest real or imaginary part, which then lies in [1/2, 1).  Scaling

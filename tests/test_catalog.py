@@ -12,6 +12,7 @@ from detvar.catalog import (
     ppt_4x6_state,
     printed_g,
 )
+from detvar import factorization as factorization_mod
 from detvar.errors import BadParams
 from detvar.exactroots import gaussian_rational_roots
 from detvar.factorization import _line_gcd, _random_exact_point
@@ -99,6 +100,14 @@ def test_reduction_g_irreducible(reduction):
     line = _random_exact_point(rng, 3), _random_exact_point(rng, 3)
     common, full_degree = _line_gcd([homogeneous], *line)
     assert full_degree and gaussian_rational_roots(common) == []
+
+
+def test_reduction_claims_irreducible_only_on_a_certificate(monkeypatch):
+    # a fake Q(i) root on every line: no factor is found, none is ruled out
+    monkeypatch.setattr(factorization_mod, "gaussian_rational_roots",
+                        lambda coeffs: [(ExactComplex(0), 1)])
+    cr = chart_reduction()
+    assert cr.g_factors == [] and not cr.g_irreducible
 
 
 def test_reduction_renders_deterministically(reduction):

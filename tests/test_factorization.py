@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from detvar import factorization as factorization_mod
 from detvar.factorization import _random_exact_point, linear_factorization, linear_factors
 from detvar.multipoly import LinearForm, Poly
 from detvar.scalars import ExactComplex
@@ -206,3 +207,20 @@ def test_a_fruitless_line_does_not_end_the_peel(count):
     forms, rest = linear_factors(gens, 3)
     assert Counter(forms) == Counter([l1, l2])
     assert rest == quadrics[:count]
+
+
+def test_an_uncertified_peel_says_so(monkeypatch):
+    # every line starts on the conic, so each restriction has a Q(i) root
+    # (and a second one: a line through a rational point of a conic meets
+    # it again rationally) that gives no dividing form; after m fruitless
+    # lines the peel ends without a certificate
+    x, y, z = three_vars()
+    conic = x * y - z * z
+    draws = iter([[EC(1), EC(1), EC(1)], [EC(2), EC(-1), EC(3)]] * 3)
+    monkeypatch.setattr(factorization_mod, "_random_exact_point", lambda rng, m: next(draws))
+    fl = linear_factorization(conic)
+    assert fl.linear_factors == [] and fl.remultiply(3) == conic
+    assert not fl.certified
+    monkeypatch.undo()
+    assert linear_factorization(conic).certified
+    assert linear_factorization(product([LinearForm([EC(1), EC(2), EC(0)])], 3)).certified

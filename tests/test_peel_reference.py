@@ -22,6 +22,7 @@ denominator) and pin what the exact peel adds.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detvar import factorization as factorization_mod
 from detvar.catalog import ppt_4x6_state
 from detvar.factorization import _divide_out, _random_exact_point, linear_factors
 from detvar.multipoly import CompiledSystem, LinearForm, restrict_to_line, univariate_roots
@@ -266,16 +266,22 @@ def test_form_met_at_infinity_is_peeled():
 def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
     v = variety_of_state(load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")), "A")
     gens = v.essential_generators
-    calls = []
-    real = factorization_mod.restrict_to_line
+    calls = Counter()
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(factorization_mod, "restrict_to_line", spy)
+    # every binding of the float root finder, so the exact peel is seen to take none
+    for module in [m for name, m in sys.modules.items() if name.startswith("detvar")]:
+        for name in ("restrict_to_line", "univariate_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     assert linear_factors(gens, v.m) == ([], gens)
-    assert 1 <= len(calls) <= len(gens)
+    assert 1 <= calls["restrict_to_line"] <= len(gens)
+    assert calls["univariate_roots"] == 0
 
 
 # -- the retired m <= 3 factor-engine branch ----------------------------------

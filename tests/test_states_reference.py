@@ -15,7 +15,7 @@ import pytest
 from detvar import catalog, states
 from detvar.linalg import Matrix
 from detvar.scalars import EC_ZERO, ExactComplex
-from detvar.states import BipartiteState, _vec_norm_sq
+from detvar.states import BipartiteState
 
 EC = ExactComplex
 F = Fraction
@@ -24,6 +24,14 @@ F = Fraction
 # ---------------------------------------------------------------------------
 # The reference (the old exact branch, verbatim)
 # ---------------------------------------------------------------------------
+
+def _vec_norm_sq(v) -> Fraction:
+    """||v||^2 of an exact vector, as one Fraction."""
+    acc = Fraction(0)
+    for x in v:
+        acc += x.norm_sq()
+    return acc
+
 
 def density_from_ensemble(s: BipartiteState) -> Matrix:
     terms = s.ensemble_terms()

@@ -97,17 +97,17 @@ def test_linear_factorization_matches_sympy(nvars, homogeneous, max_degree):
                 random_scalar(rng)) * Poly.variable(0, nvars))
         if p.degree() + 2 <= max_degree:
             p = p * quad
-        if not homogeneous:
-            p, nvars = homogenize(p), 3
-        fl = linear_factorization(p)
-        assert fl.remultiply(nvars) == p
-        got = Counter(normalized_linear(poly_to_sympy(f.to_poly(nvars)), nvars)
+        q, k = (p, nvars) if homogeneous else (homogenize(p), 3)
+        fl = linear_factorization(q)
+        assert fl.remultiply(k) == q
+        got = Counter(normalized_linear(poly_to_sympy(f.to_poly(k)), k)
                       for f in fl.linear_factors)
-        _, factors = sympy.Poly(poly_to_sympy(p), *X[:nvars], domain="QQ_I").factor_list()
+        assert sum(got.values()) >= len(forms)
+        _, factors = sympy.Poly(poly_to_sympy(q), *X[:k], domain="QQ_I").factor_list()
         want = Counter()
         for f, m in factors:
             if f.total_degree() == 1:
-                want[normalized_linear(f.as_expr(), nvars)] += m
+                want[normalized_linear(f.as_expr(), k)] += m
         assert got == want
 
 

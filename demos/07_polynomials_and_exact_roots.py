@@ -3,9 +3,11 @@
 The load-bearing primitive is complete Gaussian-rational root finding for
 univariate polynomials: roots modulo a prime p = 1 (mod 4), where Z[i]
 maps onto F_p, Hensel-lifted p-adically, read back as fractions by rational
-reconstruction and checked by exact evaluation.  Rational roots are the
-real ones among them.  No floating point, no integer factorization, and
-"no root" comes back as a certificate rather than a shrug.
+reconstruction and checked by exact evaluation.  Most calls stop sooner:
+an image with no root modulo one of the first few such primes proves that
+there is no Q(i) root at all.  Rational roots are the real ones among the
+Gaussian-rational roots.  No floating point, no integer factorization,
+and "no root" comes back as a certificate rather than a shrug.
 """
 
 from fractions import Fraction

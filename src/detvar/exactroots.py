@@ -14,7 +14,9 @@ reduces to a root of both images of the polynomial in F_p; the roots of
 the images are found by trying every residue, Hensel-lifted to a p-adic
 precision past a size bound, recombined into real and imaginary parts,
 read back as fractions by rational reconstruction and verified by exact
-evaluation.  The argument is in ``gaussian_rational_roots``.
+evaluation.  Before any of that, an image with no root in F_p at one of a
+few small split primes proves that there is no root at all, which is the
+common answer.  The argument is in ``gaussian_rational_roots``.
 """
 
 from __future__ import annotations
@@ -111,18 +113,52 @@ def _reconstruct(a: int, m: int, bound: int) -> Optional[Fraction]:
     return Fraction(r1, t1) if abs(t1) <= bound else None
 
 
+# How many split primes the no-root exit tries on f itself, among those at
+# which neither image of the leading coefficient vanishes
+NO_ROOT_PRIMES = 4
+
+
+def _gaussian_integer_parts(f: ECPoly) -> Tuple[List[int], List[int]]:
+    """The real and imaginary parts of f times the lcm of its denominators."""
+    den = lcm(*(c.fields[2] for c in f))
+    fields = [c.fields for c in f]
+    return [a * (den // d) for a, _, d in fields], [b * (den // d) for _, b, d in fields]
+
+
+def _images(re: List[int], im: List[int], p: int) -> List[List[int]]:
+    """The images in F_p of the polynomial re + i*im under i -> s_p and
+    i -> -s_p, s_p = sqrt_minus_one(p)."""
+    sp = sqrt_minus_one(p)
+    return [[(a + b * sp) % p for a, b in zip(re, im)],
+            [(a - b * sp) % p for a, b in zip(re, im)]]
+
+
+def _no_root_mod_p(f: ECPoly) -> bool:
+    """True when an image of f has no root in F_p at one of the first
+    NO_ROOT_PRIMES split primes p at which neither image of the leading
+    coefficient vanishes: then f has no root in Q(i)."""
+    re, im = _gaussian_integer_parts(f)
+    tried = 0
+    for p in _split_primes():
+        images = _images(re, im, p)
+        if not all(c[-1] for c in images):
+            continue  # pi divides the leading coefficient
+        if any(all(_horner(c, t, p) for t in range(p)) for c in images):
+            return True
+        tried += 1
+        if tried == NO_ROOT_PRIMES:
+            return False
+    raise AssertionError("unreachable: the prime walk has no end")
+
+
 def _modular_roots(s: ECPoly) -> List[ExactComplex]:
     """The roots in Q(i) of the squarefree s (see gaussian_rational_roots)."""
-    den = lcm(*(x.denominator for c in s for x in (c.re, c.im)))
-    re = [int(c.re * den) for c in s]
-    im = [int(c.im * den) for c in s]
+    re, im = _gaussian_integer_parts(s)
     norm_lc = re[-1] ** 2 + im[-1] ** 2
     top = max(a * a + b * b for a, b in zip(re[:-1], im[:-1]))
     bound = (2 + isqrt(top // norm_lc)) * norm_lc
     for p in _split_primes():
-        sp = sqrt_minus_one(p)
-        images = [[(a + b * sp) % p for a, b in zip(re, im)],
-                  [(a - b * sp) % p for a, b in zip(re, im)]]
+        images = _images(re, im, p)
         if not all(c[-1] for c in images):
             continue  # pi divides the leading coefficient
         roots = [[t for t in range(p) if _horner(c, t, p) == 0] for c in images]
@@ -134,7 +170,7 @@ def _modular_roots(s: ECPoly) -> List[ExactComplex]:
         m = p
         while m <= 2 * bound * bound:
             m *= m
-        sm = _hensel([1, 0, 1], sp, p, m)
+        sm = _hensel([1, 0, 1], sqrt_minus_one(p), p, m)
         lifted = [[_hensel([(a + sign * b * sm) % m for a, b in zip(re, im)], t, p, m)
                    for t in rs] for sign, rs in zip((1, -1), roots)]
         half, half_i = pow(2, -1, m), pow(2 * sm, -1, m)
@@ -178,11 +214,17 @@ def gaussian_rational_roots(f: ECPoly) -> List[Tuple[ExactComplex, int]]:
     rational reconstruction modulo p^k returns x and y exactly.  Every
     candidate is checked by exact evaluation, so a pair of lifted roots
     that belongs to no root of s is dropped.
+
+    The no-root exit.  The first step of the argument holds for f itself,
+    squarefree or not: a root a/beta of f has beta | lc(f).  So f is first
+    reduced at NO_ROOT_PRIMES split primes at which neither image of lc(f)
+    vanishes, and when an image has no root in F_p there is no root in
+    Q(i), with no squarefree part and no lift.
     """
     f = ec_trim([ExactComplex.coerce(c) for c in f])
     if not f:
         raise ValueError("zero polynomial")
-    if len(f) == 1:
+    if len(f) == 1 or _no_root_mod_p(f):
         return []
     g = ec_gcd(f, ec_deriv(f))
     s = ec_divmod(f, g)[0] if len(g) > 1 else f

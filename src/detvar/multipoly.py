@@ -16,6 +16,7 @@ bits are those Poly's own +, - and * would give.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from itertools import combinations
@@ -52,6 +53,11 @@ def _is_zero_coeff(c, kind: str) -> bool:
 
 def grlex_key(exps: Exponents):
     return (sum(exps), exps)
+
+
+def _heap_entry(exps: Exponents):
+    """A min-heap entry whose order is descending grlex order on exps."""
+    return (-sum(exps), tuple(-k for k in exps), exps)
 
 
 class Poly:
@@ -213,17 +219,40 @@ class Poly:
         return Poly(self.nvars, out, self.kind)
 
     def evaluate(self, point: Sequence):
-        """Exact when both the poly and the point are exact, else complex."""
+        """Exact when both the poly and the point are exact, else complex.
+
+        Exactly, with the poly P/D and the point X/L over Z[i]: each term
+        c*x^e of P contributes c * L^(deg - |e|) * X^e on Gaussian integers,
+        from one power table per coordinate, and the sum is read once over
+        D * L^deg."""
+        if len(point) != self.nvars:
+            raise ArityMismatch(f"point has {len(point)} coordinates, not {self.nvars}")
         exact = self.kind == "exact" and all(isinstance(x, ExactComplex) for x in point)
         if exact:
-            acc = EC_ZERO
+            if not self.terms:
+                return EC_ZERO
+            deg = self.degree()
+            big_l = lcm(*(x.fields[2] for x in point))
+            scales = [lcm(*(c.fields[2] for c in self.terms.values()))]
+            for _ in range(deg):
+                scales.append(scales[-1] * big_l)
+            tables = []
+            for i, x in enumerate(point):
+                row = [(1, 0)]
+                xi = _gi_times(x, big_l)
+                for _ in range(max(e[i] for e in self.terms)):
+                    row.append(_gi_mul(row[-1], xi))
+                tables.append(row)
+            re = im = 0
             for e, c in self.terms.items():
-                term = c
-                for i, k in enumerate(e):
-                    for _ in range(k):
-                        term = term * point[i]
-                acc = acc + term
-            return acc
+                a, b = _gi_times(c, scales[deg - sum(e)])
+                for row, k in zip(tables, e):
+                    if k:
+                        u, w = row[k]
+                        a, b = a * u - b * w, a * w + b * u
+                re += a
+                im += b
+            return from_fields(re, im, scales[deg])
         pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
         acc = 0j
         for e, c in self.terms.items():
@@ -258,7 +287,10 @@ class Poly:
     def exact_div(self, q: "Poly") -> "Poly":
         """Exact quotient self/q; raises DivisionByZero / ValueError if q is
         zero or does not divide self.  Leading-term elimination in graded
-        lex order, valid precisely because the division is exact."""
+        lex order, valid precisely because the division is exact.  The
+        leading remainder term comes off a heap of grlex keys: every term
+        an elimination adds lies below the one it removes, so the heap's
+        top, once its cancelled entries are skipped, is the leading term."""
         self._require_same_ring(q)
         if self.kind != "exact":
             raise TypeError("exact_div on approx polynomials")
@@ -267,22 +299,34 @@ class Poly:
         if self.is_zero():
             return Poly.zero(self.nvars, self.kind)
         lead_q, cq = q.leading()
+        inv = cq.inverse()
+        tail = [(e, c) for e, c in q.terms.items() if e != lead_q]
         rem = dict(self.terms)
+        heap = [_heap_entry(e) for e in rem]
+        heapq.heapify(heap)
         quot: Dict[Exponents, object] = {}
         while rem:
-            e = max(rem, key=grlex_key)
+            e = heapq.heappop(heap)[2]
+            c = rem.pop(e, None)
+            if c is None:
+                continue  # cancelled after it was pushed
             diff = tuple(a - b for a, b in zip(e, lead_q))
             if any(d < 0 for d in diff):
                 raise ValueError("polynomial division is not exact")
-            c = rem[e] / cq
+            c = c * inv
             quot[diff] = c
-            for e2, c2 in q.terms.items():
+            for e2, c2 in tail:
                 tgt = tuple(a + b for a, b in zip(diff, e2))
-                val = rem.get(tgt, EC_ZERO) - c * c2
-                if val.is_zero():
-                    rem.pop(tgt, None)
+                old = rem.get(tgt)
+                if old is None:
+                    rem[tgt] = -(c * c2)
+                    heapq.heappush(heap, _heap_entry(tgt))
                 else:
-                    rem[tgt] = val
+                    val = old - c * c2
+                    if val.is_zero():
+                        del rem[tgt]
+                    else:
+                        rem[tgt] = val
         return Poly(self.nvars, quot, self.kind)
 
     def divides_into(self, p: "Poly") -> Optional["Poly"]:

@@ -62,9 +62,14 @@ def parse_scalar(obj, path: str) -> Scalar:
     if isinstance(obj, (int, float)):
         return _finite(obj, 0, path)
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(x, (int, float)) for x in obj):
-            raise StateFileError(path, "pair form must be [re, im] numbers")
-        return _finite(obj[0], obj[1], path)
+        if len(obj) == 2:
+            re, im = obj
+            if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+                if type(re) is bool or type(im) is bool:
+                    part = 0 if type(re) is bool else 1
+                    raise StateFileError(f"{path}[{part}]", "booleans are not numbers")
+                return _finite(re, im, path)
+        raise StateFileError(path, "pair form must be [re, im] numbers")
     if isinstance(obj, dict):
         # a part left out is zero in the form of the other
         re = obj.get("re", "0" if isinstance(obj.get("im"), str) else 0)
@@ -80,6 +85,9 @@ def parse_scalar(obj, path: str) -> Scalar:
                 raise StateFileError(path, f"bad rational literal: {exc}")
             return from_fields(a * s, b * q, q * s)
         if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+            if type(re) is bool or type(im) is bool:
+                part = "re" if type(re) is bool else "im"
+                raise StateFileError(f"{path}.{part}", "booleans are not numbers")
             return _finite(re, im, path)
         raise StateFileError(path, "re/im must both be strings or both numbers")
     raise StateFileError(path, f"cannot interpret {type(obj).__name__} as a scalar")

@@ -39,6 +39,22 @@ def test_scalar_parsing_forms():
         parse_scalar({"re": "1/2", "im": 0.5}, "field")
 
 
+def test_boolean_in_a_pair_is_no_scalar():
+    for obj, field in (([True, 1.0], "density[0][1][0]"), ([0.5, False], "density[0][1][1]"),
+                       ([1, True], "density[0][1][1]")):
+        with pytest.raises(StateFileError, match="booleans") as err:
+            parse_scalar(obj, "density[0][1]")
+        assert err.value.field == field
+
+
+def test_boolean_in_numeric_parts_is_no_scalar():
+    for obj, field in (({"re": True, "im": 1.0}, "x.re"), ({"re": 0.5, "im": False}, "x.im"),
+                       ({"im": True}, "x.im"), ({"re": False}, "x.re")):
+        with pytest.raises(StateFileError, match="booleans") as err:
+            parse_scalar(obj, "x")
+        assert err.value.field == field
+
+
 def test_scalar_render_roundtrip():
     for x in (EC(F(1, 3), F(-2, 7)), 1.25 + 0j, 0.5 - 0.25j):
         back = parse_scalar(render_scalar(x), "x")

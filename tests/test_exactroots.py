@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detvar import exactroots
 from detvar.exactroots import ec_divmod, ec_gcd, gaussian_rational_roots, rational_roots
@@ -115,22 +117,39 @@ def walk(monkeypatch):
     return seen
 
 
+def test_no_root_exit_before_the_lift(monkeypatch):
+    # x^2 - 2 has the roots +-6 mod 17 but none mod 29, where 2 is no
+    # square.  A leading 13 spends the first prime of the walk, so the
+    # no-root exit passes 17 and ends the walk at 29, before the squarefree
+    # part and the lift.
+    assert pow(6, 2, 17) == 2 and pow(2, 14, 29) == 28
+    seen = walk(monkeypatch)
+    monkeypatch.setattr(exactroots, "ec_gcd", lambda *args: pytest.fail("squarefree part"))
+    assert gaussian_rational_roots([EC(-26), EC(0), EC(13)]) == []
+    assert seen["primes"] == [13, 17, 29] and seen["reconstructions"] == 0
+
+
 def test_roots_mod_p_that_lift_to_no_root(monkeypatch):
-    # x^2 - 2 has the roots +-6 mod 17 but none in Q(i).  A leading 13
-    # spends the first prime of the walk, so the finder lifts at 17 and
-    # rejects every reconstruction.
+    # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root modulo every prime, since one
+    # of 2, 3 and 6 is a square, but none in Q(i).  A leading 13 spends the
+    # first prime of each walk: the no-root exit tries 17, 29, 37 and 41,
+    # then the finder lifts the roots +-6 mod 17 and rejects every
+    # reconstruction.
     assert pow(6, 2, 17) == 2
     seen = walk(monkeypatch)
-    assert gaussian_rational_roots([EC(-26), EC(0), EC(13)]) == []
-    assert seen["primes"] == [13, 17] and seen["reconstructions"] > 0
+    p = ec_mul([EC(13)], ec_mul([EC(-2), EC(0), EC(1)],
+                                ec_mul([EC(-3), EC(0), EC(1)], [EC(-6), EC(0), EC(1)])))
+    assert gaussian_rational_roots(p) == []
+    assert seen["primes"] == [13, 17, 29, 37, 41, 13, 17] and seen["reconstructions"] > 0
 
 
 def test_leading_coefficient_skips_primes(monkeypatch):
-    # 221 = 13 * 17 vanishes at the first two primes of the walk
+    # 221 = 13 * 17 vanishes at the first two primes of both walks: the
+    # no-root exit tries the next four, the lift takes the first of them
     seen = walk(monkeypatch)
     p = ec_mul([EC(221)], ec_mul([EC(F(-1, 2)), EC(1)], [EC(3), EC(1)]))
     assert gaussian_rational_roots(p) == [(EC(-3), 1), (EC(F(1, 2)), 1)]
-    assert seen["primes"] == [13, 17, 29]
+    assert seen["primes"] == [13, 17, 29, 37, 41, 53, 13, 17, 29]
 
 
 def test_leading_coefficient_vanishing_in_one_image(monkeypatch):
@@ -139,7 +158,22 @@ def test_leading_coefficient_vanishing_in_one_image(monkeypatch):
     seen = walk(monkeypatch)
     p = ec_mul([EC(3, 2)], ec_mul([EC(-1), EC(1)], [EC(0, -1), EC(1)]))
     assert gaussian_rational_roots(p) == [(EC(0, 1), 1), (EC(1), 1)]
-    assert seen["primes"] == [13, 17]
+    assert seen["primes"] == [13, 17, 29, 37, 41, 13, 17]
+
+
+_gaussian_rationals = st.builds(
+    lambda a, b, d: EC(F(a, d), F(b, d)),
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cofactor=st.lists(_gaussian_rationals, min_size=1, max_size=6)
+       .filter(lambda c: not c[-1].is_zero()),
+       root=_gaussian_rationals)
+def test_no_root_exit_never_fires_on_a_planted_root(cofactor, root):
+    p = ec_mul(cofactor, [-root, EC(1)])
+    assert not exactroots._no_root_mod_p(p)
+    assert root in dict(gaussian_rational_roots(p))
 
 
 def test_roots_with_denominator_the_norm_of_the_leading_coefficient():

@@ -54,6 +54,18 @@ def test_ring_ops():
         _ = x + Poly.variable(0, 2)
 
 
+def test_evaluate_checks_the_arity_of_the_point():
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    p = x * x + y
+    assert p.evaluate([EC(1), EC(2)]) == EC(3)
+    assert p.evaluate([1, 2]) == 3
+    for point in ([EC(1), EC(2), EC(99)], [EC(1)], [1, 2, 99], [1], []):
+        with pytest.raises(ArityMismatch):
+            p.evaluate(point)
+    with pytest.raises(ArityMismatch):
+        p.to_approx().evaluate([EC(1), EC(2), EC(99)])
+
+
 def test_symbolic_det_family_cubic():
     for t3 in (Fraction(8), Fraction(-27), Fraction(27), Fraction(3, 5)):
         assert symbolic_det(family_pencil(t3)) == family_cubic(t3)

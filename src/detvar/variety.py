@@ -19,13 +19,14 @@ empty is never sampled.
 
 The symbolic minors are built when something first reads them.  A float
 V is built from its pencil alone, its nonzero minors counted numerically
-when the count is first read; only t < n makes it Full.  On an exact
-pencil in m >= 4 variables, or in m = 3 with t > n, a screen modulo a
-prime shows that every minor is nonzero and that some minor is not a
-monomial.  The Macaulay certificate reads the same reduction, so a V
-certified finite or empty never builds a symbolic minor; nor does the
-exact peel where a certificate modulo the same prime shows, first, that
-nothing is to be peeled.
+when the count is first read; only t < n makes it Full.  An exact square
+pencil (t = n) is expanded at once: its one minor, det N, goes to the
+line peel in any number of variables.  On an exact pencil with t > n in
+m >= 3 variables, a screen modulo a prime shows that every minor is
+nonzero and that some minor is not a monomial.  The Macaulay certificate
+reads the same reduction, so a V certified finite or empty never builds
+a symbolic minor; nor does the exact peel where a certificate modulo the
+same prime shows, first, that nothing is to be peeled.
 
 Every V is sampled on its pencil, not on its minors (an exact one on its
 float image; a float one of numerical rank below n at random points):
@@ -430,8 +431,9 @@ def _minor_screen(p: PencilMatrix) -> bool:
     f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
     fails it is not a monomial, and the monomial test for Empty cannot
     hold.  False proves nothing; the caller then expands the minors.  Each
-    of the four points costs one run of the integer minor kernel.  A float
-    pencil is never screened (variety_generators)."""
+    of the four points costs one run of the integer minor kernel.  Only an
+    exact pencil with t > n in m >= 3 variables is screened
+    (variety_generators)."""
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
     r = [rng.randrange(1, prime) for _ in range(p.m)]
@@ -461,21 +463,20 @@ def variety_generators(p: PencilMatrix) -> Variety:
 
     A float pencil is neither expanded, screened nor reduced modulo a prime
     here; its dimension is for _dimension_verdict alone, and its count of
-    nonzero minors is taken when first read.  An exact pencil in m >= 4
-    variables, or in m = 3 with t > n (there the Eagon-Northcott gate of
-    linearity_decide), is screened: where the screen passes every minor is
-    nonzero and V is neither Full nor Empty by the monomial test, and the
-    minors are built when something reads them.  The exact peel reads them
-    only where it cannot first certify that nothing is to be peeled
-    (_peel_linear_factors).  A square pencil in three variables, whose
-    determinant the exact peel splits, and a pencil the screen proves
-    nothing about, are expanded at once.
+    nonzero minors is taken when first read.  An exact pencil with t > n
+    in m >= 3 variables is screened: where the screen passes every minor
+    is nonzero and V is neither Full nor Empty by the monomial test, and
+    the minors are built when something reads them.  The exact peel reads
+    them only where it cannot first certify that nothing is to be peeled
+    (_peel_linear_factors).  A square pencil, whose determinant the exact
+    peel always splits, a pencil in m <= 2 variables, and a pencil the
+    screen proves nothing about, are expanded at once.
     """
     if p.t < p.n:
         return Variety(p, [], "Full", essential_count=0)
     if p.kind != "exact":
         return Variety(p, None, None)
-    if (p.m >= 4 or (p.m == 3 and p.t > p.n)) and _minor_screen(p):
+    if p.m >= 3 and p.t > p.n and _minor_screen(p):
         return Variety(p, None, None, essential_count=comb(p.t, p.n))
     gens = _pencil_minors(p)
     return Variety(p, gens, _structural(gens, p.m))
@@ -609,15 +610,12 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     verified by exact division first, so the result is a certificate, not
     a guess.
 
-    Two cases are settled before any minor is expanded, and return ([],
-    None): nothing peeled, V's own minors remain.  For t > n, the
-    Cauchy-Binet certificate (_cauchy_binet_certificate, on a line from a
-    stream of its own) may prove that the minors share no factor, which is
-    the line peel's own stop rule, certified.  For t = n in m >= 4
-    variables, the integer kernel may show det N using four or more
-    variables (_det_variable_count); such a determinant stays unexpanded
-    and unpeeled.  Otherwise the minors are read and go to the line peel
-    (factorization.linear_factors), one generator or several.
+    For t > n, the Cauchy-Binet certificate (_cauchy_binet_certificate,
+    on a line from a stream of its own) may prove before any minor is
+    expanded that the minors share no factor, which is the line peel's own
+    stop rule, certified; then ([], None) is returned: nothing peeled, V's
+    own minors remain.  Otherwise the minors are read and go to the line
+    peel (factorization.linear_factors), one generator or several.
 
     One generator, an exact hypersurface, is split into its factor list
     (linear_factorization), which is kept on the variety.  When a residual
@@ -632,8 +630,6 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
         base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
         if _cauchy_binet_certificate(pencil, base, direction, rng):
             return [], None
-    elif pencil.t == v.n and v.m >= 4 and _det_variable_count(pencil) >= 4:
-        return [], None
     gens = v.essential_generators
     if len(gens) != 1:
         return linear_factors(gens, v.m)
@@ -671,19 +667,6 @@ def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
                   for s in range(p.n + 1)]
         fs.append(interpolate_mod_p(values, prime))
     return len(gcd_mod_p(fs[0], fs[1], prime)) == 1 and any(f[-1] for f in fs)
-
-
-def _det_variable_count(p: PencilMatrix) -> int:
-    """How many variables det N of a square exact pencil is seen to use
-    modulo the pencil's prime: x_j counts where det N(r) and
-    det N(r + e_j) differ, r random.  A difference proves that x_j occurs
-    in det N; an equality proves nothing, so the count is a lower bound."""
-    prime, forms = p.mod_p()
-    rng = random.Random("det-variables")
-    r = [rng.randrange(1, prime) for _ in range(p.m)]
-    at_r = _minor_values(forms, r, prime)
-    return sum(_minor_values(forms, r[:j] + [r[j] + 1] + r[j + 1:], prime) != at_r
-               for j in range(p.m))
 
 
 def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,

@@ -30,7 +30,7 @@ from detvar.modp import (
 from detvar.multipoly import INTEGERS, minor_terms
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
-from detvar.states import BipartiteState, random_separable
+from detvar.states import random_separable
 from detvar.variety import (
     _cauchy_binet_certificate,
     _peel_linear_factors,
@@ -150,23 +150,19 @@ def test_certified_peel_and_planes_of_ppt_side_a():
     assert len(forms) == 2 and rest
 
 
-def test_a_square_pencil_in_four_variables_stays_unexpanded():
-    # det N of a generic 4x4 r4 state uses all four variables, which the
-    # single-generator branch leaves unpeeled; one in three variables is
-    # read, for the exact factor split
+def test_a_square_pencil_is_expanded_at_build_and_split_by_the_peel():
+    # t = n in four variables: no screen and no certificate; det N is
+    # expanded when V is built, and the line peel reads it.  A generic
+    # 4x4 r4 determinant has no Q(i) linear factor, certified; a separable
+    # one splits into four forms that re-multiply to it
     v = variety_of_state(_gaussian_state(4, 4, 4, 1))
-    assert _peel_linear_factors(v) == ([], None) and v._generators is None
-    w = variety_of_state(BipartiteState(4, 3, ensemble=_three_variable_rays(), validate=False))
-    forms, rest = _peel_linear_factors(w)
-    assert w._generators is not None and rest is not None
-
-
-def _three_variable_rays():
-    """A 4x3 rank-3 ensemble whose fourth block of each ray is zero, so
-    det N(r) does not involve r_4 (and the pencil is square)."""
-    rng = random.Random(11)
-    rays = []
-    for _ in range(3):
-        rays.append((Fraction(1, 3), tuple(EC(rng.randint(-3, 3), rng.randint(-3, 3))
-                                           if i < 9 else EC(0) for i in range(12))))
-    return rays
+    assert v._generators is not None
+    assert _peel_linear_factors(v) == ([], [v._factor_list.residual])
+    assert v._factor_list.linear_factors == [] and v._factor_list.certified
+    assert v._factor_list.remultiply(4) == v.essential_generators[0]
+    w = variety_of_state(random_separable(4, 4, 4, seed=1))
+    assert w._generators is not None
+    assert _peel_linear_factors(w) == ([], w.essential_generators)
+    fl = w._factor_list
+    assert fl.residual is None and len(fl.linear_factors) == 4
+    assert fl.remultiply(4) == w.essential_generators[0]

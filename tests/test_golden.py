@@ -35,11 +35,12 @@ cases pin the ``factorization`` field of a square pencil's determinant:
 three Q(i) forms and is a LinearUnion, and ``line_times_conic_3x3`` (one
 product ray and two entangled Gaussian-rational rays) splits into one
 form times a conic on which the witness lies.  Two 4x4 square pencils
-pin the determinant of a pencil in four variables:
-``random_separable(4, 4, 4, seed=1)`` (``separable_4x4_t4``) and a
-rank-4 Gaussian-rational ensemble (``gaussian_rational_ensemble(4, 4, 4,
-random.Random(1))``, ``gaussian_4x4_r4``), on which the criterion finds a
-witness.  ``repro example3`` pins the
+pin the split of a determinant in four variables:
+``random_separable(4, 4, 4, seed=1)`` (``separable_4x4_t4``) splits into
+four Q(i) forms and is a LinearUnion, and a rank-4 Gaussian-rational
+ensemble (``gaussian_rational_ensemble(4, 4, 4, random.Random(1))``,
+``gaussian_4x4_r4``) has no Q(i) linear factor, and the criterion finds a
+witness on its quartic.  ``repro example3`` pins the
 symbolic 4x6 chart reduction: the pencil, its chart substitution, f1, f2
 and the plane cubic g.  ``repro example1`` (the maximally mixed 3x3
 state, the default ``--m 3 --n 3``) and ``repro example1 --m 4 --n 3``

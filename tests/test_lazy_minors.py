@@ -2,12 +2,13 @@
 
 A float pencil is built from the pencil alone: no minor is expanded or
 screened, and its count of nonzero minors is numerical, taken when first
-read.  An exact pencil in m >= 4 variables, or in m = 3 with t > n (the
-Eagon-Northcott gate there), is screened modulo a prime instead of
-expanded; the Macaulay certificate and the Cauchy-Binet certificate of the
-exact peel read the reduced pencil too.  These tests pin that a certified
-state and a float analysis build no minor, that the screen stays out of
-float pencils, of square pencils in three variables and of CP^1, and that
+read.  An exact pencil with t > n in m >= 3 variables is screened modulo
+a prime instead of expanded; the Macaulay certificate and the Cauchy-Binet
+certificate of the exact peel read the reduced pencil too.  An exact
+square pencil is expanded at once, as the line peel reads its
+determinant.  These tests pin that a certified state and a float analysis
+build no minor, that the screen stays out of float pencils, of square
+pencils and of CP^1, and that
 the counts a report prints without expanding are those of the expanded
 minors: on exact edge states the lazy report equals, byte for byte, the
 report of the same analysis with the screen switched off, and a float
@@ -131,13 +132,16 @@ def test_the_screen_runs_at_the_gate(screens):
     assert len(screens) == 1 and v._generators is None
 
 
-@pytest.mark.parametrize("shape", [(4, 4, 5), (4, 4, 4), (4, 3, 4), (5, 3, 4)],
+@pytest.mark.parametrize("shape", [(4, 4, 5), (4, 3, 4), (5, 3, 4), (4, 4, 4), (4, 3, 3),
+                                   (5, 3, 3), (4, 2, 2)],
                          ids=lambda s: "sep %dx%d t%d" % s)
-def test_every_pencil_in_four_or_more_variables_is_screened(screens, shape):
-    # below the Eagon-Northcott gate too: the peel can then settle V
-    # without expanding a minor
+def test_an_exact_pencil_is_screened_exactly_where_t_exceeds_n(screens, shape):
+    # t > n, below the Eagon-Northcott gate too: the peel can then settle
+    # V without expanding a minor.  t = n: det N is expanded at build, as
+    # the line peel reads it in any number of variables
     v = variety_of_state(random_separable(*shape, seed=1))
-    assert len(screens) == 1 and v._generators is None
+    past_square = shape[2] > shape[1]
+    assert len(screens) == past_square and (v._generators is None) == past_square
 
 
 def _duplicated(s):
@@ -183,7 +187,8 @@ EDGE_STATES = {
     "mixed 4x5 t8": lambda: random_mixed(4, 5, 8, seed=0),
     "separable 2x3 t3": lambda: random_separable(2, 3, 3, seed=2),
     "gaussian 3x3 t4": lambda: _gaussian_state(3, 3, 4, 7),
-    # m = 4 below the gate: left unexpanded by the peel too
+    # m = 4 below the gate: t = n is expanded at build, for the line peel;
+    # t > n is screened and left unexpanded by the peel too
     "gaussian 4x4 t4": lambda: _gaussian_state(4, 4, 4, 1),
     "gaussian 4x4 t5": lambda: _gaussian_state(4, 4, 5, 1),
 }
@@ -196,10 +201,10 @@ FLOAT_EDGE_STATES = {"duplicated float 3x4 t6", "mixed 3x3 t6", "mixed 4x5 t8",
 # pencil, and the exact ones the screen passes; the other exact ones have
 # a zero minor (duplicated rays, product rays of the maximally mixed state,
 # an exactly rank-deficient pencil), only monomial minors (maximally mixed
-# 3x1) or lie below the gate
+# 3x1), lie in CP^1 or are square
 SCREENED = {
     *((name, side) for name in (*FLOAT_EDGE_STATES, "gaussian 3x3 t4", "separable 3x3 t6",
-                                "separable 4x5 t8", "gaussian 4x4 t4", "gaussian 4x4 t5")
+                                "separable 4x5 t8", "gaussian 4x4 t5")
       for side in "AB"),
     ("rank-2 side B exact 3x3 t5", "B"), ("separable 2x3 t3", "B"),
 }
@@ -311,11 +316,10 @@ def _benchmark_ops(workload, prefix, tmp_path):
     return ops
 
 
-def test_benchmark_4x4_gaussian_analyses_build_no_minor(no_minors, tmp_path):
-    # t = n = 4: det N uses all four variables; t = 5: the Cauchy-Binet
-    # certificate settles the peel; the report reads no Hesse cubic
-    ops = _benchmark_ops("exact_witness", "gaussian 4x4", tmp_path)
-    assert {op.label.split(" #")[0] for op in ops} == {"gaussian 4x4 r4", "gaussian 4x4 r5"}
+def test_benchmark_4x4_r5_gaussian_analyses_build_no_minor(no_minors, tmp_path):
+    # t = 5: the Cauchy-Binet certificate settles the peel; the report
+    # reads no Hesse cubic
+    ops = _benchmark_ops("exact_witness", "gaussian 4x4 r5", tmp_path)
     for op in ops:
         rendered, problems, _ = op.check(op.call())
         assert not problems

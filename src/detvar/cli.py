@@ -132,6 +132,31 @@ def cmd_repro(args) -> int:
     return 0
 
 
+def _negative_control(args, tol: Tolerance) -> dict:
+    """A deliberately non-unitary map on side A must break covariance.  In
+    CP^0 (m = 1) every nonzero 1 x 1 map fixes V_A, so there the control
+    cannot fire and is reported vacuous instead of run."""
+    if args.m == 1:
+        return {"vacuous": True,
+                "reason": "m = 1: every nonzero 1x1 map fixes V_A in CP^0"}
+    import random as _random
+
+    import numpy as np
+
+    from .linalg import Matrix
+    from .states import LocalUnitaryPair, random_unitary
+
+    rng = _random.Random(args.seed + 5)
+    bad = Matrix.approx(np.array(
+        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.m)]
+         for _ in range(args.m)]))
+    control_pair = LocalUnitaryPair(bad, random_unitary(args.n, rng), validate=False)
+    control_state = random_mixed(args.m, args.n, rank=args.n, seed=args.seed + 6)
+    control = verify_lu_covariance(control_state, control_pair, samples=3,
+                                   seed=args.seed, tol=tol)
+    return {"covariance_holds": bool(control), "max_residual": control.max_residual}
+
+
 def cmd_props(args) -> int:
     tol = _tolerance(args)
     start = time.perf_counter()
@@ -159,23 +184,7 @@ def cmd_props(args) -> int:
         else:
             sep_pass += 1
 
-    # negative control: a deliberately non-unitary map must break covariance
-    import random as _random
-
-    import numpy as np
-
-    from .linalg import Matrix
-    from .states import LocalUnitaryPair, random_unitary
-
-    rng = _random.Random(args.seed + 5)
-    bad = Matrix.approx(np.array(
-        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.m)]
-         for _ in range(args.m)]))
-    control_pair = LocalUnitaryPair(bad, random_unitary(args.n, rng), validate=False)
-    control_state = random_mixed(args.m, args.n, rank=args.n, seed=args.seed + 6)
-    control = verify_lu_covariance(control_state, control_pair, samples=3,
-                                   seed=args.seed, tol=tol)
-
+    control = _negative_control(args, tol)
     report = {
         "schema": SCHEMA,
         "m": args.m,
@@ -185,9 +194,9 @@ def cmd_props(args) -> int:
                        "worst_residual": worst},
         "separability_linearity": {"trials": sep_trials, "pass": sep_pass,
                                    "fail": sep_fail},
-        "negative_control": {"covariance_holds": bool(control),
-                             "max_residual": control.max_residual},
-        "all_pass": cov_fail == 0 and sep_fail == 0 and not bool(control),
+        "negative_control": control,
+        "all_pass": (cov_fail == 0 and sep_fail == 0
+                     and (control.get("vacuous", False) or not control["covariance_holds"])),
         "runtime_seconds": time.perf_counter() - start,
     }
     _emit(report, args)
@@ -244,27 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error a command reports, the first match counting
+EXIT_CODES = {
+    StateFileError: 2, BadParams: 2, BadDims: 2, DimensionMismatch: 2, NotAState: 2,
+    FileNotFoundError: 2,
+    InconsistentRepresentations: 3,
+    SamplingExhausted: 4, NoConvergence: 4,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
         return args.fn(args)
-    except (StateFileError, BadParams, BadDims, DimensionMismatch, NotAState,
-            FileNotFoundError) as exc:
+    except tuple(EXIT_CODES) as exc:
         sys.stdout.write(json.dumps(
             {"error": {"kind": type(exc).__name__, "message": str(exc)}},
             sort_keys=True) + "\n")
-        return 2
-    except InconsistentRepresentations as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"kind": "InconsistentRepresentations", "message": str(exc)}},
-            sort_keys=True) + "\n")
-        return 3
-    except (SamplingExhausted, NoConvergence) as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"kind": type(exc).__name__, "message": str(exc)}},
-            sort_keys=True) + "\n")
-        return 4
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

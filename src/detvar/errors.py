@@ -75,6 +75,12 @@ class InconsistentRepresentations(DetvarError):
     bug or a badly chosen tolerance, never a property of the input state."""
 
 
+class FloatMinors(DetvarError):
+    """The symbolic minors of a float pencil were asked for.  A float
+    variety is decided on its pencil alone (its count of nonzero minors is
+    numerical), so it has no polynomial generators to give."""
+
+
 class NotHesseShape(DetvarError):
     pass
 

@@ -144,10 +144,6 @@ class Matrix:
         out = [self[j, i].conjugate() for i in range(self.cols) for j in range(self.rows)]
         return Matrix(self.cols, self.rows, out, self.kind)
 
-    def transpose(self) -> "Matrix":
-        out = [self[j, i] for i in range(self.cols) for j in range(self.rows)]
-        return Matrix(self.cols, self.rows, out, self.kind)
-
     def trace(self):
         if self.rows != self.cols:
             raise NonSquare("trace of non-square matrix")

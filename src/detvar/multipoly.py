@@ -4,14 +4,19 @@ Terms live in a dict keyed by exponent vector; no zero coefficient is ever
 stored.  The monomial order is graded lexicographic throughout (fixed, so
 output renders deterministically and golden files diff cleanly).
 
-An approximate pathway (kind="approx", python complex coefficients) exists
-for numeric pencils; exact division is reserved for the exact kind.  Both
-kinds share one division-free determinant routine, a memoized Laplace
-expansion on raw term dicts that serves ``symbolic_det`` and ``minors``
-alike: exact entries run on Gaussian integers, each row cleared of its
-denominators, approximate ones on complex numbers, with the same steps in
-the same order as Poly arithmetic, so the terms, their order and the float
-bits are those Poly's own +, - and * would give.
+Every routine an analysis runs is exact: evaluation and line restriction
+take Q(i) polynomials and points only (TypeError otherwise), and a float
+variety is decided on its pencil with no polynomial (``variety``).  The
+approximate kind (kind="approx", python complex coefficients) survives
+only for numeric code that no analysis calls and the traced benchmark
+still lists: ``to_approx``, ``evaluation_scale``, ``CompiledSystem``
+behind ``variety._newton_polish``, and the Sylvester resultant behind
+``variety._plane_slice_candidates``.  For that resultant, the one
+division-free determinant routine (a memoized Laplace expansion on raw
+term dicts, serving ``symbolic_det`` and ``minors`` alike) runs
+approximate entries on complex numbers, in the steps and order of Poly
+arithmetic; exact entries run on Gaussian integers, each row cleared of
+its denominators.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ def grlex_key(exps: Exponents):
 def _heap_entry(exps: Exponents):
     """A min-heap entry whose order is descending grlex order on exps."""
     return (-sum(exps), tuple(-k for k in exps), exps)
+
+
+def _require_exact(p: "Poly", coordinates: Sequence) -> None:
+    if p.kind != "exact" or not all(isinstance(x, ExactComplex) for x in coordinates):
+        raise TypeError("needs an exact polynomial and exact coordinates")
 
 
 class Poly:
@@ -218,51 +228,41 @@ class Poly:
             out[tuple(e2)] = c * e[i]
         return Poly(self.nvars, out, self.kind)
 
-    def evaluate(self, point: Sequence):
-        """Exact when both the poly and the point are exact, else complex.
+    def evaluate(self, point: Sequence) -> ExactComplex:
+        """The value at a point, for an exact poly and an exact point only
+        (TypeError otherwise).
 
-        Exactly, with the poly P/D and the point X/L over Z[i]: each term
-        c*x^e of P contributes c * L^(deg - |e|) * X^e on Gaussian integers,
-        from one power table per coordinate, and the sum is read once over
+        With the poly P/D and the point X/L over Z[i]: each term c*x^e of P
+        contributes c * L^(deg - |e|) * X^e on Gaussian integers, from one
+        power table per coordinate, and the sum is read once over
         D * L^deg."""
         if len(point) != self.nvars:
             raise ArityMismatch(f"point has {len(point)} coordinates, not {self.nvars}")
-        exact = self.kind == "exact" and all(isinstance(x, ExactComplex) for x in point)
-        if exact:
-            if not self.terms:
-                return EC_ZERO
-            deg = self.degree()
-            big_l = lcm(*(x.fields[2] for x in point))
-            scales = [lcm(*(c.fields[2] for c in self.terms.values()))]
-            for _ in range(deg):
-                scales.append(scales[-1] * big_l)
-            tables = []
-            for i, x in enumerate(point):
-                row = [(1, 0)]
-                xi = _gi_times(x, big_l)
-                for _ in range(max(e[i] for e in self.terms)):
-                    row.append(_gi_mul(row[-1], xi))
-                tables.append(row)
-            re = im = 0
-            for e, c in self.terms.items():
-                a, b = _gi_times(c, scales[deg - sum(e)])
-                for row, k in zip(tables, e):
-                    if k:
-                        u, w = row[k]
-                        a, b = a * u - b * w, a * w + b * u
-                re += a
-                im += b
-            return from_fields(re, im, scales[deg])
-        pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
-        acc = 0j
+        _require_exact(self, point)
+        if not self.terms:
+            return EC_ZERO
+        deg = self.degree()
+        big_l = lcm(*(x.fields[2] for x in point))
+        scales = [lcm(*(c.fields[2] for c in self.terms.values()))]
+        for _ in range(deg):
+            scales.append(scales[-1] * big_l)
+        tables = []
+        for i, x in enumerate(point):
+            row = [(1, 0)]
+            xi = _gi_times(x, big_l)
+            for _ in range(max(e[i] for e in self.terms)):
+                row.append(_gi_mul(row[-1], xi))
+            tables.append(row)
+        re = im = 0
         for e, c in self.terms.items():
-            cv = c.to_complex() if isinstance(c, ExactComplex) else c
-            term = cv
-            for i, k in enumerate(e):
+            a, b = _gi_times(c, scales[deg - sum(e)])
+            for row, k in zip(tables, e):
                 if k:
-                    term *= pt[i] ** k
-            acc += term
-        return acc
+                    u, w = row[k]
+                    a, b = a * u - b * w, a * w + b * u
+            re += a
+            im += b
+        return from_fields(re, im, scales[deg])
 
     def evaluation_scale(self, point: Sequence) -> float:
         """Sum of |coeff * monomial| at the point: the natural magnitude
@@ -375,10 +375,9 @@ class CompiledSystem:
     Each term is (complex coefficient, |coefficient|, the (variable, power)
     pairs in use), in the polynomial's own term order; the partial
     derivatives of each polynomial's approximate form are stored the same
-    way, built on first use.  Results equal Poly.evaluate,
-    Poly.evaluation_scale and to_approx().derivative(i).evaluate exactly:
-    the coefficient first, then each power in variable order, taken from a
-    per-point table of Python's own ``**``, summed term by term.
+    way, built on first use.  A value is the coefficient times each power
+    in variable order, taken from a per-point table of Python's own ``**``,
+    summed term by term; a scale equals Poly.evaluation_scale exactly.
 
     One table per point (``table``) serves values, scales and Jacobian;
     nothing is cached on the point, as 0.0 == -0.0 while their
@@ -797,15 +796,6 @@ def substitute_affine(p: Poly, mapping: Dict[int, LinearForm]) -> Poly:
     return acc
 
 
-def _convolve(a: List, b: List) -> List:
-    """Product of two ascending coefficient lists of complex numbers."""
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _gi_convolve(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     """Product of two ascending coefficient lists over Z[i], each
     coefficient an (re, im) pair of ints."""
@@ -818,58 +808,49 @@ def _gi_convolve(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tup
     return list(zip(re, im))
 
 
-def _line_sum(terms: List[Tuple[Exponents, object]], deg: int, lines: List[List],
-              one, zero, mul, add) -> List:
-    """Ascending coefficients of sum over terms (e, c) of
+def _line_sum(terms: List[Tuple[Exponents, Tuple[int, int]]], deg: int,
+              lines: List[List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
+    """Ascending coefficients over Z[i] of sum over terms (e, c) of
     c * prod_i lines[i]^e_i, with lines[i] = [b_i, v_i] the linear
-    polynomial b_i + s*v_i and mul, add the list product and scalar sum."""
+    polynomial b_i + s*v_i."""
     powers = []
     for line in lines:
-        row = [[one]]
+        row = [[(1, 0)]]
         for _ in range(deg):
-            row.append(mul(row[-1], line))
+            row.append(_gi_convolve(row[-1], line))
         powers.append(row)
-    total = [zero] * (deg + 1)
+    total = [(0, 0)] * (deg + 1)
     for e, c in terms:
         term = [c]
         for i, k in enumerate(e):
             if k:
-                term = mul(term, powers[i][k])
+                term = _gi_convolve(term, powers[i][k])
         for idx, v in enumerate(term):
-            total[idx] = add(total[idx], v)
+            total[idx] = _gi_add(total[idx], v)
     return total
 
 
 def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
-    """The univariate polynomial s -> p(base + s*direction).
+    """The univariate polynomial s -> p(base + s*direction), for an exact
+    p on an exact line only (TypeError otherwise).
 
-    Exact when p, base and direction are all exact.  Then, with p = P/D,
-    base = B/d_b and direction = V/d_v over Z[i] and L = d_b*d_v, each term
-    c*x^e of P contributes c * L^(deg - |e|) * prod_i (B_i*d_v + s*V_i*d_b)^e_i
-    on Gaussian integers, and each coefficient of the sum over D * L^deg
-    is built once.  Otherwise the same sum is taken in complex numbers.
+    With p = P/D, base = B/d_b and direction = V/d_v over Z[i] and
+    L = d_b*d_v, each term c*x^e of P contributes
+    c * L^(deg - |e|) * prod_i (B_i*d_v + s*V_i*d_b)^e_i on Gaussian
+    integers, and each coefficient of the sum over D * L^deg is built once.
     """
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ArityMismatch("point arity mismatch")
-    deg = p.degree()
-    if p.kind == "exact" and all(isinstance(x, ExactComplex) for x in (*base, *direction)):
-        if all(x.is_zero() for x in direction):
-            raise ZeroDirection("restriction direction is zero")
-        den = lcm(*(c.fields[2] for c in p.terms.values()))
-        big_l = lcm(*(x.fields[2] for x in base)) * lcm(*(x.fields[2] for x in direction))
-        terms = [(e, _gi_times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
-        lines = [[_gi_times(b, big_l), _gi_times(v, big_l)] for b, v in zip(base, direction)]
-        total = _line_sum(terms, deg, lines, (1, 0), (0, 0), _gi_convolve, _gi_add)
-        return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in total])
-    dirv = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in direction]
-    basev = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in base]
-    if all(d == 0 for d in dirv):
+    _require_exact(p, (*base, *direction))
+    if all(x.is_zero() for x in direction):
         raise ZeroDirection("restriction direction is zero")
-    terms = [(e, c.to_complex() if isinstance(c, ExactComplex) else c)
-             for e, c in p.terms.items()]
-    lines = [[b, v] for b, v in zip(basev, dirv)]
-    return Poly.univariate(_line_sum(terms, deg, lines, 1 + 0j, 0j, _convolve, operator.add),
-                           "approx")
+    deg = p.degree()
+    den = lcm(*(c.fields[2] for c in p.terms.values()))
+    big_l = lcm(*(x.fields[2] for x in base)) * lcm(*(x.fields[2] for x in direction))
+    terms = [(e, _gi_times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
+    lines = [[_gi_times(b, big_l), _gi_times(v, big_l)] for b, v in zip(base, direction)]
+    total = _line_sum(terms, deg, lines)
+    return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in total])
 
 
 def univariate_coeffs(p: Poly) -> List:

@@ -227,28 +227,6 @@ from_fields = _reduced
 
 EC_ZERO = ExactComplex(0)
 EC_ONE = ExactComplex(1)
-EC_I = ExactComplex(0, 1)
-
-
-def exact_field_ops(a: ExactComplex, b: ExactComplex, op: str) -> ExactComplex:
-    """Dispatch-style entry point over {add, sub, mul, div, conj, inv}.
-
-    Operator syntax on ExactComplex is the normal way to compute; this
-    exists as the explicitly named surface (conj/inv ignore ``b``).
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "conj":
-        return a.conjugate()
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .linalg import (
     psd_check,
     spectral_cutoff,
 )
-from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance, from_fields
+from .scalars import DEFAULT_TOL, ExactComplex, Tolerance, from_fields
 
 Weight = object  # Fraction (exact) or float (approx)
 Vector = Tuple[object, ...]  # ExactComplex or complex entries
@@ -348,20 +348,10 @@ def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteStat
         tm = t if mixed_exact else t.to_approx()
         ens = []
         for w, v in s.ensemble:
-            if mixed_exact:
-                col = [x for x in v]
-            else:
-                col = [x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                       for x in v]
+            if not mixed_exact:
+                v = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in v]
                 w = float(w)
-            new_v = []
-            for i in range(tm.rows):
-                acc = EC_ZERO if mixed_exact else 0j
-                row = tm.row(i)
-                for k in range(tm.cols):
-                    acc = acc + row[k] * col[k]
-                new_v.append(acc)
-            ens.append((w, tuple(new_v)))
+            ens.append((w, (tm @ Matrix(len(v), 1, v, tm.kind)).data))
     dens = None
     if s.density is not None:
         same = s.density.kind == t.kind

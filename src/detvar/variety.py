@@ -17,16 +17,18 @@ a union of points, hence linear, and an empty V has no points, so
 dimension is certified before any sampling and a V certified finite or
 empty is never sampled.
 
-The symbolic minors are built when something first reads them.  A float
-V is built from its pencil alone, its nonzero minors counted numerically
-when the count is first read; only t < n makes it Full.  An exact square
-pencil (t = n) is expanded at once: its one minor, det N, goes to the
-line peel in any number of variables.  On an exact pencil with t > n in
-m >= 3 variables, a screen modulo a prime shows that every minor is
-nonzero and that some minor is not a monomial.  The Macaulay certificate
-reads the same reduction, so a V certified finite or empty never builds
-a symbolic minor; nor does the exact peel where a certificate modulo the
-same prime shows, first, that nothing is to be peeled.
+The symbolic minors of an exact V are built when something first reads
+them.  A float V is built and decided from its pencil alone and has no
+symbolic minors (reading them raises FloatMinors): its nonzero minors
+are counted numerically when the count is first read, and only t < n
+makes it Full.  An exact square pencil (t = n) is expanded at once: its
+one minor, det N, goes to the line peel in any number of variables.  On
+an exact pencil with t > n in m >= 3 variables, a screen modulo a prime
+shows that every minor is nonzero and that some minor is not a monomial.
+The Macaulay certificate reads the same reduction, so a V certified
+finite or empty never builds a symbolic minor; nor does the exact peel
+where a certificate modulo the same prime shows, first, that nothing is
+to be peeled.
 
 Every V is sampled on its pencil, not on its minors (an exact one on its
 float image; a float one of numerical rank below n at random points):
@@ -62,6 +64,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     DegenerateLeadingCoefficient,
+    FloatMinors,
     InconsistentRepresentations,
     NoConvergence,
     SamplingExhausted,
@@ -142,9 +145,12 @@ class PencilMatrix:
         self._floats = None  # (float tensor (m, n, t), ||A||), built once
 
     def entry_polys(self) -> List[List[Poly]]:
+        """The entries of an exact pencil as linear Polys; FloatMinors on a
+        float pencil, which builds no polynomial."""
+        if self.kind != "exact":
+            raise FloatMinors("a float pencil has no polynomial entries")
         units = [tuple(int(i == j) for j in range(self.m)) for i in range(self.m)]
-        return [[Poly(self.m, dict(zip(units, e)), self.kind) for e in row]
-                for row in self.entries]
+        return [[Poly(self.m, dict(zip(units, e))) for e in row] for row in self.entries]
 
     def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
@@ -204,13 +210,14 @@ class Variety:
     one side.
 
     Its side, m, n, state and mode (the kind) are the pencil's.
-    `generators` are the maximal minors of the pencil, in lexicographic
-    column-subset order.  Passed as None, they are expanded (and checked
-    homogeneous of degree n) on first read; an exact V's `essential_count`,
+    `generators` are the maximal minors of an exact pencil, in
+    lexicographic column-subset order.  Passed as None, they are expanded
+    (and checked homogeneous of degree n) on first read; `essential_count`,
     the number of nonzero minors, must then be given, as the minor screen
-    finds it.  A float V counts its nonzero minors numerically
-    (_numerical_essential) on the first read of `essential_count`, which no
-    sampler, oracle or covariance check makes.
+    finds it.  A float V has no generators: reading them, or
+    `essential_generators`, raises FloatMinors.  It counts its nonzero
+    minors numerically (_numerical_essential) on the first read of
+    `essential_count`, which no sampler, oracle or covariance check makes.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
@@ -233,6 +240,8 @@ class Variety:
 
     @property
     def generators(self) -> List[Poly]:
+        if self.mode != "exact":
+            raise FloatMinors("a float variety is read on its pencil, not its minors")
         if self._generators is None:
             self._generators = _pencil_minors(self.pencil)
         return self._generators
@@ -401,6 +410,8 @@ def _structural(gens: List[Poly], m: int) -> Optional[str]:
 
 
 def _pencil_minors(p: PencilMatrix) -> List[Poly]:
+    """The maximal minors of an exact pencil, each checked homogeneous of
+    degree n."""
     gens = minors(p.entry_polys(), p.n)
     for g in gens:
         if not g.is_zero() and (not g.is_homogeneous() or g.degree() != p.n):
@@ -461,9 +472,9 @@ def _numerical_essential(p: PencilMatrix) -> int:
 def variety_generators(p: PencilMatrix) -> Variety:
     """The variety of the pencil's maximal minors; Full when t < n.
 
-    A float pencil is neither expanded, screened nor reduced modulo a prime
-    here; its dimension is for _dimension_verdict alone, and its count of
-    nonzero minors is taken when first read.  An exact pencil with t > n
+    A float pencil is never expanded, and neither screened nor reduced
+    modulo a prime here; its dimension is for _dimension_verdict alone,
+    and its count of nonzero minors is taken when first read.  An exact pencil with t > n
     in m >= 3 variables is screened: where the screen passes every minor
     is nonzero and V is neither Full nor Empty by the monomial test, and
     the minors are built when something reads them.  The exact peel reads

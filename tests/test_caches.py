@@ -28,6 +28,8 @@ from detvar.variety import (
     variety_generators,
     variety_of_state,
 )
+from test_multipoly_reference import pencil_minors
+from test_poly_kernels_reference import evaluate
 
 EC = ExactComplex
 F = Fraction
@@ -110,8 +112,9 @@ SYSTEMS = {
     "exact cubic": lambda: variety_of_state(cyclic_cubic_state(EC(8))).essential_generators,
     "exact minors": lambda: variety_of_state(random_separable(3, 3, 4, seed=2),
                                              "B").essential_generators,
-    "approx minors": lambda: variety_of_state(
-        random_mixed(3, 4, 5, seed=4)).essential_generators,
+    # a float V has no generators: its pencil's float minors, by the reference
+    "approx minors": lambda: [
+        g for g in pencil_minors(pencil_matrix(random_mixed(3, 4, 5, seed=4))) if not g.is_zero()],
     "peeled residual": lambda: [_peeled_residual()],
     "missing a variable": lambda: [_X * _X * _Z + Poly.const(3, EC(F(1, 3), 2)) * _Z * _Z * _Z],
     "constant term": lambda: [_X * _Y + Poly.const(3, EC(-2, F(1, 7))), Poly.const(3, EC(5))],
@@ -129,23 +132,24 @@ def test_compiled_system_equals_poly_evaluation(name):
     points.append([0j] + [complex(1.5, -0.25)] * (m - 1))
     points.append([EC(1), EC(F(-1, 3), 2)] + [EC(0, 1)] * (m - 2))
     for raw in points:
-        # Poly.evaluate is exact on an exact point; the compiled form, like
-        # evaluation_scale, works on its floating-point image
+        # the compiled form, like evaluation_scale, works on the point's
+        # floating-point image; values are those of the float evaluation
+        # Poly.evaluate had (kept in test_poly_kernels_reference)
         pt = [x.to_complex() if isinstance(x, EC) else x for x in raw]
         assert cs.values_scales(raw) == cs.values_scales(pt)
         vals, scales = cs.values_scales(pt)
-        assert vals == [g.evaluate(pt) for g in polys]
+        assert vals == [evaluate(g, pt) for g in polys]
         assert scales == [g.evaluation_scale(pt) for g in polys]
         assert cs.residual(pt) == max(
-            abs(g.evaluate(pt)) / max(g.evaluation_scale(pt), 1e-300) for g in polys)
+            abs(evaluate(g, pt)) / max(g.evaluation_scale(pt), 1e-300) for g in polys)
         approx = [g.to_approx() for g in polys]
         partials = [[ga.derivative(i) for i in range(m)] for ga in approx]
         assert cs.jacobian(pt, range(m)) == [
-            [d.evaluate(pt) / max(ga.evaluation_scale(pt), 1e-300) for d in ds]
+            [evaluate(d, pt) / max(ga.evaluation_scale(pt), 1e-300) for d in ds]
             for ga, ds in zip(approx, partials)]
         assert cs.jacobian(pt, [m - 1, 0]) == [
-            [ds[m - 1].evaluate(pt) / max(ga.evaluation_scale(pt), 1e-300),
-             ds[0].evaluate(pt) / max(ga.evaluation_scale(pt), 1e-300)]
+            [evaluate(ds[m - 1], pt) / max(ga.evaluation_scale(pt), 1e-300),
+             evaluate(ds[0], pt) / max(ga.evaluation_scale(pt), 1e-300)]
             for ga, ds in zip(approx, partials)]
 
 

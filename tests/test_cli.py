@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from detvar.cli import main
-from detvar.errors import StateFileError
+from detvar.errors import (
+    InconsistentRepresentations,
+    NoConvergence,
+    SamplingExhausted,
+    StateFileError,
+)
 from detvar.scalars import ExactComplex
 from detvar.statefile import parse_scalar, parse_state, render_scalar, state_to_json
 from detvar.states import BipartiteState, random_mixed
@@ -246,6 +251,41 @@ def test_cli_props_small(capsys):
     assert report["all_pass"]
     assert report["covariance"]["fail"] == 0
     assert not report["negative_control"]["covariance_holds"]
+    assert set(report["negative_control"]) == {"covariance_holds", "max_residual"}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_cli_props_negative_control_is_vacuous_in_cp0(capsys, n):
+    # for m = 1 every nonzero 1x1 map on side A fixes V_A, so the
+    # non-unitary control cannot break covariance: it is reported vacuous
+    # and all_pass rests on the trials alone
+    code, out = run_cli(capsys, "props", "--m", "1", "--n", str(n))
+    assert code == 0
+    report = json.loads(out)
+    assert report["covariance"] == {"trials": 20, "pass": 20, "fail": 0,
+                                    "worst_residual": 0.0}
+    assert report["separability_linearity"] == {"trials": 10, "pass": 10, "fail": 0}
+    assert report["negative_control"] == {
+        "vacuous": True, "reason": "m = 1: every nonzero 1x1 map fixes V_A in CP^0"}
+    assert report["all_pass"] is True
+
+
+@pytest.mark.parametrize("error, code", [
+    (InconsistentRepresentations("the two membership criteria disagree"), 3),
+    (SamplingExhausted("found 0/4 points"), 4),
+    (NoConvergence("no root"), 4),
+], ids=["inconsistent", "exhausted", "no convergence"])
+def test_internal_and_budget_errors_exit_3_and_4(capsys, monkeypatch, error, code):
+    from detvar import cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "analyze_state", fail)
+    got, out = run_cli(capsys, "repro", "example1")
+    assert got == code
+    assert out == json.dumps({"error": {"kind": type(error).__name__, "message": str(error)}},
+                             sort_keys=True) + "\n"
 
 
 def test_huge_float_ray_is_a_valid_state(tmp_path, capsys):

@@ -53,6 +53,7 @@ from detvar.variety import (
     verify_lu_covariance,
 )
 from test_line_miss_reference import misses_line
+from test_multipoly_reference import pencil_minors
 
 EC = ExactComplex
 F = Fraction
@@ -229,7 +230,7 @@ def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, m, t, 
     pair = LocalUnitaryPair(Matrix.identity(m).to_approx(), rank_two, validate=False)
     v = variety_of_state(apply_local_unitary(random_mixed(m, 3, t, seed=seed), pair))
     assert v.mode == "approx" and v.structural is None
-    assert max(abs(c) for g in v.generators for c in g.terms.values()) < 1e-12
+    assert max(abs(c) for g in pencil_minors(v.pencil) for c in g.terms.values()) < 1e-12
     verdict = linearity_decide(v, seed=42)
     assert verdict.tag == "Inconclusive"
     assert verdict.reason == f"criterion vacuous: V is all of CP^{m - 1} to working precision"

@@ -22,6 +22,7 @@ from detvar import catalog, multipoly, states
 from detvar.multipoly import Poly
 from detvar.scalars import ExactComplex
 from detvar.variety import pencil_matrix
+from test_multipoly_reference import entry_polys
 
 EC = ExactComplex
 F = Fraction
@@ -122,7 +123,7 @@ def test_pencil_minors_match_reference(name):
         p = pencil_matrix(state, side)
         if p.t < p.n:
             continue
-        rows = p.entry_polys()
+        rows = entry_polys(p)
         got, ref = multipoly.minors(rows, p.n), minors(rows, p.n)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):

@@ -14,6 +14,12 @@ lists of scalars.
 * Exact determinants from 5x5 on must have equal values (Bareiss built
   their terms in another order); approximate ones must agree to 1e-12.
 * Exact restrictions must give identical coefficient lists.
+
+The reference keeps its float branches: other tests compare float code
+with the float minors of a pencil (``pencil_minors``, on the pencil's
+entries as ``PencilMatrix.entry_polys`` built them for either kind,
+``entry_polys``) or with a float restriction, which the live code no
+longer builds.
 """
 
 import random
@@ -202,6 +208,20 @@ def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
     return Poly.univariate(coeffs, kind)
 
 
+def entry_polys(pencil) -> List[List[Poly]]:
+    """PencilMatrix.entry_polys, verbatim from when it served float
+    pencils too: each entry a linear Poly of the pencil's kind."""
+    units = [tuple(int(i == j) for j in range(pencil.m)) for i in range(pencil.m)]
+    return [[Poly(pencil.m, dict(zip(units, e)), pencil.kind) for e in row]
+            for row in pencil.entries]
+
+
+def pencil_minors(pencil) -> List[Poly]:
+    """The maximal minors of a pencil of either kind: for a float pencil,
+    what a float variety's generators were when it still expanded them."""
+    return minors(entry_polys(pencil), pencil.n)
+
+
 # ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
@@ -266,7 +286,7 @@ def test_pencil_minors_match_reference(name):
         p = pencil_matrix(state, side)
         if p.t < p.n:
             continue
-        rows = p.entry_polys()
+        rows = entry_polys(p)
         got, ref = multipoly.minors(rows, p.n), minors(rows, p.n)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
@@ -375,11 +395,6 @@ def test_exact_restriction_matches_reference(case):
     ref = restrict_to_line(p, base, direction)
     assert univariate_coeffs(got) == univariate_coeffs(ref)
     assert_identical(got, ref)
-    # the approximate path, on the same line in floating point
-    base, direction = [x.to_complex() for x in base], [x.to_complex() for x in direction]
-    for q in (p, p.to_approx()):
-        assert_identical(multipoly.restrict_to_line(q, base, direction),
-                         restrict_to_line(q, base, direction))
 
 
 def test_restriction_edge_cases_match_reference():
@@ -405,7 +420,7 @@ def test_restriction_edge_cases_match_reference():
 
 def test_pencil_minor_restrictions_match_reference():
     # the degree-6 ppt minor and the cubic of a cyclic state, on random
-    # exact lines, and on a complex line (the approximate path)
+    # exact lines; a complex line, or a float minor, is refused
     rng = random.Random(14)
     gens = [multipoly.minors(pencil_matrix(catalog.ppt_4x6_state(), "A").entry_polys(), 6)[0],
             multipoly.symbolic_det(pencil_matrix(PENCIL_STATES["cyclic t=-2"](), "A")
@@ -419,9 +434,8 @@ def test_pencil_minor_restrictions_match_reference():
                          for _ in range(g.nvars)]
             assert_identical(multipoly.restrict_to_line(g, base, direction),
                              restrict_to_line(g, base, direction))
+        with pytest.raises(TypeError):
+            multipoly.restrict_to_line(g.to_approx(), base, direction)
         base = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(g.nvars)]
-        direction = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(g.nvars)]
-        assert_identical(multipoly.restrict_to_line(g, base, direction),
-                         restrict_to_line(g, base, direction))
-        assert_identical(multipoly.restrict_to_line(g.to_approx(), base, direction),
-                         restrict_to_line(g.to_approx(), base, direction))
+        with pytest.raises(TypeError):
+            multipoly.restrict_to_line(g, base, direction)

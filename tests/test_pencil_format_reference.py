@@ -22,6 +22,7 @@ import pytest
 
 import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
+from detvar.errors import FloatMinors
 from detvar.linalg import Matrix
 from detvar.modp import RANK_PRIME, reduce_scalar, split_primes
 from detvar.multipoly import LinearForm
@@ -29,6 +30,7 @@ from detvar.scalars import EC_ZERO, ExactComplex
 from detvar.statefile import load_state
 from detvar.states import BipartiteState, random_mixed, unit_scaled
 from detvar.variety import membership, pencil_matrix, variety_of_state
+from test_multipoly_reference import entry_polys
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 EC = ExactComplex
@@ -151,11 +153,18 @@ def test_pencil_entries_match_the_linear_form_route(name, side):
     forms, kind = reference_entry_forms(state, side)
     assert pencil.kind == kind
     assert (pencil.n, pencil.t) == (len(forms), len(forms[0]))
-    got = pencil.entry_polys()
+    # the tuple entries as linear Polys of either kind, as entry_polys
+    # built them when it served float pencils too; it now refuses those
+    got = entry_polys(pencil)
     want = reference_entry_polys(forms, pencil.m, kind)
     assert got == want
     assert [[_poly_bits(p) for p in row] for row in got] == \
         [[_poly_bits(p) for p in row] for row in want]
+    if kind == "exact":
+        assert pencil.entry_polys() == got
+    else:
+        with pytest.raises(FloatMinors):
+            pencil.entry_polys()
     assert pencil.mod_p() == reference_mod_p(forms)
     tensor, norm = pencil.floats
     want_tensor, want_norm = reference_pencil_floats(forms, pencil.m)

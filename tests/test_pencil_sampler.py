@@ -23,7 +23,7 @@ import pytest
 
 import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
-from detvar.multipoly import CompiledSystem, minors, restrict_to_line, univariate_roots
+from detvar.multipoly import CompiledSystem, univariate_roots
 from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.states import BipartiteState, random_mixed
 from detvar.variety import (
@@ -42,6 +42,7 @@ from detvar.variety import (
     sample_points,
     variety_of_state,
 )
+from test_multipoly_reference import pencil_minors, restrict_to_line
 
 # univariate_roots accepts a relative residual of abs_eps; at the default
 # 1e-9 that admits a root up to about 4e-8 off, so the reference roots are
@@ -54,7 +55,7 @@ TIGHT = dataclasses.replace(DEFAULT_TOL, abs_eps=1e-13)
 def test_eigenvalue_line_roots_match_aberth_roots(shape, seed):
     v = variety_of_state(random_mixed(*shape, seed=seed), "A")
     assert v.pencil.t == v.n
-    det = minors(v.pencil.entry_polys(), v.n)[0]
+    det = pencil_minors(v.pencil)[0]
     rng = random.Random(f"line-roots:{seed}")
     for _ in range(10):
         base, direction = _random_approx_point(rng, v.m), _random_approx_point(rng, v.m)
@@ -93,8 +94,7 @@ def test_pencil_oracle_agrees_with_the_minors(shape, side):
     on these entangled states), the pencil oracle and the residual of the
     compiled minors, built here, agree on membership."""
     v = variety_of_state(random_mixed(*shape, seed=3), side)
-    system = CompiledSystem([g for g in minors(v.pencil.entry_polys(), v.n)
-                             if not g.is_zero()], v.m)
+    system = CompiledSystem([g for g in pencil_minors(v.pencil) if not g.is_zero()], v.m)
     rng = random.Random(11)
     eps = DEFAULT_TOL.abs_eps
     probes = 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from detvar.errors import DivisionByZero
-from detvar.scalars import ExactComplex, Tolerance, approx_close, exact_field_ops
+from detvar.scalars import ExactComplex, Tolerance, approx_close
 
 
 def test_norm_identity():
@@ -22,8 +22,6 @@ def test_inverse_of_i():
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
         ExactComplex(1) / ExactComplex(0)
-    with pytest.raises(DivisionByZero):
-        exact_field_ops(ExactComplex(1), ExactComplex(0), "div")
 
 
 def test_canonical_zero_and_reduction():
@@ -65,16 +63,6 @@ def test_field_axioms_randomized():
         if not a.is_zero():
             assert a * a.inverse() == ExactComplex(1)
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-
-def test_dispatch_surface():
-    a = ExactComplex(2, 3)
-    b = ExactComplex(1, -1)
-    assert exact_field_ops(a, b, "add") == a + b
-    assert exact_field_ops(a, b, "sub") == a - b
-    assert exact_field_ops(a, b, "mul") == a * b
-    assert exact_field_ops(a, b, "conj") == a.conjugate()
-    assert exact_field_ops(a, b, "inv") == a.inverse()
 
 
 def test_roundtrip_to_binary64():

@@ -35,6 +35,7 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
+from test_poly_kernels_reference import evaluate  # the float evaluation Poly.evaluate had
 
 EC = ExactComplex
 F = Fraction
@@ -149,8 +150,7 @@ def test_tangent_form_on_hyperplane_union():
     pts = sample_points(v, 5, seed=8)
     for p in pts:
         tf = tangent_form(v, p)
-        vals = [abs(complex(f.to_poly(3, "approx").evaluate(list(p))))
-                for f in fl.forms]
+        vals = [abs(evaluate(f.to_poly(3, "approx"), list(p))) for f in fl.forms]
         k = int(np.argmin(vals))
         factor = fl.forms[k]
         fv = np.array([complex(c.to_complex()) for c in factor.coefficients])
@@ -555,7 +555,7 @@ def test_partial_split_witness_lies_on_the_residual(seed):
     form = fl.linear_factors[0].coefficients
     assert all(form[i] * a[0] == a[i] * form[0] for i in range(3))
     residual = fl.residual.to_approx()
-    assert abs(complex(residual.evaluate(verdict.point))) \
+    assert abs(evaluate(residual, verdict.point)) \
         <= DEFAULT_TOL.abs_eps * residual.evaluation_scale(verdict.point)
     probe = [complex(re, im) for re, im in verdict_to_json(verdict)["witness"]["probe"]]
     assert abs(v.hermitian_residual(probe) - verdict.residual) <= 1e-12

@@ -60,6 +60,7 @@ from detvar.variety import (
     tangent_form,
     variety_of_state,
 )
+from test_multipoly_reference import pencil_minors
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 COUNT = 200
@@ -284,11 +285,19 @@ def witness_points(v, rng: random.Random):
     return pts
 
 
+def _nonzero_minors(v):
+    """A variety's nonzero minors; a float V's, which it no longer
+    expands, by the reference expansion."""
+    if v.mode == "exact":
+        return v.essential_generators
+    return [g for g in pencil_minors(v.pencil) if not g.is_zero()]
+
+
 def _compiled_polys(v):
     """The polynomial lists a variety's analysis compiled: its nonzero
     minors and, on an exact V, what the exact peel leaves where that
     differs; the last is the analysis system Newton ran on."""
-    lists = [v.essential_generators]
+    lists = [_nonzero_minors(v)]
     rest = _analysis_system(v)[1] if v.mode == "exact" else None
     if rest is not None and rest != lists[0]:  # None: nothing is peeled
         lists.append(rest)
@@ -388,7 +397,7 @@ def _gap_rank(svals, ncols, noise_floor=0.0):
 def reference_kernel_directions(v, pt, tol):
     system = CompiledSystem(_compiled_polys(v)[-1], v.m)
     if not system.polys:
-        system = CompiledSystem(v.essential_generators, v.m)
+        system = CompiledSystem(_nonzero_minors(v), v.m)
     table = system.table(pt)
     for k in range(len(system.polys)):
         grad, gscale = ReferenceSystem(system).gradient(k, pt)

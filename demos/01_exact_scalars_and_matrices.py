@@ -1,11 +1,14 @@
-"""Exact Gaussian-rational arithmetic and the two matrix pathways.
+"""Exact Gaussian-rational arithmetic, exact matrices and float spectra.
 
 Everything downstream rides on one split: exact scalars (a Gaussian-integer
-numerator over one integer denominator, no rounding ever) versus
-approximate complex numbers with a single shared tolerance policy.
+numerator over one integer denominator, no rounding ever) in a ``Matrix``,
+versus approximate complex numbers in a numpy array, with a single shared
+tolerance policy.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from detvar import ExactComplex, Matrix, det_exact, hermitian_eigen, rank_exact
 
@@ -24,7 +27,7 @@ print("det (exact):", det_exact(m).render())
 print("rank:", rank_exact(m))
 
 # the numeric pathway: Hermitian spectra from LAPACK (numpy.linalg.eigh)
-h = Matrix.approx([[2.0, 1j], [-1j, 3.0]])
+h = np.array([[2.0, 1j], [-1j, 3.0]])
 res = hermitian_eigen(h)
 print("eigenvalues:", [round(x, 12) for x in res.eigenvalues])
 print("reconstruction residual:", f"{res.residual:.2e}")

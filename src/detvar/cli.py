@@ -143,13 +143,11 @@ def _negative_control(args, tol: Tolerance) -> dict:
 
     import numpy as np
 
-    from .linalg import Matrix
     from .states import LocalUnitaryPair, random_unitary
 
     rng = _random.Random(args.seed + 5)
-    bad = Matrix.approx(np.array(
-        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.m)]
-         for _ in range(args.m)]))
+    bad = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.m)]
+                    for _ in range(args.m)])
     control_pair = LocalUnitaryPair(bad, random_unitary(args.n, rng), validate=False)
     control_state = random_mixed(args.m, args.n, rank=args.n, seed=args.seed + 6)
     control = verify_lu_covariance(control_state, control_pair, samples=3,
@@ -192,8 +190,10 @@ def cmd_props(args) -> int:
         "seed": args.seed,
         "covariance": {"trials": args.trials, "pass": cov_pass, "fail": cov_fail,
                        "worst_residual": worst},
+        # the trials run on these fixed shapes, whatever --m and --n are
         "separability_linearity": {"trials": sep_trials, "pass": sep_pass,
-                                   "fail": sep_fail},
+                                   "fail": sep_fail,
+                                   "shapes": [list(c) for c in sep_configs[:sep_trials]]},
         "negative_control": control,
         "all_pass": (cov_fail == 0 and sep_fail == 0
                      and (control.get("vacuous", False) or not control["covariance_holds"])),

@@ -102,12 +102,7 @@ def analyze_state(s: BipartiteState, *, side: str = "A", tol: Tolerance = DEFAUL
     """Full pipeline: pencil -> generators -> linearity verdict -> PPT ->
     spectra -> report dict."""
     start = time.perf_counter()
-    from .states import ensemble_from_density
-
-    work = s
-    if work.ensemble is None:
-        work = ensemble_from_density(s.density_matrix(), s.m, s.n, tol)
-        work.label = s.label
+    work = s if s.ensemble is not None else s.spectral(tol)
     v = variety_of_state(work, side)
     verdict = linearity_decide(v, seed=seed, samples=samples, tol=tol)
     spectra = entropy_and_spectra(work, tol)

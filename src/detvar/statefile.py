@@ -21,6 +21,8 @@ import re
 from fractions import Fraction
 from typing import Tuple, Union
 
+import numpy as np
+
 from .errors import DetvarError, StateFileError
 from .linalg import Matrix
 from .scalars import ExactComplex, from_fields
@@ -172,11 +174,10 @@ def parse_state(data: dict) -> BipartiteState:
             exact = exact and isinstance(v, ExactComplex)
             entries.append(v)
     if exact:
-        mat = Matrix(mn, mn, entries, "exact")
+        mat = Matrix(mn, mn, entries)
     else:
-        mat = Matrix(mn, mn,
-                     [x.to_complex() if isinstance(x, ExactComplex) else x
-                      for x in entries], "approx")
+        mat = np.array([x.to_complex() if isinstance(x, ExactComplex) else x
+                        for x in entries], dtype=complex).reshape(mn, mn)
     try:
         return BipartiteState(m, n, density=mat, label=label)
     except (DetvarError, OverflowError) as exc:
@@ -193,8 +194,9 @@ def state_to_json(s: BipartiteState) -> dict:
             for w, v in s.ensemble
         ]
     elif s.density is not None:
-        out["density"] = [[render_scalar(s.density[i, j]) for j in range(s.density.cols)]
-                          for i in range(s.density.rows)]
+        # an exact Matrix or a complex array: both index as [i, j]
+        mn = range(s.m * s.n)
+        out["density"] = [[render_scalar(s.density[i, j]) for j in mn] for i in mn]
     return out
 
 

@@ -1,6 +1,7 @@
 """Bipartite mixed states: ensembles, densities, local unitaries, PPT, spectra.
 
-A state stores an ensemble [(p_l, v_l)] and/or an mn x mn density matrix.
+A state stores an ensemble [(p_l, v_l)] and/or an mn x mn density matrix:
+an exact ``Matrix`` over Q(i), or a complex numpy array.
 Weights are probabilities summing to one; vectors are rays (any nonzero
 scalar multiple of the intended unit vector) and the density is assembled
 as
@@ -13,7 +14,9 @@ enters, and that is rational.  On the approx pathway vectors are typically
 unit norm and the same formula is harmless.
 
 A density-only state forces the approximate pathway downstream, since
-recovering an ensemble requires an eigendecomposition.
+recovering an ensemble requires an eigendecomposition.  A local unitary
+is an exact ``Matrix`` or a complex array, and every float image a state
+hands on (its density, partial traces, eigenvectors) is an array.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ from .errors import (
     NotAState,
 )
 from .linalg import (
+    EigenResult,
     Matrix,
+    as_array,
+    hermitian_eigen,
     hermitian_eigenvalues,
     kron,
     partial_trace,
-    psd_check,
     spectral_cutoff,
 )
 from .scalars import DEFAULT_TOL, ExactComplex, Tolerance, from_fields
@@ -62,7 +67,7 @@ class BipartiteState:
 
     def __init__(self, m: int, n: int,
                  ensemble: Optional[List[Tuple[Weight, Sequence]]] = None,
-                 density: Optional[Matrix] = None,
+                 density=None,  # an exact Matrix or a complex array
                  label: Optional[str] = None,
                  tol: Tolerance = DEFAULT_TOL,
                  validate: bool = True):
@@ -76,8 +81,12 @@ class BipartiteState:
         self.ensemble = None
         if ensemble is not None:
             self.ensemble = [(w, tuple(v)) for w, v in ensemble]
+        if isinstance(density, np.ndarray):  # a read-only copy, as a Matrix is immutable
+            density = np.array(density, dtype=complex)
+            density.flags.writeable = False
         self.density = density
         self._rho = density    # density_matrix(), built at most once
+        self._eigen = None     # (tol, EigenResult) of eigen(), one per tolerance
         self._sum = None       # _gaussian_sum(), summed at most once
         self._images = None    # _float_images(), rounded at most once
         self._exact = None     # exact_ensemble, scanned at most once
@@ -94,6 +103,8 @@ class BipartiteState:
             for idx, (w, v) in enumerate(self.ensemble):
                 if len(v) != mn:
                     raise NotAState(f"ensemble vector {idx} has length {len(v)}, expected {mn}")
+                if isinstance(w, bool):
+                    raise NotAState(f"ensemble weight {idx} is a boolean, not a number")
                 if isinstance(w, Fraction) or isinstance(w, int):
                     if w <= 0:
                         raise NotAState(f"ensemble weight {idx} must be positive")
@@ -108,18 +119,16 @@ class BipartiteState:
             elif abs(float(total) - 1.0) > 1e3 * tol.abs_eps:
                 raise NotAState(f"ensemble weights sum to {float(total)}, not 1")
         if self.density is not None:
-            if self.density.rows != mn or self.density.cols != mn:
-                raise NotAState(
-                    f"density is {self.density.rows}x{self.density.cols}, expected {mn}x{mn}")
-            tr = complex(self.density.trace().to_complex()
-                         if self.density.kind == "exact" else self.density.trace())
+            _check_density(self.density, mn)
+            tr = complex(self.density.trace().to_complex() if isinstance(self.density, Matrix)
+                         else sum(self.density.diagonal(), 0j))
             if abs(tr - 1.0) > 1e3 * tol.abs_eps:
                 raise NotAState(f"density trace is {tr}, not 1")
-            if not psd_check(self.density, tol):
+            eigs = self.eigen(tol).eigenvalues
+            if eigs and min(eigs) < -spectral_cutoff(eigs, tol):
                 raise NotAState("density is not positive semidefinite")
         if self.ensemble is not None and self.density is not None:
-            built = density_from_ensemble(self)
-            diff = built.to_numpy() - self.density.to_numpy()
+            diff = as_array(density_from_ensemble(self)) - as_array(self.density)
             if float(np.max(np.abs(diff))) > 1e3 * tol.abs_eps:
                 raise NotAState("ensemble and density disagree")
 
@@ -141,12 +150,44 @@ class BipartiteState:
             return self.exact_ensemble
         return False
 
-    def density_matrix(self) -> Matrix:
-        """The given density, else the one built from the ensemble; the
-        build runs once, since a state is immutable by convention."""
+    def density_matrix(self):
+        """The given density, else the one built from the ensemble (an exact
+        Matrix or a complex array); the build runs once, since a state is
+        immutable by convention."""
         if self._rho is None:
             self._rho = density_from_ensemble(self)
         return self._rho
+
+    def eigen(self, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
+        """hermitian_eigen of the density's float image, decomposed once
+        per tolerance: a given density is checked PSD, split into its
+        spectral ensemble (spectral) and asked for its spectrum from one
+        decomposition."""
+        if self._eigen is None or self._eigen[0] != tol:
+            self._eigen = (tol, hermitian_eigen(self._float_images()[0], tol))
+        return self._eigen[1]
+
+    def spectral(self, tol: Tolerance = DEFAULT_TOL) -> "BipartiteState":
+        """The state of this density with its spectral ensemble attached,
+        read off this state's one decomposition (eigen), which it shares.
+
+        Eigenvalues above ``spectral_cutoff`` are kept; their count is the
+        numerical rank and the kept eigenvectors span the image.
+        """
+        _check_density(self.density, self.m * self.n)
+        eig = self.eigen(tol)
+        tr = sum(eig.eigenvalues)
+        if abs(tr - 1.0) > 1e3 * tol.abs_eps:
+            raise NotAState(f"trace {tr} is not 1")
+        cut = spectral_cutoff(eig.eigenvalues, tol)
+        if min(eig.eigenvalues) < -cut:
+            raise NotAState("density has a negative eigenvalue")
+        ensemble = [(lam, tuple(eig.eigenvectors[:, k].tolist()))
+                    for k, lam in enumerate(eig.eigenvalues) if lam > cut]
+        out = BipartiteState(self.m, self.n, ensemble=ensemble, density=self.density,
+                             label=self.label, validate=False)
+        out._eigen, out._images = self._eigen, self._images
+        return out
 
     def _gaussian_sum(self) -> Tuple[List[List[int]], List[List[int]], int]:
         """(re, im, L), rho = (re + i*im)/L as full int matrices: the exact
@@ -182,15 +223,15 @@ class BipartiteState:
         self._sum = re, im, den
         return self._sum
 
-    def _float_images(self) -> Tuple[Matrix, Matrix, Matrix]:
-        """rho, tr_B rho and tr_A rho for the spectra, the PPT test and the
-        Hermitian oracle of a variety; built once.  From an exact ensemble's
-        Gaussian sum each is a float Matrix, partial traces summed on the
-        ints and every entry divided once by L: int true division rounds
-        correctly, so each entry is to_complex() of the exact entry.
-        Otherwise rho is density_matrix(), exact where the density was given
-        exact (read it through to_numpy()), and the partial traces are float
-        Matrices, partial_trace's rounded after summing."""
+    def _float_images(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rho, tr_B rho and tr_A rho as complex arrays, for the spectra, the
+        PPT test and the Hermitian oracle of a variety; built once.  Each
+        entry is to_complex() of the exact entry wherever one exists: an
+        exact ensemble's partial traces are summed on its Gaussian sum and
+        every entry divided once by L (int true division rounds correctly),
+        and an exact density's are summed exactly (partial_trace), then
+        rounded.  A float density's are summed in the order partial_trace
+        sums, block after block."""
         if self._images is not None:
             return self._images
         m, n = self.m, self.n
@@ -198,20 +239,25 @@ class BipartiteState:
             re, im, den = self._gaussian_sum()
             re, im = np.array(re, dtype=object), np.array(im, dtype=object)
 
-            def rounded(a, b) -> Matrix:
+            def rounded(a, b) -> np.ndarray:
                 z = np.empty(a.shape, dtype=complex)
                 z.real, z.imag = a / den, b / den
-                return Matrix.approx(z)
+                return z
 
-            def traced(axis: int) -> Matrix:   # 1 traces out B, 0 traces out A
+            def traced(axis: int) -> np.ndarray:   # 1 traces out B, 0 traces out A
                 return rounded(*(x.reshape(m, n, m, n).trace(axis1=axis, axis2=axis + 2)
                                  for x in (re, im)))
 
             self._images = rounded(re, im), traced(1), traced(0)
         else:
             rho = self.density_matrix()
-            self._images = (rho, partial_trace(rho, m, n, "B").to_approx(),
-                            partial_trace(rho, m, n, "A").to_approx())
+            if isinstance(rho, Matrix):
+                self._images = tuple(x.to_numpy() for x in (
+                    rho, partial_trace(rho, m, n, "B"), partial_trace(rho, m, n, "A")))
+            else:
+                blocks = rho.reshape(m, n, m, n)
+                self._images = (rho, sum(blocks[:, r, :, r] for r in range(n)),
+                                sum(blocks[i, :, i, :] for i in range(m)))
         return self._images
 
     def ensemble_terms(self) -> List[Tuple[Weight, Vector]]:
@@ -235,13 +281,11 @@ class BipartiteState:
         if self.density is not None:
             mn = m * n
             # permutation similarity: new[(j,i),(j',i')] = old[(i,j),(i',j')]
-            entries = []
-            for r in range(mn):
-                jr, ir = divmod(r, m)
-                for c in range(mn):
-                    jc, ic = divmod(c, m)
-                    entries.append(self.density[ir * n + jr, ic * n + jc])
-            dens = Matrix(mn, mn, entries, self.density.kind)
+            if isinstance(self.density, Matrix):
+                entries = np.array(self.density.data, dtype=object).reshape(m, n, m, n)
+                dens = Matrix(mn, mn, entries.transpose(1, 0, 3, 2).ravel().tolist())
+            else:
+                dens = self.density.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(mn, mn)
         self._swapped = BipartiteState(n, m, ensemble=ens, density=dens,
                                        label=self.label, validate=False)
         return self._swapped
@@ -257,24 +301,27 @@ class BipartiteState:
         return f"BipartiteState({', '.join(parts)})"
 
 
-class LocalUnitaryPair:
-    """U_A on side A, U_B on side B; the joint action is U_A (x) U_B."""
+def _check_density(rho, mn: int):
+    if rho.shape != (mn, mn):
+        raise NotAState(f"density is {'x'.join(map(str, rho.shape))}, expected {mn}x{mn}")
 
-    def __init__(self, u_a: Matrix, u_b: Matrix, tol: Tolerance = DEFAULT_TOL,
-                 validate: bool = True):
-        if u_a.rows != u_a.cols or u_b.rows != u_b.cols:
+
+class LocalUnitaryPair:
+    """U_A on side A, U_B on side B, each an exact Matrix or a complex
+    array; the joint action is U_A (x) U_B."""
+
+    def __init__(self, u_a, u_b, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+        if u_a.shape[0] != u_a.shape[1] or u_b.shape[0] != u_b.shape[1]:
             raise DimensionMismatch("local unitaries must be square")
         self.u_a = u_a
         self.u_b = u_b
         if validate:
             for name, u in (("U_A", u_a), ("U_B", u_b)):
-                gram = u.conj_transpose() @ u
-                eye = Matrix.identity(u.rows, u.kind)
-                if u.kind == "exact":
-                    if gram != eye:
+                if isinstance(u, Matrix):
+                    if u.conj_transpose() @ u != Matrix.identity(u.rows):
                         raise NotAState(f"{name} is not exactly unitary")
                 else:
-                    defect = float(np.max(np.abs(gram.to_numpy() - eye.to_numpy())))
+                    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
                     if defect > 1e3 * tol.abs_eps:
                         raise NotAState(f"{name} unitarity defect {defect:.3e}")
 
@@ -282,82 +329,67 @@ class LocalUnitaryPair:
     def identity(m: int, n: int) -> "LocalUnitaryPair":
         return LocalUnitaryPair(Matrix.identity(m), Matrix.identity(n), validate=False)
 
-    def joint(self) -> Matrix:
-        return kron(self.u_a, self.u_b)
+    def joint(self):
+        """U_A (x) U_B: an exact Matrix when both are exact, else an array."""
+        if isinstance(self.u_a, Matrix) and isinstance(self.u_b, Matrix):
+            return kron(self.u_a, self.u_b)
+        return np.kron(as_array(self.u_a), as_array(self.u_b))
 
 
 # ---------------------------------------------------------------------------
 # conversions
 # ---------------------------------------------------------------------------
 
-def density_from_ensemble(s: BipartiteState) -> Matrix:
+def density_from_ensemble(s: BipartiteState):
     """rho = A P A^dagger with A the (ray) ensemble columns and
     P = diag(p_l / ||v_l||^2); equals sum_l p_l P_{v_l} exactly.
 
-    An exact ensemble gives one from_fields per entry of the state's
-    Gaussian-integer sum over L (``BipartiteState._gaussian_sum``).  Float
-    rays go through unit_scaled and numpy.
+    An exact ensemble gives an exact Matrix, one from_fields per entry of
+    the state's Gaussian-integer sum over L (``BipartiteState._gaussian_sum``).
+    Float rays go through unit_scaled and numpy, into a complex array.
     """
     mn = s.m * s.n
     if s.exact_ensemble:
         re, im, den = s._gaussian_sum()
         return Matrix(mn, mn, [from_fields(a, b, den) for re_i, im_i in zip(re, im)
-                               for a, b in zip(re_i, im_i)], "exact")
+                               for a, b in zip(re_i, im_i)])
     rho = np.zeros((mn, mn), dtype=complex)
     for w, v in s.ensemble_terms():
         vec = np.array(unit_scaled(v))
         nsq = float(np.vdot(vec, vec).real)
         rho += (float(w) / nsq) * np.outer(vec, vec.conj())
-    return Matrix.approx(rho)
+    return rho
 
 
-def ensemble_from_density(rho: Matrix, m: int, n: int,
+def ensemble_from_density(rho, m: int, n: int,
                           tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
-    """Spectral ensemble of a density matrix (approximate pathway).
-
-    Eigenvalues above ``spectral_cutoff`` are kept; their count is the
-    numerical rank and the kept eigenvectors span the image.
-    """
-    mn = m * n
-    if rho.rows != mn or rho.cols != mn:
-        raise NotAState(f"density is {rho.rows}x{rho.cols}, expected {mn}x{mn}")
-    eig = rho.eigen(tol)
-    tr = sum(eig.eigenvalues)
-    if abs(tr - 1.0) > 1e3 * tol.abs_eps:
-        raise NotAState(f"trace {tr} is not 1")
-    cut = spectral_cutoff(eig.eigenvalues, tol)
-    if min(eig.eigenvalues) < -cut:
-        raise NotAState("density has a negative eigenvalue")
-    vecs = eig.eigenvectors.to_numpy()
-    ensemble = [(lam, tuple(complex(z) for z in vecs[:, k]))
-                for k, lam in enumerate(eig.eigenvalues) if lam > cut]
-    return BipartiteState(m, n, ensemble=ensemble, density=rho, validate=False)
+    """Spectral ensemble of a density matrix (approximate pathway), an
+    exact Matrix or a complex array: BipartiteState.spectral."""
+    return BipartiteState(m, n, density=rho, validate=False).spectral(tol)
 
 
 def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteState:
     """(U_A (x) U_B) rho (U_A (x) U_B)^dagger, acting on whichever
     representations the state carries.  Probabilities are untouched; ray
     norms are preserved by unitarity."""
-    if u.u_a.rows != s.m or u.u_b.rows != s.n:
+    if u.u_a.shape[0] != s.m or u.u_b.shape[0] != s.n:
         raise DimensionMismatch(
-            f"unitary pair is {u.u_a.rows}/{u.u_b.rows}, state is {s.m}x{s.n}")
+            f"unitary pair is {u.u_a.shape[0]}/{u.u_b.shape[0]}, state is {s.m}x{s.n}")
     t = u.joint()
-    ens = None
-    if s.ensemble is not None:
-        mixed_exact = s.exact_ensemble and t.kind == "exact"
-        tm = t if mixed_exact else t.to_approx()
-        ens = []
-        for w, v in s.ensemble:
-            if not mixed_exact:
-                v = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in v]
-                w = float(w)
-            ens.append((w, (tm @ Matrix(len(v), 1, v, tm.kind)).data))
-    dens = None
-    if s.density is not None:
-        same = s.density.kind == t.kind
-        td = t if same else t.to_approx()
-        rho = s.density if same else s.density.to_approx()
-        dens = td @ rho @ td.conj_transpose()
+    exact = isinstance(t, Matrix)
+    ens = dens = None
+    if s.ensemble is not None and s.exact_ensemble and exact:
+        ens = [(w, (t @ Matrix(len(v), 1, v)).data) for w, v in s.ensemble]
+    elif s.ensemble is not None:
+        tf = as_array(t)
+        ens = [(float(w), tuple((tf @ np.array([x.to_complex() if isinstance(x, ExactComplex)
+                                                else complex(x) for x in v])).tolist()))
+               for w, v in s.ensemble]
+    if isinstance(s.density, Matrix) and exact:
+        dens = t @ s.density @ t.conj_transpose()
+    elif s.density is not None:
+        tf = as_array(t)
+        dens = tf @ as_array(s.density) @ tf.conj().T
     return BipartiteState(s.m, s.n, ensemble=ens, density=dens,
                           label=s.label, validate=False)
 
@@ -367,9 +399,8 @@ def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
     decides it, from its eigenvalues alone?  rho^{T_A} permutes the axes of
     rho's float image (``_float_images``), exactly."""
     m, n = s.m, s.n
-    rho = s._float_images()[0].to_numpy().reshape(m, n, m, n)
-    eigs = hermitian_eigenvalues(
-        Matrix.approx(rho.transpose(2, 1, 0, 3).reshape(m * n, m * n)), tol)
+    rho = s._float_images()[0].reshape(m, n, m, n)
+    eigs = hermitian_eigenvalues(rho.transpose(2, 1, 0, 3).reshape(m * n, m * n), tol)
     return min(eigs) >= -spectral_cutoff(eigs, tol)
 
 
@@ -392,11 +423,11 @@ def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
     """Spectra and von Neumann entropies of rho, tr_B rho and tr_A rho,
     from the state's float images (``_float_images``).  A given density's
-    goes through ``Matrix.eigen``, the decomposition its PSD check and
-    spectral ensemble share; every other spectrum needs no eigenvectors
+    goes through ``BipartiteState.eigen``, the decomposition its PSD check
+    and spectral ensemble share; every other spectrum needs no eigenvectors
     (``hermitian_eigenvalues``, the same bits)."""
     rho, tr_b, tr_a = s._float_images()
-    glob = (rho.eigen(tol).eigenvalues if s.density is not None
+    glob = (s.eigen(tol).eigenvalues if s.density is not None
             else hermitian_eigenvalues(rho, tol))
     red_a = hermitian_eigenvalues(tr_b, tol)
     red_b = hermitian_eigenvalues(tr_a, tol)
@@ -462,7 +493,7 @@ def random_separable(m: int, n: int, terms: int, seed: int) -> BipartiteState:
     return BipartiteState(m, n, ensemble=ensemble)
 
 
-def random_unitary(dim: int, rng: random.Random) -> Matrix:
+def random_unitary(dim: int, rng: random.Random) -> np.ndarray:
     """Orthonormalization (modified Gram-Schmidt) of a complex Gaussian sample."""
     g = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
                   for _ in range(dim)])
@@ -473,7 +504,7 @@ def random_unitary(dim: int, rng: random.Random) -> Matrix:
             v -= np.vdot(q[:, j], v) * q[:, j]
         nv = np.linalg.norm(v)
         q[:, k] = v / nv
-    return Matrix.approx(q)
+    return q
 
 
 def random_local_unitary(m: int, n: int, seed: int) -> LocalUnitaryPair:

@@ -72,7 +72,7 @@ from .errors import (
     ZeroDirection,
 )
 from .factorization import FactorList, _random_exact_point, linear_factorization, linear_factors
-from .linalg import Matrix, det_exact, rank_exact
+from .linalg import Matrix, as_array, det_exact, rank_exact
 from .modp import (
     EXP_BITS,
     RANK_PRIME,
@@ -272,10 +272,10 @@ class Variety:
         own): the exact entries as an object array when `exact` and the
         density is exact, else the float image that spectra and PPT read."""
         base = self.state if self.side == "A" else self.state.swapped()
-        exact = exact and base.density_matrix().kind == "exact"
+        exact = exact and isinstance(base.density_matrix(), Matrix)
         if exact not in self._blocks:
             rho = (np.array(base.density_matrix().data, dtype=object) if exact
-                   else base._float_images()[0].to_numpy())
+                   else base._float_images()[0])
             self._blocks[exact] = rho.reshape(self.m, self.n, self.m, self.n)
         return self._blocks[exact]
 
@@ -307,8 +307,7 @@ class Variety:
         stays in numpy, whose complex multiply may fuse where Python's won't.
         For n = 1, where that ratio reads 1 wherever M(r) is not 0, it is
         |M(r)| / (||rho|| ||r||^2), with ||rho|| the spectral norm."""
-        mat = self.hermitian_matrix(point)
-        arr = mat.to_numpy() if isinstance(mat, Matrix) else mat
+        arr = as_array(self.hermitian_matrix(point))
         if self.n > 1:
             return _hadamard_ratio(arr)
         r = np.array(_complex_point(point))
@@ -1344,7 +1343,7 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
 
     threshold = WITNESS_FACTOR * tol.abs_eps
     transformed = apply_local_unitary(s, u)
-    ua = u.u_a.to_numpy()
+    ua = as_array(u.u_a)
     fwd = ua.T                      # r -> r' = U_A^T r
     bwd = ua.conj()                 # inverse direction: ((U_A)^T)^-1 = conj(U_A)
     v_orig = variety_of_state(s, "A")

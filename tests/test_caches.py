@@ -63,15 +63,16 @@ def test_density_is_decomposed_once_per_analysis(monkeypatch):
     real_eigh, real_eigen = linalg_mod._eigh, linalg_mod.hermitian_eigen
 
     def counting(m, tol):
-        calls.append(m.rows)
+        calls.append(len(m))
         return real_eigh(m, tol)
 
     def counting_full(m, tol=DEFAULT_TOL):
-        full.append(m.rows)
+        full.append(len(m))
         return real_eigen(m, tol)
 
     monkeypatch.setattr(linalg_mod, "_eigh", counting)
-    monkeypatch.setattr(linalg_mod, "hermitian_eigen", counting_full)
+    for mod in (linalg_mod, states_mod):
+        monkeypatch.setattr(mod, "hermitian_eigen", counting_full)
     rho = states_mod.density_from_ensemble(random_mixed(3, 4, 4, seed=11))
     doc = state_to_json(BipartiteState(3, 4, density=rho, validate=False))
     report = analyze_state(parse_state(doc), samples=4)

@@ -79,8 +79,7 @@ def test_state_roundtrip_approx():
     s = random_mixed(2, 2, rank=2, seed=4)
     back = parse_state(state_to_json(s))
     import numpy as np
-    assert np.max(np.abs(back.density_matrix().to_numpy()
-                         - s.density_matrix().to_numpy())) < 1e-12
+    assert np.max(np.abs(back.density_matrix() - s.density_matrix())) < 1e-12
 
 
 def test_parse_errors_name_fields():
@@ -252,6 +251,7 @@ def test_cli_props_small(capsys):
     assert report["covariance"]["fail"] == 0
     assert not report["negative_control"]["covariance_holds"]
     assert set(report["negative_control"]) == {"covariance_holds", "max_residual"}
+    assert report["separability_linearity"]["shapes"] == [[2, 2, 2], [2, 3, 3]]
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -264,7 +264,10 @@ def test_cli_props_negative_control_is_vacuous_in_cp0(capsys, n):
     report = json.loads(out)
     assert report["covariance"] == {"trials": 20, "pass": 20, "fail": 0,
                                     "worst_residual": 0.0}
-    assert report["separability_linearity"] == {"trials": 10, "pass": 10, "fail": 0}
+    # the separability trials run on their own fixed shapes, not on 1 x n
+    assert report["separability_linearity"] == {
+        "trials": 10, "pass": 10, "fail": 0,
+        "shapes": [[2, 2, 2], [2, 3, 3], [3, 3, 3], [2, 2, 3], [3, 3, 4]]}
     assert report["negative_control"] == {
         "vacuous": True, "reason": "m = 1: every nonzero 1x1 map fixes V_A in CP^0"}
     assert report["all_pass"] is True

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import detvar.variety as variety_mod
@@ -226,8 +227,8 @@ def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, m, t, 
     # CP^{m-1}; in floating point they are rounding noise instead of zero.
     # 3 x 3 t5 passes the Eagon-Northcott gate t - n + 1 >= m - 1, the
     # other shapes fall below it, where V could only be sampled
-    rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    pair = LocalUnitaryPair(Matrix.identity(m).to_approx(), rank_two, validate=False)
+    rank_two = np.asarray([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
+    pair = LocalUnitaryPair(Matrix.identity(m).to_numpy(), rank_two, validate=False)
     v = variety_of_state(apply_local_unitary(random_mixed(m, 3, t, seed=seed), pair))
     assert v.mode == "approx" and v.structural is None
     assert max(abs(c) for g in pencil_minors(v.pencil) for c in g.terms.values()) < 1e-12

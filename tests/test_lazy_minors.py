@@ -19,6 +19,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import detvar.multipoly as multipoly
@@ -159,8 +160,8 @@ def _rank_two_side_b(s, exact):
                                                                     for r in rows]),
                                 validate=False)
     else:
-        pair = LocalUnitaryPair(Matrix.identity(s.m).to_approx(), Matrix.approx(rows),
-                                validate=False)
+        pair = LocalUnitaryPair(Matrix.identity(s.m).to_numpy(),
+                                np.asarray(rows, dtype=complex), validate=False)
     return apply_local_unitary(s, pair)
 
 
@@ -286,8 +287,9 @@ def test_a_float_v_whose_minors_vanish_is_never_full(shape, reason):
     # a side-B map with a zero row zeroes a row of the pencil, so every
     # float minor is exactly 0; no structural Full is read off them, and
     # the dimension verdict speaks for V
-    pair = LocalUnitaryPair(Matrix.identity(shape[0]).to_approx(),
-                            Matrix.approx([[1, 0, 0], [0, 1, 0], [0, 0, 0]]), validate=False)
+    pair = LocalUnitaryPair(Matrix.identity(shape[0]).to_numpy(),
+                            np.asarray([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=complex),
+                            validate=False)
     v = variety_of_state(apply_local_unitary(random_mixed(*shape, seed=0), pair))
     assert v.structural is None and v.essential_count == 0
     assert all(g.is_zero() for g in pencil_minors(v.pencil))

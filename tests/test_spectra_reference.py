@@ -6,7 +6,8 @@ before the state layer read float images: the exact density as a
 taken on it, and each result rounded by ``to_approx``.  The images now
 read off the Gaussian-integer sum (rounded once per entry, partial traces
 summed on the ints) must give the same bits: equal ``repr`` of every
-eigenvalue and entropy and the same PPT verdict.
+eigenvalue and entropy and the same PPT verdict.  A float density goes
+through the float Matrix it was then (``test_float_arrays_reference``).
 """
 
 import math
@@ -14,8 +15,10 @@ import random
 
 import pytest
 
+import test_float_arrays_reference as approx
 from detvar import states
 from detvar.linalg import (
+    Matrix,
     hermitian_eigen,
     partial_trace,
     partial_transpose,
@@ -27,6 +30,14 @@ from detvar.states import BipartiteState, SpectraReport
 from test_states_reference import STATES
 
 
+def _exact_or_float(rho, exact, float_):
+    """exact(rho) rounded by to_approx for an exact Matrix, else float_ on
+    the float Matrix of rho, as an array."""
+    if isinstance(rho, Matrix):
+        return exact(rho).to_numpy()
+    return float_(approx.to_approx(rho)).to_numpy()
+
+
 # ---------------------------------------------------------------------------
 # The reference (the old code, verbatim)
 # ---------------------------------------------------------------------------
@@ -34,7 +45,8 @@ from test_states_reference import STATES
 def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Peres criterion: is the partial transpose still PSD?"""
     rho = s.density_matrix()
-    return psd_check(partial_transpose(rho, s.m, s.n), tol)
+    return psd_check(_exact_or_float(rho, lambda r: partial_transpose(r, s.m, s.n),
+                                     lambda r: approx.partial_transpose(r, s.m, s.n)), tol)
 
 
 def _von_neumann(eigs, tol: Tolerance) -> float:
@@ -44,9 +56,10 @@ def _von_neumann(eigs, tol: Tolerance) -> float:
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
     rho = s.density_matrix()
-    glob = rho.eigen(tol).eigenvalues
-    red_a = hermitian_eigen(partial_trace(rho, s.m, s.n, "B").to_approx(), tol).eigenvalues
-    red_b = hermitian_eigen(partial_trace(rho, s.m, s.n, "A").to_approx(), tol).eigenvalues
+    glob = hermitian_eigen(_exact_or_float(rho, lambda r: r, lambda r: r), tol).eigenvalues
+    red_a, red_b = (hermitian_eigen(_exact_or_float(
+        rho, lambda r: partial_trace(r, s.m, s.n, side),
+        lambda r: approx.partial_trace(r, s.m, s.n, side)), tol).eigenvalues for side in "BA")
     return SpectraReport(
         spectrum=glob,
         reduced_a_spectrum=red_a,

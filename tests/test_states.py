@@ -37,7 +37,7 @@ def test_single_vector_projector():
     expect = Matrix.zeros(4, 4)
     entries = list(expect.data)
     entries[1 * 4 + 1] = EC(1)
-    assert rho == Matrix(4, 4, entries, "exact")
+    assert rho == Matrix(4, 4, entries)
 
 
 def test_family_state_trace_exact():
@@ -57,7 +57,7 @@ def test_density_matches_projector_sum():
             vec = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m * n)]
             ens.append((raw[t] / total, tuple(vec)))
         s = BipartiteState(m, n, ensemble=ens)
-        rho = density_from_ensemble(s).to_numpy()
+        rho = density_from_ensemble(s)
         direct = np.zeros((m * n, m * n), dtype=complex)
         for w, v in ens:
             vec = np.array(v)
@@ -67,7 +67,7 @@ def test_density_matches_projector_sum():
 
 
 def test_ensemble_from_density_maximally_mixed():
-    rho = Matrix.identity(6, "approx").scale(1 / 6)
+    rho = np.eye(6, dtype=complex) / 6
     s = ensemble_from_density(rho, 2, 3)
     assert len(s.ensemble) == 6
     assert all(abs(w - 1 / 6) < 1e-12 for w, _ in s.ensemble)
@@ -75,16 +75,16 @@ def test_ensemble_from_density_maximally_mixed():
 
 def test_ensemble_from_density_ranks():
     s3 = ppt_4x6_state()
-    rec = ensemble_from_density(s3.density_matrix().to_approx(), 4, 6)
+    rec = ensemble_from_density(s3.density_matrix().to_numpy(), 4, 6)
     assert len(rec.ensemble) == 7
     fam = cyclic_cubic_state(EC(8))
-    rec2 = ensemble_from_density(fam.density_matrix().to_approx(), 3, 3)
+    rec2 = ensemble_from_density(fam.density_matrix().to_numpy(), 3, 3)
     assert len(rec2.ensemble) == 3
     assert all(abs(w - 1 / 3) < 1e-10 for w, _ in rec2.ensemble)
 
 
 def test_ensemble_from_density_rejects_nonstate():
-    bad = Matrix.approx(np.diag([0.7, 0.6, -0.3]))
+    bad = np.asarray(np.diag([0.7, 0.6, -0.3]), dtype=complex)
     with pytest.raises(NotAState):
         ensemble_from_density(bad, 1, 3)
 
@@ -94,9 +94,9 @@ def test_round_trip_reproduces_density():
     for k in range(20):
         m, n = rng.choice([(2, 2), (2, 3), (3, 3)])
         s = random_mixed(m, n, rank=rng.randint(1, m * n), seed=500 + k)
-        rho = s.density_matrix().to_numpy()
-        rec = ensemble_from_density(Matrix.approx(rho), m, n)
-        back = density_from_ensemble(rec).to_numpy()
+        rho = s.density_matrix()
+        rec = ensemble_from_density(np.asarray(rho, dtype=complex), m, n)
+        back = density_from_ensemble(rec)
         assert np.max(np.abs(back - rho)) <= 1e-8 * np.linalg.norm(rho)
 
 
@@ -123,7 +123,7 @@ def test_diagonal_blocks_are_psd():
     s = ppt_4x6_state()
     rho = s.density_matrix()
     for i in range(1, 5):
-        assert psd_check(block(rho, 4, 6, i, i))
+        assert psd_check(block(rho, 4, 6, i, i).to_numpy())
 
 
 def test_apply_identity_pair():
@@ -139,8 +139,8 @@ def test_unitary_preserves_spectra_and_ppt():
         s = random_mixed(m, n, rank=rng.randint(1, m * n), seed=900 + k)
         u = random_local_unitary(m, n, seed=901 + k)
         t = apply_local_unitary(s, u)
-        before = hermitian_eigen(s.density_matrix().to_approx()).eigenvalues
-        after = hermitian_eigen(t.density_matrix().to_approx()).eigenvalues
+        before = hermitian_eigen(s.density_matrix()).eigenvalues
+        after = hermitian_eigen(t.density_matrix()).eigenvalues
         assert max(abs(a - b) for a, b in zip(before, after)) < 1e-9
         assert ppt_check(s) == ppt_check(t)
 
@@ -180,19 +180,27 @@ def test_generators_determinism_and_validity():
     assert ppt_check(s1)  # separable states are always PPT
 
     u = random_local_unitary(3, 3, seed=7)
-    gram = (u.u_a.conj_transpose() @ u.u_a).to_numpy()
+    gram = u.u_a.conj().T @ u.u_a
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
     m1 = random_mixed(2, 3, rank=4, seed=3)
     m2 = random_mixed(2, 3, rank=4, seed=3)
-    assert np.max(np.abs(m1.density_matrix().to_numpy()
-                         - m2.density_matrix().to_numpy())) == 0.0
+    assert np.max(np.abs(m1.density_matrix() - m2.density_matrix())) == 0.0
+
+
+def test_boolean_weight_is_not_a_state():
+    # isinstance(True, int) holds, so True would pass for the exact weight 1
+    with pytest.raises(NotAState, match="ensemble weight 1 is a boolean"):
+        BipartiteState(2, 2, ensemble=[(F(1, 2), (EC(1), EC(0), EC(0), EC(0))),
+                                       (True, (EC(1), EC(0), EC(0), EC(1)))])
+    with pytest.raises(NotAState, match="ensemble weight 0 is a boolean"):
+        BipartiteState(2, 2, ensemble=[(True, (EC(1), EC(0), EC(0), EC(1)))])
 
 
 def test_bad_dims_and_missing_ensemble():
     with pytest.raises(BadDims):
         random_mixed(0, 2, 1, seed=1)
-    rho = Matrix.identity(4, "approx").scale(0.25)
+    rho = np.eye(4, dtype=complex) * 0.25
     s = BipartiteState(2, 2, density=rho)
     with pytest.raises(MissingEnsemble):
         s.ensemble_terms()
@@ -202,8 +210,8 @@ def test_swapped_state_consistency():
     s = random_mixed(2, 3, rank=3, seed=55)
     sw = s.swapped()
     assert (sw.m, sw.n) == (3, 2)
-    rho = s.density_matrix().to_numpy().reshape(2, 3, 2, 3)
-    rho_sw = sw.density_matrix().to_numpy().reshape(3, 2, 3, 2)
+    rho = s.density_matrix().reshape(2, 3, 2, 3)
+    rho_sw = sw.density_matrix().reshape(3, 2, 3, 2)
     assert np.max(np.abs(rho_sw - rho.transpose(1, 0, 3, 2))) < 1e-12
 
 
@@ -213,3 +221,12 @@ def test_pure_state_entropies_are_positive_zero():
         rep = entropy_and_spectra(s)
         for e in (rep.entropy, rep.entropy_reduced_a, rep.entropy_reduced_b):
             assert e == 0.0 and math.copysign(1.0, e) == 1.0
+
+
+def test_a_float_density_is_a_read_only_copy():
+    rho = np.eye(4, dtype=complex) / 4
+    s = BipartiteState(2, 2, density=rho)
+    rho[0, 0] = 5.0
+    assert s.density_matrix()[0, 0] == 0.25
+    with pytest.raises(ValueError):
+        s.density_matrix()[0, 0] = 5.0

@@ -62,7 +62,7 @@ def test_pencil_4x6_matches_printed():
 
 
 def test_pencil_requires_ensemble():
-    rho = Matrix.identity(4, "approx").scale(0.25)
+    rho = np.eye(4, dtype=complex) * 0.25
     s = BipartiteState(2, 2, density=rho)
     with pytest.raises(MissingEnsemble):
         pencil_matrix(s)
@@ -298,9 +298,8 @@ def test_covariance_identity_and_random():
 
 def test_covariance_negative_control():
     rng = random.Random(15)
-    bad = Matrix.approx(np.array(
-        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
-         for _ in range(3)]))
+    bad = np.asarray([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
+                      for _ in range(3)], dtype=complex)
     pair = LocalUnitaryPair(bad, random_unitary(3, rng), validate=False)
     s = random_mixed(3, 3, rank=3, seed=16)
     assert not verify_lu_covariance(s, pair, samples=4, seed=42)
@@ -357,7 +356,7 @@ def test_covariance_fails_when_one_side_is_empty():
     # a map on side B with a zero row zeroes a row of the transformed
     # pencil, so V is all of CP^2 there, while the original V is empty
     rng = random.Random(4)
-    singular = Matrix.approx(np.diag([1.0 + 0j, 1.0 + 0j, 0j]))
+    singular = np.asarray(np.diag([1.0 + 0j, 1.0 + 0j, 0j]), dtype=complex)
     pair = LocalUnitaryPair(random_unitary(3, rng), singular, validate=False)
     res = verify_lu_covariance(random_mixed(3, 3, 5, seed=0), pair, samples=3, seed=42)
     assert not res.ok
@@ -367,8 +366,8 @@ def test_covariance_does_not_take_noise_minors_for_an_empty_side():
     # side-B rows r1, r2, r1 + r2: the transformed pencil has rank <= 2, so
     # its V is all of CP^2, while the original V is empty; the float minors
     # of the transformed side are rounding noise and prove nothing
-    rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
+    rank_two = np.asarray([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
+    pair = LocalUnitaryPair(Matrix.identity(3).to_numpy(), rank_two, validate=False)
     res = verify_lu_covariance(random_mixed(3, 3, 5, seed=0), pair)
     assert not res.ok
 
@@ -409,8 +408,8 @@ def test_float_v_of_low_numerical_rank_is_sampled_and_covariant():
     # is on V to working precision, so the sampler draws random points and
     # the Hermitian oracle accepts them, and covariance is measured on both
     # sides (sampling exhausted after 500 line draws before)
-    rank_two = Matrix.approx([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    pair = LocalUnitaryPair(Matrix.identity(3).to_approx(), rank_two, validate=False)
+    rank_two = np.asarray([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
+    pair = LocalUnitaryPair(Matrix.identity(3).to_numpy(), rank_two, validate=False)
     state = apply_local_unitary(random_mixed(3, 3, 5, seed=0), pair)
     v = variety_of_state(state)
     pts = sample_points(v, 5, 42)

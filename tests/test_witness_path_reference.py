@@ -7,10 +7,11 @@ scales, Jacobian and gradient: ``CompiledSystem``'s ``values_scales``,
 ``_value`` and ``_scale`` they called; the gradient is now read only by
 the reference kernel below), ``_newton_polish``, and
 ``Variety.hermitian_residual`` with the ``hermitian_matrix`` it read
-through a ``Matrix`` round trip and ``np.linalg.norm``.  That
-``hermitian_matrix`` reads rho's blocks as they were then taken: from the
-side's density ``Matrix`` (the swapped state's on side B), as nested exact
-lists for an exact point on an exact density, else through ``to_numpy()``;
+and ``np.linalg.norm`` (the float ``Matrix`` round trip it once took kept
+every bit, and is gone with that ``Matrix``).  That ``hermitian_matrix``
+reads rho's blocks as they were then taken: from the side's density (the
+swapped state's on side B), as nested exact lists for an exact point on
+an exact density, else rounded to a complex array (``as_array``);
 ``Variety.hermitian_matrix`` must equal it, by ``==`` where both are exact
 ``Matrix`` results.  Every float result of the current code must equal
 theirs in every bit (``float.hex``), on at least 200 points or starts per
@@ -41,7 +42,7 @@ import numpy as np
 import pytest
 
 from detvar.errors import SingularPoint
-from detvar.linalg import Matrix
+from detvar.linalg import Matrix, as_array
 from detvar.multipoly import CompiledSystem
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.statefile import load_state
@@ -165,10 +166,10 @@ def reference_state_blocks(v, exact):
     base = v.state if v.side == "A" else v.state.swapped()
     rho = base.density_matrix()
     m, n = base.m, base.n
-    if exact and rho.kind == "exact":
+    if exact and isinstance(rho, Matrix):
         return [[[[rho[i * n + r, j * n + c] for c in range(n)] for r in range(n)]
                  for j in range(m)] for i in range(m)], True
-    return rho.to_numpy().reshape(m, n, m, n), False
+    return as_array(rho).reshape(m, n, m, n), False
 
 
 def reference_hermitian_matrix(v, point):
@@ -194,13 +195,11 @@ def reference_hermitian_matrix(v, point):
     pt = np.array([x.to_complex() if isinstance(x, ExactComplex) else complex(x)
                    for x in point])
     w = np.einsum("i,j->ij", pt, pt.conj())
-    mat = np.einsum("ij,irjc->rc", w, blocks)
-    return Matrix(mat.shape[0], mat.shape[1], [complex(x) for x in mat.ravel()], "approx")
+    return np.einsum("ij,irjc->rc", w, blocks)
 
 
 def reference_hermitian_residual(v, point):
-    mat = reference_hermitian_matrix(v, point)
-    arr = mat.to_numpy()
+    arr = as_array(reference_hermitian_matrix(v, point))
     det = complex(np.linalg.det(arr))
     bound = 1.0
     for k in range(arr.shape[0]):
@@ -345,11 +344,11 @@ def test_hermitian_matrix_matches_reference(name):
     exact_matrices = 0
     for pt in witness_points(v, rng):
         got, want = v.hermitian_matrix(pt), reference_hermitian_matrix(v, pt)
-        if want.kind == "exact":
+        if isinstance(want, Matrix):
             assert isinstance(got, Matrix) and got == want
             exact_matrices += 1
         else:
-            assert bits(got.ravel().tolist()) == bits(list(want.data))
+            assert bits(got.ravel().tolist()) == bits(want.ravel().tolist())
     assert exact_matrices == (COUNT // 5 if v.mode == "exact" else 0)
 
 

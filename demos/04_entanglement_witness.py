@@ -41,8 +41,9 @@ def hyperplane_certificate(cert):
 
 # five product terms in 3x4: V_A is a finite set of points.  Its minors on
 # an exact line of CP^2 (a hyperplane) are binary quartics with no common
-# zero modulo a prime, so V_A misses that line and nothing is sampled; the
-# certificate is the Macaulay test in degree 2n - 1 = 7
+# zero modulo a prime (their gcd there is constant), so V_A misses that
+# line and nothing is sampled; the certificate is the Macaulay test in
+# degree 2n - 1 = 7, which decides the same fact
 verdict_fin = linearity_decide(variety_of_state(random_separable(3, 4, 5, seed=5)), seed=42)
 print("separable 3x4, five terms:", verdict_fin.tag, "->", verdict_fin.conclusion)
 print("  certificate:", hyperplane_certificate(verdict_fin.certificate))

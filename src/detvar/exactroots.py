@@ -174,15 +174,22 @@ def _modular_roots(s: ECPoly) -> List[ExactComplex]:
         lifted = [[_hensel([(a + sign * b * sm) % m for a, b in zip(re, im)], t, p, m)
                    for t in rs] for sign, rs in zip((1, -1), roots)]
         half, half_i = pow(2, -1, m), pow(2 * sm, -1, m)
-        found = []
+        # a root of s has one image u and one image v, and no two roots
+        # share one (the roots are simple mod p): once a pair is verified,
+        # neither u nor v is tried again
+        found, unmatched = [], list(lifted[1])
         for u in lifted[0]:
-            for v in lifted[1]:
+            for v in unmatched:
                 x = _reconstruct((u + v) * half, m, bound)
+                if x is None:
+                    continue
                 y = _reconstruct((u - v) * half_i, m, bound)
-                if x is not None and y is not None:
+                if y is not None:
                     z = ExactComplex(x, y)
                     if ec_eval(s, z).is_zero():
                         found.append(z)
+                        unmatched.remove(v)
+                        break
         return found
     raise AssertionError("unreachable: the prime walk has no end")
 

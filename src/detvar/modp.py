@@ -19,6 +19,13 @@ has full column rank modulo p, it has full column rank over Q(i): every
 monomial of degree D lies in the ideal (g_j), so the forms have no common
 zero in projective space (Macaulay 1902; Lazard, EUROSAM 1983).  A rank
 short of full proves nothing: the prime, or D, may be unlucky.
+
+In three or more variables the Macaulay test takes the symbolic minors and
+the rank.  In two it takes neither: ``binary_minors_coprime`` evaluates the
+minors at n + 1 points with the integer kernel, interpolates them and folds
+their gcd, which decides exactly what full rank in degree 2n - 1 decides
+(the argument is in its docstring), so a certificate still names that
+degree and re-checks as a rank.
 """
 
 from __future__ import annotations
@@ -173,9 +180,46 @@ def gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     return a
 
 
+def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: int) -> bool:
+    """True when the n x n minors of a reduced binary pencil (an n x t
+    matrix of forms c_0 x + c_1 y, each entry its coefficient pair) have
+    no common zero on P^1 over the algebraic closure of F_p (p > n).
+
+    Each minor f is a binary form of degree n (or zero), so it is decided
+    from n + 1 values: f(1, s) for s = 0..n from maximal_minors_mod_p on
+    N(1, s), interpolated.  A common zero (1 : s_0) is a root of the gcd
+    of the f(1, s), and the zero at infinity (0 : 1) is where every
+    coefficient of s^n, f(0, 1), vanishes.  So the minors have no common
+    zero exactly when their gcd is constant and some minor keeps its s^n
+    coefficient; the fold stops as soon as both hold.
+
+    That is what full column rank of the degree-(2n - 1) Macaulay matrix
+    of the minors decides (macaulay_full_rank).  A common zero is a zero
+    of every row, so it leaves the rank short.  With no common zero, two
+    combinations g_1, g_2 of the minors (over F_p-bar, which is infinite)
+    are coprime; their Sylvester matrix is their degree-(2n - 1) Macaulay
+    matrix and is nonsingular, so x^(2n-1) and y^(2n-1) and every form of
+    that degree lie in the span of the rows, and the rank over F_p-bar,
+    the same as over F_p, is full."""
+    values = [maximal_minors_mod_p([[(a + s * b) % p for a, b in row] for row in forms], p)
+              for s in range(n + 1)]
+    g: List[int] = []
+    infinity = False
+    for minor in zip(*values):
+        f = interpolate_mod_p(minor, p)
+        infinity = infinity or f[-1] != 0
+        g = gcd_mod_p(g, f, p)
+        if infinity and len(g) == 1:
+            return True
+    return False
+
+
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank modulo p of an integer matrix, by dense Gaussian elimination on
-    int64 (p < 3e9, so no product of two residues overflows)."""
+    int64 (p < 3e9, so no product of two residues overflows); 0 for a
+    matrix with no rows."""
+    if not rows:
+        return 0
     a = np.array(rows, dtype=np.int64).reshape(len(rows), -1) % p
     nrows, ncols = a.shape
     rank = 0

@@ -77,6 +77,7 @@ from .modp import (
     EXP_BITS,
     RANK_PRIME,
     ModPoly,
+    binary_minors_coprime,
     gcd_mod_p,
     interpolate_mod_p,
     macaulay_full_rank,
@@ -1040,7 +1041,8 @@ class FiniteCertificate(NamedTuple):
     hyperplane H: x_{m-1} = sum_i h_i x_i, read in the coordinates
     x_0 .. x_{m-2}; then V misses H (a variety of dimension >= 1 meets
     every hyperplane), so V is finite.  For m = 3 the restricted minors
-    are binary forms of degree n, and `degree` is 2n - 1.
+    are binary forms of degree n, and `degree` is 2n - 1; full rank there
+    is decided by modp.binary_minors_coprime, without taking the rank.
     """
 
     kind: str
@@ -1105,13 +1107,14 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
     with Gaussian-integer coefficients drawn from a stream of its own
     (seeded from the analysis seed, apart from the sampler's), for Finite.
-    The Macaulay rank is tried in degrees n + 1 .. n + 3; on minors in two
-    variables (m = 3 on the hyperplane, m = 2 without one) in degree 2n - 1
-    alone, which decides: the minors of a linear pencil in two variables
-    with no common zero already span every form of degree n
-    (Hilbert-Burch).  The prime is the pencil's
-    (PencilMatrix.mod_p), which passes over any prime dividing a
-    denominator of the pencil.
+    In three or more variables the minors are expanded (_minors_mod_p) and
+    the Macaulay rank is tried in degrees n + 1 .. n + 3.  In two
+    variables (m = 3 on the hyperplane, m = 2 without one) no minor is
+    expanded and no rank is taken: modp.binary_minors_coprime decides, by
+    a gcd of the interpolated minors, exactly what full rank in degree
+    2n - 1 decides, and the certificate records that degree, so it
+    re-checks as before.  The prime is the pencil's (PencilMatrix.mod_p),
+    which passes over any prime dividing a denominator of the pencil.
     """
     tests: List[Tuple[str, Optional[Tuple[ExactComplex, ...]]]] = []
     if v.pencil.t - v.n + 1 > v.m - 1:
@@ -1124,11 +1127,15 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
         return None
     p, forms = v.pencil.mod_p()
     for tag, h in tests:
-        gens = _minors_mod_p(forms if h is None else _restrict_mod_p(forms, h, p), p)
+        reduced = forms if h is None else _restrict_mod_p(forms, h, p)
         nvars = v.m if h is None else v.m - 1
-        degrees = ([2 * v.n - 1] if nvars == 2
-                   else range(v.n + 1, v.n + 1 + MACAULAY_DEGREES))
-        for degree in degrees:
+        if nvars == 2:
+            if binary_minors_coprime(reduced, v.n, p):
+                return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p,
+                                              degree=2 * v.n - 1)
+            continue
+        gens = _minors_mod_p(reduced, p)
+        for degree in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES):
             if macaulay_full_rank(gens, nvars, degree, p):
                 return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
     return None

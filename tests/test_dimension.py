@@ -6,8 +6,9 @@ is finite unless it is all of CP^1.  For every m >= 3 and both kinds of
 state, the Macaulay test modulo a prime certifies V empty (its minors have
 no common zero) or finite (it misses an exact hyperplane, by the
 projective dimension theorem); for m = 3 the hyperplane is a line, and the
-binary minors there are tried in degree 2n - 1 alone.  It runs only where Eagon-Northcott allows a finite or
-empty V, t - n + 1 >= m - 1.  These tests pin which states are certified,
+binary minors there are decided by a gcd modulo the prime, recorded as the
+rank in degree 2n - 1.  It runs only where Eagon-Northcott allows a finite
+or empty V, t - n + 1 >= m - 1.  These tests pin which states are certified,
 that a curve never is, nor a float pencil whose minors are rounding noise,
 that the point at infinity of a line is checked, that every certificate
 re-checks from the report and the state file alone, and that the sampler

@@ -1,8 +1,9 @@
 """The binary test modulo a prime against an exact line miss.
 
 For m = 3 the Macaulay certificate restricts the pencil to a line of CP^2
-and decides, with the Macaulay rank modulo p in degree 2n - 1, that the
-maximal minors of that binary pencil have no common zero.  Here each
+and decides that the maximal minors of that binary pencil have no common
+zero (modp.binary_minors_coprime, a gcd of the interpolated minors), which
+is what the Macaulay rank modulo p in degree 2n - 1 decides.  Here each
 exact line through base and direction becomes the binary pencil
 (L(base), L(direction)) modulo p, and ``misses_line`` below, the exact
 test on the expanded minors over Q(i), is the reference.  A modular
@@ -13,7 +14,7 @@ still be an exact one.  On every line the rank in degree 2n - 1, the
 degree the certificate records, must also equal the rank in degree n + 1:
 the maximal minors of a linear pencil in two variables with no common
 zero span every form of degree n (Hilbert-Burch), so either degree
-decides.
+decides; and the gcd decision must equal both.
 
 The lines are random exact lines on separable and Gaussian-rational
 pencils of shapes 3x3 t4/t5 and 3x4 t5/t6, lines through an exact point
@@ -28,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from detvar.factorization import _line_gcd, _random_exact_point
-from detvar.modp import macaulay_full_rank, reduce_scalar
+from detvar.modp import binary_minors_coprime, macaulay_full_rank, reduce_scalar
 from detvar.multipoly import restrict_to_line
 from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_separable
@@ -68,10 +69,12 @@ def line_pencil(forms, base, direction, p):
 
 def binary_miss(v, forms, base, direction, p) -> bool:
     """The Macaulay test on the line in degree 2n - 1, checked against
-    degree n + 1."""
-    gens = _minors_mod_p(line_pencil(forms, base, direction, p), p)
+    degree n + 1 and against the gcd decision the certificate runs."""
+    binary = line_pencil(forms, base, direction, p)
+    gens = _minors_mod_p(binary, p)
     miss = macaulay_full_rank(gens, 2, 2 * v.n - 1, p)
     assert miss == macaulay_full_rank(gens, 2, v.n + 1, p), (base, direction, p)
+    assert miss == binary_minors_coprime(binary, v.n, p), (base, direction, p)
     return miss
 
 

@@ -91,6 +91,11 @@ def test_rank_mod_p_agrees_with_the_exact_rank(rows, cols, rank):
         assert rank_mod_p(reduced, P) == rank_exact(Matrix.exact(a))
 
 
+def test_rank_mod_p_of_an_empty_matrix_is_zero():
+    assert rank_mod_p([], P) == 0
+    assert rank_mod_p([[], []], P) == 0
+
+
 def test_a_miss_modulo_p_proves_nothing():
     # full rank over Q(i), singular modulo p: the rank modulo p is a lower
     # bound only, so a rank short of full certifies nothing

@@ -7,7 +7,7 @@ import pytest
 from detvar.catalog import cyclic_cubic_state, maximally_mixed, ppt_4x6_state, printed_pencil_4x6
 from detvar.errors import ArityMismatch, MissingEnsemble, SamplingExhausted, SingularPoint
 from detvar.linalg import Matrix
-from detvar.modp import macaulay_full_rank
+from detvar.modp import binary_minors_coprime, macaulay_full_rank
 from detvar.multipoly import Poly
 from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.states import (
@@ -338,10 +338,10 @@ def _shared_factor_state(n, seed):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
-    # m = 2: the Empty test of verify_lu_covariance runs on binary minors
-    # in degree 2n - 1 alone, above the n + 1 .. n + 3 tried in more
-    # variables once n >= 5; both decide alike, on an empty V and on one
-    # with a point
+    # m = 2: the Empty test of verify_lu_covariance decides binary minors
+    # by a gcd (binary_minors_coprime) and records degree 2n - 1, above the
+    # n + 1 .. n + 3 tried in more variables once n >= 5; all three decide
+    # alike, on an empty V and on one with a point
     finite = _shared_factor_state(n, seed=n)
     assert membership(variety_of_state(finite), [EC(2), EC(-1)])
     for s, full in ((random_mixed(2, n, n + 1, seed=n), True), (finite, False)):
@@ -350,6 +350,7 @@ def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
         gens = _minors_mod_p(forms, p)
         assert macaulay_full_rank(gens, 2, 2 * n - 1, p) is full
         assert macaulay_full_rank(gens, 2, n + 1, p) is full
+        assert binary_minors_coprime(forms, n, p) is full
 
 
 def test_covariance_fails_when_one_side_is_empty():

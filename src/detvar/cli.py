@@ -40,7 +40,7 @@ from .report import (
     render_json,
 )
 from .scalars import DEFAULT_TOL, Tolerance
-from .statefile import load_state, save_state
+from .statefile import load_state, parse_state_bytes, read_state_file, save_state
 from .states import random_local_unitary, random_mixed, random_separable
 from .variety import (DEFAULT_SAMPLES, DEFAULT_SEED, linearity_decide, variety_of_state,
                       verify_lu_covariance)
@@ -77,11 +77,10 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    with open(args.file, "rb") as fh:
-        digest = digest_bytes(fh.read())
-    state = load_state(args.file)
-    report = analyze_state(state, side=args.side, tol=_tolerance(args),
-                           samples=args.samples, seed=args.seed, input_digest=digest)
+    raw = read_state_file(args.file)
+    state = parse_state_bytes(raw)  # the bytes the digest is taken of
+    report = analyze_state(state, side=args.side, tol=_tolerance(args), samples=args.samples,
+                           seed=args.seed, input_digest=digest_bytes(raw))
     _emit(report, args)
     return 0
 

@@ -11,7 +11,6 @@ the Hermitian determinant independently.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from typing import Optional
 
@@ -20,7 +19,7 @@ from .errors import NotHesseShape
 from .moduli import HesseCubic, hesse_reduce, moduli_value, moduli_verdict
 from .multipoly import LinearForm
 from .scalars import DEFAULT_TOL, Tolerance
-from .statefile import render_scalar
+from .statefile import json_text, render_scalar
 from .states import BipartiteState, entropy_and_spectra, ppt_check
 from .variety import (
     DEFAULT_SAMPLES,
@@ -258,4 +257,6 @@ def chart_reduction_report(cr: ChartReduction) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as json.dumps(report, indent=2, sort_keys=True) writes
+    it, then a newline (statefile.json_text)."""
+    return json_text(report)

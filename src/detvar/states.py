@@ -16,7 +16,9 @@ unit norm and the same formula is harmless.
 A density-only state forces the approximate pathway downstream, since
 recovering an ensemble requires an eigendecomposition.  A local unitary
 is an exact ``Matrix`` or a complex array, and every float image a state
-hands on (its density, partial traces, eigenvectors) is an array.
+hands on (its density, partial traces, eigenvectors) is an array; so are
+a float ensemble's rays, unit-scaled once per state (``_unit_rays``) for
+its density and its pencil.
 """
 
 from __future__ import annotations
@@ -51,15 +53,17 @@ Weight = object  # Fraction (exact) or float (approx)
 Vector = Tuple[object, ...]  # ExactComplex or complex entries
 
 
-def unit_scaled(v: Sequence) -> List[complex]:
-    """The ray v as floats times 2**-e, e the binary exponent of its
-    largest real or imaginary part, which then lies in [1/2, 1).  Scaling
-    by a power of two is exact, so every ratio built from the ray keeps
-    its bits, while its products (minors, outer products, norms) no
-    longer underflow or overflow."""
-    zs = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in v]
-    e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in zs))[1]
-    return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in zs]
+def unit_rows(rays: np.ndarray) -> np.ndarray:
+    """Each row of a complex (t, mn) array times 2**-e, e the binary
+    exponent of its largest real or imaginary part, which then lies in
+    [1/2, 1).  Scaling by a power of two is exact, so every ratio built
+    from a ray keeps its bits, while its products (minors, outer products,
+    norms) no longer underflow or overflow."""
+    e = np.frexp(np.maximum(np.abs(rays.real), np.abs(rays.imag)).max(axis=1))[1]
+    out = np.empty_like(rays)
+    out.real = np.ldexp(rays.real, -e[:, None])
+    out.imag = np.ldexp(rays.imag, -e[:, None])
+    return out
 
 
 class BipartiteState:
@@ -89,6 +93,7 @@ class BipartiteState:
         self._eigen = None     # (tol, EigenResult) of eigen(), one per tolerance
         self._sum = None       # _gaussian_sum(), summed at most once
         self._images = None    # _float_images(), rounded at most once
+        self._rays = None      # _unit_rays(), scaled at most once
         self._exact = None     # exact_ensemble, scanned at most once
         self._swapped = None   # swapped(), built at most once
         if validate:
@@ -260,6 +265,21 @@ class BipartiteState:
                                 sum(blocks[i, :, i, :] for i in range(m)))
         return self._images
 
+    def _unit_rays(self) -> np.ndarray:
+        """The ensemble's rays as one read-only complex (t, mn) array, each
+        row unit-scaled (unit_rows); built once, for the float density and
+        the float pencil.  ExactComplex entries are rounded (to_complex)."""
+        if self._rays is None:
+            vectors = [v for _, v in self.ensemble_terms()]
+            try:
+                rays = np.array(vectors, dtype=complex)
+            except TypeError:  # ExactComplex entries
+                rays = np.array([[x.to_complex() if isinstance(x, ExactComplex) else complex(x)
+                                  for x in v] for v in vectors], dtype=complex)
+            self._rays = unit_rows(rays)
+            self._rays.flags.writeable = False
+        return self._rays
+
     def ensemble_terms(self) -> List[Tuple[Weight, Vector]]:
         if self.ensemble is None:
             raise MissingEnsemble(
@@ -346,7 +366,8 @@ def density_from_ensemble(s: BipartiteState):
 
     An exact ensemble gives an exact Matrix, one from_fields per entry of
     the state's Gaussian-integer sum over L (``BipartiteState._gaussian_sum``).
-    Float rays go through unit_scaled and numpy, into a complex array.
+    Float rays are read as the state's unit-scaled array (_unit_rays) and
+    summed term by term into a complex array.
     """
     mn = s.m * s.n
     if s.exact_ensemble:
@@ -354,8 +375,7 @@ def density_from_ensemble(s: BipartiteState):
         return Matrix(mn, mn, [from_fields(a, b, den) for re_i, im_i in zip(re, im)
                                for a, b in zip(re_i, im_i)])
     rho = np.zeros((mn, mn), dtype=complex)
-    for w, v in s.ensemble_terms():
-        vec = np.array(unit_scaled(v))
+    for (w, _), vec in zip(s.ensemble_terms(), s._unit_rays()):
         nsq = float(np.vdot(vec, vec).real)
         rho += (float(w) / nsq) * np.outer(vec, vec.conj())
     return rho

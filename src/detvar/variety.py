@@ -97,7 +97,7 @@ from .multipoly import (
     univariate_roots,
 )
 from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance
-from .states import BipartiteState, unit_scaled
+from .states import BipartiteState
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
@@ -128,22 +128,33 @@ class PencilMatrix:
 
     entries[k][l] is the tuple of the m coefficients of entry (k, l), which
     equals sum_i r_i * (A_i)[k, l]; an entry with no nonzero coefficient is
-    m zeros of the pencil's kind.  An exact pencil keeps the raw ensemble
-    coefficients, so the matrix printed for the worked examples matches the
-    construction on the nose.  A float pencil takes each ray through
-    states.unit_scaled: a power of two per column, which leaves every ratio
-    downstream bit-identical but keeps the minors of very small or very
-    large rays inside the float range.
+    m zeros of the pencil's kind.  An exact pencil is its grid of entries:
+    it keeps the raw ensemble coefficients, so the matrix printed for the
+    worked examples matches the construction on the nose.  A float pencil
+    is its complex (n, t, m) array, cut from the state's unit-scaled rays
+    (BipartiteState._unit_rays): a power of two per column, which leaves
+    every ratio downstream bit-identical but keeps the minors of very small
+    or very large rays inside the float range.  Its entries are derived
+    from that array on first read; only the reduction modulo p reads them.
     """
 
     def __init__(self, side: str, n_rows: int, t_cols: int, m_vars: int,
-                 entries: List[List[Tuple]], kind: str, state: BipartiteState):
+                 entries, kind: str, state: BipartiteState):
+        """`entries` is an exact pencil's grid of coefficient tuples, or a
+        float pencil's C-contiguous complex (n, t, m) array."""
         self.side, self.n, self.t, self.m = side, n_rows, t_cols, m_vars
-        self.entries = entries
+        self._base = entries if isinstance(entries, np.ndarray) else None
+        self._entries = None if self._base is not None else entries
         self.kind = kind
         self.state = state  # as given, before any swap for side B
         self._mod_p = None  # (prime, reduced coefficient vectors), found once
         self._floats = None  # (float tensor (m, n, t), ||A||), built once
+
+    @property
+    def entries(self) -> List[List[Tuple]]:
+        if self._entries is None:
+            self._entries = [[tuple(e) for e in row] for row in self._base.tolist()]
+        return self._entries
 
     def entry_polys(self) -> List[List[Poly]]:
         """The entries of an exact pencil as linear Polys; FloatMinors on a
@@ -169,11 +180,15 @@ class PencilMatrix:
     @property
     def floats(self) -> Tuple[np.ndarray, float]:
         """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
-        and ||A||, the spectral norm of its m x nt unfolding."""
+        and ||A||, the spectral norm of its m x nt unfolding: a float
+        pencil's array, or an exact pencil's entries rounded (to_complex),
+        seen through one transpose of a C-contiguous (n, t, m) base."""
         if self._floats is None:
-            rows = [[[c.to_complex() if isinstance(c, ExactComplex) else c for c in e]
-                     for e in row] for row in self.entries]
-            tensor = np.array(rows, dtype=complex).transpose(2, 0, 1)
+            base = self._base
+            if base is None:
+                base = np.array([[[c.to_complex() for c in e] for e in row]
+                                 for row in self._entries], dtype=complex)
+            tensor = base.transpose(2, 0, 1)
             self._floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
         return self._floats
 
@@ -182,24 +197,28 @@ class PencilMatrix:
 
 
 def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
-    """Assemble the pencil from the ensemble blocks (side B re-blocks)."""
+    """Assemble the pencil from the ensemble blocks (side B re-blocks).  A
+    float pencil is the side's unit-scaled rays reshaped, ray l holding
+    entry (k, l)'s coefficient i at i * n + k, and copied C-contiguous; an
+    entry whose coefficients are all zero (-0.0 parts too) becomes 0j."""
     state = s if side == "A" else s.swapped()
     terms = state.ensemble_terms()  # MissingEnsemble if absent
     m, n = state.m, state.n
     t = len(terms)
-    exact = state.exact_ensemble
-    zero = EC_ZERO if exact else 0j
-    rays = [v if exact else unit_scaled(v) for _, v in terms]
+    if not state.exact_ensemble:
+        base = state._unit_rays().reshape(t, m, n).transpose(2, 0, 1).copy()
+        base[(base == 0).all(axis=2)] = 0j
+        return PencilMatrix(side, n, t, m, base, "approx", s)
     entries = []
     for k in range(n):
         row = []
         for l in range(t):
-            coeffs = tuple(rays[l][i * n + k] for i in range(m))
-            if all((c.is_zero() if exact else c == 0) for c in coeffs):
-                coeffs = (zero,) * m
+            coeffs = tuple(terms[l][1][i * n + k] for i in range(m))
+            if all(c.is_zero() for c in coeffs):
+                coeffs = (EC_ZERO,) * m
             row.append(coeffs)
         entries.append(row)
-    return PencilMatrix(side, n, t, m, entries, "exact" if exact else "approx", s)
+    return PencilMatrix(side, n, t, m, entries, "exact", s)
 
 
 # ---------------------------------------------------------------------------

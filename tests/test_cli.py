@@ -110,6 +110,15 @@ def test_parse_errors_name_fields():
     assert "ensemble[0].vector[3]" in str(err4.value)
 
 
+@pytest.mark.parametrize("field", ["m", "n"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_boolean_is_no_dimension(field, value):
+    doc = {"m": 1, "n": 1, "ensemble": [{"weight": 1, "vector": [1.0]}], field: value}
+    with pytest.raises(StateFileError) as err:
+        parse_state(doc)
+    assert str(err.value) == f"{field}: must be a positive integer"
+
+
 def test_density_only_file(tmp_path):
     mn = 4
     rows = [[(1 / mn if i == j else 0) for j in range(mn)] for i in range(mn)]
@@ -184,6 +193,56 @@ def test_cli_non_finite_input_exit_code(tmp_path, capsys):
     code, out = run_cli(capsys, "analyze", str(bad))
     assert code == 2
     assert "ensemble[0].vector[3]" in json.loads(out)["error"]["message"]
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"m": 1, "n": 1, "label": "\xff", '
+                    b'"ensemble": [{"weight": 1, "vector": [1.0]}]}')
+    for argv in (("analyze", str(bad)), ("compare", str(bad), str(bad))):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "StateFileError" and err["message"].startswith("$: not UTF-8")
+
+
+def test_cli_analyze_reads_the_file_once_and_digests_what_it_parsed(tmp_path, capsys,
+                                                                    monkeypatch):
+    import builtins
+    import hashlib
+
+    import detvar.cli as cli
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json(random_mixed(2, 2, 2, seed=3))))
+    opened, parsed = [], []
+    real_open, real_parse = builtins.open, cli.parse_state_bytes
+
+    def spy_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    def spy_parse(raw):
+        parsed.append(raw)
+        return real_parse(raw)
+
+    monkeypatch.setattr(builtins, "open", spy_open)
+    monkeypatch.setattr(cli, "parse_state_bytes", spy_parse)
+    code, out = run_cli(capsys, "analyze", str(path), "--samples", "2")
+    assert code == 0
+    assert opened.count(str(path)) == 1
+    assert parsed == [path.read_bytes()]
+    assert json.loads(out)["input_digest"] == "sha256:" + hashlib.sha256(parsed[0]).hexdigest()
+
+
+def test_missing_and_malformed_files_keep_their_messages(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    for argv, message in ((("analyze", str(tmp_path / "nope.json")), "$: cannot read "),
+                          (("compare", str(bad), str(bad)), "$: invalid JSON: ")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["kind"] == "StateFileError" and err["message"].startswith(message)
 
 
 def test_cli_analyze_exact_file_empty_verdict(tmp_path, capsys):

@@ -28,8 +28,9 @@ from detvar.modp import RANK_PRIME, reduce_scalar, split_primes
 from detvar.multipoly import LinearForm
 from detvar.scalars import EC_ZERO, ExactComplex
 from detvar.statefile import load_state
-from detvar.states import BipartiteState, random_mixed, unit_scaled
+from detvar.states import BipartiteState, random_mixed
 from detvar.variety import membership, pencil_matrix, variety_of_state
+from test_float_rays_reference import unit_scaled
 from test_multipoly_reference import entry_polys
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"

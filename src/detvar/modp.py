@@ -9,8 +9,9 @@ rank modulo p is never above the rank over Q(i), since a nonzero minor
 modulo p is the image of a nonzero one.  The symbolic minors of a reduced
 pencil come from multipoly's Laplace expansion on the integers, over
 monomials packed as ``monomial`` packs them, each minor reduced modulo p
-once; the values of the maximal minors of a reduced matrix at a point come
-from this module's own kernel on plain ints (``maximal_minors_mod_p``).
+once.  Restricted to a point, a line or a hyperplane, a reduced pencil
+is one map, ``restrict_mod_p``; the values of its maximal minors at points
+come from it and this module's own kernel on plain ints.
 
 That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
 matrix of homogeneous forms g_j has a row x^a * g_j for every monomial x^a
@@ -25,7 +26,8 @@ the rank.  In two it takes neither: ``binary_minors_coprime`` evaluates the
 minors at n + 1 points with the integer kernel, interpolates them and folds
 their gcd, which decides exactly what full rank in degree 2n - 1 decides
 (the argument is in its docstring), so a certificate still names that
-degree and re-checks as a rank.
+degree and re-checks as a rank.  On a line of a larger pencil it proves
+that the minors share no factor (``variety._cauchy_binet_certificate``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import isqrt
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -114,6 +117,14 @@ def reduce_scalar(c, p: int) -> Optional[int]:
     return (_dyadic(c.real, p) + s * _dyadic(c.imag, p)) % p
 
 
+def restrict_mod_p(forms: Sequence[Sequence[Sequence[int]]],
+                   basis: Sequence[Sequence[int]], p: int) -> List[List[List[int]]]:
+    """A reduced pencil (each entry the coefficient vector of a linear form
+    c) on the span of the k points b_j modulo p: the pencil in k variables
+    whose entry c is (c . b_j mod p)_j, which reads c(sum_j y_j b_j) at y."""
+    return [[[sum(map(mul, c, b)) % p for b in basis] for c in row] for row in forms]
+
+
 def maximal_minors_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[int]:
     """The n x n minors modulo p of an n x t integer matrix, in
     lexicographic column-subset order ([] where t < n): Laplace expansion
@@ -187,11 +198,11 @@ def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: i
 
     Each minor f is a binary form of degree n (or zero), so it is decided
     from n + 1 values: f(1, s) for s = 0..n from maximal_minors_mod_p on
-    N(1, s), interpolated.  A common zero (1 : s_0) is a root of the gcd
-    of the f(1, s), and the zero at infinity (0 : 1) is where every
-    coefficient of s^n, f(0, 1), vanishes.  So the minors have no common
-    zero exactly when their gcd is constant and some minor keeps its s^n
-    coefficient; the fold stops as soon as both hold.
+    the pencil restricted to (1, s), interpolated.  A common zero (1 : s_0)
+    is a root of the gcd of the f(1, s), and the zero at infinity (0 : 1)
+    is where every coefficient of s^n, f(0, 1), vanishes.  So the minors
+    have no common zero exactly when their gcd is constant and some minor
+    keeps its s^n coefficient; the fold stops as soon as both hold.
 
     That is what full column rank of the degree-(2n - 1) Macaulay matrix
     of the minors decides (macaulay_full_rank).  A common zero is a zero
@@ -201,8 +212,8 @@ def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: i
     matrix and is nonsingular, so x^(2n-1) and y^(2n-1) and every form of
     that degree lie in the span of the rows, and the rank over F_p-bar,
     the same as over F_p, is full."""
-    values = [maximal_minors_mod_p([[(a + s * b) % p for a, b in row] for row in forms], p)
-              for s in range(n + 1)]
+    at = restrict_mod_p(forms, [(1, s) for s in range(n + 1)], p)
+    values = [maximal_minors_mod_p([[c[s] for c in row] for row in at], p) for s in range(n + 1)]
     g: List[int] = []
     infinity = False
     for minor in zip(*values):

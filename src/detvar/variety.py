@@ -27,8 +27,8 @@ an exact pencil with t > n in m >= 3 variables, a screen modulo a prime
 shows that every minor is nonzero and that some minor is not a monomial.
 The Macaulay certificate reads the same reduction, so a V certified
 finite or empty never builds a symbolic minor; nor does the exact peel
-where a certificate modulo the same prime shows, first, that nothing is
-to be peeled.
+where the binary no-common-zero test modulo the same prime, on an exact
+line, shows first that nothing is to be peeled.
 
 Every V is sampled on its pencil, not on its minors (an exact one on its
 float image; a float one of numerical rank below n at random points):
@@ -78,11 +78,10 @@ from .modp import (
     RANK_PRIME,
     ModPoly,
     binary_minors_coprime,
-    gcd_mod_p,
-    interpolate_mod_p,
     macaulay_full_rank,
     maximal_minors_mod_p,
     reduce_scalar,
+    restrict_mod_p,
     split_primes,
 )
 from .multipoly import (
@@ -167,8 +166,8 @@ class PencilMatrix:
     def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
         denominator of the pencil, and the coefficient vectors of the
-        entries modulo p.  The minor screen (exact pencils only) and the
-        Macaulay test both read this one reduction."""
+        entries modulo p.  The minor screen and the peel's certificate (exact
+        pencils only) and the Macaulay test all read this one reduction."""
         if self._mod_p is None:
             for p in split_primes(RANK_PRIME):
                 forms = _pencil_mod_p(self, p)
@@ -439,19 +438,6 @@ def _pencil_minors(p: PencilMatrix) -> List[Poly]:
     return gens
 
 
-def _form_at(form: Sequence[int], point: Sequence[int], p: int) -> int:
-    return sum(c * x for c, x in zip(form, point)) % p
-
-
-def _minor_values(forms: List[List[List[int]]], point: Sequence[int],
-                  p: int) -> List[int]:
-    """The values modulo p of the maximal minors of a reduced pencil at a
-    point, in lexicographic column-subset order: the integer kernel
-    modp.maximal_minors_mod_p on the reduced N(point)."""
-    return maximal_minors_mod_p([[_form_at(form, point, p) for form in row] for row in forms],
-                                p)
-
-
 def _minor_screen(p: PencilMatrix) -> bool:
     """True when, modulo the pencil's prime, every maximal minor of an exact
     pencil is nonzero at a random point and some minor is not a monomial.
@@ -460,21 +446,19 @@ def _minor_screen(p: PencilMatrix) -> bool:
     minor nonzero over Q(i): V is not Full.  A monomial f satisfies
     f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
     fails it is not a monomial, and the monomial test for Empty cannot
-    hold.  False proves nothing; the caller then expands the minors.  Each
-    of the four points costs one run of the integer minor kernel.  Only an
-    exact pencil with t > n in m >= 3 variables is screened
-    (variety_generators)."""
+    hold.  False proves nothing; the caller then expands the minors.  The
+    pencil is restricted to the four points at once, and each costs one
+    run of the integer minor kernel.  Only an exact pencil with t > n in
+    m >= 3 variables is screened (variety_generators)."""
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
-    r = [rng.randrange(1, prime) for _ in range(p.m)]
-    at_r = _minor_values(forms, r, prime)
-    if not all(at_r):
-        return False
-    r2 = [rng.randrange(1, prime) for _ in range(p.m)]
+    r, r2 = ([rng.randrange(1, prime) for _ in range(p.m)] for _ in range(2))
     rr2 = [a * b % prime for a, b in zip(r, r2)]
-    values = zip(at_r, _minor_values(forms, [1] * p.m, prime),
-                 _minor_values(forms, r2, prime), _minor_values(forms, rr2, prime))
-    return any(f1 * frr2 % prime != fr * fr2 % prime for fr, f1, fr2, frr2 in values)
+    at = restrict_mod_p(forms, [r, [1] * p.m, r2, rr2], prime)
+    at_r, *rest = (maximal_minors_mod_p([[c[j] for c in row] for row in at], prime)
+                   for j in range(4))
+    return all(at_r) and any(f1 * frr2 % prime != fr * fr2 % prime
+                             for fr, f1, fr2, frr2 in zip(at_r, *rest))
 
 
 def _numerical_essential(p: PencilMatrix) -> int:
@@ -641,10 +625,11 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     a guess.
 
     For t > n, the Cauchy-Binet certificate (_cauchy_binet_certificate,
-    on a line from a stream of its own) may prove before any minor is
-    expanded that the minors share no factor, which is the line peel's own
-    stop rule, certified; then ([], None) is returned: nothing peeled, V's
-    own minors remain.  Otherwise the minors are read and go to the line
+    the binary no-common-zero test modulo the pencil's prime on an exact
+    line from a stream of its own) may prove before any minor is expanded
+    that the minors share no factor, which is the line peel's own stop
+    rule, certified; then ([], None) is returned: nothing peeled, V's own
+    minors remain.  Otherwise the minors are read and go to the line
     peel (factorization.linear_factors), one generator or several.
 
     One generator, an exact hypersurface, is split into its factor list
@@ -658,7 +643,7 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     if pencil.t > v.n:
         rng = random.Random("cauchy-binet")
         base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
-        if _cauchy_binet_certificate(pencil, base, direction, rng):
+        if _cauchy_binet_certificate(pencil, base, direction):
             return [], None
     gens = v.essential_generators
     if len(gens) != 1:
@@ -668,35 +653,22 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
 
 
 def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
-                              direction: Sequence[ExactComplex], rng: random.Random) -> bool:
+                              direction: Sequence[ExactComplex]) -> bool:
     """True when the maximal minors of an exact pencil with t > n are
     proved to share no factor over Q(i); False proves nothing.  No minor is
-    expanded.
+    expanded: modp.binary_minors_coprime decides whether the minors of the
+    reduced pencil restricted to the line through base and direction (by
+    Cauchy-Binet, the restricted minors) have a common zero on P^1.
 
-    Modulo the pencil's prime, f_k(s) = det(N(base + s direction) W_k)
-    for two t x n matrices W_k with entries from rng, each a polynomial of
-    degree at most n taken from n + 1 values.  By Cauchy-Binet f_k is
-    sum_S det(W_k[S]) minor_S(base + s direction).  Suppose the minors have
-    a common factor g of positive degree, primitive over Z[i] (Gauss's
-    lemma: each minor is g times a form over Z[i] with the pencil's
-    denominators, which p does not divide).  Where some f_k has degree n,
-    its leading coefficient sum_S det(W_k[S]) minor_S(direction) is nonzero,
-    so g(direction) is nonzero modulo p, and g restricted to the line,
-    of positive degree modulo p, divides f_1 and f_2.  So a constant
-    gcd(f_1, f_2) with some f_k of degree n proves there is no g."""
+    Suppose the minors have a common factor g of positive degree, primitive
+    over Z[i] (Gauss's lemma: each minor is g times a form over Z[i] with
+    the pencil's denominators, which p does not divide).  Its image modulo
+    p is nonzero, so on the line it either vanishes or is a binary form of
+    positive degree, with a zero on P^1 over F_p-bar: either way a common
+    zero.  This is the mod-p twin of factorization._line_gcd's stop rule."""
     prime, forms = p.mod_p()
-    at_line = [[[_form_at(f, point, prime) for f in row] for row in forms]
-               for point in ([reduce_scalar(x, prime) for x in pt] for pt in (base, direction))]
-    fs = []
-    for _ in range(2):
-        cols = [[rng.randrange(prime) for _ in range(p.t)] for _ in range(p.n)]
-        pb, pd = ([[sum(a * w for a, w in zip(row, col)) % prime for col in cols]
-                   for row in at] for at in at_line)
-        values = [maximal_minors_mod_p([[x + s * y for x, y in zip(rb, rd)]
-                                        for rb, rd in zip(pb, pd)], prime)[0]
-                  for s in range(p.n + 1)]
-        fs.append(interpolate_mod_p(values, prime))
-    return len(gcd_mod_p(fs[0], fs[1], prime)) == 1 and any(f[-1] for f in fs)
+    line = [[reduce_scalar(x, prime) for x in pt] for pt in (base, direction)]
+    return binary_minors_coprime(restrict_mod_p(forms, line, prime), p.n, prime)
 
 
 def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
@@ -1077,15 +1049,6 @@ def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]
     return None if any(None in c for row in rows for c in row) else rows
 
 
-def _restrict_mod_p(forms: List[List[List[int]]], h: Sequence[ExactComplex],
-                    p: int) -> List[List[List[int]]]:
-    """The reduced pencil on the hyperplane x_{m-1} = sum_i h_i x_i, in the
-    coordinates x_0 .. x_{m-2}: a linear form c maps to c_i + h_i c_{m-1}.
-    The map y -> (y, h . y) is injective, so this is always a hyperplane."""
-    hp = [reduce_scalar(x, p) for x in h]
-    return [[[(a + b * c[-1]) % p for a, b in zip(c, hp)] for c in row] for row in forms]
-
-
 def _minors_mod_p(forms: List[List[List[int]]], p: int) -> List[ModPoly]:
     """The n x n minors modulo p of a reduced pencil (each entry its
     coefficient vector), in lexicographic column-subset order: multipoly's
@@ -1146,8 +1109,12 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
         return None
     p, forms = v.pencil.mod_p()
     for tag, h in tests:
-        reduced = forms if h is None else _restrict_mod_p(forms, h, p)
-        nvars = v.m if h is None else v.m - 1
+        # H: x_{m-1} = sum_i h_i x_i is spanned by the points e_i + h_i e_{m-1}
+        # for every h, and a form c reads c_i + h_i c_{m-1} on it
+        reduced = forms if h is None else restrict_mod_p(forms, [
+            [int(i == j) for j in range(v.m - 1)] + [reduce_scalar(x, p)]
+            for i, x in enumerate(h)], p)
+        nvars = len(reduced[0][0])
         if nvars == 2:
             if binary_minors_coprime(reduced, v.n, p):
                 return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p,

@@ -5,10 +5,12 @@ matrix modulo p; it must give the residues of multipoly's Laplace
 expansion (``minor_terms`` on constant entries), in the same order.
 
 ``variety._cauchy_binet_certificate`` claims, with no minor expanded,
-that the maximal minors of an exact pencil with t > n share no factor.
-Run on a line, it must never say so where the exact gcd of the minors
-restricted to that line (``factorization._line_gcd``) is not a constant with a
-restriction of full degree.  On the generic states it must say so, or it
+that the maximal minors of an exact pencil with t > n share no factor: the
+binary no-common-zero test (``modp.binary_minors_coprime``) on the pencil
+restricted to a line modulo its prime.  Run on a line, it must never say
+so where the exact gcd of the minors restricted to that line
+(``factorization._line_gcd``) is not a constant with a restriction of
+full degree.  On the generic states it must say so, or it
 would certify nothing; where a hyperplane divides every minor (planted,
 or the two planes of the 4x6 PPT state's side A) it must not.
 """
@@ -116,7 +118,7 @@ def test_certificate_never_claims_what_the_exact_gcd_denies(state, side, certifi
     for k in range(4):
         rng = random.Random(f"line:{k}")
         base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
-        claim = _cauchy_binet_certificate(v.pencil, base, direction, rng)
+        claim = _cauchy_binet_certificate(v.pencil, base, direction)
         common, full_degree = _line_gcd(gens, base, direction)
         exact = len(common) == 1 and full_degree
         assert not claim or exact
@@ -134,7 +136,7 @@ def test_a_direction_on_the_planted_hyperplane_is_not_certified():
     direction = [EC(3), EC(0), EC(1), EC(0)]  # 1*3 + (-3)*1 = 0
     common, full_degree = _line_gcd(v.essential_generators, base, direction)
     assert len(common) == 1 and not full_degree
-    assert not _cauchy_binet_certificate(v.pencil, base, direction, rng)
+    assert not _cauchy_binet_certificate(v.pencil, base, direction)
 
 
 def test_certified_peel_and_planes_of_ppt_side_a():

@@ -245,6 +245,16 @@ def test_missing_and_malformed_files_keep_their_messages(tmp_path, capsys):
         assert err["kind"] == "StateFileError" and err["message"].startswith(message)
 
 
+@pytest.mark.parametrize("flag", ["--json", "--write-state"])
+def test_an_output_path_that_cannot_be_written_is_an_input_error(tmp_path, capsys, flag):
+    # a directory, and a file in a folder that does not exist
+    for path, kind in ((tmp_path, "IsADirectoryError"),
+                       (tmp_path / "missing" / "out.json", "FileNotFoundError")):
+        code, out = run_cli(capsys, "repro", "example1", flag, str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == kind
+
+
 def test_cli_analyze_exact_file_empty_verdict(tmp_path, capsys):
     p = tmp_path / "mm.json"
     run_cli(capsys, "repro", "example1", "--write-state", str(p),

@@ -28,11 +28,11 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.exactroots import ec_gcd, ec_trim
 from detvar.linalg import Matrix
-from detvar.modp import RANK_PRIME, macaulay_full_rank
+from detvar.modp import RANK_PRIME
 from detvar.multipoly import restrict_to_line, univariate_coeffs
 from detvar.scalars import ExactComplex
-from detvar.statefile import load_state
-from detvar.report import analyze_state
+from detvar.statefile import load_state, state_to_json
+from detvar.report import analyze_state, verdict_to_json
 from detvar.states import (
     BipartiteState,
     LocalUnitaryPair,
@@ -45,8 +45,6 @@ from detvar.states import (
 from detvar.variety import (
     _dimension_verdict,
     _macaulay_certificate,
-    _minors_mod_p,
-    _restrict_mod_p,
     linearity_decide,
     membership,
     nonlinearity_witness,
@@ -101,20 +99,21 @@ def test_approximate_cp1_variety_is_vacuous(no_sampling, seed):
 ], ids=["gaussian 3x3 r4", "separable 3x4 t5", "separable 3x3 t5", "separable 3x3 t4"])
 def test_finite_plane_variety_is_certified(no_sampling, state, tag):
     # t - n + 1 > m - 1 tries Empty first (3x3 t5); otherwise V misses a
-    # line, decided on binary minors and recorded in degree 2n - 1
-    v = variety_of_state(state())
+    # line, decided on binary minors and recorded in degree 2n - 1.  Each
+    # certificate is re-checked with sympy from the state and the report
+    # alone, not with the restriction and minors that produced it
+    s = state()
+    v = variety_of_state(s)
     verdict = linearity_decide(v, seed=42)
     assert verdict.tag == tag
     cert = verdict.certificate
     assert cert.kind == "macaulay" and cert.prime == RANK_PRIME
-    p, forms = v.pencil.mod_p()
     if tag == "Empty":
         assert cert.hyperplane is None
-        assert macaulay_full_rank(_minors_mod_p(forms, p), 3, cert.degree, p)
     else:
         assert cert.degree == 2 * v.n - 1
-        binary = _restrict_mod_p(forms, cert.hyperplane, p)
-        assert macaulay_full_rank(_minors_mod_p(binary, p), 2, cert.degree, p)
+    rank, columns = _recheck_macaulay(state_to_json(s), verdict_to_json(verdict)["certificate"])
+    assert rank == columns
 
 
 def _side_a_factor(vec, m, n):
@@ -274,17 +273,15 @@ def test_shapes_below_the_gate_never_reach_the_macaulay_test(macaulay_calls, sha
     assert macaulay_calls == []
 
 
-def _recheck_macaulay(name):
-    """(rank, columns) of the Macaulay matrix of a pinned report's
-    certificate, rebuilt from the report and the state file with sympy:
-    the state's rays reduced modulo the prime, i sent to the square root
-    of -1 the certificate names, on the hyperplane it names."""
+def _recheck_macaulay(doc, cert):
+    """(rank, columns) of the Macaulay matrix of a report's certificate
+    (its JSON), rebuilt with sympy from that and the state's JSON document
+    alone: the state's rays reduced modulo the prime, i sent to the square
+    root of -1 the certificate names, on the hyperplane it names."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.domains import GF
     from sympy.polys.matrices import DomainMatrix
 
-    cert = json.loads((GOLDEN / f"{name}.report.json").read_text())["verdict"]["certificate"]
-    doc = json.loads((GOLDEN / f"{name}.state.json").read_text())
     p, degree, h = cert["prime"], cert["degree"], cert["hyperplane"]
     # a^((p-1)/4) for the least quadratic non-residue a
     root = next(pow(a, (p - 1) // 4, p) for a in range(2, p)
@@ -342,7 +339,8 @@ def test_macaulay_certificate_reverifies_from_report_and_state_file(name, tag):
     report = json.loads((GOLDEN / f"{name}.report.json").read_text())
     assert report["verdict"]["tag"] == tag
     assert report["verdict"]["certificate"]["kind"] == "macaulay"
-    rank, columns = _recheck_macaulay(name)
+    rank, columns = _recheck_macaulay(json.loads((GOLDEN / f"{name}.state.json").read_text()),
+                                      report["verdict"]["certificate"])
     assert rank == columns
 
 

@@ -20,6 +20,7 @@ from detvar.modp import (
     monomial,
     rank_mod_p,
     reduce_scalar,
+    restrict_mod_p,
     split_primes,
     sqrt_minus_one,
 )
@@ -30,7 +31,6 @@ from detvar.variety import (
     _macaulay_certificate,
     _minors_mod_p,
     _pencil_mod_p,
-    _restrict_mod_p,
     pencil_matrix,
     variety_of_state,
 )
@@ -134,7 +134,8 @@ def test_minors_mod_p_are_the_images_of_the_exact_minors():
 
 def test_the_hyperplane_substitution_is_injective():
     # H is x_{m-1} = sum_i h_i x_i: the map y -> (y, h . y) has rank m - 1
-    # for every h, and each restricted entry is the entry composed with it
+    # for every h, and each entry restricted to the columns of that map,
+    # the points e_i + h_i e_{m-1}, is the entry composed with it
     v = variety_of_state(random_mixed(4, 3, 5, seed=1))
     forms = _pencil_mod_p(v.pencil, P)
     rng = random.Random(3)
@@ -144,7 +145,8 @@ def test_the_hyperplane_substitution_is_injective():
         assert len(h) == 3 and all(x.fields[2] == 1 for x in h)
         embed = [[EC(int(i == j)) for j in range(3)] for i in range(3)] + [list(h)]
         assert rank_exact(Matrix.exact(embed)) == 3
-        restricted = _restrict_mod_p(forms, h, P)
+        basis = [[reduce_scalar(row[i], P) for row in embed] for i in range(3)]
+        restricted = restrict_mod_p(forms, basis, P)
         hp = [reduce_scalar(x, P) for x in h]
         for _ in range(3):
             y = [rng.randrange(P) for _ in range(3)]

@@ -12,23 +12,60 @@ n = 1 and n = t.  Each case runs at two primes: ``RANK_PRIME``, where
 every product already leaves [0, p), and 13, where coefficients of the
 integer minors vanish modulo p though not over Z, so a missing final
 reduction shows as a stray term.
+
+It also keeps, verbatim, the three ways ``detvar.variety`` restricted a
+reduced pencil before ``modp.restrict_mod_p`` became the one place where a
+reduced coefficient vector meets a point: ``_form_at`` (a point, for the
+minor screen), ``_restrict_mod_p`` (the Macaulay test's hyperplane) and
+the peel's ``_cauchy_binet_certificate``, which mixed the columns of the
+pencil on a line by two random matrices W_k, interpolated each
+det(N W_k) and took their gcd.  The one restriction must give exactly the
+old reduced forms, at points and on the hyperplanes of the certificates,
+on the golden pencils and on drawn ones.  The binary no-common-zero test
+that replaced the two-mix certificate decides whether the minors on the
+line have a common zero, which the two mixes can only witness, so it must
+say True wherever the old certificate did; on the certificate's own
+cases the two agree.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
+import detvar.variety as variety_mod
 from detvar import catalog, states
-from detvar.modp import EXP_BITS, RANK_PRIME, ModPoly
+from detvar.factorization import _random_exact_point
+from detvar.modp import (
+    EXP_BITS,
+    RANK_PRIME,
+    ModPoly,
+    gcd_mod_p,
+    interpolate_mod_p,
+    maximal_minors_mod_p,
+    reduce_scalar,
+    restrict_mod_p,
+)
 from detvar.scalars import ExactComplex
-from detvar.variety import _minors_mod_p, _pencil_mod_p, _restrict_mod_p, pencil_matrix
+from detvar.statefile import load_state
+from detvar.variety import (
+    PencilMatrix,
+    _cauchy_binet_certificate,
+    _macaulay_certificate,
+    _minors_mod_p,
+    _pencil_mod_p,
+    pencil_matrix,
+    variety_of_state,
+)
+from test_cauchy_binet import _cases
 
 EC = ExactComplex
 F = Fraction
 PRIMES = [RANK_PRIME, 13]
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +105,63 @@ def maximal_minors(forms: Sequence[Sequence[Sequence[int]]], p: int) -> List[Mod
 
 
 # ---------------------------------------------------------------------------
+# The references (variety's restrictions and two-mix certificate, verbatim)
+# ---------------------------------------------------------------------------
+
+def _form_at(form: Sequence[int], point: Sequence[int], p: int) -> int:
+    return sum(c * x for c, x in zip(form, point)) % p
+
+
+def _restrict_mod_p(forms: List[List[List[int]]], h: Sequence[ExactComplex],
+                    p: int) -> List[List[List[int]]]:
+    """The reduced pencil on the hyperplane x_{m-1} = sum_i h_i x_i, in the
+    coordinates x_0 .. x_{m-2}: a linear form c maps to c_i + h_i c_{m-1}.
+    The map y -> (y, h . y) is injective, so this is always a hyperplane."""
+    hp = [reduce_scalar(x, p) for x in h]
+    return [[[(a + b * c[-1]) % p for a, b in zip(c, hp)] for c in row] for row in forms]
+
+
+def reference_cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
+                                       direction: Sequence[ExactComplex],
+                                       rng: random.Random) -> bool:
+    """True when the maximal minors of an exact pencil with t > n are
+    proved to share no factor over Q(i); False proves nothing.  No minor is
+    expanded.
+
+    Modulo the pencil's prime, f_k(s) = det(N(base + s direction) W_k)
+    for two t x n matrices W_k with entries from rng, each a polynomial of
+    degree at most n taken from n + 1 values.  By Cauchy-Binet f_k is
+    sum_S det(W_k[S]) minor_S(base + s direction).  Suppose the minors have
+    a common factor g of positive degree, primitive over Z[i] (Gauss's
+    lemma: each minor is g times a form over Z[i] with the pencil's
+    denominators, which p does not divide).  Where some f_k has degree n,
+    its leading coefficient sum_S det(W_k[S]) minor_S(direction) is nonzero,
+    so g(direction) is nonzero modulo p, and g restricted to the line,
+    of positive degree modulo p, divides f_1 and f_2.  So a constant
+    gcd(f_1, f_2) with some f_k of degree n proves there is no g."""
+    prime, forms = p.mod_p()
+    at_line = [[[_form_at(f, point, prime) for f in row] for row in forms]
+               for point in ([reduce_scalar(x, prime) for x in pt] for pt in (base, direction))]
+    fs = []
+    for _ in range(2):
+        cols = [[rng.randrange(prime) for _ in range(p.t)] for _ in range(p.n)]
+        pb, pd = ([[sum(a * w for a, w in zip(row, col)) % prime for col in cols]
+                   for row in at] for at in at_line)
+        values = [maximal_minors_mod_p([[x + s * y for x, y in zip(rb, rd)]
+                                        for rb, rd in zip(pb, pd)], prime)[0]
+                  for s in range(p.n + 1)]
+        fs.append(interpolate_mod_p(values, prime))
+    return len(gcd_mod_p(fs[0], fs[1], prime)) == 1 and any(f[-1] for f in fs)
+
+
+# ---------------------------------------------------------------------------
 # Comparisons
 # ---------------------------------------------------------------------------
+
+def hyperplane_basis(h: Sequence[ExactComplex], p: int) -> List[List[int]]:
+    """The points e_i + h_i e_{m-1} modulo p that span x_{m-1} = sum_i h_i x_i."""
+    return [[int(i == j) for j in range(len(h))] + [reduce_scalar(x, p)]
+            for i, x in enumerate(h)]
 
 def assert_same_minors(forms: List[List[List[int]]], p: int):
     got, ref = _minors_mod_p(forms, p), maximal_minors(forms, p)
@@ -114,7 +206,7 @@ def test_pencil_minors_mod_p_match_reference(name, p):
         # the Macaulay test's hyperplane x_{m-1} = sum_i h_i x_i
         for _ in range(3):
             h = [EC(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(pencil.m - 1)]
-            assert_same_minors(_restrict_mod_p(forms, h, p), p)
+            assert_same_minors(restrict_mod_p(forms, hyperplane_basis(h, p), p), p)
 
 
 def random_forms(rng: random.Random, n: int, t: int, m: int, p: int) -> List[List[List[int]]]:
@@ -171,3 +263,65 @@ def test_a_coefficient_divisible_by_p_but_not_zero_is_dropped():
     x, y = 1, 1 << EXP_BITS
     assert _minors_mod_p([[[1, 0], [0, 1]], [[0, 3], [4, 0]]], 13) == [{2 * x: 4, 2 * y: 10}]
     assert _minors_mod_p([[[1, 0], [0, 1]], [[0, 1], [13, 0]]], 13) == [{2 * y: 12}]
+
+
+# ---------------------------------------------------------------------------
+# The one restriction against the three it replaced
+# ---------------------------------------------------------------------------
+
+GOLDEN_STATES = sorted(path.name[:-len(".state.json")] for path in GOLDEN.glob("*.state.json"))
+
+
+def _pencils(name):
+    """Both sides of a golden or drawn state, where the pencil has minors."""
+    state = (load_state(str(GOLDEN / f"{name}.state.json")) if name in GOLDEN_STATES
+             else PENCIL_STATES[name]())
+    if state.ensemble is None:  # a density file: its spectral ensemble, as analyze reads it
+        state = state.spectral()
+    pencils = [pencil_matrix(state, side) for side in "AB"]
+    return [pencil for pencil in pencils if pencil.t >= pencil.n]
+
+
+@pytest.mark.parametrize("name", GOLDEN_STATES + sorted(PENCIL_STATES))
+def test_one_restriction_gives_the_old_reduced_forms(name, monkeypatch):
+    restricted = []
+
+    def spy(forms, basis, p):
+        restricted.append(restrict_mod_p(forms, basis, p))
+        return restricted[-1]
+
+    monkeypatch.setattr(variety_mod, "restrict_mod_p", spy)
+    rng = random.Random(name)
+    for pencil in _pencils(name):
+        p, forms = pencil.mod_p()
+        # points: the values of the entries, as the minor screen reads them
+        for _ in range(3):
+            point = [rng.randrange(p) for _ in range(pencil.m)]
+            assert restrict_mod_p(forms, [point], p) == [
+                [[_form_at(form, point, p)] for form in row] for row in forms]
+        # drawn hyperplanes, with the basis built here
+        for _ in range(3):
+            h = [EC(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(pencil.m - 1)]
+            assert restrict_mod_p(forms, hyperplane_basis(h, p), p) == _restrict_mod_p(forms, h, p)
+        # the hyperplanes of the Macaulay certificates, restricted by variety
+        # itself, where Eagon-Northcott lets the test run
+        v = variety_mod.variety_generators(pencil)
+        if pencil.m < 3 or pencil.t - pencil.n + 1 < pencil.m - 1 or v.structural is not None:
+            continue
+        for seed in range(4):
+            del restricted[:]
+            got = _macaulay_certificate(v, seed)
+            if got is not None and got[1].hyperplane is not None:
+                assert restricted[-1] == _restrict_mod_p(forms, got[1].hyperplane, p)
+
+
+@pytest.mark.parametrize("state, side, certified", _cases())
+def test_binary_certificate_says_true_wherever_the_two_mixes_did(state, side, certified):
+    v = variety_of_state(state, side)
+    for k in range(4):
+        rng = random.Random(f"line:{k}")
+        base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
+        new = _cauchy_binet_certificate(v.pencil, base, direction)
+        old = reference_cauchy_binet_certificate(v.pencil, base, direction, rng)
+        assert new or not old
+        assert new == old == certified

@@ -6,62 +6,48 @@ denominator p does not divide, and to every float, which is a dyadic
 rational.  The image of a determinant is the determinant of the images,
 so minors can be taken modulo p straight from a reduced pencil; and a
 rank modulo p is never above the rank over Q(i), since a nonzero minor
-modulo p is the image of a nonzero one.  The symbolic minors of a reduced
-pencil come from multipoly's Laplace expansion on the integers, over
-monomials packed as ``monomial`` packs them, each minor reduced modulo p
-once.  Restricted to a point, a line or a hyperplane, a reduced pencil
-is one map, ``restrict_mod_p``; the values of its maximal minors at points
-come from it and this module's own kernel on plain ints.
+modulo p is the image of a nonzero one.  No minor is expanded modulo p:
+every modular test reads the values of the maximal minors at points
+(``minor_values``), the pencil restricted to them by one map
+(``restrict_mod_p``) and run through an integer kernel.
 
 That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
-matrix of homogeneous forms g_j has a row x^a * g_j for every monomial x^a
-of degree D - deg g_j and a column for every monomial of degree D.  If it
-has full column rank modulo p, it has full column rank over Q(i): every
-monomial of degree D lies in the ideal (g_j), so the forms have no common
-zero in projective space (Macaulay 1902; Lazard, EUROSAM 1983).  A rank
-short of full proves nothing: the prime, or D, may be unlucky.
+matrix M of homogeneous forms g_j has a row x^a * g_j for every monomial
+x^a of degree D - deg g_j and a column for every monomial of degree D.  If
+it has full column rank modulo p, it has full column rank over Q(i):
+every monomial of degree D lies in the ideal (g_j), so the forms have no
+common zero in projective space (Macaulay 1902; Lazard, EUROSAM 1983).  A
+rank short of full proves nothing: the prime, or D, may be unlucky.  The
+test reads M E, where E evaluates forms of degree D at the lattice points
+Q_D = {q in Z^k_{>=0} : |q| = D}, so row x^a * g_j reads q^a g_j(q).
+rank(M E) <= rank(M): full rank of M E is a proof whatever the points.
+On sum_i x_i = D, Q_D is the principal lattice of a simplex, unisolvent
+for degree D with Lagrange denominators dividing D! (Chung and Yao, SIAM
+J. Numer. Anal. 14, 1977), so E is invertible modulo every p > D and the
+test decides what the rank of M decides.
 
-In three or more variables the Macaulay test takes the symbolic minors and
-the rank.  In two it takes neither: ``binary_minors_coprime`` evaluates the
-minors at n + 1 points with the integer kernel, interpolates them and folds
-their gcd, which decides exactly what full rank in degree 2n - 1 decides
-(the argument is in its docstring), so a certificate still names that
-degree and re-checks as a rank.  On a line of a larger pencil it proves
-that the minors share no factor (``variety._cauchy_binet_certificate``).
+In three or more variables the Macaulay test takes that rank.  In two it
+takes none: ``binary_minors_coprime`` evaluates the minors at n + 1
+points, interpolates them and folds their gcd, which decides exactly what
+full rank in degree 2n - 1 decides (the argument is in its docstring), so
+a certificate still names that degree and re-checks as a rank.  On a line
+of a larger pencil it proves that the minors share no factor
+(``variety._cauchy_binet_certificate``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .scalars import ExactComplex
 
 RANK_PRIME = 1_000_000_009  # = 1 (mod 4); (p - 1)^2 still fits an int64
-
-# A form modulo p is a dict from monomials to residues in [0, p).  A
-# monomial x^e is the int sum_i e_i << (EXP_BITS * i), so multiplying
-# monomials is adding ints.
-EXP_BITS = 8
-ModPoly = Dict[int, int]
-
-
-def monomial(exps: Sequence[int]) -> int:
-    """The packed monomial of an exponent vector (each exponent < 256)."""
-    return sum(e << (EXP_BITS * i) for i, e in enumerate(exps))
-
-
-def monomial_degree(mono: int) -> int:
-    total = 0
-    while mono:
-        total += mono & ((1 << EXP_BITS) - 1)
-        mono >>= EXP_BITS
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -125,30 +111,50 @@ def restrict_mod_p(forms: Sequence[Sequence[Sequence[int]]],
     return [[[sum(map(mul, c, b)) % p for b in basis] for c in row] for row in forms]
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int, t: int) -> List[List[List[Tuple[int, int]]]]:
+    """For each size 2 .. n, the column subsets of that size in
+    lexicographic order, each as its pairs (column c, index of the subset
+    less c among the subsets one size smaller)."""
+    index = {(c,): c for c in range(t)}
+    plan = []
+    for size in range(2, n + 1):
+        subsets = list(combinations(range(t), size))
+        plan.append([[(c, index[cs[:j] + cs[j + 1:]]) for j, c in enumerate(cs)] for cs in subsets])
+        index = {cs: j for j, cs in enumerate(subsets)}
+    return plan
+
+
 def maximal_minors_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[int]:
     """The n x n minors modulo p of an n x t integer matrix, in
     lexicographic column-subset order ([] where t < n): Laplace expansion
     along the first row on plain ints, each minor of the lower rows built
-    once per column subset (keyed by its bit mask) and reduced modulo p."""
-    n, t = len(rows), len(rows[0])
-    level = {1 << c: x % p for c, x in enumerate(rows[-1])}
-    for i in range(n - 2, -1, -1):
-        top = rows[i]
-        above = {}
-        for cs in combinations(range(t), n - i):
-            mask = 0
-            for c in cs:
-                mask |= 1 << c
+    once per column subset (indexed as _laplace_plan lays them out) and
+    reduced modulo p."""
+    level = [x % p for x in rows[-1]]
+    for top, subsets in zip(rows[-2::-1], _laplace_plan(len(rows), len(rows[0]))):
+        above = []
+        for pairs in subsets:
             acc, odd = 0, False
-            for c in cs:
+            for c, j in pairs:
                 x = top[c]
                 if x:
-                    sub = level[mask ^ (1 << c)]
-                    acc = acc - x * sub if odd else acc + x * sub
+                    acc = acc - x * level[j] if odd else acc + x * level[j]
                 odd = not odd
-            above[mask] = acc % p
+            above.append(acc % p)
         level = above
-    return list(level.values())
+    return level
+
+
+def minor_values(forms: Sequence[Sequence[Sequence[int]]],
+                 points: Sequence[Sequence[int]], p: int) -> List[List[int]]:
+    """The n x n minors modulo p of a reduced pencil at each of the points,
+    one list per point in lexicographic column-subset order: the pencil
+    restricted to the points (restrict_mod_p), then the integer kernel
+    (maximal_minors_mod_p) at each."""
+    at = restrict_mod_p(forms, points, p)
+    return [maximal_minors_mod_p([[c[j] for c in row] for row in at], p)
+            for j in range(len(points))]
 
 
 def interpolate_mod_p(values: Sequence[int], p: int) -> List[int]:
@@ -197,12 +203,12 @@ def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: i
     no common zero on P^1 over the algebraic closure of F_p (p > n).
 
     Each minor f is a binary form of degree n (or zero), so it is decided
-    from n + 1 values: f(1, s) for s = 0..n from maximal_minors_mod_p on
-    the pencil restricted to (1, s), interpolated.  A common zero (1 : s_0)
-    is a root of the gcd of the f(1, s), and the zero at infinity (0 : 1)
-    is where every coefficient of s^n, f(0, 1), vanishes.  So the minors
-    have no common zero exactly when their gcd is constant and some minor
-    keeps its s^n coefficient; the fold stops as soon as both hold.
+    from n + 1 values: f(1, s) for s = 0..n from minor_values, interpolated.
+    A common zero (1 : s_0) is a root of the gcd of the f(1, s), and the
+    zero at infinity (0 : 1) is where every coefficient of s^n, f(0, 1),
+    vanishes.  So the minors have no common zero exactly when their gcd is
+    constant and some minor keeps its s^n coefficient; the fold stops as
+    soon as both hold.
 
     That is what full column rank of the degree-(2n - 1) Macaulay matrix
     of the minors decides (macaulay_full_rank).  A common zero is a zero
@@ -212,8 +218,7 @@ def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: i
     matrix and is nonsingular, so x^(2n-1) and y^(2n-1) and every form of
     that degree lie in the span of the rows, and the rank over F_p-bar,
     the same as over F_p, is full."""
-    at = restrict_mod_p(forms, [(1, s) for s in range(n + 1)], p)
-    values = [maximal_minors_mod_p([[c[s] for c in row] for row in at], p) for s in range(n + 1)]
+    values = minor_values(forms, [(1, s) for s in range(n + 1)], p)
     g: List[int] = []
     infinity = False
     for minor in zip(*values):
@@ -229,7 +234,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank modulo p of an integer matrix, by dense Gaussian elimination on
     int64 (p < 3e9, so no product of two residues overflows); 0 for a
     matrix with no rows."""
-    if not rows:
+    if len(rows) == 0:
         return 0
     a = np.array(rows, dtype=np.int64).reshape(len(rows), -1) % p
     nrows, ncols = a.shape
@@ -250,31 +255,18 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-def macaulay_matrix(gens: Sequence[ModPoly], nvars: int, degree: int) -> List[List[int]]:
-    """The degree-`degree` Macaulay matrix of homogeneous forms in nvars
-    variables: a row x^a * g for every form g and monomial x^a of degree
-    `degree` - deg g, a column for every monomial of degree `degree`."""
-
-    def monomials(d: int) -> List[int]:
-        return [sum(1 << (EXP_BITS * i) for i in combo)
-                for combo in combinations_with_replacement(range(nvars), d)]
-
-    column = {e: j for j, e in enumerate(monomials(degree))}
-    rows = []
-    for g in gens:
-        if not g or monomial_degree(next(iter(g))) > degree:
-            continue
-        for a in monomials(degree - monomial_degree(next(iter(g)))):
-            row = [0] * len(column)
-            for e, v in g.items():
-                row[column[a + e]] = v
-            rows.append(row)
-    return rows
-
-
-def macaulay_full_rank(gens: Sequence[ModPoly], nvars: int, degree: int, p: int) -> bool:
-    """True when the Macaulay matrix has full column rank modulo p, which
-    proves the forms have no common projective zero over Q(i)-bar."""
-    rows = macaulay_matrix(gens, nvars, degree)
-    ncols = len(rows[0]) if rows else 0
-    return len(rows) >= ncols > 0 and rank_mod_p(rows, p) == ncols
+def macaulay_full_rank(forms: Sequence[Sequence[Sequence[int]]], n: int, degree: int,
+                       p: int) -> bool:
+    """True when the degree-`degree` Macaulay matrix of the n x n minors of
+    a reduced pencil has full column rank modulo p, which proves the minors
+    have no common projective zero over Q(i)-bar.  It is read at the
+    lattice points q of that degree (module docstring): row x^a * g is
+    q^a g(q), a product of two residues below p < 2^31, taken in int64."""
+    k = len(forms[0][0])
+    points = [[c.count(i) for i in range(k)]
+              for c in combinations_with_replacement(range(k), degree)]
+    shifts = list(combinations_with_replacement(range(k), degree - n))
+    monos = np.array([[prod(q[i] for i in a) % p for a in shifts] for q in points], dtype=np.int64)
+    values = np.array(minor_values(forms, points, p), dtype=np.int64)
+    rows = (values.T[:, None] * monos.T % p).reshape(-1, len(points))
+    return len(rows) >= len(points) and rank_mod_p(rows, p) == len(points)

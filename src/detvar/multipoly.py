@@ -26,7 +26,7 @@ import math
 import operator
 from itertools import combinations
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -577,11 +577,9 @@ def _gi_times(z: ExactComplex, k: int) -> Tuple[int, int]:
 
 
 # (mul, add, sub, neg, zero) of the coefficients _laplace works on:
-# Gaussian integers as (re, im) int pairs, complex numbers, and integers
-# (residues modulo a prime, reduced once per minor by the caller)
+# Gaussian integers as (re, im) int pairs, and complex numbers
 _GAUSSIAN_INTEGERS = (_gi_mul, _gi_add, _gi_sub, _gi_neg, (0, 0))
 _COMPLEX_NUMBERS = (operator.mul, operator.add, operator.sub, operator.neg, 0j)
-INTEGERS = (operator.mul, operator.add, operator.sub, operator.neg, 0)
 
 
 def _laplace(rows: List[List[Terms]], rs: Tuple[int, ...], cs: Tuple[int, ...],
@@ -601,9 +599,8 @@ def _laplace(rows: List[List[Terms]], rs: Tuple[int, ...], cs: Tuple[int, ...],
 
     memo holds every minor built so far under (rs, cs), so a minor of the
     lower rows is built once and shared by all the larger minors that
-    contain it.  The kernel never unpacks a monomial, so it serves any
-    packing: ``minors`` and ``symbolic_det`` pack w bits per variable,
-    the Macaulay test modulo a prime packs as ``modp`` does.
+    contain it.  The kernel never unpacks a monomial; ``minors`` and
+    ``symbolic_det`` pack w bits per variable (``_laplace_input``).
     """
     if len(cs) == 1:
         return rows[rs[0]][cs[0]]
@@ -745,18 +742,9 @@ def minors(rows: List[List[Poly]], k: int) -> List[Poly]:
     if k > min(nr, nc) or k < 1:
         raise BadOrder(f"cannot take {k}x{k} minors of a {nr}x{nc} matrix")
     entries, ring, rebuild = _laplace_input(rows)
-    return [rebuild(terms, rsub) for rsub, terms in minor_terms(entries, k, ring)]
-
-
-def minor_terms(entries: List[List[Terms]], k: int, ring
-                ) -> Iterator[Tuple[Tuple[int, ...], Terms]]:
-    """(rows, terms) of every k x k minor of a matrix of raw term dicts
-    with coefficients in `ring` (see ``_laplace``), in lexicographic
-    row-subset then column-subset order, all from one memo."""
     memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Terms] = {}
-    for rsub in combinations(range(len(entries)), k):
-        for csub in combinations(range(len(entries[0])), k):
-            yield rsub, _laplace(entries, rsub, csub, memo, ring)
+    return [rebuild(_laplace(entries, rsub, csub, memo, ring), rsub)
+            for rsub in combinations(range(nr), k) for csub in combinations(range(nc), k)]
 
 
 # ---------------------------------------------------------------------------

@@ -74,22 +74,18 @@ from .errors import (
 from .factorization import FactorList, _random_exact_point, linear_factorization, linear_factors
 from .linalg import Matrix, as_array, det_exact, rank_exact
 from .modp import (
-    EXP_BITS,
     RANK_PRIME,
-    ModPoly,
     binary_minors_coprime,
     macaulay_full_rank,
-    maximal_minors_mod_p,
+    minor_values,
     reduce_scalar,
     restrict_mod_p,
     split_primes,
 )
 from .multipoly import (
-    INTEGERS,
     CompiledSystem,
     LinearForm,
     Poly,
-    minor_terms,
     minors,
     sylvester_resultant,
     univariate_coeffs,
@@ -447,16 +443,14 @@ def _minor_screen(p: PencilMatrix) -> bool:
     f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
     fails it is not a monomial, and the monomial test for Empty cannot
     hold.  False proves nothing; the caller then expands the minors.  The
-    pencil is restricted to the four points at once, and each costs one
-    run of the integer minor kernel.  Only an exact pencil with t > n in
-    m >= 3 variables is screened (variety_generators)."""
+    values at the four points come from one call of modp.minor_values.
+    Only an exact pencil with t > n in m >= 3 variables is screened
+    (variety_generators)."""
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
     r, r2 = ([rng.randrange(1, prime) for _ in range(p.m)] for _ in range(2))
     rr2 = [a * b % prime for a, b in zip(r, r2)]
-    at = restrict_mod_p(forms, [r, [1] * p.m, r2, rr2], prime)
-    at_r, *rest = (maximal_minors_mod_p([[c[j] for c in row] for row in at], prime)
-                   for j in range(4))
+    at_r, *rest = minor_values(forms, [r, [1] * p.m, r2, rr2], prime)
     return all(at_r) and any(f1 * frr2 % prime != fr * fr2 % prime
                              for fr, f1, fr2, frr2 in zip(at_r, *rest))
 
@@ -1026,8 +1020,9 @@ class FiniteCertificate(NamedTuple):
     kind "ambient_dimension": V lies in CP^1 and is not all of it.
     kind "macaulay": the degree-`degree` Macaulay matrix of the minors has
     full column rank modulo the prime `prime`, with i sent to
-    modp.sqrt_minus_one(prime) (see modp).  Without a hyperplane the
-    minors have no common zero: V is empty.  With the Gaussian integers
+    modp.sqrt_minus_one(prime), read at lattice points (see modp) or, as a
+    re-check may, on monomials: the rank is the same.  Without a hyperplane
+    the minors have no common zero: V is empty.  With the Gaussian integers
     `hyperplane` = (h_0, .., h_{m-2}) the minors are restricted to the
     hyperplane H: x_{m-1} = sum_i h_i x_i, read in the coordinates
     x_0 .. x_{m-2}; then V misses H (a variety of dimension >= 1 meets
@@ -1047,17 +1042,6 @@ def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]
     divides a denominator."""
     rows = [[[reduce_scalar(c, p) for c in e] for e in row] for row in pencil.entries]
     return None if any(None in c for row in rows for c in row) else rows
-
-
-def _minors_mod_p(forms: List[List[List[int]]], p: int) -> List[ModPoly]:
-    """The n x n minors modulo p of a reduced pencil (each entry its
-    coefficient vector), in lexicographic column-subset order: multipoly's
-    Laplace expansion on the integers, over monomials packed as modp packs
-    them, each minor reduced modulo p once."""
-    units = [1 << (EXP_BITS * i) for i in range(len(forms[0][0]))]
-    entries = [[{u: a for u, a in zip(units, c) if a} for c in row] for row in forms]
-    return [{e: x % p for e, x in terms.items() if x % p}
-            for _, terms in minor_terms(entries, len(forms), INTEGERS)]
 
 
 def _rank_deficient(v: Variety, seed: int) -> bool:
@@ -1089,14 +1073,15 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
     with Gaussian-integer coefficients drawn from a stream of its own
     (seeded from the analysis seed, apart from the sampler's), for Finite.
-    In three or more variables the minors are expanded (_minors_mod_p) and
-    the Macaulay rank is tried in degrees n + 1 .. n + 3.  In two
-    variables (m = 3 on the hyperplane, m = 2 without one) no minor is
-    expanded and no rank is taken: modp.binary_minors_coprime decides, by
-    a gcd of the interpolated minors, exactly what full rank in degree
-    2n - 1 decides, and the certificate records that degree, so it
-    re-checks as before.  The prime is the pencil's (PencilMatrix.mod_p),
-    which passes over any prime dividing a denominator of the pencil.
+    No minor is expanded.  In three or more variables the Macaulay rank is
+    tried in degrees n + 1 .. n + 3, on the values of the minors at the
+    lattice points of each degree (modp.macaulay_full_rank).  In two
+    variables (m = 3 on the hyperplane, m = 2 without one) no rank is
+    taken: modp.binary_minors_coprime decides, by a gcd of the
+    interpolated minors, exactly what full rank in degree 2n - 1 decides,
+    and the certificate records that degree, so it re-checks as before.
+    The prime is the pencil's (PencilMatrix.mod_p), which passes over any
+    prime dividing a denominator of the pencil.
     """
     tests: List[Tuple[str, Optional[Tuple[ExactComplex, ...]]]] = []
     if v.pencil.t - v.n + 1 > v.m - 1:
@@ -1114,15 +1099,13 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
         reduced = forms if h is None else restrict_mod_p(forms, [
             [int(i == j) for j in range(v.m - 1)] + [reduce_scalar(x, p)]
             for i, x in enumerate(h)], p)
-        nvars = len(reduced[0][0])
-        if nvars == 2:
+        if len(reduced[0][0]) == 2:
             if binary_minors_coprime(reduced, v.n, p):
                 return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p,
                                               degree=2 * v.n - 1)
             continue
-        gens = _minors_mod_p(reduced, p)
         for degree in range(v.n + 1, v.n + 1 + MACAULAY_DEGREES):
-            if macaulay_full_rank(gens, nvars, degree, p):
+            if macaulay_full_rank(reduced, v.n, degree, p):
                 return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p, degree=degree)
     return None
 

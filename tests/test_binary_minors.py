@@ -23,8 +23,9 @@ import detvar.modp as modp_mod
 import detvar.variety as variety_mod
 from detvar.modp import RANK_PRIME, binary_minors_coprime, macaulay_full_rank
 from detvar.states import random_local_unitary, random_mixed
-from detvar.variety import _minors_mod_p, verify_lu_covariance
+from detvar.variety import verify_lu_covariance
 from test_golden import CASES, GOLDEN, rendered_report
+from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -71,7 +72,8 @@ def binary_pencils(draw):
 def test_binary_decision_matches_the_macaulay_rank(case):
     forms, n, p, kind = case
     coprime = binary_minors_coprime(forms, n, p)
-    assert coprime == macaulay_full_rank(_minors_mod_p(forms, p), 2, 2 * n - 1, p)
+    assert coprime == dict_macaulay_full_rank(_minors_mod_p(forms, p), 2, 2 * n - 1, p)
+    assert coprime == macaulay_full_rank(forms, n, 2 * n - 1, p)
     if kind != "generic":
         assert not coprime
 
@@ -91,8 +93,8 @@ def test_binary_decision_on_small_cases():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count symbolic minors and Macaulay ranks taken modulo p."""
-    calls = {"_minors_mod_p": 0, "rank_mod_p": 0}
+    """Count Macaulay tests and ranks taken modulo p."""
+    calls = {"macaulay_full_rank": 0, "rank_mod_p": 0}
 
     def spy(module, name):
         real = getattr(module, name)
@@ -103,7 +105,7 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    spy(variety_mod, "_minors_mod_p")
+    spy(variety_mod, "macaulay_full_rank")
     spy(modp_mod, "rank_mod_p")
     return calls
 
@@ -112,7 +114,7 @@ def kernel_calls(monkeypatch):
 def test_two_variable_certificate_expands_no_minor(kernel_calls, name):
     pinned = (GOLDEN / f"{name}.report.json").read_text()
     rendered = rendered_report(CASES[name])
-    assert kernel_calls == {"_minors_mod_p": 0, "rank_mod_p": 0}
+    assert kernel_calls == {"macaulay_full_rank": 0, "rank_mod_p": 0}
     verdict = json.loads(rendered)["verdict"]
     assert verdict["tag"] == "Finite" and verdict["certificate"]["kind"] == "macaulay"
     assert verdict["certificate"] == json.loads(pinned)["verdict"]["certificate"]
@@ -122,7 +124,7 @@ def test_two_variable_certificate_expands_no_minor(kernel_calls, name):
 def test_three_variable_empty_test_keeps_the_macaulay_rank(kernel_calls):
     rendered = rendered_report(CASES["separable_3x3_t5"])
     assert json.loads(rendered)["verdict"]["tag"] == "Empty"
-    assert kernel_calls["_minors_mod_p"] >= 1 and kernel_calls["rank_mod_p"] >= 1
+    assert kernel_calls["macaulay_full_rank"] >= 1 and kernel_calls["rank_mod_p"] >= 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -130,4 +132,4 @@ def test_binary_empty_test_of_the_covariance_check_expands_no_minor(kernel_calls
     res = verify_lu_covariance(random_mixed(2, 2, 3, seed=seed),
                                random_local_unitary(2, 2, seed=seed + 100), samples=3, seed=42)
     assert res.ok and res.checked == 0
-    assert kernel_calls == {"_minors_mod_p": 0, "rank_mod_p": 0}
+    assert kernel_calls == {"macaulay_full_rank": 0, "rank_mod_p": 0}

@@ -2,7 +2,8 @@
 
 ``modp.maximal_minors_mod_p`` evaluates the maximal minors of an integer
 matrix modulo p; it must give the residues of multipoly's Laplace
-expansion (``minor_terms`` on constant entries), in the same order.
+expansion (``minor_terms`` on constant entries, the copy kept in
+``test_modp_reference``), in the same order.
 
 ``variety._cauchy_binet_certificate`` claims, with no minor expanded,
 that the maximal minors of an exact pencil with t > n share no factor: the
@@ -29,7 +30,6 @@ from detvar.modp import (
     interpolate_mod_p,
     maximal_minors_mod_p,
 )
-from detvar.multipoly import INTEGERS, minor_terms
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
 from detvar.states import random_separable
@@ -50,6 +50,9 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 @pytest.mark.parametrize("p", [RANK_PRIME, 13])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_integer_kernel_matches_laplace_expansion(n, p):
+    # imported here: test_modp_reference imports this module's _cases
+    from test_modp_reference import INTEGERS, minor_terms
+
     rng = random.Random(f"kernel:{n}:{p}")
     for t in range(max(1, n - 1), n + 4):
         for trial in range(4):

@@ -34,11 +34,11 @@ from detvar.multipoly import restrict_to_line
 from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.variety import (
-    _minors_mod_p,
     _pencil_mod_p,
     membership,
     variety_of_state,
 )
+from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
 
 EC = ExactComplex
 F = Fraction
@@ -69,12 +69,14 @@ def line_pencil(forms, base, direction, p):
 
 def binary_miss(v, forms, base, direction, p) -> bool:
     """The Macaulay test on the line in degree 2n - 1, checked against
-    degree n + 1 and against the gcd decision the certificate runs."""
+    degree n + 1, against the gcd decision the certificate runs and
+    against the test on values at lattice points."""
     binary = line_pencil(forms, base, direction, p)
     gens = _minors_mod_p(binary, p)
-    miss = macaulay_full_rank(gens, 2, 2 * v.n - 1, p)
-    assert miss == macaulay_full_rank(gens, 2, v.n + 1, p), (base, direction, p)
+    miss = dict_macaulay_full_rank(gens, 2, 2 * v.n - 1, p)
+    assert miss == dict_macaulay_full_rank(gens, 2, v.n + 1, p), (base, direction, p)
     assert miss == binary_minors_coprime(binary, v.n, p), (base, direction, p)
+    assert miss == macaulay_full_rank(binary, v.n, 2 * v.n - 1, p), (base, direction, p)
     return miss
 
 

@@ -4,12 +4,16 @@ The rank modulo p is pinned against the exact rank over Q(i), including a
 matrix that only loses rank modulo p: full rank there is a proof, a rank
 short of full is not.  Reduction is pinned on Gaussian rationals (a
 denominator divisible by p is refused, and the certificate moves to the
-next prime) and on floats, which reduce exactly as dyadic rationals.
+next prime) and on floats, which reduce exactly as dyadic rationals.  The
+Macaulay degrees of monomial ideals are pinned on the dict path kept in
+``test_modp_reference``, and the test on values at lattice points on
+pencils whose minors are those ideals.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from detvar import modp
@@ -17,7 +21,6 @@ from detvar.linalg import Matrix, rank_exact
 from detvar.modp import (
     RANK_PRIME,
     macaulay_full_rank,
-    monomial,
     rank_mod_p,
     reduce_scalar,
     restrict_mod_p,
@@ -29,11 +32,12 @@ from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_mixed, random_separable
 from detvar.variety import (
     _macaulay_certificate,
-    _minors_mod_p,
     _pencil_mod_p,
     pencil_matrix,
     variety_of_state,
 )
+from test_modp_reference import _minors_mod_p, monomial
+from test_modp_reference import dict_macaulay_full_rank as dict_full_rank
 
 EC = ExactComplex
 P = RANK_PRIME
@@ -94,6 +98,15 @@ def test_rank_mod_p_agrees_with_the_exact_rank(rows, cols, rank):
 def test_rank_mod_p_of_an_empty_matrix_is_zero():
     assert rank_mod_p([], P) == 0
     assert rank_mod_p([[], []], P) == 0
+    assert rank_mod_p(np.zeros((0, 4), dtype=np.int64), P) == 0
+
+
+def test_rank_mod_p_reads_an_array_as_the_equal_list():
+    rng = random.Random(8)
+    for rows, cols in ((3, 3), (5, 4), (2, 6), (1, 1)):
+        a = [[rng.randrange(P) for _ in range(cols)] for _ in range(rows)]
+        a[-1] = [x * 3 % P for x in a[0]] if rows > 1 else a[-1]
+        assert rank_mod_p(np.array(a, dtype=np.int64), P) == rank_mod_p(a, P)
 
 
 def test_a_miss_modulo_p_proves_nothing():
@@ -108,17 +121,32 @@ def test_macaulay_degrees_of_a_complete_intersection():
     # x^2, y^2, z^2 have no common zero; every monomial of degree 4 lies in
     # their ideal, xyz of degree 3 does not
     squares = [{monomial(e): 1} for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-    assert not macaulay_full_rank(squares, 3, 3, P)
-    assert macaulay_full_rank(squares, 3, 4, P)
+    assert not dict_full_rank(squares, 3, 3, P)
+    assert dict_full_rank(squares, 3, 4, P)
     # as many rows as columns, one short of full rank: xyz is not reached
     cubics = [{monomial(e): 1} for e in ((3, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3),
                                          (2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1),
                                          (1, 0, 2), (0, 1, 2))]
-    assert not macaulay_full_rank(cubics, 3, 3, P)
-    assert macaulay_full_rank(cubics + [{monomial((1, 1, 1)): 5}], 3, 3, P)
+    assert not dict_full_rank(cubics, 3, 3, P)
+    assert dict_full_rank(cubics + [{monomial((1, 1, 1)): 5}], 3, 3, P)
     # xy and xz share the zero (0, 1, 0) in every degree
     shared = [{monomial((1, 1, 0)): 1}, {monomial((1, 0, 1)): 1}]
-    assert not any(macaulay_full_rank(shared, 3, d, P) for d in range(2, 7))
+    assert not any(dict_full_rank(shared, 3, d, P) for d in range(2, 7))
+
+
+def test_macaulay_degrees_on_values_at_lattice_points():
+    x, y, z, zero = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+    # the 1 x 1 minors x, y, z have no common zero: degree 2 is full
+    assert macaulay_full_rank([[x, y, z]], 1, 2, P)
+    # x and y share (0, 0, 1) in every degree
+    assert not any(macaulay_full_rank([[x, y, zero]], 1, d, P) for d in range(2, 6))
+    # the 2 x 2 minors of [[x, y, 0], [0, x, y]] are x^2, xy, y^2: z is free
+    assert not macaulay_full_rank([[x, y, zero], [zero, x, y]], 2, 3, P)
+    # those of [[x, y, z, 0], [0, x, y, z]] leave only x = y = z = 0; the
+    # Macaulay matrix in degree 3 has 6 x 3 rows for 10 columns, and is full
+    assert macaulay_full_rank([[x, y, z, zero], [zero, x, y, z]], 2, 3, P)
+    # no minors at all (t < n) certify nothing
+    assert not macaulay_full_rank([[x], [y]], 2, 3, P)
 
 
 def test_minors_mod_p_are_the_images_of_the_exact_minors():

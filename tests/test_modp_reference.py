@@ -1,17 +1,30 @@
-"""Minors modulo a prime against the expansion modp used to keep.
+"""Minors modulo a prime against the expansions modp used to keep.
 
-This file keeps, verbatim, the ``maximal_minors`` that ``detvar.modp`` ran
-before the Macaulay test took its minors from multipoly's Laplace
-expansion on the integers (``variety._minors_mod_p``): a memoized
-expansion along the first row with a reduction modulo p after every
-minor.  The shared kernel reduces each maximal minor once, at the end, so
-the two must agree as dicts {packed monomial: residue in [0, p)}, in the
-same column-subset order, on every pencil the test sees: exact and float
-pencils, pencils restricted to a hyperplane, zero entries, all-zero rows,
-n = 1 and n = t.  Each case runs at two primes: ``RANK_PRIME``, where
-every product already leaves [0, p), and 13, where coefficients of the
-integer minors vanish modulo p though not over Z, so a missing final
-reduction shows as a stray term.
+This file keeps, verbatim, the symbolic mod-p path that ``detvar`` ran
+before every modular test read minor values at points:
+``variety._minors_mod_p`` (multipoly's Laplace expansion on the integers,
+``INTEGERS`` and ``minor_terms``, over monomials packed as ``monomial``
+packs them, each minor reduced modulo p once) and the dict-based
+``macaulay_matrix`` and ``macaulay_full_rank`` of ``modp``.  It also keeps
+the ``maximal_minors`` that ``modp`` ran before that: a memoized expansion
+along the first row with a reduction modulo p after every minor.  The two
+expansions must agree as dicts {packed monomial: residue in [0, p)}, in
+the same column-subset order, and ``modp.minor_values`` must read their
+values at points, on every pencil the test sees: exact and float pencils,
+pencils restricted to a hyperplane, zero entries, all-zero rows, n = 1
+and n = t.  Each case runs at two primes: ``RANK_PRIME``, where every
+product already leaves [0, p), and 13, where coefficients of the integer
+minors vanish modulo p though not over Z, so a missing final reduction
+shows as a stray term.
+
+``modp.macaulay_full_rank`` reads the Macaulay matrix M at the lattice
+points Q_D of degree D, as M E.  It must decide as the dict path does: on
+drawn reduced pencils in three to five variables at small primes and at
+``RANK_PRIME`` (generic, with a planted common zero, with every minor
+zero), in degrees n + 1 .. n + 3, and on every pencil and hyperplane that
+``_macaulay_certificate`` tries on both sides of the golden states.  E
+itself must be invertible modulo each of those primes for every number
+of variables and degree the certificate reaches.
 
 It also keeps, verbatim, the three ways ``detvar.variety`` restricted a
 reduced pencil before ``modp.restrict_mod_p`` became the one place where a
@@ -28,34 +41,40 @@ say True wherever the old certificate did; on the certificate's own
 cases the two agree.
 """
 
+import operator
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import prod
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detvar.variety as variety_mod
 from detvar import catalog, states
 from detvar.factorization import _random_exact_point
 from detvar.modp import (
-    EXP_BITS,
     RANK_PRIME,
-    ModPoly,
     gcd_mod_p,
     interpolate_mod_p,
+    macaulay_full_rank,
     maximal_minors_mod_p,
+    minor_values,
+    rank_mod_p,
     reduce_scalar,
     restrict_mod_p,
 )
+from detvar.multipoly import Terms, _laplace
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
 from detvar.variety import (
+    MACAULAY_DEGREES,
     PencilMatrix,
     _cauchy_binet_certificate,
     _macaulay_certificate,
-    _minors_mod_p,
     _pencil_mod_p,
     pencil_matrix,
     variety_of_state,
@@ -66,6 +85,86 @@ EC = ExactComplex
 F = Fraction
 PRIMES = [RANK_PRIME, 13]
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+# ---------------------------------------------------------------------------
+# The references (the symbolic mod-p path of modp, multipoly and variety,
+# verbatim)
+# ---------------------------------------------------------------------------
+
+# A form modulo p is a dict from monomials to residues in [0, p).  A
+# monomial x^e is the int sum_i e_i << (EXP_BITS * i), so multiplying
+# monomials is adding ints.
+EXP_BITS = 8
+ModPoly = Dict[int, int]
+
+
+def monomial(exps: Sequence[int]) -> int:
+    """The packed monomial of an exponent vector (each exponent < 256)."""
+    return sum(e << (EXP_BITS * i) for i, e in enumerate(exps))
+
+
+def monomial_degree(mono: int) -> int:
+    total = 0
+    while mono:
+        total += mono & ((1 << EXP_BITS) - 1)
+        mono >>= EXP_BITS
+    return total
+
+
+INTEGERS = (operator.mul, operator.add, operator.sub, operator.neg, 0)
+
+
+def minor_terms(entries: List[List[Terms]], k: int, ring
+                ) -> Iterator[Tuple[Tuple[int, ...], Terms]]:
+    """(rows, terms) of every k x k minor of a matrix of raw term dicts
+    with coefficients in `ring` (see ``_laplace``), in lexicographic
+    row-subset then column-subset order, all from one memo."""
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Terms] = {}
+    for rsub in combinations(range(len(entries)), k):
+        for csub in combinations(range(len(entries[0])), k):
+            yield rsub, _laplace(entries, rsub, csub, memo, ring)
+
+
+def _minors_mod_p(forms: List[List[List[int]]], p: int) -> List[ModPoly]:
+    """The n x n minors modulo p of a reduced pencil (each entry its
+    coefficient vector), in lexicographic column-subset order: multipoly's
+    Laplace expansion on the integers, over monomials packed as modp packs
+    them, each minor reduced modulo p once."""
+    units = [1 << (EXP_BITS * i) for i in range(len(forms[0][0]))]
+    entries = [[{u: a for u, a in zip(units, c) if a} for c in row] for row in forms]
+    return [{e: x % p for e, x in terms.items() if x % p}
+            for _, terms in minor_terms(entries, len(forms), INTEGERS)]
+
+
+def macaulay_matrix(gens: Sequence[ModPoly], nvars: int, degree: int) -> List[List[int]]:
+    """The degree-`degree` Macaulay matrix of homogeneous forms in nvars
+    variables: a row x^a * g for every form g and monomial x^a of degree
+    `degree` - deg g, a column for every monomial of degree `degree`."""
+
+    def monomials(d: int) -> List[int]:
+        return [sum(1 << (EXP_BITS * i) for i in combo)
+                for combo in combinations_with_replacement(range(nvars), d)]
+
+    column = {e: j for j, e in enumerate(monomials(degree))}
+    rows = []
+    for g in gens:
+        if not g or monomial_degree(next(iter(g))) > degree:
+            continue
+        for a in monomials(degree - monomial_degree(next(iter(g)))):
+            row = [0] * len(column)
+            for e, v in g.items():
+                row[column[a + e]] = v
+            rows.append(row)
+    return rows
+
+
+def dict_macaulay_full_rank(gens: Sequence[ModPoly], nvars: int, degree: int, p: int) -> bool:
+    """True when the Macaulay matrix has full column rank modulo p, which
+    proves the forms have no common projective zero over Q(i)-bar."""
+    rows = macaulay_matrix(gens, nvars, degree)
+    ncols = len(rows[0]) if rows else 0
+    return len(rows) >= ncols > 0 and rank_mod_p(rows, p) == ncols
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +262,22 @@ def hyperplane_basis(h: Sequence[ExactComplex], p: int) -> List[List[int]]:
     return [[int(i == j) for j in range(len(h))] + [reduce_scalar(x, p)]
             for i, x in enumerate(h)]
 
+
+def value_at(g: ModPoly, point: Sequence[int], p: int) -> int:
+    """A packed form modulo p at a point."""
+    return sum(c * prod(x ** ((e >> (EXP_BITS * i)) & ((1 << EXP_BITS) - 1))
+                        for i, x in enumerate(point))
+               for e, c in g.items()) % p
+
+
 def assert_same_minors(forms: List[List[List[int]]], p: int):
     got, ref = _minors_mod_p(forms, p), maximal_minors(forms, p)
     assert got == ref
     assert all(0 < x < p for g in got for x in g.values())
+    # the one kernel reads the same minors at points, zero coordinates included
+    rng = random.Random(p)
+    points = [[rng.choice([0, 1, rng.randrange(p)]) for _ in forms[0][0]] for _ in range(3)]
+    assert minor_values(forms, points, p) == [[value_at(g, q, p) for g in ref] for q in points]
 
 
 def gaussian_state(m: int, n: int, rank: int, seed: int) -> states.BipartiteState:
@@ -325,3 +436,105 @@ def test_binary_certificate_says_true_wherever_the_two_mixes_did(state, side, ce
         old = reference_cauchy_binet_certificate(v.pencil, base, direction, rng)
         assert new or not old
         assert new == old == certified
+
+
+# ---------------------------------------------------------------------------
+# The Macaulay test on values against the dict Macaulay matrix
+# ---------------------------------------------------------------------------
+
+MACAULAY_PRIMES = [13, 17, 29, RANK_PRIME]
+
+
+def assert_same_macaulay(forms: List[List[List[int]]], n: int, degree: int, p: int) -> bool:
+    full = macaulay_full_rank(forms, n, degree, p)
+    assert full == dict_macaulay_full_rank(_minors_mod_p(forms, p), len(forms[0][0]), degree, p)
+    return full
+
+
+@st.composite
+def reduced_pencils(draw):
+    """(forms, n, p, kind): an n x t reduced pencil in k = 3..5 variables,
+    generic, with a planted common zero z (w^T N(z) = 0) or with every
+    minor zero (w^T N = 0)."""
+    p = draw(st.sampled_from(MACAULAY_PRIMES))
+    k = draw(st.integers(3, 5))
+    n = draw(st.integers(1, 7 - k))
+    t = n + k - 1 - draw(st.integers(0, k - 1))  # shrinks towards an empty generic V
+    residues = st.integers(0, p - 1)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    forms = [[[rng.randrange(p) if rng.random() > 0.2 else 0 for _ in range(k)]
+              for _ in range(t)] for _ in range(n)]
+    kind = draw(st.sampled_from(["generic", "common zero", "zero minors"]))
+    if kind != "generic":
+        w = [draw(residues) for _ in range(n)]
+        w[draw(st.integers(0, n - 1))] = draw(st.integers(1, p - 1))
+        r = next(i for i, x in enumerate(w) if x)
+        inv = pow(w[r], -1, p)
+    if kind == "common zero":  # solve coefficient c of row r's entries at z, z_c = 1
+        z = [draw(residues) for _ in range(k)]
+        c = draw(st.integers(0, k - 1))
+        z[c] = 1
+        for col, entry in enumerate(forms[r]):
+            entry[c] = 0
+            total = sum(x * sum(a * b for a, b in zip(row[col], z)) for x, row in zip(w, forms))
+            entry[c] = -total * inv % p
+    elif kind == "zero minors":  # row r = -(sum of the others, weighted by w) / w_r
+        forms[r] = [[-sum(x * row[col][i] for j, (x, row) in enumerate(zip(w, forms)) if j != r)
+                     * inv % p for i in range(k)] for col in range(t)]
+    return forms, n, p, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(reduced_pencils())
+def test_macaulay_on_values_decides_as_the_dict_matrix(case):
+    forms, n, p, kind = case
+    for degree in range(n + 1, n + 1 + MACAULAY_DEGREES):
+        full = assert_same_macaulay(forms, n, degree, p)
+        if kind != "generic":
+            assert not full
+
+
+def test_macaulay_on_values_certifies_a_drawn_generic_pencil():
+    # t - n + 1 = k: generic minors have no common zero in k variables
+    rng = random.Random(2)
+    for k, n in ((3, 2), (4, 2), (5, 1)):
+        forms = [[[rng.randrange(1, RANK_PRIME) for _ in range(k)] for _ in range(n + k - 1)]
+                 for _ in range(n)]
+        assert any(assert_same_macaulay(forms, n, d, RANK_PRIME)
+                   for d in range(n + 1, n + 1 + MACAULAY_DEGREES))
+
+
+@pytest.mark.parametrize("name", GOLDEN_STATES)
+def test_golden_certificates_decide_as_the_dict_matrix(name, monkeypatch):
+    calls = []
+
+    def spy(forms, n, degree, p):
+        calls.append(degree)
+        return assert_same_macaulay(forms, n, degree, p)
+
+    monkeypatch.setattr(variety_mod, "macaulay_full_rank", spy)
+    # where Eagon-Northcott lets the test run
+    pencils = [pencil for pencil in _pencils(name)
+               if pencil.m >= 3 and pencil.t - pencil.n + 1 >= pencil.m - 1]
+    for pencil in pencils:
+        v = variety_mod.variety_generators(pencil)
+        for seed in (42, 0, 1):
+            _macaulay_certificate(v, seed)
+    # a rank is taken wherever the test has three or more variables: the
+    # Empty test of m >= 3, the Finite test of m >= 4
+    assert bool(calls) == any(pencil.m >= 4 or pencil.t - pencil.n + 1 > pencil.m - 1
+                              for pencil in pencils)
+
+
+@pytest.mark.parametrize("p", MACAULAY_PRIMES)
+def test_lattice_evaluation_is_invertible(p):
+    # E on Q_D is square; D + k <= 12 takes in degrees n + 1 .. n + 3 for
+    # n <= 6 in three variables (the 6 x 6 minors of the 4x6 PPT state on
+    # a hyperplane), n <= 5 in four and n <= 4 in five, and p > D throughout
+    for k in (2, 3, 4, 5):
+        for degree in range(2, 13 - k):
+            points = [[c.count(i) for i in range(k)]
+                      for c in combinations_with_replacement(range(k), degree)]
+            E = [[prod(q[i] for i in a) % p for q in points]
+                 for a in combinations_with_replacement(range(k), degree)]
+            assert rank_mod_p(E, p) == len(points), (k, degree)

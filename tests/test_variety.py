@@ -23,7 +23,6 @@ from detvar.states import (
 from detvar.variety import (
     _best_probe,
     _hadamard_ratio,
-    _minors_mod_p,
     linearity_decide,
     membership,
     nonlinearity_witness,
@@ -341,15 +340,21 @@ def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
     # m = 2: the Empty test of verify_lu_covariance decides binary minors
     # by a gcd (binary_minors_coprime) and records degree 2n - 1, above the
     # n + 1 .. n + 3 tried in more variables once n >= 5; all three decide
-    # alike, on an empty V and on one with a point
+    # alike, on an empty V and on one with a point, on values at lattice
+    # points as on the symbolic minors
+    # imported here: test_modp_reference imports this module through test_peel_reference
+    from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
+
     finite = _shared_factor_state(n, seed=n)
     assert membership(variety_of_state(finite), [EC(2), EC(-1)])
     for s, full in ((random_mixed(2, n, n + 1, seed=n), True), (finite, False)):
         v = variety_of_state(s)
         p, forms = v.pencil.mod_p()
         gens = _minors_mod_p(forms, p)
-        assert macaulay_full_rank(gens, 2, 2 * n - 1, p) is full
-        assert macaulay_full_rank(gens, 2, n + 1, p) is full
+        assert dict_macaulay_full_rank(gens, 2, 2 * n - 1, p) is full
+        assert dict_macaulay_full_rank(gens, 2, n + 1, p) is full
+        assert macaulay_full_rank(forms, n, 2 * n - 1, p) is full
+        assert macaulay_full_rank(forms, n, n + 1, p) is full
         assert binary_minors_coprime(forms, n, p) is full
 
 

@@ -1,16 +1,16 @@
 """Exact Gaussian-rational arithmetic, exact matrices and float spectra.
 
 Everything downstream rides on one split: exact scalars (a Gaussian-integer
-numerator over one integer denominator, no rounding ever) in a ``Matrix``,
-versus approximate complex numbers in a numpy array, with a single shared
-tolerance policy.
+numerator over one integer denominator, no rounding ever) in a read-only
+numpy object array (``exact_matrix``), versus approximate complex numbers
+in a complex numpy array, with a single shared tolerance policy.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from detvar import ExactComplex, Matrix, det_exact, hermitian_eigen, rank_exact
+from detvar import ExactComplex, det_exact, exact_matrix, hermitian_eigen, rank_exact
 
 # Q(i) arithmetic is exact: (1/2 + i)(1/2 - i) = 1/4 + 1 = 5/4
 a = ExactComplex(Fraction(1, 2), 1)
@@ -18,7 +18,7 @@ print("(1/2 + i)(1/2 - i) =", (a * a.conjugate()).render())
 
 # Fraction-free elimination keeps determinants exact however ugly the
 # intermediate entries get
-m = Matrix.exact([
+m = exact_matrix([
     [Fraction(1, 3), Fraction(-7, 2), 2],
     [5, Fraction(1, 6), Fraction(3, 4)],
     [Fraction(-2, 5), 1, Fraction(9, 7)],

@@ -8,6 +8,8 @@ the arithmetic.
 
 from fractions import Fraction
 
+import numpy as np
+
 from detvar import (
     ExactComplex,
     entropy_and_spectra,
@@ -32,5 +34,5 @@ print("global entropy:", round(rep.entropy, 10), "= ln 9")
 # the 4x6 construction is exactly invariant under partial transpose
 s = ppt_4x6_state()
 rho = s.density_matrix()
-print("4x6 state: PT(rho) == rho exactly?", partial_transpose(rho, 4, 6) == rho)
+print("4x6 state: PT(rho) == rho exactly?", np.array_equal(partial_transpose(rho, 4, 6), rho))
 print("            PPT?", ppt_check(s))

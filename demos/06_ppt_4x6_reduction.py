@@ -14,6 +14,8 @@ search judges this variety inconclusive even though the carved cubic is
 certifiably not a line.
 """
 
+import numpy as np
+
 from detvar.catalog import CHART_NAMES, chart_reduction, ppt_4x6_state
 from detvar.linalg import partial_transpose, rank_exact
 from detvar.states import ppt_check
@@ -21,7 +23,7 @@ from detvar.states import ppt_check
 s = ppt_4x6_state()
 rho = s.density_matrix()
 print("rank:", rank_exact(rho), "| PPT:", ppt_check(s),
-      "| PT(rho) == rho exactly:", partial_transpose(rho, 4, 6) == rho)
+      "| PT(rho) == rho exactly:", np.array_equal(partial_transpose(rho, 4, 6), rho))
 
 cr = chart_reduction()
 print("\nrecomputed pencil matches the reference matrix:", cr.pencil_matches_printed)

@@ -10,13 +10,11 @@ plane-cubic moduli value that separates local-unitary orbits.
 
 from .scalars import ExactComplex, Tolerance, approx_close, DEFAULT_TOL
 from .linalg import (
-    Matrix,
     EigenResult,
+    exact_matrix,
     det_exact,
     rank_exact,
     hermitian_eigen,
-    kron,
-    block,
     partial_trace,
     partial_transpose,
     psd_check,
@@ -65,8 +63,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactComplex", "Tolerance", "approx_close", "DEFAULT_TOL",
-    "Matrix", "EigenResult", "det_exact", "rank_exact",
-    "hermitian_eigen", "kron", "block", "partial_trace", "partial_transpose",
+    "EigenResult", "exact_matrix", "det_exact", "rank_exact",
+    "hermitian_eigen", "partial_trace", "partial_transpose",
     "psd_check",
     "Poly", "LinearForm", "symbolic_det", "minors",
     "substitute_affine", "restrict_to_line", "univariate_roots",

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .errors import BadParams, SymbolicMismatch
 from .factorization import linear_factorization
-from .linalg import Matrix
+from .linalg import exact_matrix
 from .multipoly import LinearForm, Poly, substitute_affine, symbolic_det
 from .scalars import EC_ONE, EC_ZERO, ExactComplex
 from .states import BipartiteState
@@ -109,27 +111,20 @@ _A3 = [
 _A4 = [[1 if i == j else 0 for j in range(7)] for i in range(6)]
 
 
-def ppt_4x6_blocks() -> List[Matrix]:
-    """The four 6x7 integer blocks A_1..A_4 of the construction."""
-    return [Matrix.exact(rows) for rows in (_A1, _A2, _A3, _A4)]
+def ppt_4x6_blocks() -> List[np.ndarray]:
+    """The four 6x7 integer blocks A_1..A_4 of the construction, as exact
+    matrices."""
+    return [exact_matrix(rows) for rows in (_A1, _A2, _A3, _A4)]
 
 
 def ppt_4x6_state() -> BipartiteState:
     """rho = A A^dagger / D on 4x6, with A the 24x7 stack of the blocks
     and D the trace normalizer; rank 7 and invariant under partial
     transpose by the symmetry A_i A_j^T = A_j A_i^T."""
-    blocks = ppt_4x6_blocks()
-    cols = []
-    norm_total = Fraction(0)
-    for l in range(7):
-        col = []
-        for blk in blocks:
-            for r in range(6):
-                col.append(blk[r, l])
-        nsq = sum((x.norm_sq() for x in col), Fraction(0))
-        norm_total += nsq
-        cols.append((nsq, tuple(col)))
-    ensemble = [(nsq / norm_total, col) for nsq, col in cols]
+    cols = [tuple(col) for col in np.vstack(ppt_4x6_blocks()).T]
+    norms = [sum((x.norm_sq() for x in col), Fraction(0)) for col in cols]
+    total = sum(norms)
+    ensemble = [(nsq / total, col) for nsq, col in zip(norms, cols)]
     return BipartiteState(4, 6, ensemble=ensemble, label="ppt-4x6-rank7")
 
 

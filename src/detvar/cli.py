@@ -20,6 +20,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import catalog
 from .errors import (
     BadDims,
@@ -118,7 +120,7 @@ def cmd_repro(args) -> int:
             "label": state.label,
             "rank": rank_exact(rho),
             "ppt": ppt_check(state, tol),
-            "partial_transpose_fixed": partial_transpose(rho, 4, 6) == rho,
+            "partial_transpose_fixed": np.array_equal(partial_transpose(rho, 4, 6), rho),
             "reduction": chart_reduction_report(catalog.chart_reduction()),
         }
         report["conclusion"] = report["reduction"]["conclusion"]

@@ -49,10 +49,6 @@ class NotAState(DetvarError):
     pass
 
 
-class IndexOutOfRange(DetvarError):
-    pass
-
-
 class BadDims(DetvarError):
     pass
 

@@ -267,7 +267,7 @@ class Poly:
     def evaluation_scale(self, point: Sequence) -> float:
         """Sum of |coeff * monomial| at the point: the natural magnitude
         against which a near-zero evaluation should be judged."""
-        pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
+        pt = [complex(x) for x in point]
         acc = 0.0
         for e, c in self.terms.items():
             cv = abs(c.to_complex() if isinstance(c, ExactComplex) else c)
@@ -397,7 +397,7 @@ class CompiledSystem:
 
     def table(self, point: Sequence):
         """The powers z_i ** k and |z_i| ** k every evaluation at point reads."""
-        pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
+        pt = [complex(x) for x in point]
         pw = [[z ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
         apw = [[abs(z) ** k for k in range(top + 1)] for z, top in zip(pt, self._top)]
         return pw, apw
@@ -868,11 +868,7 @@ def univariate_roots(p, tol: Tolerance = DEFAULT_TOL) -> List[complex]:
     with scale the coefficient-magnitude sum at z; NoConvergence if the
     eigenvalues cannot be taken or a root misses that bar.
     """
-    if isinstance(p, Poly):
-        coeffs = [c.to_complex() if isinstance(c, ExactComplex) else complex(c)
-                  for c in univariate_coeffs(p)]
-    else:
-        coeffs = [complex(c) for c in p]
+    coeffs = [complex(c) for c in (univariate_coeffs(p) if isinstance(p, Poly) else p)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     deg = len(coeffs) - 1

@@ -183,6 +183,9 @@ class ExactComplex:
         a, b, d = self._v
         return complex(a / d, b / d)
 
+    # complex(z) and numpy's casts to complex round as to_complex does
+    __complex__ = to_complex
+
     def __repr__(self):
         if self.is_real():
             return f"ExactComplex({self.re})"

@@ -15,7 +15,9 @@ StateFileError naming the offending field.
 A file is read once, as bytes, and decoded as UTF-8.  A float vector or
 density row written as the writer writes it (render_scalar: floats and
 [float, float] pairs) is read in one pass (_float_values); any other is
-read entry by entry (parse_scalar), so every error names its entry.
+read entry by entry (parse_scalar), so every error names its entry.  An
+all-exact density becomes an exact matrix (linalg.exact_matrix), any
+other a complex array, its exact entries rounded by complex(z).
 Reports and state files are rendered by json_text, the bytes of
 json.dumps(indent=2, sort_keys=True).
 """
@@ -32,7 +34,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DetvarError, StateFileError
-from .linalg import Matrix
+from .linalg import exact_matrix
 from .scalars import ExactComplex, from_fields
 from .states import BipartiteState
 
@@ -199,23 +201,19 @@ def parse_state(data: dict) -> BipartiteState:
     mn = m * n
     if not isinstance(raw, list) or len(raw) != mn:
         raise StateFileError("density", f"must be a {mn}x{mn} array")
-    rows, floats = [], True
+    rows = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != mn:
             raise StateFileError(f"density[{i}]", f"must have {mn} entries")
         values = _float_values(row)
         if values is None:
-            floats = False
             values = [parse_scalar(x, f"density[{i}][{j}]") for j, x in enumerate(row)]
         rows.append(values)
-    if floats:
-        mat = np.array(rows, dtype=complex)
-    elif all(isinstance(x, ExactComplex) for row in rows for x in row):
-        mat = Matrix(mn, mn, [x for row in rows for x in row])
-    else:
-        mat = np.array([[x.to_complex() if isinstance(x, ExactComplex) else x for x in row]
-                        for row in rows], dtype=complex)
-    try:
+    try:  # an exact entry beyond the float range overflows where it is rounded
+        if all(isinstance(x, ExactComplex) for row in rows for x in row):
+            mat = exact_matrix(rows)
+        else:
+            mat = np.array(rows, dtype=complex)
         return BipartiteState(m, n, density=mat, label=label)
     except (DetvarError, OverflowError) as exc:
         raise StateFileError("density", str(exc))
@@ -231,9 +229,7 @@ def state_to_json(s: BipartiteState) -> dict:
             for w, v in s.ensemble
         ]
     elif s.density is not None:
-        # an exact Matrix or a complex array: both index as [i, j]
-        mn = range(s.m * s.n)
-        out["density"] = [[render_scalar(s.density[i, j]) for j in mn] for i in mn]
+        out["density"] = [[render_scalar(x) for x in row] for row in s.density.tolist()]
     return out
 
 

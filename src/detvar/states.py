@@ -1,7 +1,8 @@
 """Bipartite mixed states: ensembles, densities, local unitaries, PPT, spectra.
 
 A state stores an ensemble [(p_l, v_l)] and/or an mn x mn density matrix:
-an exact ``Matrix`` over Q(i), or a complex numpy array.
+an exact matrix over Q(i) (``linalg.exact_matrix``), or a complex numpy
+array; either is kept as a read-only copy.
 Weights are probabilities summing to one; vectors are rays (any nonzero
 scalar multiple of the intended unit vector) and the density is assembled
 as
@@ -15,7 +16,7 @@ unit norm and the same formula is harmless.
 
 A density-only state forces the approximate pathway downstream, since
 recovering an ensemble requires an eigendecomposition.  A local unitary
-is an exact ``Matrix`` or a complex array, and every float image a state
+is an exact matrix or a complex array, and every float image a state
 hands on (its density, partial traces, eigenvectors) is an array; so are
 a float ensemble's rays, unit-scaled once per state (``_unit_rays``) for
 its density and its pencil.
@@ -36,15 +37,16 @@ from .errors import (
     DimensionMismatch,
     MissingEnsemble,
     NotAState,
+    NotHermitian,
 )
 from .linalg import (
     EigenResult,
-    Matrix,
     as_array,
+    exact_matrix,
     hermitian_eigen,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
+    partial_transpose,
     spectral_cutoff,
 )
 from .scalars import DEFAULT_TOL, ExactComplex, Tolerance, from_fields
@@ -71,7 +73,7 @@ class BipartiteState:
 
     def __init__(self, m: int, n: int,
                  ensemble: Optional[List[Tuple[Weight, Sequence]]] = None,
-                 density=None,  # an exact Matrix or a complex array
+                 density=None,  # an exact matrix or a complex array
                  label: Optional[str] = None,
                  tol: Tolerance = DEFAULT_TOL,
                  validate: bool = True):
@@ -85,9 +87,12 @@ class BipartiteState:
         self.ensemble = None
         if ensemble is not None:
             self.ensemble = [(w, tuple(v)) for w, v in ensemble]
-        if isinstance(density, np.ndarray):  # a read-only copy, as a Matrix is immutable
-            density = np.array(density, dtype=complex)
-            density.flags.writeable = False
+        if density is not None:  # a read-only copy
+            if density.dtype == object:
+                density = exact_matrix(density)
+            else:
+                density = np.array(density, dtype=complex)
+                density.flags.writeable = False
         self.density = density
         self._rho = density    # density_matrix(), built at most once
         self._eigen = None     # (tol, EigenResult) of eigen(), one per tolerance
@@ -110,10 +115,7 @@ class BipartiteState:
                     raise NotAState(f"ensemble vector {idx} has length {len(v)}, expected {mn}")
                 if isinstance(w, bool):
                     raise NotAState(f"ensemble weight {idx} is a boolean, not a number")
-                if isinstance(w, Fraction) or isinstance(w, int):
-                    if w <= 0:
-                        raise NotAState(f"ensemble weight {idx} must be positive")
-                elif not w > 0:
+                if not w > 0:  # NaN too
                     raise NotAState(f"ensemble weight {idx} must be positive")
                 if not any(v):
                     raise NotAState(f"ensemble vector {idx} is zero")
@@ -123,18 +125,28 @@ class BipartiteState:
                     raise NotAState(f"exact ensemble weights sum to {total}, not 1")
             elif abs(float(total) - 1.0) > 1e3 * tol.abs_eps:
                 raise NotAState(f"ensemble weights sum to {float(total)}, not 1")
-        if self.density is not None:
-            _check_density(self.density, mn)
-            tr = complex(self.density.trace().to_complex() if isinstance(self.density, Matrix)
-                         else sum(self.density.diagonal(), 0j))
-            if abs(tr - 1.0) > 1e3 * tol.abs_eps:
-                raise NotAState(f"density trace is {tr}, not 1")
+        rho = self.density
+        if rho is not None:
+            _check_density(rho, mn)
+            if rho.dtype == object:   # exact: trace 1 and rho = rho^dagger, exactly
+                tr = rho.trace()
+                if tr != 1:
+                    raise NotAState(f"density trace is {tr.render()}, not 1")
+                if not np.array_equal(rho, rho.conj().T):
+                    raise NotHermitian("exact density is not Hermitian")
+            else:
+                tr = complex(sum(rho.diagonal(), 0j))
+                if abs(tr - 1.0) > 1e3 * tol.abs_eps:
+                    raise NotAState(f"density trace is {tr}, not 1")
             eigs = self.eigen(tol).eigenvalues
             if eigs and min(eigs) < -spectral_cutoff(eigs, tol):
                 raise NotAState("density is not positive semidefinite")
-        if self.ensemble is not None and self.density is not None:
-            diff = as_array(density_from_ensemble(self)) - as_array(self.density)
-            if float(np.max(np.abs(diff))) > 1e3 * tol.abs_eps:
+        if self.ensemble is not None and rho is not None:
+            built = density_from_ensemble(self)
+            if built.dtype == object and rho.dtype == object:
+                if not np.array_equal(built, rho):
+                    raise NotAState("ensemble and density disagree")
+            elif float(np.max(np.abs(as_array(built) - as_array(rho)))) > 1e3 * tol.abs_eps:
                 raise NotAState("ensemble and density disagree")
 
     # -- representation queries --------------------------------------------
@@ -151,13 +163,11 @@ class BipartiteState:
     @property
     def exact(self) -> bool:
         """True when the preferred (ensemble) pathway is fully exact."""
-        if self.ensemble is not None:
-            return self.exact_ensemble
-        return False
+        return self.exact_ensemble
 
     def density_matrix(self):
         """The given density, else the one built from the ensemble (an exact
-        Matrix or a complex array); the build runs once, since a state is
+        matrix or a complex array); the build runs once, since a state is
         immutable by convention."""
         if self._rho is None:
             self._rho = density_from_ensemble(self)
@@ -235,8 +245,8 @@ class BipartiteState:
         exact ensemble's partial traces are summed on its Gaussian sum and
         every entry divided once by L (int true division rounds correctly),
         and an exact density's are summed exactly (partial_trace), then
-        rounded.  A float density's are summed in the order partial_trace
-        sums, block after block."""
+        rounded (as_array).  A float density's are summed by the same
+        partial_trace, block after block."""
         if self._images is not None:
             return self._images
         m, n = self.m, self.n
@@ -249,34 +259,22 @@ class BipartiteState:
                 z.real, z.imag = a / den, b / den
                 return z
 
-            def traced(axis: int) -> np.ndarray:   # 1 traces out B, 0 traces out A
-                return rounded(*(x.reshape(m, n, m, n).trace(axis1=axis, axis2=axis + 2)
-                                 for x in (re, im)))
-
-            self._images = rounded(re, im), traced(1), traced(0)
+            self._images = (rounded(re, im), *(rounded(partial_trace(re, m, n, side),
+                                                       partial_trace(im, m, n, side))
+                                               for side in "BA"))
         else:
             rho = self.density_matrix()
-            if isinstance(rho, Matrix):
-                self._images = tuple(x.to_numpy() for x in (
-                    rho, partial_trace(rho, m, n, "B"), partial_trace(rho, m, n, "A")))
-            else:
-                blocks = rho.reshape(m, n, m, n)
-                self._images = (rho, sum(blocks[:, r, :, r] for r in range(n)),
-                                sum(blocks[i, :, i, :] for i in range(m)))
+            self._images = tuple(as_array(x) for x in (
+                rho, partial_trace(rho, m, n, "B"), partial_trace(rho, m, n, "A")))
         return self._images
 
     def _unit_rays(self) -> np.ndarray:
         """The ensemble's rays as one read-only complex (t, mn) array, each
         row unit-scaled (unit_rows); built once, for the float density and
-        the float pencil.  ExactComplex entries are rounded (to_complex)."""
+        the float pencil.  ExactComplex entries are rounded (complex(z))."""
         if self._rays is None:
-            vectors = [v for _, v in self.ensemble_terms()]
-            try:
-                rays = np.array(vectors, dtype=complex)
-            except TypeError:  # ExactComplex entries
-                rays = np.array([[x.to_complex() if isinstance(x, ExactComplex) else complex(x)
-                                  for x in v] for v in vectors], dtype=complex)
-            self._rays = unit_rows(rays)
+            self._rays = unit_rows(np.array([v for _, v in self.ensemble_terms()],
+                                            dtype=complex))
             self._rays.flags.writeable = False
         return self._rays
 
@@ -299,13 +297,8 @@ class BipartiteState:
                 ens.append((w, tuple(sw)))
         dens = None
         if self.density is not None:
-            mn = m * n
             # permutation similarity: new[(j,i),(j',i')] = old[(i,j),(i',j')]
-            if isinstance(self.density, Matrix):
-                entries = np.array(self.density.data, dtype=object).reshape(m, n, m, n)
-                dens = Matrix(mn, mn, entries.transpose(1, 0, 3, 2).ravel().tolist())
-            else:
-                dens = self.density.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(mn, mn)
+            dens = self.density.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
         self._swapped = BipartiteState(n, m, ensemble=ens, density=dens,
                                        label=self.label, validate=False)
         return self._swapped
@@ -327,7 +320,7 @@ def _check_density(rho, mn: int):
 
 
 class LocalUnitaryPair:
-    """U_A on side A, U_B on side B, each an exact Matrix or a complex
+    """U_A on side A, U_B on side B, each an exact matrix or a complex
     array; the joint action is U_A (x) U_B."""
 
     def __init__(self, u_a, u_b, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
@@ -337,8 +330,8 @@ class LocalUnitaryPair:
         self.u_b = u_b
         if validate:
             for name, u in (("U_A", u_a), ("U_B", u_b)):
-                if isinstance(u, Matrix):
-                    if u.conj_transpose() @ u != Matrix.identity(u.rows):
+                if u.dtype == object:
+                    if not np.array_equal(u.conj().T @ u, np.identity(len(u), dtype=int)):
                         raise NotAState(f"{name} is not exactly unitary")
                 else:
                     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
@@ -347,13 +340,15 @@ class LocalUnitaryPair:
 
     @staticmethod
     def identity(m: int, n: int) -> "LocalUnitaryPair":
-        return LocalUnitaryPair(Matrix.identity(m), Matrix.identity(n), validate=False)
+        return LocalUnitaryPair(*(exact_matrix(np.identity(k, dtype=int).tolist())
+                                  for k in (m, n)), validate=False)
 
-    def joint(self):
-        """U_A (x) U_B: an exact Matrix when both are exact, else an array."""
-        if isinstance(self.u_a, Matrix) and isinstance(self.u_b, Matrix):
-            return kron(self.u_a, self.u_b)
-        return np.kron(as_array(self.u_a), as_array(self.u_b))
+    def joint(self) -> np.ndarray:
+        """U_A (x) U_B: exact when both are exact, else a complex array."""
+        u_a, u_b = self.u_a, self.u_b
+        if not u_a.dtype == u_b.dtype == object:
+            u_a, u_b = as_array(u_a), as_array(u_b)
+        return np.kron(u_a, u_b)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +359,7 @@ def density_from_ensemble(s: BipartiteState):
     """rho = A P A^dagger with A the (ray) ensemble columns and
     P = diag(p_l / ||v_l||^2); equals sum_l p_l P_{v_l} exactly.
 
-    An exact ensemble gives an exact Matrix, one from_fields per entry of
+    An exact ensemble gives an exact matrix, one from_fields per entry of
     the state's Gaussian-integer sum over L (``BipartiteState._gaussian_sum``).
     Float rays are read as the state's unit-scaled array (_unit_rays) and
     summed term by term into a complex array.
@@ -372,8 +367,8 @@ def density_from_ensemble(s: BipartiteState):
     mn = s.m * s.n
     if s.exact_ensemble:
         re, im, den = s._gaussian_sum()
-        return Matrix(mn, mn, [from_fields(a, b, den) for re_i, im_i in zip(re, im)
-                               for a, b in zip(re_i, im_i)])
+        return exact_matrix([[from_fields(a, b, den) for a, b in zip(re_i, im_i)]
+                             for re_i, im_i in zip(re, im)])
     rho = np.zeros((mn, mn), dtype=complex)
     for (w, _), vec in zip(s.ensemble_terms(), s._unit_rays()):
         nsq = float(np.vdot(vec, vec).real)
@@ -384,7 +379,7 @@ def density_from_ensemble(s: BipartiteState):
 def ensemble_from_density(rho, m: int, n: int,
                           tol: Tolerance = DEFAULT_TOL) -> BipartiteState:
     """Spectral ensemble of a density matrix (approximate pathway), an
-    exact Matrix or a complex array: BipartiteState.spectral."""
+    exact matrix or a complex array: BipartiteState.spectral."""
     return BipartiteState(m, n, density=rho, validate=False).spectral(tol)
 
 
@@ -396,20 +391,19 @@ def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteStat
         raise DimensionMismatch(
             f"unitary pair is {u.u_a.shape[0]}/{u.u_b.shape[0]}, state is {s.m}x{s.n}")
     t = u.joint()
-    exact = isinstance(t, Matrix)
+    exact = t.dtype == object
     ens = dens = None
     if s.ensemble is not None and s.exact_ensemble and exact:
-        ens = [(w, (t @ Matrix(len(v), 1, v)).data) for w, v in s.ensemble]
+        ens = [(w, tuple(t @ np.array(v, dtype=object))) for w, v in s.ensemble]
     elif s.ensemble is not None:
         tf = as_array(t)
-        ens = [(float(w), tuple((tf @ np.array([x.to_complex() if isinstance(x, ExactComplex)
-                                                else complex(x) for x in v])).tolist()))
+        ens = [(float(w), tuple((tf @ np.array(v, dtype=complex)).tolist()))
                for w, v in s.ensemble]
-    if isinstance(s.density, Matrix) and exact:
-        dens = t @ s.density @ t.conj_transpose()
-    elif s.density is not None:
-        tf = as_array(t)
-        dens = tf @ as_array(s.density) @ tf.conj().T
+    if s.density is not None:
+        rho = s.density
+        if not (exact and rho.dtype == object):
+            t, rho = as_array(t), as_array(rho)
+        dens = t @ rho @ t.conj().T
     return BipartiteState(s.m, s.n, ensemble=ens, density=dens,
                           label=s.label, validate=False)
 
@@ -418,9 +412,7 @@ def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Peres criterion: is the partial transpose still PSD, as psd_check
     decides it, from its eigenvalues alone?  rho^{T_A} permutes the axes of
     rho's float image (``_float_images``), exactly."""
-    m, n = s.m, s.n
-    rho = s._float_images()[0].reshape(m, n, m, n)
-    eigs = hermitian_eigenvalues(rho.transpose(2, 1, 0, 3).reshape(m * n, m * n), tol)
+    eigs = hermitian_eigenvalues(partial_transpose(s._float_images()[0], s.m, s.n), tol)
     return min(eigs) >= -spectral_cutoff(eigs, tol)
 
 

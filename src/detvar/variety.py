@@ -72,7 +72,7 @@ from .errors import (
     ZeroDirection,
 )
 from .factorization import FactorList, _random_exact_point, linear_factorization, linear_factors
-from .linalg import Matrix, as_array, det_exact, rank_exact
+from .linalg import as_array, det_exact, exact_matrix, rank_exact
 from .modp import (
     RANK_PRIME,
     binary_minors_coprime,
@@ -176,13 +176,12 @@ class PencilMatrix:
     def floats(self) -> Tuple[np.ndarray, float]:
         """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
         and ||A||, the spectral norm of its m x nt unfolding: a float
-        pencil's array, or an exact pencil's entries rounded (to_complex),
+        pencil's array, or an exact pencil's entries rounded (complex(c)),
         seen through one transpose of a C-contiguous (n, t, m) base."""
         if self._floats is None:
             base = self._base
             if base is None:
-                base = np.array([[[c.to_complex() for c in e] for e in row]
-                                 for row in self._entries], dtype=complex)
+                base = np.array(self._entries, dtype=complex)
             tensor = base.transpose(2, 0, 1)
             self._floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
         return self._floats
@@ -287,23 +286,21 @@ class Variety:
         own): the exact entries as an object array when `exact` and the
         density is exact, else the float image that spectra and PPT read."""
         base = self.state if self.side == "A" else self.state.swapped()
-        exact = exact and isinstance(base.density_matrix(), Matrix)
+        exact = exact and base.density_matrix().dtype == object
         if exact not in self._blocks:
-            rho = (np.array(base.density_matrix().data, dtype=object) if exact
-                   else base._float_images()[0])
+            rho = base.density_matrix() if exact else base._float_images()[0]
             self._blocks[exact] = rho.reshape(self.m, self.n, self.m, self.n)
         return self._blocks[exact]
 
     def hermitian_matrix(self, point: Sequence):
-        """M(r) = sum_ij r_i conj(r_j) rho_ij: an exact Matrix for an exact
+        """M(r) = sum_ij r_i conj(r_j) rho_ij: an exact matrix for an exact
         point on an exact density, else a complex numpy array; one einsum
         (_hermitian_forms) serves both."""
         exact = self.mode == "exact" and all(isinstance(x, ExactComplex) for x in point)
         blocks = self._state_blocks(exact)
         if blocks.dtype == object:
-            return Matrix.exact(
-                _hermitian_forms(np.array([point], dtype=object), blocks)[0].tolist())
-        return self.hermitian_stack([_complex_point(point)])[0]
+            return exact_matrix(_hermitian_forms(np.array([point], dtype=object), blocks)[0])
+        return self.hermitian_stack([point])[0]
 
     def hermitian_stack(self, points: Sequence[Sequence]) -> np.ndarray:
         """The float M(r) of each point (complex coordinates), shape (b, n, n)."""
@@ -312,7 +309,7 @@ class Variety:
 
     def hermitian_value(self, point: Sequence):
         mat = self.hermitian_matrix(point)
-        if isinstance(mat, Matrix):
+        if mat.dtype == object:
             return det_exact(mat)
         return complex(np.linalg.det(mat))
 
@@ -325,7 +322,7 @@ class Variety:
         arr = as_array(self.hermitian_matrix(point))
         if self.n > 1:
             return _hadamard_ratio(arr)
-        r = np.array(_complex_point(point))
+        r = np.array(point, dtype=complex)
         rho = self._state_blocks(False).reshape(self.m, self.m)
         return abs(complex(arr[0, 0])) / max(float(np.linalg.norm(rho, 2) * np.vdot(r, r).real),
                                              1e-300)
@@ -344,7 +341,7 @@ class Variety:
     def generator_residual(self, point: Sequence) -> float:
         """The generator oracle, sigma_n(N(r)) / (||A|| ||r||) at one point:
         zero exactly where every minor vanishes, with no minor expanded."""
-        return float(self.pencil_residuals([_complex_point(point)])[0])
+        return float(self.pencil_residuals([point])[0])
 
     def __repr__(self):
         return (f"Variety(side={self.side}, {self.generator_count} generators "
@@ -498,10 +495,6 @@ def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
 # points
 # ---------------------------------------------------------------------------
 
-def _complex_point(point: Sequence) -> List[complex]:
-    return [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
-
-
 def project_normalize(point: Sequence):
     """Scale by the inverse of the max-modulus coordinate, the pivot (ties
     broken by lowest index): exactly 1 on an exact point, 1 within a few
@@ -516,7 +509,7 @@ def project_normalize(point: Sequence):
             raise ValueError("cannot normalize the zero point")
         inv = point[best].inverse()
         return tuple(x * inv for x in point)
-    pt = _complex_point(point)
+    pt = [complex(x) for x in point]
     mods = [abs(x) for x in pt]
     best = max(range(len(pt)), key=lambda i: (mods[i], -i))
     if mods[best] == 0:
@@ -542,9 +535,9 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
     if v.mode == "exact" and all(isinstance(x, ExactComplex) for x in point):
         at_p = [[sum((c * x for c, x in zip(e, point)), EC_ZERO) for e in row]
                 for row in v.pencil.entries]
-        on_pencil = rank_exact(Matrix.exact(at_p)) < v.n
+        on_pencil = rank_exact(exact_matrix(at_p)) < v.n
         herm = v.hermitian_value(point)
-        on_herm = herm.is_zero() if isinstance(herm, ExactComplex) else herm == 0
+        on_herm = herm == 0
         detail = "exact"
     else:
         gen, herm = v.generator_residual(point), v.hermitian_residual(point)
@@ -834,7 +827,7 @@ def _point_stream(v: Variety, count: int, seed: int,
             raise SamplingExhausted(
                 "variety equals the union of its peeled hyperplanes; nothing left to sample")
         if forms:
-            normals = np.array([_complex_point(f.coefficients) for f in forms])
+            normals = np.array([f.coefficients for f in forms], dtype=complex)
             normals /= np.linalg.norm(normals, axis=1)[:, None]
     if deficient:
         draws, unit = SAMPLING_BUDGET * count, "draws"
@@ -954,7 +947,7 @@ def _tangent_data(v: Variety, point: Sequence
     that is zero: a probe P g needs no basis of ker T, which would move
     with the power-of-two column scaling of a float pencil."""
     tensor, scale = v.pencil.floats
-    p = np.array(_complex_point(point))
+    p = np.array(point, dtype=complex)
     n, rows = v.n, v.pencil.t - v.n + 1
     if rows < 1:  # t < n: V is all of CP^{m-1}
         return None
@@ -982,7 +975,7 @@ def _witness_search_at(v: Variety, point: Sequence, rng: random.Random, tol: Tol
     certifies local curvature; the hit is (probe, Hermitian residual, first
     row of T) for the probe of largest Hermitian residual, or None.  Raises
     SingularPoint where the pencil does not show the point smooth."""
-    pt = _complex_point(project_normalize(point))
+    pt = [complex(x) for x in project_normalize(point)]
     data = _tangent_data(v, pt)
     if data is None:
         raise SingularPoint("the pencil does not show the point smooth")

@@ -136,7 +136,7 @@ def test_criterion_4_moduli_vs_spectra():
 def test_criterion_5_chart_reduction(ppt_state):
     rho = ppt_state.density_matrix()
     # (a) partial transpose fixes rho exactly
-    assert partial_transpose(rho, 4, 6) == rho
+    assert np.array_equal(partial_transpose(rho, 4, 6), rho)
     cr = chart_reduction()
     # (b) recomputed pencil matches the printed matrix entrywise
     assert cr.pencil_matches_printed
@@ -268,7 +268,8 @@ def test_criterion_9_round_trips(family_varieties, ppt_variety):
     # partial transpose is an exact involution
     for st in (ppt_4x6_state(), cyclic_cubic_state(EC(8)), maximally_mixed(2, 3)):
         rho = st.density_matrix()
-        assert partial_transpose(partial_transpose(rho, st.m, st.n), st.m, st.n) == rho
+        assert np.array_equal(partial_transpose(partial_transpose(rho, st.m, st.n), st.m, st.n),
+                              rho)
 
     # Euler homogeneity holds exactly for every generated minor
     all_varieties = list(family_varieties.values()) + [

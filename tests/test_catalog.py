@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from detvar.catalog import (
@@ -55,7 +56,7 @@ def test_ppt_4x6_state_facts():
     rho = s.density_matrix()
     assert rho.trace() == EC(1)
     assert rank_exact(rho) == 7
-    assert partial_transpose(rho, 4, 6) == rho
+    assert np.array_equal(partial_transpose(rho, 4, 6), rho)
     assert ppt_check(s)
 
 

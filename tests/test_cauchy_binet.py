@@ -38,8 +38,8 @@ from detvar.variety import (
     _peel_linear_factors,
     variety_of_state,
 )
-from test_lazy_minors import _gaussian_state
-from test_peel_reference import factored_state
+from shared_states import cauchy_binet_cases, factored_state, gaussian_integer_state
+from test_modp_reference import INTEGERS, minor_terms
 
 EC = ExactComplex
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -50,9 +50,6 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 @pytest.mark.parametrize("p", [RANK_PRIME, 13])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_integer_kernel_matches_laplace_expansion(n, p):
-    # imported here: test_modp_reference imports this module's _cases
-    from test_modp_reference import INTEGERS, minor_terms
-
     rng = random.Random(f"kernel:{n}:{p}")
     for t in range(max(1, n - 1), n + 4):
         for trial in range(4):
@@ -83,37 +80,7 @@ def test_interpolation_and_gcd_modulo_p():
 
 # -- the certificate against the exact line gcd ----------------------------------
 
-def _cases():
-    cases = []
-    for m, n, t in [(4, 4, 5), (3, 4, 5)]:
-        for seed in range(3):
-            state = _gaussian_state(m, n, t, seed)
-            cases += [pytest.param(state, side, True, id=f"gaussian {m}x{n} r{t} #{seed} {side}")
-                      for side in "AB"]
-    # sides where t > n: both, but for side B of 4x3 t4 (t = n) and 5x3 t4 (t < n)
-    for (m, n, t), sides in [((3, 3, 4), "AB"), ((3, 4, 5), "AB"), ((4, 4, 5), "AB"),
-                             ((4, 3, 4), "A"), ((5, 3, 4), "A")]:
-        for seed in range(3):
-            state = random_separable(m, n, t, seed=seed)
-            cases += [pytest.param(state, side, True, id=f"sep {m}x{n} t{t} #{seed} {side}")
-                      for side in sides]
-    ppt = catalog.ppt_4x6_state()
-    cases += [pytest.param(ppt, "A", False, id="ppt 4x6 A"),
-              pytest.param(ppt, "B", True, id="ppt 4x6 B")]
-    planted = [
-        ((1, Fraction(1, 2), -3, Fraction(2, 3)), (0,), (4, 4, 5)),
-        ((1, EC(2, -1), EC(0, 3), 5), (0,), (4, 4, 5)),
-        ([(1, 2, -1, EC(0, 1)), (0, 1, Fraction(-5, 7), 2)], (0, 1), (4, 4, 6)),
-        ((2, -1, Fraction(1, 9)), (0,), (3, 3, 4)),
-        ((0, 1, Fraction(-5, 7)), (1,), (3, 4, 5)),
-    ]
-    for k, (forms, rows, shape) in enumerate(planted):
-        state = factored_state(forms, rows=rows, seed=k, shape=shape)
-        cases.append(pytest.param(state, "A", False, id=f"planted #{k}"))
-    return cases
-
-
-@pytest.mark.parametrize("state, side, certified", _cases())
+@pytest.mark.parametrize("state, side, certified", cauchy_binet_cases())
 def test_certificate_never_claims_what_the_exact_gcd_denies(state, side, certified):
     v = variety_of_state(state, side)
     assert v.mode == "exact" and v.pencil.t > v.n
@@ -160,7 +127,7 @@ def test_a_square_pencil_is_expanded_at_build_and_split_by_the_peel():
     # expanded when V is built, and the line peel reads it.  A generic
     # 4x4 r4 determinant has no Q(i) linear factor, certified; a separable
     # one splits into four forms that re-multiply to it
-    v = variety_of_state(_gaussian_state(4, 4, 4, 1))
+    v = variety_of_state(gaussian_integer_state(4, 4, 4, 1))
     assert v._generators is not None
     assert _peel_linear_factors(v) == ([], [v._factor_list.residual])
     assert v._factor_list.linear_factors == [] and v._factor_list.certified

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from detvar.cli import main
@@ -72,13 +73,12 @@ def test_state_roundtrip_exact():
     data = state_to_json(s)
     back = parse_state(json.loads(json.dumps(data)))
     assert back.exact_ensemble
-    assert back.density_matrix() == s.density_matrix()
+    assert np.array_equal(back.density_matrix(), s.density_matrix())
 
 
 def test_state_roundtrip_approx():
     s = random_mixed(2, 2, rank=2, seed=4)
     back = parse_state(state_to_json(s))
-    import numpy as np
     assert np.max(np.abs(back.density_matrix() - s.density_matrix())) < 1e-12
 
 

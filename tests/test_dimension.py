@@ -27,7 +27,6 @@ import pytest
 import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.exactroots import ec_gcd, ec_trim
-from detvar.linalg import Matrix
 from detvar.modp import RANK_PRIME
 from detvar.multipoly import restrict_to_line, univariate_coeffs
 from detvar.scalars import ExactComplex
@@ -228,7 +227,7 @@ def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, m, t, 
     # 3 x 3 t5 passes the Eagon-Northcott gate t - n + 1 >= m - 1, the
     # other shapes fall below it, where V could only be sampled
     rank_two = np.asarray([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
-    pair = LocalUnitaryPair(Matrix.identity(m).to_numpy(), rank_two, validate=False)
+    pair = LocalUnitaryPair(np.identity(m, dtype=complex), rank_two, validate=False)
     v = variety_of_state(apply_local_unitary(random_mixed(m, 3, t, seed=seed), pair))
     assert v.mode == "approx" and v.structural is None
     assert max(abs(c) for g in pencil_minors(v.pencil) for c in g.terms.values()) < 1e-12

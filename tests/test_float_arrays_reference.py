@@ -18,7 +18,6 @@ import random
 import numpy as np
 import pytest
 
-from detvar.linalg import Matrix
 from detvar.scalars import ExactComplex
 from detvar.states import (
     BipartiteState,
@@ -72,9 +71,10 @@ class ApproxMatrix:
 
 
 def to_approx(x) -> ApproxMatrix:
-    """Matrix.to_approx of an exact Matrix; Matrix.approx of an array."""
-    if isinstance(x, Matrix):
-        return ApproxMatrix(x.rows, x.cols, [z.to_complex() for z in x.data])
+    """Matrix.to_approx of an exact matrix (an object array, once an exact
+    Matrix); Matrix.approx of a complex array."""
+    if x.dtype == object:
+        return ApproxMatrix(x.shape[0], x.shape[1], [z.to_complex() for z in x.ravel()])
     return ApproxMatrix.approx(x)
 
 

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 import detvar.statefile as statefile
 import detvar.variety as variety_mod
 from detvar.errors import DetvarError, StateFileError
-from detvar.linalg import Matrix
+from detvar.linalg import exact_matrix
 from detvar.scalars import ExactComplex, from_fields
 from detvar.statefile import _PARTS, _finite, _rational, parse_state, parse_weight, render_scalar
 from detvar.states import BipartiteState, density_from_ensemble, random_mixed
@@ -131,7 +131,7 @@ def reference_parse_state(data: dict) -> BipartiteState:
             exact = exact and isinstance(v, ExactComplex)
             entries.append(v)
     if exact:
-        mat = Matrix(mn, mn, entries)
+        mat = exact_matrix([entries[i * mn:(i + 1) * mn] for i in range(mn)])
     else:
         mat = np.array([x.to_complex() if isinstance(x, ExactComplex) else x
                         for x in entries], dtype=complex).reshape(mn, mn)
@@ -231,7 +231,7 @@ def outcome(parse, doc):
     ens = None if s.ensemble is None else [
         (_bits(w), [_bits(x) for x in v]) for w, v in s.ensemble]
     dens = (None if s.density is None else
-            [_bits(x) for x in s.density.data] if isinstance(s.density, Matrix)
+            [_bits(x) for x in s.density.ravel()] if s.density.dtype == object
             else _array_bits(s.density))
     return "ok", s.m, s.n, s.label, ens, dens
 

@@ -40,3 +40,13 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def test_every_exported_name_resolves_and_star_binds_it():
+    import detvar
+    namespace = {}
+    exec("from detvar import *", namespace)
+    assert len(set(detvar.__all__)) == len(detvar.__all__)
+    for name in detvar.__all__:
+        assert hasattr(detvar, name), name
+        assert namespace[name] is getattr(detvar, name), name

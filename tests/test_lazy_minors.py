@@ -15,7 +15,6 @@ report of the same analysis with the screen switched off, and a float
 count is that of the float minors that are not rounding noise.
 """
 
-import random
 import sys
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ import detvar.multipoly as multipoly
 import detvar.variety as variety_mod
 from detvar import catalog
 from detvar.errors import FloatMinors
-from detvar.linalg import Matrix
+from detvar.linalg import exact_matrix
 from detvar.report import analyze_state, render_json
 from detvar.scalars import ExactComplex
 from detvar.states import (
@@ -38,9 +37,9 @@ from detvar.states import (
     random_separable,
 )
 from detvar.variety import PencilMatrix, linearity_decide, variety_of_state
+from shared_states import float_copy, gaussian_integer_state
 from test_golden import CASES, GOLDEN, rendered_report
 from test_multipoly_reference import pencil_minors
-from test_no_false_witness import float_copy
 
 EC = ExactComplex
 F = Fraction
@@ -156,21 +155,13 @@ def _duplicated(s):
 def _rank_two_side_b(s, exact):
     rows = [[1, 0, 0], [0, 1, 0], [1, 1, 0]]
     if exact:
-        pair = LocalUnitaryPair(Matrix.identity(s.m), Matrix.exact([[EC(x) for x in r]
-                                                                    for r in rows]),
+        pair = LocalUnitaryPair(exact_matrix(np.identity(s.m, dtype=int).tolist()),
+                                exact_matrix([[EC(x) for x in r] for r in rows]),
                                 validate=False)
     else:
-        pair = LocalUnitaryPair(Matrix.identity(s.m).to_numpy(),
+        pair = LocalUnitaryPair(np.identity(s.m, dtype=complex),
                                 np.asarray(rows, dtype=complex), validate=False)
     return apply_local_unitary(s, pair)
-
-
-def _gaussian_state(m, n, t, seed):
-    rng = random.Random(seed)
-    ensemble = [(F(1, t), tuple(EC(rng.randint(-3, 3), rng.randint(-3, 3))
-                                for _ in range(m * n)))
-                for _ in range(t)]
-    return BipartiteState(m, n, ensemble=ensemble)
 
 
 EDGE_STATES = {
@@ -181,7 +172,8 @@ EDGE_STATES = {
     "maxmixed 3x4": lambda: catalog.maximally_mixed(3, 4),
     "duplicated exact 3x3 t5": lambda: _duplicated(random_separable(3, 3, 4, seed=1)),
     "duplicated float 3x4 t6": lambda: _duplicated(random_mixed(3, 4, 5, seed=1)),
-    "rank-2 side B exact 3x3 t5": lambda: _rank_two_side_b(_gaussian_state(3, 3, 5, 4), True),
+    "rank-2 side B exact 3x3 t5": lambda: _rank_two_side_b(gaussian_integer_state(3, 3, 5, 4),
+                                                           True),
     "rank-2 side B float 3x3 t5": lambda: _rank_two_side_b(random_mixed(3, 3, 5, seed=0),
                                                            False),
     "separable 3x3 t6": lambda: random_separable(3, 3, 6, seed=2),
@@ -189,11 +181,11 @@ EDGE_STATES = {
     "separable 4x5 t8": lambda: random_separable(4, 5, 8, seed=0),
     "mixed 4x5 t8": lambda: random_mixed(4, 5, 8, seed=0),
     "separable 2x3 t3": lambda: random_separable(2, 3, 3, seed=2),
-    "gaussian 3x3 t4": lambda: _gaussian_state(3, 3, 4, 7),
+    "gaussian 3x3 t4": lambda: gaussian_integer_state(3, 3, 4, 7),
     # m = 4 below the gate: t = n is expanded at build, for the line peel;
     # t > n is screened and left unexpanded by the peel too
-    "gaussian 4x4 t4": lambda: _gaussian_state(4, 4, 4, 1),
-    "gaussian 4x4 t5": lambda: _gaussian_state(4, 4, 5, 1),
+    "gaussian 4x4 t4": lambda: gaussian_integer_state(4, 4, 4, 1),
+    "gaussian 4x4 t5": lambda: gaussian_integer_state(4, 4, 5, 1),
 }
 
 
@@ -287,7 +279,7 @@ def test_a_float_v_whose_minors_vanish_is_never_full(shape, reason):
     # a side-B map with a zero row zeroes a row of the pencil, so every
     # float minor is exactly 0; no structural Full is read off them, and
     # the dimension verdict speaks for V
-    pair = LocalUnitaryPair(Matrix.identity(shape[0]).to_numpy(),
+    pair = LocalUnitaryPair(np.identity(shape[0], dtype=complex),
                             np.asarray([[1, 0, 0], [0, 1, 0], [0, 0, 0]], dtype=complex),
                             validate=False)
     v = variety_of_state(apply_local_unitary(random_mixed(*shape, seed=0), pair))

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from detvar.catalog import ppt_4x6_blocks, ppt_4x6_state
-from detvar.errors import NonSquare, NotHermitian
+from detvar.errors import DimensionMismatch, NonSquare, NotHermitian
 from detvar.linalg import (
-    Matrix,
+    as_array,
     det_exact,
+    exact_matrix,
     hermitian_eigen,
     hermitian_eigenvalues,
-    kron,
     partial_trace,
     partial_transpose,
     psd_check,
@@ -26,21 +26,21 @@ def bell_projector():
     rows = [[0] * 4 for _ in range(4)]
     for i, j in ((0, 0), (0, 3), (3, 0), (3, 3)):
         rows[i][j] = half
-    return Matrix.exact(rows)
+    return exact_matrix(rows)
 
 
 def test_det_identity():
-    assert det_exact(Matrix.identity(4)) == ExactComplex(1)
+    assert det_exact(exact_matrix(np.identity(4, dtype=int).tolist())) == ExactComplex(1)
 
 
 def test_det_pencil_value_at_ones():
     # [[8, 1, 1], [1, 1, 1], [1, 1, 1]] is the cubic pencil at t=2, r=(1,1,1)
-    m = Matrix.exact([[8, 1, 1], [1, 1, 1], [1, 1, 1]])
+    m = exact_matrix([[8, 1, 1], [1, 1, 1], [1, 1, 1]])
     assert det_exact(m).is_zero()
 
 
 def test_det_repeated_row():
-    m = Matrix.exact([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+    m = exact_matrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
     assert det_exact(m).is_zero()
 
 
@@ -48,18 +48,19 @@ def test_det_cofactor_agreement_random():
     rng = random.Random(7)
 
     def cofactor(m):
-        if m.rows == 1:
+        rows, cols = m.shape
+        if rows == 1:
             return m[0, 0]
         acc = ExactComplex(0)
-        for j in range(m.cols):
-            sub = Matrix.exact([[m[i, c] for c in range(m.cols) if c != j]
-                                for i in range(1, m.rows)])
+        for j in range(cols):
+            sub = exact_matrix([[m[i, c] for c in range(cols) if c != j]
+                                for i in range(1, rows)])
             term = m[0, j] * cofactor(sub)
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
 
     for _ in range(25):
-        m = Matrix.exact([[ExactComplex(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+        m = exact_matrix([[ExactComplex(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                                         Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
                            for _ in range(3)] for _ in range(3)])
         assert det_exact(m) == cofactor(m)
@@ -67,17 +68,17 @@ def test_det_cofactor_agreement_random():
 
 def test_det_nonsquare():
     with pytest.raises(NonSquare):
-        det_exact(Matrix.exact([[1, 2, 3], [4, 5, 6]]))
+        det_exact(exact_matrix([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_rank_cases():
-    assert rank_exact(Matrix.zeros(3, 5)) == 0
-    outer = Matrix.exact([[2, 4], [3, 6]])
+    assert rank_exact(exact_matrix([[0] * 5] * 3)) == 0
+    outer = exact_matrix([[2, 4], [3, 6]])
     assert rank_exact(outer) == 1
     blocks = ppt_4x6_blocks()
-    stacked = Matrix.exact([[blocks[i][r, c] for c in range(7)]
+    stacked = exact_matrix([[blocks[i][r, c] for c in range(7)]
                             for i in range(4) for r in range(6)])
-    assert stacked.rows == 24 and rank_exact(stacked) == 7
+    assert stacked.shape[0] == 24 and rank_exact(stacked) == 7
 
 
 def test_eigen_diag():
@@ -127,7 +128,7 @@ def test_eigen_rank3_projector_spectrum():
     # orthonormal three-term ensemble: eigenvalues 1/3 (x3) then zeros
     from detvar.catalog import cyclic_cubic_state
     rho = cyclic_cubic_state(ExactComplex(8)).density_matrix()
-    res = hermitian_eigen(rho.to_numpy())
+    res = hermitian_eigen(as_array(rho))
     expect = [1 / 3] * 3 + [0.0] * 6
     assert max(abs(a - b) for a, b in zip(res.eigenvalues, expect)) < 1e-12
 
@@ -148,39 +149,39 @@ def test_eigen_reconstruction_random():
 
 def test_partial_transpose_bell():
     pt = partial_transpose(bell_projector(), 2, 2)
-    eigs = hermitian_eigen(pt.to_numpy()).eigenvalues
+    eigs = hermitian_eigen(as_array(pt)).eigenvalues
     assert abs(min(eigs) + 0.5) < 1e-12
-    assert not psd_check(pt.to_numpy())
+    assert not psd_check(as_array(pt))
 
 
 def test_partial_transpose_involution_and_fixed_points():
     rho = ppt_4x6_state().density_matrix()
     pt = partial_transpose(rho, 4, 6)
-    assert pt == rho  # the construction is symmetric under it
-    assert partial_transpose(pt, 4, 6) == rho
-    mixed = Matrix.identity(6).scale(ExactComplex(Fraction(1, 6)))
-    assert partial_transpose(mixed, 2, 3) == mixed
+    assert np.array_equal(pt, rho)  # the construction is symmetric under it
+    assert np.array_equal(partial_transpose(pt, 4, 6), rho)
+    mixed = exact_matrix((np.identity(6, dtype=int) * Fraction(1, 6)).tolist())
+    assert np.array_equal(partial_transpose(mixed, 2, 3), mixed)
 
 
 def test_partial_trace_bell():
     trb = partial_trace(bell_projector(), 2, 2, "B")
-    assert trb == Matrix.exact([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    assert np.array_equal(trb, exact_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]))
 
 
 def test_partial_trace_product_state():
-    pa = Matrix.exact([[1, 0], [0, 0]])
-    pb = Matrix.exact([[Fraction(1, 2), Fraction(1, 2)],
+    pa = exact_matrix([[1, 0], [0, 0]])
+    pb = exact_matrix([[Fraction(1, 2), Fraction(1, 2)],
                        [Fraction(1, 2), Fraction(1, 2)]])
-    rho = kron(pa, pb)
-    assert partial_trace(rho, 2, 2, "B") == pa
-    assert partial_trace(rho, 2, 2, "A") == pb
+    rho = np.kron(pa, pb)
+    assert np.array_equal(partial_trace(rho, 2, 2, "B"), pa)
+    assert np.array_equal(partial_trace(rho, 2, 2, "A"), pb)
 
 
 def test_partial_trace_preserves_trace():
     rng = random.Random(2)
     ent = [[ExactComplex(Fraction(rng.randint(-3, 3), 2)) for _ in range(6)]
            for _ in range(6)]
-    m = Matrix.exact(ent)
+    m = exact_matrix(ent)
     assert partial_trace(m, 2, 3, "B").trace() == m.trace()
     assert partial_trace(m, 2, 3, "A").trace() == m.trace()
 
@@ -199,3 +200,34 @@ def test_psd_cutoff_scales_with_the_spectrum():
     assert psd_check(np.asarray([[1, 0], [0, -0.5e-10]], dtype=complex))
     assert not psd_check(np.asarray([[1, 0], [0, -2e-10]], dtype=complex))
     assert psd_check(np.asarray([[8, 0], [0, -5e-10]], dtype=complex))
+
+
+def test_exact_matrix_coerces_and_is_read_only():
+    m = exact_matrix([[1, Fraction(1, 2)], [ExactComplex(0, 1), 0]])
+    assert m.dtype == object and m.shape == (2, 2) and not m.flags.writeable
+    assert all(type(x) is ExactComplex for x in m.ravel())
+    assert m[0, 1] == ExactComplex(Fraction(1, 2)) and m[1, 0] == ExactComplex(0, 1)
+    with pytest.raises(ValueError):
+        m[0, 0] = ExactComplex(2)
+    assert exact_matrix([]).shape == (0, 0)
+
+
+def test_exact_matrix_refuses_floats_and_ragged_rows():
+    for bad in ([[1, 0.5]], [[1, 0], [0, 1j]], [[np.float64(1.0)]]):
+        with pytest.raises(TypeError):
+            exact_matrix(bad)
+    with pytest.raises(DimensionMismatch):
+        exact_matrix([[1, 0], [0]])
+    with pytest.raises(DimensionMismatch):
+        exact_matrix([[1], [0, 1]])
+
+
+def test_as_array_rounds_each_entry_as_to_complex():
+    m = exact_matrix([[ExactComplex(Fraction(1, 3), Fraction(-2, 7)), 1],
+                      [ExactComplex(Fraction(-1, 10**400), Fraction(10**300, 3)), 0]])
+    got = as_array(m)
+    assert got.dtype == complex
+    assert [(z.real.hex(), z.imag.hex()) for z in got.ravel().tolist()] == \
+        [(z.real.hex(), z.imag.hex()) for z in (x.to_complex() for x in m.ravel())]
+    floats = np.eye(2, dtype=complex)
+    assert as_array(floats) is floats

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from detvar import modp
-from detvar.linalg import Matrix, rank_exact
+from detvar.linalg import exact_matrix, rank_exact
 from detvar.modp import (
     RANK_PRIME,
     macaulay_full_rank,
@@ -92,7 +92,7 @@ def test_rank_mod_p_agrees_with_the_exact_rank(rows, cols, rank):
     for _ in range(4):
         a = _random_gaussian_matrix(rng, rows, cols, rank)
         reduced = [[reduce_scalar(x, P) for x in row] for row in a]
-        assert rank_mod_p(reduced, P) == rank_exact(Matrix.exact(a))
+        assert rank_mod_p(reduced, P) == rank_exact(exact_matrix(a))
 
 
 def test_rank_mod_p_of_an_empty_matrix_is_zero():
@@ -113,7 +113,7 @@ def test_a_miss_modulo_p_proves_nothing():
     # full rank over Q(i), singular modulo p: the rank modulo p is a lower
     # bound only, so a rank short of full certifies nothing
     a = [[EC(1), EC(2, 1)], [EC(3), EC(3 * 2 + P, 3)]]
-    assert rank_exact(Matrix.exact(a)) == 2
+    assert rank_exact(exact_matrix(a)) == 2
     assert rank_mod_p([[reduce_scalar(x, P) for x in row] for row in a], P) == 1
 
 
@@ -172,7 +172,7 @@ def test_the_hyperplane_substitution_is_injective():
         h = cert.hyperplane
         assert len(h) == 3 and all(x.fields[2] == 1 for x in h)
         embed = [[EC(int(i == j)) for j in range(3)] for i in range(3)] + [list(h)]
-        assert rank_exact(Matrix.exact(embed)) == 3
+        assert rank_exact(exact_matrix(embed)) == 3
         basis = [[reduce_scalar(row[i], P) for row in embed] for i in range(3)]
         restricted = restrict_mod_p(forms, basis, P)
         hp = [reduce_scalar(x, P) for x in h]

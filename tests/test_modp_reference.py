@@ -79,7 +79,7 @@ from detvar.variety import (
     pencil_matrix,
     variety_of_state,
 )
-from test_cauchy_binet import _cases
+from shared_states import cauchy_binet_cases
 
 EC = ExactComplex
 F = Fraction
@@ -426,7 +426,7 @@ def test_one_restriction_gives_the_old_reduced_forms(name, monkeypatch):
                 assert restricted[-1] == _restrict_mod_p(forms, got[1].hyperplane, p)
 
 
-@pytest.mark.parametrize("state, side, certified", _cases())
+@pytest.mark.parametrize("state, side, certified", cauchy_binet_cases())
 def test_binary_certificate_says_true_wherever_the_two_mixes_did(state, side, certified):
     v = variety_of_state(state, side)
     for k in range(4):

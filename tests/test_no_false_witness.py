@@ -27,11 +27,7 @@ import pytest
 from detvar.scalars import ExactComplex
 from detvar.states import BipartiteState, random_separable
 from detvar.variety import linearity_decide, variety_of_state
-
-
-def float_copy(s):
-    return BipartiteState(s.m, s.n, ensemble=[(float(w), [complex(x.to_complex()) for x in v])
-                                              for w, v in s.ensemble], validate=False)
+from shared_states import float_copy
 
 
 def shared_factor(m, n, t, seed):

@@ -15,12 +15,13 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import detvar.multipoly as multipoly_mod
 import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
-from detvar.linalg import Matrix
+from detvar.linalg import exact_matrix
 from detvar.report import analyze_state
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
@@ -63,9 +64,10 @@ def test_covariance_compiles_no_system(monkeypatch):
                                samples=4, seed=42)
     assert res and res.checked > 0
     # an exact state under an exact unitary: a cyclic permutation of side A
-    cycle = Matrix.exact([[EC(int(j == (i + 1) % 3)) for j in range(3)] for i in range(3)])
+    cycle = exact_matrix([[EC(int(j == (i + 1) % 3)) for j in range(3)] for i in range(3)])
+    identity = exact_matrix(np.identity(3, dtype=int).tolist())
     res = verify_lu_covariance(cyclic_cubic_state(EC(8)),
-                               LocalUnitaryPair(cycle, Matrix.identity(3)), samples=3, seed=42)
+                               LocalUnitaryPair(cycle, identity), samples=3, seed=42)
     assert res and res.checked > 0
 
 

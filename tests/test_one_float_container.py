@@ -1,17 +1,18 @@
-"""A float matrix is a complex numpy array; ``Matrix`` holds Q(i) only.
+"""A float matrix is a complex numpy array; an exact one holds Q(i) only.
 
 A float state, whether it comes as a float ensemble or as a density read
 from a state file, is analysed on either side, for t = n and for t > n,
-without building a single ``Matrix``: its density, partial traces,
-eigenvectors and Hermitian forms are arrays from the point where they are
-made.  Its covariance check under a random local unitary builds none
-either.
+without building a single exact matrix (``exact_matrix``, once a
+``Matrix``): its density, partial traces, eigenvectors and Hermitian forms
+are complex arrays from the point where they are made.  Its covariance
+check under a random local unitary builds none either.
 """
 
 import pytest
 
-from detvar.linalg import Matrix
+from detvar import catalog, linalg, statefile, states, variety
 from detvar.report import analyze_state
+from detvar.scalars import ExactComplex
 from detvar.statefile import parse_state, state_to_json
 from detvar.states import BipartiteState, random_local_unitary, random_mixed
 from detvar.variety import verify_lu_covariance
@@ -19,16 +20,26 @@ from detvar.variety import verify_lu_covariance
 
 @pytest.fixture
 def matrices(monkeypatch):
-    """The shapes of the Matrices built while the test runs."""
+    """The shapes of the exact matrices built while the test runs."""
     built = []
-    real = Matrix.__init__
+    real = linalg.exact_matrix
 
-    def counting(self, rows, cols, *rest):
-        built.append((rows, cols))
-        real(self, rows, cols, *rest)
+    def counting(rows):
+        out = real(rows)
+        built.append(out.shape)
+        return out
 
-    monkeypatch.setattr(Matrix, "__init__", counting)
+    for module in (linalg, states, statefile, variety, catalog):
+        if hasattr(module, "exact_matrix"):
+            monkeypatch.setattr(module, "exact_matrix", counting)
     return built
+
+
+def test_the_count_sees_an_exact_analysis(matrices):
+    # the counter is live: an exact density read from a file builds one
+    state = catalog.cyclic_cubic_state(ExactComplex(8))
+    parse_state(state_to_json(BipartiteState(3, 3, density=state.density_matrix())))
+    assert (9, 9) in matrices
 
 
 # (m, n, rank): t = n on both sides, and t > n on both sides

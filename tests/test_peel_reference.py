@@ -34,10 +34,11 @@ from detvar.catalog import ppt_4x6_state
 from detvar.factorization import _divide_out, _random_exact_point, linear_factors
 from detvar.multipoly import CompiledSystem, LinearForm, restrict_to_line, univariate_roots
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
-from detvar.states import BipartiteState, random_separable
+from detvar.states import random_separable
 from detvar.statefile import load_state
 from detvar.variety import _LINE_MISSES, _peel_linear_factors, project_normalize, variety_of_state
 from reference_factor_engine import UnsupportedShape, linear_factorization
+from shared_states import factored_state, shared_direction_state
 
 EC = ExactComplex
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -135,30 +136,6 @@ def reference_small_peel(v):
             if not current:
                 break
     return forms, current
-
-
-def factored_state(form_coeffs, rows=(0,), seed=7, shape=(4, 4, 5)):
-    """An exact m x n rank-t ensemble (4x4 rank 5 by default) whose pencil
-    row `rows[j]` is forms[j](r) * w, where `form_coeffs` is one form for
-    every row or a list of forms, one per row."""
-    m, n, t = shape
-    rng = random.Random(seed)
-    if not isinstance(form_coeffs, list):
-        form_coeffs = [form_coeffs] * len(rows)
-
-    def small():
-        return EC(rng.randint(-3, 3), rng.randint(-3, 3))
-
-    vectors = []
-    for _ in range(t):
-        vec = [small() for _ in range(m * n)]
-        for k, coeffs in zip(rows, form_coeffs):
-            w = small()
-            for i, a in enumerate(coeffs):
-                vec[i * n + k] = EC.coerce(a) * w
-        vectors.append(vec)
-    ensemble = [(Fraction(1, t), vec) for vec in vectors]
-    return BipartiteState(m, n, ensemble=ensemble, label=f"factored {m}x{n} r{t}")
 
 
 def peel(state):
@@ -300,12 +277,11 @@ def assert_same_small_peel(v):
 
 
 def _tier1_small_states():
-    from test_variety import _shared_direction_state
     states = [pytest.param(random_separable(*shape, seed=seed), "A", id=f"sep{shape}-{seed}")
               for shape, seed in [((3, 3, 4), 42 + 97 * 5), ((3, 3, 4), 42 + 97 * 12),
                                   ((3, 3, 5), 42 + 97 * 6), ((3, 3, 5), 42 + 97 * 13),
                                   ((3, 4, 5), 3), ((3, 4, 5), 17)]]
-    states.append(pytest.param(_shared_direction_state(4, 2, seed=8), "A", id="shared-4-2"))
+    states.append(pytest.param(shared_direction_state(4, 2, seed=8), "A", id="shared-4-2"))
     states.append(pytest.param(random_separable(3, 3, 4, seed=2), "B", id="sep(3,3,4)-2-B"))
     return states
 

@@ -23,7 +23,7 @@ import pytest
 import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
 from detvar.errors import FloatMinors
-from detvar.linalg import Matrix
+from detvar.linalg import exact_matrix
 from detvar.modp import RANK_PRIME, reduce_scalar, split_primes
 from detvar.multipoly import LinearForm
 from detvar.scalars import EC_ZERO, ExactComplex
@@ -94,7 +94,7 @@ def reference_pencil_floats(entry_forms, m):
 
 
 def reference_exact_at(entry_forms, point):
-    return Matrix.exact([[form.evaluate(point) for form in row] for row in entry_forms])
+    return exact_matrix([[form.evaluate(point) for form in row] for row in entry_forms])
 
 
 # ---------------------------------------------------------------------------
@@ -212,4 +212,5 @@ def test_exact_membership_reads_the_same_exact_pencil(monkeypatch, name, side):
             continue
         ranked.clear()
         membership(v, point)
-        assert ranked == [reference_exact_at(forms, variety_mod.project_normalize(point))]
+        want = reference_exact_at(forms, variety_mod.project_normalize(point))
+        assert len(ranked) == 1 and np.array_equal(ranked[0], want)

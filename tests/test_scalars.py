@@ -3,10 +3,10 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from detvar.errors import DivisionByZero
-from detvar.linalg import Matrix
 from detvar.scalars import ExactComplex, Tolerance, approx_close
 
 
@@ -94,6 +94,46 @@ def test_copy_and_pickle_round_trip():
     st = cyclic_cubic_state(ExactComplex(27))
     rho = st.density_matrix()
     for twin in (copy.deepcopy(st), pickle.loads(pickle.dumps(st))):
-        assert twin.ensemble == st.ensemble and twin.density_matrix() == rho
+        assert twin.ensemble == st.ensemble and np.array_equal(twin.density_matrix(), rho)
     for twin in (copy.copy(rho), copy.deepcopy(rho), pickle.loads(pickle.dumps(rho))):
-        assert twin == rho and isinstance(twin, Matrix)
+        assert np.array_equal(twin, rho) and twin.dtype == object
+
+
+def _hex(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+# parts at the float extremes: huge, tiny, subnormal, underflowing to -0.0,
+# and near the largest double; 10**400 overflows
+_EXTREMES = [
+    ExactComplex(Fraction(1, 3), Fraction(-2, 7)),
+    ExactComplex(Fraction(10**308, 3), Fraction(-1, 10**320)),
+    ExactComplex(Fraction(-1, 10**400), Fraction(10**300, 7)),
+    ExactComplex(Fraction(2**1024 - 2**970 - 1, 1), 0),
+    ExactComplex(Fraction(5, 2**1074), Fraction(-3, 2**1076)),
+    ExactComplex(0),
+]
+
+
+def test_complex_rounds_as_to_complex():
+    rng = random.Random(11)
+    drawn = [ExactComplex(Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)),
+                          Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)))
+             for _ in range(200)]
+    for z in _EXTREMES + drawn:
+        assert type(complex(z)) is complex and _hex(complex(z)) == _hex(z.to_complex())
+    for z in (ExactComplex(10**400), ExactComplex(0, Fraction(10**400, 3))):
+        with pytest.raises(OverflowError) as want:
+            z.to_complex()
+        with pytest.raises(OverflowError) as got:
+            complex(z)
+        assert str(got.value) == str(want.value)
+
+
+def test_numpy_casts_round_as_to_complex():
+    got = np.asarray(_EXTREMES, dtype=complex)
+    assert got.dtype == complex
+    assert [_hex(z) for z in got.tolist()] == [_hex(z.to_complex()) for z in _EXTREMES]
+    grid = np.array([_EXTREMES[:3], _EXTREMES[3:]], dtype=object)
+    assert [_hex(z) for z in grid.astype(complex).ravel().tolist()] == \
+        [_hex(z.to_complex()) for z in _EXTREMES]

@@ -7,7 +7,8 @@ taken on it, and each result rounded by ``to_approx``.  The images now
 read off the Gaussian-integer sum (rounded once per entry, partial traces
 summed on the ints) must give the same bits: equal ``repr`` of every
 eigenvalue and entropy and the same PPT verdict.  A float density goes
-through the float Matrix it was then (``test_float_arrays_reference``).
+through the float Matrix it was then (``test_float_arrays_reference``), and
+an exact density through the ``Matrix`` it was then (``test_matrix_reference``).
 """
 
 import math
@@ -17,24 +18,19 @@ import pytest
 
 import test_float_arrays_reference as approx
 from detvar import states
-from detvar.linalg import (
-    Matrix,
-    hermitian_eigen,
-    partial_trace,
-    partial_transpose,
-    psd_check,
-    spectral_cutoff,
-)
+from detvar.linalg import hermitian_eigen, psd_check, spectral_cutoff
 from detvar.scalars import DEFAULT_TOL, Tolerance
 from detvar.states import BipartiteState, SpectraReport
-from test_states_reference import STATES
+from test_matrix_reference import partial_trace, partial_transpose, to_matrix
+from shared_states import EXACT_STATES
 
 
 def _exact_or_float(rho, exact, float_):
-    """exact(rho) rounded by to_approx for an exact Matrix, else float_ on
-    the float Matrix of rho, as an array."""
-    if isinstance(rho, Matrix):
-        return exact(rho).to_numpy()
+    """exact(rho) rounded by to_approx for an exact Matrix (the reference
+    Matrix of an exact array), else float_ on the float Matrix of rho, as an
+    array."""
+    if rho.dtype == object:
+        return exact(to_matrix(rho)).to_numpy()
     return float_(approx.to_approx(rho)).to_numpy()
 
 
@@ -85,7 +81,7 @@ def delivered(make):
 
 
 CASES = {}
-for name, make in STATES.items():
+for name, make in EXACT_STATES.items():
     CASES[name] = make
     CASES[f"{name}, swapped"] = lambda make=make: make().swapped()
     CASES[f"{name}, density"] = delivered(make)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from detvar.catalog import cyclic_cubic_state, maximally_mixed, ppt_4x6_blocks, ppt_4x6_state
-from detvar.errors import BadDims, MissingEnsemble, NotAState
-from detvar.linalg import Matrix, block, hermitian_eigen
+from detvar.errors import BadDims, MissingEnsemble, NotAState, NotHermitian, StateFileError
+from detvar.linalg import as_array, exact_matrix, hermitian_eigen
 from detvar.scalars import ExactComplex
+from detvar.statefile import parse_state
 from detvar.states import (
     BipartiteState,
     LocalUnitaryPair,
@@ -26,6 +27,11 @@ EC = ExactComplex
 F = Fraction
 
 
+def block(rho, n, i, j):
+    """The n x n block rho_ij (1-based i, j) of an mn x mn matrix."""
+    return rho[(i - 1) * n:i * n, (j - 1) * n:j * n]
+
+
 def bell_state():
     v = (EC(1), EC(0), EC(0), EC(1))  # ray of (|11> + |22>)/sqrt(2)
     return BipartiteState(2, 2, ensemble=[(F(1), v)])
@@ -34,10 +40,9 @@ def bell_state():
 def test_single_vector_projector():
     s = BipartiteState(2, 2, ensemble=[(F(1), (EC(0), EC(1), EC(0), EC(0)))])
     rho = density_from_ensemble(s)
-    expect = Matrix.zeros(4, 4)
-    entries = list(expect.data)
-    entries[1 * 4 + 1] = EC(1)
-    assert rho == Matrix(4, 4, entries)
+    entries = [[0] * 4 for _ in range(4)]
+    entries[1][1] = EC(1)
+    assert rho.dtype == object and np.array_equal(rho, exact_matrix(entries))
 
 
 def test_family_state_trace_exact():
@@ -75,10 +80,10 @@ def test_ensemble_from_density_maximally_mixed():
 
 def test_ensemble_from_density_ranks():
     s3 = ppt_4x6_state()
-    rec = ensemble_from_density(s3.density_matrix().to_numpy(), 4, 6)
+    rec = ensemble_from_density(as_array(s3.density_matrix()), 4, 6)
     assert len(rec.ensemble) == 7
     fam = cyclic_cubic_state(EC(8))
-    rec2 = ensemble_from_density(fam.density_matrix().to_numpy(), 3, 3)
+    rec2 = ensemble_from_density(as_array(fam.density_matrix()), 3, 3)
     assert len(rec2.ensemble) == 3
     assert all(abs(w - 1 / 3) < 1e-10 for w, _ in rec2.ensemble)
 
@@ -102,8 +107,8 @@ def test_round_trip_reproduces_density():
 
 def test_block_access():
     mixed = maximally_mixed(2, 2).density_matrix()
-    z = block(mixed, 2, 2, 1, 2)
-    assert all(x.is_zero() for x in z.data)
+    z = block(mixed, 2, 1, 2)
+    assert all(x.is_zero() for x in z.ravel())
     s3 = ppt_4x6_state()
     rho = s3.density_matrix()
     blocks = ppt_4x6_blocks()
@@ -111,11 +116,11 @@ def test_block_access():
             F(0))
     for i in range(1, 5):
         for j in range(1, 5):
-            bij = block(rho, 4, 6, i, j)
-            prod = blocks[i - 1] @ blocks[j - 1].conj_transpose()
-            assert bij == prod.scale(EC(F(1, 1) / d))
+            bij = block(rho, 6, i, j)
+            prod = blocks[i - 1] @ blocks[j - 1].conj().T
+            assert np.array_equal(bij, prod * EC(F(1, 1) / d))
             # Hermitian pairing of opposite blocks
-            assert bij.conj_transpose() == block(rho, 4, 6, j, i)
+            assert np.array_equal(bij.conj().T, block(rho, 6, j, i))
 
 
 def test_diagonal_blocks_are_psd():
@@ -123,13 +128,13 @@ def test_diagonal_blocks_are_psd():
     s = ppt_4x6_state()
     rho = s.density_matrix()
     for i in range(1, 5):
-        assert psd_check(block(rho, 4, 6, i, i).to_numpy())
+        assert psd_check(as_array(block(rho, 6, i, i)))
 
 
 def test_apply_identity_pair():
     s = cyclic_cubic_state(EC(8))
     out = apply_local_unitary(s, LocalUnitaryPair.identity(3, 3))
-    assert out.density_matrix() == s.density_matrix()
+    assert np.array_equal(out.density_matrix(), s.density_matrix())
 
 
 def test_unitary_preserves_spectra_and_ppt():
@@ -230,3 +235,70 @@ def test_a_float_density_is_a_read_only_copy():
     assert s.density_matrix()[0, 0] == 0.25
     with pytest.raises(ValueError):
         s.density_matrix()[0, 0] = 5.0
+
+
+def test_an_exact_density_is_a_read_only_copy():
+    given = np.array(cyclic_cubic_state(EC(8)).density_matrix())  # writeable
+    s = BipartiteState(3, 3, density=given)
+    rho = s.density_matrix()
+    assert rho is not given and rho.dtype == object and not rho.flags.writeable
+    want = given[0, 0]
+    given[0, 0] = EC(5)
+    assert rho[0, 0] == want == EC(F(32, 99))
+    with pytest.raises(ValueError):
+        rho[0, 0] = EC(5)
+
+
+def _exact_density_doc(rows):
+    """A state file on 1 x len(rows) with an exact real density."""
+    return {"m": 1, "n": len(rows),
+            "density": [[{"re": str(F(x)), "im": "0"} for x in row] for row in rows]}
+
+
+def test_an_exact_density_has_trace_exactly_one():
+    # within the float tolerance of 1, but not 1: refused, as an exact
+    # ensemble whose weights sum to 1000001/1000000 is
+    off = F(2000001, 2000000)
+    for doc, field in ((_exact_density_doc([[off, 0], [0, 0]]), "density"),
+                       ({"m": 1, "n": 2, "ensemble": [
+                           {"weight": "1/2", "vector": [{"re": "1", "im": "0"},
+                                                        {"re": "0", "im": "0"}]},
+                           {"weight": "500001/1000000", "vector": [{"re": "0", "im": "0"},
+                                                                   {"re": "1", "im": "0"}]}]},
+                        "ensemble")):
+        with pytest.raises(StateFileError) as info:
+            parse_state(doc)
+        assert info.value.field == field and "not 1" in str(info.value)
+    with pytest.raises(NotAState, match="2000001/2000000"):
+        BipartiteState(1, 2, density=exact_matrix([[off, 0], [0, 0]]))
+    # the same density as floats is within tolerance
+    BipartiteState(1, 2, density=np.array([[float(off), 0], [0, 0]], dtype=complex))
+
+
+def test_an_exact_density_is_hermitian_exactly():
+    tiny = F(1, 10**10)
+    rows = [[F(1, 2), tiny], [0, F(1, 2)]]
+    with pytest.raises(StateFileError) as info:
+        parse_state(_exact_density_doc(rows))
+    assert info.value.field == "density" and "not Hermitian" in str(info.value)
+    with pytest.raises(NotHermitian):
+        BipartiteState(1, 2, density=exact_matrix(rows))
+    # as floats, a defect of 1e-10 is within tolerance
+    BipartiteState(1, 2, density=np.array(rows, dtype=float).astype(complex))
+
+
+def test_an_exact_ensemble_and_exact_density_agree_exactly():
+    ensemble = [(1, (EC(1), EC(0)))]
+    near = exact_matrix([[1 - F(1, 10**9), 0], [0, F(1, 10**9)]])
+    with pytest.raises(NotAState, match="disagree"):
+        BipartiteState(1, 2, ensemble=ensemble, density=near)
+    BipartiteState(1, 2, ensemble=ensemble, density=exact_matrix([[1, 0], [0, 0]]))
+    # a float density within tolerance of the exact ensemble's still agrees
+    BipartiteState(1, 2, ensemble=ensemble, density=as_array(near))
+
+
+def test_an_exact_entry_beyond_the_float_range_in_a_float_density_is_a_file_error():
+    huge = {"re": str(10**400), "im": "0"}
+    with pytest.raises(StateFileError) as info:
+        parse_state({"m": 1, "n": 2, "density": [[huge, 0.0], [0.0, 0.5]]})
+    assert info.value.field == "density" and "too large" in str(info.value)

@@ -6,7 +6,7 @@ import pytest
 
 from detvar.catalog import cyclic_cubic_state, maximally_mixed, ppt_4x6_state, printed_pencil_4x6
 from detvar.errors import ArityMismatch, MissingEnsemble, SamplingExhausted, SingularPoint
-from detvar.linalg import Matrix
+from detvar.linalg import exact_matrix
 from detvar.modp import binary_minors_coprime, macaulay_full_rank
 from detvar.multipoly import Poly
 from detvar.scalars import DEFAULT_TOL, ExactComplex
@@ -34,6 +34,8 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
+from shared_states import shared_direction_state
+from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
 from test_poly_kernels_reference import evaluate  # the float evaluation Poly.evaluate had
 
 EC = ExactComplex
@@ -203,30 +205,13 @@ def test_hyperplane_union_no_witness_many_samples():
     assert verdict.tag != "NonlinearWitness"
 
 
-def _shared_direction_state(n_terms, shared_count, seed):
-    rng = random.Random(seed)
-
-    def rvec(d):
-        return [EC(F(rng.randint(-4, 4), rng.randint(1, 2)),
-                   F(rng.randint(-4, 4), rng.randint(1, 2))) for _ in range(d)]
-
-    shared = rvec(3)
-    ens = []
-    for k in range(n_terms):
-        a = shared if k < shared_count else rvec(3)
-        b = rvec(3)
-        ens.append((F(1, n_terms), tuple(a[i] * b[j]
-                                         for i in range(3) for j in range(3))))
-    return BipartiteState(3, 3, ensemble=ens)
-
-
 def test_repeated_direction_separable_peels_and_stays_silent():
     # a repeated product direction puts a whole hyperplane inside the
     # variety (and doubles factors, which caps sampling accuracy at
     # sqrt(eps)); the exact peel must still keep the verdict witness-free
     from detvar.variety import _analysis_system
     from detvar.scalars import DEFAULT_TOL
-    st = _shared_direction_state(4, 2, seed=8)
+    st = shared_direction_state(4, 2, seed=8)
     v = variety_of_state(st)
     forms, agens = _analysis_system(v)
     assert len(forms) >= 1
@@ -235,7 +220,7 @@ def test_repeated_direction_separable_peels_and_stays_silent():
 
 
 def test_fully_shared_direction_certifies_linear_union():
-    st = _shared_direction_state(3, 3, seed=8)
+    st = shared_direction_state(3, 3, seed=8)
     verdict = linearity_decide(variety_of_state(st), seed=7)
     assert verdict.tag == "LinearUnion"
 
@@ -342,8 +327,6 @@ def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
     # n + 1 .. n + 3 tried in more variables once n >= 5; all three decide
     # alike, on an empty V and on one with a point, on values at lattice
     # points as on the symbolic minors
-    # imported here: test_modp_reference imports this module through test_peel_reference
-    from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
 
     finite = _shared_factor_state(n, seed=n)
     assert membership(variety_of_state(finite), [EC(2), EC(-1)])
@@ -373,7 +356,7 @@ def test_covariance_does_not_take_noise_minors_for_an_empty_side():
     # its V is all of CP^2, while the original V is empty; the float minors
     # of the transformed side are rounding noise and prove nothing
     rank_two = np.asarray([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
-    pair = LocalUnitaryPair(Matrix.identity(3).to_numpy(), rank_two, validate=False)
+    pair = LocalUnitaryPair(np.identity(3, dtype=complex), rank_two, validate=False)
     res = verify_lu_covariance(random_mixed(3, 3, 5, seed=0), pair)
     assert not res.ok
 
@@ -405,7 +388,8 @@ def test_covariance_holds_on_two_full_sides(make):
 
 def _rank_two_side_b(s):
     rows = [[EC(x) for x in row] for row in ([1, 0, 0], [0, 1, 0], [1, 1, 0])]
-    pair = LocalUnitaryPair(Matrix.identity(3), Matrix.exact(rows), validate=False)
+    pair = LocalUnitaryPair(exact_matrix(np.identity(3, dtype=int).tolist()), exact_matrix(rows),
+                            validate=False)
     return apply_local_unitary(s, pair)
 
 
@@ -415,7 +399,7 @@ def test_float_v_of_low_numerical_rank_is_sampled_and_covariant():
     # the Hermitian oracle accepts them, and covariance is measured on both
     # sides (sampling exhausted after 500 line draws before)
     rank_two = np.asarray([[1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=complex)
-    pair = LocalUnitaryPair(Matrix.identity(3).to_numpy(), rank_two, validate=False)
+    pair = LocalUnitaryPair(np.identity(3, dtype=complex), rank_two, validate=False)
     state = apply_local_unitary(random_mixed(3, 3, 5, seed=0), pair)
     v = variety_of_state(state)
     pts = sample_points(v, 5, 42)

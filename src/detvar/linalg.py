@@ -6,8 +6,8 @@ a partial trace, an eigenvector block) is a complex array.  numpy forms
 products, Kronecker products and conjugate transposes of either kind,
 exactly on an exact one, and ``complex(z)`` (``ExactComplex.to_complex``)
 rounds an exact entry wherever a float is read (``as_array``).  Exact
-determinants and ranks use fraction-free (Bareiss) elimination; the
-Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``.
+determinants, ranks and PSD tests use elimination (Bareiss for the first);
+the Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``.
 
 Basis convention, fixed once: the bipartite basis is
 |11>,...,|1n>,...,|m1>,...,|mn> row-major, so the block rho_ij of an
@@ -159,9 +159,20 @@ def spectral_cutoff(eigenvalues: Sequence[float], tol: Tolerance = DEFAULT_TOL) 
 
 def psd_check(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no eigenvalue of the Hermitian array m lies below
-    -spectral_cutoff."""
-    eigs = hermitian_eigenvalues(m, tol)
-    return not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
+    -spectral_cutoff.  An exact m is decided exactly, by Hermitian
+    elimination: a negative pivot, or a zero one with a nonzero row, proves
+    it is not PSD; a positive one d leaves C - b b^H / d, PSD iff m is."""
+    if m.dtype != object:
+        eigs = hermitian_eigenvalues(m, tol)
+        return not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
+    a = m.copy()
+    for k in range(len(a)):
+        d = a[k, k]
+        if d.re < 0 or (not d and any(a[k, k + 1:])):
+            return False
+        if d:
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k] / d, a[k, k + 1:])
+    return True
 
 
 def as_array(m: np.ndarray) -> np.ndarray:

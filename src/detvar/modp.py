@@ -9,7 +9,10 @@ rank modulo p is never above the rank over Q(i), since a nonzero minor
 modulo p is the image of a nonzero one.  No minor is expanded modulo p:
 every modular test reads the values of the maximal minors at points
 (``minor_values``), the pencil restricted to them by one map
-(``restrict_mod_p``) and run through an integer kernel.
+(``restrict_mod_p``) and run through an integer kernel at all points in
+one pass.  A reduced pencil is an (n, t, m) int64 array of residues, and
+int64 wraps silently: p < 2^31.5 keeps (p - 1)^2 below 2^63, and no two
+products of residues are summed before they are reduced modulo p.
 
 That is what ``macaulay_full_rank`` rests on.  The degree-D Macaulay
 matrix M of homogeneous forms g_j has a row x^a * g_j for every monomial
@@ -39,8 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import isqrt, prod
-from operator import mul
+from math import isqrt
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,11 +80,6 @@ def sqrt_minus_one(p: int) -> int:
                 if pow(a, (p - 1) // 2, p) == p - 1)
 
 
-def _dyadic(x: float, p: int) -> int:
-    num, den = x.as_integer_ratio()  # den is a power of two, p is odd
-    return num * _inverse(den, p) % p
-
-
 @lru_cache(maxsize=4096)
 def _inverse(den: int, p: int) -> int:
     """den^-1 modulo p, kept: a float's denominator is one of about two
@@ -98,63 +95,53 @@ def reduce_scalar(c, p: int) -> Optional[int]:
         a, b, d = c.fields
         if d % p == 0:
             return None
-        return (a + b * s) * pow(d, -1, p) % p
-    c = complex(c)
-    return (_dyadic(c.real, p) + s * _dyadic(c.imag, p)) % p
+        return (a + b * s) * _inverse(d, p) % p
+    c = complex(c)  # a float's denominator is a power of two, and p is odd
+    (a, d), (b, e) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+    return (a * _inverse(d, p) + b * s * _inverse(e, p)) % p
 
 
-def restrict_mod_p(forms: Sequence[Sequence[Sequence[int]]],
-                   basis: Sequence[Sequence[int]], p: int) -> List[List[List[int]]]:
-    """A reduced pencil (each entry the coefficient vector of a linear form
-    c) on the span of the k points b_j modulo p: the pencil in k variables
-    whose entry c is (c . b_j mod p)_j, which reads c(sum_j y_j b_j) at y."""
-    return [[[sum(map(mul, c, b)) % p for b in basis] for c in row] for row in forms]
+def restrict_mod_p(forms: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """A reduced (n, t, m) pencil on the span of the k points b_j, a (k, m)
+    array: the (n, t, k) pencil whose entry c (a linear form's coefficient
+    vector) is (c . b_j mod p)_j, which reads c(sum_j y_j b_j) at y."""
+    return (forms[:, :, None, :] * basis % p).sum(axis=3) % p
 
 
 @lru_cache(maxsize=None)
-def _laplace_plan(n: int, t: int) -> List[List[List[Tuple[int, int]]]]:
-    """For each size 2 .. n, the column subsets of that size in
-    lexicographic order, each as its pairs (column c, index of the subset
-    less c among the subsets one size smaller)."""
+def _laplace_plan(n: int, t: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each size 2 .. n, over the column subsets of that size in
+    lexicographic order: each subset's columns c, the index of the subset
+    less c among the subsets one size smaller, and the expansion's signs
+    (+1, -1, ...)."""
     index = {(c,): c for c in range(t)}
     plan = []
     for size in range(2, n + 1):
         subsets = list(combinations(range(t), size))
-        plan.append([[(c, index[cs[:j] + cs[j + 1:]]) for j, c in enumerate(cs)] for cs in subsets])
+        less = [[index[cs[:j] + cs[j + 1:]] for j in range(size)] for cs in subsets]
+        plan.append((*(np.array(a, dtype=np.intp).reshape(-1, size) for a in (subsets, less)),
+                     (-1) ** np.arange(size)))
         index = {cs: j for j, cs in enumerate(subsets)}
     return plan
 
 
-def maximal_minors_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[int]:
-    """The n x n minors modulo p of an n x t integer matrix, in
-    lexicographic column-subset order ([] where t < n): Laplace expansion
-    along the first row on plain ints, each minor of the lower rows built
-    once per column subset (indexed as _laplace_plan lays them out) and
-    reduced modulo p."""
-    level = [x % p for x in rows[-1]]
-    for top, subsets in zip(rows[-2::-1], _laplace_plan(len(rows), len(rows[0]))):
-        above = []
-        for pairs in subsets:
-            acc, odd = 0, False
-            for c, j in pairs:
-                x = top[c]
-                if x:
-                    acc = acc - x * level[j] if odd else acc + x * level[j]
-                odd = not odd
-            above.append(acc % p)
-        level = above
+def maximal_minors_mod_p(values: np.ndarray, p: int) -> np.ndarray:
+    """The n x n minors modulo p of an (n, t, P) array of residues, an n x t
+    matrix at each of P points: a (C(t, n), P) array, column subsets in
+    lexicographic order.  Laplace expansion along the first row, a minor
+    of the lower rows built once per column subset (_laplace_plan): one
+    gather, product and alternating sum per size, at every point at once."""
+    level = values[-1]
+    for top, (columns, less, signs) in zip(values[-2::-1], _laplace_plan(*values.shape[:2])):
+        level = signs @ (top[columns] * level[less] % p) % p
     return level
 
 
-def minor_values(forms: Sequence[Sequence[Sequence[int]]],
-                 points: Sequence[Sequence[int]], p: int) -> List[List[int]]:
-    """The n x n minors modulo p of a reduced pencil at each of the points,
-    one list per point in lexicographic column-subset order: the pencil
-    restricted to the points (restrict_mod_p), then the integer kernel
-    (maximal_minors_mod_p) at each."""
-    at = restrict_mod_p(forms, points, p)
-    return [maximal_minors_mod_p([[c[j] for c in row] for row in at], p)
-            for j in range(len(points))]
+def minor_values(forms: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
+    """The n x n minors modulo p of a reduced (n, t, m) pencil at each of
+    the (P, m) points, a (C(t, n), P) array: the pencil restricted to the
+    points (restrict_mod_p), then the kernel (maximal_minors_mod_p)."""
+    return maximal_minors_mod_p(restrict_mod_p(forms, points, p), p)
 
 
 def interpolate_mod_p(values: Sequence[int], p: int) -> List[int]:
@@ -197,9 +184,9 @@ def gcd_mod_p(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
     return a
 
 
-def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: int) -> bool:
-    """True when the n x n minors of a reduced binary pencil (an n x t
-    matrix of forms c_0 x + c_1 y, each entry its coefficient pair) have
+def binary_minors_coprime(forms: np.ndarray, n: int, p: int) -> bool:
+    """True when the n x n minors of a reduced binary pencil (an (n, t, 2)
+    array of forms c_0 x + c_1 y, each entry its coefficient pair) have
     no common zero on P^1 over the algebraic closure of F_p (p > n).
 
     Each minor f is a binary form of degree n (or zero), so it is decided
@@ -218,10 +205,9 @@ def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: i
     matrix and is nonsingular, so x^(2n-1) and y^(2n-1) and every form of
     that degree lie in the span of the rows, and the rank over F_p-bar,
     the same as over F_p, is full."""
-    values = minor_values(forms, [(1, s) for s in range(n + 1)], p)
     g: List[int] = []
     infinity = False
-    for minor in zip(*values):
+    for minor in minor_values(forms, np.arange(n + 1)[:, None] ** [0, 1], p).tolist():  # (1, s)
         f = interpolate_mod_p(minor, p)
         infinity = infinity or f[-1] != 0
         g = gcd_mod_p(g, f, p)
@@ -232,11 +218,9 @@ def binary_minors_coprime(forms: Sequence[Sequence[Sequence[int]]], n: int, p: i
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank modulo p of an integer matrix, by dense Gaussian elimination on
-    int64 (p < 3e9, so no product of two residues overflows); 0 for a
-    matrix with no rows."""
-    if len(rows) == 0:
-        return 0
-    a = np.array(rows, dtype=np.int64).reshape(len(rows), -1) % p
+    int64 (a residue less a product of two residues fits, p < 2^31.5); 0
+    for a matrix with no rows."""
+    a = np.array(rows, dtype=np.int64, ndmin=2) % p
     nrows, ncols = a.shape
     rank = 0
     for c in range(ncols):
@@ -248,25 +232,26 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
         k = rank + int(nz[0])
         if k != rank:
             a[[rank, k]] = a[[k, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
-        below = a[rank + 1:, c].copy()
-        a[rank + 1:] = (a[rank + 1:] - np.outer(below, a[rank]) % p) % p
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), -1, p) % p
+        a[rank + 1:, c:] = (a[rank + 1:, c:] - np.outer(a[rank + 1:, c], a[rank, c:])) % p
         rank += 1
     return rank
 
 
-def macaulay_full_rank(forms: Sequence[Sequence[Sequence[int]]], n: int, degree: int,
-                       p: int) -> bool:
+@lru_cache(maxsize=None)
+def _exponents(k: int, degree: int) -> np.ndarray:
+    """The exponent vectors, as rows, of the monomials of degree `degree` in k variables."""
+    return np.array([[c.count(i) for i in range(k)]
+                     for c in combinations_with_replacement(range(k), degree)])
+
+
+def macaulay_full_rank(forms: np.ndarray, n: int, degree: int, p: int) -> bool:
     """True when the degree-`degree` Macaulay matrix of the n x n minors of
-    a reduced pencil has full column rank modulo p, which proves the minors
-    have no common projective zero over Q(i)-bar.  It is read at the
-    lattice points q of that degree (module docstring): row x^a * g is
-    q^a g(q), a product of two residues below p < 2^31, taken in int64."""
-    k = len(forms[0][0])
-    points = [[c.count(i) for i in range(k)]
-              for c in combinations_with_replacement(range(k), degree)]
-    shifts = list(combinations_with_replacement(range(k), degree - n))
-    monos = np.array([[prod(q[i] for i in a) % p for a in shifts] for q in points], dtype=np.int64)
-    values = np.array(minor_values(forms, points, p), dtype=np.int64)
-    rows = (values.T[:, None] * monos.T % p).reshape(-1, len(points))
+    a reduced (n, t, k) pencil has full column rank modulo p, which proves
+    the minors have no common projective zero over Q(i)-bar.  It is read
+    at the lattice points q of that degree (module docstring), the exponents
+    of its monomials: row x^a * g is q^a g(q), with q^a <= degree^(degree - n)."""
+    points = _exponents(forms.shape[2], degree)
+    monos = (points[:, None, :] ** _exponents(forms.shape[2], degree - n)).prod(axis=2) % p
+    rows = (minor_values(forms, points, p)[:, None, :] * monos.T % p).reshape(-1, len(points))
     return len(rows) >= len(points) and rank_mod_p(rows, p) == len(points)

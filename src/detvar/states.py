@@ -47,6 +47,7 @@ from .linalg import (
     hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
+    psd_check,
     spectral_cutoff,
 )
 from .scalars import DEFAULT_TOL, ExactComplex, Tolerance, from_fields
@@ -128,18 +129,20 @@ class BipartiteState:
         rho = self.density
         if rho is not None:
             _check_density(rho, mn)
-            if rho.dtype == object:   # exact: trace 1 and rho = rho^dagger, exactly
+            if rho.dtype == object:   # exact: trace 1, rho = rho^dagger and PSD, exactly
                 tr = rho.trace()
                 if tr != 1:
                     raise NotAState(f"density trace is {tr.render()}, not 1")
                 if not np.array_equal(rho, rho.conj().T):
                     raise NotHermitian("exact density is not Hermitian")
+                psd = psd_check(rho)
             else:
                 tr = complex(sum(rho.diagonal(), 0j))
                 if abs(tr - 1.0) > 1e3 * tol.abs_eps:
                     raise NotAState(f"density trace is {tr}, not 1")
-            eigs = self.eigen(tol).eigenvalues
-            if eigs and min(eigs) < -spectral_cutoff(eigs, tol):
+                eigs = self.eigen(tol).eigenvalues
+                psd = not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
+            if not psd:
                 raise NotAState("density is not positive semidefinite")
         if self.ensemble is not None and rho is not None:
             built = density_from_ensemble(self)

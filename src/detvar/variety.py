@@ -159,11 +159,11 @@ class PencilMatrix:
         units = [tuple(int(i == j) for j in range(self.m)) for i in range(self.m)]
         return [[Poly(self.m, dict(zip(units, e))) for e in row] for row in self.entries]
 
-    def mod_p(self) -> Tuple[int, List[List[List[int]]]]:
+    def mod_p(self) -> Tuple[int, np.ndarray]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
         denominator of the pencil, and the coefficient vectors of the
-        entries modulo p.  The minor screen and the peel's certificate (exact
-        pencils only) and the Macaulay test all read this one reduction."""
+        entries modulo p (_pencil_mod_p).  The minor screen and the peel's
+        certificate (exact pencils only) and the Macaulay test all read it."""
         if self._mod_p is None:
             for p in split_primes(RANK_PRIME):
                 forms = _pencil_mod_p(self, p)
@@ -446,10 +446,10 @@ def _minor_screen(p: PencilMatrix) -> bool:
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
     r, r2 = ([rng.randrange(1, prime) for _ in range(p.m)] for _ in range(2))
-    rr2 = [a * b % prime for a, b in zip(r, r2)]
-    at_r, *rest = minor_values(forms, [r, [1] * p.m, r2, rr2], prime)
-    return all(at_r) and any(f1 * frr2 % prime != fr * fr2 % prime
-                             for fr, f1, fr2, frr2 in zip(at_r, *rest))
+    points = np.array([r, [1] * p.m, r2, [a * b % prime for a, b in zip(r, r2)]])
+    values = minor_values(forms, points, prime).tolist()
+    return all(fr for fr, *_ in values) and any(f1 * frr2 % prime != fr * fr2 % prime
+                                                for fr, f1, fr2, frr2 in values)
 
 
 def _numerical_essential(p: PencilMatrix) -> int:
@@ -654,7 +654,7 @@ def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
     positive degree, with a zero on P^1 over F_p-bar: either way a common
     zero.  This is the mod-p twin of factorization._line_gcd's stop rule."""
     prime, forms = p.mod_p()
-    line = [[reduce_scalar(x, prime) for x in pt] for pt in (base, direction)]
+    line = np.array([[reduce_scalar(x, prime) for x in pt] for pt in (base, direction)])
     return binary_minors_coprime(restrict_mod_p(forms, line, prime), p.n, prime)
 
 
@@ -1030,11 +1030,11 @@ class FiniteCertificate(NamedTuple):
     degree: Optional[int] = None
 
 
-def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[List[List[List[int]]]]:
-    """The coefficient vectors of the pencil entries modulo p; None when p
-    divides a denominator."""
-    rows = [[[reduce_scalar(c, p) for c in e] for e in row] for row in pencil.entries]
-    return None if any(None in c for row in rows for c in row) else rows
+def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[np.ndarray]:
+    """The coefficient vectors of the pencil entries modulo p, an (n, t, m)
+    int64 array; None when p divides a denominator."""
+    flat = [reduce_scalar(c, p) for row in pencil.entries for e in row for c in e]
+    return None if None in flat else np.array(flat, np.int64).reshape(pencil.n, pencil.t, -1)
 
 
 def _rank_deficient(v: Variety, seed: int) -> bool:
@@ -1089,10 +1089,10 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     for tag, h in tests:
         # H: x_{m-1} = sum_i h_i x_i is spanned by the points e_i + h_i e_{m-1}
         # for every h, and a form c reads c_i + h_i c_{m-1} on it
-        reduced = forms if h is None else restrict_mod_p(forms, [
+        reduced = forms if h is None else restrict_mod_p(forms, np.array([
             [int(i == j) for j in range(v.m - 1)] + [reduce_scalar(x, p)]
-            for i, x in enumerate(h)], p)
-        if len(reduced[0][0]) == 2:
+            for i, x in enumerate(h)]), p)
+        if reduced.shape[2] == 2:
             if binary_minors_coprime(reduced, v.n, p):
                 return tag, FiniteCertificate("macaulay", hyperplane=h, prime=p,
                                               degree=2 * v.n - 1)

@@ -15,6 +15,7 @@ does both.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,24 +72,29 @@ def binary_pencils(draw):
 @given(binary_pencils())
 def test_binary_decision_matches_the_macaulay_rank(case):
     forms, n, p, kind = case
-    coprime = binary_minors_coprime(forms, n, p)
+    residues = np.array(forms, dtype=np.int64)
+    coprime = binary_minors_coprime(residues, n, p)
     assert coprime == dict_macaulay_full_rank(_minors_mod_p(forms, p), 2, 2 * n - 1, p)
-    assert coprime == macaulay_full_rank(forms, n, 2 * n - 1, p)
+    assert coprime == macaulay_full_rank(residues, n, 2 * n - 1, p)
     if kind != "generic":
         assert not coprime
 
 
 def test_binary_decision_on_small_cases():
     x, y, zero = [1, 0], [0, 1], [0, 0]
+
+    def coprime(forms, n):
+        return binary_minors_coprime(np.array(forms, dtype=np.int64), n, 13)
+
     # the 1 x 1 minors x and y share no zero; x and 2x share (0 : 1), the
     # point at infinity; zero minors share every point
-    assert binary_minors_coprime([[x, y]], 1, 13)
-    assert not binary_minors_coprime([[x, [2, 0]]], 1, 13)
-    assert not binary_minors_coprime([[zero, zero]], 1, 13)
+    assert coprime([[x, y]], 1)
+    assert not coprime([[x, [2, 0]]], 1)
+    assert not coprime([[zero, zero]], 1)
     # det [[x, y], [y, x]] = x^2 - y^2 vanishes at (1 : 1) and (1 : -1);
     # the minors x^2, xy, y^2 of [[x, y, 0], [0, x, y]] share no zero
-    assert not binary_minors_coprime([[x, y], [y, x]], 2, 13)
-    assert binary_minors_coprime([[x, y, zero], [zero, x, y]], 2, 13)
+    assert not coprime([[x, y], [y, x]], 2)
+    assert coprime([[x, y, zero], [zero, x, y]], 2)
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """The integer minor kernel and the Cauchy-Binet certificate of the peel.
 
 ``modp.maximal_minors_mod_p`` evaluates the maximal minors of an integer
-matrix modulo p; it must give the residues of multipoly's Laplace
-expansion (``minor_terms`` on constant entries, the copy kept in
-``test_modp_reference``), in the same order.
+matrix modulo p, from the matrix's residues; it must give the residues of
+multipoly's Laplace expansion (``minor_terms`` on constant entries, the
+copy kept in ``test_modp_reference``), in the same order.
 
 ``variety._cauchy_binet_certificate`` claims, with no minor expanded,
 that the maximal minors of an exact pencil with t > n share no factor: the
@@ -20,6 +20,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from detvar import catalog
@@ -60,7 +61,8 @@ def test_integer_kernel_matches_laplace_expansion(n, p):
             entries = [[{0: x} if x else {} for x in row] for row in rows]
             expected = [terms.get(0, 0) % p for _, terms in minor_terms(entries, n, INTEGERS)
                         ] if t >= n else []
-            assert maximal_minors_mod_p(rows, p) == expected
+            residues = np.array(rows, dtype=np.int64).reshape(n, t, 1) % p
+            assert maximal_minors_mod_p(residues, p)[:, 0].tolist() == expected
 
 
 def test_interpolation_and_gcd_modulo_p():

@@ -193,6 +193,21 @@ def test_psd_gram_and_zero():
     assert psd_check(np.zeros((3, 3), dtype=complex))
 
 
+def test_psd_check_decides_an_exact_matrix_exactly():
+    # Gram matrices B B^H are PSD, and singular below full rank; shifted by
+    # -e I they are not, however small e is, and their negations are not
+    rng = random.Random(4)
+    shift = exact_matrix((np.identity(4, dtype=int) * Fraction(1, 10**12)).tolist())
+    for rank in (1, 2, 3, 4):
+        b = exact_matrix([[ExactComplex(rng.randint(-3, 3), rng.randint(-3, 3))
+                           for _ in range(rank)] for _ in range(4)])
+        gram = b @ b.conj().T
+        assert psd_check(gram) and not psd_check(-gram)
+        if rank < 4:
+            assert not psd_check(gram - shift)
+    assert psd_check(exact_matrix([[0, 0], [0, 0]]))
+
+
 def test_psd_cutoff_scales_with_the_spectrum():
     # negative eigenvalues within eig_cutoff * max(max|lambda|, 1) are zero
     assert spectral_cutoff([]) == spectral_cutoff([0.5, -0.25]) == 1e-10

@@ -26,6 +26,7 @@ inside the zero set of some minors (their restrictions vanish).
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from detvar.factorization import _line_gcd, _random_exact_point
@@ -64,7 +65,7 @@ def line_pencil(forms, base, direction, p):
     b = [reduce_scalar(x, p) for x in base]
     d = [reduce_scalar(x, p) for x in direction]
     return [[[sum(c * x for c, x in zip(form, pt)) % p for pt in (b, d)] for form in row]
-            for row in forms]
+            for row in forms.tolist()]
 
 
 def binary_miss(v, forms, base, direction, p) -> bool:
@@ -75,8 +76,9 @@ def binary_miss(v, forms, base, direction, p) -> bool:
     gens = _minors_mod_p(binary, p)
     miss = dict_macaulay_full_rank(gens, 2, 2 * v.n - 1, p)
     assert miss == dict_macaulay_full_rank(gens, 2, v.n + 1, p), (base, direction, p)
-    assert miss == binary_minors_coprime(binary, v.n, p), (base, direction, p)
-    assert miss == macaulay_full_rank(binary, v.n, 2 * v.n - 1, p), (base, direction, p)
+    residues = np.array(binary, dtype=np.int64)
+    assert miss == binary_minors_coprime(residues, v.n, p), (base, direction, p)
+    assert miss == macaulay_full_rank(residues, v.n, 2 * v.n - 1, p), (base, direction, p)
     return miss
 
 

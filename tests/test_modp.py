@@ -136,24 +136,28 @@ def test_macaulay_degrees_of_a_complete_intersection():
 
 def test_macaulay_degrees_on_values_at_lattice_points():
     x, y, z, zero = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+
+    def full(forms, n, degree):
+        return macaulay_full_rank(np.array(forms, dtype=np.int64), n, degree, P)
+
     # the 1 x 1 minors x, y, z have no common zero: degree 2 is full
-    assert macaulay_full_rank([[x, y, z]], 1, 2, P)
+    assert full([[x, y, z]], 1, 2)
     # x and y share (0, 0, 1) in every degree
-    assert not any(macaulay_full_rank([[x, y, zero]], 1, d, P) for d in range(2, 6))
+    assert not any(full([[x, y, zero]], 1, d) for d in range(2, 6))
     # the 2 x 2 minors of [[x, y, 0], [0, x, y]] are x^2, xy, y^2: z is free
-    assert not macaulay_full_rank([[x, y, zero], [zero, x, y]], 2, 3, P)
+    assert not full([[x, y, zero], [zero, x, y]], 2, 3)
     # those of [[x, y, z, 0], [0, x, y, z]] leave only x = y = z = 0; the
     # Macaulay matrix in degree 3 has 6 x 3 rows for 10 columns, and is full
-    assert macaulay_full_rank([[x, y, z, zero], [zero, x, y, z]], 2, 3, P)
+    assert full([[x, y, z, zero], [zero, x, y, z]], 2, 3)
     # no minors at all (t < n) certify nothing
-    assert not macaulay_full_rank([[x], [y]], 2, 3, P)
+    assert not full([[x], [y]], 2, 3)
 
 
 def test_minors_mod_p_are_the_images_of_the_exact_minors():
     state = random_separable(3, 3, 4, seed=2)
     pencil = pencil_matrix(state)
     exact = minors(pencil.entry_polys(), pencil.n)
-    reduced = _minors_mod_p(_pencil_mod_p(pencil, P), P)
+    reduced = _minors_mod_p(_pencil_mod_p(pencil, P).tolist(), P)
     assert len(reduced) == len(exact)
     for g, r in zip(exact, reduced):
         image = {monomial(e): reduce_scalar(c, P) for e, c in g.terms.items()}
@@ -166,6 +170,7 @@ def test_the_hyperplane_substitution_is_injective():
     # the points e_i + h_i e_{m-1}, is the entry composed with it
     v = variety_of_state(random_mixed(4, 3, 5, seed=1))
     forms = _pencil_mod_p(v.pencil, P)
+    assert forms.dtype == np.int64 and forms.shape == (v.n, v.pencil.t, 4)
     rng = random.Random(3)
     for seed in range(5):
         _, cert = _macaulay_certificate(v, seed)
@@ -174,12 +179,12 @@ def test_the_hyperplane_substitution_is_injective():
         embed = [[EC(int(i == j)) for j in range(3)] for i in range(3)] + [list(h)]
         assert rank_exact(exact_matrix(embed)) == 3
         basis = [[reduce_scalar(row[i], P) for row in embed] for i in range(3)]
-        restricted = restrict_mod_p(forms, basis, P)
+        restricted = restrict_mod_p(forms, np.array(basis), P).tolist()
         hp = [reduce_scalar(x, P) for x in h]
         for _ in range(3):
             y = [rng.randrange(P) for _ in range(3)]
             x = y + [sum(a * b for a, b in zip(hp, y)) % P]
-            for row, rrow in zip(forms, restricted):
+            for row, rrow in zip(forms.tolist(), restricted):
                 for c, rc in zip(row, rrow):
                     assert sum(a * b for a, b in zip(c, x)) % P == \
                         sum(a * b for a, b in zip(rc, y)) % P

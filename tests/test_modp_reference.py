@@ -26,6 +26,17 @@ zero), in degrees n + 1 .. n + 3, and on every pencil and hyperplane that
 itself must be invertible modulo each of those primes for every number
 of variables and degree the certificate reaches.
 
+It keeps, verbatim, the list kernel that ``modp`` ran before a reduced
+pencil became one int64 array: ``restrict_mod_p``, ``_laplace_plan``,
+``maximal_minors_mod_p`` and ``minor_values`` on nested lists of Python
+ints, one point at a time.  The array kernel must give the same residues
+on drawn pencils at every prime the code uses and at 2147483629, the
+largest split prime below 2^31, with every residue p - 1 among them: int64
+arithmetic wraps silently, and at that prime a sum of three unreduced
+products of residues already wraps, so a product left unreduced before a
+sum shows as a wrong residue.  ``modp.rank_mod_p`` must read the same rank
+there as Gaussian elimination on Python ints (``list_rank_mod_p``).
+
 It also keeps, verbatim, the three ways ``detvar.variety`` restricted a
 reduced pencil before ``modp.restrict_mod_p`` became the one place where a
 reduced coefficient vector meets a point: ``_form_at`` (a point, for the
@@ -44,11 +55,14 @@ cases the two agree.
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import prod
+from math import comb, prod
+from operator import mul
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +218,81 @@ def maximal_minors(forms: Sequence[Sequence[Sequence[int]]], p: int) -> List[Mod
 
 
 # ---------------------------------------------------------------------------
+# The reference (modp's list kernel, verbatim)
+# ---------------------------------------------------------------------------
+
+def list_restrict_mod_p(forms: Sequence[Sequence[Sequence[int]]],
+                        basis: Sequence[Sequence[int]], p: int) -> List[List[List[int]]]:
+    """A reduced pencil (each entry the coefficient vector of a linear form
+    c) on the span of the k points b_j modulo p: the pencil in k variables
+    whose entry c is (c . b_j mod p)_j, which reads c(sum_j y_j b_j) at y."""
+    return [[[sum(map(mul, c, b)) % p for b in basis] for c in row] for row in forms]
+
+
+@lru_cache(maxsize=None)
+def _list_laplace_plan(n: int, t: int) -> List[List[List[Tuple[int, int]]]]:
+    """For each size 2 .. n, the column subsets of that size in
+    lexicographic order, each as its pairs (column c, index of the subset
+    less c among the subsets one size smaller)."""
+    index = {(c,): c for c in range(t)}
+    plan = []
+    for size in range(2, n + 1):
+        subsets = list(combinations(range(t), size))
+        plan.append([[(c, index[cs[:j] + cs[j + 1:]]) for j, c in enumerate(cs)] for cs in subsets])
+        index = {cs: j for j, cs in enumerate(subsets)}
+    return plan
+
+
+def list_maximal_minors_mod_p(rows: Sequence[Sequence[int]], p: int) -> List[int]:
+    """The n x n minors modulo p of an n x t integer matrix, in
+    lexicographic column-subset order ([] where t < n): Laplace expansion
+    along the first row on plain ints, each minor of the lower rows built
+    once per column subset (indexed as _laplace_plan lays them out) and
+    reduced modulo p."""
+    level = [x % p for x in rows[-1]]
+    for top, subsets in zip(rows[-2::-1], _list_laplace_plan(len(rows), len(rows[0]))):
+        above = []
+        for pairs in subsets:
+            acc, odd = 0, False
+            for c, j in pairs:
+                x = top[c]
+                if x:
+                    acc = acc - x * level[j] if odd else acc + x * level[j]
+                odd = not odd
+            above.append(acc % p)
+        level = above
+    return level
+
+
+def list_rank_mod_p(rows: List[List[int]], p: int) -> int:
+    """Rank modulo p by Gaussian elimination on Python ints, which do not
+    wrap: the oracle of modp.rank_mod_p at worst-case residues."""
+    a, rank = [[x % p for x in row] for row in rows], 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for r in range(rank + 1, len(a)):
+            a[r] = [(x - a[r][c] * y) % p for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def list_minor_values(forms: Sequence[Sequence[Sequence[int]]],
+                      points: Sequence[Sequence[int]], p: int) -> List[List[int]]:
+    """The n x n minors modulo p of a reduced pencil at each of the points,
+    one list per point in lexicographic column-subset order: the pencil
+    restricted to the points (restrict_mod_p), then the integer kernel
+    (maximal_minors_mod_p) at each."""
+    at = list_restrict_mod_p(forms, points, p)
+    return [list_maximal_minors_mod_p([[c[j] for c in row] for row in at], p)
+            for j in range(len(points))]
+
+
+# ---------------------------------------------------------------------------
 # The references (variety's restrictions and two-mix certificate, verbatim)
 # ---------------------------------------------------------------------------
 
@@ -239,6 +328,7 @@ def reference_cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComp
     of positive degree modulo p, divides f_1 and f_2.  So a constant
     gcd(f_1, f_2) with some f_k of degree n proves there is no g."""
     prime, forms = p.mod_p()
+    forms = forms.tolist()
     at_line = [[[_form_at(f, point, prime) for f in row] for row in forms]
                for point in ([reduce_scalar(x, prime) for x in pt] for pt in (base, direction))]
     fs = []
@@ -246,8 +336,8 @@ def reference_cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComp
         cols = [[rng.randrange(prime) for _ in range(p.t)] for _ in range(p.n)]
         pb, pd = ([[sum(a * w for a, w in zip(row, col)) % prime for col in cols]
                    for row in at] for at in at_line)
-        values = [maximal_minors_mod_p([[x + s * y for x, y in zip(rb, rd)]
-                                        for rb, rd in zip(pb, pd)], prime)[0]
+        values = [list_maximal_minors_mod_p([[x + s * y for x, y in zip(rb, rd)]
+                                             for rb, rd in zip(pb, pd)], prime)[0]
                   for s in range(p.n + 1)]
         fs.append(interpolate_mod_p(values, prime))
     return len(gcd_mod_p(fs[0], fs[1], prime)) == 1 and any(f[-1] for f in fs)
@@ -257,10 +347,10 @@ def reference_cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComp
 # Comparisons
 # ---------------------------------------------------------------------------
 
-def hyperplane_basis(h: Sequence[ExactComplex], p: int) -> List[List[int]]:
+def hyperplane_basis(h: Sequence[ExactComplex], p: int) -> np.ndarray:
     """The points e_i + h_i e_{m-1} modulo p that span x_{m-1} = sum_i h_i x_i."""
-    return [[int(i == j) for j in range(len(h))] + [reduce_scalar(x, p)]
-            for i, x in enumerate(h)]
+    return np.array([[int(i == j) for j in range(len(h))] + [reduce_scalar(x, p)]
+                     for i, x in enumerate(h)], dtype=np.int64)
 
 
 def value_at(g: ModPoly, point: Sequence[int], p: int) -> int:
@@ -270,14 +360,17 @@ def value_at(g: ModPoly, point: Sequence[int], p: int) -> int:
                for e, c in g.items()) % p
 
 
-def assert_same_minors(forms: List[List[List[int]]], p: int):
+def assert_same_minors(forms, p: int):
+    """forms: a reduced pencil as nested lists, or as modp's array."""
+    forms = np.asarray(forms, dtype=np.int64).tolist()  # the dict paths need Python ints
     got, ref = _minors_mod_p(forms, p), maximal_minors(forms, p)
     assert got == ref
     assert all(0 < x < p for g in got for x in g.values())
     # the one kernel reads the same minors at points, zero coordinates included
     rng = random.Random(p)
     points = [[rng.choice([0, 1, rng.randrange(p)]) for _ in forms[0][0]] for _ in range(3)]
-    assert minor_values(forms, points, p) == [[value_at(g, q, p) for g in ref] for q in points]
+    values = minor_values(np.array(forms, dtype=np.int64) % p, np.array(points), p)
+    assert values.T.tolist() == [[value_at(g, q, p) for g in ref] for q in points]
 
 
 def gaussian_state(m: int, n: int, rank: int, seed: int) -> states.BipartiteState:
@@ -405,15 +498,17 @@ def test_one_restriction_gives_the_old_reduced_forms(name, monkeypatch):
     rng = random.Random(name)
     for pencil in _pencils(name):
         p, forms = pencil.mod_p()
+        lists = forms.tolist()
         # points: the values of the entries, as the minor screen reads them
         for _ in range(3):
             point = [rng.randrange(p) for _ in range(pencil.m)]
-            assert restrict_mod_p(forms, [point], p) == [
-                [[_form_at(form, point, p)] for form in row] for row in forms]
+            assert restrict_mod_p(forms, np.array([point]), p).tolist() == [
+                [[_form_at(form, point, p)] for form in row] for row in lists]
         # drawn hyperplanes, with the basis built here
         for _ in range(3):
             h = [EC(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(pencil.m - 1)]
-            assert restrict_mod_p(forms, hyperplane_basis(h, p), p) == _restrict_mod_p(forms, h, p)
+            assert restrict_mod_p(forms, hyperplane_basis(h, p), p).tolist() == \
+                _restrict_mod_p(lists, h, p)
         # the hyperplanes of the Macaulay certificates, restricted by variety
         # itself, where Eagon-Northcott lets the test run
         v = variety_mod.variety_generators(pencil)
@@ -423,7 +518,7 @@ def test_one_restriction_gives_the_old_reduced_forms(name, monkeypatch):
             del restricted[:]
             got = _macaulay_certificate(v, seed)
             if got is not None and got[1].hyperplane is not None:
-                assert restricted[-1] == _restrict_mod_p(forms, got[1].hyperplane, p)
+                assert restricted[-1].tolist() == _restrict_mod_p(lists, got[1].hyperplane, p)
 
 
 @pytest.mark.parametrize("state, side, certified", cauchy_binet_cases())
@@ -445,9 +540,12 @@ def test_binary_certificate_says_true_wherever_the_two_mixes_did(state, side, ce
 MACAULAY_PRIMES = [13, 17, 29, RANK_PRIME]
 
 
-def assert_same_macaulay(forms: List[List[List[int]]], n: int, degree: int, p: int) -> bool:
-    full = macaulay_full_rank(forms, n, degree, p)
-    assert full == dict_macaulay_full_rank(_minors_mod_p(forms, p), len(forms[0][0]), degree, p)
+def assert_same_macaulay(forms, n: int, degree: int, p: int) -> bool:
+    """forms: a reduced pencil as nested lists, or as modp's array."""
+    residues = np.asarray(forms, dtype=np.int64)
+    full = macaulay_full_rank(residues, n, degree, p)
+    gens = _minors_mod_p(residues.tolist(), p)  # the dict path needs Python ints
+    assert full == dict_macaulay_full_rank(gens, residues.shape[2], degree, p)
     return full
 
 
@@ -538,3 +636,59 @@ def test_lattice_evaluation_is_invertible(p):
             E = [[prod(q[i] for i in a) % p for q in points]
                  for a in combinations_with_replacement(range(k), degree)]
             assert rank_mod_p(E, p) == len(points), (k, degree)
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the list kernel, at worst-case residues
+# ---------------------------------------------------------------------------
+
+WIDE_PRIME = 2147483629  # the largest prime p = 1 (mod 4) below 2^31: 3 (p - 1)^2 > 2^63
+
+
+@st.composite
+def residue_pencils(draw):
+    """(forms, points, grid, p): an n x t reduced pencil in k variables,
+    n 1..6, t n..n+3, k 2..5, 1..90 points, and an n x t matrix at each
+    point for the kernel alone, as nested lists of residues: every residue
+    p - 1, each 0 or p - 1, or drawn with p - 1 and 0 common."""
+    p = draw(st.sampled_from([13, 17, 29, RANK_PRIME, WIDE_PRIME]))
+    n = draw(st.integers(1, 6))
+    t = draw(st.integers(n, n + 3))
+    k = draw(st.integers(2, 5))
+    count = draw(st.integers(1, 90))
+    fill = draw(st.sampled_from(["p - 1", "0 or p - 1", "drawn"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def residue():
+        if fill == "p - 1":
+            return p - 1
+        if fill == "0 or p - 1":
+            return rng.choice([0, p - 1])
+        return rng.choice([0, p - 1, p - 1, rng.randrange(p), rng.randrange(p)])
+
+    forms = [[[residue() for _ in range(k)] for _ in range(t)] for _ in range(n)]
+    points = [[residue() for _ in range(k)] for _ in range(count)]
+    grid = [[[residue() for _ in range(count)] for _ in range(t)] for _ in range(n)]
+    return forms, points, grid, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(residue_pencils())
+def test_array_kernel_matches_the_list_kernel_at_worst_case_residues(case):
+    forms, points, grid, p = case
+    residues, at = np.array(forms, dtype=np.int64), np.array(points, dtype=np.int64)
+    restricted = restrict_mod_p(residues, at, p)
+    assert restricted.dtype == np.int64
+    assert restricted.tolist() == list_restrict_mod_p(forms, points, p)
+    values = maximal_minors_mod_p(restricted, p)
+    assert values.dtype == np.int64
+    assert values.shape == (comb(len(forms[0]), len(forms)), len(points))
+    assert values.T.tolist() == list_minor_values(forms, points, p)
+    assert minor_values(residues, at, p).tolist() == values.tolist()
+    # the kernel alone, on matrices with no restriction to average them
+    got = maximal_minors_mod_p(np.array(grid, dtype=np.int64), p).T.tolist()
+    assert got == [list_maximal_minors_mod_p([[x[j] for x in row] for row in grid], p)
+                   for j in range(len(points))]
+    # the rank, on the minor values and on a drawn t x P matrix
+    assert rank_mod_p(values, p) == list_rank_mod_p(values.tolist(), p)
+    assert rank_mod_p(np.array(grid[0], dtype=np.int64), p) == list_rank_mod_p(grid[0], p)

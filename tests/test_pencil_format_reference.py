@@ -166,7 +166,9 @@ def test_pencil_entries_match_the_linear_form_route(name, side):
     else:
         with pytest.raises(FloatMinors):
             pencil.entry_polys()
-    assert pencil.mod_p() == reference_mod_p(forms)
+    prime, reduced = pencil.mod_p()
+    assert reduced.dtype == np.int64 and reduced.shape == (pencil.n, pencil.t, pencil.m)
+    assert (prime, reduced.tolist()) == reference_mod_p(forms)
     tensor, norm = pencil.floats
     want_tensor, want_norm = reference_pencil_floats(forms, pencil.m)
     assert tensor.dtype == want_tensor.dtype and tensor.shape == want_tensor.shape

@@ -287,6 +287,28 @@ def test_an_exact_density_is_hermitian_exactly():
     BipartiteState(1, 2, density=np.array(rows, dtype=float).astype(complex))
 
 
+def test_an_exact_density_is_positive_semidefinite_exactly():
+    # eigenvalues 1 + e and -e: as floats, -e is within the spectral cutoff,
+    # but an exact density is decided by Hermitian elimination, exactly
+    e = F(1, 10**11)
+    for rows in ([[1 + e, 0], [0, -e]],   # a negative pivot
+                 [[0, e], [e, 1]]):       # a zero pivot with a nonzero row
+        with pytest.raises(StateFileError) as info:
+            parse_state(_exact_density_doc(rows))
+        assert info.value.field == "density" and "semidefinite" in str(info.value)
+        with pytest.raises(NotAState, match="semidefinite"):
+            BipartiteState(1, 2, density=exact_matrix(rows))
+        BipartiteState(1, 2, density=np.array(rows, dtype=float).astype(complex))
+    # exactly PSD: a pure state (singular), the maximally mixed 2x3, and a
+    # singular density whose zero pivot has a zero row
+    pure = bell_state().density_matrix()
+    assert pure.dtype == object
+    for m, n, rho in ((2, 2, pure), (2, 3, maximally_mixed(2, 3).density_matrix()),
+                      (1, 3, exact_matrix([[F(1, 2), 0, F(1, 2)], [0, 0, 0],
+                                           [F(1, 2), 0, F(1, 2)]]))):
+        assert BipartiteState(m, n, density=rho).density_matrix() is not None
+
+
 def test_an_exact_ensemble_and_exact_density_agree_exactly():
     ensemble = [(1, (EC(1), EC(0)))]
     near = exact_matrix([[1 - F(1, 10**9), 0], [0, F(1, 10**9)]])

@@ -333,7 +333,7 @@ def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
     for s, full in ((random_mixed(2, n, n + 1, seed=n), True), (finite, False)):
         v = variety_of_state(s)
         p, forms = v.pencil.mod_p()
-        gens = _minors_mod_p(forms, p)
+        gens = _minors_mod_p(forms.tolist(), p)
         assert dict_macaulay_full_rank(gens, 2, 2 * n - 1, p) is full
         assert dict_macaulay_full_rank(gens, 2, n + 1, p) is full
         assert macaulay_full_rank(forms, n, 2 * n - 1, p) is full

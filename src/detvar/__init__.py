@@ -53,7 +53,6 @@ from .variety import (
     sample_points,
     tangent_form,
     linearity_decide,
-    nonlinearity_witness,
     verify_lu_covariance,
 )
 from .moduli import HesseCubic, ModuliValue, hesse_reduce, moduli_value, lu_compare
@@ -76,7 +75,7 @@ __all__ = [
     "random_local_unitary",
     "PencilMatrix", "Variety", "VarietyVerdict", "pencil_matrix",
     "variety_of_state", "variety_generators", "membership", "sample_points", "tangent_form",
-    "linearity_decide", "nonlinearity_witness", "verify_lu_covariance",
+    "linearity_decide", "verify_lu_covariance",
     "HesseCubic", "ModuliValue", "hesse_reduce", "moduli_value", "lu_compare",
     "catalog",
 ]

@@ -71,8 +71,7 @@ def verdict_to_json(verdict: VarietyVerdict) -> dict:
     if verdict.point is not None:
         out["witness"] = {
             "point": [_complex_pair(z) for z in verdict.point],
-            "tangent_form": [_complex_pair(c) for c in verdict.tangent.coefficients]
-            if verdict.tangent is not None else None,
+            "tangent_form": [_complex_pair(c) for c in verdict.tangent.coefficients],
             "probe": [_complex_pair(z) for z in verdict.probe],
             "hermitian_residual": verdict.residual,
         }

@@ -248,8 +248,7 @@ class Variety:
         self._essential_count = essential_count
         self.structural = structural  # "Full" (t < n or exact minors) | "Empty" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
-        self._analysis_cache = None  # (peeled forms, what remains; None: V's own minors)
-        self._factor_list = None     # exact split of a hypersurface generator
+        self._analysis_cache = None  # _peel_linear_factors(self), once read
         self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
 
     @property
@@ -591,19 +590,22 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
     return None
 
 
-def _analysis_system(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]]]:
-    """The certified linear factors peeled off the generators of an exact
-    V, and the generators that remain, None where nothing is peeled and
-    what remains is V's own minors, unexpanded (_peel_linear_factors);
-    peeled once and cached on the variety.  The sampler reads the peeled
-    forms, to keep its points off them, and whether anything remains."""
+def _analysis_system(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]],
+                                           Optional[FactorList]]:
+    """_peel_linear_factors(v) of an exact V, peeled once and cached on
+    the variety.  The decision reads the split; the sampler reads the
+    peeled forms, to keep its points off them, and whether anything
+    remains."""
     if v._analysis_cache is None:
         v._analysis_cache = _peel_linear_factors(v)
     return v._analysis_cache
 
 
-def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]]]:
-    """Peel exact common linear factors off the generators of an exact V.
+def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]],
+                                               Optional[FactorList]]:
+    """Peel exact common linear factors off the generators of an exact V:
+    (forms, rest, factor list), the certified linear factors, the
+    generators that remain, and the factor list of a hypersurface.
 
     A hyperplane dividing every minor is a full linear component of the
     variety; random lines land on it constantly, hiding any codimension-2
@@ -615,28 +617,28 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     the binary no-common-zero test modulo the pencil's prime on an exact
     line from a stream of its own) may prove before any minor is expanded
     that the minors share no factor, which is the line peel's own stop
-    rule, certified; then ([], None) is returned: nothing peeled, V's own
-    minors remain.  Otherwise the minors are read and go to the line
-    peel (factorization.linear_factors), one generator or several.
+    rule, certified; then ([], None, None) is returned: nothing peeled,
+    V's own minors remain.  Otherwise the minors are read and go to the
+    line peel (factorization.linear_factors), one generator or several;
+    several have no factor list.
 
     One generator, an exact hypersurface, is split into its factor list
-    (linear_factorization), which is kept on the variety.  When a residual
-    survives, the system is that residual, whose zero locus is the only
-    place a witness can live.  A full split is left unpeeled:
-    linearity_decide reports it from the factor list, and its hyperplanes
-    stay open to sampling.
+    (linear_factorization), returned third.  When a residual survives, the
+    system is that residual, whose zero locus is the only place a witness
+    can live.  A full split is left unpeeled: linearity_decide reports it
+    from the factor list, and its hyperplanes stay open to sampling.
     """
     pencil = v.pencil
     if pencil.t > v.n:
         rng = random.Random("cauchy-binet")
         base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
         if _cauchy_binet_certificate(pencil, base, direction):
-            return [], None
+            return [], None, None
     gens = v.essential_generators
     if len(gens) != 1:
-        return linear_factors(gens, v.m)
-    fl = v._factor_list = linear_factorization(gens[0])
-    return ([], gens) if fl.residual is None else (fl.linear_factors, [fl.residual])
+        return (*linear_factors(gens, v.m), None)
+    fl = linear_factorization(gens[0])
+    return ([], gens, fl) if fl.residual is None else (fl.linear_factors, [fl.residual], fl)
 
 
 def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
@@ -815,14 +817,13 @@ def _point_stream(v: Variety, count: int, seed: int,
     per requested point; both oracles must accept.  An exact V is first
     peeled (_analysis_system): a candidate whose relative distance
     |l(p)| / (||l|| ||p||) to a peeled form l is below PEELED_MARGIN is
-    rejected, as V there is a peeled hyperplane, linear already."""
-    if v.structural in ("Empty", "Full"):
-        raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
+    rejected, as V there is a peeled hyperplane, linear already.  The
+    caller keeps a structurally Empty or Full V away from it."""
     rng = random.Random(seed)
     deficient = _rank_deficient(v, seed)
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
-        forms, rest = _analysis_system(v)
+        forms, rest, _ = _analysis_system(v)
         if rest is not None and not rest:
             raise SamplingExhausted(
                 "variety equals the union of its peeled hyperplanes; nothing left to sample")
@@ -881,6 +882,8 @@ def sample_points(v: Variety, count: int, seed: int,
     split)."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if v.structural in ("Empty", "Full"):
+        raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
     return list(_point_stream(v, count, seed, tol))
 
 
@@ -1138,8 +1141,8 @@ def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
                                  "for the ensemble as given")
 
 
-class VarietyVerdict:
-    """Outcome of the linearity analysis.
+class VarietyVerdict(NamedTuple):
+    """Outcome of the linearity analysis, built once by linearity_decide.
 
     tag in {"Empty", "Full", "Finite", "LinearUnion", "NonlinearWitness",
     "Inconclusive"}.  Only a NonlinearWitness certifies entanglement; the
@@ -1155,24 +1158,15 @@ class VarietyVerdict:
     certificate and a reason saying so for the ensemble as given.
     """
 
-    def __init__(self, tag: str,
-                 forms: Optional[List[LinearForm]] = None,
-                 factor_list: Optional[FactorList] = None,
-                 point: Optional[Tuple[complex, ...]] = None,
-                 tangent: Optional[LinearForm] = None,
-                 residual: Optional[float] = None,
-                 probe: Optional[Tuple[complex, ...]] = None,
-                 reason: Optional[str] = None,
-                 certificate: Optional[FiniteCertificate] = None):
-        self.tag = tag
-        self.forms = forms
-        self.factor_list = factor_list
-        self.point = point
-        self.tangent = tangent
-        self.residual = residual
-        self.probe = probe
-        self.reason = reason
-        self.certificate = certificate
+    tag: str
+    forms: Optional[List[LinearForm]] = None
+    factor_list: Optional[FactorList] = None
+    point: Optional[Tuple[complex, ...]] = None
+    tangent: Optional[LinearForm] = None
+    residual: Optional[float] = None
+    probe: Optional[Tuple[complex, ...]] = None
+    reason: Optional[str] = None
+    certificate: Optional[FiniteCertificate] = None
 
     @property
     def conclusion(self) -> str:
@@ -1187,9 +1181,10 @@ class VarietyVerdict:
         return f"VarietyVerdict({self.tag}{extra})"
 
 
-def nonlinearity_witness(v: Variety, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-                         tol: Tolerance = DEFAULT_TOL) -> VarietyVerdict:
-    """Search for a smooth point whose tangent space leaves the variety.
+def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
+                    factor_list: Optional[FactorList] = None) -> VarietyVerdict:
+    """Search for a smooth point whose tangent space leaves the variety:
+    the last step of linearity_decide, whose verdict carries `factor_list`.
 
     Points come from the sampler of sample_points (on the pencil, and for
     an exact V off the hyperplanes its peel certified) and each is probed
@@ -1200,22 +1195,12 @@ def nonlinearity_witness(v: Variety, samples: int = DEFAULT_SAMPLES, seed: int =
     criterion) the state is entangled.  Each point costs one
     _tangent_data (_witness_search_at), which reads smoothness off the
     pencil and gives a witness its tangent form; a point it does not show
-    smooth is not probed.  An Inconclusive reason
-    says how many points were skipped, and how many candidates the sampler
-    rejected on peeled hyperplanes.
+    smooth is not probed.  An Inconclusive reason says how many points
+    were skipped, and how many candidates the sampler rejected on peeled
+    hyperplanes.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if v.structural in ("Empty", "Full"):
-        return VarietyVerdict(v.structural)
-    if v.mode == "exact":
-        forms, rest = _analysis_system(v)
-        if forms and not rest:
-            # every generator is a constant times the same hyperplane product:
-            # the variety is certified to be exactly that union
-            return VarietyVerdict("LinearUnion", forms=forms)
     if v.n == 1:
-        return VarietyVerdict("Inconclusive",
+        return VarietyVerdict("Inconclusive", factor_list=factor_list,
                               reason="criterion vacuous: n = 1, so every minor is a "
                                      "linear form and V is a linear subspace")
     rng = random.Random(seed)
@@ -1232,52 +1217,61 @@ def nonlinearity_witness(v: Variety, samples: int = DEFAULT_SAMPLES, seed: int =
                 continue
             if hit is not None:
                 q, res, row = hit
-                return VarietyVerdict("NonlinearWitness", point=tuple(p),
-                                      tangent=_row_form(row), residual=res, probe=q)
+                return VarietyVerdict("NonlinearWitness", factor_list=factor_list,
+                                      point=tuple(p), tangent=_row_form(row), residual=res,
+                                      probe=q)
     except StopIteration as done:  # the stream returns its count on peeled hyperplanes
         reason = f"no witness found in {sampled} samples" + _on_peeled_note(done.value)
     except SamplingExhausted as exc:
         reason = f"sampling exhausted: {exc}"
     if skipped:
         reason += f"; {skipped} not probed (not smooth)"
-    return VarietyVerdict("Inconclusive", reason=reason)
+    return VarietyVerdict("Inconclusive", factor_list=factor_list, reason=reason)
 
 
 def linearity_decide(v: Variety, seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                      tol: Tolerance = DEFAULT_TOL) -> VarietyVerdict:
-    """Decide linearity where the exact machinery applies, otherwise fall
-    back to the witness search.
+    """The linearity verdict of V: the first of these steps to give one
+    decides, and nothing is sampled before the last.
 
-    Dimension comes first, with no sampling.  In CP^1 (m <= 2) V is
-    finite: "Finite" for an exact state, a vacuous Inconclusive for an
-    approximate one.  For m >= 3, an approximate pencil of numerical rank
-    below n, whatever t, has V all of CP^{m-1} to working precision: it is
-    neither certified nor sampled, and gets a vacuous Inconclusive saying
-    so.  For m >= 3 and t - n + 1 >= m - 1, the only shapes where V can be
-    finite or empty (Eagon-Northcott), the Macaulay test modulo a prime
-    may prove V empty ("Empty") or disjoint from an exact hyperplane
-    ("Finite"); an approximate state so certified gets a vacuous
-    Inconclusive with the certificate.
-
-    Exact hypersurface case: the line peel either splits the determinant
-    completely into linear forms (LinearUnion) or leaves a residual, free
-    of Q(i)-linear factors wherever a line certified it (linear_factors),
-    in which case the witness search probes the residual's zero locus; the
-    verdict carries the factor list either way.
+    1. `samples` must be at least 1, whatever V.
+    2. Structure: a V that is structurally Empty or Full (t < n, or
+       minors that leave no point or all of them) is that.
+    3. Dimension (_dimension_verdict).  In CP^1 (m <= 2) V is finite:
+       "Finite" for an exact state, a vacuous Inconclusive for an
+       approximate one.  For m >= 3, an approximate pencil of numerical
+       rank below n, whatever t, has V all of CP^{m-1} to working
+       precision: it gets a vacuous Inconclusive saying so.  For m >= 3
+       and t - n + 1 >= m - 1, the only shapes where V can be finite or
+       empty (Eagon-Northcott), the Macaulay test modulo a prime may prove
+       V empty ("Empty") or disjoint from an exact hyperplane ("Finite");
+       an approximate state so certified gets a vacuous Inconclusive with
+       the certificate.
+    4. Split, exact V only (the peel, _analysis_system): a hypersurface
+       (one nonzero minor) that splits completely into linear forms, or
+       several minors that are each a constant times the same product of
+       peeled hyperplanes, is certified to be that union: LinearUnion,
+       with its factor list in the first case only.
+    5. The witness search (_witness_search), on what the peel leaves; the
+       verdict of an exact hypersurface carries its factor list, whose
+       residual is free of Q(i)-linear factors wherever a line certified
+       it (linear_factors).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if v.structural in ("Empty", "Full"):
         return VarietyVerdict(v.structural)
-    finite = _dimension_verdict(v, seed)
-    if finite is not None:
-        return finite
+    verdict = _dimension_verdict(v, seed)
+    if verdict is not None:
+        return verdict
+    fl = None
     if v.mode == "exact":
-        _analysis_system(v)
-    fl = v._factor_list
-    if fl is not None and fl.residual is None:
-        return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)
-    verdict = nonlinearity_witness(v, samples, seed, tol)
-    verdict.factor_list = fl
-    return verdict
+        forms, rest, fl = _analysis_system(v)
+        if fl is not None and fl.residual is None:
+            return VarietyVerdict("LinearUnion", forms=fl.linear_factors, factor_list=fl)
+        if forms and not rest:
+            return VarietyVerdict("LinearUnion", forms=forms)
+    return _witness_search(v, samples, seed, tol, fl)
 
 
 class CovarianceResult:

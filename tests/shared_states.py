@@ -89,6 +89,17 @@ def gaussian_rational_state(m: int, n: int, rank: int, seed: int) -> BipartiteSt
     return BipartiteState(m, n, ensemble=ensemble)
 
 
+def gaussian_small_denominators_state(m: int, n: int, rank: int, seed: int) -> BipartiteState:
+    """Exact rays with Gaussian-rational entries whose denominators divide 12."""
+    rng = random.Random(seed)
+    ensemble = [(F(1, rank),
+                 tuple(EC(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])),
+                          F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])))
+                       for _ in range(m * n)))
+                for _ in range(rank)]
+    return BipartiteState(m, n, ensemble=ensemble)
+
+
 def sparse_rays_state() -> BipartiteState:
     # most entries zero, one ray with a single nonzero entry
     z, o = EC(0), EC(1)

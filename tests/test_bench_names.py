@@ -48,7 +48,7 @@ def test_newton_polish_returns_none_or_a_point():
     # the convergence tally counts results that are not None
     # nothing is peeled off these minors: the system is V's own minors
     v = variety_of_state(random_separable(3, 3, 4, seed=2), "B")
-    assert _analysis_system(v) == ([], None)
+    assert _analysis_system(v) == ([], None, None)
     system = CompiledSystem(v.essential_generators, v.m)
     point = sample_points(v, 1, seed=5)[0]
     near = [z + 1e-4 * (1 + 1j) for z in point]

@@ -20,9 +20,9 @@ from detvar.statefile import load_state, parse_state, state_to_json
 from detvar.states import BipartiteState, random_mixed, random_separable
 from detvar.variety import (
     _analysis_system,
+    _witness_search,
     linearity_decide,
     membership,
-    nonlinearity_witness,
     pencil_matrix,
     sample_points,
     variety_generators,
@@ -93,7 +93,7 @@ def test_variety_generators_of_a_pencil_knows_its_state():
     v = variety_generators(pencil_matrix(st))
     assert v.state is st
     assert membership(v, [EC(0), EC(1), EC(-1)])
-    assert nonlinearity_witness(v, samples=4, seed=42).tag == "NonlinearWitness"
+    assert _witness_search(v, 4, 42, DEFAULT_TOL).tag == "NonlinearWitness"
     vb = variety_generators(pencil_matrix(st, "B"))
     assert vb.state is st and vb.side == "B"
     assert vb.hermitian_residual(sample_points(vb, 1, seed=3)[0]) < 1e-9
@@ -164,7 +164,7 @@ def test_analysis_system_is_peeled_once(monkeypatch):
     # nothing is peeled off these minors, certified with none expanded:
     # what remains is the variety's own minors, the same answer on every read
     v = variety_of_state(random_separable(3, 3, 4, seed=2), "B")
-    assert _analysis_system(v) == ([], None) and v._generators is None
+    assert _analysis_system(v) == ([], None, None) and v._generators is None
     assert _analysis_system(v) is _analysis_system(v)
     # the exact split of a hypersurface leaves its residual, and a whole
     # analysis (decision, witness search and sampler) peels once
@@ -174,6 +174,6 @@ def test_analysis_system_is_peeled_once(monkeypatch):
                         lambda w: peels.append(w) or real(w))
     w = variety_of_state(cyclic_cubic_state(EC(8)))
     assert linearity_decide(w, seed=42).tag == "NonlinearWitness"
-    _, residual = _analysis_system(w)
-    assert residual == [w._factor_list.residual]
+    _, residual, fl = _analysis_system(w)
+    assert residual == [fl.residual]
     assert peels == [w]

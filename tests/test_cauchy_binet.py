@@ -119,8 +119,8 @@ def test_certified_peel_and_planes_of_ppt_side_a():
     for state, side in [(ppt, "B"), (load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")),
                                       "A")]:
         v = variety_of_state(state, side)
-        assert _peel_linear_factors(v) == ([], None) and v._generators is None
-    forms, rest = _peel_linear_factors(variety_of_state(ppt, "A"))
+        assert _peel_linear_factors(v) == ([], None, None) and v._generators is None
+    forms, rest, _ = _peel_linear_factors(variety_of_state(ppt, "A"))
     assert len(forms) == 2 and rest
 
 
@@ -131,12 +131,13 @@ def test_a_square_pencil_is_expanded_at_build_and_split_by_the_peel():
     # one splits into four forms that re-multiply to it
     v = variety_of_state(gaussian_integer_state(4, 4, 4, 1))
     assert v._generators is not None
-    assert _peel_linear_factors(v) == ([], [v._factor_list.residual])
-    assert v._factor_list.linear_factors == [] and v._factor_list.certified
-    assert v._factor_list.remultiply(4) == v.essential_generators[0]
+    forms, rest, fl = _peel_linear_factors(v)
+    assert (forms, rest) == ([], [fl.residual])
+    assert fl.linear_factors == [] and fl.certified
+    assert fl.remultiply(4) == v.essential_generators[0]
     w = variety_of_state(random_separable(4, 4, 4, seed=1))
     assert w._generators is not None
-    assert _peel_linear_factors(w) == ([], w.essential_generators)
-    fl = w._factor_list
+    forms, rest, fl = _peel_linear_factors(w)
+    assert (forms, rest) == ([], w.essential_generators)
     assert fl.residual is None and len(fl.linear_factors) == 4
     assert fl.remultiply(4) == w.essential_generators[0]

@@ -29,7 +29,7 @@ from detvar.catalog import cyclic_cubic_state
 from detvar.exactroots import ec_gcd, ec_trim
 from detvar.modp import RANK_PRIME
 from detvar.multipoly import restrict_to_line, univariate_coeffs
-from detvar.scalars import ExactComplex
+from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.statefile import load_state, state_to_json
 from detvar.report import analyze_state, verdict_to_json
 from detvar.states import (
@@ -44,9 +44,9 @@ from detvar.states import (
 from detvar.variety import (
     _dimension_verdict,
     _macaulay_certificate,
+    _witness_search,
     linearity_decide,
     membership,
-    nonlinearity_witness,
     sample_points,
     variety_of_state,
     verify_lu_covariance,
@@ -171,8 +171,8 @@ def test_a_curve_is_never_certified(state):
 def test_sampler_stays_silent_on_finite_separable_varieties(shape, seed):
     # the certificate now ends these analyses; the sampler path, called
     # directly, must still never turn them into a witness
-    verdict = nonlinearity_witness(variety_of_state(random_separable(*shape, seed=seed)),
-                                   samples=12, seed=42)
+    verdict = _witness_search(variety_of_state(random_separable(*shape, seed=seed)),
+                              12, 42, DEFAULT_TOL)
     assert verdict.tag != "NonlinearWitness"
 
 

@@ -22,6 +22,7 @@ from detvar import catalog, multipoly, states
 from detvar.multipoly import Poly
 from detvar.scalars import ExactComplex
 from detvar.variety import pencil_matrix
+from shared_states import gaussian_rational_state
 from test_multipoly_reference import entry_polys
 
 EC = ExactComplex
@@ -93,22 +94,12 @@ def assert_all_minors_identical(rows: List[List[Poly]]):
             assert_identical(g, r)
 
 
-def gaussian_state(m: int, n: int, rank: int, seed: int) -> states.BipartiteState:
-    rng = random.Random(seed)
-    ensemble = [(F(1, rank),
-                 tuple(EC(F(rng.randint(-5, 5), rng.randint(1, 6)),
-                          F(rng.randint(-5, 5), rng.randint(1, 6)))
-                       for _ in range(m * n)))
-                for _ in range(rank)]
-    return states.BipartiteState(m, n, ensemble=ensemble)
-
-
 PENCIL_STATES = {
     "separable 3x4 t5": lambda: states.random_separable(3, 4, 5, seed=2),
     "separable 4x4 t7": lambda: states.random_separable(4, 4, 7, seed=3),
     "separable 4x5 t8": lambda: states.random_separable(4, 5, 8, seed=0),
-    "gaussian 3x3 r5": lambda: gaussian_state(3, 3, 5, seed=5),
-    "gaussian 4x4 r5": lambda: gaussian_state(4, 4, 5, seed=6),
+    "gaussian 3x3 r5": lambda: gaussian_rational_state(3, 3, 5, seed=5),
+    "gaussian 4x4 r5": lambda: gaussian_rational_state(4, 4, 5, seed=6),
     "mixed 3x4 r5": lambda: states.random_mixed(3, 4, 5, seed=7),
     "mixed 4x5 r8": lambda: states.random_mixed(4, 5, 8, seed=0),
     "cyclic t=1/7+2i": lambda: catalog.cyclic_cubic_state(EC(F(1, 7), 2)),

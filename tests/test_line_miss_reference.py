@@ -24,7 +24,6 @@ inside the zero set of some minors (their restrictions vanish).
 """
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,17 +31,14 @@ import pytest
 from detvar.factorization import _line_gcd, _random_exact_point
 from detvar.modp import binary_minors_coprime, macaulay_full_rank, reduce_scalar
 from detvar.multipoly import restrict_to_line
-from detvar.scalars import ExactComplex
-from detvar.states import BipartiteState, random_separable
+from detvar.states import random_separable
 from detvar.variety import (
     _pencil_mod_p,
     membership,
     variety_of_state,
 )
+from shared_states import gaussian_small_denominators_state
 from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
-
-EC = ExactComplex
-F = Fraction
 
 
 def misses_line(gens, base, direction) -> bool:
@@ -82,16 +78,6 @@ def binary_miss(v, forms, base, direction, p) -> bool:
     return miss
 
 
-def _gaussian_state(m, n, t, seed):
-    rng = random.Random(seed)
-    ensemble = [(F(1, t),
-                 tuple(EC(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])),
-                          F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])))
-                       for _ in range(m * n)))
-                for _ in range(t)]
-    return BipartiteState(m, n, ensemble=ensemble)
-
-
 def _side_a_factor(vec, m, n):
     """a, up to scale, for a product ray vec = a (x) b."""
     k = next(k for k in range(n) if any(not vec[i * n + k].is_zero() for i in range(m)))
@@ -116,7 +102,7 @@ def _pencil_lines():
             cases.append((f"separable {m}x{n} t{t} #{seed}",
                           random_separable(m, n, t, seed=seed), lines))
             cases.append((f"gaussian {m}x{n} t{t} #{seed}",
-                          _gaussian_state(m, n, t, seed), lines))
+                          gaussian_small_denominators_state(m, n, t, seed), lines))
     # separable 3x3 t4: r = a_1 x a_2 kills pencil columns 1 and 2, so r is
     # on V; lines through r, lines with direction r, and lines inside the
     # plane a_1 . r = 0, where every minor through column 1 vanishes

@@ -54,7 +54,6 @@ cases the two agree.
 
 import operator
 import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
@@ -93,10 +92,9 @@ from detvar.variety import (
     pencil_matrix,
     variety_of_state,
 )
-from shared_states import cauchy_binet_cases
+from shared_states import cauchy_binet_cases, gaussian_small_denominators_state
 
 EC = ExactComplex
-F = Fraction
 PRIMES = [RANK_PRIME, 13]
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -373,21 +371,11 @@ def assert_same_minors(forms, p: int):
     assert values.T.tolist() == [[value_at(g, q, p) for g in ref] for q in points]
 
 
-def gaussian_state(m: int, n: int, rank: int, seed: int) -> states.BipartiteState:
-    rng = random.Random(seed)
-    ensemble = [(F(1, rank),
-                 tuple(EC(F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])),
-                          F(rng.randint(-5, 5), rng.choice([1, 2, 3, 4, 6])))
-                       for _ in range(m * n)))
-                for _ in range(rank)]
-    return states.BipartiteState(m, n, ensemble=ensemble)
-
-
 PENCIL_STATES = {
     "separable 3x3 t4": lambda: states.random_separable(3, 3, 4, seed=2),
     "separable 4x4 t7": lambda: states.random_separable(4, 4, 7, seed=3),
-    "gaussian 3x4 r5": lambda: gaussian_state(3, 4, 5, seed=5),
-    "gaussian 4x4 r7": lambda: gaussian_state(4, 4, 7, seed=6),
+    "gaussian 3x4 r5": lambda: gaussian_small_denominators_state(3, 4, 5, seed=5),
+    "gaussian 4x4 r7": lambda: gaussian_small_denominators_state(4, 4, 7, seed=6),
     "mixed 3x3 r4": lambda: states.random_mixed(3, 3, 4, seed=7),
     "mixed 4x4 r7": lambda: states.random_mixed(4, 4, 7, seed=0),
     "mixed 3x4 r3": lambda: states.random_mixed(3, 4, 3, seed=1),

@@ -35,6 +35,7 @@ from detvar.errors import ArityMismatch, BadOrder, NonSquare, ZeroDirection
 from detvar.multipoly import Poly, _is_zero_coeff, univariate_coeffs
 from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
 from detvar.variety import pencil_matrix
+from shared_states import gaussian_integer_state
 
 
 # ---------------------------------------------------------------------------
@@ -251,23 +252,13 @@ def assert_close(got: Poly, ref: Poly, rel: float):
     assert max(abs(got.coeff(k) - ref.coeff(k)) for k in keys) <= rel * scale
 
 
-def gaussian_state(m: int, n: int, rank: int, seed: int) -> states.BipartiteState:
-    """Exact ensemble of random rays with entries in {-3..3} + {-3..3}i."""
-    rng = random.Random(seed)
-    ensemble = [(Fraction(1, rank),
-                 tuple(ExactComplex(rng.randint(-3, 3), rng.randint(-3, 3))
-                       for _ in range(m * n)))
-                for _ in range(rank)]
-    return states.BipartiteState(m, n, ensemble=ensemble)
-
-
 PENCIL_STATES = {
     "separable 3x3 t4": lambda: states.random_separable(3, 3, 4, seed=1),
     "separable 3x4 t5": lambda: states.random_separable(3, 4, 5, seed=2),
     "separable 2x3 t3": lambda: states.random_separable(2, 3, 3, seed=3),
-    "gaussian 3x4 r4": lambda: gaussian_state(3, 4, 4, seed=4),
-    "gaussian 3x3 r5": lambda: gaussian_state(3, 3, 5, seed=5),
-    "gaussian 4x4 r5": lambda: gaussian_state(4, 4, 5, seed=6),
+    "gaussian 3x4 r4": lambda: gaussian_integer_state(3, 4, 4, seed=4),
+    "gaussian 3x3 r5": lambda: gaussian_integer_state(3, 3, 5, seed=5),
+    "gaussian 4x4 r5": lambda: gaussian_integer_state(4, 4, 5, seed=6),
     "mixed 3x4 r5": lambda: states.random_mixed(3, 4, 5, seed=7),
     "mixed 3x3 r4": lambda: states.random_mixed(3, 3, 4, seed=8),
     "mixed 4x4 r6": lambda: states.random_mixed(4, 4, 6, seed=9),

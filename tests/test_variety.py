@@ -9,6 +9,7 @@ from detvar.errors import ArityMismatch, MissingEnsemble, SamplingExhausted, Sin
 from detvar.linalg import exact_matrix
 from detvar.modp import binary_minors_coprime, macaulay_full_rank
 from detvar.multipoly import Poly
+from detvar.report import analyze_state
 from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.states import (
     BipartiteState,
@@ -23,9 +24,9 @@ from detvar.states import (
 from detvar.variety import (
     _best_probe,
     _hadamard_ratio,
+    _witness_search,
     linearity_decide,
     membership,
-    nonlinearity_witness,
     pencil_matrix,
     project_normalize,
     sample_points,
@@ -34,7 +35,7 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
-from shared_states import shared_direction_state
+from shared_states import factored_state, shared_direction_state
 from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
 from test_poly_kernels_reference import evaluate  # the float evaluation Poly.evaluate had
 
@@ -201,7 +202,7 @@ def test_separable_states_never_witness():
 def test_hyperplane_union_no_witness_many_samples():
     st = random_separable(3, 3, 3, seed=321)
     v = variety_of_state(st)
-    verdict = nonlinearity_witness(v, samples=200, seed=13)
+    verdict = _witness_search(v, 200, 13, DEFAULT_TOL)
     assert verdict.tag != "NonlinearWitness"
 
 
@@ -213,7 +214,7 @@ def test_repeated_direction_separable_peels_and_stays_silent():
     from detvar.scalars import DEFAULT_TOL
     st = shared_direction_state(4, 2, seed=8)
     v = variety_of_state(st)
-    forms, agens = _analysis_system(v)
+    forms, agens, _ = _analysis_system(v)
     assert len(forms) >= 1
     verdict = linearity_decide(v, seed=7)
     assert verdict.tag != "NonlinearWitness"
@@ -223,6 +224,30 @@ def test_fully_shared_direction_certifies_linear_union():
     st = shared_direction_state(3, 3, seed=8)
     verdict = linearity_decide(variety_of_state(st), seed=7)
     assert verdict.tag == "LinearUnion"
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (4, 3, 4), (4, 4, 5)],
+                         ids=["3x2 r3", "4x3 r4", "4x4 r5"])
+def test_minors_sharing_every_row_form_certify_their_common_split(shape):
+    # side A of a state whose pencil row i is forms[i](r) * w_i: every minor
+    # is a constant times the product of the n forms.  Several minors, so
+    # the verdict is their common split, with no hypersurface factor list
+    m, n, t = shape
+    rng = random.Random(f"common split {shape}")
+    forms = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(n)]
+    state = factored_state(forms, rows=tuple(range(n)), seed=3, shape=shape)
+    v = variety_of_state(state, "A")
+    verdict = linearity_decide(v, seed=42)
+    assert verdict.tag == "LinearUnion" and len(v.essential_generators) > 1
+    report = analyze_state(state)["verdict"]
+    assert len(report["linear_forms"]) == n and "factorization" not in report
+    product = Poly.const(m, EC(1))
+    for f in verdict.forms:
+        product = product * f.to_poly(m)
+    key = next(iter(product.terms))
+    for g in v.essential_generators:
+        c = g.coeff(key) / product.coeff(key)
+        assert not c.is_zero() and g == product.scale(c)
 
 
 def test_membership_inconsistency_is_detected():
@@ -258,18 +283,21 @@ def test_a_point_of_the_wrong_length_is_refused(make):
 
 
 def test_a_request_for_no_points_is_refused():
-    v = variety_of_state(random_mixed(3, 3, 3, seed=0))
-    for count in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            sample_points(v, count, 1)
-        with pytest.raises(ValueError, match="at least 1"):
-            nonlinearity_witness(v, samples=count)
-        with pytest.raises(ValueError, match="at least 1"):
-            linearity_decide(v, samples=count)
-    # refused before any early verdict, on an exact V too
-    w = variety_of_state(cyclic_cubic_state(EC(8)))
-    with pytest.raises(ValueError, match="at least 1"):
-        nonlinearity_witness(w, samples=0)
+    # refused before any verdict: on a float V and an exact one that are
+    # sampled, and on V's that one sample would give an early verdict
+    for state, tag in [(random_mixed(3, 3, 3, seed=0), "NonlinearWitness"),
+                       (cyclic_cubic_state(EC(8)), "NonlinearWitness"),
+                       (random_separable(4, 3, 5, seed=1), "Finite"),
+                       (random_separable(4, 4, 7, seed=2), "Empty"),
+                       (shared_direction_state(3, 3, seed=8), "LinearUnion"),
+                       (random_separable(3, 3, 2, seed=0), "Full")]:
+        v = variety_of_state(state)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                sample_points(v, count, 1)
+            with pytest.raises(ValueError, match="at least 1"):
+                linearity_decide(v, samples=count)
+        assert linearity_decide(v, samples=1, seed=7).tag == tag
 
 
 def test_covariance_identity_and_random():

@@ -12,7 +12,7 @@ and "no root" comes back as a certificate rather than a shrug.
 
 from fractions import Fraction
 
-from detvar import ExactComplex, Poly, linear_factors, symbolic_det, univariate_roots
+from detvar import ExactComplex, Poly, linear_factors, univariate_roots
 from detvar.exactroots import gaussian_rational_roots, rational_roots
 
 EC = ExactComplex

@@ -6,8 +6,9 @@ a partial trace, an eigenvector block) is a complex array.  numpy forms
 products, Kronecker products and conjugate transposes of either kind,
 exactly on an exact one, and ``complex(z)`` (``ExactComplex.to_complex``)
 rounds an exact entry wherever a float is read (``as_array``).  Exact
-determinants, ranks and PSD tests use elimination (Bareiss for the first);
-the Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``.
+determinants and ranks read the pivots of one Gaussian elimination
+(``_eliminate``), and the exact PSD test its own Hermitian pivots; the
+Hermitian eigenproblems go to LAPACK through ``numpy.linalg.eigh``.
 
 Basis convention, fixed once: the bipartite basis is
 |11>,...,|1n>,...,|m1>,...,|mn> row-major, so the block rho_ij of an
@@ -17,6 +18,7 @@ mn x mn matrix occupies rows i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1
 
 from __future__ import annotations
 
+from math import prod
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -44,61 +46,49 @@ def exact_matrix(rows) -> np.ndarray:
 # Exact elimination
 # ---------------------------------------------------------------------------
 
-def det_exact(m: np.ndarray) -> ExactComplex:
-    """Exact determinant of an exact matrix by fraction-free (Bareiss)
-    elimination.
-
-    Intermediate entries stay exact division results, which bounds the
-    coefficient blowup compared to naive fraction elimination.
-    """
+def _eliminate(m: np.ndarray) -> Tuple[List[ExactComplex], int]:
+    """Gaussian elimination of an exact matrix with exact pivot tests: the
+    pivots, one per column that has one, and the sign of the row swaps."""
     rows, cols = m.shape
-    if rows != cols:
-        raise NonSquare(f"determinant of {rows}x{cols} matrix")
-    n = rows
-    if n == 0:
-        return EC_ONE
     a = m.tolist()
+    pivots: List[ExactComplex] = []
     sign = 1
-    prev = EC_ONE
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot_row is None:
-                return ExactComplex(0)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = EC_ZERO
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def rank_exact(m: np.ndarray) -> int:
-    """Exact rank of an exact matrix by Gaussian elimination with exact
-    pivot tests."""
-    rows, cols = m.shape
-    a = m.tolist()
-    rank = 0
-    row = 0
     for col in range(cols):
+        row = len(pivots)
+        if row == rows:
+            break
         pivot = next((r for r in range(row, rows) if not a[r][col].is_zero()), None)
         if pivot is None:
             continue
-        a[row], a[pivot] = a[pivot], a[row]
+        if pivot != row:
+            a[row], a[pivot] = a[pivot], a[row]
+            sign = -sign
         inv = a[row][col].inverse()
         for r in range(row + 1, rows):
             if not a[r][col].is_zero():
                 factor = a[r][col] * inv
-                for c in range(col, cols):
+                for c in range(col + 1, cols):
                     a[r][c] = a[r][c] - factor * a[row][c]
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
+        pivots.append(a[row][col])
+    return pivots, sign
+
+
+def det_exact(m: np.ndarray) -> ExactComplex:
+    """Exact determinant of an exact matrix: the signed product of its
+    pivots (_eliminate), 0 when a column has none."""
+    rows, cols = m.shape
+    if rows != cols:
+        raise NonSquare(f"determinant of {rows}x{cols} matrix")
+    pivots, sign = _eliminate(m)
+    if len(pivots) < rows:
+        return EC_ZERO
+    d = prod(pivots, start=EC_ONE)
+    return d if sign == 1 else -d
+
+
+def rank_exact(m: np.ndarray) -> int:
+    """Exact rank of an exact matrix: its number of pivots (_eliminate)."""
+    return len(_eliminate(m)[0])
 
 
 # ---------------------------------------------------------------------------

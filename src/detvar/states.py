@@ -156,17 +156,13 @@ class BipartiteState:
 
     @property
     def exact_ensemble(self) -> bool:
+        """True when the preferred (ensemble) pathway is fully exact."""
         if self._exact is None:
             self._exact = self.ensemble is not None and all(
                 isinstance(w, (Fraction, int))
                 and all(isinstance(x, ExactComplex) for x in v)
                 for w, v in self.ensemble)
         return self._exact
-
-    @property
-    def exact(self) -> bool:
-        """True when the preferred (ensemble) pathway is fully exact."""
-        return self.exact_ensemble
 
     def density_matrix(self):
         """The given density, else the one built from the ensemble (an exact

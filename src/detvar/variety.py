@@ -57,7 +57,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 from math import comb, sqrt
-from typing import Generator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +91,7 @@ from .multipoly import (
     univariate_coeffs,
     univariate_roots,
 )
-from .scalars import DEFAULT_TOL, EC_ZERO, ExactComplex, Tolerance
+from .scalars import DEFAULT_TOL, ExactComplex, Tolerance
 from .states import BipartiteState
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
@@ -121,35 +121,26 @@ _LINE_MISSES = (DegenerateLeadingCoefficient, NoConvergence, ZeroDirection)
 class PencilMatrix:
     """n x t matrix of homogeneous linear forms in the m side variables.
 
-    entries[k][l] is the tuple of the m coefficients of entry (k, l), which
-    equals sum_i r_i * (A_i)[k, l]; an entry with no nonzero coefficient is
-    m zeros of the pencil's kind.  An exact pencil is its grid of entries:
-    it keeps the raw ensemble coefficients, so the matrix printed for the
-    worked examples matches the construction on the nose.  A float pencil
-    is its complex (n, t, m) array, cut from the state's unit-scaled rays
-    (BipartiteState._unit_rays): a power of two per column, which leaves
-    every ratio downstream bit-identical but keeps the minors of very small
-    or very large rays inside the float range.  Its entries are derived
-    from that array on first read; only the reduction modulo p reads them.
+    `coeffs` is one C-contiguous, read-only (n, t, m) array: coeffs[k, l]
+    holds the m coefficients of entry (k, l), which equals
+    sum_i r_i * (A_i)[k, l].  Its dtype gives the kind: ExactComplex
+    objects for an exact pencil, the raw ensemble coefficients, so the
+    matrix printed for the worked examples matches the construction on the
+    nose; complex numbers for a float one, cut from the state's unit-scaled
+    rays (BipartiteState._unit_rays): a power of two per column, which
+    leaves every ratio downstream bit-identical but keeps the minors of
+    very small or very large rays inside the float range.  The float
+    tensor (floats) and the reduction modulo p (mod_p) are caches of it.
     """
 
-    def __init__(self, side: str, n_rows: int, t_cols: int, m_vars: int,
-                 entries, kind: str, state: BipartiteState):
-        """`entries` is an exact pencil's grid of coefficient tuples, or a
-        float pencil's C-contiguous complex (n, t, m) array."""
-        self.side, self.n, self.t, self.m = side, n_rows, t_cols, m_vars
-        self._base = entries if isinstance(entries, np.ndarray) else None
-        self._entries = None if self._base is not None else entries
-        self.kind = kind
+    def __init__(self, side: str, coeffs: np.ndarray, state: BipartiteState):
+        coeffs.flags.writeable = False
+        self.side, self.coeffs = side, coeffs
+        self.n, self.t, self.m = coeffs.shape
+        self.kind = "exact" if coeffs.dtype == object else "approx"
         self.state = state  # as given, before any swap for side B
         self._mod_p = None  # (prime, reduced coefficient vectors), found once
         self._floats = None  # (float tensor (m, n, t), ||A||), built once
-
-    @property
-    def entries(self) -> List[List[Tuple]]:
-        if self._entries is None:
-            self._entries = [[tuple(e) for e in row] for row in self._base.tolist()]
-        return self._entries
 
     def entry_polys(self) -> List[List[Poly]]:
         """The entries of an exact pencil as linear Polys; FloatMinors on a
@@ -157,7 +148,7 @@ class PencilMatrix:
         if self.kind != "exact":
             raise FloatMinors("a float pencil has no polynomial entries")
         units = [tuple(int(i == j) for j in range(self.m)) for i in range(self.m)]
-        return [[Poly(self.m, dict(zip(units, e))) for e in row] for row in self.entries]
+        return [[Poly(self.m, dict(zip(units, e))) for e in row] for row in self.coeffs.tolist()]
 
     def mod_p(self) -> Tuple[int, np.ndarray]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
@@ -175,14 +166,10 @@ class PencilMatrix:
     @property
     def floats(self) -> Tuple[np.ndarray, float]:
         """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
-        and ||A||, the spectral norm of its m x nt unfolding: a float
-        pencil's array, or an exact pencil's entries rounded (complex(c)),
-        seen through one transpose of a C-contiguous (n, t, m) base."""
+        and ||A||, the spectral norm of its m x nt unfolding: a transpose of
+        the coefficients, an exact pencil's rounded (complex(c))."""
         if self._floats is None:
-            base = self._base
-            if base is None:
-                base = np.array(self._entries, dtype=complex)
-            tensor = base.transpose(2, 0, 1)
+            tensor = self.coeffs.astype(complex, copy=False).transpose(2, 0, 1)
             self._floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
         return self._floats
 
@@ -191,28 +178,18 @@ class PencilMatrix:
 
 
 def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
-    """Assemble the pencil from the ensemble blocks (side B re-blocks).  A
-    float pencil is the side's unit-scaled rays reshaped, ray l holding
-    entry (k, l)'s coefficient i at i * n + k, and copied C-contiguous; an
+    """Assemble the pencil from the ensemble blocks (side B re-blocks): the
+    side's rays, exact or unit-scaled, reshaped, ray l holding entry
+    (k, l)'s coefficient i at i * n + k, and copied C-contiguous.  A float
     entry whose coefficients are all zero (-0.0 parts too) becomes 0j."""
     state = s if side == "A" else s.swapped()
     terms = state.ensemble_terms()  # MissingEnsemble if absent
-    m, n = state.m, state.n
-    t = len(terms)
-    if not state.exact_ensemble:
-        base = state._unit_rays().reshape(t, m, n).transpose(2, 0, 1).copy()
-        base[(base == 0).all(axis=2)] = 0j
-        return PencilMatrix(side, n, t, m, base, "approx", s)
-    entries = []
-    for k in range(n):
-        row = []
-        for l in range(t):
-            coeffs = tuple(terms[l][1][i * n + k] for i in range(m))
-            if all(c.is_zero() for c in coeffs):
-                coeffs = (EC_ZERO,) * m
-            row.append(coeffs)
-        entries.append(row)
-    return PencilMatrix(side, n, t, m, entries, "exact", s)
+    exact = state.exact_ensemble
+    rays = np.array([v for _, v in terms], dtype=object) if exact else state._unit_rays()
+    coeffs = rays.reshape(len(terms), state.m, state.n).transpose(2, 0, 1).copy()
+    if not exact:
+        coeffs[(coeffs == 0).all(axis=2)] = 0j
+    return PencilMatrix(side, coeffs, s)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +509,7 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
     if v.structural == "Full":
         return True
     if v.mode == "exact" and all(isinstance(x, ExactComplex) for x in point):
-        at_p = [[sum((c * x for c, x in zip(e, point)), EC_ZERO) for e in row]
-                for row in v.pencil.entries]
-        on_pencil = rank_exact(exact_matrix(at_p)) < v.n
+        on_pencil = rank_exact(v.pencil.coeffs @ np.array(point, dtype=object)) < v.n
         herm = v.hermitian_value(point)
         on_herm = herm == 0
         detail = "exact"
@@ -800,13 +775,13 @@ def _on_peeled_note(on_peeled: int) -> str:
     return f"; {on_peeled} on peeled hyperplanes" if on_peeled else ""
 
 
-def _point_stream(v: Variety, count: int, seed: int,
-                  tol: Tolerance) -> Generator[Tuple[complex, ...], None, int]:
+def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
+                  ) -> Iterator[Tuple[Tuple[complex, ...], int]]:
     """The sampler behind sample_points, yielding each point as soon as it
-    is accepted, so a caller can stop at the first one that serves it.
-    Raises SamplingExhausted once the budget runs out short of `count`;
-    otherwise returns the number of candidates rejected on peeled
-    hyperplanes.
+    is accepted, so a caller can stop at the first one that serves it,
+    together with the number of candidates rejected on peeled hyperplanes
+    so far.  Raises SamplingExhausted once the budget runs out short of
+    `count`; no candidate is drawn after the last point.
 
     Candidates come from one of three sources.  A float V whose pencil has
     numerical rank below n is all of CP^{m-1} to working precision: random
@@ -864,9 +839,9 @@ def _point_stream(v: Variety, count: int, seed: int,
             if ((deficient or v.generator_residual(cand) <= clean)
                     and v.hermitian_residual(cand) <= clean):
                 found += 1
-                yield cand
+                yield cand, on_peeled
                 if found >= count:
-                    return on_peeled
+                    return
     raise SamplingExhausted(f"found {found}/{count} points after {draws} {unit}"
                             + _on_peeled_note(on_peeled))
 
@@ -884,7 +859,7 @@ def sample_points(v: Variety, count: int, seed: int,
         raise ValueError(f"count must be at least 1, got {count}")
     if v.structural in ("Empty", "Full"):
         raise SamplingExhausted(f"variety verdict is structurally {v.structural}")
-    return list(_point_stream(v, count, seed, tol))
+    return [p for p, _ in _point_stream(v, count, seed, tol)]
 
 
 def tangent_form(v: Variety, point: Sequence) -> LinearForm:
@@ -1036,8 +1011,8 @@ class FiniteCertificate(NamedTuple):
 def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[np.ndarray]:
     """The coefficient vectors of the pencil entries modulo p, an (n, t, m)
     int64 array; None when p divides a denominator."""
-    flat = [reduce_scalar(c, p) for row in pencil.entries for e in row for c in e]
-    return None if None in flat else np.array(flat, np.int64).reshape(pencil.n, pencil.t, -1)
+    flat = [reduce_scalar(c, p) for c in pencil.coeffs.ravel().tolist()]
+    return None if None in flat else np.array(flat, np.int64).reshape(pencil.coeffs.shape)
 
 
 def _rank_deficient(v: Variety, seed: int) -> bool:
@@ -1204,11 +1179,9 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
                               reason="criterion vacuous: n = 1, so every minor is a "
                                      "linear form and V is a linear subspace")
     rng = random.Random(seed)
-    stream = _point_stream(v, samples, seed, tol)
-    sampled = skipped = 0
+    sampled = skipped = on_peeled = 0
     try:
-        while True:
-            p = next(stream)
+        for p, on_peeled in _point_stream(v, samples, seed, tol):
             sampled += 1
             try:
                 hit = _witness_search_at(v, p, rng, tol)
@@ -1220,8 +1193,7 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
                 return VarietyVerdict("NonlinearWitness", factor_list=factor_list,
                                       point=tuple(p), tangent=_row_form(row), residual=res,
                                       probe=q)
-    except StopIteration as done:  # the stream returns its count on peeled hyperplanes
-        reason = f"no witness found in {sampled} samples" + _on_peeled_note(done.value)
+        reason = f"no witness found in {sampled} samples" + _on_peeled_note(on_peeled)
     except SamplingExhausted as exc:
         reason = f"sampling exhausted: {exc}"
     if skipped:

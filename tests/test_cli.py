@@ -125,7 +125,7 @@ def test_density_only_file(tmp_path):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"m": 2, "n": 2, "density": rows}))
     s = parse_state(json.loads(path.read_text()))
-    assert s.ensemble is None and not s.exact
+    assert s.ensemble is None and not s.exact_ensemble
 
 
 def test_cli_analyze_family(tmp_path, capsys):

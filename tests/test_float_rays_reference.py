@@ -12,7 +12,7 @@ of ``density_from_ensemble``.
 On drawn float state files (rays with -0.0 parts, all-zero pencil
 entries, parts near 1e+-300, near the float maximum and subnormal), the
 parsed rays and densities, the unit-scaled rays, the pencil tensor (bits,
-shape, strides) and its norm, the pencil's entries and the density must
+shape, strides) and its norm, the pencil's coefficients and the density must
 be the same in every bit, and the tensor must be a transpose of a
 C-contiguous array.  On drawn malformed files the same StateFileError, with
 the same path and message, must be raised.
@@ -27,13 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detvar.statefile as statefile
-import detvar.variety as variety_mod
 from detvar.errors import DetvarError, StateFileError
 from detvar.linalg import exact_matrix
 from detvar.scalars import ExactComplex, from_fields
 from detvar.statefile import _PARTS, _finite, _rational, parse_state, parse_weight, render_scalar
 from detvar.states import BipartiteState, density_from_ensemble, random_mixed
-from detvar.variety import PencilMatrix, linearity_decide, pencil_matrix, variety_of_state
+from detvar.variety import pencil_matrix
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -257,7 +256,7 @@ def _density_doc(s):
 @given(documents())
 def test_float_rays_match_the_per_entry_path(doc):
     s = _parsed(doc)
-    if s is None or s.exact:
+    if s is None or s.exact_ensemble:
         return
     rays = s._unit_rays()
     assert [[_bits(z) for z in row] for row in rays.tolist()] == \
@@ -272,8 +271,7 @@ def test_float_rays_match_the_per_entry_path(doc):
         assert norm.hex() == want_norm.hex()
         assert tensor.base.flags.c_contiguous and tensor.base.shape == (pencil.n, pencil.t,
                                                                          pencil.m)
-        assert pencil._entries is None  # no tuple grid until entries is read
-        assert [[[_bits(c) for c in e] for e in row] for row in pencil.entries] == \
+        assert [[[_bits(c) for c in e] for e in row] for row in pencil.coeffs.tolist()] == \
             [[[_bits(c) for c in e] for e in row] for row in want_entries]
     # the density a state file carries parses to the same bits too
     _parsed(_density_doc(s))
@@ -294,7 +292,7 @@ def test_the_drawn_cases_reach_the_edges():
     tensor = pencil.floats[0]
     want_entries, want_tensor, _ = reference_pencil(s)
     assert tensor.tobytes() == want_tensor.tobytes()
-    assert pencil.entries[0][0] == want_entries[0][0] == (0j, 0j)
+    assert tuple(pencil.coeffs[0, 0].tolist()) == want_entries[0][0] == (0j, 0j)
     assert np.signbit(tensor.real).any() and np.signbit(tensor.imag).any()
     assert _array_bits(density_from_ensemble(s)) == _array_bits(reference_density(s))
 
@@ -332,7 +330,7 @@ def test_malformed_documents_fail_as_before(doc, data):
     as_density = data.draw(st.booleans())
     if as_density:
         s = _parsed(doc)
-        if s is None or s.exact:
+        if s is None or s.exact_ensemble:
             return
         doc = _density_doc(s)
         rows = doc["density"]
@@ -349,7 +347,7 @@ def test_malformed_documents_fail_as_before(doc, data):
 
 
 # ---------------------------------------------------------------------------
-# spies: the per-entry path and the tuple grid stay off the happy path
+# spies: the per-entry path stays off the happy path
 # ---------------------------------------------------------------------------
 
 def _float_documents():
@@ -377,34 +375,6 @@ def test_no_float_entry_goes_through_parse_scalar(monkeypatch):
                                          {"weight": 0.5, "vector": [0.5, [0.0, 1.0]]}]}
     parse_state(doc)
     assert calls == ["ensemble[0].vector[0]", "ensemble[0].vector[1]"]
-
-
-def test_only_the_reduction_mod_p_reads_a_float_pencils_entries(monkeypatch):
-    """Float analyses, side A and B, some of them certified by the Macaulay
-    test: a float pencil's entries are read inside _pencil_mod_p only."""
-    inside = []
-    reads = []
-    real_mod_p, real_entries = variety_mod._pencil_mod_p, PencilMatrix.entries
-
-    def mod_p(pencil, p):
-        inside.append(True)
-        try:
-            return real_mod_p(pencil, p)
-        finally:
-            inside.pop()
-
-    def entries(pencil):
-        if pencil.kind != "exact":
-            reads.append(bool(inside))
-        return real_entries.fget(pencil)
-
-    monkeypatch.setattr(variety_mod, "_pencil_mod_p", mod_p)
-    monkeypatch.setattr(PencilMatrix, "entries", property(entries))
-    for k, (m, n, r) in enumerate([(2, 2, 2), (3, 3, 4), (3, 3, 7), (2, 4, 5), (3, 2, 2)]):
-        s = parse_state(statefile.state_to_json(random_mixed(m, n, r, seed=k)))
-        for side in "AB":
-            linearity_decide(variety_of_state(s, side), samples=3, seed=k)
-    assert reads and all(reads)
 
 
 def test_a_float_parse_checks_finiteness_by_the_sum():

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it does not use.
+"""No module of the package, test file or demo imports a name it does not
+use.
 
 A name counts as used where it is read anywhere in the module, annotations
 included, or listed in ``__all__``.  The package's ``__init__`` only
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "detvar"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (sorted(p for p in (ROOT / "src" / "detvar").glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:

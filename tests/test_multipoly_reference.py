@@ -214,7 +214,7 @@ def entry_polys(pencil) -> List[List[Poly]]:
     pencils too: each entry a linear Poly of the pencil's kind."""
     units = [tuple(int(i == j) for j in range(pencil.m)) for i in range(pencil.m)]
     return [[Poly(pencil.m, dict(zip(units, e)), pencil.kind) for e in row]
-            for row in pencil.entries]
+            for row in pencil.coeffs.tolist()]
 
 
 def pencil_minors(pencil) -> List[Poly]:

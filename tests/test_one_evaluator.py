@@ -82,7 +82,7 @@ def _points_on_and_off(v, rng):
     product of two columns' coefficient vectors, scaled."""
     columns = []
     for l in range(v.pencil.t):
-        columns.append(next(row[l] for row in v.pencil.entries
+        columns.append(next(row[l] for row in v.pencil.coeffs.tolist()
                             if any(not c.is_zero() for c in row[l])))
     crosses = [_cross(columns[i], columns[j])
                for i in range(len(columns)) for j in range(i + 1, len(columns))]

@@ -1,4 +1,4 @@
-"""The pencil's tuple entries against the LinearForm grid they replaced.
+"""The pencil's coefficient array against the LinearForm grid it replaced.
 
 This file keeps, verbatim, the route the pencil took when each entry of
 N(r) was a ``LinearForm``: ``pencil_matrix``'s grid of forms, and what its
@@ -6,11 +6,13 @@ readers did with it: ``entry_polys`` (``LinearForm.to_poly``), the
 reduction modulo the first usable split prime (``_pencil_mod_p`` and
 ``PencilMatrix.mod_p``), the float tensor and its norm that
 ``Variety.pencil_floats`` built, and the exact N(p) of ``membership``
-(``LinearForm.evaluate`` on each entry).  The tuple entries must give the
-same polynomials (term order and float bits too), the same prime and
-residues, a float tensor with identical bits, shape and strides and the
-same norm, and the same exact N(p), on exact and float pencils, side B,
-pencils with all-zero entries and pencils with -0.0 parts.
+(``LinearForm.evaluate`` on each entry).  The coefficient array must hold
+the same coefficients (exact ones equal, float ones in every bit), stay
+read-only, and give the same polynomials (term order and float bits too),
+the same prime and residues, a float tensor with identical bits, shape
+and strides and the same norm, and the same exact N(p), on exact and
+float pencils, side B, pencils with all-zero entries and pencils with
+-0.0 parts.
 """
 
 import random
@@ -154,7 +156,15 @@ def test_pencil_entries_match_the_linear_form_route(name, side):
     forms, kind = reference_entry_forms(state, side)
     assert pencil.kind == kind
     assert (pencil.n, pencil.t) == (len(forms), len(forms[0]))
-    # the tuple entries as linear Polys of either kind, as entry_polys
+    # one read-only (n, t, m) array of either kind holds the coefficients
+    coeffs = pencil.coeffs
+    assert (coeffs.dtype == object) == (kind == "exact")
+    assert coeffs.shape == (pencil.n, pencil.t, pencil.m) and coeffs.flags.c_contiguous
+    assert [[[_bits(c) for c in e] for e in row] for row in coeffs.tolist()] == \
+        [[[_bits(c) for c in f.coefficients] for f in row] for row in forms]
+    with pytest.raises(ValueError):  # floats and mod_p() are caches of it
+        coeffs[0, 0, 0] = coeffs[0, 0, 0]
+    # the coefficients as linear Polys of either kind, as entry_polys
     # built them when it served float pencils too; it now refuses those
     got = entry_polys(pencil)
     want = reference_entry_polys(forms, pencil.m, kind)
@@ -182,7 +192,7 @@ def test_the_cases_hold_zero_entries_and_signed_zeros():
     assert all(c.is_zero() for c in forms[1][0].coefficients)
     # the all-zero entry holds +0.0 only; -0.0 parts survive elsewhere
     pencil = pencil_matrix(_signed_zero_state())
-    assert [_bits(c) for c in pencil.entries[0][0]] == [_bits(0j)] * 3
+    assert [_bits(c) for c in pencil.coeffs[0, 0].tolist()] == [_bits(0j)] * 3
     tensor = pencil.floats[0]
     assert np.signbit(tensor.real).any() and np.signbit(tensor.imag).any()
 

@@ -237,14 +237,9 @@ def test_each_sampled_point_costs_one_tangent_computation(monkeypatch, label, ma
     real_stream, real_tangent_data = variety_mod._point_stream, variety_mod._tangent_data
 
     def recording_stream(*args):
-        stream = real_stream(*args)
-        while True:
-            try:
-                p = next(stream)
-            except StopIteration as done:
-                return done.value
+        for p, on_peeled in real_stream(*args):
             sampled.append(p)
-            yield p
+            yield p, on_peeled
 
     def counting(v, point):
         data = real_tangent_data(v, point)

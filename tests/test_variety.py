@@ -253,11 +253,10 @@ def test_minors_sharing_every_row_form_certify_their_common_split(shape):
 def test_membership_inconsistency_is_detected():
     from detvar.errors import InconsistentRepresentations
     v = family_variety(8)
-    # give the pencil another state's entries: the Hermitian oracle will disagree
+    # give the pencil another state's coefficients: the Hermitian oracle will disagree
     wrong = pencil_matrix(random_separable(3, 3, 3, seed=0))
     p = v.pencil
-    broken = type(v)(type(p)(p.side, p.n, wrong.t, p.m, wrong.entries, p.kind, p.state),
-                     v.generators, None)
+    broken = type(v)(type(p)(p.side, wrong.coeffs, p.state), v.generators, None)
     with pytest.raises(InconsistentRepresentations):
         # (1,1,1) is on the true variety but not on the corrupted pencil's
         membership(broken, [EC(1), EC(1), EC(1)])

@@ -1,6 +1,7 @@
 """The exact factor engine that ``detvar.factorization.linear_factors``
-replaced, kept verbatim as a reference for the tests that compare the two;
-only its imports are absolute and ``UnsupportedShape`` is defined here.
+replaced in commit 082da0c, kept verbatim as a reference for the tests that
+compare the two; only its imports are absolute and ``UnsupportedShape`` is
+defined here.
 
 Exact extraction of Gaussian-rational linear factors.
 

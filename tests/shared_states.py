@@ -153,6 +153,17 @@ EXACT_STATES = {
 }
 
 
+def side_a_factor(vec, m, n):
+    """a, up to scale, for a product ray vec = a (x) b: a nonzero column of
+    vec read as an m x n matrix."""
+    k = next(k for k in range(n) if any(not vec[i * n + k].is_zero() for i in range(m)))
+    return [vec[i * n + k] for i in range(m)]
+
+
+def cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def cauchy_binet_cases():
     """(state, side, certified) for the peel's Cauchy-Binet certificate: generic
     states it must certify, and states a hyperplane divides, which it must not."""

@@ -25,10 +25,10 @@ import detvar.variety as variety_mod
 from detvar.modp import RANK_PRIME, binary_minors_coprime, macaulay_full_rank
 from detvar.states import random_local_unitary, random_mixed
 from detvar.variety import verify_lu_covariance
-from test_golden import CASES, GOLDEN, rendered_report
-from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
+from oracles.modp import _minors_mod_p, dict_macaulay_full_rank
+from pinned import CASES, GOLDEN, rendered_report
 
-SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=400)
 
 
 def _plant(forms, w, point, coeff, p):

@@ -4,7 +4,6 @@ swap, the compiled generator system, and a variety's exact peel."""
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -28,12 +27,11 @@ from detvar.variety import (
     variety_generators,
     variety_of_state,
 )
-from test_multipoly_reference import pencil_minors
-from test_poly_kernels_reference import evaluate
+from oracles.polys import evaluate, pencil_minors
+from pinned import GOLDEN
 
 EC = ExactComplex
 F = Fraction
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def test_density_is_built_once_per_state(monkeypatch):
@@ -135,7 +133,7 @@ def test_compiled_system_equals_poly_evaluation(name):
     for raw in points:
         # the compiled form, like evaluation_scale, works on the point's
         # floating-point image; values are those of the float evaluation
-        # Poly.evaluate had (kept in test_poly_kernels_reference)
+        # Poly.evaluate had (kept in oracles.polys)
         pt = [x.to_complex() if isinstance(x, EC) else x for x in raw]
         assert cs.values_scales(raw) == cs.values_scales(pt)
         vals, scales = cs.values_scales(pt)

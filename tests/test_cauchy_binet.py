@@ -3,7 +3,7 @@
 ``modp.maximal_minors_mod_p`` evaluates the maximal minors of an integer
 matrix modulo p, from the matrix's residues; it must give the residues of
 multipoly's Laplace expansion (``minor_terms`` on constant entries, the
-copy kept in ``test_modp_reference``), in the same order.
+copy kept in ``oracles.modp``), in the same order.
 
 ``variety._cauchy_binet_certificate`` claims, with no minor expanded,
 that the maximal minors of an exact pencil with t > n share no factor: the
@@ -18,7 +18,6 @@ or the two planes of the 4x6 PPT state's side A) it must not.
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +38,11 @@ from detvar.variety import (
     _peel_linear_factors,
     variety_of_state,
 )
+from oracles.modp import INTEGERS, minor_terms
+from pinned import GOLDEN
 from shared_states import cauchy_binet_cases, factored_state, gaussian_integer_state
-from test_modp_reference import INTEGERS, minor_terms
 
 EC = ExactComplex
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 # -- the integer kernel ---------------------------------------------------------

@@ -3,12 +3,10 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+from pinned import DEMOS, ROOT
 
 
 def test_demos_present():

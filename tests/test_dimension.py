@@ -19,7 +19,6 @@ import itertools
 import json
 from fractions import Fraction
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,12 +50,13 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
-from test_line_miss_reference import misses_line
-from test_multipoly_reference import pencil_minors
+from oracles.modp import misses_line
+from oracles.polys import pencil_minors
+from pinned import GOLDEN
+from shared_states import cross, side_a_factor
 
 EC = ExactComplex
 F = Fraction
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 @pytest.fixture
@@ -115,17 +115,6 @@ def test_finite_plane_variety_is_certified(no_sampling, state, tag):
     assert rank == columns
 
 
-def _side_a_factor(vec, m, n):
-    """a, up to scale, for a product ray vec = a (x) b: a nonzero column of
-    vec read as an m x n matrix."""
-    k = next(k for k in range(n) if any(not vec[i * n + k].is_zero() for i in range(m)))
-    return [vec[i * n + k] for i in range(m)]
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 def test_a_line_through_v_at_infinity_is_rejected():
     # r = a_u x a_v annihilates a_u and a_v, so pencil columns u and v of
     # the separable state vanish there and r lies on V; a line whose
@@ -133,9 +122,9 @@ def test_a_line_through_v_at_infinity_is_rejected():
     st = random_separable(3, 4, 5, seed=3)
     v = variety_of_state(st)
     gens = v.essential_generators
-    a_u = _side_a_factor(st.ensemble[0][1], 3, 4)
-    a_v = _side_a_factor(st.ensemble[1][1], 3, 4)
-    r = _cross(a_u, a_v)
+    a_u = side_a_factor(st.ensemble[0][1], 3, 4)
+    a_v = side_a_factor(st.ensemble[1][1], 3, 4)
+    r = cross(a_u, a_v)
     assert membership(v, r)
     constant_gcd = 0
     for k in range(6):

@@ -18,7 +18,7 @@ from detvar.multipoly import Poly
 from detvar.report import analyze_state
 from detvar.states import BipartiteState, random_local_unitary, random_mixed
 from detvar.variety import variety_of_state, verify_lu_covariance
-from test_demos import DEMOS
+from pinned import DEMOS
 
 
 @pytest.fixture

@@ -166,7 +166,7 @@ _gaussian_rationals = st.builds(
     st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 30))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(cofactor=st.lists(_gaussian_rationals, min_size=1, max_size=6)
        .filter(lambda c: not c[-1].is_zero()),
        root=_gaussian_rationals)

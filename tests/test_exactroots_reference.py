@@ -371,7 +371,7 @@ def gaussian_rational_roots(f: ECPoly) -> List[Tuple[ExactComplex, int]]:
 # Differential tests
 # ---------------------------------------------------------------------------
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=60)
 
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 gaussians = st.builds(ExactComplex, rationals, rationals)

@@ -4,7 +4,7 @@ factor list of one form built on it (``linear_factorization``).
 An affine polynomial is factored through its homogenization, which has a
 Q(i)-linear factor exactly when the polynomial has one.  The factor lists
 are checked field by field against the exact factor engine the peel
-replaced (``reference_factor_engine``, kept verbatim), on random products
+replaced (``oracles.peel``, kept verbatim), on random products
 of forms within that engine's shapes.
 """
 
@@ -18,7 +18,9 @@ from detvar import factorization as factorization_mod
 from detvar.factorization import _random_exact_point, linear_factorization, linear_factors
 from detvar.multipoly import LinearForm, Poly
 from detvar.scalars import ExactComplex
-from reference_factor_engine import linear_factorization as engine_factorization
+from oracles.peel import linear_factorization as engine_factorization
+from oracles.polys import homogenize
+from shared_states import cross
 
 EC = ExactComplex
 F = Fraction
@@ -26,12 +28,6 @@ F = Fraction
 
 def three_vars():
     return (Poly.variable(i, 3) for i in range(3))
-
-
-def homogenize(p):
-    """The homogenization of a polynomial in two variables, in three."""
-    d = p.degree()
-    return Poly(3, {(e[0], e[1], d - e[0] - e[1]): c for e, c in p.terms.items()})
 
 
 def fermat_like():
@@ -188,10 +184,6 @@ def test_factor_list_matches_the_engine_field_by_field():
 
 # -- the stop rule --------------------------------------------------------------
 
-def _cross(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
 @pytest.mark.parametrize("count", [1, 2])
 def test_a_fruitless_line_does_not_end_the_peel(count):
     # l1 and l2 meet at the base of the peel's first line, so both
@@ -199,7 +191,7 @@ def test_a_fruitless_line_does_not_end_the_peel(count):
     # the root still says that something may divide, so the peel must
     # draw another line rather than stop
     base = _random_exact_point(random.Random(20211), 3)
-    l1, l2 = (LinearForm(_cross(base, [EC(1), EC(k), EC(0, k)])) for k in (2, -3))
+    l1, l2 = (LinearForm(cross(base, [EC(1), EC(k), EC(0, k)])) for k in (2, -3))
     assert l1.evaluate(base).is_zero() and l2.evaluate(base).is_zero()
     x, y, z = three_vars()
     quadrics = [x * x + (y * z).scale(EC(3, 1)) - z * z, y * y - (x * z).scale(2) + x * y]

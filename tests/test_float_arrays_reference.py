@@ -1,16 +1,14 @@
 """The float matrix pathway against the code it replaced.
 
 Float densities, local unitaries and eigenvectors were once
-``linalg.Matrix`` objects of kind "approx", a tuple of python complex
-walked by python loops.  This file keeps, verbatim, that float Matrix
-(``ApproxMatrix``: the constructor from an array, indexing, product and
-conjugate transpose), the ``kron``, ``partial_trace`` and
-``partial_transpose`` that ran on it, and the float path of
-``apply_local_unitary``.  The partial traces of a float density, now
-summed on complex arrays, must equal theirs in every bit, on 600 states of
-shapes up to 5x5.  A transformed ensemble or density agrees with theirs to
-1e-13 relative: numpy's matrix product sums in its own order, and only
-the covariance residuals read that product.
+``linalg.Matrix`` objects of kind "approx", kept in ``oracles.arrays``
+(``ApproxMatrix``) with the partial traces and transpose that ran on them.
+This file keeps, verbatim, their ``kron`` and the float path of
+``apply_local_unitary``.  The partial traces of a float density, now summed
+on complex arrays, must equal theirs in every bit, on 600 states of shapes
+up to 5x5.  A transformed ensemble or density agrees with theirs to 1e-13
+relative: numpy's matrix product sums in its own order, and only the
+covariance residuals read that product.
 """
 
 import random
@@ -27,56 +25,13 @@ from detvar.states import (
     random_mixed,
     random_separable,
 )
+from oracles.arrays import (ApproxMatrix, approx_partial_trace, approx_partial_transpose, bits,
+                            to_approx)
 
 
 # ---------------------------------------------------------------------------
 # The reference (the old code, verbatim)
 # ---------------------------------------------------------------------------
-
-class ApproxMatrix:
-    """A Matrix of kind "approx": python complex entries, row-major."""
-
-    def __init__(self, rows, cols, data):
-        self.rows, self.cols, self.data = rows, cols, tuple(data)
-
-    @staticmethod
-    def approx(array_like) -> "ApproxMatrix":
-        a = np.asarray(array_like, dtype=complex)
-        return ApproxMatrix(a.shape[0], a.shape[1], a.ravel().tolist())
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.data, dtype=complex).reshape(self.rows, self.cols)
-
-    def __matmul__(self, other: "ApproxMatrix") -> "ApproxMatrix":
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = 0j
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.data[k * other.cols + j]
-                out.append(acc)
-        return ApproxMatrix(self.rows, other.cols, out)
-
-    def conj_transpose(self) -> "ApproxMatrix":
-        out = [self[j, i].conjugate() for i in range(self.cols) for j in range(self.rows)]
-        return ApproxMatrix(self.cols, self.rows, out)
-
-
-def to_approx(x) -> ApproxMatrix:
-    """Matrix.to_approx of an exact matrix (an object array, once an exact
-    Matrix); Matrix.approx of a complex array."""
-    if x.dtype == object:
-        return ApproxMatrix(x.shape[0], x.shape[1], [z.to_complex() for z in x.ravel()])
-    return ApproxMatrix.approx(x)
-
 
 def kron(a: ApproxMatrix, b: ApproxMatrix) -> ApproxMatrix:
     rows, cols = a.rows * b.rows, a.cols * b.cols
@@ -87,38 +42,6 @@ def kron(a: ApproxMatrix, b: ApproxMatrix) -> ApproxMatrix:
             ja, jb = divmod(j, b.cols)
             out.append(a[ia, ja] * b[ib, jb])
     return ApproxMatrix(rows, cols, out)
-
-
-def partial_transpose(rho: ApproxMatrix, m: int, n: int) -> ApproxMatrix:
-    out = [None] * (m * n * m * n)
-    mn = m * n
-    for i in range(m):
-        for j in range(m):
-            for r in range(n):
-                for c in range(n):
-                    out[(i * n + r) * mn + (j * n + c)] = rho[j * n + r, i * n + c]
-    return ApproxMatrix(mn, mn, out)
-
-
-def partial_trace(rho: ApproxMatrix, m: int, n: int, side: str) -> ApproxMatrix:
-    zero = 0j
-    if side == "B":
-        out = []
-        for i in range(m):
-            for j in range(m):
-                acc = zero
-                for r in range(n):
-                    acc = acc + rho[i * n + r, j * n + r]
-                out.append(acc)
-        return ApproxMatrix(m, m, out)
-    if side == "A":
-        out = [zero] * (n * n)
-        for i in range(m):
-            for r in range(n):
-                for c in range(n):
-                    out[r * n + c] = out[r * n + c] + rho[i * n + r, i * n + c]
-        return ApproxMatrix(n, n, out)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
 def apply_local_unitary_float(s: BipartiteState, u: LocalUnitaryPair):
@@ -143,10 +66,6 @@ def apply_local_unitary_float(s: BipartiteState, u: LocalUnitaryPair):
 # Cases
 # ---------------------------------------------------------------------------
 
-def bits(a) -> list:
-    return [(float(z.real).hex(), float(z.imag).hex()) for z in np.ravel(a)]
-
-
 def float_states(count: int, seed: int):
     """Float states of every shape up to 5x5: ensembles, their swaps, and
     densities alone."""
@@ -162,15 +81,15 @@ def test_float_partial_traces_are_those_of_the_float_matrix():
     for s in float_states(600, seed=33):
         _, tr_b, tr_a = s._float_images()
         rho = to_approx(s.density_matrix())
-        assert bits(tr_b) == bits(partial_trace(rho, s.m, s.n, "B").to_numpy())
-        assert bits(tr_a) == bits(partial_trace(rho, s.m, s.n, "A").to_numpy())
+        assert bits(tr_b) == bits(approx_partial_trace(rho, s.m, s.n, "B").to_numpy())
+        assert bits(tr_a) == bits(approx_partial_trace(rho, s.m, s.n, "A").to_numpy())
 
 
 def test_float_partial_transpose_is_that_of_the_float_matrix():
     for s in float_states(100, seed=34):
         m, n = s.m, s.n
         got = s._float_images()[0].reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, -1)
-        want = partial_transpose(to_approx(s.density_matrix()), m, n).to_numpy()
+        want = approx_partial_transpose(to_approx(s.density_matrix()), m, n).to_numpy()
         assert bits(got) == bits(want)
 
 

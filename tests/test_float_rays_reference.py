@@ -5,9 +5,9 @@ every scalar), each ray was unit-scaled entry by entry in python
 (``unit_scaled``), once for the pencil and once more for the density, and
 the float pencil was a grid of tuples of python complex that
 ``PencilMatrix.floats`` turned back into an array.  This file keeps,
-verbatim, ``parse_scalar`` and ``parse_state`` as they were, ``unit_scaled``,
-the float branch of ``pencil_matrix`` with ``floats``, and the float branch
-of ``density_from_ensemble``.
+verbatim, ``parse_scalar`` and ``parse_state`` as they were, the float
+branch of ``pencil_matrix`` with ``floats``, and the float branch of
+``density_from_ensemble``; ``unit_scaled`` is kept in ``oracles.arrays``.
 
 On drawn float state files (rays with -0.0 parts, all-zero pencil
 entries, parts near 1e+-300, near the float maximum and subnormal), the
@@ -19,7 +19,6 @@ the same path and message, must be raised.
 """
 
 import cmath
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,8 +32,9 @@ from detvar.scalars import ExactComplex, from_fields
 from detvar.statefile import _PARTS, _finite, _rational, parse_state, parse_weight, render_scalar
 from detvar.states import BipartiteState, density_from_ensemble, random_mixed
 from detvar.variety import pencil_matrix
+from oracles.arrays import unit_scaled
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +138,6 @@ def reference_parse_state(data: dict) -> BipartiteState:
         return BipartiteState(m, n, density=mat, label=label)
     except (DetvarError, OverflowError) as exc:
         raise StateFileError("density", str(exc))
-
-
-def unit_scaled(v):
-    """The ray v as floats times 2**-e, e the binary exponent of its
-    largest real or imaginary part, which then lies in [1/2, 1).  Scaling
-    by a power of two is exact, so every ratio built from the ray keeps
-    its bits, while its products (minors, outer products, norms) no
-    longer underflow or overflow."""
-    zs = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in v]
-    e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in zs))[1]
-    return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in zs]
 
 
 def reference_pencil(s, side="A"):

@@ -56,58 +56,11 @@ When a change is meant to move a report, rewrite the pinned files with
 and say in the change which reports moved and why.
 """
 
-import contextlib
-import io
-import json
 import sys
-from pathlib import Path
 
 import pytest
 
-from detvar.cli import main
-from detvar.report import render_json
-
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-
-CASES = {
-    "example2_t3w": ["repro", "example2", "--t=3w"],
-    "example1": ["repro", "example1"],
-    "example1_4x3": ["repro", "example1", "--m", "4", "--n", "3"],
-    "example3": ["repro", "example3"],
-    "gaussian_3x4_r4": ["analyze", str(GOLDEN / "gaussian_3x4_r4.state.json"), "--seed", "42"],
-    "finite_v_3x3_r4": ["analyze", str(GOLDEN / "finite_v_3x3_r4.state.json"), "--seed", "42"],
-    "separable_3x4_t5": ["analyze", str(GOLDEN / "separable_3x4_t5.state.json"),
-                         "--seed", "42"],
-    "separable_3x3_t5": ["analyze", str(GOLDEN / "separable_3x3_t5.state.json"),
-                         "--seed", "42"],
-    "ppt_4x6_rank7": ["analyze", str(GOLDEN / "ppt_4x6_rank7.state.json"), "--seed", "42"],
-    "gaussian_4x4_r5": ["analyze", str(GOLDEN / "gaussian_4x4_r5.state.json"), "--seed", "42"],
-    "separable_4x4_t6": ["analyze", str(GOLDEN / "separable_4x4_t6.state.json"),
-                         "--seed", "42"],
-    "mixed_3x3_r3": ["analyze", str(GOLDEN / "mixed_3x3_r3.state.json"), "--seed", "42"],
-    "gaussian_4x4_r7": ["analyze", str(GOLDEN / "gaussian_4x4_r7.state.json"), "--seed", "42"],
-    "mixed_3x4_r5": ["analyze", str(GOLDEN / "mixed_3x4_r5.state.json"), "--seed", "42"],
-    "mixed_4x4_r5": ["analyze", str(GOLDEN / "mixed_4x4_r5.state.json"), "--seed", "42"],
-    "mixed_density_4x4_r5": ["analyze", str(GOLDEN / "mixed_density_4x4_r5.state.json"),
-                             "--seed", "42"],
-    "separable_3x3_t3": ["analyze", str(GOLDEN / "separable_3x3_t3.state.json"),
-                         "--seed", "42"],
-    "line_times_conic_3x3": ["analyze", str(GOLDEN / "line_times_conic_3x3.state.json"),
-                             "--seed", "42"],
-    "separable_4x4_t4": ["analyze", str(GOLDEN / "separable_4x4_t4.state.json"),
-                         "--seed", "42"],
-    "gaussian_4x4_r4": ["analyze", str(GOLDEN / "gaussian_4x4_r4.state.json"), "--seed", "42"],
-}
-
-
-def rendered_report(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    assert code == 0, out.getvalue()
-    report = json.loads(out.getvalue())
-    del report["runtime_seconds"]
-    return render_json(report)
+from pinned import CASES, GOLDEN, rendered_report
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

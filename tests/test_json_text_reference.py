@@ -20,7 +20,7 @@ from detvar.report import render_json
 from detvar.statefile import json_text, load_state, save_state
 from detvar.states import random_mixed
 
-SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=400)
 
 
 def reference(obj) -> str:

@@ -1,20 +1,20 @@
 """Minors and determinants against the Laplace expansion on Poly entries.
 
-This file keeps, verbatim, the ``_laplace`` that ``detvar.multipoly`` ran
-on ``Poly`` entries, with ExactComplex or complex coefficients, before the
-expansion moved to raw term dicts: exact entries on Gaussian integers,
-each row cleared of its denominators, approximate ones on complex numbers.
-Every minor and determinant, of any size and either kind, must come out
-identical: equal polynomials, the same term order (``CompiledSystem`` sums
-in it) and bit-equal floats.  The cases stress the per-row clearing: rows
-over different primes (one inside a single entry), zero entries, all-zero
-rows, k = 1 minors and 1 x 1 determinants.
+The reference (``laplace_minors`` of ``oracles.polys``) is the ``_laplace``
+that ``detvar.multipoly`` ran on ``Poly`` entries, with ExactComplex or
+complex coefficients, before the expansion moved to raw term dicts: exact
+entries on Gaussian integers, each row cleared of its denominators,
+approximate ones on complex numbers.  Every minor and determinant, of any
+size and either kind, must come out identical: equal polynomials, the same
+term order (``CompiledSystem`` sums in it) and bit-equal floats.  The
+cases stress the per-row clearing: rows over different primes (one inside
+a single entry), zero entries, all-zero rows, k = 1 minors and 1 x 1
+determinants.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import List
 
 import pytest
 
@@ -22,73 +22,16 @@ from detvar import catalog, multipoly, states
 from detvar.multipoly import Poly
 from detvar.scalars import ExactComplex
 from detvar.variety import pencil_matrix
+from oracles.polys import assert_identical, entry_polys, laplace_minors, laplace_symbolic_det
 from shared_states import gaussian_rational_state
-from test_multipoly_reference import entry_polys
 
 EC = ExactComplex
 F = Fraction
 
 
-# ---------------------------------------------------------------------------
-# The reference (the Poly-level expansion, verbatim)
-# ---------------------------------------------------------------------------
-
-def _laplace(rows: List[List[Poly]], rs: Tuple[int, ...], cs: Tuple[int, ...],
-             memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly]) -> Poly:
-    if len(cs) == 1:
-        return rows[rs[0]][cs[0]]
-    key = (rs, cs)
-    det = memo.get(key)
-    if det is not None:
-        return det
-    top = rows[rs[0]]
-    det = Poly.zero(top[cs[0]].nvars, top[cs[0]].kind)
-    for j, c in enumerate(cs):
-        if top[c].is_zero():
-            continue
-        term = top[c] * _laplace(rows, rs[1:], cs[:j] + cs[j + 1:], memo)
-        det = det + term if j % 2 == 0 else det - term
-    memo[key] = det
-    return det
-
-
-def symbolic_det(rows: List[List[Poly]]) -> Poly:
-    n = len(rows)
-    return _laplace(rows, tuple(range(n)), tuple(range(n)), {})
-
-
-def minors(rows: List[List[Poly]], k: int) -> List[Poly]:
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
-    return [_laplace(rows, rsub, csub, memo)
-            for rsub in combinations(range(nr), k)
-            for csub in combinations(range(nc), k)]
-
-
-# ---------------------------------------------------------------------------
-# Comparisons
-# ---------------------------------------------------------------------------
-
-def coeff_bits(c):
-    """An exact coefficient's canonical ints, or a float one's bits."""
-    if isinstance(c, ExactComplex):
-        return c.fields
-    return (c.real.hex(), c.imag.hex())
-
-
-def assert_identical(got: Poly, ref: Poly):
-    """Equal, with the same terms in the same order and bit-equal floats."""
-    assert (got.nvars, got.kind) == (ref.nvars, ref.kind)
-    assert got == ref
-    assert list(got.terms) == list(ref.terms)
-    assert [coeff_bits(c) for c in got.terms.values()] \
-        == [coeff_bits(c) for c in ref.terms.values()]
-
-
 def assert_all_minors_identical(rows: List[List[Poly]]):
     for k in range(1, min(len(rows), len(rows[0])) + 1):
-        got, ref = multipoly.minors(rows, k), minors(rows, k)
+        got, ref = multipoly.minors(rows, k), laplace_minors(rows, k)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_identical(g, r)
@@ -115,7 +58,7 @@ def test_pencil_minors_match_reference(name):
         if p.t < p.n:
             continue
         rows = entry_polys(p)
-        got, ref = multipoly.minors(rows, p.n), minors(rows, p.n)
+        got, ref = multipoly.minors(rows, p.n), laplace_minors(rows, p.n)
         assert len(got) == len(ref)
         for g, r in zip(got, ref):
             assert_identical(g, r)
@@ -145,7 +88,7 @@ def test_random_matrix_minors_match_reference(kind):
         assert_all_minors_identical(rows)
     for n in (1, 5, 7):
         rows = [[random_entry(rng, 2, kind) for _ in range(n)] for _ in range(n)]
-        assert_identical(multipoly.symbolic_det(rows), symbolic_det(rows))
+        assert_identical(multipoly.symbolic_det(rows), laplace_symbolic_det(rows))
 
 
 def _x(i: int, c, nvars: int = 3) -> Poly:
@@ -187,5 +130,5 @@ def test_one_by_one_determinants_match_reference():
                   _x(0, F(1, 9)) + Poly.const(3, EC(F(2, 5), 1)),
                   _x(2, F(1, 3)).to_approx()):
         got = multipoly.symbolic_det([[entry]])
-        assert_identical(got, symbolic_det([[entry]]))
+        assert_identical(got, laplace_symbolic_det([[entry]]))
         assert_identical(got, entry)

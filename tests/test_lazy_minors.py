@@ -38,8 +38,8 @@ from detvar.states import (
 )
 from detvar.variety import PencilMatrix, linearity_decide, variety_of_state
 from shared_states import float_copy, gaussian_integer_state
-from test_golden import CASES, GOLDEN, rendered_report
-from test_multipoly_reference import pencil_minors
+from oracles.polys import pencil_minors
+from pinned import CASES, GOLDEN, rendered_report
 
 EC = ExactComplex
 F = Fraction

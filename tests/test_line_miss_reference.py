@@ -5,8 +5,8 @@ and decides that the maximal minors of that binary pencil have no common
 zero (modp.binary_minors_coprime, a gcd of the interpolated minors), which
 is what the Macaulay rank modulo p in degree 2n - 1 decides.  Here each
 exact line through base and direction becomes the binary pencil
-(L(base), L(direction)) modulo p, and ``misses_line`` below, the exact
-test on the expanded minors over Q(i), is the reference.  A modular
+(L(base), L(direction)) modulo p, and ``misses_line`` (``oracles.modp``),
+the exact test on the expanded minors over Q(i), is the reference.  A modular
 "miss" must always be an exact miss, whatever the prime: at the pencil's
 own prime the two must agree on every line drawn here, and at the small
 primes 13 and 17, where unlucky reductions are common, a modular miss must
@@ -28,7 +28,7 @@ import random
 import numpy as np
 import pytest
 
-from detvar.factorization import _line_gcd, _random_exact_point
+from detvar.factorization import _random_exact_point
 from detvar.modp import binary_minors_coprime, macaulay_full_rank, reduce_scalar
 from detvar.multipoly import restrict_to_line
 from detvar.states import random_separable
@@ -37,22 +37,8 @@ from detvar.variety import (
     membership,
     variety_of_state,
 )
-from shared_states import gaussian_small_denominators_state
-from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
-
-
-def misses_line(gens, base, direction) -> bool:
-    """True iff the exact homogeneous generators have no common zero on the
-    projective line through base and direction.
-
-    The affine points base + s*direction are missed when the gcd of the
-    restrictions s -> g(base + s*direction) is a nonzero constant; the
-    point at infinity, direction itself, is missed when some restriction
-    keeps full degree (its top coefficient is g(direction)).  This is the
-    exact test on symbolic minors.
-    """
-    common, full_degree = _line_gcd(gens, base, direction)
-    return len(common) == 1 and full_degree
+from oracles.modp import _minors_mod_p, dict_macaulay_full_rank, misses_line
+from shared_states import cross, gaussian_small_denominators_state, side_a_factor
 
 
 def line_pencil(forms, base, direction, p):
@@ -78,16 +64,6 @@ def binary_miss(v, forms, base, direction, p) -> bool:
     return miss
 
 
-def _side_a_factor(vec, m, n):
-    """a, up to scale, for a product ray vec = a (x) b."""
-    k = next(k for k in range(n) if any(not vec[i * n + k].is_zero() for i in range(m)))
-    return [vec[i * n + k] for i in range(m)]
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
 SHAPES = [(3, 3, 4), (3, 3, 5), (3, 4, 5), (3, 4, 6)]
 
 
@@ -108,16 +84,16 @@ def _pencil_lines():
     # plane a_1 . r = 0, where every minor through column 1 vanishes
     for seed in (1, 6):
         st = random_separable(3, 3, 4, seed=seed)
-        a = [_side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
-        r = _cross(a[0], a[1])
+        a = [side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
+        r = cross(a[0], a[1])
         rng = random.Random(f"special:{seed}")
         lines = []
         for _ in range(4):
             q = tuple(_random_exact_point(rng, 3))
             lines += [(r, q), (q, r)]
         for _ in range(4):
-            p = _cross(a[0], _random_exact_point(rng, 3))
-            q = _cross(a[0], _random_exact_point(rng, 3))
+            p = cross(a[0], _random_exact_point(rng, 3))
+            q = cross(a[0], _random_exact_point(rng, 3))
             lines.append((p, q))
         cases.append((f"special separable 3x3 t4 #{seed}", st, lines))
     return cases
@@ -163,8 +139,8 @@ def test_a_direction_on_v_is_caught_by_the_full_degree_condition():
     # the affine part alone would call such a line missed
     st = random_separable(3, 3, 4, seed=1)
     v = variety_of_state(st)
-    a = [_side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
-    r = _cross(a[0], a[1])
+    a = [side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
+    r = cross(a[0], a[1])
     assert membership(v, r)
     p, forms = v.pencil.mod_p()
     rng = random.Random(5)

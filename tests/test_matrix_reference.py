@@ -2,12 +2,12 @@
 
 Exact matrices were once ``linalg.Matrix``, a tuple of ``ExactComplex``
 with its own product, Kronecker product, conjugate transpose, trace and
-partial operations.  This file keeps, verbatim, that ``Matrix``, ``kron``,
-``det_exact``, ``rank_exact``, ``block``, ``partial_transpose`` and
-``partial_trace`` (with ``_check_bipartite``).  The one edit: ``block``
-imported ``IndexOutOfRange`` from ``detvar.errors``, which no longer has
-it, so the class is defined here.  Other reference modules build their
-exact oracles on this ``Matrix``.
+partial operations.  That ``Matrix``, with ``partial_transpose`` and
+``partial_trace`` (and ``_check_bipartite``), is kept in ``oracles.arrays``,
+where other reference modules build their exact oracles on it.  This file
+keeps, verbatim, its ``kron``, ``det_exact``, ``rank_exact`` and ``block``.
+The one edit: ``block`` imported ``IndexOutOfRange`` from ``detvar.errors``,
+which no longer has it, so the class is defined here.
 
 The read-only object arrays that replace it must agree with it field for
 field (every entry the same canonical ``(a, b, d)``): on the catalog
@@ -22,7 +22,6 @@ products, conjugate transposes, traces, partial traces and transposes,
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -33,6 +32,8 @@ from detvar import catalog, linalg
 from detvar.errors import DetvarError, DimensionMismatch, NonSquare
 from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
 from detvar.states import BipartiteState, LocalUnitaryPair, apply_local_unitary
+from oracles.arrays import (Matrix, _check_bipartite, bits, partial_trace, partial_transpose,
+                            to_matrix)
 
 EC = ExactComplex
 
@@ -44,121 +45,6 @@ class IndexOutOfRange(DetvarError):
 # ---------------------------------------------------------------------------
 # The reference (the old code, verbatim)
 # ---------------------------------------------------------------------------
-
-class Matrix:
-    """Immutable dense matrix of ExactComplex entries, row-major."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: Sequence):
-        if len(data) != rows * cols:
-            raise DimensionMismatch(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        # the default slot-state restore would call the raising __setattr__
-        return (Matrix, (self.rows, self.cols, self.data))
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def exact(rows_of_entries) -> "Matrix":
-        """Build a matrix from a list of rows; entries are coerced."""
-        r = len(rows_of_entries)
-        c = len(rows_of_entries[0]) if r else 0
-        flat = []
-        for row in rows_of_entries:
-            if len(row) != c:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(ExactComplex.coerce(x) for x in row)
-        return Matrix(r, c, flat)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [EC_ZERO] * (rows * cols))
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [EC_ONE if i == j else EC_ZERO for i in range(n) for j in range(n)])
-
-    # -- access ----------------------------------------------------------
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.data[i * self.cols:(i + 1) * self.cols]
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.rows, self.cols
-
-    def to_numpy(self) -> np.ndarray:
-        """The entries rounded to a complex array, each one correctly."""
-        return np.array([z.to_complex() for z in self.data],
-                        dtype=complex).reshape(self.rows, self.cols)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
-
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, [x * c for x in self.data])
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = EC_ZERO
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other.data[k * other.cols + j]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, out)
-
-    def conj_transpose(self) -> "Matrix":
-        out = [self[j, i].conjugate() for i in range(self.cols) for j in range(self.rows)]
-        return Matrix(self.cols, self.rows, out)
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise NonSquare("trace of non-square matrix")
-        acc = EC_ZERO
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
-
-    def _check_same_shape(self, other: "Matrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; follows the row-major bipartite basis convention."""
@@ -225,17 +111,6 @@ def rank_exact(m: Matrix) -> int:
     return rank
 
 
-# ---------------------------------------------------------------------------
-# Bipartite block operations
-# ---------------------------------------------------------------------------
-
-def _check_bipartite(rho: Matrix, m: int, n: int):
-    if rho.rows != m * n or rho.cols != m * n:
-        raise DimensionMismatch(
-            f"expected {m * n}x{m * n} matrix for an {m}x{n} system, got {rho.rows}x{rho.cols}"
-        )
-
-
 def block(rho: Matrix, m: int, n: int, i: int, j: int) -> Matrix:
     """The n x n block rho_ij (1-based subsystem-A indices i, j)."""
     _check_bipartite(rho, m, n)
@@ -246,62 +121,14 @@ def block(rho: Matrix, m: int, n: int, i: int, j: int) -> Matrix:
     return Matrix(n, n, out)
 
 
-def partial_transpose(rho: Matrix, m: int, n: int) -> Matrix:
-    """Transpose on subsystem A: the blocked view (rho_ij) becomes (rho_ji)."""
-    _check_bipartite(rho, m, n)
-    out = [None] * (m * n * m * n)
-    mn = m * n
-    for i in range(m):
-        for j in range(m):
-            for r in range(n):
-                for c in range(n):
-                    out[(i * n + r) * mn + (j * n + c)] = rho[j * n + r, i * n + c]
-    return Matrix(mn, mn, out)
-
-
-def partial_trace(rho: Matrix, m: int, n: int, side: str) -> Matrix:
-    """Trace out one subsystem, exactly.
-
-    side="B": m x m matrix with entries trace(rho_ij).
-    side="A": n x n sum of the diagonal blocks rho_ii.
-    """
-    _check_bipartite(rho, m, n)
-    if side == "B":
-        out = []
-        for i in range(m):
-            for j in range(m):
-                acc = EC_ZERO
-                for r in range(n):
-                    acc = acc + rho[i * n + r, j * n + r]
-                out.append(acc)
-        return Matrix(m, m, out)
-    if side == "A":
-        out = [EC_ZERO] * (n * n)
-        for i in range(m):
-            for r in range(n):
-                for c in range(n):
-                    out[r * n + c] = out[r * n + c] + rho[i * n + r, i * n + c]
-        return Matrix(n, n, out)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-
-
 # ---------------------------------------------------------------------------
 # Between the two containers
 # ---------------------------------------------------------------------------
-
-def to_matrix(a: np.ndarray) -> Matrix:
-    """The reference Matrix of an exact (object) array."""
-    return Matrix(a.shape[0], a.shape[1], a.ravel().tolist())
-
 
 def assert_same(got: np.ndarray, want: Matrix):
     """got, an exact array, is want field for field."""
     assert got.dtype == object and got.shape == want.shape
     assert [x.fields for x in got.ravel()] == [x.fields for x in want.data]
-
-
-def bits(a) -> list:
-    return [(float(z.real).hex(), float(z.imag).hex()) for z in np.ravel(a)]
 
 
 def reference_density(s: BipartiteState) -> Matrix:
@@ -389,7 +216,7 @@ def test_catalog_exact_local_unitary_matches_the_matrix(name):
 # Drawn exact matrices
 # ---------------------------------------------------------------------------
 
-SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=100)
 
 _ENTRIES = st.one_of(st.just(EC(0)), st.builds(
     lambda a, b, d: EC(Fraction(a, d), Fraction(b, d)),

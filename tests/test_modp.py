@@ -6,7 +6,7 @@ short of full is not.  Reduction is pinned on Gaussian rationals (a
 denominator divisible by p is refused, and the certificate moves to the
 next prime) and on floats, which reduce exactly as dyadic rationals.  The
 Macaulay degrees of monomial ideals are pinned on the dict path kept in
-``test_modp_reference``, and the test on values at lattice points on
+``oracles.modp``, and the test on values at lattice points on
 pencils whose minors are those ideals.
 """
 
@@ -36,8 +36,8 @@ from detvar.variety import (
     pencil_matrix,
     variety_of_state,
 )
-from test_modp_reference import _minors_mod_p, monomial
-from test_modp_reference import dict_macaulay_full_rank as dict_full_rank
+from oracles.modp import _minors_mod_p, monomial
+from oracles.modp import dict_macaulay_full_rank as dict_full_rank
 
 EC = ExactComplex
 P = RANK_PRIME

@@ -1,21 +1,17 @@
 """Minors modulo a prime against the expansions modp used to keep.
 
-This file keeps, verbatim, the symbolic mod-p path that ``detvar`` ran
-before every modular test read minor values at points:
-``variety._minors_mod_p`` (multipoly's Laplace expansion on the integers,
-``INTEGERS`` and ``minor_terms``, over monomials packed as ``monomial``
-packs them, each minor reduced modulo p once) and the dict-based
-``macaulay_matrix`` and ``macaulay_full_rank`` of ``modp``.  It also keeps
-the ``maximal_minors`` that ``modp`` ran before that: a memoized expansion
-along the first row with a reduction modulo p after every minor.  The two
-expansions must agree as dicts {packed monomial: residue in [0, p)}, in
-the same column-subset order, and ``modp.minor_values`` must read their
-values at points, on every pencil the test sees: exact and float pencils,
-pencils restricted to a hyperplane, zero entries, all-zero rows, n = 1
-and n = t.  Each case runs at two primes: ``RANK_PRIME``, where every
-product already leaves [0, p), and 13, where coefficients of the integer
-minors vanish modulo p though not over Z, so a missing final reduction
-shows as a stray term.
+The symbolic mod-p path that ``detvar`` ran before every modular test read
+minor values at points is ``_minors_mod_p`` and ``dict_macaulay_full_rank``
+of ``oracles.modp``.  This file keeps, verbatim, the ``maximal_minors``
+that ``modp`` ran before that: a memoized expansion along the first row
+with a reduction modulo p after every minor.  The two expansions must agree
+as dicts {packed monomial: residue in [0, p)}, in the same column-subset
+order, and ``modp.minor_values`` must read their values at points, on every
+pencil the test sees: exact and float pencils, pencils restricted to a
+hyperplane, zero entries, all-zero rows, n = 1 and n = t.  Each case runs
+at two primes: ``RANK_PRIME``, where every product already leaves [0, p),
+and 13, where coefficients of the integer minors vanish modulo p though not
+over Z, so a missing final reduction shows as a stray term.
 
 ``modp.macaulay_full_rank`` reads the Macaulay matrix M at the lattice
 points Q_D of degree D, as M E.  It must decide as the dict path does: on
@@ -52,14 +48,12 @@ say True wherever the old certificate did; on the certificate's own
 cases the two agree.
 """
 
-import operator
 import random
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 from operator import mul
-from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -80,7 +74,6 @@ from detvar.modp import (
     reduce_scalar,
     restrict_mod_p,
 )
-from detvar.multipoly import Terms, _laplace
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
 from detvar.variety import (
@@ -92,91 +85,12 @@ from detvar.variety import (
     pencil_matrix,
     variety_of_state,
 )
+from oracles.modp import EXP_BITS, ModPoly, _minors_mod_p, dict_macaulay_full_rank
+from pinned import GOLDEN
 from shared_states import cauchy_binet_cases, gaussian_small_denominators_state
 
 EC = ExactComplex
 PRIMES = [RANK_PRIME, 13]
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-
-
-# ---------------------------------------------------------------------------
-# The references (the symbolic mod-p path of modp, multipoly and variety,
-# verbatim)
-# ---------------------------------------------------------------------------
-
-# A form modulo p is a dict from monomials to residues in [0, p).  A
-# monomial x^e is the int sum_i e_i << (EXP_BITS * i), so multiplying
-# monomials is adding ints.
-EXP_BITS = 8
-ModPoly = Dict[int, int]
-
-
-def monomial(exps: Sequence[int]) -> int:
-    """The packed monomial of an exponent vector (each exponent < 256)."""
-    return sum(e << (EXP_BITS * i) for i, e in enumerate(exps))
-
-
-def monomial_degree(mono: int) -> int:
-    total = 0
-    while mono:
-        total += mono & ((1 << EXP_BITS) - 1)
-        mono >>= EXP_BITS
-    return total
-
-
-INTEGERS = (operator.mul, operator.add, operator.sub, operator.neg, 0)
-
-
-def minor_terms(entries: List[List[Terms]], k: int, ring
-                ) -> Iterator[Tuple[Tuple[int, ...], Terms]]:
-    """(rows, terms) of every k x k minor of a matrix of raw term dicts
-    with coefficients in `ring` (see ``_laplace``), in lexicographic
-    row-subset then column-subset order, all from one memo."""
-    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Terms] = {}
-    for rsub in combinations(range(len(entries)), k):
-        for csub in combinations(range(len(entries[0])), k):
-            yield rsub, _laplace(entries, rsub, csub, memo, ring)
-
-
-def _minors_mod_p(forms: List[List[List[int]]], p: int) -> List[ModPoly]:
-    """The n x n minors modulo p of a reduced pencil (each entry its
-    coefficient vector), in lexicographic column-subset order: multipoly's
-    Laplace expansion on the integers, over monomials packed as modp packs
-    them, each minor reduced modulo p once."""
-    units = [1 << (EXP_BITS * i) for i in range(len(forms[0][0]))]
-    entries = [[{u: a for u, a in zip(units, c) if a} for c in row] for row in forms]
-    return [{e: x % p for e, x in terms.items() if x % p}
-            for _, terms in minor_terms(entries, len(forms), INTEGERS)]
-
-
-def macaulay_matrix(gens: Sequence[ModPoly], nvars: int, degree: int) -> List[List[int]]:
-    """The degree-`degree` Macaulay matrix of homogeneous forms in nvars
-    variables: a row x^a * g for every form g and monomial x^a of degree
-    `degree` - deg g, a column for every monomial of degree `degree`."""
-
-    def monomials(d: int) -> List[int]:
-        return [sum(1 << (EXP_BITS * i) for i in combo)
-                for combo in combinations_with_replacement(range(nvars), d)]
-
-    column = {e: j for j, e in enumerate(monomials(degree))}
-    rows = []
-    for g in gens:
-        if not g or monomial_degree(next(iter(g))) > degree:
-            continue
-        for a in monomials(degree - monomial_degree(next(iter(g)))):
-            row = [0] * len(column)
-            for e, v in g.items():
-                row[column[a + e]] = v
-            rows.append(row)
-    return rows
-
-
-def dict_macaulay_full_rank(gens: Sequence[ModPoly], nvars: int, degree: int, p: int) -> bool:
-    """True when the Macaulay matrix has full column rank modulo p, which
-    proves the forms have no common projective zero over Q(i)-bar."""
-    rows = macaulay_matrix(gens, nvars, degree)
-    ncols = len(rows[0]) if rows else 0
-    return len(rows) >= ncols > 0 and rank_mod_p(rows, p) == ncols
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +484,7 @@ def reduced_pencils(draw):
     return forms, n, p, kind
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(reduced_pencils())
 def test_macaulay_on_values_decides_as_the_dict_matrix(case):
     forms, n, p, kind = case
@@ -660,7 +574,7 @@ def residue_pencils(draw):
     return forms, points, grid, p
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(residue_pencils())
 def test_array_kernel_matches_the_list_kernel_at_worst_case_residues(case):
     forms, points, grid, p = case

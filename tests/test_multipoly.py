@@ -26,7 +26,7 @@ from detvar.multipoly import (
 )
 from detvar.scalars import DEFAULT_TOL, ExactComplex
 from detvar.variety import sample_points, tangent_form, variety_of_state
-from test_poly_kernels_reference import evaluate  # the float evaluation Poly.evaluate had
+from oracles.polys import evaluate  # the float evaluation Poly.evaluate had
 
 EC = ExactComplex
 

@@ -13,7 +13,6 @@ expanded minor:
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +31,9 @@ from detvar.states import (
     random_separable,
 )
 from detvar.variety import membership, variety_of_state, verify_lu_covariance
+from pinned import GOLDEN
+from shared_states import cross
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 STATES = sorted(GOLDEN.glob("*.state.json"))
 EC = ExactComplex
 
@@ -71,10 +71,6 @@ def test_covariance_compiles_no_system(monkeypatch):
     assert res and res.checked > 0
 
 
-def _cross(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
 def _points_on_and_off(v, rng):
     """25 exact points on V and 25 random exact points.  The state is
     separable, so pencil column l is (a_l . r) b_l, and rank N(r) < 3
@@ -84,7 +80,7 @@ def _points_on_and_off(v, rng):
     for l in range(v.pencil.t):
         columns.append(next(row[l] for row in v.pencil.coeffs.tolist()
                             if any(not c.is_zero() for c in row[l])))
-    crosses = [_cross(columns[i], columns[j])
+    crosses = [cross(columns[i], columns[j])
                for i in range(len(columns)) for j in range(i + 1, len(columns))]
 
     def scaled(point):

@@ -10,7 +10,7 @@ order included; where it finds none, so must the exact peel.
 
 ``reference_small_peel`` is the former m <= 3 branch, kept verbatim: it
 factors the generator with the fewest terms with the exact factor engine
-(``reference_factor_engine``, the engine itself kept verbatim) and divides
+(``oracles.peel``, the engine itself kept verbatim) and divides
 each factor out of every generator.  Its factor list is complete, so the
 line peel must find the same multiset of forms (in any order) and
 identical quotients.
@@ -25,7 +25,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +36,11 @@ from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.states import random_separable
 from detvar.statefile import load_state
 from detvar.variety import _LINE_MISSES, _peel_linear_factors, project_normalize, variety_of_state
-from reference_factor_engine import UnsupportedShape, linear_factorization
+from oracles.peel import UnsupportedShape, linear_factorization
+from pinned import GOLDEN
 from shared_states import factored_state, shared_direction_state
 
 EC = ExactComplex
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 def _rationalize_point(z: complex, max_den: int = 10000):

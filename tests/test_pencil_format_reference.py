@@ -17,7 +17,6 @@ float pencils, side B, pencils with all-zero entries and pencils with
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +31,10 @@ from detvar.scalars import EC_ZERO, ExactComplex
 from detvar.statefile import load_state
 from detvar.states import BipartiteState, random_mixed
 from detvar.variety import membership, pencil_matrix, variety_of_state
-from test_float_rays_reference import unit_scaled
-from test_multipoly_reference import entry_polys
+from oracles.arrays import unit_scaled
+from oracles.polys import entry_polys
+from pinned import GOLDEN
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 EC = ExactComplex
 
 

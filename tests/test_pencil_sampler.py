@@ -42,7 +42,7 @@ from detvar.variety import (
     sample_points,
     variety_of_state,
 )
-from test_multipoly_reference import pencil_minors, restrict_to_line
+from oracles.polys import pencil_minors, restrict_to_line
 
 # univariate_roots accepts a relative residual of abs_eps; at the default
 # 1e-9 that admits a root up to about 4e-8 off, so the reference roots are

@@ -1,8 +1,9 @@
 """Exact division and exact evaluation against the code they replaced.
 
 This file keeps, verbatim, ``Poly.exact_div`` from before it took the
-leading remainder term off a heap, and ``Poly.evaluate`` from before its
-exact branch worked on Gaussian integers over one common denominator.  On
+leading remainder term off a heap; ``oracles.polys`` keeps ``Poly.evaluate``
+from before its exact branch worked on Gaussian integers over one common
+denominator.  On
 every input both must agree:
 
 * a division must give an identical quotient (equal terms, inserted in
@@ -11,7 +12,7 @@ every input both must agree:
 """
 
 from fractions import Fraction
-from typing import Dict, Sequence
+from typing import Dict
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 from detvar.errors import DivisionByZero
 from detvar.multipoly import Exponents, Poly, grlex_key
 from detvar.scalars import EC_ZERO, ExactComplex
+from oracles.polys import evaluate
 
 EC = ExactComplex
 
 
 # ---------------------------------------------------------------------------
-# The reference (the old Poly methods, verbatim)
+# The reference (the old Poly.exact_div, verbatim)
 # ---------------------------------------------------------------------------
 
 def exact_div(self, q: "Poly") -> "Poly":
@@ -57,30 +59,6 @@ def exact_div(self, q: "Poly") -> "Poly":
             else:
                 rem[tgt] = val
     return Poly(self.nvars, quot, self.kind)
-
-
-def evaluate(self, point: Sequence):
-    """Exact when both the poly and the point are exact, else complex."""
-    exact = self.kind == "exact" and all(isinstance(x, ExactComplex) for x in point)
-    if exact:
-        acc = EC_ZERO
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * point[i]
-            acc = acc + term
-        return acc
-    pt = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in point]
-    acc = 0j
-    for e, c in self.terms.items():
-        cv = c.to_complex() if isinstance(c, ExactComplex) else c
-        term = cv
-        for i, k in enumerate(e):
-            if k:
-                term *= pt[i] ** k
-        acc += term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +102,14 @@ def divisions(draw):
     return a * b + extra, b
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(divisions())
 def test_exact_div_matches_reference(case):
     p, q = case
     assert_same_division(p, q)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(divisions())
 def test_exact_quotients_match_reference(case):
     # the product is divisible, so both must give the same quotient
@@ -160,7 +138,7 @@ def evaluations(draw):
     return p, draw(st.lists(point_scalars, min_size=nvars, max_size=nvars))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(evaluations())
 def test_exact_evaluate_matches_reference(case):
     p, point = case

@@ -29,7 +29,7 @@ from detvar.modp import sqrt_minus_one
 from detvar.scalars import ExactComplex
 
 EC, F = ExactComplex, Fraction
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 
 # ---------------------------------------------------------------------------

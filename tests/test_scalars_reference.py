@@ -77,7 +77,7 @@ rationals = st.builds(Fraction, numerators, denominators)
 pairs = st.tuples(rationals, rationals)
 operands = st.one_of(st.integers(-2 ** 70, 2 ** 70), rationals)
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 
 
 def assert_same(z, ref):

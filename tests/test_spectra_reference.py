@@ -7,8 +7,8 @@ taken on it, and each result rounded by ``to_approx``.  The images now
 read off the Gaussian-integer sum (rounded once per entry, partial traces
 summed on the ints) must give the same bits: equal ``repr`` of every
 eigenvalue and entropy and the same PPT verdict.  A float density goes
-through the float Matrix it was then (``test_float_arrays_reference``), and
-an exact density through the ``Matrix`` it was then (``test_matrix_reference``).
+through the float Matrix it was then, and an exact density through the
+``Matrix`` it was then (both kept in ``oracles.arrays``).
 """
 
 import math
@@ -16,12 +16,12 @@ import random
 
 import pytest
 
-import test_float_arrays_reference as approx
 from detvar import states
 from detvar.linalg import hermitian_eigen, psd_check, spectral_cutoff
 from detvar.scalars import DEFAULT_TOL, Tolerance
 from detvar.states import BipartiteState, SpectraReport
-from test_matrix_reference import partial_trace, partial_transpose, to_matrix
+from oracles.arrays import (approx_partial_trace, approx_partial_transpose, partial_trace,
+                            partial_transpose, to_approx, to_matrix)
 from shared_states import EXACT_STATES
 
 
@@ -31,7 +31,7 @@ def _exact_or_float(rho, exact, float_):
     array."""
     if rho.dtype == object:
         return exact(to_matrix(rho)).to_numpy()
-    return float_(approx.to_approx(rho)).to_numpy()
+    return float_(to_approx(rho)).to_numpy()
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Peres criterion: is the partial transpose still PSD?"""
     rho = s.density_matrix()
     return psd_check(_exact_or_float(rho, lambda r: partial_transpose(r, s.m, s.n),
-                                     lambda r: approx.partial_transpose(r, s.m, s.n)), tol)
+                                     lambda r: approx_partial_transpose(r, s.m, s.n)), tol)
 
 
 def _von_neumann(eigs, tol: Tolerance) -> float:
@@ -55,7 +55,7 @@ def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> Spec
     glob = hermitian_eigen(_exact_or_float(rho, lambda r: r, lambda r: r), tol).eigenvalues
     red_a, red_b = (hermitian_eigen(_exact_or_float(
         rho, lambda r: partial_trace(r, s.m, s.n, side),
-        lambda r: approx.partial_trace(r, s.m, s.n, side)), tol).eigenvalues for side in "BA")
+        lambda r: approx_partial_trace(r, s.m, s.n, side)), tol).eigenvalues for side in "BA")
     return SpectraReport(
         spectrum=glob,
         reduced_a_spectrum=red_a,

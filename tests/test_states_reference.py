@@ -14,8 +14,8 @@ import pytest
 from detvar import states
 from detvar.scalars import EC_ZERO, ExactComplex
 from detvar.states import BipartiteState
+from oracles.arrays import Matrix
 from shared_states import EXACT_STATES, large_prime_denominators_state
-from test_matrix_reference import Matrix
 
 EC = ExactComplex
 F = Fraction

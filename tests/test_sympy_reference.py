@@ -19,7 +19,7 @@ from detvar.exactroots import gaussian_rational_roots  # noqa: E402
 from detvar.factorization import linear_factorization  # noqa: E402
 from detvar.multipoly import LinearForm, Poly, symbolic_det  # noqa: E402
 from detvar.scalars import ExactComplex  # noqa: E402
-from test_factorization import homogenize  # noqa: E402
+from oracles.polys import homogenize  # noqa: E402
 
 EC = ExactComplex
 X = sympy.symbols("x0:3")

@@ -35,9 +35,9 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
+from oracles.modp import _minors_mod_p, dict_macaulay_full_rank
+from oracles.polys import evaluate  # the float evaluation Poly.evaluate had
 from shared_states import factored_state, shared_direction_state
-from test_modp_reference import _minors_mod_p, dict_macaulay_full_rank
-from test_poly_kernels_reference import evaluate  # the float evaluation Poly.evaluate had
 
 EC = ExactComplex
 F = Fraction

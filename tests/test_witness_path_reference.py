@@ -36,7 +36,6 @@ the pencil's ker T.
 import random
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,9 +60,9 @@ from detvar.variety import (
     tangent_form,
     variety_of_state,
 )
-from test_multipoly_reference import pencil_minors
+from oracles.polys import pencil_minors
+from pinned import GOLDEN
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 COUNT = 200
 
 

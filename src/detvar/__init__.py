@@ -8,7 +8,7 @@ state is separable, and for the cyclic 3x3 family carries an exact
 plane-cubic moduli value that separates local-unitary orbits.
 """
 
-from .scalars import ExactComplex, Tolerance, approx_close, DEFAULT_TOL
+from .scalars import ExactComplex, Tolerance, DEFAULT_TOL
 from .linalg import (
     EigenResult,
     exact_matrix,
@@ -61,7 +61,7 @@ from . import catalog
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactComplex", "Tolerance", "approx_close", "DEFAULT_TOL",
+    "ExactComplex", "Tolerance", "DEFAULT_TOL",
     "EigenResult", "exact_matrix", "det_exact", "rank_exact",
     "hermitian_eigen", "partial_trace", "partial_transpose",
     "psd_check",

@@ -8,13 +8,14 @@ Every quantity in the package travels one of two pathways:
   ints; the form is canonical, so equal values have equal fields.
 * approx -- plain ``complex`` (binary64 components).
 
-``Tolerance`` is the single knob for every floating comparison downstream;
-no other module defines its own epsilon.
+``Tolerance`` holds the tolerances a caller can set (the CLI's ``--tol``).
+Fixed margins that are not a caller's choice stay with their code:
+``variety`` keeps ``SMOOTH_MARGIN``, ``_SCREEN_SLACK`` and the noise floor
+of ``_gap_rank``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -86,11 +87,6 @@ class ExactComplex:
         if isinstance(x, (int, Fraction)):
             return ExactComplex(x)
         raise TypeError(f"cannot coerce {x!r} to ExactComplex")
-
-    @staticmethod
-    def parse(text: str) -> "ExactComplex":
-        """Parse a rational literal like ``"3/4"`` (no imaginary part)."""
-        return ExactComplex(Fraction(text.strip()))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -234,10 +230,14 @@ EC_ONE = ExactComplex(1)
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Single tolerance policy for every floating comparison.
+    """The tolerances a caller can set.
 
-    abs_eps/rel_eps feed ``approx_close``; eig_cutoff separates numerical
-    zero eigenvalues (and leading coefficients) from real ones.
+    abs_eps sets the absolute thresholds downstream: the trace and
+    reconstruction checks of a state, membership and root residuals, Newton
+    targets and the witness threshold.
+    rel_eps is read only by linalg._eigh, whose Hermitian-defect bound is
+    abs_eps + rel_eps * ||A||.  eig_cutoff separates numerically zero
+    eigenvalues (and leading coefficients) from real ones.
     """
 
     abs_eps: float = 1e-9
@@ -250,13 +250,3 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def approx_close(a: complex, b: complex, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff |a-b| <= abs_eps + rel_eps*max(|a|,|b|)."""
-    a = complex(a)
-    b = complex(b)
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)
-            and math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise ValueError("approx_close requires finite inputs")
-    return abs(a - b) <= tol.abs_eps + tol.rel_eps * max(abs(a), abs(b))

@@ -18,8 +18,8 @@ density row written as the writer writes it (render_scalar: floats and
 read entry by entry (parse_scalar), so every error names its entry.  An
 all-exact density becomes an exact matrix (linalg.exact_matrix), any
 other a complex array, its exact entries rounded by complex(z).
-Reports and state files are rendered by json_text, the bytes of
-json.dumps(indent=2, sort_keys=True).
+Reports and state files are written by json_text: json.dumps with
+indent=2 and sorted keys, then a newline.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import cmath
 import json
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -262,107 +261,7 @@ def save_state(path: str, s: BipartiteState):
         fh.write(json_text(state_to_json(s)))
 
 
-# ---------------------------------------------------------------------------
-# JSON text
-# ---------------------------------------------------------------------------
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def json_text(obj) -> str:
-    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, then a
-    newline, in one recursive pass that appends to a list.  (json's own
-    encoder runs in python, a generator per container, whenever it
-    indents.)  Scalars of the exact JSON types are written where they
-    stand, a list of three or more plain floats is joined at once, and
-    anything else is checked as json checks it, in the same order."""
-    out = []
-    _encode(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-# the text of a scalar of an exact JSON type
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
-                bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
-
-
-def _scalar_text(obj) -> Optional[str]:
-    """json's text of any scalar (subclasses too), None for anything else."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return _SCALAR_TEXT[type(obj)](obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    return None
-
-
-def _key_text(key) -> str:
-    """json's text of a dict key: a str as such, an int, float, bool or
-    None as its JSON text in quotes."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    text = _scalar_text(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return '"' + text + '"'
-
-
-def _encode(obj, nl: str, out: list):
-    leaf = _SCALAR_TEXT.get(type(obj))
-    if leaf is not None:
-        out.append(leaf(obj))
-        return
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        if len(obj) > 2 and set(map(type, obj)) == {float}:
-            texts = list(map(float.__repr__, obj))
-            if not _NON_FINITE.keys().isdisjoint(texts):
-                texts = [_NON_FINITE.get(t, t) for t in texts]
-            out.append("[" + inner + sep.join(texts) + nl + "]")
-            return
-        head = "[" + inner
-        for value in obj:
-            leaf = _SCALAR_TEXT.get(type(value))
-            if leaf is not None:
-                out.append(head + leaf(value))
-            else:
-                out.append(head)
-                _encode(value, inner, out)
-            head = sep
-        out.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        head = "{" + inner
-        for key, value in sorted(obj.items()):
-            head += (encode_basestring_ascii(key) if type(key) is str else _key_text(key)) + ": "
-            leaf = _SCALAR_TEXT.get(type(value))
-            if leaf is not None:
-                out.append(head + leaf(value))
-            else:
-                out.append(head)
-                _encode(value, inner, out)
-            head = sep
-        out.append(nl + "}")
-    else:
-        text = _scalar_text(obj)  # a subclass of a JSON scalar type
-        if text is None:
-            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-        out.append(text)
+    """The text of every report and state file: json.dumps(obj, indent=2,
+    sort_keys=True), then a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

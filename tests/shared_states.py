@@ -17,6 +17,11 @@ EC = ExactComplex
 F = Fraction
 
 
+# (m, n, rank) of random_mixed float states: t = n on both sides, and
+# t > n on both sides
+SHAPES = {"3x3 r3": (3, 3, 3), "3x4 r5": (3, 4, 5)}
+
+
 def float_copy(s):
     """The state with its weights and entries rounded to floats."""
     return BipartiteState(s.m, s.n, ensemble=[(float(w), [complex(x.to_complex()) for x in v])

@@ -19,6 +19,7 @@ from detvar.report import analyze_state
 from detvar.states import BipartiteState, random_local_unitary, random_mixed
 from detvar.variety import variety_of_state, verify_lu_covariance
 from pinned import DEMOS
+from shared_states import SHAPES
 
 
 @pytest.fixture
@@ -38,10 +39,6 @@ def float_polys(monkeypatch):
 
 def _density_only(s):
     return BipartiteState(s.m, s.n, density=s.density_matrix())
-
-
-# (m, n, rank): t = n on both sides, and t > n on both sides
-SHAPES = {"3x3 r3": (3, 3, 3), "3x4 r5": (3, 4, 5)}
 
 
 @pytest.mark.parametrize("side", "AB")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from detvar import exactroots
 from detvar.exactroots import ec_divmod, ec_gcd, gaussian_rational_roots, rational_roots
 from detvar.scalars import ExactComplex
+from strategies import ec_mul
 
 EC = ExactComplex
 F = Fraction
@@ -19,14 +20,6 @@ def poly_mul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return out
-
-
-def ec_mul(a, b):
-    out = [EC(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
     return out
 
 

@@ -19,6 +19,7 @@ from detvar import exactroots
 from detvar.exactroots import ECPoly, ec_deriv, ec_divmod, ec_eval, ec_gcd, ec_trim
 from detvar.multipoly import Poly, sylvester_resultant, univariate_coeffs
 from detvar.scalars import EC_ONE, ExactComplex
+from strategies import ec_mul, gaussians, rationals
 
 FPoly = List[Fraction]  # ascending coefficients
 
@@ -373,18 +374,6 @@ def gaussian_rational_roots(f: ECPoly) -> List[Tuple[ExactComplex, int]]:
 
 SETTINGS = settings(max_examples=60)
 
-rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
-gaussians = st.builds(ExactComplex, rationals, rationals)
-
-
-def _times(p, q):
-    out = [ExactComplex(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 @st.composite
 def products(draw, scalars):
     """A random cofactor times random linear factors, degree 1 to 4; a
@@ -397,7 +386,7 @@ def products(draw, scalars):
         cofactor[-1] = ExactComplex(1)
     p = cofactor
     for r in roots:
-        p = _times(p, [-r, ExactComplex(1)])
+        p = ec_mul(p, [-r, ExactComplex(1)])
     return p
 
 
@@ -418,8 +407,8 @@ EC, F = ExactComplex, Fraction
 EDGE_CASES = [
     [EC(-2), EC(0), EC(1)],                            # roots mod 17, none in Q(i)
     [EC(-26), EC(0), EC(13)],
-    _times([EC(221)], _times([EC(F(-1, 2)), EC(1)], [EC(3), EC(1)])),
-    _times([EC(3, 2)], _times([EC(-1), EC(1)], [EC(0, -1), EC(1)])),
+    ec_mul([EC(221)], ec_mul([EC(F(-1, 2)), EC(1)], [EC(3), EC(1)])),
+    ec_mul([EC(3, 2)], ec_mul([EC(-1), EC(1)], [EC(0, -1), EC(1)])),
     [EC(1), EC(-14), EC(65)],                          # roots (7 -+ 4i)/65
     [EC(0), EC(0), EC(-2, -1), EC(1)],                 # double root at 0
     [EC(6), EC(-5), EC(1)],

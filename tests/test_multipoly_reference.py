@@ -25,6 +25,7 @@ from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
 from detvar.variety import pencil_matrix
 from oracles.polys import assert_identical, entry_polys, minors, restrict_to_line, symbolic_det
 from shared_states import gaussian_integer_state
+from strategies import scalars
 
 SETTINGS = settings(max_examples=200)
 
@@ -138,9 +139,6 @@ def test_bad_shapes_raise_like_reference():
             f([[x, x]], 0)
 
 
-small_rationals = st.builds(Fraction, st.integers(-9, 9),
-                            st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12, 35]))
-scalars = st.builds(ExactComplex, small_rationals, small_rationals)
 
 
 @st.composite

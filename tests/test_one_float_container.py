@@ -16,6 +16,7 @@ from detvar.scalars import ExactComplex
 from detvar.statefile import parse_state, state_to_json
 from detvar.states import BipartiteState, random_local_unitary, random_mixed
 from detvar.variety import verify_lu_covariance
+from shared_states import SHAPES
 
 
 @pytest.fixture
@@ -40,10 +41,6 @@ def test_the_count_sees_an_exact_analysis(matrices):
     state = catalog.cyclic_cubic_state(ExactComplex(8))
     parse_state(state_to_json(BipartiteState(3, 3, density=state.density_matrix())))
     assert (9, 9) in matrices
-
-
-# (m, n, rank): t = n on both sides, and t > n on both sides
-SHAPES = {"3x3 r3": (3, 3, 3), "3x4 r5": (3, 4, 5)}
 
 
 @pytest.mark.parametrize("side", "AB")

@@ -22,6 +22,7 @@ from detvar.errors import DivisionByZero
 from detvar.multipoly import Exponents, Poly, grlex_key
 from detvar.scalars import EC_ZERO, ExactComplex
 from oracles.polys import evaluate
+from strategies import scalars
 
 EC = ExactComplex
 
@@ -79,9 +80,6 @@ def assert_same_division(p: Poly, q: Poly):
         assert list(got[1].terms.items()) == list(ref[1].terms.items())
 
 
-small_rationals = st.builds(Fraction, st.integers(-9, 9),
-                            st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12, 35]))
-scalars = st.builds(ExactComplex, small_rationals, small_rationals)
 # denominators up to 10^40, as exact lines built from far points have
 large_rationals = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
                             st.integers(1, 10 ** 40))

@@ -27,6 +27,7 @@ from detvar.exactroots import (
 )
 from detvar.modp import sqrt_minus_one
 from detvar.scalars import ExactComplex
+from strategies import ec_mul, gaussians
 
 EC, F = ExactComplex, Fraction
 SETTINGS = settings(max_examples=150)
@@ -76,23 +77,11 @@ def _modular_roots(s):
 # Differential tests
 # ---------------------------------------------------------------------------
 
-def _times(p, q):
-    out = [EC(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
 def _product(lead, roots):
     p = [lead]
     for r in roots:
-        p = _times(p, [-r, EC(1)])
+        p = ec_mul(p, [-r, EC(1)])
     return p
-
-
-rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
-gaussians = st.builds(EC, rationals, rationals)
 
 
 @SETTINGS

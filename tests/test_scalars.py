@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from detvar.errors import DivisionByZero
-from detvar.scalars import ExactComplex, Tolerance, approx_close
+from detvar.scalars import ExactComplex, Tolerance
 
 
 def test_norm_identity():
@@ -30,18 +30,6 @@ def test_canonical_zero_and_reduction():
     assert z.re == Fraction(1, 2) and z.re.denominator == 2
     assert z.im == Fraction(-3, 4) and z.im.denominator == 4
     assert (z - z).is_zero()
-
-
-def test_approx_close_cases():
-    assert approx_close(1.0, 1.0 + 1e-12)
-    assert not approx_close(0.0, 1e-3)
-    for z in (0.3 + 0.7j, -2.5j, 1e6 + 1e-6j):
-        assert approx_close(z, z)
-
-
-def test_approx_close_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        approx_close(float("nan"), 0.0)
 
 
 def test_tolerance_positivity():

@@ -11,16 +11,8 @@ from detvar.errors import (
     SamplingExhausted,
     StateFileError,
 )
-from detvar.report import render_json
 from detvar.scalars import ExactComplex
-from detvar.statefile import (
-    load_state,
-    parse_scalar,
-    parse_state,
-    render_scalar,
-    save_state,
-    state_to_json,
-)
+from detvar.statefile import parse_scalar, parse_state, render_scalar, state_to_json
 from detvar.states import BipartiteState, random_mixed
 
 EC = ExactComplex
@@ -88,18 +80,6 @@ def test_state_roundtrip_approx():
     s = random_mixed(2, 2, rank=2, seed=4)
     back = parse_state(state_to_json(s))
     assert np.max(np.abs(back.density_matrix() - s.density_matrix())) < 1e-12
-
-
-def test_reports_and_state_files_are_json_text(tmp_path):
-    def reference(obj) -> str:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    state = random_mixed(2, 3, 3, seed=5)
-    path = tmp_path / "state.json"
-    save_state(str(path), state)
-    assert path.read_text() == reference(state_to_json(state))
-    assert load_state(str(path)).ensemble == state.ensemble
-    report = {"spectra": [0.5, 0.25, -1e-17], "label": None, "ok": True, "n": 3}
-    assert render_json(report) == reference(report)
 
 
 def test_parse_errors_name_fields():

@@ -1,11 +1,14 @@
-"""statefile.json_text against json.dumps(indent=2, sort_keys=True).
+"""statefile.json_text pinned to json.dumps(indent=2, sort_keys=True).
 
-Reports (report.render_json) and state files (save_state) are rendered by
-json_text, in one recursive pass; they were rendered by json.dumps, whose
-indenting encoder is the reference.  On drawn documents (NaN, +-inf, -0.0,
-subnormals, big ints, non-ASCII and control characters, empty and nested
-containers, tuples, float subclasses, non-string keys) the text must be
-the same, and what json refuses must be refused with the same error.
+Reports (report.render_json) and state files (save_state) are written by
+json_text, the one definition of their format: json.dumps with indent=2
+and sorted keys, then a newline.  The goldens pin that format on the
+reports they hold; these tests pin it on drawn documents and on what no
+golden holds (NaN, +-inf, -0.0, subnormals, big ints, non-ASCII and
+control characters, empty and nested containers, tuples, float
+subclasses, non-string keys), and pin that what json refuses is refused
+with the same error, so that a writer put in json_text's place keeps the
+bytes.
 """
 
 import json

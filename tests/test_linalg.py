@@ -18,7 +18,7 @@ from detvar.linalg import (
     rank_exact,
     spectral_cutoff,
 )
-from detvar.scalars import ExactComplex
+from detvar.scalars import ExactComplex, Tolerance
 
 
 def bell_projector():
@@ -115,6 +115,21 @@ def test_eigenvalues_alone_are_those_of_the_full_decomposition():
                 f(np.asarray(rows, dtype=complex))
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("eigen", [hermitian_eigen, hermitian_eigenvalues],
+                         ids=["hermitian_eigen", "hermitian_eigenvalues"])
+def test_rel_eps_scales_the_hermitian_defect_bound(eigen):
+    # the defect bound is abs_eps + rel_eps * ||A||: at ||A|| ~ 1.4e6 the
+    # default bound is ~1.4e-3, so rel_eps alone decides these two defects
+    def skewed(defect):
+        return np.asarray([[1e6, 0], [defect, 1e6]], dtype=complex)
+    eigen(skewed(1e-4))
+    with pytest.raises(NotHermitian):
+        eigen(skewed(1e-4), Tolerance(rel_eps=1e-12))
+    with pytest.raises(NotHermitian):
+        eigen(skewed(1e-2))
+    eigen(skewed(1e-2), Tolerance(rel_eps=1e-7))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

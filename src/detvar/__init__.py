@@ -48,7 +48,6 @@ from .variety import (
     VarietyVerdict,
     pencil_matrix,
     variety_of_state,
-    variety_generators,
     membership,
     sample_points,
     tangent_form,
@@ -74,7 +73,7 @@ __all__ = [
     "entropy_and_spectra", "random_mixed", "random_separable",
     "random_local_unitary",
     "PencilMatrix", "Variety", "VarietyVerdict", "pencil_matrix",
-    "variety_of_state", "variety_generators", "membership", "sample_points", "tangent_form",
+    "variety_of_state", "membership", "sample_points", "tangent_form",
     "linearity_decide", "verify_lu_covariance",
     "HesseCubic", "ModuliValue", "hesse_reduce", "moduli_value", "lu_compare",
     "catalog",

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Tuple, Union
+from typing import Tuple
 
 from .errors import DivisionByZero
-
-RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(x) -> Fraction:

@@ -198,17 +198,18 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
 
 class Variety:
     """Generators, the pencil oracle and the Hermitian-form evaluator for
-    one side.
-
-    Its side, m, n, state and mode (the kind) are the pencil's.
-    `generators` are the maximal minors of an exact pencil, in
-    lexicographic column-subset order.  Passed as None, they are expanded
-    (and checked homogeneous of degree n) on first read; `essential_count`,
-    the number of nonzero minors, must then be given, as the minor screen
-    finds it.  A float V has no generators: reading them, or
-    `essential_generators`, raises FloatMinors.  It counts its nonzero
-    minors numerically (_numerical_essential) on the first read of
-    `essential_count`, which no sampler, oracle or covariance check makes.
+    one side, built from its pencil alone: side, m, n, state and mode (the
+    kind) are the pencil's, and so is all it knows at once.  For t < n V is
+    structurally Full, with no minors and a nonzero count of 0.  A float V
+    has no generators (reading them, or `essential_generators`, raises
+    FloatMinors) and counts its nonzero minors numerically
+    (_numerical_essential) on the first read of `essential_count`, which no
+    sampler, oracle or covariance check makes.  `generators` are the maximal
+    minors of an exact pencil, in lexicographic column-subset order, checked
+    homogeneous of degree n.  With t > n in m >= 3 variables, where the
+    screen modulo a prime (_minor_screen) shows all C(t, n) of them nonzero
+    and V neither Full nor Empty, they are expanded on first read; any other
+    exact pencil expands them at once and reads `structural` off them.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
@@ -216,24 +217,35 @@ class Variety:
     exact density only for an exact point on an exact density.
     """
 
-    def __init__(self, pencil: PencilMatrix, generators: Optional[List[Poly]],
-                 structural: Optional[str], essential_count: Optional[int] = None):
+    def __init__(self, pencil: PencilMatrix):
         self.pencil = pencil
         self.side, self.m, self.n = pencil.side, pencil.m, pencil.n
         self.state, self.mode = pencil.state, pencil.kind
-        self._generators = generators
-        self._essential_count = essential_count
-        self.structural = structural  # "Full" (t < n or exact minors) | "Empty" | None
+        self._generators = None      # the minors, once expanded
+        self._essential_count = None  # the nonzero minors, once counted
+        self.structural = None       # "Full" | "Empty" | None
         self._blocks = {}            # exact? -> _state_blocks(exact)
         self._analysis_cache = None  # _peel_linear_factors(self), once read
         self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
+        if pencil.t < pencil.n:
+            self._generators, self._essential_count, self.structural = [], 0, "Full"
+        elif self.mode == "exact":
+            if pencil.m >= 3 and pencil.t > pencil.n and _minor_screen(pencil):
+                self._essential_count = comb(pencil.t, pencil.n)
+            else:
+                self.structural = _structural(self.generators, self.m)
 
     @property
     def generators(self) -> List[Poly]:
         if self.mode != "exact":
             raise FloatMinors("a float variety is read on its pencil, not its minors")
         if self._generators is None:
-            self._generators = _pencil_minors(self.pencil)
+            gens = minors(self.pencil.entry_polys(), self.n)
+            for g in gens:
+                if not g.is_zero() and (not g.is_homogeneous() or g.degree() != self.n):
+                    raise InconsistentRepresentations(
+                        "minor generator is not homogeneous of the pencil size")
+            self._generators = gens
         return self._generators
 
     @property
@@ -396,17 +408,6 @@ def _structural(gens: List[Poly], m: int) -> Optional[str]:
     return "Empty" if pure == set(range(m)) else None
 
 
-def _pencil_minors(p: PencilMatrix) -> List[Poly]:
-    """The maximal minors of an exact pencil, each checked homogeneous of
-    degree n."""
-    gens = minors(p.entry_polys(), p.n)
-    for g in gens:
-        if not g.is_zero() and (not g.is_homogeneous() or g.degree() != p.n):
-            raise InconsistentRepresentations(
-                "minor generator is not homogeneous of the pencil size")
-    return gens
-
-
 def _minor_screen(p: PencilMatrix) -> bool:
     """True when, modulo the pencil's prime, every maximal minor of an exact
     pencil is nonzero at a random point and some minor is not a monomial.
@@ -418,7 +419,7 @@ def _minor_screen(p: PencilMatrix) -> bool:
     hold.  False proves nothing; the caller then expands the minors.  The
     values at the four points come from one call of modp.minor_values.
     Only an exact pencil with t > n in m >= 3 variables is screened
-    (variety_generators)."""
+    (Variety)."""
     prime, forms = p.mod_p()
     rng = random.Random("minor-screen")
     r, r2 = ([rng.randrange(1, prime) for _ in range(p.m)] for _ in range(2))
@@ -439,32 +440,8 @@ def _numerical_essential(p: PencilMatrix) -> int:
                for svals in np.linalg.svd(blocks, compute_uv=False))
 
 
-def variety_generators(p: PencilMatrix) -> Variety:
-    """The variety of the pencil's maximal minors; Full when t < n.
-
-    A float pencil is never expanded, and neither screened nor reduced
-    modulo a prime here; its dimension is for _dimension_verdict alone,
-    and its count of nonzero minors is taken when first read.  An exact pencil with t > n
-    in m >= 3 variables is screened: where the screen passes every minor
-    is nonzero and V is neither Full nor Empty by the monomial test, and
-    the minors are built when something reads them.  The exact peel reads
-    them only where it cannot first certify that nothing is to be peeled
-    (_peel_linear_factors).  A square pencil, whose determinant the exact
-    peel always splits, a pencil in m <= 2 variables, and a pencil the
-    screen proves nothing about, are expanded at once.
-    """
-    if p.t < p.n:
-        return Variety(p, [], "Full", essential_count=0)
-    if p.kind != "exact":
-        return Variety(p, None, None)
-    if p.m >= 3 and p.t > p.n and _minor_screen(p):
-        return Variety(p, None, None, essential_count=comb(p.t, p.n))
-    gens = _pencil_minors(p)
-    return Variety(p, gens, _structural(gens, p.m))
-
-
 def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
-    return variety_generators(pencil_matrix(s, side))
+    return Variety(pencil_matrix(s, side))
 
 
 # ---------------------------------------------------------------------------
@@ -944,19 +921,15 @@ def _tangent_data(v: Variety, point: Sequence
     return tmat, list(proj.T)
 
 
-def _witness_search_at(v: Variety, point: Sequence, rng: random.Random, tol: Tolerance
-                       ) -> Optional[Tuple[Tuple[complex, ...], float, np.ndarray]]:
-    """Probe the tangent space at a point, from one _tangent_data: PROBES
-    steps of relative length HYPERPLANE_RADIUS along P g (its projector,
-    complex Gaussian g from rng).  A probe that both oracles put off V,
-    its Hermitian residual and its pencil residual above threshold,
+def _witness_search_at(v: Variety, pt: List[complex],
+                       data: Tuple[np.ndarray, List[np.ndarray]], rng: random.Random,
+                       tol: Tolerance) -> Optional[Tuple[Tuple[complex, ...], float, np.ndarray]]:
+    """Probe the tangent space at a smooth point pt, given its _tangent_data:
+    PROBES steps of relative length HYPERPLANE_RADIUS along P g (its
+    projector, complex Gaussian g from rng).  A probe that both oracles put
+    off V, its Hermitian residual and its pencil residual above threshold,
     certifies local curvature; the hit is (probe, Hermitian residual, first
-    row of T) for the probe of largest Hermitian residual, or None.  Raises
-    SingularPoint where the pencil does not show the point smooth."""
-    pt = [complex(x) for x in project_normalize(point)]
-    data = _tangent_data(v, pt)
-    if data is None:
-        raise SingularPoint("the pencil does not show the point smooth")
+    row of T) for the probe of largest Hermitian residual, or None."""
     dirs = data[1]
     if not dirs:
         # a zero-dimensional component, whose tangent space is the point
@@ -1168,11 +1141,11 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
     point, its own tangent space: surviving probe residuals certify that
     no such union can cut out the variety, hence (by the separability
     criterion) the state is entangled.  Each point costs one
-    _tangent_data (_witness_search_at), which reads smoothness off the
-    pencil and gives a witness its tangent form; a point it does not show
-    smooth is not probed.  An Inconclusive reason says how many points
-    were skipped, and how many candidates the sampler rejected on peeled
-    hyperplanes.
+    _tangent_data, which reads smoothness off the pencil and gives the
+    probe (_witness_search_at) its directions and a witness its tangent
+    form; a point it does not show smooth is not probed.  An Inconclusive
+    reason says how many points were skipped, and how many candidates the
+    sampler rejected on peeled hyperplanes.
     """
     if v.n == 1:
         return VarietyVerdict("Inconclusive", factor_list=factor_list,
@@ -1183,11 +1156,12 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
     try:
         for p, on_peeled in _point_stream(v, samples, seed, tol):
             sampled += 1
-            try:
-                hit = _witness_search_at(v, p, rng, tol)
-            except SingularPoint:
+            pt = [complex(x) for x in project_normalize(p)]
+            data = _tangent_data(v, pt)
+            if data is None:
                 skipped += 1
                 continue
+            hit = _witness_search_at(v, pt, data, rng, tol)
             if hit is not None:
                 q, res, row = hit
                 return VarietyVerdict("NonlinearWitness", factor_list=factor_list,

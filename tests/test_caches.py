@@ -18,13 +18,13 @@ from detvar.report import analyze_state
 from detvar.statefile import load_state, parse_state, state_to_json
 from detvar.states import BipartiteState, random_mixed, random_separable
 from detvar.variety import (
+    Variety,
     _analysis_system,
     _witness_search,
     linearity_decide,
     membership,
     pencil_matrix,
     sample_points,
-    variety_generators,
     variety_of_state,
 )
 from oracles.polys import evaluate, pencil_minors
@@ -86,13 +86,13 @@ def test_swapped_and_density_are_memoized():
     assert st.swapped().density_matrix() is st.swapped().density_matrix()
 
 
-def test_variety_generators_of_a_pencil_knows_its_state():
+def test_variety_of_a_pencil_knows_its_state():
     st = cyclic_cubic_state(EC(8))
-    v = variety_generators(pencil_matrix(st))
+    v = Variety(pencil_matrix(st))
     assert v.state is st
     assert membership(v, [EC(0), EC(1), EC(-1)])
     assert _witness_search(v, 4, 42, DEFAULT_TOL).tag == "NonlinearWitness"
-    vb = variety_generators(pencil_matrix(st, "B"))
+    vb = Variety(pencil_matrix(st, "B"))
     assert vb.state is st and vb.side == "B"
     assert vb.hermitian_residual(sample_points(vb, 1, seed=3)[0]) < 1e-9
 

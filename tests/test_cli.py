@@ -110,6 +110,30 @@ def test_parse_errors_name_fields():
     assert "ensemble[0].vector[3]" in str(err4.value)
 
 
+ONE_RAY = {"weight": 1, "vector": [1.0]}
+REFUSED_FILES = {
+    "not an object": ([ONE_RAY], "$"),
+    "no m": ({"n": 1, "ensemble": [ONE_RAY]}, "m"),
+    "label not a string": ({"m": 1, "n": 1, "label": 7, "ensemble": [ONE_RAY]}, "label"),
+    "empty ensemble": ({"m": 1, "n": 1, "ensemble": []}, "ensemble"),
+    "item without vector": ({"m": 1, "n": 1, "ensemble": [{"weight": 1}]}, "ensemble[0]"),
+    "density of the wrong size": ({"m": 1, "n": 2, "density": [[1.0, 0.0]]}, "density"),
+    "short density row": ({"m": 1, "n": 2, "density": [[1.0], [0.0, 0.0]]}, "density[0]"),
+    "scalar with other keys": ({"m": 1, "n": 1, "ensemble": [
+        {"weight": 1, "vector": [{"re": 1, "x": 0}]}]}, "ensemble[0].vector[0]"),
+    "null part": ({"m": 1, "n": 1, "ensemble": [{"weight": 1, "vector": [{"re": None}]}]},
+                  "ensemble[0].vector[0]"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_FILES))
+def test_a_refused_state_file_names_its_field(name):
+    doc, field = REFUSED_FILES[name]
+    with pytest.raises(StateFileError) as err:
+        parse_state(doc)
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("field", ["m", "n"])
 @pytest.mark.parametrize("value", [True, False])
 def test_a_boolean_is_no_dimension(field, value):

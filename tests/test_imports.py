@@ -1,6 +1,6 @@
 """No module of the package, test file or demo imports a name it does not
-use, and the test modules share their helpers without importing one
-another.
+use, no definition of the package goes unread, and the test modules share
+their helpers without importing one another.
 
 A name counts as used where it is read anywhere in the module, annotations
 included, or listed in ``__all__``.  The package's ``__init__`` only
@@ -48,6 +48,64 @@ def test_the_check_sees_an_unused_import():
                          if p.parent.name == "oracles" else p.name)
 def test_no_unused_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def names_read(node: ast.AST) -> set:
+    """Every name a piece of code reads: names, attributes, and the names
+    its ``from`` imports bind."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
+def defined_names(node: ast.stmt) -> list:
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unread_definitions(root) -> list:
+    """(module, name) of each top-level definition of the package that no
+    other top-level statement of the package reads, nor a demo or the
+    benchmark (its code, and the functions spans.py wraps by name).  The
+    tests do not count, and dunder names are Python's own."""
+    read = set()
+    for path in sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= names_read(tree)
+        if path.name == "spans.py":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and defined_names(node) in (["TRACED"], ["COUNTED"]):
+                    read |= {fn.split(".")[0] for _, fn in ast.literal_eval(node.value)}
+    statements = [(path.stem, node) for path in sorted((root / "src" / "detvar").glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    reads = [names_read(node) for _, node in statements]
+    unread = []
+    for k, (module, node) in enumerate(statements):
+        elsewhere = read.union(*(r for j, r in enumerate(reads) if j != k))
+        unread += [(module, name) for name in defined_names(node)
+                   if not name.startswith("__") and name not in elsewhere]
+    return unread
+
+
+def test_the_check_sees_an_unread_definition(tmp_path):
+    package = tmp_path / "src" / "detvar"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("X = 1\nY = X\ndef f():\n    return f()\n")
+    assert unread_definitions(tmp_path) == [("a", "Y"), ("a", "f")]
+
+
+def test_every_definition_of_the_package_is_read():
+    assert unread_definitions(ROOT) == []
 
 
 def test_every_exported_name_resolves_and_star_binds_it():

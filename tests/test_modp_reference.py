@@ -413,7 +413,7 @@ def test_one_restriction_gives_the_old_reduced_forms(name, monkeypatch):
                 _restrict_mod_p(lists, h, p)
         # the hyperplanes of the Macaulay certificates, restricted by variety
         # itself, where Eagon-Northcott lets the test run
-        v = variety_mod.variety_generators(pencil)
+        v = variety_mod.Variety(pencil)
         if pencil.m < 3 or pencil.t - pencil.n + 1 < pencil.m - 1 or v.structural is not None:
             continue
         for seed in range(4):
@@ -517,7 +517,7 @@ def test_golden_certificates_decide_as_the_dict_matrix(name, monkeypatch):
     pencils = [pencil for pencil in _pencils(name)
                if pencil.m >= 3 and pencil.t - pencil.n + 1 >= pencil.m - 1]
     for pencil in pencils:
-        v = variety_mod.variety_generators(pencil)
+        v = variety_mod.Variety(pencil)
         for seed in (42, 0, 1):
             _macaulay_certificate(v, seed)
     # a rank is taken wherever the test has three or more variables: the

@@ -147,11 +147,12 @@ def test_no_witness_when_only_the_hermitian_oracle_leaves_v(monkeypatch):
 
 def test_the_witness_is_the_best_probe_both_oracles_put_off_v(monkeypatch):
     v = variety_of_state(random_mixed(3, 4, 4, seed=1))
-    point = sample_points(v, 1, seed=7)[0]
-    first = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL)
+    point = [complex(x) for x in project_normalize(sample_points(v, 1, seed=7)[0])]
+    data = _tangent_data(v, point)
+    first = _witness_search_at(v, point, data, random.Random(3), DEFAULT_TOL)
     assert first is not None
     _pencil_says_on_v(monkeypatch, lambda q: q == first[0])
-    second = _witness_search_at(v, point, random.Random(3), DEFAULT_TOL)
+    second = _witness_search_at(v, point, data, random.Random(3), DEFAULT_TOL)
     assert second is not None and second[0] != first[0]
     assert WITNESS_FACTOR * DEFAULT_TOL.abs_eps < second[1] <= first[1]
     assert v.generator_residual(second[0]) > WITNESS_FACTOR * DEFAULT_TOL.abs_eps
@@ -195,9 +196,9 @@ def test_an_exact_analysis_samples_on_the_pencil(monkeypatch, label, make_state,
     probed = []
     real_search = variety_mod._witness_search_at
 
-    def recording(v, point, rng, tol):
+    def recording(v, point, data, rng, tol):
         probed.append(point)
-        return real_search(v, point, rng, tol)
+        return real_search(v, point, data, rng, tol)
 
     monkeypatch.setattr(variety_mod, "_witness_search_at", recording)
     v = variety_of_state(make_state(), side)

@@ -202,6 +202,16 @@ def test_boolean_weight_is_not_a_state():
         BipartiteState(2, 2, ensemble=[(True, (EC(1), EC(0), EC(0), EC(1)))])
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"ensemble": [(1.0, (1.0, 0.0, 0.0))]}, "ensemble vector 0 has length 3, expected 4"),
+    ({"ensemble": [(1.0, (1.0, 0.0, 0.0, 0.0))],
+      "density": np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)}, "ensemble and density disagree"),
+], ids=["vector of the wrong length", "disagreeing density"])
+def test_a_float_ensemble_that_is_no_state_is_refused(kwargs, message):
+    with pytest.raises(NotAState, match=message):
+        BipartiteState(2, 2, **kwargs)
+
+
 def test_bad_dims_and_missing_ensemble():
     with pytest.raises(BadDims):
         random_mixed(0, 2, 1, seed=1)

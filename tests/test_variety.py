@@ -22,6 +22,7 @@ from detvar.states import (
     random_unitary,
 )
 from detvar.variety import (
+    Variety,
     _best_probe,
     _hadamard_ratio,
     _witness_search,
@@ -31,7 +32,6 @@ from detvar.variety import (
     project_normalize,
     sample_points,
     tangent_form,
-    variety_generators,
     variety_of_state,
     verify_lu_covariance,
 )
@@ -74,7 +74,7 @@ def test_side_b_swaps_roles():
     s = random_separable(2, 3, 3, seed=44)
     pen_b = pencil_matrix(s, side="B")
     assert pen_b.n == 2 and pen_b.m == 3 and pen_b.t == 3
-    v = variety_generators(pen_b)
+    v = Variety(pen_b)
     assert all(g.is_zero() or g.degree() == 2 for g in v.generators)
 
 
@@ -256,7 +256,7 @@ def test_membership_inconsistency_is_detected():
     # give the pencil another state's coefficients: the Hermitian oracle will disagree
     wrong = pencil_matrix(random_separable(3, 3, 3, seed=0))
     p = v.pencil
-    broken = type(v)(type(p)(p.side, wrong.coeffs, p.state), v.generators, None)
+    broken = type(v)(type(p)(p.side, wrong.coeffs, p.state))
     with pytest.raises(InconsistentRepresentations):
         # (1,1,1) is on the true variety but not on the corrupted pencil's
         membership(broken, [EC(1), EC(1), EC(1)])

@@ -10,7 +10,7 @@ reads lives in a module that is not a test (``shared_states``, ``pinned``,
 """
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from pinned import ROOT
@@ -89,12 +89,11 @@ def unread_definitions(root) -> list:
     statements = [(path.stem, node) for path in sorted((root / "src" / "detvar").glob("*.py"))
                   for node in ast.parse(path.read_text()).body]
     reads = [names_read(node) for _, node in statements]
-    unread = []
-    for k, (module, node) in enumerate(statements):
-        elsewhere = read.union(*(r for j, r in enumerate(reads) if j != k))
-        unread += [(module, name) for name in defined_names(node)
-                   if not name.startswith("__") and name not in elsewhere]
-    return unread
+    readers = Counter(name for r in reads for name in r)
+    return [(module, name) for (module, node), own in zip(statements, reads)
+            for name in defined_names(node)
+            if not name.startswith("__") and name not in read
+            and readers[name] - (name in own) == 0]
 
 
 def test_the_check_sees_an_unread_definition(tmp_path):

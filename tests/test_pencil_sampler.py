@@ -187,20 +187,20 @@ EXACT_CASES = ([(f"gaussian {m}x{n} r{r} seed {seed}",
 def test_an_exact_analysis_samples_on_the_pencil(monkeypatch, label, make_state, side, tag):
     """With Newton on minors, Aberth roots and plane slices made to fail,
     an exact analysis keeps its verdict: it samples on its pencil.  Every
-    point it probes keeps off each hyperplane its peel certified."""
+    point it samples keeps off each hyperplane its peel certified."""
     def refuse(*args, **kwargs):
         raise AssertionError("an exact analysis runs the minors' sampler")
 
     for name in ("_newton_polish", "univariate_roots", "_plane_slice_candidates"):
         monkeypatch.setattr(variety_mod, name, refuse)
     probed = []
-    real_search = variety_mod._witness_search_at
+    real_tangent_data = variety_mod._tangent_data
 
-    def recording(v, point, data, rng, tol):
+    def recording(v, point):
         probed.append(point)
-        return real_search(v, point, data, rng, tol)
+        return real_tangent_data(v, point)
 
-    monkeypatch.setattr(variety_mod, "_witness_search_at", recording)
+    monkeypatch.setattr(variety_mod, "_tangent_data", recording)
     v = variety_of_state(make_state(), side)
     assert v.mode == "exact"
     verdict = linearity_decide(v, seed=42)

@@ -77,16 +77,16 @@ def _divide_out(form: LinearForm, gens: Sequence[Poly]) -> Optional[List[Poly]]:
 def _hyperplane_normal(gens: Sequence[Poly], point: Sequence[ExactComplex],
                        k: int) -> Optional[List[ExactComplex]]:
     """The exact gradient at point of d_j^(k-1) g for the first generator g
-    and variable j where it is nonzero, or None.  If l = a . x vanishes at
+    and variable j where it is nonzero, or None; all m partials come from
+    one pass over the terms (Poly.gradient).  If l = a . x vanishes at
     point and l^k divides g, then d_j^(k-1) g = k! * a_j^(k-1) * l * (g/l^k)
     modulo l^2, so that gradient is zero or a multiple of a."""
-    m = len(point)
     for g in gens:
-        for j in range(m if k > 1 else 1):
+        for j in range(len(point) if k > 1 else 1):
             h = g
             for _ in range(k - 1):
                 h = h.derivative(j)
-            grad = [h.derivative(i).evaluate(point) for i in range(m)]
+            grad = h.gradient(point)
             if any(not c.is_zero() for c in grad):
                 return grad
     return None
@@ -143,16 +143,41 @@ def _factor_key(form: LinearForm, used: List[int]) -> tuple:
             *(part for x in c[2:] for part in (x.re, x.im)))
 
 
+def _factor_list(unit: ExactComplex, forms: List[LinearForm], used: List[int],
+                 residual: Optional[Poly] = None, certified: bool = True) -> FactorList:
+    """The factor list with its forms in the one order of a factor list.
+    On the coefficients c of the factored form's used variables, the
+    factors come in the last used variable alone first, then those with
+    c_0 != 0 by -c_1 and c_2, then the rest by c_2, each real part before
+    its imaginary part.  A normalized form is fixed by those coefficients,
+    so distinct forms never tie and the order does not depend on the order
+    the forms were found in."""
+    forms.sort(key=lambda f: _factor_key(f, used))
+    return FactorList(unit, forms, residual, certified)
+
+
 def linear_factorization(g: Poly) -> FactorList:
     """Every Q(i) linear factor of the exact form g, with multiplicity,
     found by linear_factors: the unit is g's leading coefficient, the
     residual what remains made monic, or None after a full split, and
-    certified whether the peel ended on a certificate.  On the
-    coefficients c of g's used variables, the factors come in the last
-    used variable alone first, then those with c_0 != 0 by -c_1 and c_2,
-    then the rest by c_2, each real part before its imaginary part."""
+    certified whether the peel ended on a certificate.  The factors come
+    in the order of _factor_list."""
     forms, rest, certified = _peel([g], g.nvars)
-    used = g.used_vars()
-    forms.sort(key=lambda f: _factor_key(f, used))
     residual = rest[0].scale(rest[0].leading()[1].inverse()) if rest else None
-    return FactorList(g.leading()[1], forms, residual, certified)
+    return _factor_list(g.leading()[1], forms, g.used_vars(), residual, certified)
+
+
+def product_factorization(scale: ExactComplex,
+                          rays: Sequence[Sequence[ExactComplex]]) -> FactorList:
+    """The factor list of scale * prod_l (a_l . x), for a nonzero scale and
+    nonzero exact vectors a_l, with no product expanded: by unique
+    factorization, the one linear_factorization gives for the expanded
+    form wherever its peel splits it.  LinearForm(a_l) is a_l over its
+    first nonzero coefficient, which is its grlex-leading one, so the
+    product of the forms is monic and the unit is scale times those
+    coefficients; the supports of the a_l make up the used variables."""
+    unit = scale
+    for a in rays:
+        unit = unit * next(c for c in a if not c.is_zero())
+    used = sorted({i for a in rays for i, c in enumerate(a) if not c.is_zero()})
+    return _factor_list(unit, [LinearForm(a) for a in rays], used)

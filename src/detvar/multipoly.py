@@ -70,6 +70,12 @@ def _require_exact(p: "Poly", coordinates: Sequence) -> None:
         raise TypeError("needs an exact polynomial and exact coordinates")
 
 
+def _require_point(p: "Poly", point: Sequence) -> None:
+    if len(point) != p.nvars:
+        raise ArityMismatch(f"point has {len(point)} coordinates, not {p.nvars}")
+    _require_exact(p, point)
+
+
 class Poly:
     """Sparse polynomial; immutable by convention."""
 
@@ -236,12 +242,52 @@ class Poly:
         contributes c * L^(deg - |e|) * X^e on Gaussian integers, from one
         power table per coordinate, and the sum is read once over
         D * L^deg."""
-        if len(point) != self.nvars:
-            raise ArityMismatch(f"point has {len(point)} coordinates, not {self.nvars}")
-        _require_exact(self, point)
+        _require_point(self, point)
         if not self.terms:
             return EC_ZERO
         deg = self.degree()
+        scales, tables = self._cleared(point, deg)
+        re = im = 0
+        for e, c in self.terms.items():
+            a, b = _gi_times(c, scales[deg - sum(e)])
+            for row, k in zip(tables, e):
+                if k:
+                    u, w = row[k]
+                    a, b = a * u - b * w, a * w + b * u
+            re += a
+            im += b
+        return from_fields(re, im, scales[deg])
+
+    def gradient(self, point: Sequence) -> List[ExactComplex]:
+        """The m partial derivatives at a point, the values
+        derivative(i).evaluate(point) reads, from one pass over the terms
+        and evaluate's one power table: the partial of c*x^e in x_i
+        contributes e_i * c * L^(deg - |e|) * X^(e - u_i), and each sum is
+        read over D * L^(deg - 1).  Exact polys and points only."""
+        _require_point(self, point)
+        deg = self.degree()
+        if deg < 1:
+            return [EC_ZERO] * self.nvars
+        scales, tables = self._cleared(point, deg)
+        sums = [(0, 0)] * self.nvars
+        for e, c in self.terms.items():
+            a0, b0 = _gi_times(c, scales[deg - sum(e)])
+            for i, ki in enumerate(e):
+                if not ki:
+                    continue
+                a, b = a0 * ki, b0 * ki
+                for j, (row, k) in enumerate(zip(tables, e)):
+                    k -= i == j
+                    if k:
+                        u, w = row[k]
+                        a, b = a * u - b * w, a * w + b * u
+                sums[i] = (sums[i][0] + a, sums[i][1] + b)
+        return [from_fields(re, im, scales[deg - 1]) for re, im in sums]
+
+    def _cleared(self, point: Sequence, deg: int) -> Tuple[List[int], List[List[Tuple[int, int]]]]:
+        """With the poly P/D of degree deg and the point X/L over Z[i]:
+        the scales D * L^k for k = 0 .. deg, and per coordinate the powers
+        X_i^k up to the poly's degree in x_i, as Gaussian integers."""
         big_l = lcm(*(x.fields[2] for x in point))
         scales = [lcm(*(c.fields[2] for c in self.terms.values()))]
         for _ in range(deg):
@@ -253,16 +299,7 @@ class Poly:
             for _ in range(max(e[i] for e in self.terms)):
                 row.append(_gi_mul(row[-1], xi))
             tables.append(row)
-        re = im = 0
-        for e, c in self.terms.items():
-            a, b = _gi_times(c, scales[deg - sum(e)])
-            for row, k in zip(tables, e):
-                if k:
-                    u, w = row[k]
-                    a, b = a * u - b * w, a * w + b * u
-            re += a
-            im += b
-        return from_fields(re, im, scales[deg])
+        return scales, tables
 
     def evaluation_scale(self, point: Sequence) -> float:
         """Sum of |coeff * monomial| at the point: the natural magnitude

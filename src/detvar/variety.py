@@ -21,14 +21,17 @@ The symbolic minors of an exact V are built when something first reads
 them.  A float V is built and decided from its pencil alone and has no
 symbolic minors (reading them raises FloatMinors): its nonzero minors
 are counted numerically when the count is first read, and only t < n
-makes it Full.  An exact square pencil (t = n) is expanded at once: its
-one minor, det N, goes to the line peel in any number of variables.  On
-an exact pencil with t > n in m >= 3 variables, a screen modulo a prime
-shows that every minor is nonzero and that some minor is not a monomial.
-The Macaulay certificate reads the same reduction, so a V certified
-finite or empty never builds a symbolic minor; nor does the exact peel
-where the binary no-common-zero test modulo the same prime, on an exact
-line, shows first that nothing is to be peeled.
+makes it Full.  An exact square pencil (t = n) in m >= 3 variables whose
+every column is a product (a_l . r) b_l is split off its columns,
+det N = det[b] * prod_l a_l . r, with no minor expanded (_column_split);
+any other square pencil is expanded at once: its one minor, det N, goes
+to the line peel in any number of variables.  On an exact pencil with
+t > n in m >= 3 variables, a screen modulo a prime shows that every
+minor is nonzero and that some minor is not a monomial.  The Macaulay
+certificate reads the same reduction, so a V certified finite or empty
+never builds a symbolic minor; nor does the exact peel where the binary
+no-common-zero test modulo the same prime, on an exact line, shows first
+that nothing is to be peeled.
 
 Every V is sampled on its pencil, not on its minors (an exact one on its
 float image; a float one of numerical rank below n at random points):
@@ -71,7 +74,13 @@ from .errors import (
     SingularPoint,
     ZeroDirection,
 )
-from .factorization import FactorList, _random_exact_point, linear_factorization, linear_factors
+from .factorization import (
+    FactorList,
+    _random_exact_point,
+    linear_factorization,
+    linear_factors,
+    product_factorization,
+)
 from .linalg import as_array, det_exact, exact_matrix, rank_exact
 from .modp import (
     RANK_PRIME,
@@ -208,8 +217,11 @@ class Variety:
     minors of an exact pencil, in lexicographic column-subset order, checked
     homogeneous of degree n.  With t > n in m >= 3 variables, where the
     screen modulo a prime (_minor_screen) shows all C(t, n) of them nonzero
-    and V neither Full nor Empty, they are expanded on first read; any other
-    exact pencil expands them at once and reads `structural` off them.
+    and V neither Full nor Empty, they are expanded on first read.  So they
+    are with t = n in m >= 3 variables where every column of the pencil is
+    a product: det N is then split off the columns at build (_column_split)
+    and kept for the peel.  Any other exact pencil expands them at once and
+    reads `structural` off them.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
@@ -227,11 +239,15 @@ class Variety:
         self._blocks = {}            # exact? -> _state_blocks(exact)
         self._analysis_cache = None  # _peel_linear_factors(self), once read
         self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
+        self._split = None           # det N's factor list off product columns (_column_split)
         if pencil.t < pencil.n:
             self._generators, self._essential_count, self.structural = [], 0, "Full"
         elif self.mode == "exact":
             if pencil.m >= 3 and pencil.t > pencil.n and _minor_screen(pencil):
                 self._essential_count = comb(pencil.t, pencil.n)
+            elif pencil.m >= 3 and pencil.t == pencil.n and (
+                    split := _column_split(pencil)) is not None:
+                self._split, self._essential_count = split, 1
             else:
                 self.structural = _structural(self.generators, self.m)
 
@@ -429,6 +445,31 @@ def _minor_screen(p: PencilMatrix) -> bool:
                                                 for fr, f1, fr2, frr2 in values)
 
 
+def _column_split(p: PencilMatrix) -> Optional[FactorList]:
+    """The factor list of det N for an exact square pencil whose every
+    column is a product, or None.  Column l's n x m coefficient block is
+    tested for rank one exactly: a nonzero pivot, and every 2 x 2 minor
+    through it zero.  Then column l of N(r) is (a_l . r) b_l, with a_l the
+    pivot's row and b_l its column over the pivot, and by multilinearity
+    det N = det[b_1 .. b_n] * prod_l a_l . r: a hypersurface split
+    completely into linear forms, certified, where det[b] != 0
+    (factorization.product_factorization).  No minor is expanded."""
+    rays, columns = [], []
+    for block in p.coeffs.transpose(1, 0, 2).tolist():
+        at = next(((k, i) for k, row in enumerate(block)
+                   for i, c in enumerate(row) if not c.is_zero()), None)
+        if at is None:
+            return None
+        k0, i0 = at
+        top, pivot = block[k0], block[k0][i0]
+        if any(row[i] * pivot != row[i0] * top[i] for row in block for i in range(p.m)):
+            return None
+        rays.append(top)
+        columns.append([row[i0] / pivot for row in block])
+    scale = det_exact(exact_matrix(columns))  # the b_l as rows: det of [b] transposed
+    return None if scale.is_zero() else product_factorization(scale, rays)
+
+
 def _numerical_essential(p: PencilMatrix) -> int:
     """The nonzero maximal minors of a float pencil: the n-column blocks of
     N(r), r from a fixed stream of its own, of numerical rank (_gap_rank) n,
@@ -559,6 +600,10 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     (forms, rest, factor list), the certified linear factors, the
     generators that remain, and the factor list of a hypersurface.
 
+    A square pencil whose det N was split off its product columns at
+    build (_column_split) needs no peel: ([], None, that factor list) is
+    returned, with no minor expanded and no line drawn.
+
     A hyperplane dividing every minor is a full linear component of the
     variety; random lines land on it constantly, hiding any codimension-2
     components behind it from the sampler.  Each peeled hyperplane is
@@ -574,12 +619,14 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     line peel (factorization.linear_factors), one generator or several;
     several have no factor list.
 
-    One generator, an exact hypersurface, is split into its factor list
-    (linear_factorization), returned third.  When a residual survives, the
-    system is that residual, whose zero locus is the only place a witness
-    can live.  A full split is left unpeeled: linearity_decide reports it
+    Any other exact hypersurface, one generator, is split into its factor
+    list (linear_factorization), returned third.  When a residual survives,
+    the system is that residual, whose zero locus is the only place a
+    witness can live.  A full split is left unpeeled: linearity_decide reports it
     from the factor list, and its hyperplanes stay open to sampling.
     """
+    if v._split is not None:
+        return [], None, v._split
     pencil = v.pencil
     if pencil.t > v.n:
         rng = random.Random("cauchy-binet")
@@ -1193,11 +1240,15 @@ def linearity_decide(v: Variety, seed: int = DEFAULT_SEED, samples: int = DEFAUL
        V empty ("Empty") or disjoint from an exact hyperplane ("Finite");
        an approximate state so certified gets a vacuous Inconclusive with
        the certificate.
-    4. Split, exact V only (the peel, _analysis_system): a hypersurface
-       (one nonzero minor) that splits completely into linear forms, or
+    4. Split, exact V only (_analysis_system): a hypersurface (one
+       nonzero minor) that splits completely into linear forms, or
        several minors that are each a constant times the same product of
        peeled hyperplanes, is certified to be that union: LinearUnion,
-       with its factor list in the first case only.
+       with its factor list in the first case only.  A hypersurface's
+       split has two sources: a square pencil of product columns, read
+       off the columns at build (_column_split, certified by the
+       multilinearity of det and unique factorization), and the line
+       peel of its expanded determinant.
     5. The witness search (_witness_search), on what the peel leaves; the
        verdict of an exact hypersurface carries its factor list, whose
        residual is free of Q(i)-linear factors wherever a line certified

@@ -123,20 +123,27 @@ def test_certified_peel_and_planes_of_ppt_side_a():
     assert len(forms) == 2 and rest
 
 
-def test_a_square_pencil_is_expanded_at_build_and_split_by_the_peel():
-    # t = n in four variables: no screen and no certificate; det N is
-    # expanded when V is built, and the line peel reads it.  A generic
-    # 4x4 r4 determinant has no Q(i) linear factor, certified; a separable
-    # one splits into four forms that re-multiply to it
-    v = variety_of_state(gaussian_integer_state(4, 4, 4, 1))
-    assert v._generators is not None
-    forms, rest, fl = _peel_linear_factors(v)
-    assert (forms, rest) == ([], [fl.residual])
-    assert fl.linear_factors == [] and fl.certified
-    assert fl.remultiply(4) == v.essential_generators[0]
+def test_a_non_product_square_pencil_is_expanded_at_build_and_split_by_the_peel():
+    # t = n in four variables, some ray not a product: no screen and no
+    # certificate; det N is expanded when V is built, and the line peel
+    # reads it.  A generic 4x4 r4 determinant has no Q(i) linear factor,
+    # certified, and neither has a generic 3x4 r4 one
+    for state in (gaussian_integer_state(4, 4, 4, 1), gaussian_integer_state(3, 4, 4, 1)):
+        v = variety_of_state(state)
+        assert v._generators is not None and v._split is None
+        forms, rest, fl = _peel_linear_factors(v)
+        assert (forms, rest) == ([], [fl.residual])
+        assert fl.linear_factors == [] and fl.certified
+        assert fl.remultiply(v.m) == v.essential_generators[0]
+
+
+def test_a_product_square_pencil_is_split_from_its_columns():
+    # every ray a product: det N = det[b] * prod_l a_l . r is read off the
+    # columns, with no minor expanded and no line peeled; the four forms
+    # re-multiply to the determinant, expanded here only to check them
     w = variety_of_state(random_separable(4, 4, 4, seed=1))
-    assert w._generators is not None
+    assert w._generators is None and w.essential_count == 1
     forms, rest, fl = _peel_linear_factors(w)
-    assert (forms, rest) == ([], w.essential_generators)
-    assert fl.residual is None and len(fl.linear_factors) == 4
+    assert (forms, rest) == ([], None)
+    assert fl.residual is None and len(fl.linear_factors) == 4 and fl.certified
     assert fl.remultiply(4) == w.essential_generators[0]

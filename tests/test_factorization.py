@@ -15,11 +15,15 @@ from fractions import Fraction
 import pytest
 
 from detvar import factorization as factorization_mod
+from detvar.errors import ArityMismatch
 from detvar.factorization import _random_exact_point, linear_factorization, linear_factors
 from detvar.multipoly import LinearForm, Poly
 from detvar.scalars import ExactComplex
+from detvar.statefile import load_state
+from detvar.variety import variety_of_state
 from oracles.peel import linear_factorization as engine_factorization
 from oracles.polys import homogenize
+from pinned import GOLDEN
 from shared_states import cross
 
 EC = ExactComplex
@@ -216,3 +220,55 @@ def test_an_uncertified_peel_says_so(monkeypatch):
     monkeypatch.undo()
     assert linear_factorization(conic).certified
     assert linear_factorization(product([LinearForm([EC(1), EC(2), EC(0)])], 3)).certified
+
+
+# -- the one-pass gradient ------------------------------------------------------
+
+def _derivative_gradient(h, point):
+    """The gradient the peel took before: one derivative Poly per variable,
+    each evaluated on its own."""
+    return [h.derivative(i).evaluate(point) for i in range(h.nvars)]
+
+
+def _golden_minors():
+    """The first two nonzero minors of each exact golden ensemble, side A."""
+    minors = []
+    for path in sorted(GOLDEN.glob("*.state.json")):
+        s = load_state(str(path))
+        v = None if s.ensemble is None else variety_of_state(s)
+        if v is not None and v.mode == "exact" and v.structural is None:
+            minors += v.essential_generators[:2]
+    return minors
+
+
+def _drawn_form(rng):
+    m = rng.randint(1, 5)
+    terms = {tuple(rng.randint(0, 3) for _ in range(m)): _scalar(rng)
+             for _ in range(rng.randint(0, 8))}
+    return Poly(m, terms)
+
+
+def test_the_one_pass_gradient_is_the_derivative_gradient():
+    # d_j^(k-1) g for k = 1, 2, 3, as _hyperplane_normal takes it, at exact
+    # points with denominators; exact values, so equal, not close
+    rng = random.Random("gradient")
+    forms = _golden_minors()
+    assert len(forms) >= 10
+    forms += [_drawn_form(rng) for _ in range(60)]
+    for g in forms:
+        point = _random_exact_point(rng, g.nvars)
+        for k in (1, 2, 3):
+            for j in range(g.nvars if k > 1 else 1):
+                h = g
+                for _ in range(k - 1):
+                    h = h.derivative(j)
+                assert h.gradient(point) == _derivative_gradient(h, point)
+
+
+def test_the_gradient_refuses_what_evaluate_refuses():
+    x = Poly.variable(0, 2)
+    with pytest.raises(ArityMismatch):
+        x.gradient([EC(1)])
+    with pytest.raises(TypeError):
+        x.gradient([EC(1), 1.0])
+    assert Poly.zero(2).gradient([EC(1), EC(2)]) == [EC(0), EC(0)]

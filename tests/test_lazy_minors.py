@@ -5,14 +5,16 @@ screened, and its count of nonzero minors is numerical, taken when first
 read.  An exact pencil with t > n in m >= 3 variables is screened modulo
 a prime instead of expanded; the Macaulay certificate and the Cauchy-Binet
 certificate of the exact peel read the reduced pencil too.  An exact
-square pencil is expanded at once, as the line peel reads its
-determinant.  These tests pin that a certified state and a float analysis
-build no minor, that the screen stays out of float pencils, of square
-pencils and of CP^1, and that
-the counts a report prints without expanding are those of the expanded
-minors: on exact edge states the lazy report equals, byte for byte, the
-report of the same analysis with the screen switched off, and a float
-count is that of the float minors that are not rounding noise.
+square pencil in m >= 3 variables whose columns are products is split
+off its columns with no minor expanded; any other is expanded at once,
+as the line peel reads its determinant.  These tests pin that a
+certified state, a product square analysis and a float analysis build no
+minor, that the screen stays out of float pencils, of square pencils and
+of CP^1, and that the counts a report prints without expanding are those
+of the expanded minors: on exact edge states the lazy report equals, byte
+for byte, the report of the same analysis with the screen switched off,
+and a float count is that of the float minors that are not rounding
+noise.
 """
 
 import sys
@@ -81,16 +83,19 @@ def screens(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("make", [
-    lambda: random_separable(3, 4, 4, seed=1),   # m = 3, t = n: the factor split reads det N
-    lambda: random_separable(2, 2, 3, seed=1),   # m <= 2: cheap minors, no certificate on them
-    lambda: random_separable(2, 3, 4, seed=1),
-    lambda: catalog.maximally_mixed(2, 2),
-], ids=["sep 3x4 t4", "sep 2x2 t3", "sep 2x3 t4", "maxmixed 2x2"])
-def test_no_screen_below_the_gate_or_in_cp1(screens, make):
+@pytest.mark.parametrize("make, expanded", [
+    # m = 3, t = n: the line peel reads det N, unless the rays are
+    # products and det N splits off the columns
+    (lambda: gaussian_integer_state(3, 4, 4, 1), True),
+    (lambda: random_separable(3, 4, 4, seed=1), False),
+    (lambda: random_separable(2, 2, 3, seed=1), True),  # m <= 2: cheap minors, no certificate
+    (lambda: random_separable(2, 3, 4, seed=1), True),
+    (lambda: catalog.maximally_mixed(2, 2), True),
+], ids=["gauss 3x4 r4", "sep 3x4 t4", "sep 2x2 t3", "sep 2x3 t4", "maxmixed 2x2"])
+def test_no_screen_below_the_gate_or_in_cp1(screens, make, expanded):
     v = variety_of_state(make())
     assert screens == []
-    assert v._generators is not None
+    assert (v._generators is not None) == expanded
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -139,11 +144,30 @@ def test_the_screen_runs_at_the_gate(screens):
                          ids=lambda s: "sep %dx%d t%d" % s)
 def test_an_exact_pencil_is_screened_exactly_where_t_exceeds_n(screens, shape):
     # t > n, below the Eagon-Northcott gate too: the peel can then settle
-    # V without expanding a minor.  t = n: det N is expanded at build, as
+    # V without expanding a minor.  t = n: no screen; a det N of product
+    # rays is split off the columns, and any other is expanded at build, as
     # the line peel reads it in any number of variables
-    v = variety_of_state(random_separable(*shape, seed=1))
     past_square = shape[2] > shape[1]
-    assert len(screens) == past_square and (v._generators is None) == past_square
+    v = variety_of_state(random_separable(*shape, seed=1))
+    assert len(screens) == past_square and v._generators is None
+    assert (v._split is not None) == (not past_square)
+    screens.clear()
+    w = variety_of_state(gaussian_integer_state(*shape, 1))
+    assert len(screens) == past_square and (w._generators is None) == past_square
+    assert w._split is None
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (3, 4, 4)], ids=lambda s: "sep %dx%d t%d" % s)
+@pytest.mark.parametrize("seed", range(3))
+def test_a_product_square_analysis_expands_screens_and_factors_nothing(
+        no_minors, screens, monkeypatch, shape, seed):
+    # det N of product rays is split off the columns (_column_split): the
+    # report is built with no minor expanded, no screen and no line peel
+    calls = []
+    monkeypatch.setattr(variety_mod, "linear_factorization", calls.append)
+    report = analyze_state(random_separable(*shape, seed=seed))
+    assert report["verdict"]["tag"] == "LinearUnion" and report["generators"]["essential"] == 1
+    assert screens == [] and calls == []
 
 
 def _duplicated(s):

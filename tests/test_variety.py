@@ -600,8 +600,11 @@ def test_linear_factorization_runs_once_per_hypersurface_analysis(monkeypatch, m
         return real(p)
 
     monkeypatch.setattr(variety_mod, "linear_factorization", counting)
-    linearity_decide(variety_of_state(make_state()), seed=7)
-    assert len(calls) == 1
+    v = variety_of_state(make_state())
+    assert linearity_decide(v, seed=7).factor_list is not None
+    # a separable square pencil's factor list is read off its product
+    # columns, with no call; any other hypersurface is factored once
+    assert len(calls) == (v._split is None)
 
 
 @pytest.mark.parametrize("make_variety, finder", [

@@ -81,8 +81,20 @@ def verdict_to_json(verdict: VarietyVerdict) -> dict:
 def _hesse_cubic(v: Variety) -> Optional[HesseCubic]:
     """The Hesse form of V when it is cut out by one exact generator of
     Hesse shape; None otherwise.  The generator must be a cubic, so only an
-    exact V with n = 3 and one nonzero minor has its minors read here."""
-    if v.mode != "exact" or v.n != 3 or v.essential_count != 1:
+    exact V with n = 3 and one nonzero minor has its minors read here.
+
+    A V split off its columns (Variety._split) is None with nothing
+    expanded, as its det N is a product of three Q(i) linear forms, and no
+    such product has Hesse shape.  Rescaled by cube roots of a, b, c, a
+    cubic a x^3 + b y^3 + c z^3 + d xyz with abc != 0 is a member of the
+    Hesse pencil X^3 + Y^3 + Z^3 - lambda XYZ, which is smooth, hence
+    irreducible, unless lambda^3 = 27.  There it is the triangle of lines
+    prod_j (alpha x + w^(j+k) beta y + w^(2j) gamma z), w a primitive cube
+    root of unity: scaled to the same x coefficient, two of its lines
+    differ in their y coefficients by a factor w or w^2.  Factors are
+    unique up to scalars, so three Q(i) linear factors would put w in
+    Q(i), which holds no root of x^2 + x + 1."""
+    if v.mode != "exact" or v.n != 3 or v.essential_count != 1 or v._split is not None:
         return None
     try:
         return hesse_reduce(v.essential_generators[0])

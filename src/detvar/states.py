@@ -186,7 +186,9 @@ class BipartiteState:
         read off this state's one decomposition (eigen), which it shares.
 
         Eigenvalues above ``spectral_cutoff`` are kept; their count is the
-        numerical rank and the kept eigenvectors span the image.
+        numerical rank and the kept eigenvectors span the image.  The
+        unit-scaled rays (``_unit_rays``) are read off the kept eigenvector
+        columns at once, with the values the ensemble's tuples hold.
         """
         _check_density(self.density, self.m * self.n)
         eig = self.eigen(tol)
@@ -196,11 +198,13 @@ class BipartiteState:
         cut = spectral_cutoff(eig.eigenvalues, tol)
         if min(eig.eigenvalues) < -cut:
             raise NotAState("density has a negative eigenvalue")
-        ensemble = [(lam, tuple(eig.eigenvectors[:, k].tolist()))
-                    for k, lam in enumerate(eig.eigenvalues) if lam > cut]
+        kept = [k for k, lam in enumerate(eig.eigenvalues) if lam > cut]
+        ensemble = [(eig.eigenvalues[k], tuple(eig.eigenvectors[:, k].tolist())) for k in kept]
         out = BipartiteState(self.m, self.n, ensemble=ensemble, density=self.density,
                              label=self.label, validate=False)
         out._eigen, out._images = self._eigen, self._images
+        out._rays = unit_rows(np.ascontiguousarray(eig.eigenvectors[:, kept].T))
+        out._rays.flags.writeable = False
         return out
 
     def _gaussian_sum(self) -> Tuple[List[List[int]], List[List[int]], int]:

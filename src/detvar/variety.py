@@ -58,6 +58,7 @@ an exact pencil too), put it off V.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -176,10 +177,13 @@ class PencilMatrix:
     def floats(self) -> Tuple[np.ndarray, float]:
         """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
         and ||A||, the spectral norm of its m x nt unfolding: a transpose of
-        the coefficients, an exact pencil's rounded (complex(c))."""
+        the coefficients, an exact pencil's rounded (complex(c)).  ||A|| is
+        the first of the unfolding's singular values, which come sorted;
+        np.linalg.norm(., 2) takes the amax of the same values."""
         if self._floats is None:
             tensor = self.coeffs.astype(complex, copy=False).transpose(2, 0, 1)
-            self._floats = (tensor, float(np.linalg.norm(tensor.reshape(self.m, -1), 2)))
+            svals = np.linalg.svd(tensor.reshape(self.m, -1), compute_uv=False)
+            self._floats = (tensor, float(svals[0]))
         return self._floats
 
     def __repr__(self):
@@ -359,16 +363,22 @@ def _hermitian_forms(points: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("bij,irjc->brc", w, blocks)
 
 
+def _row_norms(rows: np.ndarray) -> List[float]:
+    """float(np.linalg.norm(row)) of each row of a complex 2-D array, bit
+    for bit: numpy's own formula for a complex vector, sqrt(re . re +
+    im . im), on the same strided views, with no call through norm."""
+    return [sqrt(re.dot(re) + im.dot(im)) for re, im in zip(rows.real, rows.imag)]
+
+
 def _hadamard_ratio(arr: np.ndarray) -> float:
-    """|det arr| over the product of its row norms (np.linalg.norm's own
-    formula), each at least 1e-300.  Where that product underflows, a zero
-    row reads 0.0 and other rows are first scaled to unit max modulus,
-    which leaves the ratio as it was and keeps det and bound in range."""
+    """|det arr| over the product of its row norms (_row_norms), each at
+    least 1e-300.  Where that product underflows, a zero row reads 0.0 and
+    other rows are first scaled to unit max modulus, which leaves the
+    ratio as it was and keeps det and bound in range."""
     det = complex(np.linalg.det(arr))
     bound = 1.0
-    for row in arr:
-        re, im = row.real, row.imag
-        bound *= max(sqrt(re.dot(re) + im.dot(im)), 1e-300)
+    for norm in _row_norms(arr):
+        bound *= max(norm, 1e-300)
     if bound != 0.0:
         return abs(det) / bound
     peaks = np.abs(arr).max(axis=1, keepdims=True)
@@ -433,13 +443,11 @@ def _minor_screen(p: PencilMatrix) -> bool:
     f(1) f(r o r') = f(r) f(r') in any commutative ring, so one minor that
     fails it is not a monomial, and the monomial test for Empty cannot
     hold.  False proves nothing; the caller then expands the minors.  The
-    values at the four points come from one call of modp.minor_values.
-    Only an exact pencil with t > n in m >= 3 variables is screened
-    (Variety)."""
+    values at the four points (_screen_points, drawn once per prime and m)
+    come from one call of modp.minor_values.  Only an exact pencil with
+    t > n in m >= 3 variables is screened (Variety)."""
     prime, forms = p.mod_p()
-    rng = random.Random("minor-screen")
-    r, r2 = ([rng.randrange(1, prime) for _ in range(p.m)] for _ in range(2))
-    points = np.array([r, [1] * p.m, r2, [a * b % prime for a, b in zip(r, r2)]])
+    points = _fixed_draw(_screen_points, "minor-screen", prime, p.m)
     values = minor_values(forms, points, prime).tolist()
     return all(fr for fr, *_ in values) and any(f1 * frr2 % prime != fr * fr2 % prime
                                                 for fr, f1, fr2, frr2 in values)
@@ -474,7 +482,7 @@ def _numerical_essential(p: PencilMatrix) -> int:
     """The nonzero maximal minors of a float pencil: the n-column blocks of
     N(r), r from a fixed stream of its own, of numerical rank (_gap_rank) n,
     from one stacked SVD.  A minor that is rounding noise counts as zero."""
-    r = np.array(_random_approx_point(random.Random("essential"), p.m))
+    r = _fixed_draw(_complex_gaussians, "essential", p.m)
     at_r = np.einsum("i,ikl->kl", r, p.floats[0])
     blocks = at_r[:, list(combinations(range(p.t), p.n))].transpose(1, 0, 2)
     return sum(_gap_rank(svals, p.n) == p.n
@@ -492,7 +500,8 @@ def variety_of_state(s: BipartiteState, side: str = "A") -> Variety:
 def project_normalize(point: Sequence):
     """Scale by the inverse of the max-modulus coordinate, the pivot (ties
     broken by lowest index): exactly 1 on an exact point, 1 within a few
-    ulp on a float one, whose low bits may move if normalized again."""
+    ulp on a float one, whose low bits may move if normalized again.  Any
+    other point is read as complex(x) and goes to _normalize_floats."""
     if all(isinstance(x, ExactComplex) for x in point):
         best, best_n = None, None
         for i, x in enumerate(point):
@@ -503,13 +512,20 @@ def project_normalize(point: Sequence):
             raise ValueError("cannot normalize the zero point")
         inv = point[best].inverse()
         return tuple(x * inv for x in point)
-    pt = [complex(x) for x in point]
-    mods = [abs(x) for x in pt]
-    best = max(range(len(pt)), key=lambda i: (mods[i], -i))
-    if mods[best] == 0:
+    return _normalize_floats([complex(x) for x in point])
+
+
+def _normalize_floats(point: Sequence[complex]) -> Tuple[complex, ...]:
+    """The float half of project_normalize, for python complex coordinates
+    only, read as given: the first coordinate of largest abs is the pivot,
+    and each coordinate is multiplied by 1.0 / pivot in python arithmetic
+    (numpy's complex division rounds differently)."""
+    mods = [abs(x) for x in point]
+    top = max(mods)
+    if top == 0:
         raise ValueError("cannot normalize the zero point")
-    inv = 1.0 / pt[best]
-    return tuple(x * inv for x in pt)
+    inv = 1.0 / point[mods.index(top)]
+    return tuple(x * inv for x in point)
 
 
 def _require_arity(v: Variety, point: Sequence) -> None:
@@ -544,6 +560,47 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
 
 def _random_approx_point(rng: random.Random, m: int) -> List[complex]:
     return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
+
+
+def _complex_gaussians(rng: random.Random, count: int) -> np.ndarray:
+    """np.array(_random_approx_point(rng, count)), bit for bit and leaving
+    rng in the same state: the 2 count Gaussians in the order it draws
+    them, real part first, in one float array viewed as complex."""
+    gauss = rng.gauss
+    return np.array([gauss(0, 1) for _ in range(2 * count)]).view(complex)
+
+
+@lru_cache(maxsize=256)
+def _fixed_draw(draw, stream: str, *shape):
+    """draw(random.Random(stream), *shape), drawn once per stream and shape.
+
+    A stream seeded with a constant, or with the analysis seed as in
+    f"rank:{seed}", and read once gives the same draw every time, so it is
+    kept: the bound is there because a seed comes from the user.  The
+    result is shared, so it is read-only: an array is flagged so, and
+    anything else is a tuple.  A stream read step by step (the sampler's,
+    the probes', the exact peel's) is not drawn here."""
+    out = draw(random.Random(stream), *shape)
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
+    return out
+
+
+def _screen_points(rng: random.Random, prime: int, m: int) -> np.ndarray:
+    """The four points of _minor_screen modulo prime: r, 1, r' and r o r'."""
+    r, r2 = ([rng.randrange(1, prime) for _ in range(m)] for _ in range(2))
+    return np.array([r, [1] * m, r2, [a * b % prime for a, b in zip(r, r2)]])
+
+
+def _hyperplane(rng: random.Random, k: int) -> Tuple[ExactComplex, ...]:
+    """The k Gaussian integers in [-99, 99] + [-99, 99] i of the Macaulay
+    certificate's hyperplane."""
+    return tuple(ExactComplex(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(k))
+
+
+def _exact_line(rng: random.Random, m: int) -> Tuple[Tuple[ExactComplex, ...], ...]:
+    """(base, direction) of the exact line of the Cauchy-Binet certificate."""
+    return tuple(tuple(_random_exact_point(rng, m)) for _ in range(2))
 
 
 def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
@@ -629,8 +686,7 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
         return [], None, v._split
     pencil = v.pencil
     if pencil.t > v.n:
-        rng = random.Random("cauchy-binet")
-        base, direction = _random_exact_point(rng, v.m), _random_exact_point(rng, v.m)
+        base, direction = _fixed_draw(_exact_line, "cauchy-binet", v.m)
         if _cauchy_binet_certificate(pencil, base, direction):
             return [], None, None
     gens = v.essential_generators
@@ -666,9 +722,7 @@ def _plane_slice_candidates(gens: List[Poly], m: int, rng: random.Random,
 
     This is what reaches codimension-2 components that random lines miss.
     """
-    a = np.array(_random_approx_point(rng, m))
-    b = np.array(_random_approx_point(rng, m))
-    c = np.array(_random_approx_point(rng, m))
+    a, b, c = (_complex_gaussians(rng, m) for _ in range(3))
 
     def slice_poly(g: Poly) -> Poly:
         ga = g.to_approx()
@@ -838,8 +892,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         draws, unit = SAMPLING_BUDGET * count, "line draws"
 
         def candidates() -> List[List[complex]]:
-            base = np.array(_random_approx_point(rng, v.m))
-            direction = np.array(_random_approx_point(rng, v.m))
+            base, direction = _complex_gaussians(rng, v.m), _complex_gaussians(rng, v.m)
             roots = _line_roots(v, base, direction)
             return [] if roots is None else [(base + s * direction).tolist()
                                              for s in roots.tolist()]
@@ -847,7 +900,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         draws, unit = NEWTON_TRIES * count, "incidence tries"
 
         def candidates() -> List[List[complex]]:
-            r = _incidence_point(v, np.array(_random_approx_point(rng, v.m)), tol)
+            r = _incidence_point(v, _complex_gaussians(rng, v.m), tol)
             return [] if r is None else [r.tolist()]
     clean = 0.1 * tol.abs_eps
     found = on_peeled = 0
@@ -855,7 +908,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         for cand in candidates():
             if max(abs(z) for z in cand) < 1e-12:
                 continue
-            cand = project_normalize(cand)
+            cand = _normalize_floats(cand)
             if normals is not None and (
                     np.abs(normals @ cand) < PEELED_MARGIN * np.linalg.norm(cand)).any():
                 on_peeled += 1
@@ -954,7 +1007,8 @@ def _tangent_data(v: Variety, point: Sequence
     if rows < 1:  # t < n: V is all of CP^{m-1}
         return None
     u, s, vh = np.linalg.svd(np.einsum("i,ikl->kl", p, tensor))
-    if n > 1 and s[n - 2] < SMOOTH_MARGIN * scale * float(np.linalg.norm(p)):
+    pnorm = float(np.linalg.norm(p))
+    if n > 1 and s[n - 2] < SMOOTH_MARGIN * scale * pnorm:
         return None
     tmat = np.einsum("k,ikl,jl->ji", u[:, n - 1].conj(), tensor, vh[n - 1:].conj())
     _, st, vt = np.linalg.svd(tmat)
@@ -962,13 +1016,13 @@ def _tangent_data(v: Variety, point: Sequence
         return None
     if rows + 1 >= v.m:
         return tmat, []
-    unit = p / np.linalg.norm(p)
+    unit = p / pnorm
     span = np.vstack([vt[:rows], unit.conj()])
     proj = np.eye(v.m) - span.conj().T @ span
     return tmat, list(proj.T)
 
 
-def _witness_search_at(v: Variety, pt: List[complex],
+def _witness_search_at(v: Variety, pt: Sequence[complex],
                        data: Tuple[np.ndarray, List[np.ndarray]], rng: random.Random,
                        tol: Tolerance) -> Optional[Tuple[Tuple[complex, ...], float, np.ndarray]]:
     """Probe the tangent space at a smooth point pt, given its _tangent_data:
@@ -976,19 +1030,23 @@ def _witness_search_at(v: Variety, pt: List[complex],
     projector, complex Gaussian g from rng).  A probe that both oracles put
     off V, its Hermitian residual and its pencil residual above threshold,
     certifies local curvature; the hit is (probe, Hermitian residual, first
-    row of T) for the probe of largest Hermitian residual, or None."""
+    row of T) for the probe of largest Hermitian residual, or None.
+
+    The Gaussians come from one array (_complex_gaussians), PROBES rows of
+    one per direction, drawn in _random_approx_point's order.  Each step's
+    norm is numpy's own formula (_row_norms), and each probe is normalized
+    by _normalize_floats."""
     dirs = data[1]
     if not dirs:
         # a zero-dimensional component, whose tangent space is the point
         # itself: nothing to probe
         return None
-    coeffs = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1))
-                       for _ in range(PROBES * len(dirs))]).reshape(PROBES, len(dirs))
+    coeffs = _complex_gaussians(rng, PROBES * len(dirs)).reshape(PROBES, len(dirs))
     combos = sum(coeffs[:, j, None] * d for j, d in enumerate(dirs))
-    norms = np.array([float(np.linalg.norm(combo)) for combo in combos])
+    norms = np.array(_row_norms(combos))
     keep = norms >= 1e-12
     steps = np.array(pt) + HYPERPLANE_RADIUS * combos[keep] / norms[keep][:, None]
-    qs = [project_normalize(q) for q in steps.tolist()]
+    qs = [_normalize_floats(q) for q in steps.tolist()]
     threshold = WITNESS_FACTOR * tol.abs_eps
     mats = v.hermitian_stack(qs)
     hit = _best_probe(mats, threshold)
@@ -1045,9 +1103,8 @@ def _rank_deficient(v: Variety, seed: int) -> bool:
     if v.mode == "exact":
         return False
     if seed not in v._rank_memo:
-        rng = random.Random(f"rank:{seed}")
-        r = _random_approx_point(rng, v.m)
-        mat = np.einsum("i,ikl->kl", np.array(r), v.pencil.floats[0])
+        r = _fixed_draw(_complex_gaussians, f"rank:{seed}", v.m)
+        mat = np.einsum("i,ikl->kl", r, v.pencil.floats[0])
         rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), v.n)
         v._rank_memo[seed] = rank is not None and rank < v.n
     return v._rank_memo[seed]
@@ -1078,9 +1135,7 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
     if v.pencil.t - v.n + 1 > v.m - 1:
         tests.append(("Empty", None))
     if finite:
-        rng = random.Random(f"modp:{seed}")
-        tests.append(("Finite", tuple(ExactComplex(rng.randint(-99, 99), rng.randint(-99, 99))
-                                      for _ in range(v.m - 1))))
+        tests.append(("Finite", _fixed_draw(_hyperplane, f"modp:{seed}", v.m - 1)))
     if not tests:
         return None
     p, forms = v.pencil.mod_p()
@@ -1203,7 +1258,7 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
     try:
         for p, on_peeled in _point_stream(v, samples, seed, tol):
             sampled += 1
-            pt = [complex(x) for x in project_normalize(p)]
+            pt = _normalize_floats(p)
             data = _tangent_data(v, pt)
             if data is None:
                 skipped += 1
@@ -1325,9 +1380,8 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
         except SamplingExhausted:
             continue
         for p in pts:
-            vec = np.array([complex(x) for x in p])
-            mapped = tuple(mat @ vec)
-            res = variety_to.hermitian_residual(project_normalize(mapped))
+            mapped = (mat @ np.array(p)).tolist()
+            res = variety_to.hermitian_residual(_normalize_floats(mapped))
             max_res = max(max_res, res)
             checked += 1
     ok = max_res <= threshold and checked > 0

@@ -6,13 +6,17 @@ reads that factor list off the columns, with no minor expanded and no line
 peeled.  It must be the factor list the line peel (``linear_factorization``)
 finds on the expanded determinant, field by field and in the same order.
 A pencil it cannot split, with a ray off product or dependent b_l, takes
-the peel's path as before.
+the peel's path as before.  A split cubic is never of Hesse shape, so the
+report's Hesse test (``report._hesse_cubic``) turns it down unexpanded.
 """
 
 import pytest
 
 import detvar.variety as variety_mod
+from detvar.errors import NotHesseShape
 from detvar.factorization import linear_factorization
+from detvar.moduli import hesse_reduce
+from detvar.report import _hesse_cubic, analyze_state
 from detvar.scalars import ExactComplex
 from detvar.states import (
     BipartiteState,
@@ -131,3 +135,22 @@ def test_exact_float_and_rotated_copies_give_no_witness(make, tag_b):
             if v.mode == "exact" and side in _square_sides(s):
                 tag = "LinearUnion" if side == "A" else tag_b
                 assert verdict.tag == tag and (v._generators is None) == (tag == "LinearUnion")
+
+
+def test_a_split_cubic_is_never_of_hesse_shape(monkeypatch):
+    # the expanded det N of each split 3x3 pencil is refused by hesse_reduce,
+    # and the report's Hesse test refuses it with no minor expanded
+    states = [random_separable(3, 3, 3, seed) for seed in range(200)]
+    for s in states:
+        v = variety_of_state(s)
+        assert v._split is not None
+        with pytest.raises(NotHesseShape):
+            hesse_reduce(v.essential_generators[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a minor was expanded")
+
+    monkeypatch.setattr(variety_mod, "minors", refuse)
+    for s in states:
+        assert _hesse_cubic(variety_of_state(s)) is None
+        assert "moduli" not in analyze_state(s)

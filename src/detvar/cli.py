@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import random
 import sys
 import time
 
@@ -33,6 +34,7 @@ from .errors import (
     SamplingExhausted,
     StateFileError,
 )
+from .linalg import partial_transpose, rank_exact
 from .report import (
     SCHEMA,
     analyze_state,
@@ -43,7 +45,15 @@ from .report import (
 )
 from .scalars import DEFAULT_TOL, Tolerance
 from .statefile import load_state, parse_state_bytes, read_state_file, save_state
-from .states import random_local_unitary, random_mixed, random_separable
+from .states import (
+    LocalUnitaryPair,
+    _complex_gaussians,
+    ppt_check,
+    random_local_unitary,
+    random_mixed,
+    random_separable,
+    random_unitary,
+)
 from .variety import (DEFAULT_SAMPLES, DEFAULT_SEED, linearity_decide, variety_of_state,
                       verify_lu_covariance)
 
@@ -111,9 +121,6 @@ def cmd_repro(args) -> int:
         save_state(args.write_state, state)
     if args.which == "example3":
         start = time.perf_counter()
-        from .linalg import partial_transpose, rank_exact
-        from .states import ppt_check
-
         rho = state.density_matrix()
         report = {
             "schema": SCHEMA,
@@ -140,15 +147,8 @@ def _negative_control(args, tol: Tolerance) -> dict:
     if args.m == 1:
         return {"vacuous": True,
                 "reason": "m = 1: every nonzero 1x1 map fixes V_A in CP^0"}
-    import random as _random
-
-    import numpy as np
-
-    from .states import LocalUnitaryPair, random_unitary
-
-    rng = _random.Random(args.seed + 5)
-    bad = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(args.m)]
-                    for _ in range(args.m)])
+    rng = random.Random(args.seed + 5)
+    bad = _complex_gaussians(rng, args.m * args.m).reshape(args.m, args.m)
     control_pair = LocalUnitaryPair(bad, random_unitary(args.n, rng), validate=False)
     control_state = random_mixed(args.m, args.n, rank=args.n, seed=args.seed + 6)
     control = verify_lu_covariance(control_state, control_pair, samples=3,
@@ -211,45 +211,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="detvar",
         description="Determinantal-variety invariants of bipartite mixed states")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags several subcommands share, each defined once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--json", default=None)
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sampled.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
-    pa = sub.add_parser("analyze", help="analyze a state file")
+    pa = sub.add_parser("analyze", help="analyze a state file", parents=[sampled])
     pa.add_argument("file")
     pa.add_argument("--side", choices=["A", "B"], default="A")
-    pa.add_argument("--tol", type=float, default=None)
-    pa.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    pa.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pa.add_argument("--json", default=None)
     pa.set_defaults(fn=cmd_analyze)
 
-    pc = sub.add_parser("compare", help="compare two state files")
+    pc = sub.add_parser("compare", help="compare two state files", parents=[common])
     pc.add_argument("a")
     pc.add_argument("b")
-    pc.add_argument("--tol", type=float, default=None)
-    pc.add_argument("--json", default=None)
     pc.set_defaults(fn=cmd_compare)
 
-    pr = sub.add_parser("repro", help="reproduce a built-in construction")
+    pr = sub.add_parser("repro", help="reproduce a built-in construction", parents=[sampled])
     pr.add_argument("which", choices=["example1", "example2", "example3"])
     pr.add_argument("--m", type=int, default=3)
     pr.add_argument("--n", type=int, default=3)
     pr.add_argument("--t", default=None,
                     help="family parameter for example2: a rational or '3w' "
                          "(write negative fractions as --t=-1/2)")
-    pr.add_argument("--tol", type=float, default=None)
-    pr.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pr.add_argument("--json", default=None)
     pr.add_argument("--write-state", default=None,
                     help="also write the state file used")
     pr.set_defaults(fn=cmd_repro)
 
-    pp = sub.add_parser("props", help="randomized property suite")
+    pp = sub.add_parser("props", help="randomized property suite", parents=[seeded])
     pp.add_argument("--m", type=int, default=3)
     pp.add_argument("--n", type=int, default=3)
     pp.add_argument("--trials", type=int, default=20)
-    pp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pp.add_argument("--tol", type=float, default=None)
-    pp.add_argument("--json", default=None)
     pp.set_defaults(fn=cmd_props)
     return parser
 

@@ -33,25 +33,16 @@ class HesseCubic:
         return self.lambda_cubed.render()
 
 
+@dataclass(frozen=True)
 class ModuliValue:
-    """Exact moduli value, or the Degenerate marker at lambda^3 = 27."""
+    """Exact moduli value, or the Degenerate marker at lambda^3 = 27 (value
+    None), which equals another Degenerate marker only."""
 
-    def __init__(self, value: Optional[ExactComplex]):
-        self.value = value
+    value: Optional[ExactComplex]
 
     @property
     def degenerate(self) -> bool:
         return self.value is None
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuliValue):
-            return NotImplemented
-        if self.degenerate or other.degenerate:
-            return self.degenerate and other.degenerate
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(None if self.degenerate else self.value)
 
     def render(self) -> str:
         return "degenerate" if self.degenerate else self.value.render()

@@ -83,7 +83,7 @@ def _hesse_cubic(v: Variety) -> Optional[HesseCubic]:
     Hesse shape; None otherwise.  The generator must be a cubic, so only an
     exact V with n = 3 and one nonzero minor has its minors read here.
 
-    A V split off its columns (Variety._split) is None with nothing
+    A V split off its columns (Variety.split) is None with nothing
     expanded, as its det N is a product of three Q(i) linear forms, and no
     such product has Hesse shape.  Rescaled by cube roots of a, b, c, a
     cubic a x^3 + b y^3 + c z^3 + d xyz with abc != 0 is a member of the
@@ -94,7 +94,7 @@ def _hesse_cubic(v: Variety) -> Optional[HesseCubic]:
     differ in their y coefficients by a factor w or w^2.  Factors are
     unique up to scalars, so three Q(i) linear factors would put w in
     Q(i), which holds no root of x^2 + x + 1."""
-    if v.mode != "exact" or v.n != 3 or v.essential_count != 1 or v._split is not None:
+    if v.mode != "exact" or v.n != 3 or v.essential_count != 1 or v.split is not None:
         return None
     try:
         return hesse_reduce(v.essential_generators[0])

@@ -18,8 +18,10 @@ A density-only state forces the approximate pathway downstream, since
 recovering an ensemble requires an eigendecomposition.  A local unitary
 is an exact matrix or a complex array, and every float image a state
 hands on (its density, partial traces, eigenvectors) is an array; so are
-a float ensemble's rays, unit-scaled once per state (``_unit_rays``) for
-its density and its pencil.
+a float ensemble's rays, unit-scaled once per state (``unit_rays``) for
+its density and its pencil.  Each derived value is a cached property,
+built on first read; ``spectral`` hands the new state what it already
+holds by plain assignment.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -95,13 +98,7 @@ class BipartiteState:
                 density = np.array(density, dtype=complex)
                 density.flags.writeable = False
         self.density = density
-        self._rho = density    # density_matrix(), built at most once
         self._eigen = None     # (tol, EigenResult) of eigen(), one per tolerance
-        self._sum = None       # _gaussian_sum(), summed at most once
-        self._images = None    # _float_images(), rounded at most once
-        self._rays = None      # _unit_rays(), scaled at most once
-        self._exact = None     # exact_ensemble, scanned at most once
-        self._swapped = None   # swapped(), built at most once
         if validate:
             self._validate(tol)
 
@@ -154,23 +151,22 @@ class BipartiteState:
 
     # -- representation queries --------------------------------------------
 
-    @property
+    @cached_property
     def exact_ensemble(self) -> bool:
         """True when the preferred (ensemble) pathway is fully exact."""
-        if self._exact is None:
-            self._exact = self.ensemble is not None and all(
-                isinstance(w, (Fraction, int))
-                and all(isinstance(x, ExactComplex) for x in v)
-                for w, v in self.ensemble)
-        return self._exact
+        return self.ensemble is not None and all(
+            isinstance(w, (Fraction, int)) and all(isinstance(x, ExactComplex) for x in v)
+            for w, v in self.ensemble)
 
     def density_matrix(self):
         """The given density, else the one built from the ensemble (an exact
         matrix or a complex array); the build runs once, since a state is
         immutable by convention."""
-        if self._rho is None:
-            self._rho = density_from_ensemble(self)
         return self._rho
+
+    @cached_property
+    def _rho(self):
+        return density_from_ensemble(self) if self.density is None else self.density
 
     def eigen(self, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
         """hermitian_eigen of the density's float image, decomposed once
@@ -178,7 +174,7 @@ class BipartiteState:
         spectral ensemble (spectral) and asked for its spectrum from one
         decomposition."""
         if self._eigen is None or self._eigen[0] != tol:
-            self._eigen = (tol, hermitian_eigen(self._float_images()[0], tol))
+            self._eigen = (tol, hermitian_eigen(self.float_images[0], tol))
         return self._eigen[1]
 
     def spectral(self, tol: Tolerance = DEFAULT_TOL) -> "BipartiteState":
@@ -187,8 +183,9 @@ class BipartiteState:
 
         Eigenvalues above ``spectral_cutoff`` are kept; their count is the
         numerical rank and the kept eigenvectors span the image.  The
-        unit-scaled rays (``_unit_rays``) are read off the kept eigenvector
-        columns at once, with the values the ensemble's tuples hold.
+        unit-scaled rays (``unit_rays``) are read off the kept eigenvector
+        columns at once, with the values the ensemble's tuples hold; the
+        float images are shared too.
         """
         _check_density(self.density, self.m * self.n)
         eig = self.eigen(tol)
@@ -202,19 +199,18 @@ class BipartiteState:
         ensemble = [(eig.eigenvalues[k], tuple(eig.eigenvectors[:, k].tolist())) for k in kept]
         out = BipartiteState(self.m, self.n, ensemble=ensemble, density=self.density,
                              label=self.label, validate=False)
-        out._eigen, out._images = self._eigen, self._images
-        out._rays = unit_rows(np.ascontiguousarray(eig.eigenvectors[:, kept].T))
-        out._rays.flags.writeable = False
+        out._eigen, out.float_images = self._eigen, self.float_images
+        out.unit_rays = unit_rows(np.ascontiguousarray(eig.eigenvectors[:, kept].T))
+        out.unit_rays.flags.writeable = False
         return out
 
+    @cached_property
     def _gaussian_sum(self) -> Tuple[List[List[int]], List[List[int]], int]:
         """(re, im, L), rho = (re + i*im)/L as full int matrices: the exact
         ensemble's density on Gaussian integers, summed once.  Rays are
         cleared to Z[i], v_l = V_l / d_l, so that p_l / ||v_l||^2 * v_l v_l^dagger
         = p_l / ||V_l||^2 * V_l V_l^dagger; these weights are put over one
         common denominator L and the upper triangle is summed on ints."""
-        if self._sum is not None:
-            return self._sum
         mn = self.m * self.n
         cleared = []
         for w, v in self.ensemble_terms():
@@ -238,10 +234,10 @@ class BipartiteState:
         for i in range(mn):
             for j in range(i):
                 re[i][j], im[i][j] = re[j][i], -im[j][i]
-        self._sum = re, im, den
-        return self._sum
+        return re, im, den
 
-    def _float_images(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @cached_property
+    def float_images(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """rho, tr_B rho and tr_A rho as complex arrays, for the spectra, the
         PPT test and the Hermitian oracle of a variety; built once.  Each
         entry is to_complex() of the exact entry wherever one exists: an
@@ -250,11 +246,9 @@ class BipartiteState:
         and an exact density's are summed exactly (partial_trace), then
         rounded (as_array).  A float density's are summed by the same
         partial_trace, block after block."""
-        if self._images is not None:
-            return self._images
         m, n = self.m, self.n
         if self.density is None and self.exact_ensemble:
-            re, im, den = self._gaussian_sum()
+            re, im, den = self._gaussian_sum
             re, im = np.array(re, dtype=object), np.array(im, dtype=object)
 
             def rounded(a, b) -> np.ndarray:
@@ -262,24 +256,21 @@ class BipartiteState:
                 z.real, z.imag = a / den, b / den
                 return z
 
-            self._images = (rounded(re, im), *(rounded(partial_trace(re, m, n, side),
-                                                       partial_trace(im, m, n, side))
-                                               for side in "BA"))
-        else:
-            rho = self.density_matrix()
-            self._images = tuple(as_array(x) for x in (
-                rho, partial_trace(rho, m, n, "B"), partial_trace(rho, m, n, "A")))
-        return self._images
+            return (rounded(re, im), *(rounded(partial_trace(re, m, n, side),
+                                               partial_trace(im, m, n, side))
+                                       for side in "BA"))
+        rho = self.density_matrix()
+        return tuple(as_array(x) for x in (
+            rho, partial_trace(rho, m, n, "B"), partial_trace(rho, m, n, "A")))
 
-    def _unit_rays(self) -> np.ndarray:
+    @cached_property
+    def unit_rays(self) -> np.ndarray:
         """The ensemble's rays as one read-only complex (t, mn) array, each
         row unit-scaled (unit_rows); built once, for the float density and
         the float pencil.  ExactComplex entries are rounded (complex(z))."""
-        if self._rays is None:
-            self._rays = unit_rows(np.array([v for _, v in self.ensemble_terms()],
-                                            dtype=complex))
-            self._rays.flags.writeable = False
-        return self._rays
+        rays = unit_rows(np.array([v for _, v in self.ensemble_terms()], dtype=complex))
+        rays.flags.writeable = False
+        return rays
 
     def ensemble_terms(self) -> List[Tuple[Weight, Vector]]:
         if self.ensemble is None:
@@ -289,8 +280,10 @@ class BipartiteState:
 
     def swapped(self) -> "BipartiteState":
         """The same state on C^n (x) C^m (subsystems exchanged); built once."""
-        if self._swapped is not None:
-            return self._swapped
+        return self._swapped
+
+    @cached_property
+    def _swapped(self) -> "BipartiteState":
         m, n = self.m, self.n
         ens = None
         if self.ensemble is not None:
@@ -302,9 +295,8 @@ class BipartiteState:
         if self.density is not None:
             # permutation similarity: new[(j,i),(j',i')] = old[(i,j),(i',j')]
             dens = self.density.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
-        self._swapped = BipartiteState(n, m, ensemble=ens, density=dens,
-                                       label=self.label, validate=False)
-        return self._swapped
+        return BipartiteState(n, m, ensemble=ens, density=dens, label=self.label,
+                              validate=False)
 
     def __repr__(self):
         parts = [f"{self.m}x{self.n}"]
@@ -364,16 +356,16 @@ def density_from_ensemble(s: BipartiteState):
 
     An exact ensemble gives an exact matrix, one from_fields per entry of
     the state's Gaussian-integer sum over L (``BipartiteState._gaussian_sum``).
-    Float rays are read as the state's unit-scaled array (_unit_rays) and
+    Float rays are read as the state's unit-scaled array (unit_rays) and
     summed term by term into a complex array.
     """
     mn = s.m * s.n
     if s.exact_ensemble:
-        re, im, den = s._gaussian_sum()
+        re, im, den = s._gaussian_sum
         return exact_matrix([[from_fields(a, b, den) for a, b in zip(re_i, im_i)]
                              for re_i, im_i in zip(re, im)])
     rho = np.zeros((mn, mn), dtype=complex)
-    for (w, _), vec in zip(s.ensemble_terms(), s._unit_rays()):
+    for (w, _), vec in zip(s.ensemble_terms(), s.unit_rays):
         nsq = float(np.vdot(vec, vec).real)
         rho += (float(w) / nsq) * np.outer(vec, vec.conj())
     return rho
@@ -414,8 +406,8 @@ def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteStat
 def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Peres criterion: is the partial transpose still PSD, as psd_check
     decides it, from its eigenvalues alone?  rho^{T_A} permutes the axes of
-    rho's float image (``_float_images``), exactly."""
-    eigs = hermitian_eigenvalues(partial_transpose(s._float_images()[0], s.m, s.n), tol)
+    rho's float image (``float_images``), exactly."""
+    eigs = hermitian_eigenvalues(partial_transpose(s.float_images[0], s.m, s.n), tol)
     return min(eigs) >= -spectral_cutoff(eigs, tol)
 
 
@@ -437,11 +429,11 @@ def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
     """Spectra and von Neumann entropies of rho, tr_B rho and tr_A rho,
-    from the state's float images (``_float_images``).  A given density's
+    from the state's float images (``float_images``).  A given density's
     goes through ``BipartiteState.eigen``, the decomposition its PSD check
     and spectral ensemble share; every other spectrum needs no eigenvectors
     (``hermitian_eigenvalues``, the same bits)."""
-    rho, tr_b, tr_a = s._float_images()
+    rho, tr_b, tr_a = s.float_images
     glob = (s.eigen(tol).eigenvalues if s.density is not None
             else hermitian_eigenvalues(rho, tol))
     red_a = hermitian_eigenvalues(tr_b, tol)
@@ -460,14 +452,21 @@ def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> Spec
 # seeded random generators
 # ---------------------------------------------------------------------------
 
+def _complex_gaussians(rng: random.Random, count: int) -> np.ndarray:
+    """`count` standard complex Gaussians complex(rng.gauss(0, 1),
+    rng.gauss(0, 1)), bit for bit and leaving rng in the same state: the
+    2 count Gaussians in the order it draws them, real part first, in one
+    float array viewed as complex."""
+    gauss = rng.gauss
+    return np.array([gauss(0, 1) for _ in range(2 * count)]).view(complex)
+
+
 def random_mixed(m: int, n: int, rank: int, seed: int) -> BipartiteState:
     """Normalized Gram form of a random complex Gaussian ensemble."""
     if m < 1 or n < 1 or rank < 1:
         raise BadDims("dimensions and rank must be >= 1")
     rng = random.Random(seed)
-    mn = m * n
-    cols = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(mn)]
-            for _ in range(rank)]
+    cols = [_complex_gaussians(rng, m * n).tolist() for _ in range(rank)]
     norms = [sum(abs(z) ** 2 for z in c) for c in cols]
     total = sum(norms)
     ensemble = [(nsq / total, tuple(c)) for nsq, c in zip(norms, cols)]
@@ -510,8 +509,7 @@ def random_separable(m: int, n: int, terms: int, seed: int) -> BipartiteState:
 
 def random_unitary(dim: int, rng: random.Random) -> np.ndarray:
     """Orthonormalization (modified Gram-Schmidt) of a complex Gaussian sample."""
-    g = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
-                  for _ in range(dim)])
+    g = _complex_gaussians(rng, dim * dim).reshape(dim, dim)
     q = np.zeros_like(g)
     for k in range(dim):
         v = g[:, k].copy()

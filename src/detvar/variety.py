@@ -58,7 +58,8 @@ an exact pencil too), put it off V.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, sqrt
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -102,7 +103,7 @@ from .multipoly import (
     univariate_roots,
 )
 from .scalars import DEFAULT_TOL, ExactComplex, Tolerance
-from .states import BipartiteState
+from .states import BipartiteState, _complex_gaussians
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
@@ -137,10 +138,11 @@ class PencilMatrix:
     objects for an exact pencil, the raw ensemble coefficients, so the
     matrix printed for the worked examples matches the construction on the
     nose; complex numbers for a float one, cut from the state's unit-scaled
-    rays (BipartiteState._unit_rays): a power of two per column, which
+    rays (BipartiteState.unit_rays): a power of two per column, which
     leaves every ratio downstream bit-identical but keeps the minors of
     very small or very large rays inside the float range.  The float
-    tensor (floats) and the reduction modulo p (mod_p) are caches of it.
+    tensor (floats) and the reduction modulo p (mod_p) are cached
+    properties of it.
     """
 
     def __init__(self, side: str, coeffs: np.ndarray, state: BipartiteState):
@@ -149,8 +151,6 @@ class PencilMatrix:
         self.n, self.t, self.m = coeffs.shape
         self.kind = "exact" if coeffs.dtype == object else "approx"
         self.state = state  # as given, before any swap for side B
-        self._mod_p = None  # (prime, reduced coefficient vectors), found once
-        self._floats = None  # (float tensor (m, n, t), ||A||), built once
 
     def entry_polys(self) -> List[List[Poly]]:
         """The entries of an exact pencil as linear Polys; FloatMinors on a
@@ -160,31 +160,26 @@ class PencilMatrix:
         units = [tuple(int(i == j) for j in range(self.m)) for i in range(self.m)]
         return [[Poly(self.m, dict(zip(units, e))) for e in row] for row in self.coeffs.tolist()]
 
+    @cached_property
     def mod_p(self) -> Tuple[int, np.ndarray]:
         """The first prime p = 1 (mod 4) from RANK_PRIME that divides no
         denominator of the pencil, and the coefficient vectors of the
         entries modulo p (_pencil_mod_p).  The minor screen and the peel's
         certificate (exact pencils only) and the Macaulay test all read it."""
-        if self._mod_p is None:
-            for p in split_primes(RANK_PRIME):
-                forms = _pencil_mod_p(self, p)
-                if forms is not None:
-                    self._mod_p = (p, forms)
-                    break
-        return self._mod_p
+        for p in split_primes(RANK_PRIME):
+            forms = _pencil_mod_p(self, p)
+            if forms is not None:
+                return p, forms
 
-    @property
+    @cached_property
     def floats(self) -> Tuple[np.ndarray, float]:
         """The pencil as a complex (m, n, t) tensor A, N(r) = sum_i r_i A[i],
         and ||A||, the spectral norm of its m x nt unfolding: a transpose of
         the coefficients, an exact pencil's rounded (complex(c)).  ||A|| is
         the first of the unfolding's singular values, which come sorted;
         np.linalg.norm(., 2) takes the amax of the same values."""
-        if self._floats is None:
-            tensor = self.coeffs.astype(complex, copy=False).transpose(2, 0, 1)
-            svals = np.linalg.svd(tensor.reshape(self.m, -1), compute_uv=False)
-            self._floats = (tensor, float(svals[0]))
-        return self._floats
+        tensor = self.coeffs.astype(complex, copy=False).transpose(2, 0, 1)
+        return tensor, float(np.linalg.svd(tensor.reshape(self.m, -1), compute_uv=False)[0])
 
     def __repr__(self):
         return f"PencilMatrix(side={self.side}, {self.n}x{self.t} in {self.m} vars)"
@@ -198,7 +193,7 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
     state = s if side == "A" else s.swapped()
     terms = state.ensemble_terms()  # MissingEnsemble if absent
     exact = state.exact_ensemble
-    rays = np.array([v for _, v in terms], dtype=object) if exact else state._unit_rays()
+    rays = np.array([v for _, v in terms], dtype=object) if exact else state.unit_rays
     coeffs = rays.reshape(len(terms), state.m, state.n).transpose(2, 0, 1).copy()
     if not exact:
         coeffs[(coeffs == 0).all(axis=2)] = 0j
@@ -224,12 +219,15 @@ class Variety:
     and V neither Full nor Empty, they are expanded on first read.  So they
     are with t = n in m >= 3 variables where every column of the pencil is
     a product: det N is then split off the columns at build (_column_split)
-    and kept for the peel.  Any other exact pencil expands them at once and
-    reads `structural` off them.
+    and kept for the peel as `split`, None on any other V.  Any other exact
+    pencil expands them at once and reads `structural` off them.
+    Each derived value (generators, essential_count, the peel behind
+    _analysis_system) is a cached property, which the build assigns where
+    it already knows the value.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
-    does: the state's float image (BipartiteState._float_images), or its
+    does: the state's float image (BipartiteState.float_images), or its
     exact density only for an exact point on an exact density.
     """
 
@@ -237,68 +235,81 @@ class Variety:
         self.pencil = pencil
         self.side, self.m, self.n = pencil.side, pencil.m, pencil.n
         self.state, self.mode = pencil.state, pencil.kind
-        self._generators = None      # the minors, once expanded
-        self._essential_count = None  # the nonzero minors, once counted
-        self.structural = None       # "Full" | "Empty" | None
-        self._blocks = {}            # exact? -> _state_blocks(exact)
-        self._analysis_cache = None  # _peel_linear_factors(self), once read
-        self._rank_memo = {}         # seed -> _rank_deficient(self, seed)
-        self._split = None           # det N's factor list off product columns (_column_split)
+        self.structural = None  # "Full" | "Empty" where the build decides it
+        self.split = None       # det N's factor list off product columns (_column_split)
+        self._rank_memo = {}  # seed -> _rank_deficient(seed)
         if pencil.t < pencil.n:
-            self._generators, self._essential_count, self.structural = [], 0, "Full"
+            self.essential_count, self.structural = 0, "Full"
         elif self.mode == "exact":
             if pencil.m >= 3 and pencil.t > pencil.n and _minor_screen(pencil):
-                self._essential_count = comb(pencil.t, pencil.n)
+                self.essential_count = comb(pencil.t, pencil.n)
             elif pencil.m >= 3 and pencil.t == pencil.n and (
                     split := _column_split(pencil)) is not None:
-                self._split, self._essential_count = split, 1
+                self.split, self.essential_count = split, 1
             else:
                 self.structural = _structural(self.generators, self.m)
 
-    @property
+    @cached_property
     def generators(self) -> List[Poly]:
         if self.mode != "exact":
             raise FloatMinors("a float variety is read on its pencil, not its minors")
-        if self._generators is None:
-            gens = minors(self.pencil.entry_polys(), self.n)
-            for g in gens:
-                if not g.is_zero() and (not g.is_homogeneous() or g.degree() != self.n):
-                    raise InconsistentRepresentations(
-                        "minor generator is not homogeneous of the pencil size")
-            self._generators = gens
-        return self._generators
+        if self.pencil.t < self.n:
+            return []
+        gens = minors(self.pencil.entry_polys(), self.n)
+        for g in gens:
+            if not g.is_zero() and (not g.is_homogeneous() or g.degree() != self.n):
+                raise InconsistentRepresentations(
+                    "minor generator is not homogeneous of the pencil size")
+        return gens
 
     @property
     def generator_count(self) -> int:
         """C(t, n), the number of maximal minors (0 when t < n)."""
         return comb(self.pencil.t, self.n)
 
-    @property
+    @cached_property
     def essential_count(self) -> int:
         """The number of nonzero minors, expanding none already counted; a
         float V's is numerical."""
-        if self._essential_count is None:
-            self._essential_count = (_numerical_essential(self.pencil) if self.mode != "exact"
-                                     else len(self.essential_generators))
-        return self._essential_count
+        return (_numerical_essential(self.pencil) if self.mode != "exact"
+                else len(self.essential_generators))
 
     @property
     def essential_generators(self) -> List[Poly]:
         return [g for g in self.generators if not g.is_zero()]
 
+    @cached_property
+    def _peeled(self) -> Tuple[List[LinearForm], Optional[List[Poly]], Optional[FactorList]]:
+        return _peel_linear_factors(self)
+
+    def _rank_deficient(self, seed: int) -> bool:
+        """True when V is a float variety whose pencil, evaluated at a
+        random point drawn from a stream of its own (seeded from the
+        analysis seed), has a clean numerical rank below n.  Then every
+        minor vanishes to working precision: V is all of CP^{m-1}, what is
+        left of the minors is rounding noise, and no certificate may be
+        read off it.  Decided once per seed, however many callers ask."""
+        if self.mode == "exact":
+            return False
+        if seed not in self._rank_memo:
+            r = _fixed_draw(_complex_gaussians, f"rank:{seed}", self.m)
+            mat = np.einsum("i,ikl->kl", r, self.pencil.floats[0])
+            rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), self.n)
+            self._rank_memo[seed] = rank is not None and rank < self.n
+        return self._rank_memo[seed]
+
     # -- Hermitian-form evaluator (the independent membership oracle) ------
 
     def _state_blocks(self, exact: bool) -> np.ndarray:
-        """rho as (m, n, m, n) blocks, [i, r, j, c] = (rho_ij)[r, c], read
-        through this side's state (side B: the swapped state, rounded on its
-        own): the exact entries as an object array when `exact` and the
-        density is exact, else the float image that spectra and PPT read."""
+        """rho as (m, n, m, n) blocks, [i, r, j, c] = (rho_ij)[r, c], a
+        reshape view of a density of this side's state (side B: the swapped
+        state, rounded on its own): the exact entries as an object array
+        when `exact` and the density is exact, else the float image that
+        spectra and PPT read."""
         base = self.state if self.side == "A" else self.state.swapped()
         exact = exact and base.density_matrix().dtype == object
-        if exact not in self._blocks:
-            rho = base.density_matrix() if exact else base._float_images()[0]
-            self._blocks[exact] = rho.reshape(self.m, self.n, self.m, self.n)
-        return self._blocks[exact]
+        rho = base.density_matrix() if exact else base.float_images[0]
+        return rho.reshape(self.m, self.n, self.m, self.n)
 
     def hermitian_matrix(self, point: Sequence):
         """M(r) = sum_ij r_i conj(r_j) rho_ij: an exact matrix for an exact
@@ -446,7 +457,7 @@ def _minor_screen(p: PencilMatrix) -> bool:
     values at the four points (_screen_points, drawn once per prime and m)
     come from one call of modp.minor_values.  Only an exact pencil with
     t > n in m >= 3 variables is screened (Variety)."""
-    prime, forms = p.mod_p()
+    prime, forms = p.mod_p
     points = _fixed_draw(_screen_points, "minor-screen", prime, p.m)
     values = minor_values(forms, points, prime).tolist()
     return all(fr for fr, *_ in values) and any(f1 * frr2 % prime != fr * fr2 % prime
@@ -558,18 +569,6 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
     return on_pencil
 
 
-def _random_approx_point(rng: random.Random, m: int) -> List[complex]:
-    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(m)]
-
-
-def _complex_gaussians(rng: random.Random, count: int) -> np.ndarray:
-    """np.array(_random_approx_point(rng, count)), bit for bit and leaving
-    rng in the same state: the 2 count Gaussians in the order it draws
-    them, real part first, in one float array viewed as complex."""
-    gauss = rng.gauss
-    return np.array([gauss(0, 1) for _ in range(2 * count)]).view(complex)
-
-
 @lru_cache(maxsize=256)
 def _fixed_draw(draw, stream: str, *shape):
     """draw(random.Random(stream), *shape), drawn once per stream and shape.
@@ -642,13 +641,11 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
 
 def _analysis_system(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]],
                                            Optional[FactorList]]:
-    """_peel_linear_factors(v) of an exact V, peeled once and cached on
-    the variety.  The decision reads the split; the sampler reads the
-    peeled forms, to keep its points off them, and whether anything
-    remains."""
-    if v._analysis_cache is None:
-        v._analysis_cache = _peel_linear_factors(v)
-    return v._analysis_cache
+    """_peel_linear_factors(v) of an exact V, peeled once (a cached
+    property of the variety).  The decision reads the split; the sampler
+    reads the peeled forms, to keep its points off them, and whether
+    anything remains."""
+    return v._peeled
 
 
 def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]],
@@ -682,8 +679,8 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
     witness can live.  A full split is left unpeeled: linearity_decide reports it
     from the factor list, and its hyperplanes stay open to sampling.
     """
-    if v._split is not None:
-        return [], None, v._split
+    if v.split is not None:
+        return [], None, v.split
     pencil = v.pencil
     if pencil.t > v.n:
         base, direction = _fixed_draw(_exact_line, "cauchy-binet", v.m)
@@ -710,7 +707,7 @@ def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
     p is nonzero, so on the line it either vanishes or is a binary form of
     positive degree, with a zero on P^1 over F_p-bar: either way a common
     zero.  This is the mod-p twin of factorization._line_gcd's stop rule."""
-    prime, forms = p.mod_p()
+    prime, forms = p.mod_p
     line = np.array([[reduce_scalar(x, prime) for x in pt] for pt in (base, direction)])
     return binary_minors_coprime(restrict_mod_p(forms, line, prime), p.n, prime)
 
@@ -873,7 +870,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
     rejected, as V there is a peeled hyperplane, linear already.  The
     caller keeps a structurally Empty or Full V away from it."""
     rng = random.Random(seed)
-    deficient = _rank_deficient(v, seed)
+    deficient = v._rank_deficient(seed)
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
         forms, rest, _ = _analysis_system(v)
@@ -887,7 +884,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         draws, unit = SAMPLING_BUDGET * count, "draws"
 
         def candidates() -> List[List[complex]]:
-            return [_random_approx_point(rng, v.m)]
+            return [_complex_gaussians(rng, v.m).tolist()]
     elif v.pencil.t == v.n:
         draws, unit = SAMPLING_BUDGET * count, "line draws"
 
@@ -1033,7 +1030,7 @@ def _witness_search_at(v: Variety, pt: Sequence[complex],
     row of T) for the probe of largest Hermitian residual, or None.
 
     The Gaussians come from one array (_complex_gaussians), PROBES rows of
-    one per direction, drawn in _random_approx_point's order.  Each step's
+    one per direction, drawn pair by pair, real part first.  Each step's
     norm is numpy's own formula (_row_norms), and each probe is normalized
     by _normalize_floats."""
     dirs = data[1]
@@ -1093,29 +1090,12 @@ def _pencil_mod_p(pencil: PencilMatrix, p: int) -> Optional[np.ndarray]:
     return None if None in flat else np.array(flat, np.int64).reshape(pencil.coeffs.shape)
 
 
-def _rank_deficient(v: Variety, seed: int) -> bool:
-    """True when v is a float variety whose pencil, evaluated at a random
-    point drawn from a stream of its own (seeded from the analysis seed),
-    has a clean numerical rank below n.  Then every minor vanishes to
-    working precision: V is all of CP^{m-1}, what is left of the minors
-    is rounding noise, and no certificate may be read off it.  Decided
-    once per variety and seed, however many callers ask."""
-    if v.mode == "exact":
-        return False
-    if seed not in v._rank_memo:
-        r = _fixed_draw(_complex_gaussians, f"rank:{seed}", v.m)
-        mat = np.einsum("i,ikl->kl", r, v.pencil.floats[0])
-        rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), v.n)
-        v._rank_memo[seed] = rank is not None and rank < v.n
-    return v._rank_memo[seed]
-
-
 def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
                           ) -> Optional[Tuple[str, FiniteCertificate]]:
     """("Empty", cert) or ("Finite", cert) from the Macaulay test modulo a
     prime, or None, which proves nothing.  The caller keeps a float pencil
-    of numerical rank below n (``_rank_deficient``) away from it: the test
-    would read a proof off its noise minors.
+    of numerical rank below n (``Variety._rank_deficient``) away from it:
+    the test would read a proof off its noise minors.
 
     Where t - n + 1 > m - 1 the minors themselves are tried first, for
     Empty.  Then, unless `finite` is off, their restriction to a hyperplane
@@ -1138,7 +1118,7 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
         tests.append(("Finite", _fixed_draw(_hyperplane, f"modp:{seed}", v.m - 1)))
     if not tests:
         return None
-    p, forms = v.pencil.mod_p()
+    p, forms = v.pencil.mod_p
     for tag, h in tests:
         # H: x_{m-1} = sum_i h_i x_i is spanned by the points e_i + h_i e_{m-1}
         # for every h, and a form c reads c_i + h_i c_{m-1} on it
@@ -1170,7 +1150,7 @@ def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
             return VarietyVerdict("Finite", certificate=FiniteCertificate("ambient_dimension"))
         return VarietyVerdict("Inconclusive",
                               reason=f"criterion vacuous: V lies in CP^{v.m - 1}")
-    if _rank_deficient(v, seed):
+    if v._rank_deficient(seed):
         return VarietyVerdict("Inconclusive",
                               reason=f"criterion vacuous: V is all of CP^{v.m - 1} "
                                      "to working precision")
@@ -1326,13 +1306,13 @@ def linearity_decide(v: Variety, seed: int = DEFAULT_SEED, samples: int = DEFAUL
     return _witness_search(v, samples, seed, tol, fl)
 
 
+@dataclass(frozen=True)
 class CovarianceResult:
     """Boolean outcome plus the residual evidence behind it."""
 
-    def __init__(self, ok: bool, max_residual: float, checked: int):
-        self.ok = ok
-        self.max_residual = max_residual
-        self.checked = checked
+    ok: bool
+    max_residual: float
+    checked: int
 
     def __bool__(self):
         return self.ok
@@ -1365,11 +1345,11 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
     v_trans = variety_of_state(transformed, "A")
     sides = ((v_trans, v_orig, fwd), (v_orig, v_trans, bwd))
     # the Empty test alone (finite=False) runs; a noise pencil is kept from it
-    verdicts = [v.structural or ("Empty" if not _rank_deficient(v, seed)
+    verdicts = [v.structural or ("Empty" if not v._rank_deficient(seed)
                                  and _macaulay_certificate(v, seed, finite=False) else None)
                 for v, _, _ in sides]
     if any(verdicts):
-        verdicts = [k or ("Full" if _rank_deficient(v, seed) else None)
+        verdicts = [k or ("Full" if v._rank_deficient(seed) else None)
                     for k, (v, _, _) in zip(verdicts, sides)]
         return CovarianceResult(verdicts[0] == verdicts[1], 0.0, 0)
     max_res = 0.0

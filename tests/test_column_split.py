@@ -39,8 +39,8 @@ def _square_sides(s):
 
 def _check_split(s, side):
     v = variety_of_state(s, side)
-    fl = v._split
-    assert fl is not None and v._generators is None and v.essential_count == 1
+    fl = v.split
+    assert fl is not None and "generators" not in vars(v) and v.essential_count == 1
     det = v.essential_generators[0]
     assert fl == linear_factorization(det)
     assert fl.residual is None and fl.certified
@@ -87,7 +87,7 @@ def _off_product(s):
                          ids=lambda x: str(x))
 def test_a_ray_off_product_falls_back_to_the_peel(factorizations, m, n, seed):
     v = variety_of_state(_off_product(random_separable(m, n, n, seed)))
-    assert v._split is None and v._generators is not None
+    assert v.split is None and "generators" in vars(v)
     verdict = linearity_decide(v, seed=7)
     assert factorizations == v.essential_generators
     assert verdict.factor_list == linear_factorization(v.essential_generators[0])
@@ -110,7 +110,7 @@ def _dependent_b(m, n, seed):
 @pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (4, 4)])
 def test_dependent_b_stays_full_through_the_peels_path(m, n):
     v = variety_of_state(_dependent_b(m, n, seed=1))
-    assert v._split is None and v._generators is not None
+    assert v.split is None and "generators" in vars(v)
     assert v.structural == "Full" and linearity_decide(v).tag == "Full"
 
 
@@ -134,7 +134,7 @@ def test_exact_float_and_rotated_copies_give_no_witness(make, tag_b):
             assert verdict.tag != "NonlinearWitness"
             if v.mode == "exact" and side in _square_sides(s):
                 tag = "LinearUnion" if side == "A" else tag_b
-                assert verdict.tag == tag and (v._generators is None) == (tag == "LinearUnion")
+                assert verdict.tag == tag and ("generators" not in vars(v)) == (tag == "LinearUnion")
 
 
 def test_a_split_cubic_is_never_of_hesse_shape(monkeypatch):
@@ -143,7 +143,7 @@ def test_a_split_cubic_is_never_of_hesse_shape(monkeypatch):
     states = [random_separable(3, 3, 3, seed) for seed in range(200)]
     for s in states:
         v = variety_of_state(s)
-        assert v._split is not None
+        assert v.split is not None
         with pytest.raises(NotHesseShape):
             hesse_reduce(v.essential_generators[0])
 

@@ -79,7 +79,7 @@ def float_states(count: int, seed: int):
 
 def test_float_partial_traces_are_those_of_the_float_matrix():
     for s in float_states(600, seed=33):
-        _, tr_b, tr_a = s._float_images()
+        _, tr_b, tr_a = s.float_images
         rho = to_approx(s.density_matrix())
         assert bits(tr_b) == bits(approx_partial_trace(rho, s.m, s.n, "B").to_numpy())
         assert bits(tr_a) == bits(approx_partial_trace(rho, s.m, s.n, "A").to_numpy())
@@ -88,7 +88,7 @@ def test_float_partial_traces_are_those_of_the_float_matrix():
 def test_float_partial_transpose_is_that_of_the_float_matrix():
     for s in float_states(100, seed=34):
         m, n = s.m, s.n
-        got = s._float_images()[0].reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, -1)
+        got = s.float_images[0].reshape(m, n, m, n).transpose(2, 1, 0, 3).reshape(m * n, -1)
         want = approx_partial_transpose(to_approx(s.density_matrix()), m, n).to_numpy()
         assert bits(got) == bits(want)
 

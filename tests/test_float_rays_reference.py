@@ -247,7 +247,7 @@ def test_float_rays_match_the_per_entry_path(doc):
     s = _parsed(doc)
     if s is None or s.exact_ensemble:
         return
-    rays = s._unit_rays()
+    rays = s.unit_rays
     assert [[_bits(z) for z in row] for row in rays.tolist()] == \
         [[_bits(z) for z in unit_scaled(v)] for _, v in s.ensemble]
     rho = density_from_ensemble(s)
@@ -275,7 +275,7 @@ def test_the_drawn_cases_reach_the_edges():
         {"weight": 0.5, "vector": [[-0.0, -0.0], [1e-300, 5e-324], 0.0, [big, big]]},
         {"weight": 0.5, "vector": [[-0.0, 1.0], -0.0, [2.5, -1e-310], [0.0, -0.0]]}]}
     s = _parsed(doc)
-    rays = s._unit_rays()
+    rays = s.unit_rays
     assert rays[0, 1] == 0 and 0 < -rays[1, 2].imag < 2.2250738585072014e-308
     pencil = pencil_matrix(s)
     tensor = pencil.floats[0]
@@ -295,7 +295,7 @@ def test_rays_with_exact_and_int_entries_are_rounded_as_before():
         (0.5, (EC(Fraction(1, 3), 2), EC(0), EC(-7, Fraction(1, 10)), EC(5))),
         (0.5, (1, 0, 3, 10 ** 30))])
     assert not s.exact_ensemble
-    assert [[_bits(z) for z in row] for row in s._unit_rays().tolist()] == \
+    assert [[_bits(z) for z in row] for row in s.unit_rays.tolist()] == \
         [[_bits(z) for z in unit_scaled(v)] for _, v in s.ensemble]
     assert density_from_ensemble(s).tobytes() == reference_density(s).tobytes()
     assert pencil_matrix(s).floats[0].tobytes() == reference_pencil(s)[1].tobytes()

@@ -1,6 +1,7 @@
 """No module of the package, test file or demo imports a name it does not
-use, no definition of the package goes unread, and the test modules share
-their helpers without importing one another.
+use, no definition of the package goes unread, no module of the package
+reaches into another's private fields, and the test modules share their
+helpers without importing one another.
 
 A name counts as used where it is read anywhere in the module, annotations
 included, or listed in ``__all__``.  The package's ``__init__`` only
@@ -16,8 +17,8 @@ import pytest
 from pinned import ROOT
 
 TESTS = ROOT / "tests"
-MODULES = (sorted(p for p in (ROOT / "src" / "detvar").glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")) + sorted((TESTS / "oracles").glob("*.py"))
+PACKAGE = sorted(p for p in (ROOT / "src" / "detvar").glob("*.py") if p.name != "__init__.py")
+MODULES = (PACKAGE + sorted(TESTS.glob("*.py")) + sorted((TESTS / "oracles").glob("*.py"))
            + sorted((ROOT / "demos").glob("*.py")))
 
 
@@ -48,6 +49,39 @@ def test_the_check_sees_an_unused_import():
                          if p.parent.name == "oracles" else p.name)
 def test_no_unused_import(module):
     assert unused_imports(module.read_text()) == []
+
+
+def foreign_private_fields(source: str) -> list:
+    """(line, name) of each ``x._name`` that a module reads or writes, with
+    ``x`` not ``self`` or ``cls``, for a private ``_name`` the module does
+    not define.  A module defines the names of its functions and classes
+    (methods too), its ``__slots__`` entries and the attributes it assigns.
+    Dunder names are Python's own."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            defined |= set(ast.literal_eval(node.value))
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.endswith("__") and node.attr not in defined
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+
+
+def test_the_check_sees_a_foreign_private_field():
+    snippet = ("class A:\n    __slots__ = ('_a',)\n\n    def _f(self):\n        return self._g\n"
+               "\ndef h(x, cls):\n    x._b = x.__class__\n    return x._a, x._b, x._f, x._c, cls._d\n")
+    assert foreign_private_fields(snippet) == [(9, "_c")]
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
+def test_no_module_reaches_into_another_modules_private_fields(module):
+    assert foreign_private_fields(module.read_text()) == []
 
 
 def names_read(node: ast.AST) -> set:

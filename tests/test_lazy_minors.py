@@ -38,7 +38,7 @@ from detvar.states import (
     random_mixed,
     random_separable,
 )
-from detvar.variety import PencilMatrix, linearity_decide, variety_of_state
+from detvar.variety import linearity_decide, variety_of_state
 from shared_states import float_copy, gaussian_integer_state
 from oracles.polys import pencil_minors
 from pinned import CASES, GOLDEN, rendered_report
@@ -95,7 +95,7 @@ def screens(monkeypatch):
 def test_no_screen_below_the_gate_or_in_cp1(screens, make, expanded):
     v = variety_of_state(make())
     assert screens == []
-    assert (v._generators is not None) == expanded
+    assert ("generators" in vars(v)) == expanded
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
@@ -111,13 +111,13 @@ def test_a_float_analysis_builds_no_minor(no_minors, shape, side):
 def reductions(monkeypatch):
     """Record every pencil reduced modulo a prime."""
     seen = []
-    real = PencilMatrix.mod_p
+    real = variety_mod._pencil_mod_p
 
-    def spy(self):
-        seen.append(self)
-        return real(self)
+    def spy(pencil, p):
+        seen.append(pencil)
+        return real(pencil, p)
 
-    monkeypatch.setattr(PencilMatrix, "mod_p", spy)
+    monkeypatch.setattr(variety_mod, "_pencil_mod_p", spy)
     return seen
 
 
@@ -136,7 +136,7 @@ def test_a_float_analysis_is_never_screened(screens, reductions, shape, side):
 
 def test_the_screen_runs_at_the_gate(screens):
     v = variety_of_state(random_separable(3, 3, 4, seed=1))
-    assert len(screens) == 1 and v._generators is None
+    assert len(screens) == 1 and "generators" not in vars(v)
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 5), (4, 3, 4), (5, 3, 4), (4, 4, 4), (4, 3, 3),
@@ -149,12 +149,12 @@ def test_an_exact_pencil_is_screened_exactly_where_t_exceeds_n(screens, shape):
     # the line peel reads it in any number of variables
     past_square = shape[2] > shape[1]
     v = variety_of_state(random_separable(*shape, seed=1))
-    assert len(screens) == past_square and v._generators is None
-    assert (v._split is not None) == (not past_square)
+    assert len(screens) == past_square and "generators" not in vars(v)
+    assert (v.split is not None) == (not past_square)
     screens.clear()
     w = variety_of_state(gaussian_integer_state(*shape, 1))
-    assert len(screens) == past_square and (w._generators is None) == past_square
-    assert w._split is None
+    assert len(screens) == past_square and ("generators" not in vars(w)) == past_square
+    assert w.split is None
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 4, 4)], ids=lambda s: "sep %dx%d t%d" % s)
@@ -238,7 +238,7 @@ NOISE_MINORS = {("rank-2 side B float 3x3 t5", "A")}
 def test_screened_counts_are_those_of_the_expanded_minors(name, side):
     v = variety_of_state(EDGE_STATES[name](), side)
     assert (v.mode == "approx") == (name in FLOAT_EDGE_STATES)
-    assert (v._generators is None) == ((name, side) in SCREENED)
+    assert ("generators" not in vars(v)) == ((name, side) in SCREENED)
     count, essential = v.generator_count, v.essential_count
     if v.mode == "exact":
         gens = v.generators  # forces the expansion
@@ -266,7 +266,7 @@ def test_float_count_is_that_of_the_float_minors(shape, side, duplicated):
     for seed in range(4):
         state = random_mixed(*shape, seed=seed)
         v = variety_of_state(_duplicated(state) if duplicated else state, side)
-        assert v._generators is None
+        assert "generators" not in vars(v)
         assert v.essential_count == sum(not g.is_zero() for g in pencil_minors(v.pencil))
         if duplicated:
             assert v.essential_count < v.generator_count
@@ -291,7 +291,7 @@ def test_a_float_maximally_mixed_state_is_never_empty(m, n, side, reason, degree
     verdict = linearity_decide(v)
     assert (verdict.tag, verdict.reason) == ("Inconclusive", reason)
     assert verdict.certificate == (degree and variety_mod.FiniteCertificate(
-        "macaulay", prime=v.pencil.mod_p()[0], degree=degree))
+        "macaulay", prime=v.pencil.mod_p[0], degree=degree))
 
 
 @pytest.mark.parametrize("shape, reason", [

@@ -116,7 +116,7 @@ def test_cases_cover_a_hundred_lines_and_both_answers():
 @pytest.mark.parametrize("label,state,lines", CASES, ids=[c[0] for c in CASES])
 def test_modular_line_miss_agrees_with_the_exact_test(label, state, lines):
     v = variety_of_state(state)
-    p, forms = v.pencil.mod_p()
+    p, forms = v.pencil.mod_p
     for base, direction in lines:
         exact = misses_line(v.essential_generators, base, direction)
         assert binary_miss(v, forms, base, direction, p) == exact, (base, direction)
@@ -142,7 +142,7 @@ def test_a_direction_on_v_is_caught_by_the_full_degree_condition():
     a = [side_a_factor(vec, 3, 3) for _, vec in st.ensemble]
     r = cross(a[0], a[1])
     assert membership(v, r)
-    p, forms = v.pencil.mod_p()
+    p, forms = v.pencil.mod_p
     rng = random.Random(5)
     for _ in range(5):
         base = tuple(_random_exact_point(rng, 3))

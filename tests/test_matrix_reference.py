@@ -188,7 +188,7 @@ def test_catalog_density_and_its_operations_match_the_matrix(name):
     given_density = BipartiteState(m, n, density=rho)
     p = swap_permutation(m, n)
     assert_same(given_density.swapped().density, p @ ref @ p.conj_transpose())
-    images = given_density._float_images()
+    images = given_density.float_images
     wants = (ref, partial_trace(ref, m, n, "B"), partial_trace(ref, m, n, "A"))
     for got, want in zip(images, wants, strict=True):
         assert bits(got) == bits(want.to_numpy())

@@ -239,7 +239,7 @@ def reference_cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComp
     so g(direction) is nonzero modulo p, and g restricted to the line,
     of positive degree modulo p, divides f_1 and f_2.  So a constant
     gcd(f_1, f_2) with some f_k of degree n proves there is no g."""
-    prime, forms = p.mod_p()
+    prime, forms = p.mod_p
     forms = forms.tolist()
     at_line = [[[_form_at(f, point, prime) for f in row] for row in forms]
                for point in ([reduce_scalar(x, prime) for x in pt] for pt in (base, direction))]
@@ -399,7 +399,7 @@ def test_one_restriction_gives_the_old_reduced_forms(name, monkeypatch):
     monkeypatch.setattr(variety_mod, "restrict_mod_p", spy)
     rng = random.Random(name)
     for pencil in _pencils(name):
-        p, forms = pencil.mod_p()
+        p, forms = pencil.mod_p
         lists = forms.tolist()
         # points: the values of the entries, as the minor screen reads them
         for _ in range(3):

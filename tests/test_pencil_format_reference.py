@@ -161,7 +161,7 @@ def test_pencil_entries_match_the_linear_form_route(name, side):
     assert coeffs.shape == (pencil.n, pencil.t, pencil.m) and coeffs.flags.c_contiguous
     assert [[[_bits(c) for c in e] for e in row] for row in coeffs.tolist()] == \
         [[[_bits(c) for c in f.coefficients] for f in row] for row in forms]
-    with pytest.raises(ValueError):  # floats and mod_p() are caches of it
+    with pytest.raises(ValueError):  # floats and mod_p are caches of it
         coeffs[0, 0, 0] = coeffs[0, 0, 0]
     # the coefficients as linear Polys of either kind, as entry_polys
     # built them when it served float pencils too; it now refuses those
@@ -175,7 +175,7 @@ def test_pencil_entries_match_the_linear_form_route(name, side):
     else:
         with pytest.raises(FloatMinors):
             pencil.entry_polys()
-    prime, reduced = pencil.mod_p()
+    prime, reduced = pencil.mod_p
     assert reduced.dtype == np.int64 and reduced.shape == (pencil.n, pencil.t, pencil.m)
     assert (prime, reduced.tolist()) == reference_mod_p(forms)
     tensor, norm = pencil.floats

@@ -25,7 +25,7 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
 from detvar.multipoly import CompiledSystem, univariate_roots
 from detvar.scalars import DEFAULT_TOL, ExactComplex
-from detvar.states import BipartiteState, random_mixed
+from detvar.states import BipartiteState, _complex_gaussians, random_mixed
 from detvar.variety import (
     PEELED_MARGIN,
     WITNESS_FACTOR,
@@ -33,7 +33,6 @@ from detvar.variety import (
     _analysis_system,
     _incidence_point,
     _line_roots,
-    _random_approx_point,
     _tangent_data,
     _witness_search_at,
     linearity_decide,
@@ -58,7 +57,7 @@ def test_eigenvalue_line_roots_match_aberth_roots(shape, seed):
     det = pencil_minors(v.pencil)[0]
     rng = random.Random(f"line-roots:{seed}")
     for _ in range(10):
-        base, direction = _random_approx_point(rng, v.m), _random_approx_point(rng, v.m)
+        base, direction = (_complex_gaussians(rng, v.m).tolist() for _ in range(2))
         got = _line_roots(v, np.array(base), np.array(direction)).tolist()
         want = univariate_roots(restrict_to_line(det, base, direction), TIGHT)
         assert len(got) == len(want) == v.n
@@ -79,7 +78,7 @@ def test_incidence_gauss_newton_reaches_v(shape, side):
     assert v.pencil.t > v.n
     rng = random.Random(5)
     for _ in range(10):
-        r = _incidence_point(v, np.array(_random_approx_point(rng, v.m)), DEFAULT_TOL)
+        r = _incidence_point(v, _complex_gaussians(rng, v.m), DEFAULT_TOL)
         assert r is not None
         assert v.generator_residual(r) <= 0.05 * DEFAULT_TOL.abs_eps
 
@@ -118,7 +117,7 @@ def test_sampling_a_float_variety_builds_no_minor(shape, side):
     v = variety_of_state(random_mixed(*shape, seed=4), side)
     for p in sample_points(v, 3, seed=1):
         assert membership(v, p)
-    assert v._generators is None
+    assert "generators" not in vars(v)
 
 
 def _pencil_says_on_v(monkeypatch, where):

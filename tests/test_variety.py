@@ -359,7 +359,7 @@ def test_binary_empty_test_in_degree_2n_minus_1_decides_as_degree_n_plus_1(n):
     assert membership(variety_of_state(finite), [EC(2), EC(-1)])
     for s, full in ((random_mixed(2, n, n + 1, seed=n), True), (finite, False)):
         v = variety_of_state(s)
-        p, forms = v.pencil.mod_p()
+        p, forms = v.pencil.mod_p
         gens = _minors_mod_p(forms.tolist(), p)
         assert dict_macaulay_full_rank(gens, 2, 2 * n - 1, p) is full
         assert dict_macaulay_full_rank(gens, 2, n + 1, p) is full
@@ -604,7 +604,7 @@ def test_linear_factorization_runs_once_per_hypersurface_analysis(monkeypatch, m
     assert linearity_decide(v, seed=7).factor_list is not None
     # a separable square pencil's factor list is read off its product
     # columns, with no call; any other hypersurface is factored once
-    assert len(calls) == (v._split is None)
+    assert len(calls) == (v.split is None)
 
 
 @pytest.mark.parametrize("make_variety, finder", [

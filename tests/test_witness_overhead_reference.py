@@ -4,9 +4,11 @@ Each step below once ran through more Python than its result needs; the
 code it ran is kept here, verbatim, and the step must equal it in every
 bit:
 
-* the probe draws (``_complex_gaussians``), one float array viewed as
-  complex, against the per-pair ``complex(rng.gauss(0, 1), rng.gauss(0, 1))``
-  array, leaving the rng in the same state;
+* the complex Gaussian draws (``states._complex_gaussians``), one float
+  array viewed as complex, against the per-pair ``complex(rng.gauss(0, 1),
+  rng.gauss(0, 1))`` draws that the sampler, the probes, ``random_mixed``,
+  ``random_unitary`` and the CLI's negative control made, leaving the rng
+  in the same state;
 * the probe row norms (``_row_norms``) against ``float(np.linalg.norm(row))``
   on complex rows of length 2 to 6, with parts from 1e-150 to 1e150 and
   exact (signed) zeros;
@@ -18,7 +20,7 @@ bit:
 * each fixed draw (``_fixed_draw``) against a fresh draw from its stream,
   read-only and drawn once;
 * the rays ``spectral()`` attaches against ``unit_rows`` of its ensemble's
-  rays.
+  rays, shared with the density's float images and decomposition.
 """
 
 import random
@@ -30,15 +32,19 @@ from detvar.factorization import _random_exact_point
 from detvar.modp import RANK_PRIME, split_primes
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
-from detvar.states import BipartiteState, random_mixed, random_separable, unit_rows
+from detvar.states import (
+    BipartiteState,
+    _complex_gaussians,
+    random_mixed,
+    random_separable,
+    unit_rows,
+)
 from detvar.variety import (
     PencilMatrix,
-    _complex_gaussians,
     _exact_line,
     _fixed_draw,
     _hyperplane,
     _normalize_floats,
-    _random_approx_point,
     _row_norms,
     _screen_points,
     pencil_matrix,
@@ -88,12 +94,16 @@ def reference_exact_line(m):
 # draws
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 20, 60, 100])
+def per_pair_draws(rng: random.Random, count: int) -> list:
+    return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", [*range(37), 60, 100])
 def test_the_viewed_draws_are_the_per_pair_draws(count):
-    for seed in range(50):
+    for seed in range(200):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         got = _complex_gaussians(got_rng, count)
-        want = [complex(want_rng.gauss(0, 1), want_rng.gauss(0, 1)) for _ in range(count)]
+        want = per_pair_draws(want_rng, count)
         assert got.dtype == complex and got.shape == (count,)
         assert bits(got.tolist()) == bits(want)
         assert got_rng.getstate() == want_rng.getstate()
@@ -224,10 +234,10 @@ def _cases():
     prime = next(primes), next(primes)
     for m in range(2, 7):
         yield ((_complex_gaussians, "essential", m),
-               np.array(_random_approx_point(random.Random("essential"), m)))
+               np.array(per_pair_draws(random.Random("essential"), m)))
         for seed in (0, 42, 9001, -3):
             yield ((_complex_gaussians, f"rank:{seed}", m),
-                   np.array(_random_approx_point(random.Random(f"rank:{seed}"), m)))
+                   np.array(per_pair_draws(random.Random(f"rank:{seed}"), m)))
             yield (_hyperplane, f"modp:{seed}", m - 1), reference_hyperplane(seed, m)
         for p in prime:
             yield (_screen_points, "minor-screen", p, m), reference_screen_points(p, m)
@@ -268,8 +278,15 @@ def _densities():
 def test_spectral_rays_are_the_unit_rows_of_its_ensemble():
     for s in _densities():
         spec = s.spectral()
-        got = spec._rays
+        got = vars(spec)["unit_rays"]  # attached by spectral(), not built on read
         want = unit_rows(np.array([v for _, v in spec.ensemble_terms()], dtype=complex))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got.flags.c_contiguous and not got.flags.writeable
-        assert spec._unit_rays() is got
+        assert spec.unit_rays is got
+
+
+def test_the_spectral_state_shares_the_float_images_and_the_decomposition():
+    for s in _densities():
+        spec = s.spectral()
+        assert vars(spec)["float_images"] is s.float_images
+        assert spec.eigen() is s.eigen()

@@ -8,7 +8,7 @@
 Exit codes: 0 completed, 2 input error, 3 internal inconsistency (the two
 membership criteria disagreed), 4 resource budget exceeded.  Reports are
 JSON on stdout (or --json PATH); all randomized commands default to seed 42
-and echo it in the report.
+and echo it in the report; every command takes --tol X (a Tolerance).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import random
 import sys
 import time
@@ -59,22 +58,14 @@ from .variety import (DEFAULT_SAMPLES, DEFAULT_SEED, linearity_decide, variety_o
 
 
 def _check_flags(args) -> None:
-    """A tolerance must be a finite normal float > 0 (tol / 10, the
-    eigenvalue cutoff, must not underflow); a count must be >= 1."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol >= sys.float_info.min):
-        raise BadParams("--tol must be finite and at least the smallest normal "
-                        f"float ({sys.float_info.min!r}), got {tol!r}")
+    """Turn --tol into a Tolerance, which checks it; a count must be >= 1."""
+    try:
+        args.tol = DEFAULT_TOL if args.tol is None else Tolerance(args.tol)
+    except ValueError as exc:
+        raise BadParams(f"--tol {exc}") from None
     for flag in ("samples", "trials"):
         if getattr(args, flag, 1) < 1:
             raise BadParams(f"--{flag} must be at least 1, got {getattr(args, flag)}")
-
-
-def _tolerance(args) -> Tolerance:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_TOL
-    return Tolerance(abs_eps=args.tol, rel_eps=args.tol,
-                     eig_cutoff=min(args.tol / 10, 1e-10))
 
 
 def _emit(report: dict, args) -> None:
@@ -91,7 +82,7 @@ def _emit(report: dict, args) -> None:
 def cmd_analyze(args) -> int:
     raw = read_state_file(args.file)
     state = parse_state_bytes(raw)  # the bytes the digest is taken of
-    report = analyze_state(state, side=args.side, tol=_tolerance(args), samples=args.samples,
+    report = analyze_state(state, side=args.side, tol=args.tol, samples=args.samples,
                            seed=args.seed, input_digest=digest_bytes(raw))
     _emit(report, args)
     return 0
@@ -100,13 +91,12 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     a = load_state(args.a)
     b = load_state(args.b)
-    report = compare_states(a, b, tol=_tolerance(args))
+    report = compare_states(a, b, tol=args.tol)
     _emit(report, args)
     return 0
 
 
 def cmd_repro(args) -> int:
-    tol = _tolerance(args)
     if args.which == "example1":
         state = catalog.maximally_mixed(args.m, args.n)
     elif args.which == "example2":
@@ -126,21 +116,21 @@ def cmd_repro(args) -> int:
             "schema": SCHEMA,
             "label": state.label,
             "rank": rank_exact(rho),
-            "ppt": ppt_check(state, tol),
+            "ppt": ppt_check(state, args.tol),
             "partial_transpose_fixed": np.array_equal(partial_transpose(rho, 4, 6), rho),
             "reduction": chart_reduction_report(catalog.chart_reduction()),
         }
         report["conclusion"] = report["reduction"]["conclusion"]
         report["runtime_seconds"] = time.perf_counter() - start
     else:
-        report = analyze_state(state, side="A", tol=tol,
+        report = analyze_state(state, side="A", tol=args.tol,
                                samples=args.samples, seed=args.seed,
                                input_digest="builtin:" + state.label)
     _emit(report, args)
     return 0
 
 
-def _negative_control(args, tol: Tolerance) -> dict:
+def _negative_control(args) -> dict:
     """A deliberately non-unitary map on side A must break covariance.  In
     CP^0 (m = 1) every nonzero 1 x 1 map fixes V_A, so there the control
     cannot fire and is reported vacuous instead of run."""
@@ -152,19 +142,18 @@ def _negative_control(args, tol: Tolerance) -> dict:
     control_pair = LocalUnitaryPair(bad, random_unitary(args.n, rng), validate=False)
     control_state = random_mixed(args.m, args.n, rank=args.n, seed=args.seed + 6)
     control = verify_lu_covariance(control_state, control_pair, samples=3,
-                                   seed=args.seed, tol=tol)
+                                   seed=args.seed, tol=args.tol)
     return {"covariance_holds": bool(control), "max_residual": control.max_residual}
 
 
 def cmd_props(args) -> int:
-    tol = _tolerance(args)
     start = time.perf_counter()
     cov_pass = cov_fail = 0
     worst = 0.0
     for k in range(args.trials):
         s = random_mixed(args.m, args.n, rank=args.n, seed=args.seed + 7919 * k)
         u = random_local_unitary(args.m, args.n, seed=args.seed + 104729 * k + 1)
-        res = verify_lu_covariance(s, u, samples=3, seed=args.seed, tol=tol)
+        res = verify_lu_covariance(s, u, samples=3, seed=args.seed, tol=args.tol)
         worst = max(worst, res.max_residual)
         if res:
             cov_pass += 1
@@ -177,13 +166,13 @@ def cmd_props(args) -> int:
     for k in range(sep_trials):
         m, n, terms = sep_configs[k % len(sep_configs)]
         st = random_separable(m, n, terms, seed=args.seed + 31 * k)
-        verdict = linearity_decide(variety_of_state(st), seed=args.seed, tol=tol)
+        verdict = linearity_decide(variety_of_state(st), seed=args.seed, tol=args.tol)
         if verdict.tag == "NonlinearWitness":
             sep_fail += 1
         else:
             sep_pass += 1
 
-    control = _negative_control(args, tol)
+    control = _negative_control(args)
     report = {
         "schema": SCHEMA,
         "m": args.m,

@@ -106,11 +106,10 @@ class Poly:
         return Poly(nvars, {tuple([0] * nvars): _coerce_coeff(c, kind)}, kind)
 
     @staticmethod
-    def variable(i: int, nvars: int, kind: str = "exact") -> "Poly":
+    def variable(i: int, nvars: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        one = EC_ONE if kind == "exact" else 1 + 0j
-        return Poly(nvars, {tuple(e): one}, kind)
+        return Poly(nvars, {tuple(e): EC_ONE})
 
     @staticmethod
     def univariate(coeffs: Sequence, kind: str = "exact") -> "Poly":

@@ -8,17 +8,19 @@ Every quantity in the package travels one of two pathways:
   ints; the form is canonical, so equal values have equal fields.
 * approx -- plain ``complex`` (binary64 components).
 
-``Tolerance`` holds the tolerances a caller can set (the CLI's ``--tol``).
-Fixed margins that are not a caller's choice stay with their code:
-``variety`` keeps ``SMOOTH_MARGIN``, ``_SCREEN_SLACK`` and the noise floor
-of ``_gap_rank``.
+``Tolerance`` holds the one tolerance a caller sets (the CLI's ``--tol``),
+checks it and derives the other thresholds from it.  Fixed margins that
+are not a caller's choice stay with their code: ``states`` keeps the
+validation slack, ``variety`` ``SMOOTH_MARGIN``, ``_SCREEN_SLACK`` and the
+noise floor of ``_gap_rank``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Tuple
 
 from .errors import DivisionByZero
@@ -228,23 +230,33 @@ EC_ONE = ExactComplex(1)
 
 @dataclass(frozen=True)
 class Tolerance:
-    """The tolerances a caller can set.
+    """The one tolerance a caller sets (the CLI's ``--tol``), and the two
+    thresholds that follow from it.
 
     abs_eps sets the absolute thresholds downstream: the trace and
     reconstruction checks of a state, membership and root residuals, Newton
-    targets and the witness threshold.
-    rel_eps is read only by linalg._eigh, whose Hermitian-defect bound is
-    abs_eps + rel_eps * ||A||.  eig_cutoff separates numerically zero
-    eigenvalues (and leading coefficients) from real ones.
+    targets and the witness threshold.  It must be finite and at least the
+    smallest normal float, so that abs_eps / 10 cannot underflow.
+    rel_eps = abs_eps is read only by linalg._eigh, whose Hermitian-defect
+    bound is abs_eps + rel_eps * ||A||.  eig_cutoff = min(abs_eps / 10,
+    1e-10) separates numerically zero eigenvalues (and leading
+    coefficients) from real ones.
     """
 
     abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
-    eig_cutoff: float = 1e-10
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.rel_eps > 0 and self.eig_cutoff > 0):
-            raise ValueError("tolerance fields must be strictly positive")
+        if not (isfinite(self.abs_eps) and self.abs_eps >= sys.float_info.min):
+            raise ValueError("must be finite and at least the smallest normal float "
+                             f"({sys.float_info.min!r}), got {self.abs_eps!r}")
+
+    @property
+    def rel_eps(self) -> float:
+        return self.abs_eps
+
+    @property
+    def eig_cutoff(self) -> float:
+        return min(self.abs_eps / 10, 1e-10)
 
 
 DEFAULT_TOL = Tolerance()

@@ -57,6 +57,7 @@ from .scalars import DEFAULT_TOL, ExactComplex, Tolerance, from_fields
 
 Weight = object  # Fraction (exact) or float (approx)
 Vector = Tuple[object, ...]  # ExactComplex or complex entries
+SLACK = 1e3 * DEFAULT_TOL.abs_eps  # the fixed slack of a float state's or unitary's checks
 
 
 def unit_rows(rays: np.ndarray) -> np.ndarray:
@@ -73,13 +74,13 @@ def unit_rows(rays: np.ndarray) -> np.ndarray:
 
 
 class BipartiteState:
-    """Mixed state on C^m (x) C^n in the row-major product basis."""
+    """Mixed state on C^m (x) C^n in the row-major product basis, checked
+    within the fixed SLACK; a caller's tolerance reaches eigen and spectral."""
 
     def __init__(self, m: int, n: int,
                  ensemble: Optional[List[Tuple[Weight, Sequence]]] = None,
                  density=None,  # an exact matrix or a complex array
                  label: Optional[str] = None,
-                 tol: Tolerance = DEFAULT_TOL,
                  validate: bool = True):
         if m < 1 or n < 1:
             raise BadDims(f"dimensions must be >= 1, got ({m}, {n})")
@@ -100,11 +101,11 @@ class BipartiteState:
         self.density = density
         self._eigen = None     # (tol, EigenResult) of eigen(), one per tolerance
         if validate:
-            self._validate(tol)
+            self._validate()
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self, tol: Tolerance):
+    def _validate(self):
         mn = self.m * self.n
         if self.ensemble is not None:
             total = 0
@@ -121,7 +122,7 @@ class BipartiteState:
             if self.exact_ensemble:
                 if total != 1:
                     raise NotAState(f"exact ensemble weights sum to {total}, not 1")
-            elif abs(float(total) - 1.0) > 1e3 * tol.abs_eps:
+            elif abs(float(total) - 1.0) > SLACK:
                 raise NotAState(f"ensemble weights sum to {float(total)}, not 1")
         rho = self.density
         if rho is not None:
@@ -135,10 +136,10 @@ class BipartiteState:
                 psd = psd_check(rho)
             else:
                 tr = complex(sum(rho.diagonal(), 0j))
-                if abs(tr - 1.0) > 1e3 * tol.abs_eps:
+                if abs(tr - 1.0) > SLACK:
                     raise NotAState(f"density trace is {tr}, not 1")
-                eigs = self.eigen(tol).eigenvalues
-                psd = not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
+                eigs = self.eigen().eigenvalues
+                psd = not eigs or min(eigs) >= -spectral_cutoff(eigs)
             if not psd:
                 raise NotAState("density is not positive semidefinite")
         if self.ensemble is not None and rho is not None:
@@ -146,7 +147,7 @@ class BipartiteState:
             if built.dtype == object and rho.dtype == object:
                 if not np.array_equal(built, rho):
                     raise NotAState("ensemble and density disagree")
-            elif float(np.max(np.abs(as_array(built) - as_array(rho)))) > 1e3 * tol.abs_eps:
+            elif float(np.max(np.abs(as_array(built) - as_array(rho)))) > SLACK:
                 raise NotAState("ensemble and density disagree")
 
     # -- representation queries --------------------------------------------
@@ -318,7 +319,7 @@ class LocalUnitaryPair:
     """U_A on side A, U_B on side B, each an exact matrix or a complex
     array; the joint action is U_A (x) U_B."""
 
-    def __init__(self, u_a, u_b, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, u_a, u_b, validate: bool = True):
         if u_a.shape[0] != u_a.shape[1] or u_b.shape[0] != u_b.shape[1]:
             raise DimensionMismatch("local unitaries must be square")
         self.u_a = u_a
@@ -330,7 +331,7 @@ class LocalUnitaryPair:
                         raise NotAState(f"{name} is not exactly unitary")
                 else:
                     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
-                    if defect > 1e3 * tol.abs_eps:
+                    if defect > SLACK:
                         raise NotAState(f"{name} unitarity defect {defect:.3e}")
 
     @staticmethod

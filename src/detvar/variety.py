@@ -221,9 +221,9 @@ class Variety:
     a product: det N is then split off the columns at build (_column_split)
     and kept for the peel as `split`, None on any other V.  Any other exact
     pencil expands them at once and reads `structural` off them.
-    Each derived value (generators, essential_count, the peel behind
-    _analysis_system) is a cached property, which the build assigns where
-    it already knows the value.
+    Each derived value (generators, essential_count, rank_deficient, the
+    peel behind _analysis_system) is a cached property, which the build
+    assigns where it already knows the value.
     The sampler and the generator oracle read the pencil tensor
     (PencilMatrix.floats, pencil_residuals): no minor is read there.
     The Hermitian form reads rho through the side's state, as pencil_matrix
@@ -237,7 +237,6 @@ class Variety:
         self.state, self.mode = pencil.state, pencil.kind
         self.structural = None  # "Full" | "Empty" where the build decides it
         self.split = None       # det N's factor list off product columns (_column_split)
-        self._rank_memo = {}  # seed -> _rank_deficient(seed)
         if pencil.t < pencil.n:
             self.essential_count, self.structural = 0, "Full"
         elif self.mode == "exact":
@@ -282,21 +281,19 @@ class Variety:
     def _peeled(self) -> Tuple[List[LinearForm], Optional[List[Poly]], Optional[FactorList]]:
         return _peel_linear_factors(self)
 
-    def _rank_deficient(self, seed: int) -> bool:
+    @cached_property
+    def rank_deficient(self) -> bool:
         """True when V is a float variety whose pencil, evaluated at a
-        random point drawn from a stream of its own (seeded from the
-        analysis seed), has a clean numerical rank below n.  Then every
-        minor vanishes to working precision: V is all of CP^{m-1}, what is
-        left of the minors is rounding noise, and no certificate may be
-        read off it.  Decided once per seed, however many callers ask."""
+        random point drawn from the fixed stream "rank", has a clean
+        numerical rank below n.  Then every minor vanishes to working
+        precision: V is all of CP^{m-1}, what is left of the minors is
+        rounding noise, and no certificate may be read off it."""
         if self.mode == "exact":
             return False
-        if seed not in self._rank_memo:
-            r = _fixed_draw(_complex_gaussians, f"rank:{seed}", self.m)
-            mat = np.einsum("i,ikl->kl", r, self.pencil.floats[0])
-            rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), self.n)
-            self._rank_memo[seed] = rank is not None and rank < self.n
-        return self._rank_memo[seed]
+        r = _fixed_draw(_complex_gaussians, "rank", self.m)
+        mat = np.einsum("i,ikl->kl", r, self.pencil.floats[0])
+        rank = _gap_rank(np.linalg.svd(mat, compute_uv=False), self.n)
+        return rank is not None and rank < self.n
 
     # -- Hermitian-form evaluator (the independent membership oracle) ------
 
@@ -574,7 +571,7 @@ def _fixed_draw(draw, stream: str, *shape):
     """draw(random.Random(stream), *shape), drawn once per stream and shape.
 
     A stream seeded with a constant, or with the analysis seed as in
-    f"rank:{seed}", and read once gives the same draw every time, so it is
+    f"modp:{seed}", and read once gives the same draw every time, so it is
     kept: the bound is there because a seed comes from the user.  The
     result is shared, so it is read-only: an array is flagged so, and
     anything else is a tuple.  A stream read step by step (the sampler's,
@@ -870,7 +867,6 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
     rejected, as V there is a peeled hyperplane, linear already.  The
     caller keeps a structurally Empty or Full V away from it."""
     rng = random.Random(seed)
-    deficient = v._rank_deficient(seed)
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
         forms, rest, _ = _analysis_system(v)
@@ -880,7 +876,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         if forms:
             normals = np.array([f.coefficients for f in forms], dtype=complex)
             normals /= np.linalg.norm(normals, axis=1)[:, None]
-    if deficient:
+    if v.rank_deficient:
         draws, unit = SAMPLING_BUDGET * count, "draws"
 
         def candidates() -> List[List[complex]]:
@@ -910,7 +906,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
                     np.abs(normals @ cand) < PEELED_MARGIN * np.linalg.norm(cand)).any():
                 on_peeled += 1
                 continue
-            if ((deficient or v.generator_residual(cand) <= clean)
+            if ((v.rank_deficient or v.generator_residual(cand) <= clean)
                     and v.hermitian_residual(cand) <= clean):
                 found += 1
                 yield cand, on_peeled
@@ -1094,7 +1090,7 @@ def _macaulay_certificate(v: Variety, seed: int, finite: bool = True
                           ) -> Optional[Tuple[str, FiniteCertificate]]:
     """("Empty", cert) or ("Finite", cert) from the Macaulay test modulo a
     prime, or None, which proves nothing.  The caller keeps a float pencil
-    of numerical rank below n (``Variety._rank_deficient``) away from it:
+    of numerical rank below n (``Variety.rank_deficient``) away from it:
     the test would read a proof off its noise minors.
 
     Where t - n + 1 > m - 1 the minors themselves are tried first, for
@@ -1140,17 +1136,17 @@ def _dimension_verdict(v: Variety, seed: int) -> Optional["VarietyVerdict"]:
     """The verdict of a V on which the criterion cannot fire, decided with
     no sampling; None when neither finiteness nor emptiness is certified.
 
-    A float V with m >= 3 whose pencil has numerical rank below n is all
-    of CP^{m-1} to working precision, whatever t: it gets a vacuous
-    Inconclusive before the Eagon-Northcott gate, so it is neither sampled
-    nor certified from its noise minors."""
+    A float V with m >= 3 whose pencil has numerical rank below n
+    (``Variety.rank_deficient``) is all of CP^{m-1} to working precision,
+    whatever t: it gets a vacuous Inconclusive before the Eagon-Northcott
+    gate, so it is neither sampled nor certified from its noise minors."""
     if v.m <= 2:
         # not Full, so its minors leave finitely many points of CP^1
         if v.mode == "exact":
             return VarietyVerdict("Finite", certificate=FiniteCertificate("ambient_dimension"))
         return VarietyVerdict("Inconclusive",
                               reason=f"criterion vacuous: V lies in CP^{v.m - 1}")
-    if v._rank_deficient(seed):
+    if v.rank_deficient:
         return VarietyVerdict("Inconclusive",
                               reason=f"criterion vacuous: V is all of CP^{v.m - 1} "
                                      "to working precision")
@@ -1345,11 +1341,11 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
     v_trans = variety_of_state(transformed, "A")
     sides = ((v_trans, v_orig, fwd), (v_orig, v_trans, bwd))
     # the Empty test alone (finite=False) runs; a noise pencil is kept from it
-    verdicts = [v.structural or ("Empty" if not v._rank_deficient(seed)
+    verdicts = [v.structural or ("Empty" if not v.rank_deficient
                                  and _macaulay_certificate(v, seed, finite=False) else None)
                 for v, _, _ in sides]
     if any(verdicts):
-        verdicts = [k or ("Full" if v._rank_deficient(seed) else None)
+        verdicts = [k or ("Full" if v.rank_deficient else None)
                     for k, (v, _, _) in zip(verdicts, sides)]
         return CovarianceResult(verdicts[0] == verdicts[1], 0.0, 0)
     max_res = 0.0

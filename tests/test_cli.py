@@ -336,6 +336,20 @@ def test_numeric_flag_out_of_range_is_an_input_error(tmp_path, capsys, argv):
     assert bound in err["message"]
 
 
+@pytest.mark.parametrize("tol,block", [
+    (None, {"abs_eps": 1e-09, "eig_cutoff": 1e-10, "rel_eps": 1e-09}),
+    ("1e-7", {"abs_eps": 1e-07, "eig_cutoff": 1e-10, "rel_eps": 1e-07}),
+    ("1e-12", {"abs_eps": 1e-12, "eig_cutoff": 1e-13, "rel_eps": 1e-12}),
+])
+def test_tol_sets_the_rendered_tolerances(tmp_path, capsys, tol, block):
+    state = tmp_path / "s.json"
+    run_cli(capsys, "repro", "example1", "--write-state", str(state),
+            "--json", str(tmp_path / "r.json"))
+    code, out = run_cli(capsys, "analyze", str(state), *(["--tol", tol] if tol else []))
+    assert code == 0
+    assert json.loads(out)["tolerances"] == block
+
+
 def test_cli_props_small(capsys):
     code, out = run_cli(capsys, "props", "--trials", "4", "--seed", "42")
     assert code == 0

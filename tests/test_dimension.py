@@ -220,10 +220,22 @@ def test_float_pencil_of_low_numerical_rank_is_not_certified(no_sampling, m, t, 
     v = variety_of_state(apply_local_unitary(random_mixed(m, 3, t, seed=seed), pair))
     assert v.mode == "approx" and v.structural is None
     assert max(abs(c) for g in pencil_minors(v.pencil) for c in g.terms.values()) < 1e-12
-    verdict = linearity_decide(v, seed=42)
-    assert verdict.tag == "Inconclusive"
-    assert verdict.reason == f"criterion vacuous: V is all of CP^{m - 1} to working precision"
-    assert verdict.certificate is None
+    # rank deficiency belongs to the pencil, not to the analysis seed: it is
+    # decided on the first read and kept, and every seed reads the same
+    assert "rank_deficient" not in vars(v)
+    for analysis_seed in (0, 1, 2, 3, 4, 42):
+        verdict = linearity_decide(v, seed=analysis_seed)
+        assert verdict.tag == "Inconclusive"
+        assert verdict.reason == \
+            f"criterion vacuous: V is all of CP^{m - 1} to working precision"
+        assert verdict.certificate is None
+    assert v.rank_deficient is True and vars(v)["rank_deficient"] is True
+    # an exact V is never rank deficient, and reads so without a draw
+    exact = variety_of_state(random_separable(m, 3, t, seed=seed))
+    info = variety_mod._fixed_draw.cache_info()
+    assert exact.rank_deficient is False
+    after = variety_mod._fixed_draw.cache_info()
+    assert after.hits + after.misses == info.hits + info.misses
 
 
 @pytest.fixture

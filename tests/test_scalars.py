@@ -1,13 +1,15 @@
 import copy
+import dataclasses
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from detvar.errors import DivisionByZero
-from detvar.scalars import ExactComplex, Tolerance
+from detvar.scalars import DEFAULT_TOL, ExactComplex, Tolerance
 
 
 def test_norm_identity():
@@ -33,8 +35,30 @@ def test_canonical_zero_and_reduction():
 
 
 def test_tolerance_positivity():
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=0.0)
+    # abs_eps / 10 must not underflow, so a subnormal fails as 0 does
+    for bad in (0.0, 0, -1.0, 5e-324, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            Tolerance(abs_eps=bad)
+
+
+def cli_fields(tol):
+    # the fields the CLI set from --tol before Tolerance derived them
+    return tol, tol, min(tol / 10, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-12, 0.5, sys.float_info.min])
+def test_tolerance_derives_the_fields_the_cli_set(tol):
+    t = Tolerance(tol)
+    got = (t.abs_eps, t.rel_eps, t.eig_cutoff)
+    assert [x.hex() for x in got] == [x.hex() for x in cli_fields(tol)]
+    assert [f.name for f in dataclasses.fields(t)] == ["abs_eps"]
+
+
+def test_default_tolerance_keeps_its_fields():
+    t = Tolerance()
+    assert [x.hex() for x in (t.abs_eps, t.rel_eps, t.eig_cutoff)] == \
+        [x.hex() for x in (1e-9, 1e-9, 1e-10)]
+    assert t == DEFAULT_TOL
 
 
 def _rand_ec(rng):

@@ -99,7 +99,8 @@ for name, make in MIXED.items():
     CASES[f"{name}, swapped"] = lambda make=make: make().swapped()
     CASES[f"{name}, density"] = delivered(make)
 
-TOLERANCES = {"default": DEFAULT_TOL, "custom": Tolerance(1e-6, 1e-6, 1e-7)}
+# abs_eps = rel_eps = 1e-6, eig_cutoff = min(1e-7, 1e-10)
+TOLERANCES = {"default": DEFAULT_TOL, "custom": Tolerance(1e-6)}
 
 
 def fields(rep: SpectraReport):

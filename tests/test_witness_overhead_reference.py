@@ -233,11 +233,10 @@ def _cases():
     primes = split_primes(RANK_PRIME)
     prime = next(primes), next(primes)
     for m in range(2, 7):
-        yield ((_complex_gaussians, "essential", m),
-               np.array(per_pair_draws(random.Random("essential"), m)))
+        for stream in ("essential", "rank"):
+            yield ((_complex_gaussians, stream, m),
+                   np.array(per_pair_draws(random.Random(stream), m)))
         for seed in (0, 42, 9001, -3):
-            yield ((_complex_gaussians, f"rank:{seed}", m),
-                   np.array(per_pair_draws(random.Random(f"rank:{seed}"), m)))
             yield (_hyperplane, f"modp:{seed}", m - 1), reference_hyperplane(seed, m)
         for p in prime:
             yield (_screen_points, "minor-screen", p, m), reference_screen_points(p, m)

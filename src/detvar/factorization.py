@@ -16,6 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from .multipoly import LinearForm, Poly, restrict_to_line, univariate_coeffs
 from .scalars import EC_ZERO, ExactComplex
+from .states import Stream
 
 
 class FactorList(NamedTuple):
@@ -42,6 +43,11 @@ def _random_exact_point(rng: random.Random, m: int) -> List[ExactComplex]:
               for _ in range(m)]
         if any(not x.is_zero() for x in pt):
             return pt
+
+
+def _exact_points(rng: random.Random, count: int, m: int) -> Tuple[Tuple[ExactComplex, ...], ...]:
+    """`count` points of _random_exact_point(rng, m) in turn, as tuples."""
+    return tuple(tuple(_random_exact_point(rng, m)) for _ in range(count))
 
 
 def _line_gcd(gens: Sequence[Poly], base: Sequence[ExactComplex],
@@ -96,11 +102,11 @@ def _peel(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], List[Poly], 
     """linear_factors, and whether the peel ended certified: nothing left,
     or a line proved that nothing more divides."""
     forms: List[LinearForm] = []
-    rng = random.Random(20211)
+    lines = Stream(_exact_points, 20211, 16, m)
     current = list(polys)
     misses = 0
     while current and misses < m:
-        base, direction = _random_exact_point(rng, m), _random_exact_point(rng, m)
+        base, direction = lines.read(2)
         common, full_degree = _line_gcd(current, base, direction)
         misses += 1
         if not common:  # every restriction vanishes
@@ -127,7 +133,8 @@ def linear_factors(polys: Sequence[Poly], m: int) -> Tuple[List[LinearForm], Lis
     """The Q(i) hyperplanes dividing every one of the exact forms polys in
     m variables, with multiplicity, and the quotients of positive degree
     that remain.  One exact line per round, from the stream
-    random.Random(20211).  The peel stops when nothing is left, or on a
+    random.Random(20211), whose first 16 points are kept per m (Stream).
+    The peel stops when nothing is left, or on a
     line that certifies that nothing more divides: a restriction of full
     degree and a gcd with no Q(i) root.  A round that peels nothing
     otherwise draws the next line; after m such rounds in a row the peel

@@ -18,6 +18,7 @@ mn x mn matrix occupies rows i*n..(i+1)*n-1 and columns j*n..(j+1)*n-1
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import prod
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -107,38 +108,58 @@ class EigenResult(NamedTuple):
     residual: float
 
 
-def _eigh(m: np.ndarray, tol: Tolerance) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, eigenvalues descending, eigenvectors as columns in that order)
-    of a Hermitian complex array by LAPACK (``eigh``), A being the array
-    checked finite and Hermitian within tol, then symmetrized: the one
-    decomposition behind hermitian_eigen and hermitian_eigenvalues."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+class Decomposition:
+    """A Hermitian array A decomposed apart from any tolerance (eigh_stack):
+    (A + A^H) / 2, its eigenvalues descending and eigenvectors as columns in
+    that order, and the defect max|A - A^H| and scale max(||A||, 1) that
+    a tolerance bounds by abs_eps + rel_eps * scale, or NotHermitian."""
+
+    def __init__(self, matrix, values, vectors, defect: float, scale: float):
+        self.matrix, self.values, self.vectors = matrix, values, vectors
+        self.defect, self.scale = defect, scale
+
+    def eigenvalues(self, tol: Tolerance = DEFAULT_TOL) -> List[float]:
+        if self.defect > tol.abs_eps + tol.rel_eps * self.scale:
+            raise NotHermitian(f"Hermitian defect {self.defect:.3e} exceeds tolerance")
+        return self.values.tolist()
+
+    def eigen(self, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
+        self.eigenvalues(tol)
+        return self._eigen
+
+    @cached_property
+    def _eigen(self) -> EigenResult:
+        a, eigs, v = self.matrix, self.values, self.vectors
+        residual = float(np.max(np.linalg.norm(a @ v - v * eigs, axis=0), initial=0.0))
+        return EigenResult(eigs.tolist(), v, residual)
+
+
+def eigh_stack(mats: Sequence[np.ndarray]) -> List[Decomposition]:
+    """Hermitian arrays of one shape, checked square and finite, then
+    symmetrized and decomposed by LAPACK in one stacked ``eigh``, which
+    gives each the bits of a call of its own."""
+    a = np.asarray(mats, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise NonSquare("eigendecomposition of non-square matrix")
     if not np.isfinite(a).all():
         raise NotHermitian("matrix has a non-finite entry")
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    herm_defect = float(np.max(np.abs(a - a.conj().T), initial=0.0))
-    if herm_defect > tol.abs_eps + tol.rel_eps * scale:
-        raise NotHermitian(f"Hermitian defect {herm_defect:.3e} exceeds tolerance")
-    a = (a + a.conj().T) / 2.0
-    eigs, v = np.linalg.eigh(a)
-    return a, eigs[::-1], v[:, ::-1]
+    ah = a.conj().swapaxes(1, 2)
+    defects = np.max(np.abs(a - ah), axis=(1, 2), initial=0.0).tolist()
+    sym = (a + ah) / 2.0
+    eigs, v = np.linalg.eigh(sym)
+    return [Decomposition(sym[k], eigs[k, ::-1], v[k, :, ::-1], defects[k],
+                          max(float(np.linalg.norm(a[k])), 1.0)) for k in range(len(a))]
 
 
 def hermitian_eigen(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
-    """Full spectral decomposition of a Hermitian array (_eigh), with its
-    eigenvectors and the reconstruction residual."""
-    a, eigs, v = _eigh(m, tol)
-    residual = float(np.max(np.linalg.norm(a @ v - v * eigs, axis=0), initial=0.0))
-    return EigenResult([float(x) for x in eigs], v, residual)
+    """Full spectral decomposition of a Hermitian array (eigh_stack)."""
+    return eigh_stack([m])[0].eigen(tol)
 
 
 def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> List[float]:
-    """The eigenvalues of hermitian_eigen(m, tol), bit for bit, descending:
-    the same checks and the same decomposition (_eigh), with no residual
-    computed."""
-    return [float(x) for x in _eigh(m, tol)[1]]
+    """The eigenvalues of hermitian_eigen(m, tol), bit for bit, with no
+    residual computed."""
+    return eigh_stack([m])[0].eigenvalues(tol)
 
 
 def spectral_cutoff(eigenvalues: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> float:

@@ -237,8 +237,8 @@ class Tolerance:
     reconstruction checks of a state, membership and root residuals, Newton
     targets and the witness threshold.  It must be finite and at least the
     smallest normal float, so that abs_eps / 10 cannot underflow.
-    rel_eps = abs_eps is read only by linalg._eigh, whose Hermitian-defect
-    bound is abs_eps + rel_eps * ||A||.  eig_cutoff = min(abs_eps / 10,
+    rel_eps = abs_eps is read only by linalg.Decomposition, whose
+    Hermitian-defect bound is abs_eps + rel_eps * ||A||.  eig_cutoff = min(abs_eps / 10,
     1e-10) separates numerically zero eigenvalues (and leading
     coefficients) from real ones.
     """

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,11 +43,11 @@ from .errors import (
     NotHermitian,
 )
 from .linalg import (
+    Decomposition,
     EigenResult,
     as_array,
+    eigh_stack,
     exact_matrix,
-    hermitian_eigen,
-    hermitian_eigenvalues,
     partial_trace,
     partial_transpose,
     psd_check,
@@ -99,7 +99,6 @@ class BipartiteState:
                 density = np.array(density, dtype=complex)
                 density.flags.writeable = False
         self.density = density
-        self._eigen = None     # (tol, EigenResult) of eigen(), one per tolerance
         if validate:
             self._validate()
 
@@ -170,13 +169,20 @@ class BipartiteState:
         return density_from_ensemble(self) if self.density is None else self.density
 
     def eigen(self, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
-        """hermitian_eigen of the density's float image, decomposed once
-        per tolerance: a given density is checked PSD, split into its
-        spectral ensemble (spectral) and asked for its spectrum from one
-        decomposition."""
-        if self._eigen is None or self._eigen[0] != tol:
-            self._eigen = (tol, hermitian_eigen(self.float_images[0], tol))
-        return self._eigen[1]
+        """hermitian_eigen of the density's float image, read off the one
+        decomposition (_decomposed) that the PSD check, the spectral
+        ensemble and the spectrum share, whatever the tolerance."""
+        return self._decomposed[0].eigen(tol)
+
+    @cached_property
+    def _decomposed(self) -> Tuple[Decomposition, ...]:
+        """rho, rho^{T_A}, tr_B rho and tr_A rho (float_images) decomposed
+        once, apart from the tolerance each reader checks: rho with rho^{T_A}
+        in one stacked eigh, the partial traces in another if m = n."""
+        rho, *reduced = self.float_images
+        stacks = [[rho, partial_transpose(rho, self.m, self.n)]]
+        stacks += [reduced] if self.m == self.n else [[x] for x in reduced]
+        return tuple(d for mats in stacks for d in eigh_stack(mats))
 
     def spectral(self, tol: Tolerance = DEFAULT_TOL) -> "BipartiteState":
         """The state of this density with its spectral ensemble attached,
@@ -200,7 +206,7 @@ class BipartiteState:
         ensemble = [(eig.eigenvalues[k], tuple(eig.eigenvectors[:, k].tolist())) for k in kept]
         out = BipartiteState(self.m, self.n, ensemble=ensemble, density=self.density,
                              label=self.label, validate=False)
-        out._eigen, out.float_images = self._eigen, self.float_images
+        out._decomposed, out.float_images = self._decomposed, self.float_images
         out.unit_rays = unit_rows(np.ascontiguousarray(eig.eigenvectors[:, kept].T))
         out.unit_rays.flags.writeable = False
         return out
@@ -405,10 +411,9 @@ def apply_local_unitary(s: BipartiteState, u: LocalUnitaryPair) -> BipartiteStat
 
 
 def ppt_check(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Peres criterion: is the partial transpose still PSD, as psd_check
-    decides it, from its eigenvalues alone?  rho^{T_A} permutes the axes of
-    rho's float image (``float_images``), exactly."""
-    eigs = hermitian_eigenvalues(partial_transpose(s.float_images[0], s.m, s.n), tol)
+    """Peres criterion: is rho^{T_A} still PSD, as psd_check decides it, by
+    its eigenvalues, decomposed with rho's (``BipartiteState._decomposed``)?"""
+    eigs = s._decomposed[1].eigenvalues(tol)
     return min(eigs) >= -spectral_cutoff(eigs, tol)
 
 
@@ -429,16 +434,11 @@ def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
 
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:
-    """Spectra and von Neumann entropies of rho, tr_B rho and tr_A rho,
-    from the state's float images (``float_images``).  A given density's
-    goes through ``BipartiteState.eigen``, the decomposition its PSD check
-    and spectral ensemble share; every other spectrum needs no eigenvectors
-    (``hermitian_eigenvalues``, the same bits)."""
-    rho, tr_b, tr_a = s.float_images
-    glob = (s.eigen(tol).eigenvalues if s.density is not None
-            else hermitian_eigenvalues(rho, tol))
-    red_a = hermitian_eigenvalues(tr_b, tol)
-    red_b = hermitian_eigenvalues(tr_a, tol)
+    """Spectra and von Neumann entropies of rho, tr_B rho and tr_A rho, read
+    off the state's one decomposition of its float images (``_decomposed``),
+    which a given density's PSD check and spectral ensemble share."""
+    rho, _, tr_b, tr_a = s._decomposed
+    glob, red_a, red_b = (d.eigenvalues(tol) for d in (rho, tr_b, tr_a))
     return SpectraReport(
         spectrum=glob,
         reduced_a_spectrum=red_a,
@@ -460,6 +460,46 @@ def _complex_gaussians(rng: random.Random, count: int) -> np.ndarray:
     float array viewed as complex."""
     gauss = rng.gauss
     return np.array([gauss(0, 1) for _ in range(2 * count)]).view(complex)
+
+
+@lru_cache(maxsize=256)
+def _fixed_draw(draw, stream, *shape):
+    """draw(random.Random(stream), *shape), drawn once per stream and shape.
+
+    A stream seeded with a constant, or with the analysis seed as in
+    f"modp:{seed}", and read once gives the same draw every time, so it is
+    kept: the bound is there because a seed comes from the user.  The
+    result is shared, so it is read-only: an array is flagged so, and
+    anything else is a tuple.  A stream read step by step (the sampler's,
+    the probes', the exact peel's) keeps its first items here (Stream)."""
+    out = draw(random.Random(stream), *shape)
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
+    return out
+
+
+class Stream:
+    """Reads draw(random.Random(seed), count, *shape) count items at a time,
+    each the bits the generator gives at its position, and counts them
+    (consumed).  The first `kept` are drawn once per process (_fixed_draw),
+    read-only; a read past them draws on a generator of the reader's own."""
+
+    def __init__(self, draw, seed, kept: int, *shape):
+        self._items = _fixed_draw(draw, seed, kept, *shape)
+        self._key, self._rng, self.consumed = (draw, seed, *shape), None, 0
+
+    def read(self, count: int):
+        draw, seed, *shape = self._key
+        start, self.consumed = self.consumed, self.consumed + count
+        if self.consumed <= len(self._items):
+            return self._items[start:self.consumed]
+        if self._rng is None:  # the generator, past the items read so far
+            self._rng = random.Random(seed)
+            draw(self._rng, start, *shape)
+        out = draw(self._rng, count, *shape)
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        return out
 
 
 def random_mixed(m: int, n: int, rank: int, seed: int) -> BipartiteState:

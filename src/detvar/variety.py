@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb, sqrt
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -78,7 +78,7 @@ from .errors import (
 )
 from .factorization import (
     FactorList,
-    _random_exact_point,
+    _exact_points,
     linear_factorization,
     linear_factors,
     product_factorization,
@@ -103,7 +103,7 @@ from .multipoly import (
     univariate_roots,
 )
 from .scalars import DEFAULT_TOL, ExactComplex, Tolerance
-from .states import BipartiteState, _complex_gaussians
+from .states import BipartiteState, Stream, _complex_gaussians, _fixed_draw
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
@@ -116,6 +116,7 @@ NEWTON_MAX_STEPS = 50
 NEWTON_TRIES = 20          # Gauss-Newton runs per requested point
 SAMPLING_BUDGET = 100      # line draws per requested point
 MACAULAY_DEGREES = 3       # degrees n + 1 .. n + 3 tried by the Macaulay certificate
+KEPT_GAUSSIANS = 1024      # complex Gaussians kept per seed for the sampler and the probes
 _SCREEN_SLACK = 1e-9       # relative margin of the probe screen in _best_probe
 _ROW_FLOOR = 1e-100        # above it, squares lost to underflow are negligible
 _BOUND_FLOOR = 1e-290      # partial bounds in [floor, 1 / floor] are normal floats
@@ -566,22 +567,6 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
     return on_pencil
 
 
-@lru_cache(maxsize=256)
-def _fixed_draw(draw, stream: str, *shape):
-    """draw(random.Random(stream), *shape), drawn once per stream and shape.
-
-    A stream seeded with a constant, or with the analysis seed as in
-    f"modp:{seed}", and read once gives the same draw every time, so it is
-    kept: the bound is there because a seed comes from the user.  The
-    result is shared, so it is read-only: an array is flagged so, and
-    anything else is a tuple.  A stream read step by step (the sampler's,
-    the probes', the exact peel's) is not drawn here."""
-    out = draw(random.Random(stream), *shape)
-    if isinstance(out, np.ndarray):
-        out.flags.writeable = False
-    return out
-
-
 def _screen_points(rng: random.Random, prime: int, m: int) -> np.ndarray:
     """The four points of _minor_screen modulo prime: r, 1, r' and r o r'."""
     r, r2 = ([rng.randrange(1, prime) for _ in range(m)] for _ in range(2))
@@ -592,11 +577,6 @@ def _hyperplane(rng: random.Random, k: int) -> Tuple[ExactComplex, ...]:
     """The k Gaussian integers in [-99, 99] + [-99, 99] i of the Macaulay
     certificate's hyperplane."""
     return tuple(ExactComplex(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(k))
-
-
-def _exact_line(rng: random.Random, m: int) -> Tuple[Tuple[ExactComplex, ...], ...]:
-    """(base, direction) of the exact line of the Cauchy-Binet certificate."""
-    return tuple(tuple(_random_exact_point(rng, m)) for _ in range(2))
 
 
 def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
@@ -680,7 +660,7 @@ def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Po
         return [], None, v.split
     pencil = v.pencil
     if pencil.t > v.n:
-        base, direction = _fixed_draw(_exact_line, "cauchy-binet", v.m)
+        base, direction = _fixed_draw(_exact_points, "cauchy-binet", 2, v.m)
         if _cauchy_binet_certificate(pencil, base, direction):
             return [], None, None
     gens = v.essential_generators
@@ -864,9 +844,10 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
     per requested point; both oracles must accept.  An exact V is first
     peeled (_analysis_system): a candidate whose relative distance
     |l(p)| / (||l|| ||p||) to a peeled form l is below PEELED_MARGIN is
-    rejected, as V there is a peeled hyperplane, linear already.  The
+    rejected, as V there is a peeled hyperplane, linear already.  Draws
+    read the Gaussians of random.Random(seed) in turn (Stream).  The
     caller keeps a structurally Empty or Full V away from it."""
-    rng = random.Random(seed)
+    gauss = Stream(_complex_gaussians, seed, KEPT_GAUSSIANS)
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
         forms, rest, _ = _analysis_system(v)
@@ -880,12 +861,12 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         draws, unit = SAMPLING_BUDGET * count, "draws"
 
         def candidates() -> List[List[complex]]:
-            return [_complex_gaussians(rng, v.m).tolist()]
+            return [gauss.read(v.m).tolist()]
     elif v.pencil.t == v.n:
         draws, unit = SAMPLING_BUDGET * count, "line draws"
 
         def candidates() -> List[List[complex]]:
-            base, direction = _complex_gaussians(rng, v.m), _complex_gaussians(rng, v.m)
+            base, direction = gauss.read(v.m), gauss.read(v.m)
             roots = _line_roots(v, base, direction)
             return [] if roots is None else [(base + s * direction).tolist()
                                              for s in roots.tolist()]
@@ -893,7 +874,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
         draws, unit = NEWTON_TRIES * count, "incidence tries"
 
         def candidates() -> List[List[complex]]:
-            r = _incidence_point(v, _complex_gaussians(rng, v.m), tol)
+            r = _incidence_point(v, gauss.read(v.m), tol)
             return [] if r is None else [r.tolist()]
     clean = 0.1 * tol.abs_eps
     found = on_peeled = 0
@@ -1016,17 +997,17 @@ def _tangent_data(v: Variety, point: Sequence
 
 
 def _witness_search_at(v: Variety, pt: Sequence[complex],
-                       data: Tuple[np.ndarray, List[np.ndarray]], rng: random.Random,
+                       data: Tuple[np.ndarray, List[np.ndarray]], gauss: Stream,
                        tol: Tolerance) -> Optional[Tuple[Tuple[complex, ...], float, np.ndarray]]:
     """Probe the tangent space at a smooth point pt, given its _tangent_data:
     PROBES steps of relative length HYPERPLANE_RADIUS along P g (its
-    projector, complex Gaussian g from rng).  A probe that both oracles put
+    projector, complex Gaussian g from gauss).  A probe that both oracles put
     off V, its Hermitian residual and its pencil residual above threshold,
     certifies local curvature; the hit is (probe, Hermitian residual, first
     row of T) for the probe of largest Hermitian residual, or None.
 
-    The Gaussians come from one array (_complex_gaussians), PROBES rows of
-    one per direction, drawn pair by pair, real part first.  Each step's
+    The Gaussians come from one read of the stream, PROBES rows of one
+    per direction, each drawn pair by pair, real part first.  Each step's
     norm is numpy's own formula (_row_norms), and each probe is normalized
     by _normalize_floats."""
     dirs = data[1]
@@ -1034,7 +1015,7 @@ def _witness_search_at(v: Variety, pt: Sequence[complex],
         # a zero-dimensional component, whose tangent space is the point
         # itself: nothing to probe
         return None
-    coeffs = _complex_gaussians(rng, PROBES * len(dirs)).reshape(PROBES, len(dirs))
+    coeffs = gauss.read(PROBES * len(dirs)).reshape(PROBES, len(dirs))
     combos = sum(coeffs[:, j, None] * d for j, d in enumerate(dirs))
     norms = np.array(_row_norms(combos))
     keep = norms >= 1e-12
@@ -1229,7 +1210,7 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
         return VarietyVerdict("Inconclusive", factor_list=factor_list,
                               reason="criterion vacuous: n = 1, so every minor is a "
                                      "linear form and V is a linear subspace")
-    rng = random.Random(seed)
+    gauss = Stream(_complex_gaussians, seed, KEPT_GAUSSIANS)
     sampled = skipped = on_peeled = 0
     try:
         for p, on_peeled in _point_stream(v, samples, seed, tol):
@@ -1239,7 +1220,7 @@ def _witness_search(v: Variety, samples: int, seed: int, tol: Tolerance,
             if data is None:
                 skipped += 1
                 continue
-            hit = _witness_search_at(v, pt, data, rng, tol)
+            hit = _witness_search_at(v, pt, data, gauss, tol)
             if hit is not None:
                 q, res, row = hit
                 return VarietyVerdict("NonlinearWitness", factor_list=factor_list,

@@ -13,7 +13,8 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state
 from detvar.factorization import linear_factorization
 from detvar.multipoly import CompiledSystem, LinearForm, Poly
-from detvar.scalars import DEFAULT_TOL, ExactComplex
+from detvar.linalg import hermitian_eigen
+from detvar.scalars import DEFAULT_TOL, ExactComplex, Tolerance
 from detvar.report import analyze_state
 from detvar.statefile import load_state, parse_state, state_to_json
 from detvar.states import BipartiteState, random_mixed, random_separable
@@ -53,30 +54,51 @@ def test_density_is_built_once_per_state(monkeypatch):
     assert not calls
 
 
+def _spy_on_decompositions(monkeypatch):
+    """The sizes of the matrices of each stacked decomposition a state
+    makes, and (size, id) of each full decomposition read."""
+    stacks, full = [], []
+    real_stack, real_eigen = states_mod.eigh_stack, linalg_mod.Decomposition.eigen
+
+    def counting(mats):
+        stacks.append([len(m) for m in mats])
+        return real_stack(mats)
+
+    def counting_full(self, tol=DEFAULT_TOL):
+        result = real_eigen(self, tol)
+        full.append((len(result.eigenvalues), id(result)))
+        return result
+
+    monkeypatch.setattr(states_mod, "eigh_stack", counting)
+    monkeypatch.setattr(linalg_mod.Decomposition, "eigen", counting_full)
+    return stacks, full
+
+
 def test_density_is_decomposed_once_per_analysis(monkeypatch):
-    # validation (PSD check), the spectral ensemble and the global spectrum
-    # share one decomposition; the reduced spectra and the partial
-    # transpose are other matrices, whose eigenvalues alone are read
-    calls, full = [], []
-    real_eigh, real_eigen = linalg_mod._eigh, linalg_mod.hermitian_eigen
-
-    def counting(m, tol):
-        calls.append(len(m))
-        return real_eigh(m, tol)
-
-    def counting_full(m, tol=DEFAULT_TOL):
-        full.append(len(m))
-        return real_eigen(m, tol)
-
-    monkeypatch.setattr(linalg_mod, "_eigh", counting)
-    for mod in (linalg_mod, states_mod):
-        monkeypatch.setattr(mod, "hermitian_eigen", counting_full)
+    # validation (PSD check), the spectral ensemble, the global spectrum and
+    # the PPT test read one stacked decomposition of rho and rho^{T_A}; the
+    # reduced spectra are other matrices (3x3 and 4x4, one call each)
+    stacks, full = _spy_on_decompositions(monkeypatch)
     rho = states_mod.density_from_ensemble(random_mixed(3, 4, 4, seed=11))
     doc = state_to_json(BipartiteState(3, 4, density=rho, validate=False))
     report = analyze_state(parse_state(doc), samples=4)
-    assert len(calls) == 4 and calls.count(12) == 2
-    assert full == [12]
-    assert report["spectra"]["global"] == real_eigen(rho).eigenvalues
+    assert stacks == [[12, 12], [3], [4]]
+    assert len(set(full)) == 1 and full[0][0] == 12
+    assert report["spectra"]["global"] == hermitian_eigen(rho).eigenvalues
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(1e-7), Tolerance(1e-12)],
+                         ids=["default", "1e-7", "1e-12"])
+def test_a_density_is_decomposed_once_whatever_the_tolerance(monkeypatch, tol):
+    # the file's validation decomposes rho at the default tolerance; the
+    # analysis at another one reads the same decomposition, as the
+    # tolerance only sets the Hermitian-defect check and the cutoffs
+    stacks, full = _spy_on_decompositions(monkeypatch)
+    s = load_state(str(GOLDEN / "mixed_density_4x4_r5.state.json"))
+    report = analyze_state(s, tol=tol, samples=4)
+    assert stacks == [[16, 16], [4, 4]]
+    assert len(set(full)) == 1 and full[0][0] == 16
+    assert report["spectra"]["global"] == hermitian_eigen(s.density, tol).eigenvalues
 
 
 def test_swapped_and_density_are_memoized():

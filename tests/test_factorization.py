@@ -209,11 +209,16 @@ def test_an_uncertified_peel_says_so(monkeypatch):
     # every line starts on the conic, so each restriction has a Q(i) root
     # (and a second one: a line through a rational point of a conic meets
     # it again rationally) that gives no dividing form; after m fruitless
-    # lines the peel ends without a certificate
+    # lines the peel ends without a certificate.  The stream's points are
+    # those six, then None, which no line may read
     x, y, z = three_vars()
     conic = x * y - z * z
-    draws = iter([[EC(1), EC(1), EC(1)], [EC(2), EC(-1), EC(3)]] * 3)
-    monkeypatch.setattr(factorization_mod, "_random_exact_point", lambda rng, m: next(draws))
+    points = [(EC(1), EC(1), EC(1)), (EC(2), EC(-1), EC(3))] * 3
+
+    def draws(rng, count, m):
+        return tuple(points[:count]) + (None,) * (count - len(points))
+
+    monkeypatch.setattr(factorization_mod, "_exact_points", draws)
     fl = linear_factorization(conic)
     assert fl.linear_factors == [] and fl.remultiply(3) == conic
     assert not fl.certified

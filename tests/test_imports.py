@@ -1,6 +1,7 @@
 """No module of the package, test file or demo imports a name it does not
 use, no definition of the package goes unread, no module of the package
-reaches into another's private fields, and the test modules share their
+reaches into another's private fields, the analysis builds a random
+generator only in the stream cache, and the test modules share their
 helpers without importing one another.
 
 A name counts as used where it is read anywhere in the module, annotations
@@ -82,6 +83,45 @@ def test_the_check_sees_a_foreign_private_field():
 @pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
 def test_no_module_reaches_into_another_modules_private_fields(module):
     assert foreign_private_fields(module.read_text()) == []
+
+
+def generators_built(source: str) -> list:
+    """(line, owner) of each ``random.Random(...)`` or ``Random(...)`` call
+    in a module, owner the top-level function or class it sits in, or None
+    at module level."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Name) and func.id == "Random") or (
+                    isinstance(func, ast.Attribute) and func.attr == "Random"
+                    and isinstance(func.value, ast.Name) and func.value.id == "random"):
+                found.append((node.lineno, getattr(top, "name", None)))
+    return sorted(found)
+
+
+def test_the_check_sees_a_generator_built():
+    snippet = ("import random\nfrom random import Random\nR = random.Random(1)\n\n"
+               "def f(seed):\n    return Random(seed), random.random()\n")
+    assert generators_built(snippet) == [(3, None), (6, "f")]
+
+
+# where a package module may build a random.Random: the analysis reads each
+# of its streams through the stream cache (states._fixed_draw and
+# states.Stream), kept once per process, so that no step quietly redraws a
+# stream on every analysis; the state generators draw once per call
+GENERATOR_OWNERS = {
+    "variety.py": set(),
+    "factorization.py": set(),
+    "states.py": {"_fixed_draw", "Stream", "random_mixed", "random_separable",
+                  "random_local_unitary"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_OWNERS))
+def test_the_analysis_builds_a_generator_only_in_the_stream_cache(name):
+    source = (ROOT / "src" / "detvar" / name).read_text()
+    assert {owner for _, owner in generators_built(source)} == GENERATOR_OWNERS[name]
 
 
 def names_read(node: ast.AST) -> set:

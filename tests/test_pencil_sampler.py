@@ -25,8 +25,9 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
 from detvar.multipoly import CompiledSystem, univariate_roots
 from detvar.scalars import DEFAULT_TOL, ExactComplex
-from detvar.states import BipartiteState, _complex_gaussians, random_mixed
+from detvar.states import BipartiteState, Stream, _complex_gaussians, random_mixed
 from detvar.variety import (
+    KEPT_GAUSSIANS,
     PEELED_MARGIN,
     WITNESS_FACTOR,
     Variety,
@@ -148,10 +149,12 @@ def test_the_witness_is_the_best_probe_both_oracles_put_off_v(monkeypatch):
     v = variety_of_state(random_mixed(3, 4, 4, seed=1))
     point = [complex(x) for x in project_normalize(sample_points(v, 1, seed=7)[0])]
     data = _tangent_data(v, point)
-    first = _witness_search_at(v, point, data, random.Random(3), DEFAULT_TOL)
+    first = _witness_search_at(v, point, data, Stream(_complex_gaussians, 3, KEPT_GAUSSIANS),
+                               DEFAULT_TOL)
     assert first is not None
     _pencil_says_on_v(monkeypatch, lambda q: q == first[0])
-    second = _witness_search_at(v, point, data, random.Random(3), DEFAULT_TOL)
+    second = _witness_search_at(v, point, data, Stream(_complex_gaussians, 3, KEPT_GAUSSIANS),
+                                DEFAULT_TOL)
     assert second is not None and second[0] != first[0]
     assert WITNESS_FACTOR * DEFAULT_TOL.abs_eps < second[1] <= first[1]
     assert v.generator_residual(second[0]) > WITNESS_FACTOR * DEFAULT_TOL.abs_eps

@@ -19,6 +19,10 @@ bit:
   the goldens' pencils and drawn float pencils;
 * each fixed draw (``_fixed_draw``) against a fresh draw from its stream,
   read-only and drawn once;
+* each read of a stream kept once per process (``Stream``: the sampler's
+  and the probes' complex Gaussians, the peel's exact points) against
+  ``_complex_gaussians`` or ``_random_exact_point`` on a fresh generator
+  read in the same order, past the kept items too, with the cache bounded;
 * the rays ``spectral()`` attaches against ``unit_rows`` of its ensemble's
   rays, shared with the density's float images and decomposition.
 """
@@ -28,21 +32,23 @@ import random
 import numpy as np
 import pytest
 
-from detvar.factorization import _random_exact_point
+from detvar.factorization import _exact_points, _random_exact_point
 from detvar.modp import RANK_PRIME, split_primes
 from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
 from detvar.states import (
     BipartiteState,
+    Stream,
     _complex_gaussians,
+    _fixed_draw,
     random_mixed,
     random_separable,
     unit_rows,
 )
 from detvar.variety import (
+    KEPT_GAUSSIANS,
+    PROBES,
     PencilMatrix,
-    _exact_line,
-    _fixed_draw,
     _hyperplane,
     _normalize_floats,
     _row_norms,
@@ -240,7 +246,7 @@ def _cases():
             yield (_hyperplane, f"modp:{seed}", m - 1), reference_hyperplane(seed, m)
         for p in prime:
             yield (_screen_points, "minor-screen", p, m), reference_screen_points(p, m)
-        yield (_exact_line, "cauchy-binet", m), reference_exact_line(m)
+        yield (_exact_points, "cauchy-binet", 2, m), reference_exact_line(m)
 
 
 def test_each_fixed_draw_is_a_fresh_draw_and_read_only():
@@ -258,6 +264,70 @@ def test_each_fixed_draw_is_a_fresh_draw_and_read_only():
                                                  if not isinstance(x, ExactComplex))
             assert [tuple(x) if isinstance(x, (list, tuple)) else x for x in got] == \
                 [tuple(x) if isinstance(x, (list, tuple)) else x for x in want]
+
+
+# ---------------------------------------------------------------------------
+# streams
+# ---------------------------------------------------------------------------
+
+def _read_sizes(m):
+    """Reads of 1, m, 2m and PROBES * m Gaussians, in a seeded order, until
+    three times the kept items are read."""
+    rng, total = random.Random(f"reads:{m}"), 0
+    while total <= 3 * KEPT_GAUSSIANS:
+        size = rng.choice((1, m, 2 * m, PROBES * m))
+        total += size
+        yield size
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_two_interleaved_readers_read_the_generators_gaussians(m):
+    for seed in (42, 7, 9001):
+        sizes = list(_read_sizes(m))
+        readers = [Stream(_complex_gaussians, seed, KEPT_GAUSSIANS) for _ in range(2)]
+        fresh = [random.Random(seed) for _ in range(2)]
+        # the second reader reads the same sizes in reverse, interleaved with the first
+        for k, size in enumerate(sizes):
+            for reader, rng, each in zip(readers, fresh, (size, sizes[-1 - k])):
+                got, want = reader.read(each), _complex_gaussians(rng, each)
+                assert got.dtype == complex and got.shape == (each,)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = 0
+        for reader, rng in zip(readers, fresh):
+            consumed = random.Random(seed)
+            _complex_gaussians(consumed, reader.consumed)
+            assert reader.consumed > 3 * KEPT_GAUSSIANS
+            assert consumed.getstate() == rng.getstate()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_the_peels_lines_are_the_generators_points(m):
+    lines, rng = Stream(_exact_points, 20211, 16, m), random.Random(20211)
+    for _ in range(20):  # 40 points, past the 16 kept
+        got = lines.read(2)
+        assert got == tuple(tuple(_random_exact_point(rng, m)) for _ in range(2))
+    assert lines.consumed == 40
+
+
+def test_the_stream_cache_stays_bounded():
+    # a read far past the kept items draws on the reader's own generator,
+    # and every seed keeps one entry of the bounded _fixed_draw
+    info = _fixed_draw.cache_info()
+    assert info.maxsize is not None and info.maxsize >= 1
+    seed = "bounded"
+    reader = Stream(_complex_gaussians, seed, KEPT_GAUSSIANS)
+    size = _fixed_draw.cache_info().currsize
+    far = reader.read(50 * KEPT_GAUSSIANS)
+    assert far.shape == (50 * KEPT_GAUSSIANS,) and not far.flags.writeable
+    assert reader.read(3).tobytes() == _complex_gaussians(
+        random.Random(seed), 50 * KEPT_GAUSSIANS + 3)[-3:].tobytes()
+    assert _fixed_draw.cache_info().currsize == size
+    assert _fixed_draw(_complex_gaussians, seed, KEPT_GAUSSIANS).shape == (KEPT_GAUSSIANS,)
+    for seed in range(info.maxsize + 10):
+        Stream(_complex_gaussians, seed, KEPT_GAUSSIANS).read(1)
+    assert _fixed_draw.cache_info().currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ each probe's ``hermitian_residual`` in turn, now along the directions of
 ``_tangent_data``.  The batch, at the fixed radius and probe count, must
 return the same probe and residual in every bit, or None with it (where
 ``_tangent_data`` shows the point not smooth and nothing is probed, the
-reference returns None), and leave the
-shared ``random.Random`` in the same state; the row of T it returns with
+reference returns None), reading its Gaussians from the stream of the
+seed as the reference draws them from ``random.Random(seed)``, and as
+many of them; the row of T it returns with
 a hit gives, in every bit, the point's ``tangent_form``.  The ``_kernel_directions``
 that gave the directions before the pencil did (the kernel of the
 generator Jacobian, with its perturbation drawn from a fresh Generator)
@@ -45,8 +46,10 @@ from detvar.linalg import as_array, exact_matrix
 from detvar.multipoly import CompiledSystem
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.statefile import load_state
-from detvar.states import BipartiteState, ensemble_from_density, random_mixed
+from detvar.states import (BipartiteState, Stream, _complex_gaussians, ensemble_from_density,
+                           random_mixed)
 from detvar.variety import (
+    KEPT_GAUSSIANS,
     NEWTON_MAX_STEPS,
     WITNESS_FACTOR,
     _RANK_GAP_MIN,
@@ -481,26 +484,30 @@ def probe_points(v, rng: random.Random):
 @pytest.mark.parametrize("name", list(WITNESS_CASES))
 def test_witness_search_matches_reference(name):
     """COUNT (point, seed) cases per state: the same (q, residual) bits or
-    None, the same rng state, and no numpy warning from the batch; a hit's
-    row of T scales to the point's tangent_form, bit for bit."""
+    None, as many Gaussians read from the seed's stream as the reference
+    draws from random.Random(seed) (the same generator state after them),
+    and no numpy warning from the batch; a hit's row of T scales to the
+    point's tangent_form, bit for bit."""
     v = WITNESS_CASES[name]()
     points = probe_points(v, random.Random(f"witness:{name}"))
     hits = 0
     for case in range(COUNT):
         point = points[case % len(points)]
-        got_rng, want_rng = random.Random(case), random.Random(case)
+        got_stream, want_rng = Stream(_complex_gaussians, case, KEPT_GAUSSIANS), random.Random(case)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pt = [complex(x) for x in project_normalize(point)]
             data = _tangent_data(v, pt)
-            got = None if data is None else _witness_search_at(v, pt, data, got_rng,
+            got = None if data is None else _witness_search_at(v, pt, data, got_stream,
                                                                 DEFAULT_TOL)
         want = reference_witness_search_at(v, point, want_rng, DEFAULT_TOL, 0.1)
         assert bits(None if got is None else got[:2]) == bits(want), case
         if got is not None:
             assert (bits(_row_form(got[2]).coefficients)
                     == bits(tangent_form(v, point).coefficients)), case
-        assert got_rng.getstate() == want_rng.getstate()
+        consumed = random.Random(case)
+        _complex_gaussians(consumed, got_stream.consumed)
+        assert consumed.getstate() == want_rng.getstate()
         hits += got is not None
     assert hits > 0
 

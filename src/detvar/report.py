@@ -15,7 +15,7 @@ import time
 from typing import Optional
 
 from .catalog import CHART_NAMES, ChartReduction
-from .errors import NotHesseShape
+from .errors import DimensionMismatch, NotHesseShape
 from .moduli import HesseCubic, hesse_reduce, moduli_value, moduli_verdict
 from .multipoly import LinearForm
 from .scalars import DEFAULT_TOL, Tolerance
@@ -168,8 +168,6 @@ def compare_states(a: BipartiteState, b: BipartiteState, *,
                    tol: Tolerance = DEFAULT_TOL) -> dict:
     """Spectra/entropy agreement plus the moduli comparison when both
     varieties are Hesse cubics."""
-    from .errors import DimensionMismatch
-
     start = time.perf_counter()
     if (a.m, a.n) != (b.m, b.n):
         raise DimensionMismatch(f"({a.m},{a.n}) vs ({b.m},{b.n})")

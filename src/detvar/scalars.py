@@ -11,8 +11,8 @@ Every quantity in the package travels one of two pathways:
 ``Tolerance`` holds the one tolerance a caller sets (the CLI's ``--tol``),
 checks it and derives the other thresholds from it.  Fixed margins that
 are not a caller's choice stay with their code: ``states`` keeps the
-validation slack, ``variety`` ``SMOOTH_MARGIN``, ``_SCREEN_SLACK`` and the
-noise floor of ``_gap_rank``.
+validation slack, ``variety`` ``SMOOTH_MARGIN`` and the noise floor of
+``_gap_rank``.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from math import comb, sqrt
+from math import comb
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,7 +103,7 @@ from .multipoly import (
     univariate_roots,
 )
 from .scalars import DEFAULT_TOL, ExactComplex, Tolerance
-from .states import BipartiteState, Stream, _complex_gaussians, _fixed_draw
+from .states import BipartiteState, Stream, _complex_gaussians, _fixed_draw, apply_local_unitary
 
 WITNESS_FACTOR = 10.0      # witness threshold is WITNESS_FACTOR * abs_eps
 HYPERPLANE_RADIUS = 0.1    # relative step when probing a tangent hyperplane
@@ -117,9 +117,6 @@ NEWTON_TRIES = 20          # Gauss-Newton runs per requested point
 SAMPLING_BUDGET = 100      # line draws per requested point
 MACAULAY_DEGREES = 3       # degrees n + 1 .. n + 3 tried by the Macaulay certificate
 KEPT_GAUSSIANS = 1024      # complex Gaussians kept per seed for the sampler and the probes
-_SCREEN_SLACK = 1e-9       # relative margin of the probe screen in _best_probe
-_ROW_FLOOR = 1e-100        # above it, squares lost to underflow are negligible
-_BOUND_FLOOR = 1e-290      # partial bounds in [floor, 1 / floor] are normal floats
 
 # what restricting to a line and root-finding raise when a draw is merely
 # unlucky (degenerate restriction, zero direction, a root off its residual bar)
@@ -191,6 +188,8 @@ def pencil_matrix(s: BipartiteState, side: str = "A") -> PencilMatrix:
     side's rays, exact or unit-scaled, reshaped, ray l holding entry
     (k, l)'s coefficient i at i * n + k, and copied C-contiguous.  A float
     entry whose coefficients are all zero (-0.0 parts too) becomes 0j."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     state = s if side == "A" else s.swapped()
     terms = state.ensemble_terms()  # MissingEnsemble if absent
     exact = state.exact_ensemble
@@ -331,14 +330,15 @@ class Variety:
         return complex(np.linalg.det(mat))
 
     def hermitian_residual(self, point: Sequence) -> float:
-        """|det M(r)| relative to the Hadamard bound of M(r) (_hadamard_ratio).
-        A float M(r) goes from einsum straight to det, and every float step
-        stays in numpy, whose complex multiply may fuse where Python's won't.
+        """|det M(r)| relative to the Hadamard bound of M(r): _hadamard_ratios
+        on a stack of one, the bits a witness probe at r reads.  A float M(r)
+        goes from einsum straight to det, and every float step stays in numpy,
+        whose complex multiply may fuse where Python's won't.
         For n = 1, where that ratio reads 1 wherever M(r) is not 0, it is
         |M(r)| / (||rho|| ||r||^2), with ||rho|| the spectral norm."""
         arr = as_array(self.hermitian_matrix(point))
         if self.n > 1:
-            return _hadamard_ratio(arr)
+            return float(_hadamard_ratios(arr[None])[0])
         r = np.array(point, dtype=complex)
         rho = self._state_blocks(False).reshape(self.m, self.m)
         return abs(complex(arr[0, 0])) / max(float(np.linalg.norm(rho, 2) * np.vdot(r, r).real),
@@ -372,57 +372,48 @@ def _hermitian_forms(points: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("bij,irjc->brc", w, blocks)
 
 
-def _row_norms(rows: np.ndarray) -> List[float]:
-    """float(np.linalg.norm(row)) of each row of a complex 2-D array, bit
-    for bit: numpy's own formula for a complex vector, sqrt(re . re +
-    im . im), on the same strided views, with no call through norm."""
-    return [sqrt(re.dot(re) + im.dot(im)) for re, im in zip(rows.real, rows.imag)]
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row (last axis) of a complex array, bit for
+    bit: numpy's own formula for a complex vector, sqrt(re . re + im . im),
+    each dot a matmul of a strided view of the row's parts, never a copy (a
+    contiguous dot may sum in another order).  A square past the float
+    range reads inf and warns, as in norm."""
+    re, im = rows.real, rows.imag
+    return np.sqrt((re[..., None, :] @ re[..., None] + im[..., None, :] @ im[..., None])[..., 0, 0])
 
 
-def _hadamard_ratio(arr: np.ndarray) -> float:
-    """|det arr| over the product of its row norms (_row_norms), each at
-    least 1e-300.  Where that product underflows, a zero row reads 0.0 and
-    other rows are first scaled to unit max modulus, which leaves the
-    ratio as it was and keeps det and bound in range."""
-    det = complex(np.linalg.det(arr))
-    bound = 1.0
-    for norm in _row_norms(arr):
-        bound *= max(norm, 1e-300)
-    if bound != 0.0:
-        return abs(det) / bound
-    peaks = np.abs(arr).max(axis=1, keepdims=True)
-    if not peaks.all():
-        return 0.0
-    # divided as real pairs: numpy's complex division overflows on a subnormal
-    return _hadamard_ratio((arr.view(float) / peaks).view(complex))
-
-
-def _best_probe(mats: np.ndarray, threshold: float) -> Optional[Tuple[int, float]]:
-    """(k, _hadamard_ratio(mats[k])) for the first k at the largest ratio
-    above threshold, or None; the exact ratio is taken only where it decides.
-
-    A screen takes all ratios at once, with numpy's row norms.  Unless a row
-    norm is below _ROW_FLOOR or a partial product of the bound leaves
-    [_BOUND_FLOOR, 1 / _BOUND_FLOOR], it is within about 2 n^2 2^-53 of
-    _hadamard_ratio (same LAPACK det), far inside _SCREEN_SLACK.  So the
-    first k at the maximum screens above (1 - slack) threshold and at least
-    (1 - slack) times the top screened value; scanning those probes, and all
-    the screen cannot bound, in order finds k.  Change the two together."""
-    dets = np.abs(np.linalg.det(mats))
+def _hadamard_ratios(mats: np.ndarray) -> np.ndarray:
+    """|det| over the product of the row norms (_row_norms), each at least
+    1e-300, of every matrix of a (b, n, n) stack: one stacked det, |det| as
+    hypot of its parts (Python's abs of a complex) and the product taken
+    row by row, so each ratio is what the same steps give one matrix at a
+    time.  Where the product underflows, a matrix with a zero row reads 0.0
+    and the others are first scaled to unit max modulus per row, which
+    leaves the ratio as it was and keeps det and bound in range."""
+    det = np.linalg.det(mats)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        norms = np.linalg.norm(mats, axis=2)
-        partial = np.cumprod(norms, axis=1)
-        approx = dets / partial[:, -1]
-    bounded = ((norms >= _ROW_FLOOR) & (partial >= _BOUND_FLOOR)
-               & (partial <= 1 / _BOUND_FLOOR)).all(axis=1) & np.isfinite(approx)
-    top = approx[bounded].max(initial=0.0)
-    near = (approx > (1 - _SCREEN_SLACK) * threshold) & (approx >= (1 - _SCREEN_SLACK) * top)
-    best: Optional[Tuple[int, float]] = None
-    for k in np.flatnonzero(~bounded | near).tolist():
-        res = _hadamard_ratio(mats[k])
-        if res > threshold and (best is None or res > best[1]):
-            best = (k, res)
-    return best
+        bound = np.multiply.reduce(np.maximum(_row_norms(mats), 1e-300), axis=1)
+        ratios = np.hypot(det.real, det.imag) / bound
+    under = bound == 0.0
+    if under.any():
+        small = mats[under]
+        peaks = np.abs(small).max(axis=2, keepdims=True)
+        rows = peaks.all(axis=(1, 2))
+        ratios[under] = 0.0
+        # divided as real pairs: numpy's complex division overflows on a subnormal
+        ratios[np.flatnonzero(under)[rows]] = _hadamard_ratios(
+            (small[rows].view(float) / peaks[rows]).view(complex))
+    return ratios
+
+
+def _best_probe(ratios: np.ndarray, threshold: float) -> Optional[Tuple[int, float]]:
+    """(k, ratios[k]) for the first k at the largest ratio above threshold,
+    or None; a NaN ratio is never above it."""
+    above = np.flatnonzero(ratios > threshold)
+    if not len(above):
+        return None
+    k = int(above[np.argmax(ratios[above])])
+    return k, float(ratios[k])
 
 
 def _structural(gens: List[Poly], m: int) -> Optional[str]:
@@ -1009,7 +1000,8 @@ def _witness_search_at(v: Variety, pt: Sequence[complex],
     The Gaussians come from one read of the stream, PROBES rows of one
     per direction, each drawn pair by pair, real part first.  Each step's
     norm is numpy's own formula (_row_norms), and each probe is normalized
-    by _normalize_floats."""
+    by _normalize_floats.  The probes' Hermitian residuals are one
+    _hadamard_ratios, which both selections read."""
     dirs = data[1]
     if not dirs:
         # a zero-dimensional component, whose tangent space is the point
@@ -1017,19 +1009,17 @@ def _witness_search_at(v: Variety, pt: Sequence[complex],
         return None
     coeffs = gauss.read(PROBES * len(dirs)).reshape(PROBES, len(dirs))
     combos = sum(coeffs[:, j, None] * d for j, d in enumerate(dirs))
-    norms = np.array(_row_norms(combos))
+    norms = _row_norms(combos)
     keep = norms >= 1e-12
     steps = np.array(pt) + HYPERPLANE_RADIUS * combos[keep] / norms[keep][:, None]
     qs = [_normalize_floats(q) for q in steps.tolist()]
     threshold = WITNESS_FACTOR * tol.abs_eps
-    mats = v.hermitian_stack(qs)
-    hit = _best_probe(mats, threshold)
+    ratios = _hadamard_ratios(v.hermitian_stack(qs))
+    hit = _best_probe(ratios, threshold)
     if hit is not None and v.generator_residual(qs[hit[0]]) <= threshold:
         # the pencil puts that probe on V, and a witness needs both oracles:
         # the best probe that both put off V is the best one left
-        off = np.flatnonzero(v.pencil_residuals(qs) > threshold)
-        hit = _best_probe(mats[off], threshold)
-        hit = None if hit is None else (int(off[hit[0]]), hit[1])
+        hit = _best_probe(np.where(v.pencil_residuals(qs) > threshold, ratios, np.nan), threshold)
     return None if hit is None else (qs[hit[0]], hit[1], data[0][0])
 
 
@@ -1311,8 +1301,6 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
     vacuously, only if both sides carry the same verdict.  A float side of
     numerical rank below n is never taken for empty; it counts as Full.
     """
-    from .states import apply_local_unitary
-
     threshold = WITNESS_FACTOR * tol.abs_eps
     transformed = apply_local_unitary(s, u)
     ua = as_array(u.u_a)

@@ -7,10 +7,14 @@
   the exact ``linalg.Matrix``, retired by commit e001f2b ("One matrix
   container").
 * ``unit_scaled``: ``states.unit_scaled``, retired by commit e94fcaa.
+* ``_hadamard_ratio``, with the list-returning ``_row_norms`` it read: the
+  per-matrix Hermitian residual of ``variety``, retired when the stacked
+  ``variety._hadamard_ratios`` took over every float Hadamard ratio.
 """
 
 import math
-from typing import Sequence, Tuple
+from math import sqrt
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -276,6 +280,33 @@ def unit_scaled(v):
     zs = [x.to_complex() if isinstance(x, ExactComplex) else complex(x) for x in v]
     e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in zs))[1]
     return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in zs]
+
+
+# -- The per-matrix Hadamard ratio (verbatim) ----------------------------------
+
+def _row_norms(rows: np.ndarray) -> List[float]:
+    """float(np.linalg.norm(row)) of each row of a complex 2-D array, bit
+    for bit: numpy's own formula for a complex vector, sqrt(re . re +
+    im . im), on the same strided views, with no call through norm."""
+    return [sqrt(re.dot(re) + im.dot(im)) for re, im in zip(rows.real, rows.imag)]
+
+
+def _hadamard_ratio(arr: np.ndarray) -> float:
+    """|det arr| over the product of its row norms (_row_norms), each at
+    least 1e-300.  Where that product underflows, a zero row reads 0.0 and
+    other rows are first scaled to unit max modulus, which leaves the
+    ratio as it was and keeps det and bound in range."""
+    det = complex(np.linalg.det(arr))
+    bound = 1.0
+    for norm in _row_norms(arr):
+        bound *= max(norm, 1e-300)
+    if bound != 0.0:
+        return abs(det) / bound
+    peaks = np.abs(arr).max(axis=1, keepdims=True)
+    if not peaks.all():
+        return 0.0
+    # divided as real pairs: numpy's complex division overflows on a subnormal
+    return _hadamard_ratio((arr.view(float) / peaks).view(complex))
 
 
 def bits(a) -> list:

@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` (or `-s` for the PASS lines).
 Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -21,8 +22,9 @@ from detvar.factorization import linear_factorization
 from detvar.linalg import partial_transpose
 from detvar.moduli import HesseCubic, lu_compare, moduli_value
 from detvar.multipoly import Poly
-from detvar.report import analyze_state, chart_reduction_report
+from detvar.report import analyze_state, chart_reduction_report, render_json, verdict_to_json
 from detvar.scalars import DEFAULT_TOL, ExactComplex
+from detvar.statefile import load_state
 from detvar.states import (
     LocalUnitaryPair,
     density_from_ensemble,
@@ -40,6 +42,7 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
+from pinned import GOLDEN
 
 EC = ExactComplex
 F = Fraction
@@ -93,10 +96,6 @@ def test_criterion_2_family_generator_symbolic(family_varieties):
 
 
 def test_criterion_3_family_witness_recheck(family_varieties):
-    import json
-
-    from detvar.report import render_json, verdict_to_json
-
     v = family_varieties[F(8)]
     verdict = linearity_decide(v, seed=42)
     assert verdict.tag == "NonlinearWitness"
@@ -104,10 +103,30 @@ def test_criterion_3_family_witness_recheck(family_varieties):
     # re-check strictly from the serialized report data
     serialized = json.loads(render_json(verdict_to_json(verdict)))
     probe = tuple(complex(re, im) for re, im in serialized["witness"]["probe"])
-    recheck = v.hermitian_residual(probe)
-    assert abs(recheck - serialized["witness"]["hermitian_residual"]) <= 1e-12
+    assert v.hermitian_residual(probe) == serialized["witness"]["hermitian_residual"]
     print(f"[criterion 3] PASS: t=2 witness residual {verdict.residual:.3e} "
-          f"> {WITNESS_THRESHOLD:.0e}, serialized re-check agrees to 1e-12")
+          f"> {WITNESS_THRESHOLD:.0e}, serialized re-check agrees bit for bit")
+
+
+@pytest.mark.parametrize("side", "AB")
+def test_criterion_3_golden_witness_recheck(side):
+    """Every golden state's witness on either side, re-checked from its
+    serialized report: the single-point residual is the probe's own bits."""
+    rechecked = []
+    for path in sorted(GOLDEN.glob("*.state.json")):
+        state = load_state(str(path))
+        report = json.loads(render_json(analyze_state(state, side=side, seed=42)))
+        witness = report["verdict"].get("witness")
+        if witness is None:
+            continue
+        work = state if state.ensemble is not None else state.spectral()
+        probe = tuple(complex(re, im) for re, im in witness["probe"])
+        assert variety_of_state(work, side).hermitian_residual(probe) == \
+            witness["hermitian_residual"], path.name
+        rechecked.append(path.name)
+    assert len(rechecked) == 7
+    print(f"[criterion 3] PASS: {len(rechecked)} golden witnesses on side {side} "
+          f"re-check bit for bit")
 
 
 def test_criterion_4_moduli_vs_spectra():

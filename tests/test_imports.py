@@ -1,8 +1,8 @@
 """No module of the package, test file or demo imports a name it does not
 use, no definition of the package goes unread, no module of the package
-reaches into another's private fields, the analysis builds a random
-generator only in the stream cache, and the test modules share their
-helpers without importing one another.
+reaches into another's private fields or imports inside a function, the
+analysis builds a random generator only in the stream cache, and the test
+modules share their helpers without importing one another.
 
 A name counts as used where it is read anywhere in the module, annotations
 included, or listed in ``__all__``.  The package's ``__init__`` only
@@ -83,6 +83,26 @@ def test_the_check_sees_a_foreign_private_field():
 @pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
 def test_no_module_reaches_into_another_modules_private_fields(module):
     assert foreign_private_fields(module.read_text()) == []
+
+
+def imports_in_functions(source: str) -> list:
+    """The line of each import statement that sits inside a function, at
+    any depth; a module of the package imports at its top only."""
+    return sorted({sub.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))})
+
+
+def test_the_check_sees_an_import_in_a_function():
+    snippet = ("import os\n\nclass A:\n    import json\n\n    def f(self):\n"
+               "        import sys\n\n        def g():\n            from os import path\n"
+               "            return path\n        return sys, g\n")
+    assert imports_in_functions(snippet) == [7, 10]
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
+def test_no_module_of_the_package_imports_in_a_function(module):
+    assert imports_in_functions(module.read_text()) == []
 
 
 def generators_built(source: str) -> list:

@@ -24,7 +24,7 @@ from detvar.states import (
 from detvar.variety import (
     Variety,
     _best_probe,
-    _hadamard_ratio,
+    _hadamard_ratios,
     _witness_search,
     linearity_decide,
     membership,
@@ -35,6 +35,7 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
+from oracles.arrays import _hadamard_ratio  # the per-matrix ratio the stacked one replaced
 from oracles.modp import _minors_mod_p, dict_macaulay_full_rank
 from oracles.polys import evaluate  # the float evaluation Poly.evaluate had
 from shared_states import factored_state, shared_direction_state
@@ -76,6 +77,15 @@ def test_side_b_swaps_roles():
     assert pen_b.n == 2 and pen_b.m == 3 and pen_b.t == 3
     v = Variety(pen_b)
     assert all(g.is_zero() or g.degree() == 2 for g in v.generators)
+
+
+def test_an_unknown_side_is_refused():
+    # any side but "A" was read as B, and the report kept the name given
+    s = random_separable(2, 3, 3, seed=44)
+    with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'b'"):
+        variety_of_state(s, "b")
+    with pytest.raises(ValueError, match="side must be 'A' or 'B', got 'Q'"):
+        analyze_state(s, side="Q")
 
 
 def test_single_product_term_gives_full():
@@ -465,8 +475,14 @@ def test_hermitian_residual_when_its_bound_underflows():
     assert vd.hermitian_residual((1, 2, 3)) == 1.0
 
 
+def best_probe(mats, threshold):
+    """_best_probe on the stack's ratios, as the witness search reads them."""
+    return _best_probe(_hadamard_ratios(mats), threshold)
+
+
 def loop_best(mats, threshold):
-    """Every ratio in index order, each strict improvement kept."""
+    """Every retired per-matrix ratio in index order, each strict improvement
+    kept."""
     best = None
     for k, mat in enumerate(mats):
         res = _hadamard_ratio(mat)
@@ -482,25 +498,61 @@ def test_best_probe_selection_rule():
     lo, hi = (a, b) if ra < rb else (b, a)
     r_hi = max(ra, rb)
     # duplicates: a tie goes to the first index
-    assert _best_probe(np.array([lo, hi, hi, lo]), 0.0) == (1, r_hi)
+    assert best_probe(np.array([lo, hi, hi, lo]), 0.0) == (1, r_hi)
     # every probe below threshold
-    assert _best_probe(np.array([lo, hi, hi]), r_hi) is None
+    assert best_probe(np.array([lo, hi, hi]), r_hi) is None
     # 1 ulp above threshold wins; at threshold it does not
-    assert _best_probe(np.array([lo, hi]), float(np.nextafter(r_hi, 0.0))) == (1, r_hi)
-    assert _best_probe(np.array([hi]), r_hi) is None
+    assert best_probe(np.array([lo, hi]), float(np.nextafter(r_hi, 0.0))) == (1, r_hi)
+    assert best_probe(np.array([hi]), r_hi) is None
     # a NaN probe never wins, not even alone
     nan = np.full((4, 4), np.nan + 0j)
     with np.errstate(invalid="ignore"):
-        assert _best_probe(np.array([nan, lo, nan]), 0.0) == (1, min(ra, rb))
-        assert _best_probe(np.array([nan]), 0.0) is None
-    # near ties the screen cannot separate: scaled copies, ulp-sized nudges
+        assert best_probe(np.array([nan, lo, nan]), 0.0) == (1, min(ra, rb))
+        assert best_probe(np.array([nan]), 0.0) is None
+    # no probe at all, or every one put on V by the pencil (masked to NaN,
+    # as the witness search masks them): nothing is selected
+    assert _hadamard_ratios(np.zeros((0, 4, 4), dtype=complex)).shape == (0,)
+    assert best_probe(np.zeros((0, 4, 4), dtype=complex), -1.0) is None
+    ratios = _hadamard_ratios(np.array([lo, hi]))
+    assert _best_probe(np.where([False, False], ratios, np.nan), -1.0) is None
+    assert _best_probe(np.where([True, False], ratios, np.nan), 0.0) == (0, min(ra, rb))
+    # near ties: scaled copies, ulp-sized nudges
     for trial in range(200):
         base = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         picks = rng.integers(0, 3, size=12)
         scales = 2.0 ** rng.integers(-40, 40, size=12) * (1 + rng.integers(-3, 4, size=12) * 2e-16)
         mats = base[picks] * scales[:, None, None]
         threshold = float(np.sort([_hadamard_ratio(m) for m in mats])[trial % 12])
-        assert _best_probe(mats, threshold) == loop_best(mats, threshold)
+        assert best_probe(mats, threshold) == loop_best(mats, threshold)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_ratios_are_the_retired_ratio_bit_for_bit(n):
+    """Each of _hadamard_ratios(mats) is the retired _hadamard_ratio(mat),
+    on stacks that mix rows at scales 1e-200 to 1e200 (bounds and dets
+    that overflow to inf or underflow to 0), zero rows, subnormal rows and
+    NaN matrices."""
+    rng = np.random.default_rng(n)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    bounds = []
+    for _ in range(100):
+        mats = gaussian(12, n, n) * 10.0 ** rng.integers(-200, 201, size=(12, n, 1))
+        rows = rng.integers(0, 6, size=(12, n))
+        mats[rows == 0] = 0
+        mats[rows == 1] = gaussian(int((rows == 1).sum()), n) * 1e-310
+        mats[rng.random(12) < 0.05] = np.nan
+        # det warns on NaN and extreme matrices, and the retired dot on overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            want = [_hadamard_ratio(mat).hex() for mat in mats]
+            assert [x.hex() for x in _hadamard_ratios(mats).tolist()] == want
+        with np.errstate(over="ignore", invalid="ignore"):
+            bounds += np.prod(np.maximum(np.linalg.norm(mats, axis=2), 1e-300), axis=1).tolist()
+    # every case is met: a bound that underflows, one that overflows, NaN
+    bounds = np.array(bounds)
+    assert (bounds == 0).any() == (n > 1) and np.isinf(bounds).any() and np.isnan(bounds).any()
 
 
 def test_best_probe_on_underflowing_bounds():
@@ -510,15 +562,15 @@ def test_best_probe_on_underflowing_bounds():
     s = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(a, _unit(0))) for a in rays],
                        validate=False)
     v = variety_of_state(s)
-    assert _best_probe(v.hermitian_stack([(1, 0.5j, 0.25)]), -1.0) == (0, 0.0)
+    assert best_probe(v.hermitian_stack([(1, 0.5j, 0.25)]), -1.0) == (0, 0.0)
     diag = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(_unit(i), _unit(i)))
                                           for i in range(3)])
     vd = variety_of_state(diag)
     points = [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160), (1, 2, 3)]
     mats = vd.hermitian_stack(points)
     for k, point in enumerate(points):
-        assert _best_probe(mats[k:k + 1], 0.5) == (0, vd.hermitian_residual(point))
-    assert _best_probe(mats, 0.5) == loop_best(mats, 0.5)
+        assert best_probe(mats[k:k + 1], 0.5) == (0, vd.hermitian_residual(point))
+    assert best_probe(mats, 0.5) == loop_best(mats, 0.5)
 
 
 def test_project_normalize_rules():

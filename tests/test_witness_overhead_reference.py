@@ -9,9 +9,10 @@ bit:
   rng.gauss(0, 1))`` draws that the sampler, the probes, ``random_mixed``,
   ``random_unitary`` and the CLI's negative control made, leaving the rng
   in the same state;
-* the probe row norms (``_row_norms``) against ``float(np.linalg.norm(row))``
-  on complex rows of length 2 to 6, with parts from 1e-150 to 1e150 and
-  exact (signed) zeros;
+* the row norms (``_row_norms``, of the probe steps and of every matrix
+  of a Hadamard ratio) against ``float(np.linalg.norm(row))`` on (b, k, n)
+  stacks and 2-D arrays of complex rows of length 2 to 6, with parts from
+  1e-150 to 1e150 and exact (signed) zeros;
 * the float normalizer (``_normalize_floats``) against the float branch of
   ``project_normalize`` as it was, on points with ties for the largest
   modulus, and the ``ValueError`` on the zero point;
@@ -146,10 +147,14 @@ def _rows(rng: random.Random, length: int, count: int) -> np.ndarray:
 def test_the_row_norms_are_numpys(length):
     rng = random.Random(f"rows:{length}")
     for _ in range(20):
-        rows = _rows(rng, length, 25)
-        got = _row_norms(rows)
-        assert [x.hex() for x in got] == [float(np.linalg.norm(row)).hex() for row in rows]
-        assert got[0] == 0.0
+        stack = np.array([_rows(rng, length, 25) for _ in range(3)])
+        got = _row_norms(stack)
+        assert got.shape == (3, 25)
+        assert [x.hex() for x in got.ravel().tolist()] == [
+            float(np.linalg.norm(row)).hex() for rows in stack for row in rows]
+        assert (got[:, 0] == 0.0).all()
+        # a 2-D array of rows, as the probe steps are
+        assert _row_norms(stack[1]).tobytes() == got[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .errors import (
     InconsistentRepresentations,
     NoConvergence,
     NotAState,
+    NotHermitian,
     SamplingExhausted,
     StateFileError,
 )
@@ -241,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 # the exit code of each error a command reports, the first match counting
 EXIT_CODES = {
     StateFileError: 2, BadParams: 2, BadDims: 2, DimensionMismatch: 2, NotAState: 2,
+    NotHermitian: 2,  # a density whose Hermitian defect exceeds the given --tol
     OSError: 2,  # a path that cannot be read or written: a directory, a missing folder
-    InconsistentRepresentations: 3,
-    SamplingExhausted: 4, NoConvergence: 4,
+    InconsistentRepresentations: 3, SamplingExhausted: 4, NoConvergence: 4,
 }
 
 

@@ -429,8 +429,8 @@ class SpectraReport:
 
 def _von_neumann(eigs: List[float], tol: Tolerance) -> float:
     cut = spectral_cutoff(eigs, tol)
-    # 0.0 - x, not -x: a pure spectrum gives +0.0
-    return 0.0 - sum(lam * math.log(lam) for lam in eigs if lam > cut)
+    # at least +0.0: an eigenvalue rounded past 1, or a pure spectrum's -0.0
+    return max(0.0, -sum(lam * math.log(lam) for lam in eigs if lam > cut))
 
 
 def entropy_and_spectra(s: BipartiteState, tol: Tolerance = DEFAULT_TOL) -> SpectraReport:

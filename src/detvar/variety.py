@@ -60,7 +60,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -323,26 +323,25 @@ class Variety:
         pts = np.array(points, dtype=complex).reshape(-1, self.m)
         return _hermitian_forms(pts, self._state_blocks(False))
 
-    def hermitian_value(self, point: Sequence):
-        mat = self.hermitian_matrix(point)
-        if mat.dtype == object:
-            return det_exact(mat)
-        return complex(np.linalg.det(mat))
+    def hermitian_residuals(self, points: Sequence[Sequence]) -> np.ndarray:
+        """The Hermitian oracle, the one float one: |det M(r)| over the Hadamard
+        bound of M(r) at each point, by one hermitian_stack and one
+        _hadamard_ratios, each the bits of a stack of one (an exact point on
+        an exact density reads its exact M(p), rounded).  For n = 1, where that
+        ratio is 1 wherever M(r) is not 0, it is |M(r)| / (||rho||_2 ||r||^2),
+        by hypot and each row's vdot: the bits of that formula in Python floats."""
+        exact = self.mode == "exact" and any(isinstance(x, ExactComplex) for p in points for x in p)
+        mats = (np.array([as_array(self.hermitian_matrix(p)) for p in points]) if exact
+                else self.hermitian_stack(points))
+        if self.n > 1:
+            return _hadamard_ratios(mats)
+        cell, rho = mats[:, 0, 0], self._state_blocks(False).reshape(self.m, self.m)
+        sq = np.array([np.vdot(r, r).real for r in np.array(points, dtype=complex)])
+        return np.hypot(cell.real, cell.imag) / np.maximum(np.linalg.norm(rho, 2) * sq, 1e-300)
 
     def hermitian_residual(self, point: Sequence) -> float:
-        """|det M(r)| relative to the Hadamard bound of M(r): _hadamard_ratios
-        on a stack of one, the bits a witness probe at r reads.  A float M(r)
-        goes from einsum straight to det, and every float step stays in numpy,
-        whose complex multiply may fuse where Python's won't.
-        For n = 1, where that ratio reads 1 wherever M(r) is not 0, it is
-        |M(r)| / (||rho|| ||r||^2), with ||rho|| the spectral norm."""
-        arr = as_array(self.hermitian_matrix(point))
-        if self.n > 1:
-            return float(_hadamard_ratios(arr[None])[0])
-        r = np.array(point, dtype=complex)
-        rho = self._state_blocks(False).reshape(self.m, self.m)
-        return abs(complex(arr[0, 0])) / max(float(np.linalg.norm(rho, 2) * np.vdot(r, r).real),
-                                             1e-300)
+        """hermitian_residuals on a stack of one."""
+        return float(self.hermitian_residuals([point])[0])
 
     def pencil_residuals(self, points: Sequence[Sequence]) -> np.ndarray:
         """sigma_n(N(r)) / (||A|| ||r||) at each point (complex coordinates):
@@ -390,8 +389,8 @@ def _hadamard_ratios(mats: np.ndarray) -> np.ndarray:
     time.  Where the product underflows, a matrix with a zero row reads 0.0
     and the others are first scaled to unit max modulus per row, which
     leaves the ratio as it was and keeps det and bound in range."""
-    det = np.linalg.det(mats)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        det = np.linalg.det(mats)
         bound = np.multiply.reduce(np.maximum(_row_norms(mats), 1e-300), axis=1)
         ratios = np.hypot(det.real, det.imag) / bound
     under = bound == 0.0
@@ -544,8 +543,7 @@ def membership(v: Variety, point: Sequence, tol: Tolerance = DEFAULT_TOL) -> boo
         return True
     if v.mode == "exact" and all(isinstance(x, ExactComplex) for x in point):
         on_pencil = rank_exact(v.pencil.coeffs @ np.array(point, dtype=object)) < v.n
-        herm = v.hermitian_value(point)
-        on_herm = herm == 0
+        on_herm = det_exact(v.hermitian_matrix(point)) == 0
         detail = "exact"
     else:
         gen, herm = v.generator_residual(point), v.hermitian_residual(point)
@@ -820,11 +818,10 @@ def _on_peeled_note(on_peeled: int) -> str:
 
 def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
                   ) -> Iterator[Tuple[Tuple[complex, ...], int]]:
-    """The sampler behind sample_points, yielding each point as soon as it
-    is accepted, so a caller can stop at the first one that serves it,
-    together with the number of candidates rejected on peeled hyperplanes
-    so far.  Raises SamplingExhausted once the budget runs out short of
-    `count`; no candidate is drawn after the last point.
+    """The sampler behind sample_points: each point is yielded once accepted,
+    with the number of candidates rejected on peeled hyperplanes by then,
+    and no candidate is drawn after the last one.  Raises SamplingExhausted
+    once the budget runs out short of `count`.
 
     Candidates come from one of three sources.  A float V whose pencil has
     numerical rank below n is all of CP^{m-1} to working precision: random
@@ -832,12 +829,13 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
     sampled on its pencil tensor (an exact pencil as its float image): for
     t = n the roots of det N on random lines (_line_roots), for t > n the
     incidence system from random starts (_incidence_point), NEWTON_TRIES
-    per requested point; both oracles must accept.  An exact V is first
-    peeled (_analysis_system): a candidate whose relative distance
-    |l(p)| / (||l|| ||p||) to a peeled form l is below PEELED_MARGIN is
-    rejected, as V there is a peeled hyperplane, linear already.  Draws
-    read the Gaussians of random.Random(seed) in turn (Stream).  The
-    caller keeps a structurally Empty or Full V away from it."""
+    per requested point; both oracles must accept, each read once on the
+    candidates of a draw (hermitian_residuals, pencil_residuals).  An exact
+    V is first peeled (_analysis_system): a candidate whose relative
+    distance |l(p)| / (||l|| ||p||) to a peeled form l is below
+    PEELED_MARGIN is rejected, as V there is a peeled hyperplane.  Draws
+    read random.Random(seed)'s Gaussians in turn (Stream); the caller keeps
+    a structurally Empty or Full V away."""
     gauss = Stream(_complex_gaussians, seed, KEPT_GAUSSIANS)
     normals: Optional[np.ndarray] = None
     if v.mode == "exact":
@@ -870,6 +868,7 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
     clean = 0.1 * tol.abs_eps
     found = on_peeled = 0
     for _ in range(draws):
+        kept = []  # (candidate, on_peeled when it was reached), off every peeled form
         for cand in candidates():
             if max(abs(z) for z in cand) < 1e-12:
                 continue
@@ -878,10 +877,14 @@ def _point_stream(v: Variety, count: int, seed: int, tol: Tolerance
                     np.abs(normals @ cand) < PEELED_MARGIN * np.linalg.norm(cand)).any():
                 on_peeled += 1
                 continue
-            if ((v.rank_deficient or v.generator_residual(cand) <= clean)
-                    and v.hermitian_residual(cand) <= clean):
+            kept.append((cand, on_peeled))
+        if kept:
+            cands = [c for c, _ in kept]
+            ok = (v.hermitian_residuals(cands) <= clean) & (
+                v.rank_deficient or v.pencil_residuals(cands) <= clean)
+            for cand, peeled in compress(kept, ok):
                 found += 1
-                yield cand, on_peeled
+                yield cand, peeled
                 if found >= count:
                     return
     raise SamplingExhausted(f"found {found}/{count} points after {draws} {unit}"
@@ -1001,7 +1004,7 @@ def _witness_search_at(v: Variety, pt: Sequence[complex],
     per direction, each drawn pair by pair, real part first.  Each step's
     norm is numpy's own formula (_row_norms), and each probe is normalized
     by _normalize_floats.  The probes' Hermitian residuals are one
-    _hadamard_ratios, which both selections read."""
+    hermitian_residuals, which both selections read."""
     dirs = data[1]
     if not dirs:
         # a zero-dimensional component, whose tangent space is the point
@@ -1014,7 +1017,7 @@ def _witness_search_at(v: Variety, pt: Sequence[complex],
     steps = np.array(pt) + HYPERPLANE_RADIUS * combos[keep] / norms[keep][:, None]
     qs = [_normalize_floats(q) for q in steps.tolist()]
     threshold = WITNESS_FACTOR * tol.abs_eps
-    ratios = _hadamard_ratios(v.hermitian_stack(qs))
+    ratios = v.hermitian_residuals(qs)
     hit = _best_probe(ratios, threshold)
     if hit is not None and v.generator_residual(qs[hit[0]]) <= threshold:
         # the pencil puts that probe on V, and a witness needs both oracles:
@@ -1294,13 +1297,12 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
     """Check V_A(T(rho)) = U_A^{-1}(V_A(rho)) by point mapping.
 
     Points r sampled on V_A(T(rho)) are pushed through r'_l = sum_i r_i
-    (U_A)_{il} and must land on V_A(rho); the converse direction uses the
-    inverse map.  Residuals are Hermitian-determinant residuals at the
-    mapped points.  A side whose V is structurally Empty or Full, or that
-    the Macaulay test proves empty, is not sampled: the check then holds,
-    vacuously, only if both sides carry the same verdict.  A float side of
-    numerical rank below n is never taken for empty; it counts as Full.
-    """
+    (U_A)_{il} and must land on V_A(rho), by one hermitian_residuals per
+    side; the converse direction uses the inverse map.  A side whose V is
+    structurally Empty or Full, or that the Macaulay test proves empty, is
+    not sampled: the check then holds, vacuously, only if both sides carry
+    the same verdict.  A float side of numerical rank below n is never
+    taken for empty; it counts as Full."""
     threshold = WITNESS_FACTOR * tol.abs_eps
     transformed = apply_local_unitary(s, u)
     ua = as_array(u.u_a)
@@ -1317,18 +1319,15 @@ def verify_lu_covariance(s: BipartiteState, u, samples: int = 5, seed: int = DEF
         verdicts = [k or ("Full" if v.rank_deficient else None)
                     for k, (v, _, _) in zip(verdicts, sides)]
         return CovarianceResult(verdicts[0] == verdicts[1], 0.0, 0)
-    max_res = 0.0
-    checked = 0
+    max_res, checked = 0.0, 0
     for variety_from, variety_to, mat in sides:
         try:
             pts = sample_points(variety_from, samples, seed, tol)
         except SamplingExhausted:
             continue
-        for p in pts:
-            mapped = (mat @ np.array(p)).tolist()
-            res = variety_to.hermitian_residual(_normalize_floats(mapped))
-            max_res = max(max_res, res)
-            checked += 1
+        mapped = [_normalize_floats((mat @ np.array(p)).tolist()) for p in pts]
+        max_res = max([max_res, *variety_to.hermitian_residuals(mapped).tolist()])
+        checked += len(mapped)
     ok = max_res <= threshold and checked > 0
     return CovarianceResult(ok, max_res, checked)
 

@@ -10,6 +10,10 @@
 * ``_hadamard_ratio``, with the list-returning ``_row_norms`` it read: the
   per-matrix Hermitian residual of ``variety``, retired when the stacked
   ``variety._hadamard_ratios`` took over every float Hadamard ratio.
+* ``one_point_at_a_time``: the oracles read one point per call, as the
+  sampler and the covariance check read them before each sampler draw and
+  each covariance side went to one ``Variety.hermitian_residuals`` and
+  one ``Variety.pencil_residuals`` call.
 """
 
 import math
@@ -20,6 +24,7 @@ import numpy as np
 
 from detvar.errors import DimensionMismatch, NonSquare
 from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
+from detvar.variety import Variety
 
 
 # -- The float Matrix (verbatim) ----------------------------------------------
@@ -311,3 +316,13 @@ def _hadamard_ratio(arr: np.ndarray) -> float:
 
 def bits(a) -> list:
     return [(float(z.real).hex(), float(z.imag).hex()) for z in np.ravel(a)]
+
+
+def one_point_at_a_time(mp) -> None:
+    """Patch (with the pytest monkeypatch `mp`) Variety.hermitian_residuals
+    and Variety.pencil_residuals to read a stack one point per call."""
+    herm, pencil = Variety.hermitian_residuals, Variety.pencil_residuals
+    mp.setattr(Variety, "hermitian_residuals",
+               lambda self, pts: np.array([herm(self, [p])[0] for p in pts]))
+    mp.setattr(Variety, "pencil_residuals",
+               lambda self, pts: np.array([pencil(self, [p])[0] for p in pts]))

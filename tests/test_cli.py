@@ -14,6 +14,7 @@ from detvar.errors import (
 from detvar.scalars import ExactComplex
 from detvar.statefile import parse_scalar, parse_state, render_scalar, state_to_json
 from detvar.states import BipartiteState, random_mixed
+from pinned import GOLDEN
 
 EC = ExactComplex
 F = Fraction
@@ -396,6 +397,19 @@ def test_internal_and_budget_errors_exit_3_and_4(capsys, monkeypatch, error, cod
     assert got == code
     assert out == json.dumps({"error": {"kind": type(error).__name__, "message": str(error)}},
                              sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_a_tolerance_below_the_hermitian_defect_is_an_input_error(capsys, command):
+    # the golden density's Hermitian defect, 1.388e-17, is rounding, which
+    # a tolerance of 1e-300 or 1e-20 refuses
+    path = str(GOLDEN / "mixed_3x3_r3.state.json")
+    argv = ([command, path, "--tol", "1e-300"] if command == "analyze"
+            else [command, path, path, "--tol", "1e-20"])
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": {
+        "kind": "NotHermitian", "message": "Hermitian defect 1.388e-17 exceeds tolerance"}}
 
 
 def test_huge_float_ray_is_a_valid_state(tmp_path, capsys):

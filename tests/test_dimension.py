@@ -50,6 +50,7 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
+from oracles.arrays import one_point_at_a_time
 from oracles.modp import misses_line
 from oracles.polys import pencil_minors
 from pinned import GOLDEN
@@ -377,10 +378,12 @@ def test_n_equal_to_one_gets_no_witness_and_no_sampling(monkeypatch, make, tag):
     lambda seed: random_mixed(4, 1, 2, seed=seed),
     lambda seed: random_separable(4, 1, 2, seed=seed),
 ], ids=["float 3x1 r1", "float 4x1 r2", "exact 4x1 t2"])
-def test_n_equal_to_one_residual_is_relative_to_rho(make):
+def test_n_equal_to_one_residual_is_relative_to_rho(monkeypatch, make):
     # for n = 1 the residual is |M(r)| / (||rho|| ||r||^2): zero on V, of
     # order one off it, whatever the scale of r, so V is sampled and the
-    # covariance check sees its points
+    # covariance check sees its points.  On a stack it reads each point's
+    # bits, and the covariance check, one stack per side, gives what one
+    # point per call gives.
     for seed in range(5):
         s = make(seed)
         v = variety_of_state(s)
@@ -388,8 +391,15 @@ def test_n_equal_to_one_residual_is_relative_to_rho(make):
         res = v.hermitian_residual(off)
         assert 1e-6 < res <= 1.0
         assert v.hermitian_residual([1e-100 * z for z in off]) == pytest.approx(res)
-        for p in sample_points(v, 3, seed=seed):
+        pts = sample_points(v, 3, seed=seed)
+        for p in pts:
             assert v.hermitian_residual(p) <= 1e-12
+        stack = [off, tuple(1e-100 * z for z in off), *pts]
+        assert [x.hex() for x in v.hermitian_residuals(stack).tolist()] == [
+            v.hermitian_residual(p).hex() for p in stack]
         u = random_local_unitary(v.m, 1, seed=seed + 1)
         cov = verify_lu_covariance(s, u, samples=3, seed=seed)
         assert cov.ok and cov.checked == 6
+        with monkeypatch.context() as mp:
+            one_point_at_a_time(mp)
+            assert verify_lu_covariance(s, u, samples=3, seed=seed) == cov

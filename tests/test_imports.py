@@ -1,8 +1,9 @@
 """No module of the package, test file or demo imports a name it does not
 use, no definition of the package goes unread, no module of the package
 reaches into another's private fields or imports inside a function, the
-analysis builds a random generator only in the stream cache, and the test
-modules share their helpers without importing one another.
+analysis builds a random generator only in the stream cache, only the
+Hermitian oracle reads the Hadamard ratio, and the test modules share
+their helpers without importing one another.
 
 A name counts as used where it is read anywhere in the module, annotations
 included, or listed in ``__all__``.  The package's ``__init__`` only
@@ -142,6 +143,49 @@ GENERATOR_OWNERS = {
 def test_the_analysis_builds_a_generator_only_in_the_stream_cache(name):
     source = (ROOT / "src" / "detvar" / name).read_text()
     assert {owner for _, owner in generators_built(source)} == GENERATOR_OWNERS[name]
+
+
+def ratio_readers(source: str) -> list:
+    """The qualified name (``Class.method``, ``function``, or ``<module>``
+    at top level) of each scope of a module that reads ``_hadamard_ratios``,
+    by a call or as a value, plain or through a module; the function's own
+    recursive call aside."""
+    found = set()
+
+    def visit(node: ast.AST, scope: list) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name == "_hadamard_ratios" and scope[-1:] != [name]:
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_check_sees_a_ratio_reader():
+    snippet = ("def _hadamard_ratios(m):\n    return _hadamard_ratios(m[1:])\n\n"
+               "class Variety:\n    def hermitian_residuals(self, pts):\n"
+               "        return _hadamard_ratios(pts)\n\n"
+               "def probe(qs):\n    f = _hadamard_ratios\n    return f(qs)\n\n"
+               "def other(mod):\n    def inner():\n        return mod._hadamard_ratios(1)\n"
+               "    return inner\n\nR = _hadamard_ratios\n")
+    assert ratio_readers(snippet) == ["<module>", "Variety.hermitian_residuals",
+                                      "other.inner", "probe"]
+
+
+# the one float Hermitian oracle: no other code of the package computes a
+# Hadamard ratio, so a change to the ratio's rule changes one reader
+RATIO_READERS = {"Variety.hermitian_residuals", "Variety.hermitian_residual"}
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.name)
+def test_only_the_hermitian_oracle_reads_the_hadamard_ratio(module):
+    assert set(ratio_readers(module.read_text())) <= RATIO_READERS
 
 
 def names_read(node: ast.AST) -> set:

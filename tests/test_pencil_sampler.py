@@ -25,7 +25,13 @@ import detvar.variety as variety_mod
 from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
 from detvar.multipoly import CompiledSystem, univariate_roots
 from detvar.scalars import DEFAULT_TOL, ExactComplex
-from detvar.states import BipartiteState, Stream, _complex_gaussians, random_mixed
+from detvar.states import (
+    BipartiteState,
+    Stream,
+    _complex_gaussians,
+    random_local_unitary,
+    random_mixed,
+)
 from detvar.variety import (
     KEPT_GAUSSIANS,
     PEELED_MARGIN,
@@ -41,7 +47,9 @@ from detvar.variety import (
     project_normalize,
     sample_points,
     variety_of_state,
+    verify_lu_covariance,
 )
+from oracles.arrays import one_point_at_a_time
 from oracles.polys import pencil_minors, restrict_to_line
 
 # univariate_roots accepts a relative residual of abs_eps; at the default
@@ -261,3 +269,72 @@ def test_each_sampled_point_costs_one_tangent_computation(monkeypatch, label, ma
     else:
         skipped = int(re.search(r"(\d+) not probed \(not smooth\)", verdict.reason)[1])
         assert skipped == smooth.count(False) > 0
+
+
+def _refuse_single_point_oracles(mp):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-point oracle call")
+
+    mp.setattr(Variety, "hermitian_residual", refuse)
+    mp.setattr(Variety, "generator_residual", refuse)
+
+
+@pytest.mark.parametrize("label, make_state, seed", [c[:3] for c in TANGENT_CASES],
+                         ids=[c[0] for c in TANGENT_CASES])
+def test_a_draw_is_checked_at_once_as_its_points_one_by_one(monkeypatch, label, make_state,
+                                                            seed):
+    """The sampler checks the candidates of a draw with one
+    hermitian_residuals and one pencil_residuals call, never a single-point
+    hermitian_residual or generator_residual: it yields the points, with
+    their running on_peeled counts, that the oracles read one point per
+    call accept, in the same order."""
+    v = variety_of_state(make_state())
+
+    def stream():
+        return list(variety_mod._point_stream(v, 12, seed, DEFAULT_TOL))
+
+    with monkeypatch.context() as mp:
+        _refuse_single_point_oracles(mp)
+        batched = stream()
+    one_point_at_a_time(monkeypatch)
+    assert stream() == batched
+    assert len(batched) == 12
+    assert (label == "ppt 4x6") == (batched[-1][1] > 0)
+
+
+def _two_product_columns(seed):
+    """A 4x4 state of four rays, two of them products: det N is the two
+    product columns' linear forms times a quadric, so a line draw's four
+    roots include one on each peeled plane."""
+    rng = random.Random(seed)
+
+    def gi():
+        return ExactComplex(rng.randint(-9, 9), rng.randint(-9, 9))
+
+    a, b, a2, b2 = ([gi() for _ in range(4)] for _ in range(4))
+    rays = ([tuple(x * y for x in a for y in b), tuple(x * y for x in a2 for y in b2)]
+            + [tuple(gi() for _ in range(16)) for _ in range(2)])
+    return BipartiteState(4, 4, ensemble=[(Fraction(1, 4), r) for r in rays], validate=False)
+
+
+@pytest.mark.parametrize("seed, counts", [(0, [1, 1, 3, 3, 5, 5]), (1, [1, 1, 3, 3, 5, 5]),
+                                          (2, [1, 1, 4, 4, 5, 5]), (3, [1, 1, 3, 3, 5, 5])])
+def test_each_point_carries_the_peeled_count_it_was_reached_at(seed, counts):
+    """Each point carries the number of candidates rejected on peeled planes
+    before it, not by the end of its draw: the counts the sampler gave when
+    it checked one candidate at a time."""
+    v = variety_of_state(_two_product_columns(seed))
+    assert len(_analysis_system(v)[0]) == 2
+    assert [k for _, k in variety_mod._point_stream(v, 6, 42, DEFAULT_TOL)] == counts
+
+
+def test_the_covariance_check_reads_each_side_at_once(monkeypatch):
+    """One hermitian_residuals per side, never a single-point oracle call,
+    with the result of one point per call."""
+    state, u = random_mixed(3, 3, 3, seed=1), random_local_unitary(3, 3, seed=2)
+    with monkeypatch.context() as mp:
+        _refuse_single_point_oracles(mp)
+        cov = verify_lu_covariance(state, u, samples=3)
+    assert cov.ok and cov.checked == 6
+    one_point_at_a_time(monkeypatch)
+    assert verify_lu_covariance(state, u, samples=3) == cov

@@ -6,7 +6,8 @@ before the state layer read float images: the exact density as a
 taken on it, and each result rounded by ``to_approx``.  The images now
 read off the Gaussian-integer sum (rounded once per entry, partial traces
 summed on the ints) must give the same bits: equal ``repr`` of every
-eigenvalue and entropy and the same PPT verdict.  A float density goes
+eigenvalue and entropy (the reference's entropies floored at +0.0, as the
+live ones are) and the same PPT verdict.  A float density goes
 through the float Matrix it was then, and an exact density through the
 ``Matrix`` it was then (both kept in ``oracles.arrays``).
 
@@ -117,14 +118,20 @@ for name, make in MIXED.items():
 TOLERANCES = {"default": DEFAULT_TOL, "custom": Tolerance(1e-6)}
 
 
-def fields(rep: SpectraReport):
-    # the reference's -0.0 entropy of a pure spectrum is now +0.0; adding
-    # 0.0 maps that value alone and keeps every other value's bits
+def fields(rep: SpectraReport, floor=lambda e: e):
     return ([repr(x) for x in rep.spectrum],
             [repr(x) for x in rep.reduced_a_spectrum],
             [repr(x) for x in rep.reduced_b_spectrum],
-            [repr(e + 0.0) for e in (rep.entropy, rep.entropy_reduced_a,
-                                     rep.entropy_reduced_b)])
+            [repr(floor(e)) for e in (rep.entropy, rep.entropy_reduced_a,
+                                      rep.entropy_reduced_b)])
+
+
+def reference_fields(rep: SpectraReport):
+    """The reference's fields with each entropy floored at +0.0, as the
+    live entropies are: its -0.0 of a pure spectrum, and the value below
+    zero of an eigenvalue rounded past 1, read +0.0; every other value
+    keeps its bits."""
+    return fields(rep, lambda e: max(0.0, e))
 
 
 @pytest.mark.parametrize("tol", list(TOLERANCES))
@@ -132,7 +139,7 @@ def fields(rep: SpectraReport):
 def test_spectra_and_ppt_match_reference(name, tol):
     make, t = CASES[name], TOLERANCES[tol]
     assert fields(states.entropy_and_spectra(make(), t)) == \
-        fields(entropy_and_spectra(make(), t))
+        reference_fields(entropy_and_spectra(make(), t))
     assert states.ppt_check(make(), t) == ppt_check(make(), t)
 
 
@@ -146,7 +153,7 @@ def test_random_separable_shapes_match_reference():
     for _ in range(12):
         args = (rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 6), rng.randrange(10**6))
         assert fields(states.entropy_and_spectra(states.random_separable(*args))) == \
-            fields(entropy_and_spectra(states.random_separable(*args)))
+            reference_fields(entropy_and_spectra(states.random_separable(*args)))
 
 
 # ---------------------------------------------------------------------------

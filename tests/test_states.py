@@ -168,6 +168,23 @@ def test_entropy_values():
     assert abs(rep2.entropy_reduced_b) < 1e-10
 
 
+def test_entropies_are_never_negative():
+    # an eigenvalue rounded to 1 + 2^-52 gives -lam log lam < 0; the
+    # entropy is floored at +0.0, which a pure spectrum gives as it is
+    assert entropy_and_spectra(random_mixed(3, 1, 1, seed=1)).entropy_reduced_b == 0.0
+    rng = np.random.default_rng(52)
+    zero = 0
+    for k in range(300):
+        m, n = (int(d) for d in rng.integers(2, 5, size=2))
+        a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (m, n))
+        rep = entropy_and_spectra(BipartiteState(m, n, ensemble=[(1.0, tuple(np.kron(a, b)))]))
+        values = (rep.entropy, rep.entropy_reduced_a, rep.entropy_reduced_b)
+        assert min(values) >= 0.0, (k, values)
+        zero += values.count(0.0)
+    assert zero > 0
+    assert math.copysign(1.0, entropy_and_spectra(bell_state()).entropy) == 1.0
+
+
 def test_family_members_share_spectra():
     a = entropy_and_spectra(cyclic_cubic_state(EC(27)))
     b = entropy_and_spectra(cyclic_cubic_state(EC(-27)))

@@ -1,4 +1,6 @@
+import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -544,15 +546,48 @@ def test_the_ratios_are_the_retired_ratio_bit_for_bit(n):
         mats[rows == 0] = 0
         mats[rows == 1] = gaussian(int((rows == 1).sum()), n) * 1e-310
         mats[rng.random(12) < 0.05] = np.nan
-        # det warns on NaN and extreme matrices, and the retired dot on overflow
+        # the retired ratio's det warns on NaN and extreme matrices, and its
+        # dot on overflow; the stacked ratio needs no errstate around it
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             want = [_hadamard_ratio(mat).hex() for mat in mats]
-            assert [x.hex() for x in _hadamard_ratios(mats).tolist()] == want
+        assert [x.hex() for x in _hadamard_ratios(mats).tolist()] == want
         with np.errstate(over="ignore", invalid="ignore"):
             bounds += np.prod(np.maximum(np.linalg.norm(mats, axis=2), 1e-300), axis=1).tolist()
     # every case is met: a bound that underflows, one that overflows, NaN
     bounds = np.array(bounds)
     assert (bounds == 0).any() == (n > 1) and np.isinf(bounds).any() and np.isnan(bounds).any()
+
+
+def _det_warns(mats) -> bool:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.linalg.det(mats)
+    return bool(caught)
+
+
+def test_the_oracle_raises_no_warning_on_extreme_rows():
+    """Under the suite's -W error::RuntimeWarning, with no errstate or
+    warning filter around the call, neither _hadamard_ratios nor the
+    oracle that reads it raises on stacks whose rows are scaled by 1e200,
+    1e-200, 1e-310, 1 or 0, where np.linalg.det alone warns on some."""
+    rng = np.random.default_rng(52)
+    scales = np.array([1e200, 1e-200, 1e-310, 1.0, 0.0])
+    warned = 0
+    for _ in range(2000):
+        n, b = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        mats = (rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))) \
+            * rng.choice(scales, size=(b, n, 1))
+        _hadamard_ratios(mats)
+        warned += _det_warns(mats)
+    assert warned > 0
+    # M(r) = diag(|r_i|^2) / 3 (the diagonal state below): rows at |r_i|^2
+    diag = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(_unit(i), _unit(i)))
+                                          for i in range(3)])
+    vd = variety_of_state(diag)
+    coords = [1e100, 1e-100, 1e-155, 1.0, 0.0]
+    points = [p for p in itertools.product(coords, repeat=3) if any(p)]
+    vd.hermitian_residuals(points)
+    assert _det_warns(vd.hermitian_stack(points))
 
 
 def test_best_probe_on_underflowing_bounds():

@@ -333,10 +333,17 @@ def test_hermitian_residual_matches_reference(name):
     v = HERMITIAN_CASES[name]()
     rng = random.Random(f"hermitian:{name}")
     exact_points = 0
-    for pt in witness_points(v, rng):
+    pts = witness_points(v, rng)
+    for pt in pts:
         exact_points += v.mode == "exact" and isinstance(pt[0], ExactComplex)
         assert bits(v.hermitian_residual(pt)) == bits(reference_hermitian_residual(v, pt))
     assert exact_points == (COUNT // 5 if v.mode == "exact" else 0)
+    # the oracle on a stack reads each point's bits: on the float points in
+    # one einsum, and on every point, an exact one on an exact V included
+    floats = [pt for pt in pts if not isinstance(pt[0], ExactComplex)]
+    for stack in (floats, pts):
+        assert bits(v.hermitian_residuals(stack).tolist()) == bits(
+            [v.hermitian_residual(pt) for pt in stack])
 
 
 @pytest.mark.parametrize("name", list(HERMITIAN_CASES))

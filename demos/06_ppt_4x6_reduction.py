@@ -25,7 +25,7 @@ rho = s.density_matrix()
 print("rank:", rank_exact(rho), "| PPT:", ppt_check(s),
       "| PT(rho) == rho exactly:", np.array_equal(partial_transpose(rho, 4, 6), rho))
 
-cr = chart_reduction()
+cr = chart_reduction(s)
 print("\nrecomputed pencil matches the reference matrix:", cr.pencil_matches_printed)
 print("f1 =", cr.f1.render(CHART_NAMES))
 print("f2 =", cr.f2.render(CHART_NAMES))

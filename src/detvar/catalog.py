@@ -205,8 +205,8 @@ class ChartReduction:
         return self.g_irreducible
 
 
-def chart_reduction() -> ChartReduction:
-    """Recompute the 4x6 reduction symbolically, end to end.
+def chart_reduction(state: BipartiteState) -> ChartReduction:
+    """Recompute the 4x6 reduction of state = ppt_4x6_state(), end to end.
 
     Chart: r1 = 1, x = r2, y = r3, w = r4 + r3 + 2 (so r4 = w - y - 2).
     Column operations: col4 += col7 and col1 += x * col7 (x = r2/r1 in the
@@ -214,7 +214,7 @@ def chart_reduction() -> ChartReduction:
     are its 3x3 determinants.  The linear factor w - x - y of f2 carves out
     the component on which f1 restricts to the (irreducible) plane cubic g.
     """
-    pencil = pencil_matrix(ppt_4x6_state()).entry_polys()
+    pencil = pencil_matrix(state).entry_polys()
     printed_pencil = printed_pencil_4x6()
     matches = pencil == printed_pencil
     if not matches:

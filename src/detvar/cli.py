@@ -119,7 +119,7 @@ def cmd_repro(args) -> int:
             "rank": rank_exact(rho),
             "ppt": ppt_check(state, args.tol),
             "partial_transpose_fixed": np.array_equal(partial_transpose(rho, 4, 6), rho),
-            "reduction": chart_reduction_report(catalog.chart_reduction()),
+            "reduction": chart_reduction_report(catalog.chart_reduction(state)),
         }
         report["conclusion"] = report["reduction"]["conclusion"]
         report["runtime_seconds"] = time.perf_counter() - start

@@ -21,7 +21,6 @@ its denominators.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from itertools import combinations
@@ -58,11 +57,6 @@ def _is_zero_coeff(c, kind: str) -> bool:
 
 def grlex_key(exps: Exponents):
     return (sum(exps), exps)
-
-
-def _heap_entry(exps: Exponents):
-    """A min-heap entry whose order is descending grlex order on exps."""
-    return (-sum(exps), tuple(-k for k in exps), exps)
 
 
 def _require_exact(p: "Poly", coordinates: Sequence) -> None:
@@ -320,57 +314,41 @@ class Poly:
 
     # -- exact division ----------------------------------------------------------
 
-    def exact_div(self, q: "Poly") -> "Poly":
-        """Exact quotient self/q; raises DivisionByZero / ValueError if q is
-        zero or does not divide self.  Leading-term elimination in graded
-        lex order, valid precisely because the division is exact.  The
-        leading remainder term comes off a heap of grlex keys: every term
-        an elimination adds lies below the one it removes, so the heap's
-        top, once its cancelled entries are skipped, is the leading term."""
-        self._require_same_ring(q)
-        if self.kind != "exact":
-            raise TypeError("exact_div on approx polynomials")
-        if q.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if self.is_zero():
-            return Poly.zero(self.nvars, self.kind)
-        lead_q, cq = q.leading()
-        inv = cq.inverse()
-        tail = [(e, c) for e, c in q.terms.items() if e != lead_q]
-        rem = dict(self.terms)
-        heap = [_heap_entry(e) for e in rem]
-        heapq.heapify(heap)
-        quot: Dict[Exponents, object] = {}
-        while rem:
-            e = heapq.heappop(heap)[2]
-            c = rem.pop(e, None)
-            if c is None:
-                continue  # cancelled after it was pushed
-            diff = tuple(a - b for a, b in zip(e, lead_q))
-            if any(d < 0 for d in diff):
-                raise ValueError("polynomial division is not exact")
-            c = c * inv
-            quot[diff] = c
-            for e2, c2 in tail:
-                tgt = tuple(a + b for a, b in zip(diff, e2))
-                old = rem.get(tgt)
-                if old is None:
-                    rem[tgt] = -(c * c2)
-                    heapq.heappush(heap, _heap_entry(tgt))
-                else:
-                    val = old - c * c2
-                    if val.is_zero():
-                        del rem[tgt]
-                    else:
-                        rem[tgt] = val
-        return Poly(self.nvars, quot, self.kind)
-
     def divides_into(self, p: "Poly") -> Optional["Poly"]:
-        """p / self when the division is exact, else None."""
-        try:
-            return p.exact_div(self)
-        except ValueError:
+        """p / self when the division is exact, else None, for self an
+        exact form of degree 1, homogeneous or affine (DivisionByZero for
+        zero, TypeError for any other divisor).  Synthetic division in the
+        variable x_j of self's leading term, self = c_j*x_j + R: p's terms
+        are bucketed by their power of x_j and the powers walked down; a
+        term c*x^e left at power k gives the quotient term (c/c_j)*x^e/x_j,
+        whose product with R comes off power k - 1.  The division is exact
+        iff nothing is left at power 0.  The quotient's terms come in
+        descending grlex order."""
+        p._require_same_ring(self)
+        if self.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        if self.kind != "exact" or self.degree() != 1:
+            raise TypeError("divides_into needs an exact divisor of degree 1")
+        lead, cj = self.leading()
+        j, inv = lead.index(1), cj.inverse()
+        rest = [(e, c) for e, c in self.terms.items() if e != lead]
+        buckets: List[Dict[Exponents, ExactComplex]] = [{} for _ in range(p.degree_in(j) + 1)]
+        for e, c in p.terms.items():
+            buckets[e[j]][e] = c
+        quot = {}
+        for k in range(len(buckets) - 1, 0, -1):
+            lower = buckets[k - 1]
+            for e, c in buckets[k].items():
+                if c.is_zero():
+                    continue
+                d = e[:j] + (k - 1,) + e[j + 1:]
+                quot[d] = c = c * inv
+                for e2, c2 in rest:
+                    tgt = tuple(a + b for a, b in zip(d, e2))
+                    lower[tgt] = lower.get(tgt, EC_ZERO) - c * c2
+        if buckets and any(not c.is_zero() for c in buckets[0].values()):
             return None
+        return Poly(self.nvars, dict(Poly(self.nvars, quot).sorted_terms()))
 
     # -- rendering ------------------------------------------------------------
 
@@ -820,38 +798,35 @@ def substitute_affine(p: Poly, mapping: Dict[int, LinearForm]) -> Poly:
     return acc
 
 
-def _gi_convolve(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Product of two ascending coefficient lists over Z[i], each
-    coefficient an (re, im) pair of ints."""
-    re = [0] * (len(a) + len(b) - 1)
-    im = [0] * len(re)
-    for i, (x, y) in enumerate(a):
-        for k, (u, w) in enumerate(b, i):
-            re[k] += x * u - y * w
-            im[k] += x * w + y * u
-    return list(zip(re, im))
-
-
-def _line_sum(terms: List[Tuple[Exponents, Tuple[int, int]]], deg: int,
-              lines: List[List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
-    """Ascending coefficients over Z[i] of sum over terms (e, c) of
-    c * prod_i lines[i]^e_i, with lines[i] = [b_i, v_i] the linear
-    polynomial b_i + s*v_i."""
-    powers = []
-    for line in lines:
-        row = [[(1, 0)]]
-        for _ in range(deg):
-            row.append(_gi_convolve(row[-1], line))
-        powers.append(row)
-    total = [(0, 0)] * (deg + 1)
+def _line_horner(terms: List[Tuple[Exponents, Tuple[int, int]]],
+                 lines: List[Tuple[Tuple[int, int], ...]]) -> Tuple[List[int], List[int]]:
+    """Ascending coefficients over Z[i], as lists of real and of imaginary
+    parts, of the sum over terms (e, c) of c * prod_i (B_i + s*V_i)^e_i,
+    with lines[i] = (B_i, V_i).  Horner's rule in the first variable: the
+    terms are grouped by their power of it, and from the top power down
+    the sum so far is multiplied by B_0 + s*V_0 and the group's sum in the
+    other variables, taken the same way, is added.  A constant ends it."""
+    e, (a, b) = terms[0]
+    if len(terms) == 1 and not any(e):
+        return [a], [b]
+    groups: Dict[int, List[Tuple[Exponents, Tuple[int, int]]]] = {}
     for e, c in terms:
-        term = [c]
-        for i, k in enumerate(e):
-            if k:
-                term = _gi_convolve(term, powers[i][k])
-        for idx, v in enumerate(term):
-            total[idx] = _gi_add(total[idx], v)
-    return total
+        groups.setdefault(e[0], []).append((e[1:], c))
+    ((br, bi), (vr, vi)), others = lines[0], lines[1:]
+    top = max(groups)
+    re, im = _line_horner(groups[top], others)
+    for k in range(top - 1, -1, -1):
+        pairs = list(zip(re + [0], im + [0], [0] + re, [0] + im))
+        re = [br * x - bi * y + vr * u - vi * w for x, y, u, w in pairs]
+        im = [br * y + bi * x + vr * w + vi * u for x, y, u, w in pairs]
+        if k in groups:
+            gr, gi = _line_horner(groups[k], others)
+            re += [0] * (len(gr) - len(re))
+            im += [0] * (len(gi) - len(im))
+            for i, (x, y) in enumerate(zip(gr, gi)):
+                re[i] += x
+                im[i] += y
+    return re, im
 
 
 def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
@@ -861,7 +836,8 @@ def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
     With p = P/D, base = B/d_b and direction = V/d_v over Z[i] and
     L = d_b*d_v, each term c*x^e of P contributes
     c * L^(deg - |e|) * prod_i (B_i*d_v + s*V_i*d_b)^e_i on Gaussian
-    integers, and each coefficient of the sum over D * L^deg is built once.
+    integers, summed by Horner's rule over the variables (_line_horner),
+    and each coefficient of the sum over D * L^deg is built once.
     """
     if len(base) != p.nvars or len(direction) != p.nvars:
         raise ArityMismatch("point arity mismatch")
@@ -872,9 +848,9 @@ def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
     den = lcm(*(c.fields[2] for c in p.terms.values()))
     big_l = lcm(*(x.fields[2] for x in base)) * lcm(*(x.fields[2] for x in direction))
     terms = [(e, _gi_times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
-    lines = [[_gi_times(b, big_l), _gi_times(v, big_l)] for b, v in zip(base, direction)]
-    total = _line_sum(terms, deg, lines)
-    return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in total])
+    lines = [(_gi_times(b, big_l), _gi_times(v, big_l)) for b, v in zip(base, direction)]
+    re, im = _line_horner(terms, lines) if terms else ([], [])
+    return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in zip(re, im)])
 
 
 def univariate_coeffs(p: Poly) -> List:

@@ -291,19 +291,23 @@ class BipartiteState:
 
     @cached_property
     def _swapped(self) -> "BipartiteState":
+        """An exact ensemble's Gaussian sum goes over with rows and columns
+        permuted, (i, j) -> (j, i): the sum the swapped state would build.
+        A float one's density is built anew (vdot sums in another order)."""
         m, n = self.m, self.n
-        ens = None
+        perm = [i * n + j for j in range(n) for i in range(m)]  # new (j, i) is old (i, j)
+        ens = dens = None
         if self.ensemble is not None:
-            ens = []
-            for w, v in self.ensemble:
-                sw = [v[i * n + j] for j in range(n) for i in range(m)]
-                ens.append((w, tuple(sw)))
-        dens = None
-        if self.density is not None:
-            # permutation similarity: new[(j,i),(j',i')] = old[(i,j),(i',j')]
-            dens = self.density.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
-        return BipartiteState(n, m, ensemble=ens, density=dens, label=self.label,
-                              validate=False)
+            ens = [(w, tuple(v[k] for k in perm)) for w, v in self.ensemble]
+        if self.density is not None:  # permutation similarity
+            dens = self.density[np.ix_(perm, perm)]
+        out = BipartiteState(n, m, ensemble=ens, density=dens, label=self.label,
+                             validate=False)
+        if self.density is None and self.exact_ensemble:
+            re, im, den = self._gaussian_sum
+            out._gaussian_sum = ([[re[a][b] for b in perm] for a in perm],
+                                 [[im[a][b] for b in perm] for a in perm], den)
+        return out
 
     def __repr__(self):
         parts = [f"{self.m}x{self.n}"]

@@ -386,22 +386,22 @@ def _hadamard_ratios(mats: np.ndarray) -> np.ndarray:
     1e-300, of every matrix of a (b, n, n) stack: one stacked det, |det| as
     hypot of its parts (Python's abs of a complex) and the product taken
     row by row, so each ratio is what the same steps give one matrix at a
-    time.  Where the product underflows, a matrix with a zero row reads 0.0
-    and the others are first scaled to unit max modulus per row, which
-    leaves the ratio as it was and keeps det and bound in range."""
+    time.  Where the product underflows to 0 or overflows, a zero row reads
+    0.0 and other rows are first scaled to unit max modulus, which leaves
+    the ratio as it was and keeps det and bound in range."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         det = np.linalg.det(mats)
         bound = np.multiply.reduce(np.maximum(_row_norms(mats), 1e-300), axis=1)
         ratios = np.hypot(det.real, det.imag) / bound
-    under = bound == 0.0
-    if under.any():
-        small = mats[under]
-        peaks = np.abs(small).max(axis=2, keepdims=True)
-        rows = peaks.all(axis=(1, 2))
-        ratios[under] = 0.0
-        # divided as real pairs: numpy's complex division overflows on a subnormal
-        ratios[np.flatnonzero(under)[rows]] = _hadamard_ratios(
-            (small[rows].view(float) / peaks[rows]).view(complex))
+        out = (bound == 0.0) | (bound == np.inf)
+        if out.any():
+            far = mats[out]
+            peaks = np.abs(far).max(axis=2, keepdims=True)
+            rows = peaks.all(axis=(1, 2))
+            ratios[out] = 0.0
+            # divided as real pairs: numpy's complex division overflows on a subnormal
+            ratios[np.flatnonzero(out)[rows]] = _hadamard_ratios(
+                (far[rows].view(float) / peaks[rows]).view(complex))
     return ratios
 
 

@@ -1,7 +1,7 @@
 """The exact factor engine that ``detvar.factorization.linear_factors``
 replaced in commit 082da0c, kept verbatim as a reference for the tests that
-compare the two; only its imports are absolute and ``UnsupportedShape`` is
-defined here.
+compare the two; only its imports are absolute, ``UnsupportedShape`` is
+defined here, and ``Poly.exact_div`` is called as ``oracles.polys.exact_div``.
 
 Exact extraction of Gaussian-rational linear factors.
 
@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from detvar.exactroots import ec_gcd, ec_trim, gaussian_rational_roots
 from detvar.multipoly import LinearForm, Poly, substitute_affine, univariate_coeffs
 from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
+from oracles.polys import exact_div
 
 
 class UnsupportedShape(Exception):
@@ -108,7 +109,7 @@ def _factor_binary_form(p: Poly) -> Tuple[List[LinearForm], Poly]:
     ymin = min(e[1] for e in q.terms)
     for _ in range(ymin):
         y = LinearForm([EC_ZERO, EC_ONE], normalize=False)
-        q = q.exact_div(y.to_poly(2))
+        q = exact_div(q, y.to_poly(2))
         factors.append(y)
     # dehomogenize on y: roots s of q(x, 1) give factors (x - s*y)
     d = q.degree()
@@ -119,7 +120,7 @@ def _factor_binary_form(p: Poly) -> Tuple[List[LinearForm], Poly]:
         form = LinearForm([EC_ONE, -root], normalize=False)
         fp = form.to_poly(2)
         for _ in range(mult):
-            q = q.exact_div(fp)
+            q = exact_div(q, fp)
             factors.append(form)
     return factors, q
 
@@ -264,7 +265,7 @@ def linear_factorization(p: Poly) -> FactorList:
         zmin = min(e[2] for e in q.terms)
         if zmin:
             z = LinearForm([EC_ZERO, EC_ZERO, EC_ONE], normalize=False)
-            q = q.exact_div((z.to_poly(3)) ** zmin)
+            q = exact_div(q, (z.to_poly(3)) ** zmin)
             factors.extend([z] * zmin)
         aff = Poly(2, {(e[0], e[1]): c for e, c in q.terms.items()})
         aff_factors, aff_res = _affine_bivariate_factors(aff)
@@ -291,7 +292,7 @@ def linear_factorization(p: Poly) -> FactorList:
         for root, mult in gaussian_rational_roots(coeffs):
             form = LinearForm([EC_ONE], -root, normalize=False)
             for _ in range(mult):
-                qq = qq.exact_div(form.to_poly(1))
+                qq = exact_div(qq, form.to_poly(1))
                 factors.append(form)
         return _finalize(p, factors, qq, used)
     factors, residual = _affine_bivariate_factors(q)

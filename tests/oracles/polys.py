@@ -9,15 +9,59 @@
 * ``entry_polys`` and ``pencil_minors``: a pencil as ``Poly`` entries of
   either kind, and its minors; retired by commit c20cc03.
 * ``evaluate``: ``Poly.evaluate`` with its complex branch (5ae5d46).
+* ``exact_div``: ``Poly.exact_div`` for any divisor, by leading-term
+  elimination, from before 5ae5d46 took the leading remainder term off a
+  heap (the two gave equal quotients, term for term); retired with the
+  heap when division became synthetic division by a form of degree 1.
+  The Bareiss minors here and the retired peel (``oracles.peel``) divide
+  by forms of higher degree through it.
+* ``power_table_restrict_to_line``: ``restrict_to_line`` on Gaussian
+  integers from power tables per coordinate (``_line_sum``), retired when
+  its sum became Horner's rule over the variables.
 * ``homogenize`` was never package code.
 """
 
 from itertools import combinations
+from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from detvar.errors import ArityMismatch, BadOrder, NonSquare, ZeroDirection
-from detvar.multipoly import Poly, _is_zero_coeff
-from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
+from detvar.errors import ArityMismatch, BadOrder, DivisionByZero, NonSquare, ZeroDirection
+from detvar.multipoly import (Exponents, Poly, _gi_add, _gi_times, _is_zero_coeff,
+                              _require_exact, grlex_key)
+from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex, from_fields
+
+
+# -- Poly.exact_div (verbatim) ------------------------------------------------
+
+def exact_div(self, q: "Poly") -> "Poly":
+    """Exact quotient self/q; raises DivisionByZero / ValueError if q is
+    zero or does not divide self.  Leading-term elimination in graded
+    lex order, valid precisely because the division is exact."""
+    self._require_same_ring(q)
+    if self.kind != "exact":
+        raise TypeError("exact_div on approx polynomials")
+    if q.is_zero():
+        raise DivisionByZero("polynomial division by zero")
+    if self.is_zero():
+        return Poly.zero(self.nvars, self.kind)
+    lead_q, cq = q.leading()
+    rem = dict(self.terms)
+    quot: Dict[Exponents, object] = {}
+    while rem:
+        e = max(rem, key=grlex_key)
+        diff = tuple(a - b for a, b in zip(e, lead_q))
+        if any(d < 0 for d in diff):
+            raise ValueError("polynomial division is not exact")
+        c = rem[e] / cq
+        quot[diff] = c
+        for e2, c2 in q.terms.items():
+            tgt = tuple(a + b for a, b in zip(diff, e2))
+            val = rem.get(tgt, EC_ZERO) - c * c2
+            if val.is_zero():
+                rem.pop(tgt, None)
+            else:
+                rem[tgt] = val
+    return Poly(self.nvars, quot, self.kind)
 
 
 # -- Cofactor, Bareiss and subset-expansion minors (verbatim) -----------------
@@ -60,7 +104,7 @@ def _det_bareiss_poly(rows: List[List[Poly]]) -> Poly:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is one else num.exact_div(prev)
+                a[i][j] = num if prev is one else exact_div(num, prev)
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return d if sign == 1 else -d
@@ -187,6 +231,65 @@ def restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
         for idx, v in enumerate(term):
             coeffs[idx] = coeffs[idx] + v
     return Poly.univariate(coeffs, kind)
+
+
+# -- restrict_to_line from power tables (verbatim, renamed) -------------------
+
+def _gi_convolve(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Product of two ascending coefficient lists over Z[i], each
+    coefficient an (re, im) pair of ints."""
+    re = [0] * (len(a) + len(b) - 1)
+    im = [0] * len(re)
+    for i, (x, y) in enumerate(a):
+        for k, (u, w) in enumerate(b, i):
+            re[k] += x * u - y * w
+            im[k] += x * w + y * u
+    return list(zip(re, im))
+
+
+def _line_sum(terms: List[Tuple[Exponents, Tuple[int, int]]], deg: int,
+              lines: List[List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
+    """Ascending coefficients over Z[i] of sum over terms (e, c) of
+    c * prod_i lines[i]^e_i, with lines[i] = [b_i, v_i] the linear
+    polynomial b_i + s*v_i."""
+    powers = []
+    for line in lines:
+        row = [[(1, 0)]]
+        for _ in range(deg):
+            row.append(_gi_convolve(row[-1], line))
+        powers.append(row)
+    total = [(0, 0)] * (deg + 1)
+    for e, c in terms:
+        term = [c]
+        for i, k in enumerate(e):
+            if k:
+                term = _gi_convolve(term, powers[i][k])
+        for idx, v in enumerate(term):
+            total[idx] = _gi_add(total[idx], v)
+    return total
+
+
+def power_table_restrict_to_line(p: Poly, base: Sequence, direction: Sequence) -> Poly:
+    """The univariate polynomial s -> p(base + s*direction), for an exact
+    p on an exact line only (TypeError otherwise).
+
+    With p = P/D, base = B/d_b and direction = V/d_v over Z[i] and
+    L = d_b*d_v, each term c*x^e of P contributes
+    c * L^(deg - |e|) * prod_i (B_i*d_v + s*V_i*d_b)^e_i on Gaussian
+    integers, and each coefficient of the sum over D * L^deg is built once.
+    """
+    if len(base) != p.nvars or len(direction) != p.nvars:
+        raise ArityMismatch("point arity mismatch")
+    _require_exact(p, (*base, *direction))
+    if all(x.is_zero() for x in direction):
+        raise ZeroDirection("restriction direction is zero")
+    deg = p.degree()
+    den = lcm(*(c.fields[2] for c in p.terms.values()))
+    big_l = lcm(*(x.fields[2] for x in base)) * lcm(*(x.fields[2] for x in direction))
+    terms = [(e, _gi_times(c, den * big_l ** (deg - sum(e)))) for e, c in p.terms.items()]
+    lines = [[_gi_times(b, big_l), _gi_times(v, big_l)] for b, v in zip(base, direction)]
+    total = _line_sum(terms, deg, lines)
+    return Poly.univariate([from_fields(x, y, den * big_l ** deg) for x, y in total])
 
 
 def entry_polys(pencil) -> List[List[Poly]]:

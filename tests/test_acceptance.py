@@ -156,7 +156,7 @@ def test_criterion_5_chart_reduction(ppt_state):
     rho = ppt_state.density_matrix()
     # (a) partial transpose fixes rho exactly
     assert np.array_equal(partial_transpose(rho, 4, 6), rho)
-    cr = chart_reduction()
+    cr = chart_reduction(ppt_state)
     # (b) recomputed pencil matches the printed matrix entrywise
     assert cr.pencil_matches_printed
     assert cr.pencil == printed_pencil_4x6()

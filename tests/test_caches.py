@@ -4,6 +4,7 @@ swap, the compiled generator system, and a variety's exact peel."""
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -28,6 +29,7 @@ from detvar.variety import (
     sample_points,
     variety_of_state,
 )
+from oracles.arrays import bits
 from oracles.polys import evaluate, pencil_minors
 from pinned import GOLDEN
 
@@ -99,6 +101,55 @@ def test_a_density_is_decomposed_once_whatever_the_tolerance(monkeypatch, tol):
     assert stacks == [[16, 16], [4, 4]]
     assert len(set(full)) == 1 and full[0][0] == 16
     assert report["spectra"]["global"] == hermitian_eigen(s.density, tol).eigenvalues
+
+
+def _spy_on_gaussian_sums(monkeypatch) -> list:
+    """The states whose Gaussian sum is built, one entry per sum."""
+    summed = []
+    real = BipartiteState._gaussian_sum.func
+    spy = cached_property(lambda s: summed.append(s) or real(s))
+    spy.__set_name__(BipartiteState, "_gaussian_sum")
+    monkeypatch.setattr(BipartiteState, "_gaussian_sum", spy)
+    return summed
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_cubic_state(EC(8)), lambda: cyclic_cubic_state(EC(27)),
+    lambda: load_state(str(GOLDEN / "gaussian_3x4_r4.state.json")),
+    lambda: load_state(str(GOLDEN / "separable_3x4_t5.state.json"))],
+    ids=["cyclic t^3 = 8", "cyclic t^3 = 27", "gaussian_3x4_r4", "separable_3x4_t5"])
+def test_an_exact_side_b_sums_its_density_once(monkeypatch, make):
+    # the swapped state takes the state's sum, permuted, and builds none
+    summed = _spy_on_gaussian_sums(monkeypatch)
+    st = make()
+    analyze_state(st, side="B", seed=42, samples=4)
+    assert summed == [st]
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.state.json")),
+                         ids=lambda path: path.name.split(".")[0])
+def test_a_swapped_state_has_the_images_it_would_build(path):
+    st = load_state(str(path))
+    sw = st.swapped()
+    fresh = BipartiteState(st.n, st.m, ensemble=sw.ensemble, density=sw.density,
+                           validate=False)
+    if st.density is None and st.exact_ensemble:
+        assert "_gaussian_sum" in vars(sw) and sw._gaussian_sum == fresh._gaussian_sum
+    if st.density is not None:  # new[(j, i), (j', i')] = old[(i, j), (i', j')]
+        m, n = st.m, st.n
+        blocks = st.density.reshape(m, n, m, n).transpose(1, 0, 3, 2)
+        assert bits(sw.density) == bits(blocks.reshape(m * n, m * n))
+    assert [bits(x) for x in sw.float_images] == [bits(x) for x in fresh.float_images]
+
+
+def test_a_swapped_separable_state_has_the_sum_it_would_build():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for seed in range(4):
+                st = random_separable(m, n, 1 + (seed + m * n) % 5, seed=seed)
+                sw = st.swapped()
+                fresh = BipartiteState(n, m, ensemble=sw.ensemble, validate=False)
+                assert sw._gaussian_sum == fresh._gaussian_sum
 
 
 def test_swapped_and_density_are_memoized():

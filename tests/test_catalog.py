@@ -62,7 +62,7 @@ def test_ppt_4x6_state_facts():
 
 @pytest.fixture(scope="module")
 def reduction():
-    return chart_reduction()
+    return chart_reduction(ppt_4x6_state())
 
 
 def test_reduction_pencil_and_divisibility(reduction):
@@ -107,11 +107,11 @@ def test_reduction_claims_irreducible_only_on_a_certificate(monkeypatch):
     # a fake Q(i) root on every line: no factor is found, none is ruled out
     monkeypatch.setattr(factorization_mod, "gaussian_rational_roots",
                         lambda coeffs: [(ExactComplex(0), 1)])
-    cr = chart_reduction()
+    cr = chart_reduction(ppt_4x6_state())
     assert cr.g_factors == [] and not cr.g_irreducible
 
 
 def test_reduction_renders_deterministically(reduction):
     text = reduction.g.render(CHART_NAMES)
-    again = chart_reduction().g.render(CHART_NAMES)
+    again = chart_reduction(ppt_4x6_state()).g.render(CHART_NAMES)
     assert text == again

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from detvar import catalog
 from detvar.cli import main
 from detvar.errors import (
     InconsistentRepresentations,
@@ -313,6 +314,14 @@ def test_cli_repro_example3_report(capsys):
     kinds = {c["kind"] for c in red["caveats"]}
     assert "printed-quadratic-discrepancy" in kinds
     assert report["conclusion"] == "entangled"
+
+
+def test_cli_repro_example3_builds_its_state_once(capsys, monkeypatch):
+    built = []
+    build = catalog.ppt_4x6_state
+    monkeypatch.setattr(catalog, "ppt_4x6_state", lambda: built.append(1) or build())
+    code, _ = run_cli(capsys, "repro", "example3")
+    assert code == 0 and len(built) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -345,9 +345,10 @@ def test_tangent_form_is_the_determinant_gradient():
 def test_exact_division():
     x, y, _ = xyz()
     prod = (x + y) * (x - y)
-    assert prod.exact_div(x + y) == x - y
-    with pytest.raises(ValueError):
-        (x * x + y).exact_div(x + y)
+    assert (x + y).divides_into(prod) == x - y
+    assert (x + y).divides_into(x * x + y) is None
+    with pytest.raises(TypeError):
+        ((x - y) * x).divides_into(prod)  # a divisor of degree 2 is refused
 
 
 def test_column_operation_preserves_zero_set():

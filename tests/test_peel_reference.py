@@ -29,14 +29,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from detvar.catalog import ppt_4x6_state
+import detvar.factorization as factorization_mod
+from detvar.catalog import cyclic_cubic_state, ppt_4x6_state
 from detvar.factorization import _divide_out, _random_exact_point, linear_factors
-from detvar.multipoly import CompiledSystem, LinearForm, restrict_to_line, univariate_roots
+from detvar.multipoly import CompiledSystem, LinearForm, Poly, restrict_to_line, univariate_roots
+from detvar.report import analyze_state
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.states import random_separable
 from detvar.statefile import load_state
 from detvar.variety import _LINE_MISSES, _peel_linear_factors, project_normalize, variety_of_state
 from oracles.peel import UnsupportedShape, linear_factorization
+from oracles.polys import exact_div
 from pinned import GOLDEN
 from shared_states import factored_state, shared_direction_state
 
@@ -314,3 +317,46 @@ def test_small_peel_matches_reference_on_constructed_states(shape, forms):
                            shape=shape)
     peeled = assert_same_small_peel(variety_of_state(state, "A"))
     assert Counter(peeled) == Counter(LinearForm(f) for f in forms)
+
+
+# -- the peel's work, pinned ---------------------------------------------------
+
+PEEL_WORK = [
+    # (state, side A: restrictions, divisions, peeled forms)
+    (lambda: load_state(str(GOLDEN / "ppt_4x6_rank7.state.json")), 9, 16,
+     ["1*r1^1 + -1/2*r2^1 + 1/2*r4^1", "1*r1^1 + -1*r2^1 + 1*r4^1"]),
+    (lambda: cyclic_cubic_state(EC(8)), 1, 0, []),
+    (lambda: cyclic_cubic_state(EC(1)), 2, 2, ["1*r1^1 + 1*r2^1 + 1*r3^1"]),
+]
+
+
+@pytest.mark.parametrize("make, restrictions, divisions, forms", PEEL_WORK,
+                         ids=["ppt_4x6_rank7", "cyclic t^3 = 8", "cyclic t^3 = 1"])
+def test_the_peel_does_the_same_work(monkeypatch, make, restrictions, divisions, forms):
+    """A side-A analysis makes as many line restrictions and divisions as
+    before the kernels changed, peels the same forms, and every quotient is
+    the one the retired division gives, term order included: kernel work
+    shows up as time, not as a change in the work done."""
+    restricted, divided, peeled = [], [], []
+    real_restrict, real_divide, real_peel = (factorization_mod.restrict_to_line,
+                                             Poly.divides_into, factorization_mod._peel)
+
+    def dividing(form, p):
+        divided.append((form, p, real_divide(form, p)))
+        return divided[-1][2]
+
+    monkeypatch.setattr(factorization_mod, "restrict_to_line",
+                        lambda g, b, d: restricted.append(g) or real_restrict(g, b, d))
+    monkeypatch.setattr(Poly, "divides_into", dividing)
+    monkeypatch.setattr(factorization_mod, "_peel",
+                        lambda polys, m: peeled.append(out := real_peel(polys, m)) or out)
+    analyze_state(make(), side="A", seed=42, samples=4)
+    assert (len(restricted), len(divided)) == (restrictions, divisions)
+    assert [f.render() for out in peeled for f in out[0]] == forms
+    for form, p, q in divided:
+        try:
+            want = exact_div(p, form)
+        except ValueError:
+            assert q is None
+            continue
+        assert list(q.terms.items()) == list(want.terms.items())

@@ -37,7 +37,8 @@ from detvar.variety import (
     variety_of_state,
     verify_lu_covariance,
 )
-from oracles.arrays import _hadamard_ratio  # the per-matrix ratio the stacked one replaced
+# the per-matrix ratio the stacked one replaced, and the row norms it read
+from oracles.arrays import _hadamard_ratio, _row_norms as _retired_row_norms
 from oracles.modp import _minors_mod_p, dict_macaulay_full_rank
 from oracles.polys import evaluate  # the float evaluation Poly.evaluate had
 from shared_states import factored_state, shared_direction_state
@@ -467,12 +468,13 @@ def test_hermitian_residual_when_its_bound_underflows():
     assert v.hermitian_residual((1, 0.5j, 0.25)) == 0.0
     assert v.hermitian_residual((EC(1), EC(0, F(1, 2)), EC(F(1, 4)))) == 0.0
     # M(r) = diag(|r_i|^2) / 3 is nonsingular, with rows small enough that
-    # the product of their norms, or det itself, underflows: the ratio of
-    # a diagonal matrix is 1
+    # the product of their norms, or det itself, underflows, or large
+    # enough that a row norm overflows: the ratio of a diagonal matrix is 1
     diag = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(_unit(i), _unit(i)))
                                           for i in range(3)])
     vd = variety_of_state(diag)
-    for point in [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160)]:
+    for point in [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160),
+                  (1e100, 1, 1), (1e60, 1e60, 1e60)]:
         assert vd.hermitian_residual(point) == pytest.approx(1.0, rel=1e-12)
     assert vd.hermitian_residual((1, 2, 3)) == 1.0
 
@@ -528,12 +530,27 @@ def test_best_probe_selection_rule():
         assert best_probe(mats, threshold) == loop_best(mats, threshold)
 
 
+def rescaled_retired_ratio(mat) -> float:
+    """The retired _hadamard_ratio, with a bound that overflows to inf met
+    as one that underflows to 0: a zero row reads 0.0, and other rows are
+    first scaled to unit max modulus."""
+    bound = 1.0
+    for norm in _retired_row_norms(mat):
+        bound *= max(norm, 1e-300)
+    if bound != np.inf:
+        return _hadamard_ratio(mat)
+    peaks = np.abs(mat).max(axis=1, keepdims=True)
+    if not peaks.all():
+        return 0.0
+    return _hadamard_ratio((mat.view(float) / peaks).view(complex))
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_the_ratios_are_the_retired_ratio_bit_for_bit(n):
     """Each of _hadamard_ratios(mats) is the retired _hadamard_ratio(mat),
-    on stacks that mix rows at scales 1e-200 to 1e200 (bounds and dets
-    that overflow to inf or underflow to 0), zero rows, subnormal rows and
-    NaN matrices."""
+    rescaled where its bound overflows (rescaled_retired_ratio), on stacks
+    that mix rows at scales 1e-200 to 1e200 (bounds and dets that overflow
+    to inf or underflow to 0), zero rows, subnormal rows and NaN matrices."""
     rng = np.random.default_rng(n)
 
     def gaussian(*shape):
@@ -549,7 +566,7 @@ def test_the_ratios_are_the_retired_ratio_bit_for_bit(n):
         # the retired ratio's det warns on NaN and extreme matrices, and its
         # dot on overflow; the stacked ratio needs no errstate around it
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            want = [_hadamard_ratio(mat).hex() for mat in mats]
+            want = [rescaled_retired_ratio(mat).hex() for mat in mats]
         assert [x.hex() for x in _hadamard_ratios(mats).tolist()] == want
         with np.errstate(over="ignore", invalid="ignore"):
             bounds += np.prod(np.maximum(np.linalg.norm(mats, axis=2), 1e-300), axis=1).tolist()

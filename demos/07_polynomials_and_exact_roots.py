@@ -12,16 +12,20 @@ and "no root" comes back as a certificate rather than a shrug.
 
 from fractions import Fraction
 
-from detvar import ExactComplex, Poly, linear_factors, univariate_roots
-from detvar.exactroots import gaussian_rational_roots, rational_roots
+import numpy as np
+
+from detvar import ExactComplex, Poly, linear_factors
+from detvar.exactroots import gaussian_rational_roots
 
 EC = ExactComplex
 F = Fraction
 
-# complete rational root finding, multiplicities included
+# complete rational root finding, multiplicities included: the real ones
+# among the Gaussian-rational roots of
 # (97x - 31)(x^2 + 1) = 97x^3 - 31x^2 + 97x - 31, ascending coefficients:
+cubic = gaussian_rational_roots([EC(F(c)) for c in (-31, 97, -31, 97)])
 print("rational roots of (97x - 31)(x^2 + 1):",
-      [(str(r), m) for r, m in rational_roots([F(-31), F(97), F(-31), F(97)])])
+      [(str(z.re), m) for z, m in cubic if z.is_real()])
 
 # Q(i) roots: z^2 + 2i = (z - (1-i))(z + (1-i))
 roots = gaussian_rational_roots([EC(0, 2), EC(0), EC(1)])
@@ -37,5 +41,6 @@ print("  residual:", residual.render())
 print("  re-multiplies exactly:", forms[0].to_poly(3) * residual == fermat)
 
 # numeric univariate roots: the eigenvalues of the companion matrix
+# (np.roots, descending coefficients)
 print("\nfloat roots of z^3 - 1 (companion eigenvalues):",
-      [complex(round(r.real, 9), round(r.imag, 9)) for r in univariate_roots([-1, 0, 0, 1])])
+      [complex(round(r.real, 9), round(r.imag, 9)) for r in np.roots([1, 0, 0, -1])])

@@ -200,10 +200,6 @@ class ChartReduction:
     g_factors: List[LinearForm]            # Q(i) linear factors of g
     g_irreducible: bool                    # no Q(i) linear factor, certified
 
-    @property
-    def component_nonlinear(self) -> bool:
-        return self.g_irreducible
-
 
 def chart_reduction(state: BipartiteState) -> ChartReduction:
     """Recompute the 4x6 reduction of state = ppt_4x6_state(), end to end.

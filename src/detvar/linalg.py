@@ -156,12 +156,6 @@ def hermitian_eigen(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> EigenResult:
     return eigh_stack([m])[0].eigen(tol)
 
 
-def hermitian_eigenvalues(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> List[float]:
-    """The eigenvalues of hermitian_eigen(m, tol), bit for bit, with no
-    residual computed."""
-    return eigh_stack([m])[0].eigenvalues(tol)
-
-
 def spectral_cutoff(eigenvalues: Sequence[float], tol: Tolerance = DEFAULT_TOL) -> float:
     """Eigenvalues within eig_cutoff * max(max|lambda|, 1) of zero are
     numerically zero."""
@@ -174,7 +168,7 @@ def psd_check(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     elimination: a negative pivot, or a zero one with a nonzero row, proves
     it is not PSD; a positive one d leaves C - b b^H / d, PSD iff m is."""
     if m.dtype != object:
-        eigs = hermitian_eigenvalues(m, tol)
+        eigs = eigh_stack([m])[0].eigenvalues(tol)
         return not eigs or min(eigs) >= -spectral_cutoff(eigs, tol)
     a = m.copy()
     for k in range(len(a)):

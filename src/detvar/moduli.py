@@ -29,9 +29,6 @@ class HesseCubic:
     lambda_cubed: ExactComplex
     provenance: str
 
-    def render(self) -> str:
-        return self.lambda_cubed.render()
-
 
 @dataclass(frozen=True)
 class ModuliValue:

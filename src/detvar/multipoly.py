@@ -9,9 +9,10 @@ take Q(i) polynomials and points only (TypeError otherwise), and a float
 variety is decided on its pencil with no polynomial (``variety``).  The
 approximate kind (kind="approx", python complex coefficients) survives
 only for numeric code that no analysis calls and the traced benchmark
-still lists: ``to_approx``, ``evaluation_scale``, ``CompiledSystem``
-behind ``variety._newton_polish``, and the Sylvester resultant behind
-``variety._plane_slice_candidates``.  For that resultant, the one
+still lists (``perfbench/spans.py``): ``to_approx``, ``evaluation_scale``,
+``CompiledSystem`` with ``_flat_terms`` behind ``variety._newton_polish``,
+the Sylvester resultant behind ``variety._plane_slice_candidates``, and
+the companion-matrix ``univariate_roots``.  For that resultant, the one
 division-free determinant routine (a memoized Laplace expansion on raw
 term dicts, serving ``symbolic_det`` and ``minors`` alike) runs
 approximate entries on complex numbers, in the steps and order of Poly

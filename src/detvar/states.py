@@ -293,7 +293,10 @@ class BipartiteState:
     def _swapped(self) -> "BipartiteState":
         """An exact ensemble's Gaussian sum goes over with rows and columns
         permuted, (i, j) -> (j, i): the sum the swapped state would build.
-        A float one's density is built anew (vdot sums in another order)."""
+        So do the float images of a density or an exact ensemble: rho's
+        permuted, the two partial traces exchanged, the bits the swapped
+        state would build.  A float ensemble's density is built anew (vdot
+        sums the permuted rays in another order)."""
         m, n = self.m, self.n
         perm = [i * n + j for j in range(n) for i in range(m)]  # new (j, i) is old (i, j)
         ens = dens = None
@@ -307,6 +310,9 @@ class BipartiteState:
             re, im, den = self._gaussian_sum
             out._gaussian_sum = ([[re[a][b] for b in perm] for a in perm],
                                  [[im[a][b] for b in perm] for a in perm], den)
+        if self.density is not None or self.exact_ensemble:
+            rho, tr_b, tr_a = self.float_images
+            out.float_images = (rho[np.ix_(perm, perm)], tr_a, tr_b)
         return out
 
     def __repr__(self):

@@ -279,7 +279,47 @@ class Variety:
 
     @cached_property
     def _peeled(self) -> Tuple[List[LinearForm], Optional[List[Poly]], Optional[FactorList]]:
-        return _peel_linear_factors(self)
+        """Peel exact common linear factors off the generators of an exact V:
+        (forms, rest, factor list), the certified linear factors, the
+        generators that remain, and the factor list of a hypersurface.
+
+        A square pencil whose det N was split off its product columns at
+        build (_column_split) needs no peel: ([], None, that factor list) is
+        returned, with no minor expanded and no line drawn.
+
+        A hyperplane dividing every minor is a full linear component of the
+        variety; random lines land on it constantly, hiding any codimension-2
+        components behind it from the sampler.  Each peeled hyperplane is
+        verified by exact division first, so the result is a certificate, not
+        a guess.
+
+        For t > n, the Cauchy-Binet certificate (_cauchy_binet_certificate,
+        the binary no-common-zero test modulo the pencil's prime on an exact
+        line from a stream of its own) may prove before any minor is expanded
+        that the minors share no factor, which is the line peel's own stop
+        rule, certified; then ([], None, None) is returned: nothing peeled,
+        V's own minors remain.  Otherwise the minors are read and go to the
+        line peel (factorization.linear_factors), one generator or several;
+        several have no factor list.
+
+        Any other exact hypersurface, one generator, is split into its factor
+        list (linear_factorization), returned third.  When a residual survives,
+        the system is that residual, whose zero locus is the only place a
+        witness can live.  A full split is left unpeeled: linearity_decide
+        reports it from the factor list, and its hyperplanes stay open to
+        sampling.
+        """
+        if self.split is not None:
+            return [], None, self.split
+        if self.pencil.t > self.n:
+            base, direction = _fixed_draw(_exact_points, "cauchy-binet", 2, self.m)
+            if _cauchy_binet_certificate(self.pencil, base, direction):
+                return [], None, None
+        gens = self.essential_generators
+        if len(gens) != 1:
+            return (*linear_factors(gens, self.m), None)
+        fl = linear_factorization(gens[0])
+        return ([], gens, fl) if fl.residual is None else (fl.linear_factors, [fl.residual], fl)
 
     @cached_property
     def rank_deficient(self) -> bool:
@@ -314,29 +354,33 @@ class Variety:
         (_hermitian_forms) serves both."""
         exact = self.mode == "exact" and all(isinstance(x, ExactComplex) for x in point)
         blocks = self._state_blocks(exact)
-        if blocks.dtype == object:
-            return exact_matrix(_hermitian_forms(np.array([point], dtype=object), blocks)[0])
-        return self.hermitian_stack([point])[0]
-
-    def hermitian_stack(self, points: Sequence[Sequence]) -> np.ndarray:
-        """The float M(r) of each point (complex coordinates), shape (b, n, n)."""
-        pts = np.array(points, dtype=complex).reshape(-1, self.m)
-        return _hermitian_forms(pts, self._state_blocks(False))
+        mat = _hermitian_forms(np.array([point], dtype=blocks.dtype), blocks)[0]
+        return exact_matrix(mat) if blocks.dtype == object else mat
 
     def hermitian_residuals(self, points: Sequence[Sequence]) -> np.ndarray:
         """The Hermitian oracle, the one float one: |det M(r)| over the Hadamard
-        bound of M(r) at each point, by one hermitian_stack and one
+        bound of M(r) at each point, by one _hermitian_forms and one
         _hadamard_ratios, each the bits of a stack of one (an exact point on
-        an exact density reads its exact M(p), rounded).  For n = 1, where that
-        ratio is 1 wherever M(r) is not 0, it is |M(r)| / (||rho||_2 ||r||^2),
-        by hypot and each row's vdot: the bits of that formula in Python floats."""
-        exact = self.mode == "exact" and any(isinstance(x, ExactComplex) for p in points for x in p)
-        mats = (np.array([as_array(self.hermitian_matrix(p)) for p in points]) if exact
-                else self.hermitian_stack(points))
+        an exact density reads its exact M(p), rounded).  A float point whose
+        largest part lies outside [2^-500, 2^500] is first scaled by the power
+        of two that brings that part into [0.5, 1), so M(r) stays in range;
+        no other point is touched.  For n = 1, where that ratio is 1 wherever
+        M(r) is not 0, it is |M(r)| / (||rho||_2 ||r||^2), by hypot and each
+        row's vdot: the bits of that formula in Python floats."""
+        pts = np.array(points, dtype=complex).reshape(-1, self.m)
+        if self.mode == "exact" and any(isinstance(x, ExactComplex) for p in points for x in p):
+            mats = np.array([as_array(self.hermitian_matrix(p)) for p in points])
+        else:
+            parts = pts.view(float)
+            top = np.abs(parts).max(axis=1, initial=0.0)
+            far = (top < 2.0 ** -500) | (top > 2.0 ** 500)
+            if far.any():
+                parts[far] = np.ldexp(parts[far], -np.frexp(top[far])[1][:, None])
+            mats = _hermitian_forms(pts, self._state_blocks(False))
         if self.n > 1:
             return _hadamard_ratios(mats)
         cell, rho = mats[:, 0, 0], self._state_blocks(False).reshape(self.m, self.m)
-        sq = np.array([np.vdot(r, r).real for r in np.array(points, dtype=complex)])
+        sq = np.array([np.vdot(r, r).real for r in pts])
         return np.hypot(cell.real, cell.imag) / np.maximum(np.linalg.norm(rho, 2) * sq, 1e-300)
 
     def hermitian_residual(self, point: Sequence) -> float:
@@ -607,56 +651,10 @@ def _newton_polish(system: CompiledSystem, z0: Sequence[complex], tol: Tolerance
 
 def _analysis_system(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]],
                                            Optional[FactorList]]:
-    """_peel_linear_factors(v) of an exact V, peeled once (a cached
-    property of the variety).  The decision reads the split; the sampler
-    reads the peeled forms, to keep its points off them, and whether
-    anything remains."""
+    """The peel of an exact V (Variety._peeled), peeled once.  The decision
+    reads the split; the sampler reads the peeled forms, to keep its points
+    off them, and whether anything remains."""
     return v._peeled
-
-
-def _peel_linear_factors(v: Variety) -> Tuple[List[LinearForm], Optional[List[Poly]],
-                                               Optional[FactorList]]:
-    """Peel exact common linear factors off the generators of an exact V:
-    (forms, rest, factor list), the certified linear factors, the
-    generators that remain, and the factor list of a hypersurface.
-
-    A square pencil whose det N was split off its product columns at
-    build (_column_split) needs no peel: ([], None, that factor list) is
-    returned, with no minor expanded and no line drawn.
-
-    A hyperplane dividing every minor is a full linear component of the
-    variety; random lines land on it constantly, hiding any codimension-2
-    components behind it from the sampler.  Each peeled hyperplane is
-    verified by exact division first, so the result is a certificate, not
-    a guess.
-
-    For t > n, the Cauchy-Binet certificate (_cauchy_binet_certificate,
-    the binary no-common-zero test modulo the pencil's prime on an exact
-    line from a stream of its own) may prove before any minor is expanded
-    that the minors share no factor, which is the line peel's own stop
-    rule, certified; then ([], None, None) is returned: nothing peeled,
-    V's own minors remain.  Otherwise the minors are read and go to the
-    line peel (factorization.linear_factors), one generator or several;
-    several have no factor list.
-
-    Any other exact hypersurface, one generator, is split into its factor
-    list (linear_factorization), returned third.  When a residual survives,
-    the system is that residual, whose zero locus is the only place a
-    witness can live.  A full split is left unpeeled: linearity_decide reports it
-    from the factor list, and its hyperplanes stay open to sampling.
-    """
-    if v.split is not None:
-        return [], None, v.split
-    pencil = v.pencil
-    if pencil.t > v.n:
-        base, direction = _fixed_draw(_exact_points, "cauchy-binet", 2, v.m)
-        if _cauchy_binet_certificate(pencil, base, direction):
-            return [], None, None
-    gens = v.essential_generators
-    if len(gens) != 1:
-        return (*linear_factors(gens, v.m), None)
-    fl = linear_factorization(gens[0])
-    return ([], gens, fl) if fl.residual is None else (fl.linear_factors, [fl.residual], fl)
 
 
 def _cauchy_binet_certificate(p: PencilMatrix, base: Sequence[ExactComplex],
@@ -921,11 +919,9 @@ def tangent_form(v: Variety, point: Sequence) -> LinearForm:
 
 
 def _row_form(row: np.ndarray) -> LinearForm:
-    """A row of T as a form whose first largest coefficient is 1."""
-    coeffs = row.tolist()
-    top = max(range(len(coeffs)), key=lambda i: abs(coeffs[i]))
-    inv = 1.0 / coeffs[top]
-    return LinearForm([x * inv for x in coeffs], 0j, normalize=False)
+    """A row of T as a form whose first largest coefficient is 1
+    (_normalize_floats)."""
+    return LinearForm(_normalize_floats(row.tolist()), 0j, normalize=False)
 
 
 _RANK_GAP_MIN = 1e3

@@ -10,6 +10,8 @@
 * ``_hadamard_ratio``, with the list-returning ``_row_norms`` it read: the
   per-matrix Hermitian residual of ``variety``, retired when the stacked
   ``variety._hadamard_ratios`` took over every float Hadamard ratio.
+* ``_row_form``: ``variety._row_form`` as it was before it went through
+  ``variety._normalize_floats``, whose scaling its body repeated.
 * ``one_point_at_a_time``: the oracles read one point per call, as the
   sampler and the covariance check read them before each sampler draw and
   each covariance side went to one ``Variety.hermitian_residuals`` and
@@ -23,6 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from detvar.errors import DimensionMismatch, NonSquare
+from detvar.multipoly import LinearForm
 from detvar.scalars import EC_ONE, EC_ZERO, ExactComplex
 from detvar.variety import Variety
 
@@ -316,6 +319,14 @@ def _hadamard_ratio(arr: np.ndarray) -> float:
 
 def bits(a) -> list:
     return [(float(z.real).hex(), float(z.imag).hex()) for z in np.ravel(a)]
+
+
+def _row_form(row: np.ndarray) -> LinearForm:
+    """A row of T as a form whose first largest coefficient is 1."""
+    coeffs = row.tolist()
+    top = max(range(len(coeffs)), key=lambda i: abs(coeffs[i]))
+    inv = 1.0 / coeffs[top]
+    return LinearForm([x * inv for x in coeffs], 0j, normalize=False)
 
 
 def one_point_at_a_time(mp) -> None:

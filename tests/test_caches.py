@@ -126,10 +126,7 @@ def test_an_exact_side_b_sums_its_density_once(monkeypatch, make):
     assert summed == [st]
 
 
-@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.state.json")),
-                         ids=lambda path: path.name.split(".")[0])
-def test_a_swapped_state_has_the_images_it_would_build(path):
-    st = load_state(str(path))
+def _check_swapped_images(st: BipartiteState) -> None:
     sw = st.swapped()
     fresh = BipartiteState(st.n, st.m, ensemble=sw.ensemble, density=sw.density,
                            validate=False)
@@ -137,9 +134,32 @@ def test_a_swapped_state_has_the_images_it_would_build(path):
         assert "_gaussian_sum" in vars(sw) and sw._gaussian_sum == fresh._gaussian_sum
     if st.density is not None:  # new[(j, i), (j', i')] = old[(i, j), (i', j')]
         m, n = st.m, st.n
-        blocks = st.density.reshape(m, n, m, n).transpose(1, 0, 3, 2)
-        assert bits(sw.density) == bits(blocks.reshape(m * n, m * n))
+        want = st.density.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
+        if want.dtype == object:
+            assert (sw.density == want).all()
+        else:
+            assert bits(sw.density) == bits(want)
+    # a density's or an exact ensemble's images are handed over; a float
+    # ensemble's swap sums its own density
+    handed = st.density is not None or st.exact_ensemble
+    assert ("float_images" in vars(sw)) == handed
     assert [bits(x) for x in sw.float_images] == [bits(x) for x in fresh.float_images]
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.state.json")),
+                         ids=lambda path: path.name.split(".")[0])
+def test_a_swapped_state_has_the_images_it_would_build(path):
+    _check_swapped_images(load_state(str(path)))
+
+
+@pytest.mark.parametrize("name", ["cyclic_t3_8", "separable_3x4_t5", "gaussian_3x4_r4"])
+def test_a_swapped_exact_density_has_the_images_it_would_build(name):
+    st = (cyclic_cubic_state(EC(8)) if name == "cyclic_t3_8"
+          else load_state(str(GOLDEN / f"{name}.state.json")))
+    rho = st.density_matrix()
+    _check_swapped_images(BipartiteState(st.m, st.n, density=rho, validate=False))
+    _check_swapped_images(BipartiteState(st.m, st.n, ensemble=st.ensemble, density=rho,
+                                         validate=False))
 
 
 def test_a_swapped_separable_state_has_the_sum_it_would_build():
@@ -238,13 +258,14 @@ def test_analysis_system_is_peeled_once(monkeypatch):
     assert _analysis_system(v) == ([], None, None) and "generators" not in vars(v)
     assert _analysis_system(v) is _analysis_system(v)
     # the exact split of a hypersurface leaves its residual, and a whole
-    # analysis (decision, witness search and sampler) peels once
-    peels = []
-    real = variety_mod._peel_linear_factors
-    monkeypatch.setattr(variety_mod, "_peel_linear_factors",
-                        lambda w: peels.append(w) or real(w))
+    # analysis (decision, witness search and sampler) splits its one
+    # generator once
+    splits = []
+    real = variety_mod.linear_factorization
+    monkeypatch.setattr(variety_mod, "linear_factorization",
+                        lambda g: splits.append(g) or real(g))
     w = variety_of_state(cyclic_cubic_state(EC(8)))
     assert linearity_decide(w, seed=42).tag == "NonlinearWitness"
     _, residual, fl = _analysis_system(w)
     assert residual == [fl.residual]
-    assert peels == [w]
+    assert splits == w.essential_generators

@@ -34,8 +34,8 @@ from detvar.scalars import ExactComplex
 from detvar.statefile import load_state
 from detvar.states import random_separable
 from detvar.variety import (
+    _analysis_system,
     _cauchy_binet_certificate,
-    _peel_linear_factors,
     variety_of_state,
 )
 from oracles.modp import INTEGERS, minor_terms
@@ -118,8 +118,8 @@ def test_certified_peel_and_planes_of_ppt_side_a():
     for state, side in [(ppt, "B"), (load_state(str(GOLDEN / "gaussian_4x4_r5.state.json")),
                                       "A")]:
         v = variety_of_state(state, side)
-        assert _peel_linear_factors(v) == ([], None, None) and "generators" not in vars(v)
-    forms, rest, _ = _peel_linear_factors(variety_of_state(ppt, "A"))
+        assert _analysis_system(v) == ([], None, None) and "generators" not in vars(v)
+    forms, rest, _ = _analysis_system(variety_of_state(ppt, "A"))
     assert len(forms) == 2 and rest
 
 
@@ -131,7 +131,7 @@ def test_a_non_product_square_pencil_is_expanded_at_build_and_split_by_the_peel(
     for state in (gaussian_integer_state(4, 4, 4, 1), gaussian_integer_state(3, 4, 4, 1)):
         v = variety_of_state(state)
         assert "generators" in vars(v) and v.split is None
-        forms, rest, fl = _peel_linear_factors(v)
+        forms, rest, fl = _analysis_system(v)
         assert (forms, rest) == ([], [fl.residual])
         assert fl.linear_factors == [] and fl.certified
         assert fl.remultiply(v.m) == v.essential_generators[0]
@@ -143,7 +143,7 @@ def test_a_product_square_pencil_is_split_from_its_columns():
     # re-multiply to the determinant, expanded here only to check them
     w = variety_of_state(random_separable(4, 4, 4, seed=1))
     assert "generators" not in vars(w) and w.essential_count == 1
-    forms, rest, fl = _peel_linear_factors(w)
+    forms, rest, fl = _analysis_system(w)
     assert (forms, rest) == ([], None)
     assert fl.residual is None and len(fl.linear_factors) == 4 and fl.certified
     assert fl.remultiply(4) == w.essential_generators[0]

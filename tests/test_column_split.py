@@ -24,7 +24,7 @@ from detvar.states import (
     random_local_unitary,
     random_separable,
 )
-from detvar.variety import _peel_linear_factors, linearity_decide, variety_of_state
+from detvar.variety import _analysis_system, linearity_decide, variety_of_state
 from shared_states import float_copy, shared_direction_state
 
 EC = ExactComplex
@@ -91,7 +91,7 @@ def test_a_ray_off_product_falls_back_to_the_peel(factorizations, m, n, seed):
     verdict = linearity_decide(v, seed=7)
     assert factorizations == v.essential_generators
     assert verdict.factor_list == linear_factorization(v.essential_generators[0])
-    assert _peel_linear_factors(v)[2] == verdict.factor_list
+    assert _analysis_system(v)[2] == verdict.factor_list
 
 
 def _dependent_b(m, n, seed):

@@ -1,7 +1,7 @@
 """The exact hyperplane peel against the two peels it replaced.
 
-``reference_peel`` is the former m >= 4 branch of
-``variety._peel_linear_factors``, kept verbatim: it samples points on V
+``reference_peel`` is the former m >= 4 branch of the exact peel
+(``Variety._peeled``), kept verbatim: it samples points on V
 along exact lines with float roots, fits hyperplanes through them with a
 RANSAC SVD, rationalizes the normal (denominators up to 10000) and
 verifies each candidate by exact division.  Where it finds forms, the
@@ -37,7 +37,7 @@ from detvar.report import analyze_state
 from detvar.scalars import DEFAULT_TOL, EC_ZERO, ExactComplex
 from detvar.states import random_separable
 from detvar.statefile import load_state
-from detvar.variety import _LINE_MISSES, _peel_linear_factors, project_normalize, variety_of_state
+from detvar.variety import _LINE_MISSES, _analysis_system, project_normalize, variety_of_state
 from oracles.peel import UnsupportedShape, linear_factorization
 from oracles.polys import exact_div
 from pinned import GOLDEN
@@ -141,11 +141,11 @@ def reference_small_peel(v):
 
 
 def peel(state):
-    return _peel_linear_factors(variety_of_state(state, "A"))[:2]
+    return _analysis_system(variety_of_state(state, "A"))[:2]
 
 
 def assert_same_peel(v):
-    forms, quotients, _ = _peel_linear_factors(v)
+    forms, quotients, _ = _analysis_system(v)
     ref_forms, ref_quotients = reference_peel(v)
     assert ref_forms
     assert Counter(forms) == Counter(ref_forms)
@@ -175,7 +175,7 @@ def test_nothing_to_peel_agrees_with_reference(state):
     # the Cauchy-Binet certificate settles these before any minor is
     # expanded; the line peel, run on the expanded minors, agrees
     v = variety_of_state(state, "A")
-    assert _peel_linear_factors(v) == ([], None, None) and "generators" not in vars(v)
+    assert _analysis_system(v) == ([], None, None) and "generators" not in vars(v)
     assert reference_peel(v) == ([], v.essential_generators)
     assert linear_factors(v.essential_generators, v.m) == ([], v.essential_generators)
 
@@ -267,7 +267,7 @@ def test_codimension_two_peel_restricts_once_per_generator(monkeypatch):
 
 def assert_same_small_peel(v):
     assert v.m <= 3 and len(v.essential_generators) >= 2
-    forms, quotients, _ = _peel_linear_factors(v)
+    forms, quotients, _ = _analysis_system(v)
     if quotients is None:  # nothing peeled, certified: V's own minors remain
         assert not forms
         quotients = v.essential_generators

@@ -27,6 +27,7 @@ from detvar.variety import (
     Variety,
     _best_probe,
     _hadamard_ratios,
+    _hermitian_forms,
     _witness_search,
     linearity_decide,
     membership,
@@ -477,6 +478,19 @@ def test_hermitian_residual_when_its_bound_underflows():
                   (1e100, 1, 1), (1e60, 1e60, 1e60)]:
         assert vd.hermitian_residual(point) == pytest.approx(1.0, rel=1e-12)
     assert vd.hermitian_residual((1, 2, 3)) == 1.0
+    # a point whose largest part is past 2^+-500 is first scaled by a power
+    # of two, so M(r) neither overflows nor underflows whole: the ratio is
+    # that of the scaled point, 1 for equal coordinates, and never NaN
+    for big in (1e300, 1e-200):
+        c = float(np.frexp(big)[0])
+        got = vd.hermitian_residual((big, big, big))
+        assert got == vd.hermitian_residual((c, c, c)) == pytest.approx(1.0, rel=1e-12)
+    assert not np.isnan(vd.hermitian_residual((1e200, 1e-200, 1)))
+
+
+def float_forms(v, points):
+    """The float M(r) of each point, shape (b, n, n), as the oracle forms them."""
+    return _hermitian_forms(np.array(points, dtype=complex), v._state_blocks(False))
 
 
 def best_probe(mats, threshold):
@@ -604,7 +618,7 @@ def test_the_oracle_raises_no_warning_on_extreme_rows():
     coords = [1e100, 1e-100, 1e-155, 1.0, 0.0]
     points = [p for p in itertools.product(coords, repeat=3) if any(p)]
     vd.hermitian_residuals(points)
-    assert _det_warns(vd.hermitian_stack(points))
+    assert _det_warns(float_forms(vd, points))
 
 
 def test_best_probe_on_underflowing_bounds():
@@ -614,12 +628,12 @@ def test_best_probe_on_underflowing_bounds():
     s = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(a, _unit(0))) for a in rays],
                        validate=False)
     v = variety_of_state(s)
-    assert best_probe(v.hermitian_stack([(1, 0.5j, 0.25)]), -1.0) == (0, 0.0)
+    assert best_probe(float_forms(v, [(1, 0.5j, 0.25)]), -1.0) == (0, 0.0)
     diag = BipartiteState(3, 3, ensemble=[(F(1, 3), _product(_unit(i), _unit(i)))
                                           for i in range(3)])
     vd = variety_of_state(diag)
     points = [(1e-100, 1e-100, 1e50), (1e-100, 1e-100, 1e-100), (1e-160, 1, 1e-160), (1, 2, 3)]
-    mats = vd.hermitian_stack(points)
+    mats = float_forms(vd, points)
     for k, point in enumerate(points):
         assert best_probe(mats[k:k + 1], 0.5) == (0, vd.hermitian_residual(point))
     assert best_probe(mats, 0.5) == loop_best(mats, 0.5)

@@ -16,6 +16,10 @@ bit:
 * the float normalizer (``_normalize_floats``) against the float branch of
   ``project_normalize`` as it was, on points with ties for the largest
   modulus, and the ``ValueError`` on the zero point;
+* the tangent row's form (``_row_form``, which scales through
+  ``_normalize_floats``) against its own scaling as it was
+  (``oracles.arrays._row_form``), on rows with ties, signed zeros and
+  scales up to 1e+-200;
 * ``||A||`` (``PencilMatrix.floats``) against ``np.linalg.norm(x, 2)`` on
   the goldens' pencils and drawn float pencils;
 * each fixed draw (``_fixed_draw``) against a fresh draw from its stream,
@@ -52,11 +56,13 @@ from detvar.variety import (
     PencilMatrix,
     _hyperplane,
     _normalize_floats,
+    _row_form,
     _row_norms,
     _screen_points,
     pencil_matrix,
     project_normalize,
 )
+from oracles.arrays import _row_form as retired_row_form
 from pinned import GOLDEN
 
 
@@ -197,6 +203,19 @@ def test_the_zero_point_is_refused(zero):
     for normalize in (_normalize_floats, project_normalize, reference_normalize):
         with pytest.raises(ValueError, match="zero point"):
             normalize(zero)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_the_row_form_scales_as_it_did(m):
+    # the points above as tangent rows, as drawn and at peak moduli 1e+-200
+    rng = random.Random(f"row form:{m}")
+    for pt in _points(rng, m, 300):
+        peak = max(abs(x) for x in pt)
+        for row in (np.array(pt), np.array(pt) / peak * 1e200, np.array(pt) / peak * 1e-200):
+            if row.any():
+                got, want = _row_form(row), retired_row_form(row)
+                assert bits(got.coefficients) == bits(want.coefficients)
+                assert bits([got.constant]) == bits([want.constant])
 
 
 # ---------------------------------------------------------------------------
